@@ -14,9 +14,10 @@ and the body piece reducing, for a star-shaped body, to a single angular
 integral of the radial antiderivative implemented in
 :mod:`locfield.greens`.  For a sphere with the emitter displaced q_L from
 the center both dipole orientations collapse the angular integral to one
-dimension in x = cos(theta), evaluated here with adaptive Gauss-Kronrod
-quadrature.  The centered sphere has a closed form (no quadrature), kept
-as an independent cross-check of the 1D path.
+dimension in x = cos(theta), evaluated here with a Gauss-Legendre rule
+whose node count doubles until the rate settles.  The centered sphere has
+a closed form (no quadrature), kept as an independent cross-check of the
+1D path.
 
 Everything in this module is strictly first order in chi; the accompanying
 validity report quantifies when that is trustworthy (optically small
@@ -30,10 +31,10 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AccuracyError, DomainError
-from .greens import StarBoundary, _brace_coeffs, body_green_linear, unit_vector
+from .greens import (_GL_N_MAX, _GL_N_MIN, StarBoundary, _brace_coeffs,
+                     _gauss_legendre, body_green_linear, unit_vector)
 
 __all__ = [
     "ORIENTATIONS",
@@ -185,7 +186,7 @@ def gamma_c_linear(chi, q_C: float) -> float:
 
 
 def _fz(q, z):
-    """Scalar radial antiderivative contracted with a dipole direction.
+    """Radial antiderivative contracted with a dipole direction.
 
     z is the squared projection (s.d)^2 averaged over azimuth; the
     radial/tangential orientations enter only through z(x).
@@ -193,6 +194,32 @@ def _fz(q, z):
     cI, cS, ei = _brace_coeffs(q)
     return (cI + cS * z) * np.exp(2j * np.asarray(q, dtype=float)) \
         + 4j * ei * (1.0 / 3.0 - z)
+
+
+def quad(f, tol: float) -> float:
+    """Integral of the real array function f over [-1, 1].
+
+    Gauss-Legendre with n = 64 nodes, doubled up to n = 2048 until two
+    successive passes differ by no more than the absolute tolerance tol.
+    f receives the whole node array once per pass.
+
+    Raises
+    ------
+    AccuracyError if the passes still differ by more than tol at n = 2048.
+    """
+    n = _GL_N_MIN
+    x, w = _gauss_legendre(n)
+    prev = float(w @ f(x))
+    while n < _GL_N_MAX:
+        n *= 2
+        x, w = _gauss_legendre(n)
+        cur = float(w @ f(x))
+        change = abs(cur - prev)
+        if change <= tol:
+            return cur
+        prev = cur
+    raise AccuracyError(f"1D Gauss-Legendre rule did not settle to "
+                        f"{tol:g} by n = {n}; last change {change:.3e}")
 
 
 def gamma_b_center_closed(q_R: float, chi) -> float:
@@ -222,7 +249,9 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
         gamma_b = -(3/4) Im[ chi * Int_{-1}^{1} f(q_o(x), z(x)) dx ]
 
     with q_o(x) the emitter-to-surface distance, z = x^2 for a radially
-    oriented dipole and z = (1 - x^2)/2 for a tangential one.
+    oriented dipole and z = (1 - x^2)/2 for a tangential one.  The
+    integral is taken by :func:`quad`, Gauss-Legendre in x with the node
+    count doubled from 64 to 2048 until the rate settles.
 
     Parameters
     ----------
@@ -240,26 +269,15 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
         raise DomainError("tol must be positive")
     q_R, q_L = config.q_R, config.q_L
 
-    def q_o(x):
-        return np.sqrt(q_R**2 - q_L**2 * (1.0 - x * x)) - q_L * x
-
-    if orientation == "radial":
-        def integrand(x):
-            return _fz(q_o(x), x * x)
-    else:
-        def integrand(x):
-            return _fz(q_o(x), 0.5 * (1.0 - x * x))
-
     if chi == 0:
         return 0.0
-    # tolerance on the integral such that the rate error stays below tol
-    quad_tol = tol / (0.75 * abs(chi))
-    val, err = quad(integrand, -1.0, 1.0, complex_func=True,
-                    epsabs=quad_tol, epsrel=1.0e-12, limit=400)
-    if 0.75 * abs(chi) * (abs(err.real) + abs(err.imag)) > 10.0 * tol:
-        raise AccuracyError(f"1D boundary quadrature error estimate "
-                            f"{abs(err):.3e} exceeds tolerance {tol:g}")
-    return -0.75 * float(np.imag(chi * val))
+
+    def rate_density(x):
+        q_o = np.sqrt(q_R**2 - q_L**2 * (1.0 - x * x)) - q_L * x
+        z = x * x if orientation == "radial" else 0.5 * (1.0 - x * x)
+        return -0.75 * np.imag(chi * _fz(q_o, z))
+
+    return quad(rate_density, tol)
 
 
 def gamma_total_linear(geometry, chi, orientation: str = "radial",

@@ -27,7 +27,7 @@ Config schema (flat ``key = value`` lines, ``#`` comments)::
     points       integer >= 2
     log          0 | 1 (default 0)
     eps_re       real part of the permittivity
-    eps_im       imaginary part (ignored when sweeping im_chi)
+    eps_im       imaginary part (not allowed when sweeping im_chi)
     qr, ql, qc   sphere radius, emitter displacement, cavity radius
                  (all premultiplied by k_A; qc may be a comma list,
                  one curve set per value)
@@ -36,7 +36,7 @@ Config schema (flat ``key = value`` lines, ``#`` comments)::
                  weak_absorption
     orientations comma list from: radial, tangential
     center_reference  0 | 1: add a q_L = 0 reference curve per method
-    tol          quadrature tolerance (default 1e-10)
+    tol          absolute tolerance on the linear body term (default 1e-10)
 
 Any key can be overridden on the command line with ``--set key=value``.
 """

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AccuracyError, DomainError
 from .greens import StarBoundary
@@ -301,7 +300,12 @@ def _parse_domain(domain):
     return ((a, b), (c, d))
 
 
+# scipy.integrate is imported inside the two drivers below, not at the top:
+# it costs about a third of a second, and nothing outside this validator
+# needs it.
+
 def _quad1(f, a, b, tol) -> complex:
+    from scipy.integrate import quad
     val, err = quad(f, a, b, complex_func=True, epsabs=0.1 * tol,
                     epsrel=1.0e-13, limit=400)
     if abs(err.real) + abs(err.imag) > tol:
@@ -312,6 +316,7 @@ def _quad1(f, a, b, tol) -> complex:
 
 
 def _quad2(f, a, b, c, d, tol) -> complex:
+    from scipy.integrate import quad
     inner_tol = 0.05 * tol / (b - a)
     worst_inner = 0.0
 

@@ -165,6 +165,11 @@ def exponential_integral_ei(z):
 
     For reference, Ei(2i) = Ci(2) + i*(Si(2) + pi/2)
     = 0.4229808287748650 + 3.1762093035975916 i.
+
+    On the positive imaginary axis that identity, Ei(iy) = Ci(y) +
+    i (Si(y) + pi/2), is evaluated through the real sine and cosine
+    integrals: machine accurate and about twenty times faster than the
+    complex-plane algorithm, which handles every other point.
     """
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
@@ -176,7 +181,11 @@ def exponential_integral_ei(z):
         raise DomainError("Ei evaluated on the branch cut (negative real "
                           "axis); shift z off the axis to pick a side")
     z1 = np.atleast_1d(z)
-    val = np.asarray(_sp.expi(z1), dtype=complex)
+    val = np.empty(z1.shape, dtype=complex)
+    up = (z1.real == 0.0) & (z1.imag > 0.0)
+    si, ci = _sp.sici(z1.imag[up])
+    val[up] = ci + 1j * (si + 0.5 * np.pi)
+    val[~up] = _sp.expi(z1[~up])
     # scipy's real-argument Ei is machine accurate; the complex-plane
     # algorithm carries a few parts in 1e13 near the real axis
     on_axis = (z1.imag == 0.0) & (z1.real > 0.0)

@@ -8,8 +8,8 @@ from locfield.born import (ORIENTATIONS, RateBreakdown, SphereConfig,
                            ValidityReport, gamma_b_center_closed,
                            gamma_b_sphere_linear, gamma_c_linear,
                            gamma_total_linear, validity_check)
-from locfield.errors import DomainError
-from locfield.greens import StarBoundary
+from locfield.errors import AccuracyError, DomainError
+from locfield.greens import StarBoundary, f_integrand
 
 
 # -- configuration records ----------------------------------------------------
@@ -112,6 +112,51 @@ def test_body_term_zero_chi_and_validation():
         gamma_b_sphere_linear(cfg, 0.1, tol=0.0)
     with pytest.raises(DomainError):
         gamma_b_center_closed(-1.0, 0.1)
+
+
+def _split_quad_body_term(q_R, q_L, chi, orientation):
+    """gamma_b of a displaced emitter by adaptive scipy quadrature in
+    x = cos(theta), split where the integrand steepens toward the
+    surface at x = 1.  The azimuthal average of (s.d)^2 is taken at
+    phi = pi/4, where the tangential d = x-hat sees (1 - x^2)/2."""
+    from scipy.integrate import quad
+    q_outer = StarBoundary.sphere(q_R, q_L).q_outer
+    d = np.array([0.0, 0.0, 1.0] if orientation == "radial"
+                 else [1.0, 0.0, 0.0])
+
+    def rate_density(x):
+        sin_t = np.sqrt(1.0 - x * x) / np.sqrt(2.0)
+        s = np.array([sin_t, sin_t, x])
+        F = f_integrand(float(q_outer(np.arccos(x), 0.0)), s)
+        return -0.75 * np.imag(chi * (d @ F @ d))
+
+    cuts = (-1.0, 0.0, 0.5, 0.9, 0.99, 0.999, 1.0)
+    return sum(quad(rate_density, a, b, epsabs=1e-14, epsrel=1e-13,
+                    limit=200)[0] for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+@pytest.mark.parametrize("q_R, q_L", [
+    (5.0, 3.0), (50.0, 30.0), (10.0, 9.9), (1.0, 0.9899), (0.5, 0.4899),
+    (50.0, 49.98), (200.0, 199.98)])
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_body_term_off_center_matches_split_quadrature(q_R, q_L,
+                                                       orientation):
+    # the near-surface cases come within 1e-4 q_R of the clearance limit
+    # q_L + q_C = q_R
+    chi = 0.1 + 1e-8j
+    cfg = SphereConfig(q_R=q_R, q_L=q_L, q_C=0.01)
+    got = gamma_b_sphere_linear(cfg, chi, orientation)
+    want = _split_quad_body_term(q_R, q_L, chi, orientation)
+    assert abs(got - want) <= 1e-12
+
+
+def test_body_term_refuses_unsettled_rule():
+    # at q_R = 1000 and a distance 0.02 from the surface, the spike of the
+    # integrand at x = 1 is too narrow for 2048 nodes
+    cfg = SphereConfig(q_R=1000.0, q_L=999.98, q_C=0.01)
+    for orientation in ORIENTATIONS:
+        with pytest.raises(AccuracyError, match="n = 2048"):
+            gamma_b_sphere_linear(cfg, 0.1 + 1e-8j, orientation)
 
 
 # -- assembled rate -------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Monte Carlo and quadrature validators."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import erf
 
+import locfield
 from locfield.errors import AccuracyError, DomainError
 from locfield.greens import (StarBoundary, ab_coefficients,
                              body_green_linear, cavity_green_linear,
@@ -180,3 +185,20 @@ def test_quad_reference_validation():
         quad_reference(lambda x: x, "nonsense")
     with pytest.raises(DomainError):
         quad_reference(lambda x: x, (0.0, 1.0), tol=0.0)
+
+
+def test_import_defers_scipy_integrate_to_first_use():
+    # a fresh interpreter, since this one has long loaded scipy.integrate
+    code = ("import sys, locfield\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "print(locfield.quad_reference(lambda x: x * x, (0.0, 3.0)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(locfield.__file__).resolve().parent.parent),
+                    env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    loaded, value = res.stdout.split()
+    assert loaded == "False"
+    assert_allclose(complex(value), 9.0, rtol=1e-13)

@@ -102,6 +102,33 @@ def test_ei_against_mpmath():
                         rtol=1e-12)
 
 
+# the rate integrals probe Ei only on the positive imaginary axis, where it
+# is evaluated through Si and Ci rather than the complex-plane algorithm
+AXIS_Y = np.geomspace(1e-4, 5e3, 41)
+
+
+def test_ei_positive_imaginary_axis_against_mpmath():
+    got = exponential_integral_ei(1j * AXIS_Y)
+    for y, value in zip(AXIS_Y, got):
+        want = complex(mpmath.ei(mpmath.mpc(0, y)))
+        assert abs(value - want) <= 1e-15 * abs(want)
+
+
+def test_ei_negative_imaginary_axis_is_conjugate():
+    assert_allclose(exponential_integral_ei(-1j * AXIS_Y),
+                    np.conj(exponential_integral_ei(1j * AXIS_Y)),
+                    rtol=1e-15, atol=0)
+
+
+def test_ei_mixed_array_matches_scalar_calls():
+    z = np.array([2j, 0.5, 3.0 + 4.0j, -2.0 + 0.7j, 0.05 - 0.9j, 7.5j,
+                  -3j, 1e-3j, 20.0 + 1.0j])
+    vec = exponential_integral_ei(z)
+    assert vec.shape == z.shape
+    for i, zi in enumerate(z):
+        assert vec[i] == exponential_integral_ei(zi)
+
+
 def test_j_small_z_series():
     # j_m(z) = z^m/(2m+1)!! [1 - z^2/(2(2m+3)) + ...]
     z = 0.01 + 0.005j
