@@ -15,7 +15,8 @@ independent routes are provided and cross-checked:
 All lengths enter premultiplied by the emitter wavenumber k_A (so
 ``q_R = k_A R`` etc.); rates are returned as the dimensionless ratio
 Gamma/Gamma_0.  :mod:`locfield.rates` ties the routes together behind
-one request interface and converts to SI when asked;
+one request interface, for a single request or a batch, and converts
+to SI when asked;
 :mod:`locfield.oracle` holds Monte Carlo / quadrature cross-checks used
 by the validation suite; :mod:`locfield.cli` is the ``locfield``
 command-line front end.
@@ -38,7 +39,7 @@ from .mie import (MieSeriesSettings, body_green_center, gamma_b_exact,
                   gamma_center_exact, sphere_coefficients)
 from .oracle import RegionSampler, mc_delta1_green, quad_reference
 from .rates import (GEOMETRIES, METHODS, AtomParams, RateRequest, compute,
-                    gamma0_si, gamma_uncorrected)
+                    compute_batch, gamma0_si, gamma_uncorrected)
 
 __version__ = "0.1.0"
 
@@ -49,10 +50,10 @@ __all__ = [
     "ORIENTATIONS", "Permittivity", "RateBreakdown", "RateRequest",
     "RegionSampler", "SingularityError", "SphereConfig", "StarBoundary",
     "ValidityReport", "body_green_center", "body_green_linear",
-    "cavity_green_linear", "compute", "f_constant_q", "f_integrand",
-    "gamma0_si", "gamma_b_center_closed", "gamma_b_corrected",
-    "gamma_b_exact", "gamma_b_sphere_linear", "gamma_bulk",
-    "gamma_c_exact", "gamma_c_linear", "gamma_center_exact",
+    "cavity_green_linear", "compute", "compute_batch", "f_constant_q",
+    "f_integrand", "gamma0_si", "gamma_b_center_closed",
+    "gamma_b_corrected", "gamma_b_exact", "gamma_b_sphere_linear",
+    "gamma_bulk", "gamma_c_exact", "gamma_c_linear", "gamma_center_exact",
     "gamma_total_linear", "gamma_uncorrected", "gamma_weak_absorption",
     "mc_delta1_green", "outside_scatter_coefficients", "quad_reference",
     "sphere_coefficients", "transmission_coefficient", "vacuum_green",

@@ -15,9 +15,13 @@ integral of the radial antiderivative implemented in
 :mod:`locfield.greens`.  For a sphere with the emitter displaced q_L from
 the center both dipole orientations collapse the angular integral to one
 dimension in x = cos(theta), evaluated here with a Gauss-Legendre rule
-whose node count doubles until the rate settles.  The centered sphere has
-a closed form (no quadrature), kept as an independent cross-check of the
-1D path.
+whose node count doubles until the rate settles.  The rule works on
+rows: :func:`gamma_b_sphere_rows` integrates a batch of sphere
+configurations, such as a sweep curve, in one call, each row settling
+(or failing) on its own, and :func:`gamma_b_sphere_linear` is one row of
+it.  :func:`locfield.rates.compute_batch` is the entry point that groups
+rate requests into such batches.  The centered sphere has a closed form
+(no quadrature), kept as an independent cross-check of the 1D path.
 
 Everything in this module is strictly first order in chi; the accompanying
 validity report quantifies when that is trustworthy (optically small
@@ -44,6 +48,7 @@ __all__ = [
     "gamma_c_linear",
     "gamma_b_center_closed",
     "gamma_b_sphere_linear",
+    "gamma_b_sphere_rows",
     "gamma_total_linear",
     "validity_check",
 ]
@@ -56,6 +61,10 @@ _QC_MAX = 0.2
 _QC_WARN = 0.1
 
 _Z_HAT = np.array([0.0, 0.0, 1.0])
+
+# values per block of a quad pass (rows x nodes): 2**15 complex
+# temporaries are 0.5 MB each, and 256 rows at 128 nodes fit in one block
+_QUAD_BLOCK = 1 << 15
 
 
 def _check_chi(chi) -> complex:
@@ -196,30 +205,46 @@ def _fz(q, z):
         + 4j * ei * (1.0 / 3.0 - z)
 
 
-def quad(f, tol: float) -> float:
-    """Integral of the real array function f over [-1, 1].
+def quad(f, rows: int, tol: float):
+    """Row-wise integrals over [-1, 1] of the real array function f.
 
-    Gauss-Legendre with n = 64 nodes, doubled up to n = 2048 until two
-    successive passes differ by no more than the absolute tolerance tol.
-    f receives the whole node array once per pass.
+    f(x, idx) returns the (len(idx), n) values of the rows idx at the n
+    nodes x.  Gauss-Legendre with n = 64 nodes, doubled up to n = 2048:
+    a row is done once two successive passes differ by no more than the
+    absolute tolerance tol, and leaves the passes that follow.  Each
+    pass hands f blocks of at most _QUAD_BLOCK values, so the
+    temporaries stay bounded however many rows there are.
 
-    Raises
-    ------
-    AccuracyError if the passes still differ by more than tol at n = 2048.
+    Returns
+    -------
+    (values, errors) : the (rows,) integrals, and a dict mapping each row
+    that still changed by more than tol at n = 2048 to its
+    AccuracyError; the value of such a row is NaN.
     """
+    values = np.full(rows, np.nan)
+    idx = np.arange(rows)
     n = _GL_N_MIN
-    x, w = _gauss_legendre(n)
-    prev = float(w @ f(x))
-    while n < _GL_N_MAX:
+    prev = _quad_pass(f, n, idx)
+    while n < _GL_N_MAX and idx.size:
         n *= 2
-        x, w = _gauss_legendre(n)
-        cur = float(w @ f(x))
-        change = abs(cur - prev)
-        if change <= tol:
-            return cur
-        prev = cur
-    raise AccuracyError(f"1D Gauss-Legendre rule did not settle to "
-                        f"{tol:g} by n = {n}; last change {change:.3e}")
+        cur = _quad_pass(f, n, idx)
+        change = np.abs(cur - prev)
+        done = change <= tol
+        values[idx[done]] = cur[done]
+        idx, prev, change = idx[~done], cur[~done], change[~done]
+    return values, {
+        int(i): AccuracyError(f"1D Gauss-Legendre rule did not settle to "
+                              f"{tol:g} by n = {n}; last change {c:.3e}")
+        for i, c in zip(idx, change)}
+
+
+def _quad_pass(f, n: int, idx) -> np.ndarray:
+    # a row's sum must not depend on the rows beside it, which a BLAS
+    # matrix-vector product does not promise; numpy's row sums do
+    x, w = _gauss_legendre(n)
+    step = max(1, _QUAD_BLOCK // n)
+    return np.concatenate([(f(x, idx[k:k + step]) * w).sum(axis=1)
+                           for k in range(0, idx.size, step)])
 
 
 def gamma_b_center_closed(q_R: float, chi) -> float:
@@ -251,7 +276,8 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
     with q_o(x) the emitter-to-surface distance, z = x^2 for a radially
     oriented dipole and z = (1 - x^2)/2 for a tangential one.  The
     integral is taken by :func:`quad`, Gauss-Legendre in x with the node
-    count doubled from 64 to 2048 until the rate settles.
+    count doubled from 64 to 2048 until the rate settles; this is one
+    row of :func:`gamma_b_sphere_rows`.
 
     Parameters
     ----------
@@ -264,20 +290,52 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
         Absolute tolerance on the returned rate.
     """
     chi = _check_chi(chi)
+    values, errors = gamma_b_sphere_rows(config.q_R, config.q_L, chi,
+                                         orientation, tol)
+    if errors:
+        raise errors[0]
+    return float(values[0])
+
+
+def gamma_b_sphere_rows(q_R, q_L, chi, orientation: str = "radial",
+                        tol: float = 1.0e-10):
+    """Linear body terms of many sphere configurations in one quadrature.
+
+    q_R, q_L and chi are scalars or 1-D arrays that broadcast to N rows.
+    Each row must be a geometry that :class:`SphereConfig` admits with a
+    passive chi; the rows are not validated again here.  All rows share
+    one orientation and tol, and their rate densities go through one
+    row-wise :func:`quad`, so the brace coefficients and Ei are evaluated
+    once per pass on the whole (rows, nodes) block.
+
+    Returns
+    -------
+    (values, errors) : the (N,) body terms, as :func:`gamma_b_sphere_linear`
+    gives them row by row, and a dict mapping the index of each row whose
+    rule did not settle to its AccuracyError (that row's value is NaN).
+    Rows with chi = 0 are 0 without quadrature.
+    """
     orientation = _check_orientation(orientation)
     if not (tol > 0):
         raise DomainError("tol must be positive")
-    q_R, q_L = config.q_R, config.q_L
+    q_R, q_L, chi = (a.ravel() for a in np.broadcast_arrays(
+        np.asarray(q_R, dtype=float), np.asarray(q_L, dtype=float),
+        np.asarray(chi, dtype=complex)))
+    values = np.zeros(q_R.shape)
+    live = np.flatnonzero(chi != 0)
+    if live.size == 0:
+        return values, {}
+    q_R, q_L, chi = q_R[live, None], q_L[live, None], chi[live, None]
 
-    if chi == 0:
-        return 0.0
-
-    def rate_density(x):
-        q_o = np.sqrt(q_R**2 - q_L**2 * (1.0 - x * x)) - q_L * x
+    def rate_density(x, idx):
+        qr, ql = q_R[idx], q_L[idx]
+        q_o = np.sqrt(qr**2 - ql**2 * (1.0 - x * x)) - ql * x
         z = x * x if orientation == "radial" else 0.5 * (1.0 - x * x)
-        return -0.75 * np.imag(chi * _fz(q_o, z))
+        return -0.75 * np.imag(chi[idx] * _fz(q_o, z))
 
-    return quad(rate_density, tol)
+    got, errors = quad(rate_density, live.size, tol)
+    values[live] = got
+    return values, {int(live[i]): exc for i, exc in errors.items()}
 
 
 def gamma_total_linear(geometry, chi, orientation: str = "radial",

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, InvariantError, SingularityError
-from .greens import Permittivity, as_permittivity, unit_vector
+from .greens import _ABSORPTION_TOL, as_permittivity, unit_vector
 from .specfun import riccati_derivative, spherical_bessel_j, spherical_hankel_h1
 from .born import _check_qc
 
@@ -53,9 +53,6 @@ __all__ = [
 ]
 
 BULK_MODELS = ("real_cavity", "virtual_cavity", "linear")
-
-# Im eps above which the negligible-absorption closed forms are refused.
-_ABSORPTION_TOL = 1.0e-6
 
 # symmetry tolerance for input Green tensors (relative to their scale)
 _SYM_TOL = 1.0e-12
@@ -259,7 +256,7 @@ def gamma_bulk(eps, q_C: float | None = None,
     if model not in BULK_MODELS:
         raise DomainError(f"model must be one of {BULK_MODELS}, "
                           f"got {model!r}")
-    if eps.epsilon.imag > _ABSORPTION_TOL:
+    if eps.is_absorbing():
         hint = "1 + gamma_c_exact(eps, q_C)"
         if q_C is not None:
             hint = f"1 + gamma_c_exact(eps, {q_C:g})"

@@ -324,29 +324,30 @@ def _point_request(spec: SweepSpec, curve: CurveSpec,
 def run_sweep(spec: SweepSpec, output_path: str) -> None:
     """Evaluate the sweep and write the CSV.
 
-    Per-point numerical failures leave the rate cells empty and put the
-    message in the error column; the sweep continues.  Rows come out in
-    sweep order.
+    Each curve is one :func:`locfield.rates.compute_batch` call over the
+    grid.  Per-point numerical failures leave the rate cells empty and
+    put the message in the error column; the sweep continues.  Rows come
+    out in sweep order.
     """
     header = ([spec.swept_variable]
               + [c.column for c in spec.curves]
               + ["bulk_reference", "validity_chi_size",
                  "validity_absorption", "error"])
     bulk_ref = cavity.gamma_bulk(spec.eps_re, model="real_cavity")
+    grid = spec.grid()
+    columns = [_curve_results(spec, curve, grid) for curve in spec.curves]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for x in spec.grid():
+    for k, x in enumerate(grid):
         cells = [_fmt(x)]
         errors = []
         validity = None
-        for curve in spec.curves:
-            try:
-                req = _point_request(spec, curve, float(x))
-                result = rates.compute(req)
-            except LocfieldError as exc:
+        for curve, column in zip(spec.curves, columns):
+            result = column[k]
+            if isinstance(result, LocfieldError):
                 cells.append("")
-                errors.append(f"{curve.column}: {exc}")
+                errors.append(f"{curve.column}: {result}")
                 continue
             cells.append(_fmt(result.total_ratio))
             if validity is None:
@@ -364,6 +365,20 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
             fh.write(buf.getvalue())
     except OSError as exc:
         raise ConfigError(f"cannot write {output_path}: {exc}") from exc
+
+
+def _curve_results(spec: SweepSpec, curve: CurveSpec, grid) -> list:
+    """A RateBreakdown or LocfieldError per grid point of one curve."""
+    results: list = [None] * len(grid)
+    requests = {}
+    for k, x in enumerate(grid):
+        try:
+            requests[k] = _point_request(spec, curve, float(x))
+        except LocfieldError as exc:
+            results[k] = exc
+    for k, result in zip(requests, rates.compute_batch(requests.values())):
+        results[k] = result
+    return results
 
 
 # -- plot script ---------------------------------------------------------

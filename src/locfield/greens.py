@@ -54,6 +54,10 @@ _EYE = np.eye(3)
 # unit-vector norm tolerance
 _UNIT_TOL = 1.0e-12
 
+# Im eps above which a medium counts as absorbing, and the
+# negligible-absorption closed forms are refused
+_ABSORPTION_TOL = 1.0e-6
+
 
 @dataclasses.dataclass(frozen=True)
 class Permittivity:
@@ -85,7 +89,7 @@ class Permittivity:
         """Principal refractive index sqrt(eps)."""
         return complex(np.sqrt(complex(self.epsilon)))
 
-    def is_absorbing(self, tol: float = 1.0e-6) -> bool:
+    def is_absorbing(self, tol: float = _ABSORPTION_TOL) -> bool:
         return self.epsilon.imag > tol
 
 

@@ -35,17 +35,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
+from .born import _check_orientation
 from .errors import AccuracyError, DomainError, SingularityError
-from .greens import as_permittivity
+from .greens import Permittivity, as_permittivity
 from .specfun import riccati_derivative, spherical_bessel_j, spherical_hankel_h1
 
 __all__ = [
     "MieSeriesSettings",
     "sphere_coefficients",
     "body_green_center",
+    "gamma_b_center",
     "gamma_b_exact",
     "gamma_center_exact",
 ]
@@ -81,23 +84,54 @@ class MieSeriesSettings:
 _DEFAULT_SETTINGS = MieSeriesSettings()
 
 
-def _prefactor(eps: complex) -> complex:
-    # K = 9 i eps^{5/2} / (2 eps + 1)^2, principal branch of the root
-    return 9j * eps * eps * complex(np.sqrt(eps)) / (2.0 * eps + 1.0) ** 2
+def _prefactor(eps, n):
+    # K = 9 i eps^{5/2} / (2 eps + 1)^2 with n = sqrt(eps), the principal
+    # root; complex scalars or arrays
+    return 9j * eps * eps * n / (2.0 * eps + 1.0) ** 2
 
 
-def sphere_coefficients(eps, q_R: float, m: int):
-    """Interior scattering coefficients (C_m^N, C_m^M) of the sphere."""
-    eps = as_permittivity(eps)
-    q_R = float(q_R)
-    if not (math.isfinite(q_R) and q_R > 0):
+def _epsilon(eps):
+    """(eps, n): the relative permittivity and its principal root, as
+    complex scalars, or as complex arrays for a sequence of permittivities
+    (each validated as a Permittivity; Permittivity records pass through
+    without a second check)."""
+    if isinstance(eps, (Permittivity, numbers.Number)) or np.ndim(eps) == 0:
+        eps = as_permittivity(eps)
+        return eps.epsilon, eps.n
+    e = np.array([as_permittivity(v).epsilon for v in eps])
+    return e, np.sqrt(e)
+
+
+def _radius(q_R):
+    """q_R as a float, or as a float array for array input; every value
+    must be positive and finite.  Scalars are checked in plain Python:
+    the series calls sphere_coefficients once per order, and numpy checks
+    on a scalar cost several per cent of each call."""
+    if isinstance(q_R, numbers.Real):
+        q_R = float(q_R)
+        ok = math.isfinite(q_R) and q_R > 0
+    else:
+        q_R = np.asarray(q_R, dtype=float)
+        ok = (q_R > 0).all() and np.isfinite(q_R).all()
+    if not ok:
         raise DomainError("q_R must be positive and finite")
+    return q_R
+
+
+def sphere_coefficients(eps, q_R, m: int):
+    """Interior scattering coefficients (C_m^N, C_m^M) of the sphere.
+
+    eps is one permittivity or a sequence of them, and q_R a float or an
+    array broadcasting with it; the coefficients take their shape.  m is
+    a single order.
+    """
+    e, n = _epsilon(eps)
+    q_R = _radius(q_R)
     m = int(m)
     if m < 1:
         raise DomainError("m must be >= 1")
-    e = eps.epsilon
-    z0 = complex(q_R)
-    z1 = eps.n * q_R
+    z0 = q_R + 0j
+    z1 = n * q_R
     h0 = spherical_hankel_h1(m, z0)
     h1 = spherical_hankel_h1(m, z1)
     j1 = spherical_bessel_j(m, z1)
@@ -106,7 +140,7 @@ def sphere_coefficients(eps, q_R: float, m: int):
     ps1p = riccati_derivative("bessel_j", m, z1)
     den_N = e * j1 * xi0p - ps1p * h0
     den_M = j1 * xi0p - ps1p * h0
-    if min(abs(den_N), abs(den_M)) < 1.0e-300:
+    if (np.minimum(abs(den_N), abs(den_M)) < 1.0e-300).any():
         raise SingularityError(f"sphere coefficient denominator vanished "
                                f"at m = {m} (resonance pole)")
     C_N = -(e * h1 * xi0p - xi1p * h0) / den_N
@@ -156,6 +190,21 @@ def _series(eps, q_R: float, q_L: float, orient: str,
                         f"{m_cap} (q_R = {q_R:g}, q_L = {q_L:g})")
 
 
+def gamma_b_center(eps, q_R):
+    """Exact local-field corrected body rate at the sphere center.
+
+        gamma_b = Im[K C_1^N],
+
+    the analytic m = 1 limit of the series, identical for both
+    orientations.  eps and q_R are as for :func:`sphere_coefficients`, so
+    a whole curve of centered spheres is one call; a float comes back
+    for scalar input, an array otherwise.
+    """
+    C_N, _ = sphere_coefficients(eps, q_R, 1)
+    gamma = np.imag(_prefactor(*_epsilon(eps)) * C_N)
+    return float(gamma) if np.ndim(gamma) == 0 else gamma
+
+
 def gamma_b_exact(eps, q_R: float, q_L: float, orient: str = "radial",
                   settings: MieSeriesSettings | None = None) -> float:
     """Exact local-field corrected body rate gamma_b for the sphere.
@@ -170,8 +219,8 @@ def gamma_b_exact(eps, q_R: float, q_L: float, orient: str = "radial",
 
     Notes
     -----
-    q_L = 0 takes the analytic m = 1 limit Im[K C_1^N], identical for
-    both orientations.
+    q_L = 0 takes the analytic m = 1 limit of :func:`gamma_b_center`,
+    identical for both orientations.
     """
     eps = as_permittivity(eps)
     q_R = float(q_R)
@@ -180,15 +229,12 @@ def gamma_b_exact(eps, q_R: float, q_L: float, orient: str = "radial",
         raise DomainError("q_R must be positive and finite")
     if not (0.0 <= q_L < q_R):
         raise DomainError("need 0 <= q_L < q_R (emitter inside sphere)")
-    if orient not in ("radial", "tangential"):
-        raise DomainError(f"orient must be 'radial' or 'tangential', "
-                          f"got {orient!r}")
+    _check_orientation(orient)
+    if q_L == 0.0:
+        return gamma_b_center(eps, q_R)
     if settings is None:
         settings = _DEFAULT_SETTINGS
-    K = _prefactor(eps.epsilon)
-    if q_L == 0.0:
-        C_N, _ = sphere_coefficients(eps, q_R, 1)
-        return float(np.imag(K * C_N))
+    K = _prefactor(eps.epsilon, eps.n)
     series = _series(eps, q_R, q_L, orient, settings)
     if orient == "radial":
         return 1.5 * float(np.imag(K * series))
@@ -219,5 +265,5 @@ def gamma_center_exact(eps, q_R: float, q_C: float) -> float:
     val = (3.0 * (e - 1.0) / (2.0 * e + 1.0) / q_C**3
            + 9.0 * (e - 1.0) * (4.0 * e + 1.0)
            / (5.0 * (2.0 * e + 1.0) ** 2) / q_C
-           + _prefactor(e) * (1.0 + C_N))
+           + _prefactor(e, eps.n) * (1.0 + C_N))
     return float(np.imag(val))

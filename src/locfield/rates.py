@@ -5,28 +5,39 @@ this module converts to absolute rates when a dipole moment is supplied,
 
     Gamma_0 = k_A^3 d_A^2 / (3 pi hbar eps_0),
 
-and dispatches a single request record to the linear-Born, exact
-real-cavity, weak-absorption, or uncorrected evaluation paths.
+and dispatches rate requests to the linear-Born, exact real-cavity,
+weak-absorption, or uncorrected evaluation paths.
 
-Physical constants (CODATA 2022, via scipy.constants, 12 significant
-digits):
+:func:`compute_batch` is the entry point: it takes many requests and
+returns a breakdown or an error for each.  The cavity term and the
+validity report are worked out per request; the body terms go to array
+kernels, one call per group of requests that share the kernel, the
+orientation and tol.  A sweep curve is one such group.  The linear Born
+and uncorrected sphere body terms share one row-wise quadrature
+(:func:`locfield.born.gamma_b_sphere_rows`); exact body terms at the
+sphere center are one call of :func:`locfield.mie.gamma_b_center`.
+Off-center exact and weak_absorption requests keep their per-request
+series.  :func:`compute` is the one-request wrapper.
 
-    hbar  = 1.05457181765e-34  J s
-    eps_0 = 8.85418781880e-12  F / m
-    c     = 2.99792458000e+8   m / s  (exact)
+Physical constants (SI; h is exact by definition, eps_0 is the CODATA
+2022 value):
+
+    hbar  = h / (2 pi),  h = 6.62607015e-34  J s
+    eps_0 = 8.8541878188e-12                 F / m
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections import defaultdict
 
 import numpy as np
-from scipy import constants as _const
 
 from . import born, cavity, mie
-from .errors import ConfigError, DomainError
-from .greens import Permittivity, as_permittivity, unit_vector
+from .errors import ConfigError, DomainError, LocfieldError
+from .greens import (_ABSORPTION_TOL, Permittivity, as_permittivity,
+                     unit_vector)
 
 __all__ = [
     "AtomParams",
@@ -36,12 +47,14 @@ __all__ = [
     "gamma0_si",
     "gamma_uncorrected",
     "compute",
+    "compute_batch",
 ]
 
 METHODS = ("linear_born", "exact", "weak_absorption", "uncorrected")
 GEOMETRIES = ("sphere", "bulk")
 
-_ABSORPTION_TOL = 1.0e-6
+_HBAR = 6.62607015e-34 / (2.0 * math.pi)
+_EPSILON_0 = 8.8541878188e-12
 
 # dipole directions for the two orientation labels; the displacement
 # axis is z throughout the package
@@ -89,8 +102,7 @@ def gamma0_si(params: AtomParams) -> float:
     if params.d_A is None:
         raise DomainError("gamma0_si needs the dipole moment d_A")
     k = params.wavenumber
-    return k**3 * params.d_A**2 / (3.0 * math.pi * _const.hbar
-                                   * _const.epsilon_0)
+    return k**3 * params.d_A**2 / (3.0 * math.pi * _HBAR * _EPSILON_0)
 
 
 def gamma_uncorrected(eps_real, gB1, dipole) -> float:
@@ -104,7 +116,7 @@ def gamma_uncorrected(eps_real, gB1, dipole) -> float:
     sqrt(eps) limit does not exist.
     """
     eps = as_permittivity(eps_real)
-    if eps.epsilon.imag > _ABSORPTION_TOL:
+    if eps.is_absorbing():
         raise DomainError("gamma_uncorrected assumes a transparent host "
                           f"(Im eps <= {_ABSORPTION_TOL:g})")
     e = eps.epsilon.real
@@ -181,48 +193,113 @@ def _validity(req: RateRequest, chi: complex) -> born.ValidityReport:
 
 def compute(request: RateRequest) -> born.RateBreakdown:
     """Evaluate one rate request; returns the Gamma/Gamma_0 breakdown
-    with the linearity/absorption validity report attached."""
+    with the linearity/absorption validity report attached.  A batch of
+    one for :func:`compute_batch`, whose error it raises."""
+    (result,) = compute_batch([request])
+    if isinstance(result, LocfieldError):
+        raise result
+    return result
+
+
+def compute_batch(requests) -> list:
+    """Evaluate many rate requests together.
+
+    Returns one entry per request, in order: its RateBreakdown (as
+    :func:`compute` gives it), or the LocfieldError that request raised,
+    so that one failing request leaves the others to finish.
+    """
+    requests = list(requests)
+    results: list = [None] * len(requests)
+    parts = {}
+    batches = defaultdict(list)
+    for i, request in enumerate(requests):
+        try:
+            gamma_c, validity, gamma_b = _split(request)
+        except LocfieldError as exc:
+            results[i] = exc
+            continue
+        if isinstance(gamma_b, tuple):
+            key, row = gamma_b
+            batches[key].append((i, row))
+            parts[i] = gamma_c, validity
+        else:
+            results[i] = born.RateBreakdown.from_parts(gamma_c, gamma_b,
+                                                       validity)
+    for key, members in batches.items():
+        gammas = _body_rows(key, [row for _, row in members])
+        for (i, _), gamma_b in zip(members, gammas):
+            if isinstance(gamma_b, LocfieldError):
+                results[i] = gamma_b
+            else:
+                gamma_c, validity = parts[i]
+                results[i] = born.RateBreakdown.from_parts(gamma_c, gamma_b,
+                                                           validity)
+    return results
+
+
+def _split(request: RateRequest):
+    """Cavity term, validity report and body term of one request.
+
+    The body term is a float, or ``(key, row)`` for the array kernel
+    named by ``key`` (see :func:`_body_rows`), which evaluates all the
+    rows that share the key at once.
+    """
     eps = request.permittivity
     chi = eps.chi
     validity = _validity(request, chi)
     method = request.method
+    sphere = request.geometry == "sphere"
 
     if method == "linear_born":
         gamma_c = born.gamma_c_linear(chi, request.q_C)
-        if request.geometry == "bulk":
-            gamma_b = 0.0
-        else:
-            gamma_b = born.gamma_b_sphere_linear(
-                request.sphere_config(), chi, request.orientation,
-                request.tol)
-        return born.RateBreakdown.from_parts(gamma_c, gamma_b, validity)
-
-    if method == "exact":
-        gamma_c = cavity.gamma_c_exact(eps, request.q_C)
-        if request.geometry == "bulk":
-            gamma_b = 0.0
-        else:
-            gamma_b = mie.gamma_b_exact(eps, float(request.q_R),
-                                        request.q_L, request.orientation,
-                                        request.mie_settings)
-        return born.RateBreakdown.from_parts(gamma_c, gamma_b, validity)
-
-    if method == "uncorrected":
-        if eps.epsilon.imag > _ABSORPTION_TOL:
+        gamma_b = _linear_row(request, chi) if sphere else 0.0
+    elif method == "uncorrected":
+        if eps.is_absorbing():
             raise DomainError("uncorrected method assumes a transparent "
                               "host; use exact or weak_absorption")
         e_re = eps.epsilon.real
         gamma_c = math.sqrt(e_re) - 1.0
-        if request.geometry == "bulk":
+        # body term to linear order in the (real) susceptibility
+        gamma_b = _linear_row(request, e_re - 1.0) if sphere else 0.0
+    elif method == "exact":
+        gamma_c = cavity.gamma_c_exact(eps, request.q_C)
+        if not sphere:
             gamma_b = 0.0
+        elif request.q_L == 0.0:
+            gamma_b = ("center",), (eps, float(request.q_R))
         else:
-            # body term to linear order in the (real) susceptibility
-            gamma_b = born.gamma_b_sphere_linear(
-                request.sphere_config(), e_re - 1.0, request.orientation,
-                request.tol)
-        return born.RateBreakdown.from_parts(gamma_c, gamma_b, validity)
+            gamma_b = mie.gamma_b_exact(eps, float(request.q_R),
+                                        request.q_L, request.orientation,
+                                        request.mie_settings)
+    else:
+        gamma_c, gamma_b = _weak_absorption(request, eps)
+    return gamma_c, validity, gamma_b
 
-    # weak_absorption
+
+def _linear_row(request: RateRequest, chi):
+    return (("linear", request.orientation, request.tol),
+            (float(request.q_R), float(request.q_L), chi))
+
+
+def _body_rows(key, rows) -> list:
+    """Body terms of the rows of one kernel: a float or a LocfieldError
+    per row.  An error the kernel raises for the whole call is pinned on
+    its row by running each row alone."""
+    try:
+        if key[0] == "linear":
+            q_R, q_L, chi = zip(*rows)
+            values, errors = born.gamma_b_sphere_rows(q_R, q_L, chi, *key[1:])
+        else:
+            eps, q_R = zip(*rows)
+            values, errors = mie.gamma_b_center(eps, q_R), {}
+    except LocfieldError as exc:
+        if len(rows) == 1:
+            return [exc]
+        return [out for row in rows for out in _body_rows(key, [row])]
+    return [errors.get(k, float(v)) for k, v in enumerate(values)]
+
+
+def _weak_absorption(request: RateRequest, eps: Permittivity):
     e_re = eps.epsilon.real
     dipole = _DIPOLES[request.orientation]
     if request.geometry == "bulk":
@@ -234,5 +311,4 @@ def compute(request: RateRequest) -> born.RateBreakdown:
                                                 gB1, dipole)
     f2 = (3.0 * e_re / (2.0 * e_re + 1.0)) ** 2
     gamma_b = f2 * (gb_unc - math.sqrt(e_re))
-    gamma_c = gamma - 1.0 - gamma_b
-    return born.RateBreakdown.from_parts(gamma_c, gamma_b, validity)
+    return gamma - 1.0 - gamma_b, gamma_b

@@ -6,8 +6,9 @@ from numpy.testing import assert_allclose
 
 from locfield.born import (ORIENTATIONS, RateBreakdown, SphereConfig,
                            ValidityReport, gamma_b_center_closed,
-                           gamma_b_sphere_linear, gamma_c_linear,
-                           gamma_total_linear, validity_check)
+                           gamma_b_sphere_linear, gamma_b_sphere_rows,
+                           gamma_c_linear, gamma_total_linear,
+                           validity_check)
 from locfield.errors import AccuracyError, DomainError
 from locfield.greens import StarBoundary, f_integrand
 
@@ -157,6 +158,46 @@ def test_body_term_refuses_unsettled_rule():
     for orientation in ORIENTATIONS:
         with pytest.raises(AccuracyError, match="n = 2048"):
             gamma_b_sphere_linear(cfg, 0.1 + 1e-8j, orientation)
+
+
+# the two rates the rule gives up on, as it words them
+UNSETTLED = {
+    "radial": "1D Gauss-Legendre rule did not settle to 1e-10 by n = 2048; "
+              "last change 6.688e-05",
+    "tangential": "1D Gauss-Legendre rule did not settle to 1e-10 by "
+                  "n = 2048; last change 5.319e-05",
+}
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_body_term_rows_fail_one_by_one(orientation):
+    # rows that settle at n = 128 around the row q_R = 1000, q_L = 999.98
+    # that does not settle by n = 2048: only that row reports the error
+    q_R = np.array([2.0, 1000.0, 5.0, 50.0, 1.0])
+    q_L = np.array([0.5, 999.98, 3.0, 10.0, 0.0])
+    chi = 0.1 + 1e-8j
+    values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
+    assert list(errors) == [1]
+    assert isinstance(errors[1], AccuracyError)
+    assert str(errors[1]) == UNSETTLED[orientation]
+    assert np.isnan(values[1])
+    with pytest.raises(AccuracyError) as scalar:
+        gamma_b_sphere_linear(SphereConfig(q_R=1000.0, q_L=999.98),
+                              chi, orientation)
+    assert str(scalar.value) == UNSETTLED[orientation]
+    for k in (0, 2, 3, 4):
+        want = gamma_b_sphere_linear(SphereConfig(q_R=q_R[k], q_L=q_L[k]),
+                                     chi, orientation)
+        assert abs(values[k] - want) <= 1e-13 * abs(want)
+
+
+def test_body_term_rows_broadcast_and_zero_chi():
+    values, errors = gamma_b_sphere_rows(3.0, [0.0, 1.0, 2.0],
+                                         [0.1, 0.0, 0.05j], "tangential")
+    assert errors == {} and values.shape == (3,)
+    assert values[1] == 0.0
+    assert values[0] == gamma_b_sphere_linear(SphereConfig(q_R=3.0), 0.1,
+                                              "tangential")
 
 
 # -- assembled rate -------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from numpy.testing import assert_allclose
 
 import locfield
 from locfield import rates
-from locfield.cli import PRESETS, build_sweep
+from locfield.cli import PRESETS, _point_request, build_sweep, run_sweep
 
 FIG3A_HEADER = ["qR", "gamma_exact", "gamma_linear_born", "bulk_reference",
                 "validity_chi_size", "validity_absorption", "error"]
@@ -120,6 +121,51 @@ def test_per_point_failures_are_recorded_not_fatal(tmp_path):
     last = rows[-1]                    # cavity would poke through the surface
     assert last[gcol] == ""
     assert "too close" in last[ecol]
+
+
+def test_sweep_leaves_unsettled_cells_empty(tmp_path):
+    # q_L across the edge where the body-term rule stops settling at
+    # q_R = 1000: the first three points settle, the last two refuse
+    spec = build_sweep({
+        "sweep": "qL", "lo": "0", "hi": "999.98", "points": "5",
+        "qr": "1000", "qc": "0.01", "eps_re": "1.1", "eps_im": "1e-8",
+        "methods": "linear_born", "orientations": "radial,tangential"})
+    run_sweep(spec, str(tmp_path / "edge.csv"))
+    header, rows = read_rows(tmp_path / "edge.csv")
+    gcols = [header.index("gamma_linear_born_radial"),
+             header.index("gamma_linear_born_tangential")]
+    ecol = header.index("error")
+    for row in rows[:3]:
+        assert row[ecol] == "" and all(row[c] != "" for c in gcols)
+    for row in rows[3:]:
+        assert all(row[c] == "" for c in gcols)
+        unsettled = ("1D Gauss-Legendre rule did not settle to 1e-10 by "
+                     r"n = 2048; last change \d\.\d{3}e-\d\d")
+        assert re.fullmatch(f"gamma_linear_born_radial: {unsettled}; "
+                            f"gamma_linear_born_tangential: {unsettled}",
+                            row[ecol]), row[ecol]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_sweep_matches_per_point_compute(tmp_path, preset):
+    # one batch call per curve gives the cells that one compute call per
+    # (point, curve) gives
+    spec = build_sweep(dict(PRESETS[preset]))
+    run_sweep(spec, str(tmp_path / "p.csv"))
+    header, rows = read_rows(tmp_path / "p.csv")
+    assert len(rows) == spec.points
+    for row, x in zip(rows, spec.grid()):
+        for curve in spec.curves:
+            cell = row[header.index(curve.column)]
+            try:
+                want = rates.compute(_point_request(spec, curve, float(x)))
+            except locfield.LocfieldError as exc:
+                assert cell == ""
+                assert f"{curve.column}: {exc}" in row[-1]
+                continue
+            got = float(cell)
+            assert abs(got - want.total_ratio) \
+                <= 1e-12 * abs(want.total_ratio), (curve.column, x)
 
 
 def test_compute_matches_library(tmp_path):

@@ -10,8 +10,9 @@ from numpy.testing import assert_allclose
 from locfield.born import SphereConfig, gamma_b_sphere_linear
 from locfield.cavity import gamma_bulk
 from locfield.errors import AccuracyError, DomainError
-from locfield.mie import (MieSeriesSettings, body_green_center, gamma_b_exact,
-                          gamma_center_exact, sphere_coefficients)
+from locfield.mie import (MieSeriesSettings, body_green_center,
+                          gamma_b_center, gamma_b_exact, gamma_center_exact,
+                          sphere_coefficients)
 
 mpmath.mp.dps = 40
 
@@ -136,6 +137,30 @@ def test_coefficient_validation():
         sphere_coefficients(1.1, 2.0, 0)
     with pytest.raises(DomainError):
         sphere_coefficients(1.1, -1.0, 1)
+    with pytest.raises(DomainError):
+        sphere_coefficients([1.1, 1.2], [2.0, np.inf], 1)
+    with pytest.raises(DomainError):
+        sphere_coefficients([1.1, 1.2 - 1e-3j], [2.0, 3.0], 1)  # active
+
+
+def test_coefficients_and_center_rate_on_arrays():
+    # a curve of spheres in one call equals the scalar calls point by point
+    eps = [1.1 + 1e-8j, 1.2 + 1e-7j, 2.0 + 0.05j, 1.1 + 1e-8j]
+    q_R = np.array([0.5, 2.0, 5.0, 9.3])
+    for m in (1, 4):
+        C_N, C_M = sphere_coefficients(eps, q_R, m)
+        for k in range(len(q_R)):
+            s_N, s_M = sphere_coefficients(eps[k], q_R[k], m)
+            assert_allclose(C_N[k], s_N, rtol=1e-14)
+            assert_allclose(C_M[k], s_M, rtol=1e-14)
+    # one permittivity against an array of radii broadcasts
+    C_N, _ = sphere_coefficients(1.1 + 1e-8j, q_R, 1)
+    assert C_N.shape == q_R.shape
+    centre = gamma_b_center(eps, q_R)
+    for k in range(len(q_R)):
+        assert_allclose(centre[k], gamma_b_exact(eps[k], q_R[k], 0.0),
+                        rtol=1e-13)
+    assert isinstance(gamma_b_center(1.2, 3.0), float)
 
 
 # -- center tensor ------------------------------------------------------------------

@@ -9,10 +9,12 @@ from numpy.testing import assert_allclose
 from scipy import constants
 
 from locfield.born import ORIENTATIONS, RateBreakdown, gamma_c_linear
-from locfield.errors import ConfigError, DomainError
+from locfield import rates
+from locfield.errors import ConfigError, DomainError, LocfieldError
 from locfield.mie import MieSeriesSettings, gamma_b_exact, gamma_center_exact
 from locfield.rates import (GEOMETRIES, METHODS, AtomParams, RateRequest,
-                            compute, gamma0_si, gamma_uncorrected)
+                            compute, compute_batch, gamma0_si,
+                            gamma_uncorrected)
 
 mpmath.mp.dps = 40
 
@@ -37,6 +39,12 @@ def test_gamma0_against_high_precision_arithmetic():
            / (3 * mpmath.pi * mpmath.mpf(constants.hbar)
               * mpmath.mpf(constants.epsilon_0)))
     assert_allclose(gamma0_si(params), float(ref), rtol=1e-12)
+
+
+def test_si_constants_equal_scipy_constants():
+    # the package keeps the literals so that import leaves scipy.constants out
+    assert rates._HBAR == constants.hbar
+    assert rates._EPSILON_0 == constants.epsilon_0
 
 
 def test_atom_params_validation():
@@ -210,3 +218,37 @@ def test_validity_report_attached():
     assert_allclose(v.absorption_value, 2e-7 / 0.01**3, rtol=1e-12)
     assert not v.absorption_ok
     assert not v.all_ok
+
+
+# -- batch entry point ------------------------------------------------------------------
+
+
+def test_compute_batch_matches_compute_and_keeps_errors_on_their_requests():
+    requests = [
+        RateRequest(eps=1.1 + 1e-8j, method="exact", q_R=2.0),
+        # Bessel argument beyond the validated range: fails inside the
+        # array call for the whole curve, and only this request reports it
+        RateRequest(eps=1.1 + 1e-8j, method="exact", q_R=20000.0),
+        RateRequest(eps=1.2 + 1e-7j, method="exact", q_R=5.0),
+        RateRequest(eps=1.1 + 1e-8j, method="exact", q_R=3.0, q_L=1.0,
+                    orientation="tangential"),
+        RateRequest(eps=1.1 + 1e-8j, method="linear_born", q_R=2.0, q_L=1.0),
+        RateRequest(eps=1.1, method="uncorrected", q_R=2.0, q_L=1.0),
+        RateRequest(eps=1.1 + 1e-3j, method="uncorrected", q_R=2.0),
+        RateRequest(eps=1.1 + 1e-8j, method="linear_born", q_R=1000.0,
+                    q_L=999.98),
+        RateRequest(eps=1.1 + 1e-8j, method="linear_born", geometry="bulk"),
+        RateRequest(eps=1.1 + 1e-7j, method="weak_absorption", q_R=2.0),
+    ]
+    results = compute_batch(requests)
+    assert len(results) == len(requests)
+    failed = [k for k, r in enumerate(results) if isinstance(r, LocfieldError)]
+    assert failed == [1, 6, 7]
+    for request, result in zip(requests, results):
+        if isinstance(result, LocfieldError):
+            with pytest.raises(type(result)) as single:
+                compute(request)
+            assert str(single.value) == str(result)
+        else:
+            assert result == compute(request)
+    assert compute_batch([]) == []
