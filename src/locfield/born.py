@@ -17,11 +17,14 @@ the center both dipole orientations collapse the angular integral to one
 dimension in x = cos(theta), evaluated here with a Gauss-Legendre rule
 whose node count doubles until the rate settles.  The rule works on
 rows: :func:`gamma_b_sphere_rows` integrates a batch of sphere
-configurations, such as a sweep curve, in one call, each row settling
+configurations, such as a whole sweep, in one call, each row settling
 (or failing) on its own, and :func:`gamma_b_sphere_linear` is one row of
-it.  :func:`locfield.rates.compute_batch` is the entry point that groups
-rate requests into such batches.  The centered sphere has a closed form
-(no quadrature), kept as an independent cross-check of the 1D path.
+it.  Rows that share a sphere geometry (q_R, q_L), whatever their chi
+and orientation, share the geometry's brace coefficients, Ei and phase,
+evaluated once per pass.  :func:`locfield.rates.compute_batch` is the
+entry point that groups rate requests into such batches.  The centered
+sphere has a closed form (no quadrature), kept as an independent
+cross-check of the 1D path.
 
 Everything in this module is strictly first order in chi; the accompanying
 validity report quantifies when that is trustworthy (optically small
@@ -38,7 +41,8 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .greens import (_GL_N_MAX, _GL_N_MIN, StarBoundary, _brace_coeffs,
-                     _gauss_legendre, body_green_linear, unit_vector)
+                     _gauss_legendre, _sphere_distance, body_green_linear,
+                     unit_vector)
 
 __all__ = [
     "ORIENTATIONS",
@@ -194,17 +198,6 @@ def gamma_c_linear(chi, q_C: float) -> float:
     return chi.imag * (1.0 / q_C**3 + 1.0 / q_C) + (7.0 / 6.0) * chi.real
 
 
-def _fz(q, z):
-    """Radial antiderivative contracted with a dipole direction.
-
-    z is the squared projection (s.d)^2 averaged over azimuth; the
-    radial/tangential orientations enter only through z(x).
-    """
-    cI, cS, ei = _brace_coeffs(q)
-    return (cI + cS * z) * np.exp(2j * np.asarray(q, dtype=float)) \
-        + 4j * ei * (1.0 / 3.0 - z)
-
-
 def quad(f, rows: int, tol: float):
     """Row-wise integrals over [-1, 1] of the real array function f.
 
@@ -297,16 +290,19 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
     return float(values[0])
 
 
-def gamma_b_sphere_rows(q_R, q_L, chi, orientation: str = "radial",
+def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
                         tol: float = 1.0e-10):
     """Linear body terms of many sphere configurations in one quadrature.
 
-    q_R, q_L and chi are scalars or 1-D arrays that broadcast to N rows.
-    Each row must be a geometry that :class:`SphereConfig` admits with a
-    passive chi; the rows are not validated again here.  All rows share
-    one orientation and tol, and their rate densities go through one
-    row-wise :func:`quad`, so the brace coefficients and Ei are evaluated
-    once per pass on the whole (rows, nodes) block.
+    q_R, q_L, chi and orientation are scalars or 1-D arrays that
+    broadcast to N rows; orientation is "radial" or "tangential" per
+    row.  Each row must be a geometry that :class:`SphereConfig` admits
+    with a passive chi; the rows are not validated again here.  All rows
+    share tol, and their rate densities go through one row-wise
+    :func:`quad`.  Rows sharing a geometry (q_R, q_L) share its brace
+    coefficients, Ei and phase, which each pass evaluates once per
+    distinct geometry (see :func:`_geometry_terms`); a row adds only its
+    own contraction with z(x) and chi.
 
     Returns
     -------
@@ -315,27 +311,72 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation: str = "radial",
     rule did not settle to its AccuracyError (that row's value is NaN).
     Rows with chi = 0 are 0 without quadrature.
     """
-    orientation = _check_orientation(orientation)
     if not (tol > 0):
         raise DomainError("tol must be positive")
-    q_R, q_L, chi = (a.ravel() for a in np.broadcast_arrays(
+    q_R, q_L, chi, orientation = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(q_R, dtype=float), np.asarray(q_L, dtype=float),
-        np.asarray(chi, dtype=complex)))
+        np.asarray(chi, dtype=complex), np.asarray(orientation)))
+    for o in set(orientation.tolist()):
+        _check_orientation(o)
     values = np.zeros(q_R.shape)
     live = np.flatnonzero(chi != 0)
     if live.size == 0:
         return values, {}
-    q_R, q_L, chi = q_R[live, None], q_L[live, None], chi[live, None]
+    # rows sharing a geometry are adjacent, so that the rows of one
+    # geometry fall in as few of quad's blocks as possible
+    live = live[np.lexsort((q_L[live], q_R[live]))]
+    q_R, q_L = q_R[live], q_L[live]
+    first = np.r_[True, (q_R[1:] != q_R[:-1]) | (q_L[1:] != q_L[:-1])]
+    geometry = np.cumsum(first) - 1
+    q_R, q_L = q_R[first], q_L[first]
+    chi = chi[live, None]
+    tangential = orientation[live, None] == "tangential"
 
     def rate_density(x, idx):
-        qr, ql = q_R[idx], q_L[idx]
-        q_o = np.sqrt(qr**2 - ql**2 * (1.0 - x * x)) - ql * x
-        z = x * x if orientation == "radial" else 0.5 * (1.0 - x * x)
-        return -0.75 * np.imag(chi[idx] * _fz(q_o, z))
+        g, rows = np.unique(geometry[idx], return_inverse=True)
+        terms, at = _geometry_terms(q_R[g], q_L[g], x)
+        cI, cS, phase, ei4 = terms
+        at = at[rows]
+        # z is the squared projection (s.d)^2 averaged over azimuth: x^2
+        # for a radial dipole, (1 - x^2)/2 for a tangential one
+        z = np.where(tangential[idx], 0.5 * (1.0 - x * x), x * x)
+        # -(3/4) Im{chi [(cI + cS z) e^{2iq_o} + 4i Ei (1/3 - z)]}, built
+        # in one (rows, nodes) array; each step keeps the operand order
+        # of the formula, so the values are the plain expression's
+        f = cS[at] * z
+        np.add(cI[at], f, out=f)
+        np.multiply(f, phase[at], out=f)
+        np.add(f, ei4[at] * (1.0 / 3.0 - z), out=f)
+        np.multiply(chi[idx], f, out=f)
+        return -0.75 * f.imag
 
     got, errors = quad(rate_density, live.size, tol)
     values[live] = got
     return values, {int(live[i]): exc for i, exc in errors.items()}
+
+
+def _geometry_terms(q_R, q_L, x):
+    """The part of the rate density that depends on geometry alone.
+
+    For G distinct geometries (q_R, q_L) and the n nodes x, returns
+    (terms, at): terms is (4, m), the brace coefficients cI and cS of
+    :func:`locfield.greens._brace_coeffs`, e^{2iq_o} and 4i Ei(2iq_o) at
+    m distances q_o, and the (G, n) index array ``at`` names the column
+    of terms that holds each (geometry, node).  A centered geometry is
+    one column shared by its n nodes, since q_o is exactly q_R there
+    (:func:`locfield.greens._sphere_distance`); the others have n
+    columns each.  Every value is the one a full (G, n) evaluation
+    gives, bit for bit.
+    """
+    centered = q_L == 0.0
+    n_c = int(np.count_nonzero(centered))
+    q = np.concatenate([q_R[centered], _sphere_distance(
+        q_R[~centered, None], q_L[~centered, None], x).ravel()])
+    cI, cS, ei = _brace_coeffs(q)
+    at = np.empty((q_R.size, x.size), dtype=np.intp)
+    at[centered] = np.arange(n_c)[:, None]
+    at[~centered] = np.arange(n_c, q.size).reshape(-1, x.size)
+    return np.stack([cI, cS, np.exp(2j * q), 4j * ei]), at
 
 
 def gamma_total_linear(geometry, chi, orientation: str = "radial",

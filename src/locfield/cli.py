@@ -324,10 +324,12 @@ def _point_request(spec: SweepSpec, curve: CurveSpec,
 def run_sweep(spec: SweepSpec, output_path: str) -> None:
     """Evaluate the sweep and write the CSV.
 
-    Each curve is one :func:`locfield.rates.compute_batch` call over the
-    grid.  Per-point numerical failures leave the rate cells empty and
-    put the message in the error column; the sweep continues.  Rows come
-    out in sweep order.
+    The whole sweep, every curve at every grid point, is one
+    :func:`locfield.rates.compute_batch` call, so its linear body terms
+    are one quadrature in which points sharing a sphere geometry share
+    its coefficients.  Per-point numerical failures leave the rate cells
+    empty and put the message in the error column; the sweep continues.
+    Rows come out in sweep order.
     """
     header = ([spec.swept_variable]
               + [c.column for c in spec.curves]
@@ -335,7 +337,7 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
                  "validity_absorption", "error"])
     bulk_ref = cavity.gamma_bulk(spec.eps_re, model="real_cavity")
     grid = spec.grid()
-    columns = [_curve_results(spec, curve, grid) for curve in spec.curves]
+    columns = _sweep_results(spec, grid)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -367,18 +369,21 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
         raise ConfigError(f"cannot write {output_path}: {exc}") from exc
 
 
-def _curve_results(spec: SweepSpec, curve: CurveSpec, grid) -> list:
-    """A RateBreakdown or LocfieldError per grid point of one curve."""
-    results: list = [None] * len(grid)
-    requests = {}
-    for k, x in enumerate(grid):
-        try:
-            requests[k] = _point_request(spec, curve, float(x))
-        except LocfieldError as exc:
-            results[k] = exc
-    for k, result in zip(requests, rates.compute_batch(requests.values())):
-        results[k] = result
-    return results
+def _sweep_results(spec: SweepSpec, grid) -> list:
+    """Per curve, a RateBreakdown or LocfieldError per grid point."""
+    columns = [[None] * len(grid) for _ in spec.curves]
+    cells, requests = [], []
+    for curve, column in zip(spec.curves, columns):
+        for k, x in enumerate(grid):
+            try:
+                requests.append(_point_request(spec, curve, float(x)))
+            except LocfieldError as exc:
+                column[k] = exc
+            else:
+                cells.append((column, k))
+    for (column, k), result in zip(cells, rates.compute_batch(requests)):
+        column[k] = result
+    return columns
 
 
 # -- plot script ---------------------------------------------------------

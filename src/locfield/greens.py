@@ -156,10 +156,25 @@ class StarBoundary:
             raise DomainError("need 0 <= q_L < q_R (emitter inside sphere)")
 
         def q_outer(theta, phi):
-            x = np.cos(theta)
-            return np.sqrt(q_R**2 - q_L**2 * (1.0 - x * x)) - q_L * x
+            return _sphere_distance(q_R, q_L, np.cos(theta))
 
         return cls(q_outer=q_outer, q_max=q_R + q_L)
+
+
+def _sphere_distance(q_R, q_L, x):
+    """Distance from the emitter to the surface of the sphere q_R along
+    the direction x = cos(theta), theta measured from the displacement
+    q_L of the emitter from the center:
+
+        q_o(x) = sqrt(q_R^2 - q_L^2 (1 - x^2)) - q_L x.
+
+    At q_L = 0 this is exactly q_R at every x, not merely close: in
+    binary floating point the correctly rounded square root of the
+    rounded square of a positive number is that number (barring overflow
+    and underflow), and q_R - 0 x = q_R.  A centered sphere can
+    therefore stand for all of its nodes with q_R.
+    """
+    return np.sqrt(q_R**2 - q_L**2 * (1.0 - x * x)) - q_L * x
 
 
 def ab_coefficients(q):

@@ -11,11 +11,13 @@ weak-absorption, or uncorrected evaluation paths.
 :func:`compute_batch` is the entry point: it takes many requests and
 returns a breakdown or an error for each.  The cavity term and the
 validity report are worked out per request; the body terms go to array
-kernels, one call per group of requests that share the kernel, the
-orientation and tol.  A sweep curve is one such group.  The linear Born
-and uncorrected sphere body terms share one row-wise quadrature
-(:func:`locfield.born.gamma_b_sphere_rows`); exact body terms at the
-sphere center are one call of :func:`locfield.mie.gamma_b_center`.
+kernels, one call per group of requests that share the kernel and tol;
+the orientation travels with each request.  A whole sweep is one batch.
+The linear Born and uncorrected sphere body terms of a batch share one
+row-wise quadrature (:func:`locfield.born.gamma_b_sphere_rows`), in
+which requests with the same sphere geometry share its coefficients;
+exact body terms at the sphere center are one call of
+:func:`locfield.mie.gamma_b_center`.
 Off-center exact and weak_absorption requests keep their per-request
 series.  :func:`compute` is the one-request wrapper.
 
@@ -135,7 +137,8 @@ class RateRequest:
     displacement); "bulk" must leave q_R unset.  The weak_absorption
     method is available for bulk and centered-sphere geometries only
     (its absorption split is formulated for the isotropic case).
-    Inconsistent combinations raise ConfigError at construction time.
+    Inconsistent combinations raise ConfigError at construction time,
+    and numbers out of range (q_C too, for either geometry) DomainError.
     """
 
     eps: complex
@@ -148,6 +151,11 @@ class RateRequest:
     nu: float = 0.0
     tol: float = 1.0e-10
     mie_settings: mie.MieSeriesSettings | None = None
+    # built once by __post_init__, which validates through them
+    _permittivity: Permittivity = dataclasses.field(
+        init=False, repr=False, compare=False)
+    _sphere: born.SphereConfig | None = dataclasses.field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -172,17 +180,22 @@ class RateRequest:
             raise ConfigError("weak_absorption is formulated for the "
                               "sphere center (q_L = 0) or bulk")
         # validate the permittivity and geometry numbers eagerly
-        as_permittivity(self.eps)
+        object.__setattr__(self, "_permittivity", as_permittivity(self.eps))
+        sphere = None
         if self.geometry == "sphere":
-            self.sphere_config()
+            sphere = born.SphereConfig(q_R=float(self.q_R), q_L=self.q_L,
+                                       q_C=self.q_C, nu=self.nu)
+        else:
+            born._check_qc(self.q_C)
+        object.__setattr__(self, "_sphere", sphere)
 
-    def sphere_config(self) -> born.SphereConfig:
-        return born.SphereConfig(q_R=float(self.q_R), q_L=self.q_L,
-                                 q_C=self.q_C, nu=self.nu)
+    def sphere_config(self) -> born.SphereConfig | None:
+        """The validated sphere geometry; None for bulk."""
+        return self._sphere
 
     @property
     def permittivity(self) -> Permittivity:
-        return as_permittivity(self.eps)
+        return self._permittivity
 
 
 def _validity(req: RateRequest, chi: complex) -> born.ValidityReport:
@@ -277,8 +290,9 @@ def _split(request: RateRequest):
 
 
 def _linear_row(request: RateRequest, chi):
-    return (("linear", request.orientation, request.tol),
-            (float(request.q_R), float(request.q_L), chi))
+    sphere = request.sphere_config()
+    return (("linear", request.tol),
+            (sphere.q_R, sphere.q_L, chi, request.orientation))
 
 
 def _body_rows(key, rows) -> list:
@@ -287,8 +301,9 @@ def _body_rows(key, rows) -> list:
     its row by running each row alone."""
     try:
         if key[0] == "linear":
-            q_R, q_L, chi = zip(*rows)
-            values, errors = born.gamma_b_sphere_rows(q_R, q_L, chi, *key[1:])
+            q_R, q_L, chi, orientation = zip(*rows)
+            values, errors = born.gamma_b_sphere_rows(q_R, q_L, chi,
+                                                      orientation, key[1])
         else:
             eps, q_R = zip(*rows)
             values, errors = mie.gamma_b_center(eps, q_R), {}

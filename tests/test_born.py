@@ -5,12 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from locfield.born import (ORIENTATIONS, RateBreakdown, SphereConfig,
-                           ValidityReport, gamma_b_center_closed,
-                           gamma_b_sphere_linear, gamma_b_sphere_rows,
-                           gamma_c_linear, gamma_total_linear,
-                           validity_check)
+                           ValidityReport, _geometry_terms,
+                           gamma_b_center_closed, gamma_b_sphere_linear,
+                           gamma_b_sphere_rows, gamma_c_linear,
+                           gamma_total_linear, quad, validity_check)
 from locfield.errors import AccuracyError, DomainError
-from locfield.greens import StarBoundary, f_integrand
+from locfield.greens import (StarBoundary, _brace_coeffs, _gauss_legendre,
+                             _sphere_distance, f_integrand)
 
 
 # -- configuration records ----------------------------------------------------
@@ -189,6 +190,64 @@ def test_body_term_rows_fail_one_by_one(orientation):
         want = gamma_b_sphere_linear(SphereConfig(q_R=q_R[k], q_L=q_L[k]),
                                      chi, orientation)
         assert abs(values[k] - want) <= 1e-13 * abs(want)
+
+
+def _full_node_row(q_R, q_L, chi, orientation):
+    # one row's rate density evaluated at every node, geometry and all,
+    # as the rule's reference: the values the rows must equal bit for bit
+    def density(x, idx):
+        q_o = _sphere_distance(q_R, q_L, x)
+        cI, cS, ei = _brace_coeffs(q_o)
+        z = x * x if orientation == "radial" else 0.5 * (1.0 - x * x)
+        f = (cI + cS * z) * np.exp(2j * q_o) + 4j * ei * (1.0 / 3.0 - z)
+        return -0.75 * np.imag(chi * f)[None, :]
+
+    values, _ = quad(density, 1, 1.0e-10)
+    return values[0]
+
+
+def test_body_term_rows_share_geometries_bit_for_bit():
+    # geometries shared across a complex and a real chi and both
+    # orientations, centered rows, and the geometry that does not settle
+    rows = [
+        (5.0, 3.0, 0.1 + 1e-8j, "radial"),
+        (1000.0, 999.98, 0.1 + 1e-8j, "radial"),
+        (2.0, 0.0, 0.1 + 1e-8j, "tangential"),
+        (5.0, 3.0, 0.2, "tangential"),
+        (2.0, 0.0, 0.2, "radial"),
+        (50.0, 30.0, 0.1 + 1e-8j, "tangential"),
+        (5.0, 3.0, 0.2, "radial"),
+        (1000.0, 999.98, 0.1 + 1e-8j, "tangential"),
+        (7.0, 0.0, 0.05j, "radial"),
+        (5.0, 3.0, 0.1 + 1e-8j, "tangential"),
+        (2.0, 0.5, 0.2, "tangential"),
+        (50.0, 30.0, 0.1 + 1e-8j, "radial"),
+    ]
+    q_R, q_L, chi, orientation = zip(*rows)
+    values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
+    assert {k: str(exc) for k, exc in errors.items()} == {
+        1: UNSETTLED["radial"], 7: UNSETTLED["tangential"]}
+    for k, (qr, ql, c, o) in enumerate(rows):
+        if k in errors:
+            assert np.isnan(values[k])
+            continue
+        assert values[k] == gamma_b_sphere_linear(
+            SphereConfig(q_R=qr, q_L=ql), c, o), rows[k]
+        assert values[k] == _full_node_row(qr, ql, c, o), rows[k]
+
+
+def test_centered_geometry_is_one_column_equal_to_its_nodes():
+    x, _ = _gauss_legendre(128)
+    q_R = np.array([0.5, 2.0, 5.0, 7.3, 1000.0 / 3.0])
+    q_L = np.array([0.0, 1.5, 0.0, 0.0, 100.0])
+    for qr in q_R:
+        assert np.all(_sphere_distance(qr, 0.0, x) == qr)
+    terms, at = _geometry_terms(q_R, q_L, x)
+    assert terms.shape == (4, 3 + 2 * x.size)
+    q_o = _sphere_distance(q_R[:, None], q_L[:, None], x)
+    cI, cS, ei = _brace_coeffs(q_o)
+    full = np.stack([cI, cS, np.exp(2j * q_o), 4j * ei])
+    assert terms[:, at].tobytes() == full.tobytes()
 
 
 def test_body_term_rows_broadcast_and_zero_chi():

@@ -12,7 +12,8 @@ from numpy.testing import assert_allclose
 
 import locfield
 from locfield import rates
-from locfield.cli import PRESETS, _point_request, build_sweep, run_sweep
+from locfield.cli import (PRESETS, _fmt, _point_request, _sweep_results,
+                          build_sweep, run_sweep)
 
 FIG3A_HEADER = ["qR", "gamma_exact", "gamma_linear_born", "bulk_reference",
                 "validity_chi_size", "validity_absorption", "error"]
@@ -148,20 +149,25 @@ def test_sweep_leaves_unsettled_cells_empty(tmp_path):
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_sweep_matches_per_point_compute(tmp_path, preset):
-    # one batch call per curve gives the cells that one compute call per
-    # (point, curve) gives
+    # one batch call per sweep gives the cells that one compute call per
+    # (point, curve) gives; the linear body terms to the bit
     spec = build_sweep(dict(PRESETS[preset]))
     run_sweep(spec, str(tmp_path / "p.csv"))
     header, rows = read_rows(tmp_path / "p.csv")
     assert len(rows) == spec.points
-    for row, x in zip(rows, spec.grid()):
-        for curve in spec.curves:
+    columns = _sweep_results(spec, spec.grid())
+    for k, (row, x) in enumerate(zip(rows, spec.grid())):
+        for curve, column in zip(spec.curves, columns):
             cell = row[header.index(curve.column)]
             try:
                 want = rates.compute(_point_request(spec, curve, float(x)))
             except locfield.LocfieldError as exc:
                 assert cell == ""
                 assert f"{curve.column}: {exc}" in row[-1]
+                continue
+            if curve.method in ("linear_born", "uncorrected"):
+                assert column[k] == want, (curve.column, x)
+                assert cell == _fmt(want.total_ratio), (curve.column, x)
                 continue
             got = float(cell)
             assert abs(got - want.total_ratio) \
@@ -211,6 +217,10 @@ def test_plot_scripts_have_expected_curve_counts(tmp_path):
     ["sweep", "--preset", "fig3a", "--set", "points=1"],
     ["sweep", "--preset", "fig3a", "--set", "banana=5"],
     ["sweep", "--config", "does-not-exist.cfg"],
+    # a bulk request checks q_C before any computation
+    ["compute", "--eps-re", "1.1", "--qc", "0", "--method", "linear_born"],
+    ["compute", "--eps-re", "1.1", "--qc", "-0.5", "--method", "linear_born"],
+    ["compute", "--eps-re", "1.1", "--qc", "0.5", "--method", "linear_born"],
 ])
 def test_usage_problems_exit_2(tmp_path, args):
     res = run_cli(args, tmp_path)

@@ -1,5 +1,6 @@
 """Emitter-level rate assembly: SI rates, method dispatch, cross-method checks."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -8,9 +9,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import constants
 
-from locfield.born import ORIENTATIONS, RateBreakdown, gamma_c_linear
+from locfield.born import (ORIENTATIONS, RateBreakdown, SphereConfig,
+                           gamma_c_linear)
 from locfield import rates
 from locfield.errors import ConfigError, DomainError, LocfieldError
+from locfield.greens import Permittivity
 from locfield.mie import MieSeriesSettings, gamma_b_exact, gamma_center_exact
 from locfield.rates import (GEOMETRIES, METHODS, AtomParams, RateRequest,
                             compute, compute_batch, gamma0_si,
@@ -100,10 +103,33 @@ def test_request_config_errors():
         RateRequest(eps=0.0, method="exact", q_R=2.0)
     with pytest.raises(DomainError):
         RateRequest(eps=1.1, method="exact", q_R=1.0, q_L=0.999)
+    # a bulk request checks its cavity radius as a sphere request does
+    for q_C in (0.0, -0.5, 0.5):
+        with pytest.raises(DomainError, match="q_C"):
+            RateRequest(eps=1.1, method="linear_born", geometry="bulk",
+                        q_C=q_C)
     assert METHODS == ("linear_born", "exact", "weak_absorption",
                        "uncorrected")
     assert GEOMETRIES == ("sphere", "bulk")
     assert ORIENTATIONS == ("radial", "tangential")
+
+
+def test_request_keeps_its_validated_records():
+    req = RateRequest(eps=1.1 + 1e-8j, method="linear_born", q_R=2.0,
+                      q_L=0.5)
+    assert req.sphere_config() is req.sphere_config()
+    assert req.sphere_config() == SphereConfig(q_R=2.0, q_L=0.5)
+    assert req.permittivity is req.permittivity
+    assert req.permittivity == Permittivity(1.1 + 1e-8j)
+    bulk = RateRequest(eps=1.1, method="exact", geometry="bulk")
+    assert bulk.sphere_config() is None
+    # the records take no part in equality, hashing or repr
+    twin = RateRequest(eps=1.1 + 1e-8j, method="linear_born", q_R=2.0,
+                       q_L=0.5)
+    assert twin == req and hash(twin) == hash(req)
+    assert "_sphere" not in repr(req) and "_permittivity" not in repr(req)
+    moved = dataclasses.replace(req, q_L=1.0)
+    assert moved.sphere_config() == SphereConfig(q_R=2.0, q_L=1.0)
 
 
 # -- method dispatch ---------------------------------------------------------------
