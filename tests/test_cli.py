@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose
 
 import locfield
 from locfield import rates
-from locfield.cli import (PRESETS, _fmt, _point_request, _sweep_results,
-                          build_sweep, run_sweep)
+from locfield.cli import (PRESETS, _fmt, _sweep_results, build_sweep,
+                          run_sweep)
 
 FIG3A_HEADER = ["qR", "gamma_exact", "gamma_linear_born", "bulk_reference",
                 "validity_chi_size", "validity_absorption", "error"]
@@ -147,24 +147,76 @@ def test_sweep_leaves_unsettled_cells_empty(tmp_path):
                             row[ecol]), row[ecol]
 
 
-@pytest.mark.parametrize("preset", sorted(PRESETS))
+# Sweeps that hit per-point errors, beside the presets (which hit none):
+# the clearance limit and exact AccuracyError on a q_L sweep; "too close"
+# and the weak_absorption off-centre ConfigError on a q_R sweep; the
+# transparent-host refusal and q_C warnings on a log im_chi sweep; and
+# the passivity refusal on an im_chi sweep through zero.
+ERROR_SWEEPS = {
+    "qL_edge": {
+        "sweep": "qL", "lo": "0", "hi": "0.999", "points": "12",
+        "qr": "1", "eps_re": "1.1", "eps_im": "1e-8",
+        "methods": "linear_born,uncorrected,exact",
+        "orientations": "radial,tangential"},
+    "qR_edge": {
+        "sweep": "qR", "lo": "0.5", "hi": "3", "points": "11", "ql": "1",
+        "eps_re": "1.1", "eps_im": "1e-8",
+        "methods": "linear_born,exact,weak_absorption",
+        "orientations": "radial", "center_reference": "1"},
+    "im_chi_log": {
+        "sweep": "im_chi", "lo": "1e-8", "hi": "1e-4", "points": "9",
+        "log": "1", "qr": "2", "ql": "0", "qc": "0.01,0.15",
+        "eps_re": "1.1",
+        "methods": "linear_born,exact,weak_absorption,uncorrected"},
+    "im_chi_passive": {
+        "sweep": "im_chi", "lo": "-1e-6", "hi": "1e-6", "points": "9",
+        "qr": "2", "ql": "0.5", "eps_re": "1.1",
+        "methods": "linear_born,exact,uncorrected,weak_absorption"},
+}
+
+
+def point_request(spec, curve, x):
+    """The RateRequest of one sweep cell: the reference the columnar
+    sweep is checked against."""
+    eps_im = spec.eps_im
+    q_R = spec.q_R
+    q_L = 0.0 if curve.center else spec.q_L
+    if spec.swept_variable == "qR":
+        q_R = x
+    elif spec.swept_variable == "qL":
+        q_L = 0.0 if curve.center else x
+    else:
+        eps_im = x
+    return rates.RateRequest(eps=complex(spec.eps_re, eps_im),
+                             method=curve.method, geometry="sphere",
+                             q_R=q_R, q_L=q_L, q_C=curve.q_C,
+                             orientation=curve.orientation, nu=spec.nu,
+                             tol=spec.tol)
+
+
+@pytest.mark.filterwarnings("ignore:q_C = 0.15")
+@pytest.mark.parametrize("preset", [*sorted(PRESETS), *ERROR_SWEEPS])
 def test_sweep_matches_per_point_compute(tmp_path, preset):
-    # one batch call per sweep gives the cells that one compute call per
-    # (point, curve) gives; the linear body terms to the bit
-    spec = build_sweep(dict(PRESETS[preset]))
+    # the sweep gives the cells that one compute call per (point, curve)
+    # gives: the linear body terms to the bit, every error with its text,
+    # and the validity flags of the first curve that succeeds
+    spec = build_sweep(dict(PRESETS.get(preset) or ERROR_SWEEPS[preset]))
     run_sweep(spec, str(tmp_path / "p.csv"))
     header, rows = read_rows(tmp_path / "p.csv")
     assert len(rows) == spec.points
     columns = _sweep_results(spec, spec.grid())
+    failures = 0
     for k, (row, x) in enumerate(zip(rows, spec.grid())):
+        errors, validity = [], None
         for curve, column in zip(spec.curves, columns):
             cell = row[header.index(curve.column)]
             try:
-                want = rates.compute(_point_request(spec, curve, float(x)))
+                want = rates.compute(point_request(spec, curve, float(x)))
             except locfield.LocfieldError as exc:
-                assert cell == ""
-                assert f"{curve.column}: {exc}" in row[-1]
+                assert cell == "", (curve.column, x)
+                errors.append(f"{curve.column}: {exc}")
                 continue
+            validity = validity or want.validity
             if curve.method in ("linear_born", "uncorrected"):
                 assert column[k] == want, (curve.column, x)
                 assert cell == _fmt(want.total_ratio), (curve.column, x)
@@ -172,6 +224,13 @@ def test_sweep_matches_per_point_compute(tmp_path, preset):
             got = float(cell)
             assert abs(got - want.total_ratio) \
                 <= 1e-12 * abs(want.total_ratio), (curve.column, x)
+        assert row[-1] == "; ".join(errors), x
+        flags = ["", ""] if validity is None else [
+            "1" if validity.chi_size_ok else "0",
+            "1" if validity.absorption_ok else "0"]
+        assert row[-3:-1] == flags, x
+        failures += len(errors)
+    assert (failures > 0) == (preset in ERROR_SWEEPS)
 
 
 def test_compute_matches_library(tmp_path):
