@@ -14,8 +14,8 @@ q_C = 0.1 and a cutoff at q = 8, compares against the closed form
 
 import numpy as np
 
-from locfield import RegionSampler, cavity_green_linear, f_constant_q, \
-    mc_delta1_green
+from locfield import cavity_green_linear, f_constant_q
+from locfield.oracle import RegionSampler, mc_delta1_green
 
 CHI = 0.1 + 1e-8j
 sampler = RegionSampler.shell(0.1, 8.0)

@@ -35,14 +35,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .greens import (_GL_N_MAX, _GL_N_MIN, StarBoundary, _brace_coeffs,
-                     _gauss_legendre, _sphere_distance, body_green_linear,
-                     unit_vector)
+                     _gauss_legendre, _raise_first, _sphere_distance,
+                     body_green_linear, unit_vector)
 
 __all__ = [
     "ORIENTATIONS",
@@ -64,7 +66,13 @@ ORIENTATIONS = ("radial", "tangential")
 _QC_MAX = 0.2
 _QC_WARN = 0.1
 
+# thresholds of the two linearity conditions (see validity_check)
+_CHI_SIZE_MAX = 0.3
+_ABSORPTION_MAX = 0.1
+
 _Z_HAT = np.array([0.0, 0.0, 1.0])
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
 # values per block of a quad pass (rows x nodes): 2**15 complex
 # temporaries are 0.5 MB each, and 256 rows at 128 nodes fit in one block
@@ -80,17 +88,51 @@ def _check_chi(chi) -> complex:
     return chi
 
 
+class _CheckedQC(float):
+    """A cavity radius that has passed :func:`_check_qc`, warning
+    included; checking it again returns it silently, so that the rates
+    of one sweep curve warn once."""
+
+
 def _check_qc(q_C: float) -> float:
+    if isinstance(q_C, _CheckedQC):
+        return q_C
     q_C = float(q_C)
-    if not (math.isfinite(q_C) and q_C > 0):
-        raise DomainError("q_C must be positive and finite")
-    if q_C > _QC_MAX:
-        raise DomainError(f"q_C = {q_C:g} too large; the small-cavity "
-                          f"expansion needs q_C <= {_QC_MAX}")
+    _raise_first(_qc_faults(q_C))
+    _warn_qc(q_C)
+    return q_C
+
+
+def _qc_faults(q_C: float):
+    """The checks of a float q_C, in order, as (failed, message) pairs."""
+    return ((not (math.isfinite(q_C) and q_C > 0),
+             "q_C must be positive and finite"),
+            (q_C > _QC_MAX, f"q_C = {q_C:g} too large; the small-cavity "
+                            f"expansion needs q_C <= {_QC_MAX}"))
+
+
+def _warn_qc(q_C: float) -> None:
+    """Warn, naming the user's line, if a valid q_C is large enough for
+    the dropped O(q_C) cavity terms to matter."""
     if q_C > _QC_WARN:
         warnings.warn(f"q_C = {q_C:g} > {_QC_WARN}: dropped O(q_C) cavity "
-                      "terms may be significant", stacklevel=3)
-    return q_C
+                      "terms may be significant",
+                      stacklevel=_outside_stacklevel())
+
+
+def _outside_stacklevel() -> int:
+    """The stacklevel that makes a warning issued by the caller name the
+    first frame outside this package and outside the ``__init__`` that
+    dataclasses generate (whose code has the file name "<string>"), so
+    that the warning points at the user's line."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and (
+            frame.f_code.co_filename.startswith(_PACKAGE_DIR)
+            or (frame.f_code.co_filename == "<string>"
+                and frame.f_code.co_name == "__init__")):
+        level += 1
+        frame = frame.f_back
+    return level
 
 
 def _check_orientation(orientation: str) -> str:
@@ -118,25 +160,31 @@ class SphereConfig:
 
     def __post_init__(self):
         for name in ("q_R", "q_L", "q_C", "nu"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
-        if self.q_R <= 0:
-            raise DomainError("q_R must be positive")
-        if self.q_L < 0:
-            raise DomainError("q_L must be non-negative")
-        if self.nu < 0:
-            raise DomainError("nu must be non-negative")
-        _check_qc(self.q_C)
-        if self.q_L + (1.0 + self.nu) * self.q_C > self.q_R:
-            raise DomainError(
-                f"emitter too close to the surface: q_L + (1+nu) q_C = "
-                f"{self.q_L + (1 + self.nu) * self.q_C:g} exceeds q_R = "
-                f"{self.q_R:g}")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        _raise_first(_sphere_faults(self.q_R, self.q_L, self.q_C, self.nu),
+                     self.q_R, self.q_L)
+        _warn_qc(self.q_C)
 
     def boundary(self) -> StarBoundary:
         return StarBoundary.sphere(self.q_R, self.q_L)
+
+
+def _sphere_faults(q_R, q_L, q_C: float, nu: float):
+    """The checks of :class:`SphereConfig`, in its order, as (failed,
+    message) pairs.  q_R and q_L are floats or float arrays, q_C and nu
+    floats; failed is a bool or a bool array, and a message is a string
+    or a function of the failing point's (q_R, q_L)."""
+    yield ~np.isfinite(q_R), "q_R must be finite"
+    yield ~np.isfinite(q_L), "q_L must be finite"
+    yield not math.isfinite(q_C), "q_C must be finite"
+    yield not math.isfinite(nu), "nu must be finite"
+    yield q_R <= 0, "q_R must be positive"
+    yield q_L < 0, "q_L must be non-negative"
+    yield nu < 0, "nu must be non-negative"
+    yield from _qc_faults(q_C)
+    yield q_L + (1.0 + nu) * q_C > q_R, lambda R, L: (
+        f"emitter too close to the surface: q_L + (1+nu) q_C = "
+        f"{L + (1 + nu) * q_C:g} exceeds q_R = {R:g}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -444,9 +492,18 @@ def validity_check(config: SphereConfig | None, chi,
             boundary_max = 1.0
         if q_C is None:
             raise DomainError("q_C required when no SphereConfig is given")
-    chi_size = abs(chi) * float(boundary_max)
-    absorption = chi.imag / float(q_C)**3
-    return ValidityReport(chi_size_value=chi_size,
-                          chi_size_ok=bool(chi_size <= 0.3),
-                          absorption_value=absorption,
-                          absorption_ok=bool(absorption <= 0.1))
+    return _validity_report(*_validity_values(chi, float(boundary_max),
+                                              float(q_C)))
+
+
+def _validity_values(chi, boundary_max, q_C: float):
+    """|chi| q_max and Im(chi)/q_C^3, for a complex chi or an array of
+    them with the boundary distances q_max alike."""
+    return np.abs(chi) * boundary_max, np.imag(chi) / q_C**3
+
+
+def _validity_report(chi_size, absorption) -> ValidityReport:
+    return ValidityReport(chi_size_value=float(chi_size),
+                          chi_size_ok=bool(chi_size <= _CHI_SIZE_MAX),
+                          absorption_value=float(absorption),
+                          absorption_ok=bool(absorption <= _ABSORPTION_MAX))

@@ -16,9 +16,16 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration/usage error (bad arguments,
 malformed config or CSV, unusable paths), 3 numerical failure during
-computation.  Per-point failures inside a sweep do not abort the run;
-they leave the rate cells empty and record the message in the ``error``
-column.
+computation.  :func:`main` parses and validates the config or request
+once, before any computation, and runs what it built.
+
+A sweep evaluates each curve as one column of rates: its method,
+orientation, q_C, nu and tol once, the swept values as an array
+(:mod:`locfield.rates`), and the CSV is written from the column arrays.
+Per-point failures inside a sweep do not abort the run; they leave the
+rate cells empty and record the message that a single ``compute`` of
+that point would raise in the ``error`` column.  A q_C above 0.1 warns
+once per curve that yields a rate, not once per point.
 
 Config schema (flat ``key = value`` lines, ``#`` comments)::
 
@@ -303,33 +310,17 @@ def _fmt(value: float) -> str:
     return _FLOAT_FMT.format(float(value))
 
 
-def _point_request(spec: SweepSpec, curve: CurveSpec,
-                   x: float) -> rates.RateRequest:
-    eps_im = spec.eps_im
-    q_R = spec.q_R
-    q_L = 0.0 if curve.center else spec.q_L
-    if spec.swept_variable == "qR":
-        q_R = x
-    elif spec.swept_variable == "qL":
-        q_L = 0.0 if curve.center else x
-    else:
-        eps_im = x
-    return rates.RateRequest(eps=complex(spec.eps_re, eps_im),
-                             method=curve.method, geometry="sphere",
-                             q_R=q_R, q_L=q_L, q_C=curve.q_C,
-                             orientation=curve.orientation, nu=spec.nu,
-                             tol=spec.tol)
-
-
 def run_sweep(spec: SweepSpec, output_path: str) -> None:
     """Evaluate the sweep and write the CSV.
 
-    The whole sweep, every curve at every grid point, is one
-    :func:`locfield.rates.compute_batch` call, so its linear body terms
-    are one quadrature in which points sharing a sphere geometry share
-    its coefficients.  Per-point numerical failures leave the rate cells
-    empty and put the message in the error column; the sweep continues.
-    Rows come out in sweep order.
+    Each curve is one column of rates: the scalars it shares and the
+    swept values as an array, validated as arrays (see
+    :func:`locfield.rates._compute_columns`).  The columns of a sweep
+    are evaluated together, so its linear body terms are one quadrature
+    in which points sharing a sphere geometry share its coefficients.
+    Per-point failures leave the rate cells empty and put the message
+    in the error column; the sweep continues.  Rows come out in sweep
+    order.
     """
     header = ([spec.swept_variable]
               + [c.column for c in spec.curves]
@@ -337,31 +328,32 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
                  "validity_absorption", "error"])
     bulk_ref = cavity.gamma_bulk(spec.eps_re, model="real_cavity")
     grid = spec.grid()
-    columns = _sweep_results(spec, grid)
+    n = grid.size
+    cells = [[_fmt(x) for x in grid.tolist()]]
+    errors = [[] for _ in range(n)]
+    chi_size_ok, absorption_ok = [""] * n, [""] * n
+    pending = np.ones(n, dtype=bool)  # rows whose validity is not set
+    for curve, rates_ in zip(spec.curves, _sweep_results(spec, grid)):
+        column = [_fmt(v) for v in rates_.total.tolist()]
+        ok = np.ones(n, dtype=bool)
+        for k, exc in rates_.errors.items():
+            column[k] = ""
+            errors[k].append(f"{curve.column}: {exc}")
+            ok[k] = False
+        cells.append(column)
+        # the validity flags are the first successful curve's
+        take = np.flatnonzero(pending & ok)
+        for k, c, a in zip(take.tolist(), rates_.chi_size_ok[take].tolist(),
+                           rates_.absorption_ok[take].tolist()):
+            chi_size_ok[k] = "1" if c else "0"
+            absorption_ok[k] = "1" if a else "0"
+        pending[take] = False
+    cells += [[_fmt(bulk_ref)] * n, chi_size_ok, absorption_ok,
+              ["; ".join(e) for e in errors]]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for k, x in enumerate(grid):
-        cells = [_fmt(x)]
-        errors = []
-        validity = None
-        for curve, column in zip(spec.curves, columns):
-            result = column[k]
-            if isinstance(result, LocfieldError):
-                cells.append("")
-                errors.append(f"{curve.column}: {result}")
-                continue
-            cells.append(_fmt(result.total_ratio))
-            if validity is None:
-                validity = result.validity
-        cells.append(_fmt(bulk_ref))
-        if validity is None:
-            cells.extend(["", ""])
-        else:
-            cells.append("1" if validity.chi_size_ok else "0")
-            cells.append("1" if validity.absorption_ok else "0")
-        cells.append("; ".join(errors))
-        writer.writerow(cells)
+    writer.writerows(zip(*cells))
     try:
         with open(output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(buf.getvalue())
@@ -370,20 +362,25 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
 
 
 def _sweep_results(spec: SweepSpec, grid) -> list:
-    """Per curve, a RateBreakdown or LocfieldError per grid point."""
-    columns = [[None] * len(grid) for _ in spec.curves]
-    cells, requests = [], []
-    for curve, column in zip(spec.curves, columns):
-        for k, x in enumerate(grid):
-            try:
-                requests.append(_point_request(spec, curve, float(x)))
-            except LocfieldError as exc:
-                column[k] = exc
-            else:
-                cells.append((column, k))
-    for (column, k), result in zip(cells, rates.compute_batch(requests)):
-        column[k] = result
-    return columns
+    """The rates of each curve at the grid points, as computed by
+    :func:`locfield.rates._compute_columns`."""
+    columns = []
+    for curve in spec.curves:
+        eps = complex(spec.eps_re, spec.eps_im)
+        q_R = spec.q_R
+        q_L = 0.0 if curve.center else spec.q_L
+        if spec.swept_variable == "qR":
+            q_R = grid
+        elif spec.swept_variable == "qL":
+            q_L = 0.0 if curve.center else grid
+        else:
+            eps = np.full(grid.shape, eps)
+            eps.imag = grid
+        columns.append(rates._Column(
+            method=curve.method, orientation=curve.orientation,
+            q_C=curve.q_C, nu=spec.nu, tol=spec.tol, mie_settings=None,
+            eps=eps, q_R=q_R, q_L=q_L))
+    return rates._compute_columns(columns)
 
 
 # -- plot script ---------------------------------------------------------
@@ -530,27 +527,30 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_sweep(args) -> int:
+def _sweep_config(args) -> dict[str, str]:
     if args.preset:
         cfg = dict(PRESETS[args.preset])
-        default_out = f"{args.preset}.csv"
     else:
         cfg = parse_config_file(args.config)
-        default_out = "sweep.csv"
-    cfg = apply_overrides(cfg, args.overrides)
-    spec = build_sweep(cfg)
-    out = args.out or default_out
+    return apply_overrides(cfg, args.overrides)
+
+
+def _cmd_sweep(args, spec: SweepSpec) -> int:
+    out = args.out or (f"{args.preset}.csv" if args.preset else "sweep.csv")
     run_sweep(spec, out)
     print(f"wrote {out} ({spec.points} rows, {len(spec.curves)} curves)")
     return 0
 
 
-def _cmd_compute(args) -> int:
+def _compute_request(args) -> rates.RateRequest:
     geometry = "bulk" if args.qr is None else "sphere"
-    request = rates.RateRequest(eps=complex(args.eps_re, args.eps_im),
-                                method=args.method, geometry=geometry,
-                                q_R=args.qr, q_L=args.ql, q_C=args.qc,
-                                orientation=args.orientation, nu=args.nu)
+    return rates.RateRequest(eps=complex(args.eps_re, args.eps_im),
+                             method=args.method, geometry=geometry,
+                             q_R=args.qr, q_L=args.ql, q_C=args.qc,
+                             orientation=args.orientation, nu=args.nu)
+
+
+def _cmd_compute(request: rates.RateRequest) -> int:
     result = rates.compute(request)
     print(f"total_ratio = {_fmt(result.total_ratio)}")
     print(f"gamma_c_ratio = {_fmt(result.gamma_c_ratio)}")
@@ -573,31 +573,22 @@ def _cmd_plot(args) -> int:
 def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
-    # configuration phase: anything wrong here is a usage problem
+    # configuration phase: anything wrong here is a usage problem; what
+    # it builds is what the computation phase runs
     try:
         if args.command == "sweep":
-            if args.preset:
-                cfg = apply_overrides(dict(PRESETS[args.preset]),
-                                      args.overrides)
-            else:
-                cfg = apply_overrides(parse_config_file(args.config),
-                                      args.overrides)
-            build_sweep(cfg)  # validate before any computation
+            spec = build_sweep(_sweep_config(args))
         elif args.command == "compute":
-            geometry = "bulk" if args.qr is None else "sphere"
-            rates.RateRequest(eps=complex(args.eps_re, args.eps_im),
-                              method=args.method, geometry=geometry,
-                              q_R=args.qr, q_L=args.ql, q_C=args.qc,
-                              orientation=args.orientation, nu=args.nu)
+            request = _compute_request(args)
     except (ConfigError, DomainError) as exc:
         print(f"locfield: config error: {exc}", file=sys.stderr)
         return 2
     # computation phase
     try:
         if args.command == "sweep":
-            return _cmd_sweep(args)
+            return _cmd_sweep(args, spec)
         if args.command == "compute":
-            return _cmd_compute(args)
+            return _cmd_compute(request)
         return _cmd_plot(args)
     except ConfigError as exc:
         print(f"locfield: config error: {exc}", file=sys.stderr)

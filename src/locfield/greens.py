@@ -71,12 +71,7 @@ class Permittivity:
 
     def __post_init__(self):
         eps = complex(self.epsilon)
-        if not (math.isfinite(eps.real) and math.isfinite(eps.imag)):
-            raise DomainError("permittivity must be finite")
-        if eps.imag < 0:
-            raise DomainError("passive medium required: Im eps >= 0")
-        if eps == 0:
-            raise DomainError("permittivity must be nonzero")
+        _raise_first(_permittivity_faults(eps))
         object.__setattr__(self, "epsilon", eps)
 
     @property
@@ -91,6 +86,25 @@ class Permittivity:
 
     def is_absorbing(self, tol: float = _ABSORPTION_TOL) -> bool:
         return self.epsilon.imag > tol
+
+
+def _permittivity_faults(eps):
+    """The checks of :class:`Permittivity`, in its order, for a complex
+    or a complex array: (failed, message) pairs, failed a bool or a bool
+    array of the shape of eps."""
+    yield ~np.isfinite(eps), "permittivity must be finite"
+    yield np.imag(eps) < 0, "passive medium required: Im eps >= 0"
+    yield eps == 0, "permittivity must be nonzero"
+
+
+def _raise_first(faults, *point):
+    """Raise DomainError for the first of scalar (failed, message)
+    checks that failed; a message that is a function of the point
+    (e.g. its q_R and q_L) is called with ``point``."""
+    for failed, message in faults:
+        if failed:
+            raise DomainError(message if isinstance(message, str)
+                              else message(*point))
 
 
 def as_permittivity(value) -> Permittivity:

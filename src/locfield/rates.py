@@ -8,18 +8,23 @@ this module converts to absolute rates when a dipole moment is supplied,
 and dispatches rate requests to the linear-Born, exact real-cavity,
 weak-absorption, or uncorrected evaluation paths.
 
-:func:`compute_batch` is the entry point: it takes many requests and
-returns a breakdown or an error for each.  The cavity term and the
-validity report are worked out per request; the body terms go to array
-kernels, one call per group of requests that share the kernel and tol;
-the orientation travels with each request.  A whole sweep is one batch.
-The linear Born and uncorrected sphere body terms of a batch share one
-row-wise quadrature (:func:`locfield.born.gamma_b_sphere_rows`), in
-which requests with the same sphere geometry share its coefficients;
-exact body terms at the sphere center are one call of
-:func:`locfield.mie.gamma_b_center`.
-Off-center exact and weak_absorption requests keep their per-request
-series.  :func:`compute` is the one-request wrapper.
+:func:`compute_batch` is the entry point for requests: it returns a
+breakdown or an error for each.  It groups them into columns, one per
+set of requests that share method, geometry, orientation, q_C, nu, tol
+and Mie settings; a column, one curve of a sweep, is what the
+evaluation works on.  Its shared scalars are checked once, and its eps,
+q_R and q_L as arrays, each point that fails getting the error (text
+and precedence) that a RateRequest and :func:`compute` give it.  The
+cavity term is evaluated once per distinct eps with the scalar
+functions, the validity values as arrays, and the sphere body terms of
+all the columns go to the array kernels together: the linear Born and
+uncorrected terms share one row-wise quadrature
+(:func:`locfield.born.gamma_b_sphere_rows`), in which points with the
+same sphere geometry share its coefficients, and exact body terms at
+the sphere center are one call of :func:`locfield.mie.gamma_b_center`.
+Off-center exact and weak_absorption points keep their per-point
+series.  A sweep (:func:`locfield.cli.run_sweep`) builds one column per
+curve from its grid; :func:`compute` is a batch of one.
 
 Physical constants (SI; h is exact by definition, eps_0 is the CODATA
 2022 value):
@@ -31,15 +36,19 @@ Physical constants (SI; h is exact by definition, eps_0 is the CODATA
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
+import operator
 from collections import defaultdict
+from typing import NamedTuple
 
 import numpy as np
 
 from . import born, cavity, mie
 from .errors import ConfigError, DomainError, LocfieldError
-from .greens import (_ABSORPTION_TOL, Permittivity, as_permittivity,
-                     unit_vector)
+from .greens import (_ABSORPTION_TOL, Permittivity, _permittivity_faults,
+                     as_permittivity, unit_vector)
 
 __all__ = [
     "AtomParams",
@@ -177,8 +186,7 @@ class RateRequest:
             if self.q_L != 0.0:
                 raise ConfigError("bulk geometry takes no q_L")
         if self.method == "weak_absorption" and self.q_L != 0.0:
-            raise ConfigError("weak_absorption is formulated for the "
-                              "sphere center (q_L = 0) or bulk")
+            raise ConfigError(_WEAK_OFF_CENTER)
         # validate the permittivity and geometry numbers eagerly
         object.__setattr__(self, "_permittivity", as_permittivity(self.eps))
         sphere = None
@@ -196,12 +204,6 @@ class RateRequest:
     @property
     def permittivity(self) -> Permittivity:
         return self._permittivity
-
-
-def _validity(req: RateRequest, chi: complex) -> born.ValidityReport:
-    if req.geometry == "sphere":
-        return born.validity_check(req.sphere_config(), chi)
-    return born.validity_check(None, chi, q_C=req.q_C)
 
 
 def compute(request: RateRequest) -> born.RateBreakdown:
@@ -222,108 +224,240 @@ def compute_batch(requests) -> list:
     so that one failing request leaves the others to finish.
     """
     requests = list(requests)
+    groups = defaultdict(list)
+    for i, r in enumerate(requests):
+        groups[(r.method, r.geometry, r.orientation, r.q_C, r.nu, r.tol,
+                r.mie_settings)].append(i)
+    columns = []
+    for (method, geometry, orientation, q_C, nu, tol, settings), members \
+            in groups.items():
+        group = [requests[i] for i in members]
+        columns.append(_Column(
+            method, orientation, q_C, nu, tol, settings,
+            eps=np.array([r.permittivity.epsilon for r in group]),
+            q_R=(np.array([r.q_R for r in group], dtype=float)
+                 if geometry == "sphere" else None),
+            q_L=np.array([r.q_L for r in group], dtype=float)))
     results: list = [None] * len(requests)
-    parts = {}
-    batches = defaultdict(list)
-    for i, request in enumerate(requests):
-        try:
-            gamma_c, validity, gamma_b = _split(request)
-        except LocfieldError as exc:
-            results[i] = exc
-            continue
-        if isinstance(gamma_b, tuple):
-            key, row = gamma_b
-            batches[key].append((i, row))
-            parts[i] = gamma_c, validity
-        else:
-            results[i] = born.RateBreakdown.from_parts(gamma_c, gamma_b,
-                                                       validity)
-    for key, members in batches.items():
-        gammas = _body_rows(key, [row for _, row in members])
-        for (i, _), gamma_b in zip(members, gammas):
-            if isinstance(gamma_b, LocfieldError):
-                results[i] = gamma_b
-            else:
-                gamma_c, validity = parts[i]
-                results[i] = born.RateBreakdown.from_parts(gamma_c, gamma_b,
-                                                           validity)
+    for members, column in zip(groups.values(), _compute_columns(columns)):
+        for j, i in enumerate(members):
+            results[i] = column.result(j)
     return results
 
 
-def _split(request: RateRequest):
-    """Cavity term, validity report and body term of one request.
+_WEAK_OFF_CENTER = ("weak_absorption is formulated for the sphere center "
+                    "(q_L = 0) or bulk")
 
-    The body term is a float, or ``(key, row)`` for the array kernel
-    named by ``key`` (see :func:`_body_rows`), which evaluates all the
-    rows that share the key at once.
+
+class _Column(NamedTuple):
+    """One curve of rates: the method, orientation, q_C, nu, tol and Mie
+    settings its points share, and the arrays eps, q_R and q_L, which
+    broadcast against each other; q_R is None for bulk."""
+
+    method: str
+    orientation: str
+    q_C: float
+    nu: float
+    tol: float
+    mie_settings: mie.MieSeriesSettings | None
+    eps: np.ndarray
+    q_R: np.ndarray | None
+    q_L: np.ndarray
+
+
+class _Rates(NamedTuple):
+    """The rates of one column, point by point: gamma_c, gamma_b and the
+    two validity values, and the LocfieldError of each point that failed
+    (whose values are NaN), by index."""
+
+    gamma_c: np.ndarray
+    gamma_b: np.ndarray
+    chi_size: np.ndarray
+    absorption: np.ndarray
+    errors: dict
+
+    @property
+    def total(self) -> np.ndarray:
+        return 1.0 + self.gamma_c + self.gamma_b
+
+    @property
+    def chi_size_ok(self) -> np.ndarray:
+        return self.chi_size <= born._CHI_SIZE_MAX
+
+    @property
+    def absorption_ok(self) -> np.ndarray:
+        return self.absorption <= born._ABSORPTION_MAX
+
+    def result(self, k: int):
+        """The RateBreakdown of point k, or the error it raised."""
+        if k in self.errors:
+            return self.errors[k]
+        return born.RateBreakdown.from_parts(
+            self.gamma_c[k], self.gamma_b[k],
+            born._validity_report(self.chi_size[k], self.absorption[k]))
+
+
+def _compute_columns(columns) -> list:
+    """The :class:`_Rates` of each column.
+
+    Each column is validated as arrays, point by point with the errors
+    (text and precedence) that a RateRequest and :func:`compute` give;
+    a large q_C warns once per column that yields a rate.  The cavity
+    term is worked out once per distinct eps, the validity values as
+    arrays.  The sphere body terms of all the columns go to the array
+    kernels together, one call per kernel and tol; off-center exact and
+    weak_absorption points keep their per-point series.
     """
-    eps = request.permittivity
-    chi = eps.chi
-    validity = _validity(request, chi)
-    method = request.method
-    sphere = request.geometry == "sphere"
+    batches = defaultdict(list)
+    out = [_column_rates(column, batches) for column in columns]
+    for key, members in batches.items():
+        rows = [np.concatenate(parts) for parts in zip(
+            *(arrays for _, _, arrays in members))]
+        values, errors = _body_rows(key, rows)
+        start = 0
+        for rates_, idx, _ in members:
+            stop = start + idx.size
+            rates_.gamma_b[idx] = values[start:stop]
+            for j, exc in errors.items():
+                if start <= j < stop:
+                    rates_.errors[int(idx[j - start])] = exc
+            start = stop
+    return out
 
+
+def _column_rates(col: _Column, batches) -> _Rates:
+    """The rates of one column, but for the sphere body terms that go to
+    an array kernel: those rows are added to ``batches``, keyed by
+    kernel, with the indices of their points."""
+    sphere = col.q_R is not None
+    eps, q_L, q_R = (a.ravel() for a in np.broadcast_arrays(
+        np.asarray(col.eps, dtype=complex), np.asarray(col.q_L, dtype=float),
+        np.asarray(col.q_R if sphere else np.nan, dtype=float)))
+    errors, ok = _check_points(col, eps, q_R, q_L)
+    rates_ = _Rates(*np.full((4, eps.size), np.nan), errors)
+    live = np.flatnonzero(ok)
+    if live.size == 0:
+        return rates_
+    eps, q_R, q_L = eps[live], q_R[live], q_L[live]
+    chi = eps - 1.0
+    rates_.chi_size[live], rates_.absorption[live] = born._validity_values(
+        chi, q_L + q_R if sphere else 1.0, float(col.q_C))
+    born._warn_qc(float(col.q_C))
+    q_C = born._CheckedQC(col.q_C)  # so that the column warns once
+    method = col.method
+    if method == "weak_absorption":
+        for i, e, R in zip(live.tolist(), eps.tolist(), q_R.tolist()):
+            try:
+                rates_.gamma_c[i], rates_.gamma_b[i] = _weak_absorption(
+                    e, R if sphere else None, q_C, col.orientation)
+            except LocfieldError as exc:
+                errors[i] = exc
+        return rates_
     if method == "linear_born":
-        gamma_c = born.gamma_c_linear(chi, request.q_C)
-        gamma_b = _linear_row(request, chi) if sphere else 0.0
+        rates_.gamma_c[live] = _per_distinct(
+            lambda c: born.gamma_c_linear(c, q_C), chi)
     elif method == "uncorrected":
-        if eps.is_absorbing():
-            raise DomainError("uncorrected method assumes a transparent "
-                              "host; use exact or weak_absorption")
-        e_re = eps.epsilon.real
-        gamma_c = math.sqrt(e_re) - 1.0
+        rates_.gamma_c[live] = _per_distinct(
+            lambda e: math.sqrt(e) - 1.0, eps.real)
         # body term to linear order in the (real) susceptibility
-        gamma_b = _linear_row(request, e_re - 1.0) if sphere else 0.0
-    elif method == "exact":
-        gamma_c = cavity.gamma_c_exact(eps, request.q_C)
-        if not sphere:
-            gamma_b = 0.0
-        elif request.q_L == 0.0:
-            gamma_b = ("center",), (eps, float(request.q_R))
-        else:
-            gamma_b = mie.gamma_b_exact(eps, float(request.q_R),
-                                        request.q_L, request.orientation,
-                                        request.mie_settings)
+        chi = eps.real - 1.0
     else:
-        gamma_c, gamma_b = _weak_absorption(request, eps)
-    return gamma_c, validity, gamma_b
+        rates_.gamma_c[live] = _per_distinct(
+            lambda e: cavity.gamma_c_exact(e, q_C), eps)
+    if not sphere:
+        rates_.gamma_b[live] = 0.0
+    elif method != "exact":
+        orientation = np.full(live.size, col.orientation)
+        batches[("linear", col.tol)].append(
+            (rates_, live, (q_R, q_L, chi, orientation)))
+    else:
+        center = q_L == 0.0
+        if center.any():
+            batches[("center",)].append(
+                (rates_, live[center], (eps[center], q_R[center])))
+        off = ~center
+        for i, e, R, L in zip(live[off].tolist(), eps[off].tolist(),
+                              q_R[off].tolist(), q_L[off].tolist()):
+            try:
+                rates_.gamma_b[i] = mie.gamma_b_exact(
+                    e, R, L, col.orientation, col.mie_settings)
+            except LocfieldError as exc:
+                errors[i] = exc
+    return rates_
 
 
-def _linear_row(request: RateRequest, chi):
-    sphere = request.sphere_config()
-    return (("linear", request.tol),
-            (sphere.q_R, sphere.q_L, chi, request.orientation))
+def _check_points(col: _Column, eps, q_R, q_L):
+    """The errors of a column's points, by index, and the mask of the
+    points that pass.  The checks are RateRequest's, then compute's, in
+    their order, so a point's error is the first that it fails; they run
+    one by one only if some point fails one."""
+    checks = [(q_L != 0.0, _WEAK_OFF_CENTER, ConfigError)
+              ] if col.method == "weak_absorption" else []
+    checks += [(failed, message, DomainError) for failed, message in
+               itertools.chain(_permittivity_faults(eps), born._sphere_faults(
+                   q_R, q_L, float(col.q_C), float(col.nu))
+                   if col.q_R is not None
+                   else born._qc_faults(float(col.q_C)))]
+    if col.method == "uncorrected":
+        checks.append((eps.imag > _ABSORPTION_TOL, "uncorrected method "
+                       "assumes a transparent host; use exact or "
+                       "weak_absorption", DomainError))
+    errors = {}
+    ok = np.ones(eps.shape, dtype=bool)
+    if functools.reduce(operator.or_, [c[0] for c in checks]).any():
+        for failed, message, kind in checks:
+            bad = ok & failed
+            for k in np.flatnonzero(bad).tolist():
+                errors[k] = kind(message if isinstance(message, str)
+                                 else message(q_R[k], q_L[k]))
+            ok &= ~bad
+    return errors, ok
 
 
-def _body_rows(key, rows) -> list:
-    """Body terms of the rows of one kernel: a float or a LocfieldError
-    per row.  An error the kernel raises for the whole call is pinned on
-    its row by running each row alone."""
+def _per_distinct(f, values) -> np.ndarray:
+    """f of each value, evaluated once per distinct value."""
+    values = values.tolist()
+    memo = {}
+    for v in values:
+        if v not in memo:
+            memo[v] = f(v)
+    return np.array([memo[v] for v in values], dtype=float)
+
+
+def _body_rows(key, rows):
+    """Body terms of the rows of one kernel, given as a list of arrays
+    (its arguments): the values, and a dict from the index of each row
+    that failed to its LocfieldError.  An error the kernel raises for the
+    whole call is pinned on its row by running each row alone."""
     try:
         if key[0] == "linear":
-            q_R, q_L, chi, orientation = zip(*rows)
-            values, errors = born.gamma_b_sphere_rows(q_R, q_L, chi,
-                                                      orientation, key[1])
-        else:
-            eps, q_R = zip(*rows)
-            values, errors = mie.gamma_b_center(eps, q_R), {}
+            return born.gamma_b_sphere_rows(*rows, key[1])
+        return mie.gamma_b_center(*rows), {}
     except LocfieldError as exc:
-        if len(rows) == 1:
-            return [exc]
-        return [out for row in rows for out in _body_rows(key, [row])]
-    return [errors.get(k, float(v)) for k, v in enumerate(values)]
+        n = rows[0].size
+        if n == 1:
+            return np.full(1, np.nan), {0: exc}
+        values, errors = np.full(n, np.nan), {}
+        for k in range(n):
+            values[k:k + 1], error = _body_rows(key, [r[k:k + 1]
+                                                      for r in rows])
+            if error:
+                errors[k] = error[0]
+        return values, errors
 
 
-def _weak_absorption(request: RateRequest, eps: Permittivity):
-    e_re = eps.epsilon.real
-    dipole = _DIPOLES[request.orientation]
-    if request.geometry == "bulk":
+def _weak_absorption(eps: complex, q_R, q_C: float, orientation: str):
+    """(gamma_c, gamma_b) of the weak-absorption split; q_R None for
+    bulk."""
+    e_re = eps.real
+    dipole = _DIPOLES[orientation]
+    if q_R is None:
         gB1 = np.zeros((3, 3), dtype=complex)
     else:
-        gB1 = mie.body_green_center(e_re, float(request.q_R))
+        gB1 = mie.body_green_center(e_re, float(q_R))
     gb_unc = gamma_uncorrected(e_re, gB1, dipole)
-    gamma, _cond = cavity.gamma_weak_absorption(eps, request.q_C, gb_unc,
-                                                gB1, dipole)
+    gamma, _cond = cavity.gamma_weak_absorption(eps, q_C, gb_unc, gB1,
+                                                dipole)
     f2 = (3.0 * e_re / (2.0 * e_re + 1.0)) ** 2
     gamma_b = f2 * (gb_unc - math.sqrt(e_re))
     return gamma - 1.0 - gamma_b, gamma_b

@@ -218,7 +218,7 @@ def test_sweep_matches_per_point_compute(tmp_path, preset):
                 continue
             validity = validity or want.validity
             if curve.method in ("linear_born", "uncorrected"):
-                assert column[k] == want, (curve.column, x)
+                assert column.result(k) == want, (curve.column, x)
                 assert cell == _fmt(want.total_ratio), (curve.column, x)
                 continue
             got = float(cell)

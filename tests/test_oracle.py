@@ -191,7 +191,8 @@ def test_import_defers_scipy_integrate_to_first_use():
     # a fresh interpreter, since this one has long loaded scipy.integrate
     code = ("import sys, locfield\n"
             "print('scipy.integrate' in sys.modules)\n"
-            "print(locfield.quad_reference(lambda x: x * x, (0.0, 3.0)))\n")
+            "from locfield.oracle import quad_reference\n"
+            "print(quad_reference(lambda x: x * x, (0.0, 3.0)))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(locfield.__file__).resolve().parent.parent),

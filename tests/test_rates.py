@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,6 +13,8 @@ from scipy import constants
 from locfield.born import (ORIENTATIONS, RateBreakdown, SphereConfig,
                            gamma_c_linear)
 from locfield import rates
+from locfield.cavity import gamma_c_exact
+from locfield.cli import build_sweep, run_sweep
 from locfield.errors import ConfigError, DomainError, LocfieldError
 from locfield.greens import Permittivity
 from locfield.mie import MieSeriesSettings, gamma_b_exact, gamma_center_exact
@@ -278,3 +281,32 @@ def test_compute_batch_matches_compute_and_keeps_errors_on_their_requests():
         else:
             assert result == compute(request)
     assert compute_batch([]) == []
+
+
+# -- warnings ---------------------------------------------------------------------------
+
+
+def test_large_cavity_warning_names_the_callers_line(tmp_path):
+    # however deep in the package a q_C warning is raised, it points at
+    # the line that called in; a sweep warns once per curve with that
+    # q_C (here an im_chi sweep, whose cavity terms are per point)
+    spec = build_sweep({
+        "sweep": "im_chi", "lo": "1e-8", "hi": "1e-7", "points": "5",
+        "log": "1", "eps_re": "1.1", "qr": "2", "qc": "0.01,0.15",
+        "methods": "linear_born,exact,weak_absorption,uncorrected"})
+    calls = {
+        "SphereConfig": (lambda: SphereConfig(q_R=2.0, q_C=0.15), 1),
+        "RateRequest": (lambda: RateRequest(eps=1.1, method="linear_born",
+                                            q_R=2.0, q_C=0.15), 1),
+        "gamma_c_linear": (lambda: gamma_c_linear(0.1, 0.15), 1),
+        "gamma_c_exact": (lambda: gamma_c_exact(1.1, 0.15), 1),
+        "run_sweep": (lambda: run_sweep(spec, str(tmp_path / "s.csv")), 4),
+    }
+    for name, (call, count) in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert len(caught) == count, name
+        for w in caught:
+            assert w.filename == __file__, (name, w.filename)
+            assert str(w.message).startswith("q_C = 0.15 > 0.1"), name
