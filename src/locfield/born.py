@@ -19,12 +19,13 @@ whose node count doubles until the rate settles.  The rule works on
 rows: :func:`gamma_b_sphere_rows` integrates a batch of sphere
 configurations, such as a whole sweep, in one call, each row settling
 (or failing) on its own, and :func:`gamma_b_sphere_linear` is one row of
-it.  Rows that share a sphere geometry (q_R, q_L), whatever their chi
-and orientation, share the geometry's brace coefficients, Ei and phase,
-evaluated once per pass.  :func:`locfield.rates.compute_batch` is the
-entry point that groups rate requests into such batches.  The centered
-sphere has a closed form (no quadrature), kept as an independent
-cross-check of the 1D path.
+it.  chi multiplies an integral of the geometry alone, so each pass
+integrates three chi-free moments once per distinct sphere geometry
+(q_R, q_L), and each row, whatever its chi and orientation, is a scalar
+contraction of its geometry's moments.
+:func:`locfield.rates.compute_batch` is the entry point that groups rate
+requests into such batches.  The centered sphere has a closed form (no
+quadrature), kept as an independent cross-check of the 1D path.
 
 Everything in this module is strictly first order in chi; the accompanying
 validity report quantifies when that is trustworthy (optically small
@@ -247,14 +248,14 @@ def gamma_c_linear(chi, q_C: float) -> float:
 
 
 def quad(f, rows: int, tol: float):
-    """Row-wise integrals over [-1, 1] of the real array function f.
+    """Row-wise integrals over [-1, 1] by Gauss-Legendre rules.
 
-    f(x, idx) returns the (len(idx), n) values of the rows idx at the n
-    nodes x.  Gauss-Legendre with n = 64 nodes, doubled up to n = 2048:
-    a row is done once two successive passes differ by no more than the
+    f(x, w, idx) returns the (len(idx),) values of the rows idx under the
+    rule of nodes x and weights w; n = 64 nodes, doubled up to n = 2048.
+    A row is done once two successive passes differ by no more than the
     absolute tolerance tol, and leaves the passes that follow.  Each
-    pass hands f blocks of at most _QUAD_BLOCK values, so the
-    temporaries stay bounded however many rows there are.
+    pass hands f blocks of at most _QUAD_BLOCK // n rows, so that their
+    (rows, n) temporaries stay bounded however many rows there are.
 
     Returns
     -------
@@ -280,11 +281,9 @@ def quad(f, rows: int, tol: float):
 
 
 def _quad_pass(f, n: int, idx) -> np.ndarray:
-    # a row's sum must not depend on the rows beside it, which a BLAS
-    # matrix-vector product does not promise; numpy's row sums do
     x, w = _gauss_legendre(n)
     step = max(1, _QUAD_BLOCK // n)
-    return np.concatenate([(f(x, idx[k:k + step]) * w).sum(axis=1)
+    return np.concatenate([f(x, w, idx[k:k + step])
                            for k in range(0, idx.size, step)])
 
 
@@ -346,11 +345,11 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     broadcast to N rows; orientation is "radial" or "tangential" per
     row.  Each row must be a geometry that :class:`SphereConfig` admits
     with a passive chi; the rows are not validated again here.  All rows
-    share tol, and their rate densities go through one row-wise
-    :func:`quad`.  Rows sharing a geometry (q_R, q_L) share its brace
-    coefficients, Ei and phase, which each pass evaluates once per
-    distinct geometry (see :func:`_geometry_terms`); a row adds only its
-    own contraction with z(x) and chi.
+    share tol and go through one row-wise :func:`quad`.  chi stands
+    outside the integral, so each pass evaluates the three chi-free
+    moments of :func:`_moments` once per distinct geometry (q_R, q_L)
+    with a live row, and a row's rate is the scalar -(3/4) Im(chi I),
+    I = M0 + M2 (radial) or M0 + (M1 - M2)/2 (tangential).
 
     Returns
     -------
@@ -377,54 +376,46 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     first = np.r_[True, (q_R[1:] != q_R[:-1]) | (q_L[1:] != q_L[:-1])]
     geometry = np.cumsum(first) - 1
     q_R, q_L = q_R[first], q_L[first]
-    chi = chi[live, None]
-    tangential = orientation[live, None] == "tangential"
+    chi = chi[live]
+    tangential = orientation[live] == "tangential"
 
-    def rate_density(x, idx):
+    def rate(x, w, idx):
         g, rows = np.unique(geometry[idx], return_inverse=True)
-        terms, at = _geometry_terms(q_R[g], q_L[g], x)
-        cI, cS, phase, ei4 = terms
-        at = at[rows]
+        m0, m1, m2 = _moments(q_R[g], q_L[g], x, w)[:, rows]
         # z is the squared projection (s.d)^2 averaged over azimuth: x^2
         # for a radial dipole, (1 - x^2)/2 for a tangential one
-        z = np.where(tangential[idx], 0.5 * (1.0 - x * x), x * x)
-        # -(3/4) Im{chi [(cI + cS z) e^{2iq_o} + 4i Ei (1/3 - z)]}, built
-        # in one (rows, nodes) array; each step keeps the operand order
-        # of the formula, so the values are the plain expression's
-        f = cS[at] * z
-        np.add(cI[at], f, out=f)
-        np.multiply(f, phase[at], out=f)
-        np.add(f, ei4[at] * (1.0 / 3.0 - z), out=f)
-        np.multiply(chi[idx], f, out=f)
-        return -0.75 * f.imag
+        integral = np.where(tangential[idx], m0 + 0.5 * (m1 - m2), m0 + m2)
+        return -0.75 * (chi[idx] * integral).imag
 
-    got, errors = quad(rate_density, live.size, tol)
+    got, errors = quad(rate, live.size, tol)
     values[live] = got
     return values, {int(live[i]): exc for i, exc in errors.items()}
 
 
-def _geometry_terms(q_R, q_L, x):
-    """The part of the rate density that depends on geometry alone.
-
-    For G distinct geometries (q_R, q_L) and the n nodes x, returns
-    (terms, at): terms is (4, m), the brace coefficients cI and cS of
-    :func:`locfield.greens._brace_coeffs`, e^{2iq_o} and 4i Ei(2iq_o) at
-    m distances q_o, and the (G, n) index array ``at`` names the column
-    of terms that holds each (geometry, node).  A centered geometry is
-    one column shared by its n nodes, since q_o is exactly q_R there
-    (:func:`locfield.greens._sphere_distance`); the others have n
-    columns each.  Every value is the one a full (G, n) evaluation
-    gives, bit for bit.
+def _moments(q_R, q_L, x, w):
+    """The chi-free moments M0 = Sum w P, M1 = Sum w Q, M2 = Sum w x^2 Q
+    of G geometries (q_R, q_L) under the rule (x, w), as a (3, G) array.
+    The rate density is P + z Q, with P and Q the coefficients of
+    :func:`locfield.greens._brace_coeffs` at the distance q_o(x).  All
+    the distances go to Ei in one call.  A centered geometry is one
+    distance, exactly q_R (:func:`locfield.greens._sphere_distance`),
+    broadcast against the weights, so every moment is the one a full
+    (G, n) evaluation gives, bit for bit.
     """
     centered = q_L == 0.0
     n_c = int(np.count_nonzero(centered))
     q = np.concatenate([q_R[centered], _sphere_distance(
         q_R[~centered, None], q_L[~centered, None], x).ravel()])
-    cI, cS, ei = _brace_coeffs(q)
-    at = np.empty((q_R.size, x.size), dtype=np.intp)
-    at[centered] = np.arange(n_c)[:, None]
-    at[~centered] = np.arange(n_c, q.size).reshape(-1, x.size)
-    return np.stack([cI, cS, np.exp(2j * q), 4j * ei]), at
+    P, Q = _brace_coeffs(q)
+    moments = np.empty((3, q_R.size), dtype=complex)
+    # a row's sum must not depend on the rows beside it, which a BLAS
+    # matrix-vector product does not promise; numpy's row sums do
+    for group, p, s in ((centered, P[:n_c, None], Q[:n_c, None]),
+                        (~centered, P[n_c:].reshape(-1, x.size),
+                         Q[n_c:].reshape(-1, x.size))):
+        moments[:, group] = ((p * w).sum(axis=1), (s * w).sum(axis=1),
+                             (s * (w * x * x)).sum(axis=1))
+    return moments
 
 
 def gamma_total_linear(geometry, chi, orientation: str = "radial",

@@ -57,6 +57,8 @@ BULK_MODELS = ("real_cavity", "virtual_cavity", "linear")
 # symmetry tolerance for input Green tensors (relative to their scale)
 _SYM_TOL = 1.0e-12
 
+_POLE = "eps = -1/2 is the pole of the local-field factor 3 eps/(2 eps + 1)"
+
 
 @dataclasses.dataclass(frozen=True)
 class CavityCoefficients:
@@ -155,6 +157,8 @@ def gamma_c_exact(eps, q_C: float) -> float:
     eps = as_permittivity(eps)
     q_C = _check_qc(q_C)
     e = eps.epsilon
+    if 2.0 * e + 1.0 == 0:
+        raise SingularityError(_POLE)
     val = (3.0 * (e - 1.0) / (2.0 * e + 1.0) / q_C**3
            + 9.0 * (e - 1.0) * (4.0 * e + 1.0)
            / (5.0 * (2.0 * e + 1.0) ** 2) / q_C

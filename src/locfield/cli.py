@@ -65,7 +65,8 @@ from .errors import ConfigError, DomainError, LocfieldError
 __all__ = ["PRESETS", "SweepSpec", "build_sweep", "run_sweep",
            "emit_plot_script", "main"]
 
-_FLOAT_FMT = "{:.15g}"
+# a float as a CSV cell or an output value: 15 significant digits
+_fmt = "{:.15g}".format
 
 _SWEPT_VARIABLES = ("qR", "im_chi", "qL")
 
@@ -306,10 +307,6 @@ def build_sweep(cfg: dict[str, str]) -> SweepSpec:
                      q_L=q_L, nu=nu, tol=tol, curves=tuple(curves))
 
 
-def _fmt(value: float) -> str:
-    return _FLOAT_FMT.format(float(value))
-
-
 def run_sweep(spec: SweepSpec, output_path: str) -> None:
     """Evaluate the sweep and write the CSV.
 
@@ -317,7 +314,7 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
     swept values as an array, validated as arrays (see
     :func:`locfield.rates._compute_columns`).  The columns of a sweep
     are evaluated together, so its linear body terms are one quadrature
-    in which points sharing a sphere geometry share its coefficients.
+    that integrates each distinct sphere geometry once.
     Per-point failures leave the rate cells empty and put the message
     in the error column; the sweep continues.  Rows come out in sweep
     order.
@@ -329,12 +326,12 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
     bulk_ref = cavity.gamma_bulk(spec.eps_re, model="real_cavity")
     grid = spec.grid()
     n = grid.size
-    cells = [[_fmt(x) for x in grid.tolist()]]
+    cells = [list(map(_fmt, grid.tolist()))]
     errors = [[] for _ in range(n)]
     chi_size_ok, absorption_ok = [""] * n, [""] * n
     pending = np.ones(n, dtype=bool)  # rows whose validity is not set
     for curve, rates_ in zip(spec.curves, _sweep_results(spec, grid)):
-        column = [_fmt(v) for v in rates_.total.tolist()]
+        column = list(map(_fmt, rates_.total.tolist()))
         ok = np.ones(n, dtype=bool)
         for k, exc in rates_.errors.items():
             column[k] = ""

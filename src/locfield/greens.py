@@ -236,19 +236,19 @@ def vacuum_green(q, u_hat) -> np.ndarray:
 
 
 def _brace_coeffs(q):
-    """Isotropic and ss coefficients of the radial antiderivative.
+    """Coefficients (P, Q) of I and ss in the radial antiderivative
 
-    Returns (cI, cS, ei) with the antiderivative
+        F(q, ss) = e^{2iq} (cI I + cS ss) + 4i Ei(2iq) (I/3 - ss) = P I + Q ss,
 
-        F(q, ss) = e^{2iq} (cI I + cS ss) + 4i Ei(2iq) (I/3 - ss),
-
-    satisfying dF/dq = -q^2 e^{2iq} [a^2 I + (b^2 - 2ab) ss].
+    P = cI e^{2iq} + (4i/3) Ei(2iq) and Q = cS e^{2iq} - 4i Ei(2iq), with
+    dF/dq = -q^2 e^{2iq} [a^2 I + (b^2 - 2ab) ss].
     """
     q = np.asarray(q, dtype=float)
     cI = 1.0 / (3.0 * q**3) - 2j / (3.0 * q**2) - 5.0 / (3.0 * q) + 0.5j
     cS = 1.0 / q**3 - 2j / q**2 + 3.0 / q - 0.5j
-    ei = exponential_integral_ei(2j * q)
-    return cI, cS, ei
+    phase = np.exp(2j * q)
+    ei4 = 4j * exponential_integral_ei(2j * q)
+    return phase * cI + ei4 / 3.0, phase * cS - ei4
 
 
 def f_integrand(q, s_hat) -> np.ndarray:
@@ -290,11 +290,9 @@ def f_integrand(q, s_hat) -> np.ndarray:
         else:
             raise DomainError("q and s_hat lengths do not broadcast")
 
-    cI, cS, ei = _brace_coeffs(q_arr)
-    phase = np.exp(2j * q_arr)
+    P, Q = _brace_coeffs(q_arr)
     ss = s2[:, :, None] * s2[:, None, :]
-    out = ((phase * cI + 4j * ei / 3.0)[:, None, None] * _EYE
-           + (phase * cS - 4j * ei)[:, None, None] * ss)
+    out = P[:, None, None] * _EYE + Q[:, None, None] * ss
     if scalar and np.asarray(q, dtype=float).ndim == 0:
         return out[0]
     return out

@@ -41,7 +41,8 @@ import numpy as np
 
 from .born import _check_orientation
 from .errors import AccuracyError, DomainError, SingularityError
-from .greens import Permittivity, as_permittivity
+from .greens import (Permittivity, _permittivity_faults, _raise_first,
+                     as_permittivity)
 from .specfun import riccati_derivative, spherical_bessel_j, spherical_hankel_h1
 
 __all__ = [
@@ -93,12 +94,16 @@ def _prefactor(eps, n):
 def _epsilon(eps):
     """(eps, n): the relative permittivity and its principal root, as
     complex scalars, or as complex arrays for a sequence of permittivities
-    (each validated as a Permittivity; Permittivity records pass through
-    without a second check)."""
+    (checked as one array, by Permittivity's checks in their order)."""
     if isinstance(eps, (Permittivity, numbers.Number)) or np.ndim(eps) == 0:
         eps = as_permittivity(eps)
         return eps.epsilon, eps.n
-    e = np.array([as_permittivity(v).epsilon for v in eps])
+    e = np.asarray(eps)
+    if e.dtype == object:
+        e = np.array([as_permittivity(v).epsilon for v in eps])
+    e = e.astype(complex)
+    _raise_first((failed.any(), message)
+                 for failed, message in _permittivity_faults(e))
     return e, np.sqrt(e)
 
 

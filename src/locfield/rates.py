@@ -19,9 +19,9 @@ cavity term is evaluated once per distinct eps with the scalar
 functions, the validity values as arrays, and the sphere body terms of
 all the columns go to the array kernels together: the linear Born and
 uncorrected terms share one row-wise quadrature
-(:func:`locfield.born.gamma_b_sphere_rows`), in which points with the
-same sphere geometry share its coefficients, and exact body terms at
-the sphere center are one call of :func:`locfield.mie.gamma_b_center`.
+(:func:`locfield.born.gamma_b_sphere_rows`), which integrates each
+distinct sphere geometry once, and exact body terms at the sphere
+center are one call of :func:`locfield.mie.gamma_b_center`.
 Off-center exact and weak_absorption points keep their per-point
 series.  A sweep (:func:`locfield.cli.run_sweep`) builds one column per
 curve from its grid; :func:`compute` is a batch of one.
@@ -46,7 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import born, cavity, mie
-from .errors import ConfigError, DomainError, LocfieldError
+from .errors import (ConfigError, DomainError, LocfieldError,
+                     SingularityError)
 from .greens import (_ABSORPTION_TOL, Permittivity, _permittivity_faults,
                      as_permittivity, unit_vector)
 
@@ -132,7 +133,7 @@ def gamma_uncorrected(eps_real, gB1, dipole) -> float:
                           f"(Im eps <= {_ABSORPTION_TOL:g})")
     e = eps.epsilon.real
     if e <= 0:
-        raise DomainError("need Re eps > 0")
+        raise DomainError(_RE_EPS_POSITIVE)
     g = np.asarray(gB1, dtype=complex)
     d = unit_vector(dipole)
     return math.sqrt(e) + 6.0 * math.pi * float(np.imag(d @ g @ d))
@@ -247,6 +248,7 @@ def compute_batch(requests) -> list:
 
 _WEAK_OFF_CENTER = ("weak_absorption is formulated for the sphere center "
                     "(q_L = 0) or bulk")
+_RE_EPS_POSITIVE = "the uncorrected rate needs Re eps > 0"
 
 
 class _Column(NamedTuple):
@@ -399,9 +401,12 @@ def _check_points(col: _Column, eps, q_R, q_L):
                    if col.q_R is not None
                    else born._qc_faults(float(col.q_C)))]
     if col.method == "uncorrected":
-        checks.append((eps.imag > _ABSORPTION_TOL, "uncorrected method "
-                       "assumes a transparent host; use exact or "
-                       "weak_absorption", DomainError))
+        checks += [(eps.imag > _ABSORPTION_TOL, "uncorrected method assumes "
+                    "a transparent host; use exact or weak_absorption",
+                    DomainError),
+                   (eps.real <= 0, _RE_EPS_POSITIVE, DomainError)]
+    elif col.method == "exact":
+        checks.append((2.0 * eps + 1.0 == 0, cavity._POLE, SingularityError))
     errors = {}
     ok = np.ones(eps.shape, dtype=bool)
     if functools.reduce(operator.or_, [c[0] for c in checks]).any():

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from locfield.born import (ORIENTATIONS, RateBreakdown, SphereConfig,
-                           ValidityReport, _geometry_terms,
-                           gamma_b_center_closed, gamma_b_sphere_linear,
-                           gamma_b_sphere_rows, gamma_c_linear,
-                           gamma_total_linear, quad, validity_check)
+                           ValidityReport, _moments, gamma_b_center_closed,
+                           gamma_b_sphere_linear, gamma_b_sphere_rows,
+                           gamma_c_linear, gamma_total_linear, quad,
+                           validity_check)
 from locfield.errors import AccuracyError, DomainError
 from locfield.greens import (StarBoundary, _brace_coeffs, _gauss_legendre,
                              _sphere_distance, f_integrand)
@@ -192,17 +194,25 @@ def test_body_term_rows_fail_one_by_one(orientation):
         assert abs(values[k] - want) <= 1e-13 * abs(want)
 
 
-def _full_node_row(q_R, q_L, chi, orientation):
-    # one row's rate density evaluated at every node, geometry and all,
-    # as the rule's reference: the values the rows must equal bit for bit
-    def density(x, idx):
-        q_o = _sphere_distance(q_R, q_L, x)
-        cI, cS, ei = _brace_coeffs(q_o)
-        z = x * x if orientation == "radial" else 0.5 * (1.0 - x * x)
-        f = (cI + cS * z) * np.exp(2j * q_o) + 4j * ei * (1.0 / 3.0 - z)
-        return -0.75 * np.imag(chi * f)[None, :]
+def _full_node_terms(q_R, q_L, x):
+    # P and Q of the chi-free rate density f = P + z Q at every node of
+    # each geometry, no distance shared: the reference for the moments
+    return _brace_coeffs(_sphere_distance(q_R, q_L, x))
 
-    values, _ = quad(density, 1, 1.0e-10)
+
+def _full_node_row(q_R, q_L, chi, orientation):
+    # one row alone in the paper's order, -(3/4) Im[chi Int f dx] with
+    # f = P + z Q chi-free, Int f dx taken as Int P + Int z Q and z = x^2
+    # (radial) or (1 - x^2)/2 (tangential): the values the rows must
+    # equal bit for bit
+    def rule(x, w, idx):
+        P, Q = (a[None, :] for a in _full_node_terms(q_R, q_L, x))
+        m0, m1, m2 = ((P * w).sum(axis=1), (Q * w).sum(axis=1),
+                      (Q * (w * x * x)).sum(axis=1))
+        integral = m0 + m2 if orientation == "radial" else m0 + 0.5 * (m1 - m2)
+        return -0.75 * (chi * integral).imag
+
+    values, _ = quad(rule, 1, 1.0e-10)
     return values[0]
 
 
@@ -236,18 +246,69 @@ def test_body_term_rows_share_geometries_bit_for_bit():
         assert values[k] == _full_node_row(qr, ql, c, o), rows[k]
 
 
-def test_centered_geometry_is_one_column_equal_to_its_nodes():
-    x, _ = _gauss_legendre(128)
+def test_centered_geometry_is_one_column_equal_to_its_nodes(monkeypatch):
+    x, w = _gauss_legendre(128)
     q_R = np.array([0.5, 2.0, 5.0, 7.3, 1000.0 / 3.0])
     q_L = np.array([0.0, 1.5, 0.0, 0.0, 100.0])
     for qr in q_R:
         assert np.all(_sphere_distance(qr, 0.0, x) == qr)
-    terms, at = _geometry_terms(q_R, q_L, x)
-    assert terms.shape == (4, 3 + 2 * x.size)
-    q_o = _sphere_distance(q_R[:, None], q_L[:, None], x)
-    cI, cS, ei = _brace_coeffs(q_o)
-    full = np.stack([cI, cS, np.exp(2j * q_o), 4j * ei])
-    assert terms[:, at].tobytes() == full.tobytes()
+    # the moments of a centered geometry come from one distance, in the
+    # one brace/Ei/phase call of the block; they equal those of every
+    # node evaluated, to the byte
+    sizes = []
+
+    def brace_coeffs(q):
+        sizes.append(np.size(q))
+        return _brace_coeffs(q)
+
+    monkeypatch.setattr("locfield.born._brace_coeffs", brace_coeffs)
+    moments = _moments(q_R, q_L, x, w)
+    assert sizes == [3 + 2 * x.size]
+    P, Q = _full_node_terms(q_R[:, None], q_L[:, None], x)
+    full = np.stack([(P * w).sum(axis=1), (Q * w).sum(axis=1),
+                     (Q * (w * x * x)).sum(axis=1)])
+    assert moments.tobytes() == full.tobytes()
+    # and a geometry's moments do not depend on the geometries beside it
+    for k in range(q_R.size):
+        alone = _moments(q_R[k:k + 1], q_L[k:k + 1], x, w)
+        assert alone.tobytes() == full[:, k:k + 1].tobytes()
+
+
+# a sphere geometry (q_R, q_L), the emitter at the center or off it by
+# q_R (1 - gap) with the gap to the surface from 0.01 q_R to 0.9 q_R, so
+# that rows settle at different passes; and a passive chi: real,
+# complex or purely imaginary
+_GEOMETRIES = st.builds(
+    lambda q_R, gap: (q_R, q_R * (1.0 - gap)), st.floats(0.3, 50.0),
+    st.one_of(st.just(1.0), st.floats(-2.0, -0.05).map(lambda e: 10.0**e)))
+_PARTS = st.floats(0.0, 0.3, allow_subnormal=False)
+_CHIS = st.one_of(st.builds(lambda re, sign: complex(sign * re), _PARTS,
+                            st.sampled_from((1.0, -1.0))),
+                  st.builds(lambda im: 1j * im, _PARTS),
+                  st.builds(complex, _PARTS, _PARTS))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(_GEOMETRIES, min_size=1, max_size=3).flatmap(
+    lambda geometries: st.lists(st.tuples(
+        st.sampled_from(geometries), _CHIS, st.sampled_from(ORIENTATIONS)),
+        min_size=1, max_size=8)), data=st.data())
+def test_body_term_rows_equal_their_single_rows(rows, data):
+    # a shuffled batch sharing a few geometries, centered ones among
+    # them: every row is its own gamma_b_sphere_linear call, to the bit
+    rows = data.draw(st.permutations(rows))
+    geometries, chi, orientation = zip(*rows)
+    q_R, q_L = zip(*geometries)
+    values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
+    for k, ((qr, ql), c, o) in enumerate(rows):
+        config = SphereConfig(q_R=qr, q_L=ql, q_C=1e-3)
+        if k in errors:  # a row that does not settle fails alone, too
+            with pytest.raises(AccuracyError) as single:
+                gamma_b_sphere_linear(config, c, o)
+            assert str(single.value) == str(errors[k]), rows[k]
+            assert np.isnan(values[k])
+        else:
+            assert values[k] == gamma_b_sphere_linear(config, c, o), rows[k]
 
 
 def test_body_term_rows_broadcast_and_zero_chi():

@@ -25,6 +25,11 @@ FIG3A_HEADER = ["qR", "gamma_exact", "gamma_linear_born", "bulk_reference",
 PACKAGE_ROOT = str(Path(locfield.__file__).resolve().parent.parent)
 
 
+# the preset CSVs the benchmark checks its runs against, read only
+REFERENCE_PRESETS = (Path(__file__).resolve().parent.parent / "benchmarks"
+                     / "reference" / "presets")
+
+
 def run_cli(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -194,6 +199,24 @@ def point_request(spec, curve, x):
                              tol=spec.tol)
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_presets_match_the_shipped_references(tmp_path, preset):
+    # the benchmark's rule against its recorded CSVs: every number within
+    # 1e-12 relative, and the validity and error columns equal
+    run_sweep(build_sweep(dict(PRESETS[preset])), str(tmp_path / "p.csv"))
+    header, rows = read_rows(tmp_path / "p.csv")
+    ref_header, ref_rows = read_rows(REFERENCE_PRESETS / f"{preset}.csv")
+    assert header == ref_header and len(rows) == len(ref_rows)
+    for row, ref in zip(rows, ref_rows):
+        for name, cell, want in zip(header, row, ref, strict=True):
+            if name == "error" or name.startswith("validity_") or not want:
+                assert cell == want, (name, row[0])
+            else:
+                got, want = float(cell), float(want)
+                assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)), \
+                    (name, row[0])
+
+
 @pytest.mark.filterwarnings("ignore:q_C = 0.15")
 @pytest.mark.parametrize("preset", [*sorted(PRESETS), *ERROR_SWEEPS])
 def test_sweep_matches_per_point_compute(tmp_path, preset):
@@ -299,6 +322,21 @@ def test_numerical_failure_exits_3(tmp_path):
     res = run_cli(["compute", "--eps-re", "1.1", "--qr", "20000"], tmp_path)
     assert res.returncode == 3, res.stderr
     assert "numerical error" in res.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["compute", "--eps-re", "-0.5", "--qr", "2"],
+     "eps = -1/2 is the pole of the local-field factor"),
+    (["compute", "--eps-re", "-1", "--qr", "2", "--method", "uncorrected"],
+     "the uncorrected rate needs Re eps > 0"),
+], ids=["pole", "uncorrected_re_eps"])
+def test_refused_permittivity_exits_3_without_traceback(tmp_path, args,
+                                                        message):
+    # permittivities that Permittivity admits but a rate cannot take
+    res = run_cli(args, tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith(f"locfield: numerical error: {message}")
+    assert "Traceback" not in res.stderr
 
 
 def test_help_runs_clean(tmp_path):

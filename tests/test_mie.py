@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from locfield.born import SphereConfig, gamma_b_sphere_linear
 from locfield.cavity import gamma_bulk
 from locfield.errors import AccuracyError, DomainError
+from locfield.greens import Permittivity
 from locfield.mie import (MieSeriesSettings, body_green_center,
                           gamma_b_center, gamma_b_exact, gamma_center_exact,
                           sphere_coefficients)
@@ -141,6 +142,16 @@ def test_coefficient_validation():
         sphere_coefficients([1.1, 1.2], [2.0, np.inf], 1)
     with pytest.raises(DomainError):
         sphere_coefficients([1.1, 1.2 - 1e-3j], [2.0, 3.0], 1)  # active
+    # a sequence is checked as one array, by Permittivity's checks in
+    # their order, and Permittivity records in it stand for their values
+    for eps, message in (([1.1, 1.2 - 1e-3j, np.nan], "must be finite"),
+                         ([0.0, 1.2 - 1e-3j], "passive medium required"),
+                         ([1.1, 0.0], "must be nonzero")):
+        with pytest.raises(DomainError, match=message):
+            gamma_b_center(eps, 2.0)
+    records = gamma_b_center([Permittivity(1.1 + 1e-8j), 1.2], [2.0, 3.0])
+    assert records.tolist() == gamma_b_center([1.1 + 1e-8j, 1.2],
+                                              [2.0, 3.0]).tolist()
 
 
 def test_coefficients_and_center_rate_on_arrays():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import mpmath
@@ -15,7 +16,8 @@ from locfield.born import (ORIENTATIONS, RateBreakdown, SphereConfig,
 from locfield import rates
 from locfield.cavity import gamma_c_exact
 from locfield.cli import build_sweep, run_sweep
-from locfield.errors import ConfigError, DomainError, LocfieldError
+from locfield.errors import (ConfigError, DomainError, LocfieldError,
+                             SingularityError)
 from locfield.greens import Permittivity
 from locfield.mie import MieSeriesSettings, gamma_b_exact, gamma_center_exact
 from locfield.rates import (GEOMETRIES, METHODS, AtomParams, RateRequest,
@@ -281,6 +283,41 @@ def test_compute_batch_matches_compute_and_keeps_errors_on_their_requests():
         else:
             assert result == compute(request)
     assert compute_batch([]) == []
+
+
+def test_permittivities_the_rates_refuse_fail_their_own_requests():
+    # Permittivity admits eps = -1/2, the pole of the exact cavity terms,
+    # and Re eps <= 0, where the uncorrected rate has no sqrt(eps): each
+    # is a typed error of its own request, and the requests beside it,
+    # in its column too, finish
+    requests = [
+        RateRequest(eps=1.1 + 1e-8j, method="exact", q_R=2.0),
+        RateRequest(eps=-0.5, method="exact", q_R=2.0),
+        RateRequest(eps=-0.5, method="exact", q_R=2.0, q_L=0.5),
+        RateRequest(eps=-0.5, method="exact", geometry="bulk"),
+        RateRequest(eps=1.1, method="uncorrected", q_R=2.0),
+        RateRequest(eps=-1.0, method="uncorrected", q_R=2.0),
+        RateRequest(eps=0.0 + 1e-7j, method="uncorrected", geometry="bulk"),
+        RateRequest(eps=1.2, method="uncorrected", q_R=2.0, q_L=1.0),
+    ]
+    pole = "eps = -1/2 is the pole of the local-field factor 3 eps/(2 eps + 1)"
+    re_eps = "the uncorrected rate needs Re eps > 0"
+    results = compute_batch(requests)
+    assert {k: (type(r), str(r)) for k, r in enumerate(results)
+            if isinstance(r, LocfieldError)} == {
+        1: (SingularityError, pole), 2: (SingularityError, pole),
+        3: (SingularityError, pole), 5: (DomainError, re_eps),
+        6: (DomainError, re_eps)}
+    for request, result in zip(requests, results):
+        if isinstance(result, LocfieldError):
+            with pytest.raises(type(result), match=re.escape(str(result))):
+                compute(request)
+        else:
+            assert result == compute(request)
+    with pytest.raises(SingularityError, match=re.escape(pole)):
+        gamma_c_exact(-0.5, 0.01)
+    with pytest.raises(DomainError, match=re_eps):
+        gamma_uncorrected(-1.0, np.zeros((3, 3)), Z)
 
 
 # -- warnings ---------------------------------------------------------------------------
