@@ -89,15 +89,7 @@ def _check_chi(chi) -> complex:
     return chi
 
 
-class _CheckedQC(float):
-    """A cavity radius that has passed :func:`_check_qc`, warning
-    included; checking it again returns it silently, so that the rates
-    of one sweep curve warn once."""
-
-
 def _check_qc(q_C: float) -> float:
-    if isinstance(q_C, _CheckedQC):
-        return q_C
     q_C = float(q_C)
     _raise_first(_qc_faults(q_C))
     _warn_qc(q_C)
@@ -242,9 +234,14 @@ def gamma_c_linear(chi, q_C: float) -> float:
     material bordering the cavity; the 7/6 constant is what turns the
     vacuum rate into the linear bulk rate 1 + 7 chi/6.
     """
-    chi = _check_chi(chi)
-    q_C = _check_qc(q_C)
-    return chi.imag * (1.0 / q_C**3 + 1.0 / q_C) + (7.0 / 6.0) * chi.real
+    return _cavity_term(_check_chi(chi), _check_qc(q_C))
+
+
+def _cavity_term(chi, q_C: float):
+    """gamma_c of :func:`gamma_c_linear`, unchecked; chi a complex or a
+    complex array."""
+    return (np.imag(chi) * (1.0 / q_C**3 + 1.0 / q_C)
+            + (7.0 / 6.0) * np.real(chi))
 
 
 def quad(f, rows: int, tol: float):

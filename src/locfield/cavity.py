@@ -18,7 +18,14 @@ real-cavity model.  gamma_c_exact carries the cavity's own contribution,
                   + i [9 eps^{5/2}/(2 eps+1)^2 - 1] },
 
 whose divergent terms describe nonradiative transfer into the absorbing
-material around the cavity and vanish for real eps.  The decomposition
+material around the cavity and vanish for real eps.  The constant term
+is K - i, with K = i n L^2 (n = sqrt(eps)) the prefactor of the sphere
+series in :mod:`locfield.mie` and L = 3 eps/(2 eps + 1) the local-field
+factor.  L, its pole eps = -1/2, K, the cavity term and the
+weak-absorption shift are each written once, as a private function of
+scalars or arrays: the public functions check their input and call it,
+and the columns of :mod:`locfield.rates` call it on whole arrays.  Every
+public route raises SingularityError at the pole.  The decomposition
 holds for host bodies of arbitrary shape, which is why the body tensor is
 an *input* here (spheres get theirs from :mod:`locfield.mie`, generic
 star-shaped bodies from :mod:`locfield.greens` to linear order).
@@ -58,6 +65,7 @@ BULK_MODELS = ("real_cavity", "virtual_cavity", "linear")
 _SYM_TOL = 1.0e-12
 
 _POLE = "eps = -1/2 is the pole of the local-field factor 3 eps/(2 eps + 1)"
+_WEAK_RE_EPS = "weak-absorption split needs Re eps > 0"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,13 +78,42 @@ class CavityCoefficients:
     B_N: np.ndarray
 
 
-def _eps52(eps: complex) -> complex:
-    # eps^{5/2} with the principal square root, matching n = sqrt(eps)
-    return eps * eps * complex(np.sqrt(eps))
+def _pole(eps):
+    """Whether eps is -1/2, the pole of the local-field factor."""
+    return 2.0 * eps + 1.0 == 0
 
 
-def _local_field_factor(eps: complex) -> complex:
-    return (3.0 * eps / (2.0 * eps + 1.0)) ** 2
+def _check_pole(eps) -> None:
+    if np.any(_pole(eps)):
+        raise SingularityError(_POLE)
+
+
+def _local_field(eps):
+    """The local-field factor L = 3 eps/(2 eps + 1) of the real cavity."""
+    return 3.0 * eps / (2.0 * eps + 1.0)
+
+
+def _prefactor(eps, n):
+    """K = i n L^2 = 9 i eps^{5/2}/(2 eps + 1)^2, the local-field
+    corrected prefactor of the sphere's body term."""
+    return 1j * n * _local_field(eps) ** 2
+
+
+def _cavity_term(eps, n, q_C: float):
+    """gamma_c of :func:`gamma_c_exact`."""
+    s = 2.0 * eps + 1.0
+    return np.imag(3.0 * (eps - 1.0) / s / q_C**3
+                   + 9.0 * (eps - 1.0) * (4.0 * eps + 1.0)
+                   / (5.0 * s**2) / q_C
+                   + _prefactor(eps, n)) - 1.0
+
+
+def _absorption_shift(eps, q_C: float):
+    """delta_gamma of :func:`gamma_weak_absorption`."""
+    re, im = np.real(eps), np.imag(eps)
+    return (9.0 * im / ((2.0 * re + 1.0) ** 2 * q_C**3)
+            + 9.0 * (14.0 * re + 1.0) * im
+            / (5.0 * (2.0 * re + 1.0) ** 3 * q_C))
 
 
 def transmission_coefficient(eps, q_C: float) -> complex:
@@ -156,14 +193,8 @@ def gamma_c_exact(eps, q_C: float) -> float:
     """
     eps = as_permittivity(eps)
     q_C = _check_qc(q_C)
-    e = eps.epsilon
-    if 2.0 * e + 1.0 == 0:
-        raise SingularityError(_POLE)
-    val = (3.0 * (e - 1.0) / (2.0 * e + 1.0) / q_C**3
-           + 9.0 * (e - 1.0) * (4.0 * e + 1.0)
-           / (5.0 * (2.0 * e + 1.0) ** 2) / q_C
-           + 1j * (9.0 * _eps52(e) / (2.0 * e + 1.0) ** 2 - 1.0))
-    return float(np.imag(val))
+    _check_pole(eps.epsilon)
+    return float(_cavity_term(eps.epsilon, eps.n, q_C))
 
 
 def _check_green_tensor(gB1) -> np.ndarray:
@@ -191,7 +222,8 @@ def gamma_b_corrected(eps, gB1, dipole) -> float:
     eps = as_permittivity(eps)
     g = _check_green_tensor(gB1)
     d = unit_vector(dipole)
-    return 6.0 * np.pi * float(np.imag(_local_field_factor(eps.epsilon)
+    _check_pole(eps.epsilon)
+    return 6.0 * np.pi * float(np.imag(_local_field(eps.epsilon) ** 2
                                        * (d @ g @ d)))
 
 
@@ -226,12 +258,9 @@ def gamma_weak_absorption(eps, q_C: float, gamma_b_uncorrected: float,
     re = eps.epsilon.real
     im = eps.epsilon.imag
     if re <= 0:
-        raise DomainError("weak-absorption split needs Re eps > 0")
-    f2 = (3.0 * re / (2.0 * re + 1.0)) ** 2
-    delta = (9.0 * im / ((2.0 * re + 1.0) ** 2 * q_C**3)
-             + 9.0 * (14.0 * re + 1.0) * im
-             / (5.0 * (2.0 * re + 1.0) ** 3 * q_C))
-    gamma = f2 * float(gamma_b_uncorrected) + delta
+        raise DomainError(_WEAK_RE_EPS)
+    gamma = (_local_field(re) ** 2 * float(gamma_b_uncorrected)
+             + _absorption_shift(eps.epsilon, q_C))
     gdd = complex(d @ g @ d)
     denom = re * (math.sqrt(re) / (6.0 * np.pi) + gdd.imag)
     if denom == 0:
@@ -272,7 +301,7 @@ def gamma_bulk(eps, q_C: float | None = None,
     if e <= 0:
         raise DomainError("bulk closed forms need Re eps > 0")
     if model == "real_cavity":
-        return float((3.0 * e / (2.0 * e + 1.0)) ** 2 * math.sqrt(e))
+        return float(_local_field(e) ** 2 * math.sqrt(e))
     if model == "virtual_cavity":
         return float(((e + 2.0) / 3.0) ** 2 * math.sqrt(e))
     return 1.0 + 7.0 * (e - 1.0) / 6.0

@@ -10,9 +10,10 @@ from the center leaves one series per orientation:
     gamma_b(tang.)  = (3/4) Im{ K sum_m (2m+1)
                                  [ C_m^M j_m(x)^2 + C_m^N (psi_m'(x)/x)^2 ] },
 
-with x = n q_L, K = 9 i eps^{5/2}/(2 eps+1)^2 (the local-field corrected
-prefactor), psi_m the Riccati-Bessel function, and C_m^N, C_m^M the
-interior scattering coefficients
+with x = n q_L, K = 9 i eps^{5/2}/(2 eps+1)^2 = i n L^2 (the local-field
+corrected prefactor, L = 3 eps/(2 eps + 1), both from
+:mod:`locfield.cavity`), psi_m the Riccati-Bessel function, and C_m^N,
+C_m^M the interior scattering coefficients
 
     C_m^N = -[eps h_m(z1) xi_m'(z0) - xi_m'(z1) h_m(z0)]
              / [eps j_m(z1) xi_m'(z0) - psi_m'(z1) h_m(z0)],
@@ -22,9 +23,10 @@ only m = 1 survives and both orientations give Im[K C_1^N]; this limit is
 implemented analytically rather than by small-q_L evaluation, so there is
 no 0/0.
 
-The fully assembled exact center rate adds the cavity terms of
-:mod:`locfield.cavity` and is the quantity plotted against sphere radius
-in the sweep presets.
+The fully assembled exact center rate, 1 + cavity.gamma_c_exact +
+gamma_b_center (Tomas's formula), is the quantity plotted against sphere
+radius in the sweep presets.  eps = -1/2, the pole of L, raises
+SingularityError on every route.
 
 Series terms decay super-exponentially once m exceeds ~ q_R |n|, so the
 default truncation ceil(q_R |n|) + 30 is generous; truncation additionally
@@ -39,6 +41,7 @@ import numbers
 
 import numpy as np
 
+from . import cavity
 from .born import _check_orientation
 from .errors import AccuracyError, DomainError, SingularityError
 from .greens import (Permittivity, _permittivity_faults, _raise_first,
@@ -83,12 +86,6 @@ class MieSeriesSettings:
 
 
 _DEFAULT_SETTINGS = MieSeriesSettings()
-
-
-def _prefactor(eps, n):
-    # K = 9 i eps^{5/2} / (2 eps + 1)^2 with n = sqrt(eps), the principal
-    # root; complex scalars or arrays
-    return 9j * eps * eps * n / (2.0 * eps + 1.0) ** 2
 
 
 def _epsilon(eps):
@@ -206,7 +203,9 @@ def gamma_b_center(eps, q_R):
     for scalar input, an array otherwise.
     """
     C_N, _ = sphere_coefficients(eps, q_R, 1)
-    gamma = np.imag(_prefactor(*_epsilon(eps)) * C_N)
+    e, n = _epsilon(eps)
+    cavity._check_pole(e)
+    gamma = np.imag(cavity._prefactor(e, n) * C_N)
     return float(gamma) if np.ndim(gamma) == 0 else gamma
 
 
@@ -237,9 +236,10 @@ def gamma_b_exact(eps, q_R: float, q_L: float, orient: str = "radial",
     _check_orientation(orient)
     if q_L == 0.0:
         return gamma_b_center(eps, q_R)
+    cavity._check_pole(eps.epsilon)
     if settings is None:
         settings = _DEFAULT_SETTINGS
-    K = _prefactor(eps.epsilon, eps.n)
+    K = cavity._prefactor(eps.epsilon, eps.n)
     series = _series(eps, q_R, q_L, orient, settings)
     if orient == "radial":
         return 1.5 * float(np.imag(K * series))
@@ -247,28 +247,17 @@ def gamma_b_exact(eps, q_R: float, q_L: float, orient: str = "radial",
 
 
 def gamma_center_exact(eps, q_R: float, q_C: float) -> float:
-    """Fully assembled exact rate Gamma/Gamma_0 at the sphere center.
+    """Fully assembled exact rate Gamma/Gamma_0 at the sphere center,
 
-        Im{ 3(eps-1)/(2 eps+1)/q_C^3
-            + 9(eps-1)(4 eps+1)/[5(2 eps+1)^2]/q_C
-            + 9 i eps^{5/2}/(2 eps+1)^2 (1 + C_1^N) }
+        1 + cavity.gamma_c_exact(eps, q_C) + gamma_b_center(eps, q_R),
 
-    The free-space unity is contained in the structure (the whole
-    expression tends to 1 as eps -> 1).  Identical, to roundoff, to
-    1 + cavity.gamma_c_exact + cavity.gamma_b_corrected with the
-    center-sphere tensor of :func:`body_green_center`.
+    Tomas's formula for a small cavity at the center of a sphere.  q_C
+    follows the rules of :func:`locfield.cavity.gamma_c_exact` (at most
+    0.2, a warning above 0.1) and must be smaller than q_R; eps = -1/2
+    raises SingularityError.
     """
-    eps = as_permittivity(eps)
+    gamma_c = cavity.gamma_c_exact(eps, q_C)
     q_R = float(q_R)
-    q_C = float(q_C)
-    if not (math.isfinite(q_C) and q_C > 0):
-        raise DomainError("q_C must be positive and finite")
-    if not (math.isfinite(q_R) and q_R > q_C):
+    if not (math.isfinite(q_R) and q_R > float(q_C)):
         raise DomainError("need q_R > q_C (cavity inside the sphere)")
-    e = eps.epsilon
-    C_N, _ = sphere_coefficients(eps, q_R, 1)
-    val = (3.0 * (e - 1.0) / (2.0 * e + 1.0) / q_C**3
-           + 9.0 * (e - 1.0) * (4.0 * e + 1.0)
-           / (5.0 * (2.0 * e + 1.0) ** 2) / q_C
-           + _prefactor(e, eps.n) * (1.0 + C_N))
-    return float(np.imag(val))
+    return 1.0 + gamma_c + gamma_b_center(eps, q_R)

@@ -14,17 +14,19 @@ set of requests that share method, geometry, orientation, q_C, nu, tol
 and Mie settings; a column, one curve of a sweep, is what the
 evaluation works on.  Its shared scalars are checked once, and its eps,
 q_R and q_L as arrays, each point that fails getting the error (text
-and precedence) that a RateRequest and :func:`compute` give it.  The
-cavity term is evaluated once per distinct eps with the scalar
-functions, the validity values as arrays, and the sphere body terms of
-all the columns go to the array kernels together: the linear Born and
-uncorrected terms share one row-wise quadrature
+and precedence) that a RateRequest and :func:`compute` give it.  A
+column's cavity term is one array expression of the closed forms that
+the scalar functions of :mod:`locfield.cavity` and :mod:`locfield.born`
+also call, and its validity values are arrays too.  The sphere body
+terms of all the columns go to the array kernels together: the linear
+Born and uncorrected terms share one row-wise quadrature
 (:func:`locfield.born.gamma_b_sphere_rows`), which integrates each
 distinct sphere geometry once, and exact body terms at the sphere
-center are one call of :func:`locfield.mie.gamma_b_center`.
-Off-center exact and weak_absorption points keep their per-point
-series.  A sweep (:func:`locfield.cli.run_sweep`) builds one column per
-curve from its grid; :func:`compute` is a batch of one.
+center, weak_absorption's (the exact one at Re eps) among them, are one
+call of :func:`locfield.mie.gamma_b_center`.  Only off-center exact
+points keep a per-point series.  A sweep
+(:func:`locfield.cli.run_sweep`) builds one column per curve from its
+grid; :func:`compute` is a batch of one.
 
 Physical constants (SI; h is exact by definition, eps_0 is the CODATA
 2022 value):
@@ -67,13 +69,6 @@ GEOMETRIES = ("sphere", "bulk")
 
 _HBAR = 6.62607015e-34 / (2.0 * math.pi)
 _EPSILON_0 = 8.8541878188e-12
-
-# dipole directions for the two orientation labels; the displacement
-# axis is z throughout the package
-_DIPOLES = {
-    "radial": np.array([0.0, 0.0, 1.0]),
-    "tangential": np.array([1.0, 0.0, 0.0]),
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,6 +144,9 @@ class RateRequest:
     (its absorption split is formulated for the isotropic case).
     Inconsistent combinations raise ConfigError at construction time,
     and numbers out of range (q_C too, for either geometry) DomainError.
+    A permittivity that the method cannot take (eps = -1/2 for exact;
+    Re eps <= 0 for uncorrected and weak_absorption) is the request's
+    error in :func:`compute`.
     """
 
     eps: complex
@@ -305,10 +303,10 @@ def _compute_columns(columns) -> list:
     Each column is validated as arrays, point by point with the errors
     (text and precedence) that a RateRequest and :func:`compute` give;
     a large q_C warns once per column that yields a rate.  The cavity
-    term is worked out once per distinct eps, the validity values as
-    arrays.  The sphere body terms of all the columns go to the array
-    kernels together, one call per kernel and tol; off-center exact and
-    weak_absorption points keep their per-point series.
+    term and the validity values are worked out as arrays.  The sphere
+    body terms of all the columns go to the array kernels together, one
+    call per kernel and tol; off-center exact points keep their
+    per-point series.
     """
     batches = defaultdict(list)
     out = [_column_rates(column, batches) for column in columns]
@@ -342,33 +340,30 @@ def _column_rates(col: _Column, batches) -> _Rates:
         return rates_
     eps, q_R, q_L = eps[live], q_R[live], q_L[live]
     chi = eps - 1.0
+    q_C = float(col.q_C)
     rates_.chi_size[live], rates_.absorption[live] = born._validity_values(
-        chi, q_L + q_R if sphere else 1.0, float(col.q_C))
-    born._warn_qc(float(col.q_C))
-    q_C = born._CheckedQC(col.q_C)  # so that the column warns once
+        chi, q_L + q_R if sphere else 1.0, q_C)
+    born._warn_qc(q_C)
     method = col.method
-    if method == "weak_absorption":
-        for i, e, R in zip(live.tolist(), eps.tolist(), q_R.tolist()):
-            try:
-                rates_.gamma_c[i], rates_.gamma_b[i] = _weak_absorption(
-                    e, R if sphere else None, q_C, col.orientation)
-            except LocfieldError as exc:
-                errors[i] = exc
-        return rates_
     if method == "linear_born":
-        rates_.gamma_c[live] = _per_distinct(
-            lambda c: born.gamma_c_linear(c, q_C), chi)
+        rates_.gamma_c[live] = born._cavity_term(chi, q_C)
     elif method == "uncorrected":
-        rates_.gamma_c[live] = _per_distinct(
-            lambda e: math.sqrt(e) - 1.0, eps.real)
+        rates_.gamma_c[live] = np.sqrt(eps.real) - 1.0
         # body term to linear order in the (real) susceptibility
         chi = eps.real - 1.0
+    elif method == "exact":
+        rates_.gamma_c[live] = cavity._cavity_term(eps, np.sqrt(eps), q_C)
     else:
-        rates_.gamma_c[live] = _per_distinct(
-            lambda e: cavity.gamma_c_exact(e, q_C), eps)
+        # weak absorption: the corrected rate of the transparent host
+        # Re eps, plus the absorption shift; its body term is the exact
+        # one at the center of a sphere of Re eps
+        re = eps.real
+        rates_.gamma_c[live] = (cavity._local_field(re) ** 2 * np.sqrt(re)
+                                - 1.0 + cavity._absorption_shift(eps, q_C))
+        eps = re + 0j
     if not sphere:
         rates_.gamma_b[live] = 0.0
-    elif method != "exact":
+    elif method in ("linear_born", "uncorrected"):
         orientation = np.full(live.size, col.orientation)
         batches[("linear", col.tol)].append(
             (rates_, live, (q_R, q_L, chi, orientation)))
@@ -377,7 +372,7 @@ def _column_rates(col: _Column, batches) -> _Rates:
         if center.any():
             batches[("center",)].append(
                 (rates_, live[center], (eps[center], q_R[center])))
-        off = ~center
+        off = ~center  # none for weak absorption
         for i, e, R, L in zip(live[off].tolist(), eps[off].tolist(),
                               q_R[off].tolist(), q_L[off].tolist()):
             try:
@@ -406,7 +401,9 @@ def _check_points(col: _Column, eps, q_R, q_L):
                     DomainError),
                    (eps.real <= 0, _RE_EPS_POSITIVE, DomainError)]
     elif col.method == "exact":
-        checks.append((2.0 * eps + 1.0 == 0, cavity._POLE, SingularityError))
+        checks.append((cavity._pole(eps), cavity._POLE, SingularityError))
+    elif col.method == "weak_absorption":
+        checks.append((eps.real <= 0, cavity._WEAK_RE_EPS, DomainError))
     errors = {}
     ok = np.ones(eps.shape, dtype=bool)
     if functools.reduce(operator.or_, [c[0] for c in checks]).any():
@@ -417,16 +414,6 @@ def _check_points(col: _Column, eps, q_R, q_L):
                                  else message(q_R[k], q_L[k]))
             ok &= ~bad
     return errors, ok
-
-
-def _per_distinct(f, values) -> np.ndarray:
-    """f of each value, evaluated once per distinct value."""
-    values = values.tolist()
-    memo = {}
-    for v in values:
-        if v not in memo:
-            memo[v] = f(v)
-    return np.array([memo[v] for v in values], dtype=float)
 
 
 def _body_rows(key, rows):
@@ -450,19 +437,3 @@ def _body_rows(key, rows):
                 errors[k] = error[0]
         return values, errors
 
-
-def _weak_absorption(eps: complex, q_R, q_C: float, orientation: str):
-    """(gamma_c, gamma_b) of the weak-absorption split; q_R None for
-    bulk."""
-    e_re = eps.real
-    dipole = _DIPOLES[orientation]
-    if q_R is None:
-        gB1 = np.zeros((3, 3), dtype=complex)
-    else:
-        gB1 = mie.body_green_center(e_re, float(q_R))
-    gb_unc = gamma_uncorrected(e_re, gB1, dipole)
-    gamma, _cond = cavity.gamma_weak_absorption(eps, q_C, gb_unc, gB1,
-                                                dipole)
-    f2 = (3.0 * e_re / (2.0 * e_re + 1.0)) ** 2
-    gamma_b = f2 * (gb_unc - math.sqrt(e_re))
-    return gamma - 1.0 - gamma_b, gamma_b

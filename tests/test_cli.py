@@ -329,7 +329,10 @@ def test_numerical_failure_exits_3(tmp_path):
      "eps = -1/2 is the pole of the local-field factor"),
     (["compute", "--eps-re", "-1", "--qr", "2", "--method", "uncorrected"],
      "the uncorrected rate needs Re eps > 0"),
-], ids=["pole", "uncorrected_re_eps"])
+    (["compute", "--eps-re", "-1", "--eps-im", "1e-7",
+      "--method", "weak_absorption"],
+     "weak-absorption split needs Re eps > 0"),
+], ids=["pole", "uncorrected_re_eps", "weak_absorption_re_eps"])
 def test_refused_permittivity_exits_3_without_traceback(tmp_path, args,
                                                         message):
     # permittivities that Permittivity admits but a rate cannot take

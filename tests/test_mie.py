@@ -284,3 +284,6 @@ def test_center_rate_validation():
         gamma_center_exact(1.1, 0.005, 0.01)   # cavity would poke out
     with pytest.raises(DomainError):
         gamma_center_exact(1.1, 2.0, 0.0)
+    # q_C follows gamma_c_exact's rules: at most 0.2, however large q_R
+    with pytest.raises(DomainError, match="too large"):
+        gamma_center_exact(1.1, 2.0, 0.25)

@@ -14,12 +14,14 @@ from scipy import constants
 from locfield.born import (ORIENTATIONS, RateBreakdown, SphereConfig,
                            gamma_c_linear)
 from locfield import rates
-from locfield.cavity import gamma_c_exact
+from locfield.cavity import (gamma_b_corrected, gamma_c_exact,
+                             gamma_weak_absorption)
 from locfield.cli import build_sweep, run_sweep
 from locfield.errors import (ConfigError, DomainError, LocfieldError,
                              SingularityError)
 from locfield.greens import Permittivity
-from locfield.mie import MieSeriesSettings, gamma_b_exact, gamma_center_exact
+from locfield.mie import (MieSeriesSettings, body_green_center,
+                          gamma_b_center, gamma_b_exact, gamma_center_exact)
 from locfield.rates import (GEOMETRIES, METHODS, AtomParams, RateRequest,
                             compute, compute_batch, gamma0_si,
                             gamma_uncorrected)
@@ -220,7 +222,6 @@ def test_exact_and_linear_agree_for_small_chi():
 
 
 def test_weak_absorption_tracks_exact_rate():
-    from locfield.cavity import gamma_weak_absorption
     eps = 1.1 + 1e-7j
     weak = compute(RateRequest(eps=eps, method="weak_absorption",
                                q_R=2.0)).total_ratio
@@ -228,6 +229,31 @@ def test_weak_absorption_tracks_exact_rate():
     delta, _ = gamma_weak_absorption(eps, 0.01, 0.0,
                                      np.zeros((3, 3), dtype=complex), Z)
     assert abs(weak - exact) <= 1e-2 * delta
+
+
+def test_weak_absorption_column_matches_the_public_split():
+    # the column computes the split from the cavity closed forms and the
+    # exact center body term at Re eps; the public functions assemble the
+    # same total from the uncorrected rate and the body tensor
+    dipoles = {"radial": Z, "tangential": np.array([1.0, 0.0, 0.0])}
+    zeros = np.zeros((3, 3), dtype=complex)
+    for orient, d in dipoles.items():
+        for q_C in (0.01, 0.05):
+            for re_eps in np.linspace(1.05, 3.0, 5):
+                for im in (1e-8, 1e-6):
+                    eps = complex(re_eps, im)
+                    for q_R in (None, 0.7, 4.0):
+                        gB1 = (zeros if q_R is None
+                               else body_green_center(re_eps, q_R))
+                        reference = gamma_weak_absorption(
+                            eps, q_C, gamma_uncorrected(re_eps, gB1, d),
+                            gB1, d)[0]
+                        r = compute(RateRequest(
+                            eps=eps, method="weak_absorption",
+                            geometry="bulk" if q_R is None else "sphere",
+                            q_R=q_R, q_C=q_C, orientation=orient))
+                        assert_allclose(r.total_ratio, reference,
+                                        rtol=1e-12, atol=0)
 
 
 def test_rates_stay_positive():
@@ -287,9 +313,10 @@ def test_compute_batch_matches_compute_and_keeps_errors_on_their_requests():
 
 def test_permittivities_the_rates_refuse_fail_their_own_requests():
     # Permittivity admits eps = -1/2, the pole of the exact cavity terms,
-    # and Re eps <= 0, where the uncorrected rate has no sqrt(eps): each
-    # is a typed error of its own request, and the requests beside it,
-    # in its column too, finish
+    # and Re eps <= 0, where the uncorrected rate has no sqrt(eps) and
+    # the weak-absorption split no transparent host: each is a typed
+    # error of its own request, and the requests beside it, in its
+    # column too, finish
     requests = [
         RateRequest(eps=1.1 + 1e-8j, method="exact", q_R=2.0),
         RateRequest(eps=-0.5, method="exact", q_R=2.0),
@@ -299,25 +326,50 @@ def test_permittivities_the_rates_refuse_fail_their_own_requests():
         RateRequest(eps=-1.0, method="uncorrected", q_R=2.0),
         RateRequest(eps=0.0 + 1e-7j, method="uncorrected", geometry="bulk"),
         RateRequest(eps=1.2, method="uncorrected", q_R=2.0, q_L=1.0),
+        RateRequest(eps=1.1 + 1e-7j, method="weak_absorption", q_R=2.0),
+        RateRequest(eps=1e-7j, method="weak_absorption", q_R=2.0),
+        RateRequest(eps=-1.0 + 1e-7j, method="weak_absorption", q_R=2.0),
+        RateRequest(eps=1.2 + 1e-7j, method="weak_absorption", q_R=3.0),
+        RateRequest(eps=1e-7j, method="weak_absorption", geometry="bulk"),
+        RateRequest(eps=-1.0 + 1e-7j, method="weak_absorption",
+                    geometry="bulk"),
+        RateRequest(eps=1.1 + 1e-7j, method="weak_absorption",
+                    geometry="bulk"),
     ]
     pole = "eps = -1/2 is the pole of the local-field factor 3 eps/(2 eps + 1)"
     re_eps = "the uncorrected rate needs Re eps > 0"
+    weak = "weak-absorption split needs Re eps > 0"
     results = compute_batch(requests)
     assert {k: (type(r), str(r)) for k, r in enumerate(results)
             if isinstance(r, LocfieldError)} == {
         1: (SingularityError, pole), 2: (SingularityError, pole),
         3: (SingularityError, pole), 5: (DomainError, re_eps),
-        6: (DomainError, re_eps)}
+        6: (DomainError, re_eps), 9: (DomainError, weak),
+        10: (DomainError, weak), 12: (DomainError, weak),
+        13: (DomainError, weak)}
     for request, result in zip(requests, results):
         if isinstance(result, LocfieldError):
             with pytest.raises(type(result), match=re.escape(str(result))):
                 compute(request)
         else:
             assert result == compute(request)
-    with pytest.raises(SingularityError, match=re.escape(pole)):
-        gamma_c_exact(-0.5, 0.01)
+    # every public route to the local-field factor raises at its pole,
+    # with no NaN and no RuntimeWarning on the way
+    g = np.eye(3, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: gamma_c_exact(-0.5, 0.01),
+                     lambda: gamma_b_exact(-0.5, 2.0, 1.0),
+                     lambda: gamma_b_center(-0.5, 2.0),
+                     lambda: gamma_b_center([-0.5, 1.1], [2.0, 2.0]),
+                     lambda: gamma_center_exact(-0.5, 2.0, 0.01),
+                     lambda: gamma_b_corrected(-0.5, g, Z)):
+            with pytest.raises(SingularityError, match=re.escape(pole)):
+                call()
     with pytest.raises(DomainError, match=re_eps):
         gamma_uncorrected(-1.0, np.zeros((3, 3)), Z)
+    with pytest.raises(DomainError, match=weak):
+        gamma_weak_absorption(1e-7j, 0.01, 1.0, np.zeros((3, 3)), Z)
 
 
 # -- warnings ---------------------------------------------------------------------------
@@ -337,6 +389,8 @@ def test_large_cavity_warning_names_the_callers_line(tmp_path):
                                             q_R=2.0, q_C=0.15), 1),
         "gamma_c_linear": (lambda: gamma_c_linear(0.1, 0.15), 1),
         "gamma_c_exact": (lambda: gamma_c_exact(1.1, 0.15), 1),
+        "gamma_center_exact": (lambda: gamma_center_exact(1.1, 2.0, 0.15),
+                               1),
         "run_sweep": (lambda: run_sweep(spec, str(tmp_path / "s.csv")), 4),
     }
     for name, (call, count) in calls.items():
