@@ -35,17 +35,16 @@ body, weak absorption relative to the cavity volume).
 from __future__ import annotations
 
 import dataclasses
-import math
-import os
-import sys
-import warnings
+import itertools
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import (ORIENTATIONS, AccuracyError, DomainError, chi_faults,
+                     check_qc, inside_sphere, orientation_faults, positive,
+                     qc_faults, raise_first, sphere_faults, warn_qc)
 from .greens import (_GL_N_MAX, _GL_N_MIN, StarBoundary, _brace_coeffs,
-                     _gauss_legendre, _raise_first, _sphere_distance,
-                     body_green_linear, unit_vector)
+                     _gauss_legendre, _sphere_distance, body_green_linear,
+                     unit_vector)
 
 __all__ = [
     "ORIENTATIONS",
@@ -60,20 +59,11 @@ __all__ = [
     "validity_check",
 ]
 
-ORIENTATIONS = ("radial", "tangential")
-
-# Hard cap and soft warning threshold for the cavity radius; the
-# closed-form cavity terms drop O(q_C) corrections.
-_QC_MAX = 0.2
-_QC_WARN = 0.1
-
 # thresholds of the two linearity conditions (see validity_check)
 _CHI_SIZE_MAX = 0.3
 _ABSORPTION_MAX = 0.1
 
 _Z_HAT = np.array([0.0, 0.0, 1.0])
-
-_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
 # values per block of a quad pass (rows x nodes): 2**15 complex
 # temporaries are 0.5 MB each, and 256 rows at 128 nodes fit in one block
@@ -82,57 +72,8 @@ _QUAD_BLOCK = 1 << 15
 
 def _check_chi(chi) -> complex:
     chi = complex(chi)
-    if not (math.isfinite(chi.real) and math.isfinite(chi.imag)):
-        raise DomainError("chi must be finite")
-    if chi.imag < 0:
-        raise DomainError("passive medium required: Im chi >= 0")
+    raise_first(chi_faults(chi))
     return chi
-
-
-def _check_qc(q_C: float) -> float:
-    q_C = float(q_C)
-    _raise_first(_qc_faults(q_C))
-    _warn_qc(q_C)
-    return q_C
-
-
-def _qc_faults(q_C: float):
-    """The checks of a float q_C, in order, as (failed, message) pairs."""
-    return ((not (math.isfinite(q_C) and q_C > 0),
-             "q_C must be positive and finite"),
-            (q_C > _QC_MAX, f"q_C = {q_C:g} too large; the small-cavity "
-                            f"expansion needs q_C <= {_QC_MAX}"))
-
-
-def _warn_qc(q_C: float) -> None:
-    """Warn, naming the user's line, if a valid q_C is large enough for
-    the dropped O(q_C) cavity terms to matter."""
-    if q_C > _QC_WARN:
-        warnings.warn(f"q_C = {q_C:g} > {_QC_WARN}: dropped O(q_C) cavity "
-                      "terms may be significant",
-                      stacklevel=_outside_stacklevel())
-
-
-def _outside_stacklevel() -> int:
-    """The stacklevel that makes a warning issued by the caller name the
-    first frame outside this package and outside the ``__init__`` that
-    dataclasses generate (whose code has the file name "<string>"), so
-    that the warning points at the user's line."""
-    level, frame = 1, sys._getframe(1)
-    while frame is not None and (
-            frame.f_code.co_filename.startswith(_PACKAGE_DIR)
-            or (frame.f_code.co_filename == "<string>"
-                and frame.f_code.co_name == "__init__")):
-        level += 1
-        frame = frame.f_back
-    return level
-
-
-def _check_orientation(orientation: str) -> str:
-    if orientation not in ORIENTATIONS:
-        raise DomainError(f"orientation must be one of {ORIENTATIONS}, "
-                          f"got {orientation!r}")
-    return orientation
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,30 +95,12 @@ class SphereConfig:
     def __post_init__(self):
         for name in ("q_R", "q_L", "q_C", "nu"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        _raise_first(_sphere_faults(self.q_R, self.q_L, self.q_C, self.nu),
-                     self.q_R, self.q_L)
-        _warn_qc(self.q_C)
+        raise_first(sphere_faults(self.q_R, self.q_L, self.q_C, self.nu),
+                    self.q_R, self.q_L)
+        warn_qc(self.q_C)
 
     def boundary(self) -> StarBoundary:
         return StarBoundary.sphere(self.q_R, self.q_L)
-
-
-def _sphere_faults(q_R, q_L, q_C: float, nu: float):
-    """The checks of :class:`SphereConfig`, in its order, as (failed,
-    message) pairs.  q_R and q_L are floats or float arrays, q_C and nu
-    floats; failed is a bool or a bool array, and a message is a string
-    or a function of the failing point's (q_R, q_L)."""
-    yield ~np.isfinite(q_R), "q_R must be finite"
-    yield ~np.isfinite(q_L), "q_L must be finite"
-    yield not math.isfinite(q_C), "q_C must be finite"
-    yield not math.isfinite(nu), "nu must be finite"
-    yield q_R <= 0, "q_R must be positive"
-    yield q_L < 0, "q_L must be non-negative"
-    yield nu < 0, "nu must be non-negative"
-    yield from _qc_faults(q_C)
-    yield q_L + (1.0 + nu) * q_C > q_R, lambda R, L: (
-        f"emitter too close to the surface: q_L + (1+nu) q_C = "
-        f"{L + (1 + nu) * q_C:g} exceeds q_R = {R:g}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -234,7 +157,7 @@ def gamma_c_linear(chi, q_C: float) -> float:
     material bordering the cavity; the 7/6 constant is what turns the
     vacuum rate into the linear bulk rate 1 + 7 chi/6.
     """
-    return _cavity_term(_check_chi(chi), _check_qc(q_C))
+    return _cavity_term(_check_chi(chi), check_qc(q_C))
 
 
 def _cavity_term(chi, q_C: float):
@@ -293,8 +216,7 @@ def gamma_b_center_closed(q_R: float, chi) -> float:
     with remainder bounded by 2 chi/q_R.
     """
     q = float(q_R)
-    if not (math.isfinite(q) and q > 0):
-        raise DomainError("q_R must be positive and finite")
+    raise_first(positive("q_R", q))
     chi = _check_chi(chi)
     val = chi * (1.0 / q**3 - 2j / q**2 - 1.0 / q + 0.5j) * np.exp(2j * q)
     return -float(np.imag(val))
@@ -326,7 +248,6 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
     tol : float
         Absolute tolerance on the returned rate.
     """
-    chi = _check_chi(chi)
     values, errors = gamma_b_sphere_rows(config.q_R, config.q_L, chi,
                                          orientation, tol)
     if errors:
@@ -340,13 +261,13 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
 
     q_R, q_L, chi and orientation are scalars or 1-D arrays that
     broadcast to N rows; orientation is "radial" or "tangential" per
-    row.  Each row must be a geometry that :class:`SphereConfig` admits
-    with a passive chi; the rows are not validated again here.  All rows
-    share tol and go through one row-wise :func:`quad`.  chi stands
-    outside the integral, so each pass evaluates the three chi-free
-    moments of :func:`_moments` once per distinct geometry (q_R, q_L)
-    with a live row, and a row's rate is the scalar -(3/4) Im(chi I),
-    I = M0 + M2 (radial) or M0 + (M1 - M2)/2 (tangential).
+    row.  Every row must have its emitter inside the sphere and a
+    passive chi, checked once as arrays.  All rows share tol and go
+    through one row-wise :func:`quad`.  chi stands outside the integral,
+    so each pass evaluates the three chi-free moments of :func:`_moments`
+    once per distinct geometry (q_R, q_L) with a live row, and a row's
+    rate is the scalar -(3/4) Im(chi I), I = M0 + M2 (radial) or
+    M0 + (M1 - M2)/2 (tangential).
 
     Returns
     -------
@@ -355,13 +276,13 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     rule did not settle to its AccuracyError (that row's value is NaN).
     Rows with chi = 0 are 0 without quadrature.
     """
-    if not (tol > 0):
-        raise DomainError("tol must be positive")
     q_R, q_L, chi, orientation = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(q_R, dtype=float), np.asarray(q_L, dtype=float),
         np.asarray(chi, dtype=complex), np.asarray(orientation)))
+    raise_first(itertools.chain(inside_sphere(q_R, q_L), chi_faults(chi),
+                                positive("tol", tol)))
     for o in set(orientation.tolist()):
-        _check_orientation(o)
+        raise_first(orientation_faults(o))
     values = np.zeros(q_R.shape)
     live = np.flatnonzero(chi != 0)
     if live.size == 0:
@@ -467,21 +388,18 @@ def validity_check(config: SphereConfig | None, chi,
     (ii) Im(chi)/q_C^3 <= 0.1, absorption within the cavity-scale volume.
 
     Both computed values are always returned so callers can apply their
-    own thresholds.
+    own thresholds.  q_C obeys the cavity-radius rule, boundary_max > 0.
     """
     chi = _check_chi(chi)
-    if config is not None:
-        if boundary_max is None:
-            boundary_max = config.q_L + config.q_R
-        if q_C is None:
-            q_C = config.q_C
-    else:
-        if boundary_max is None:
-            boundary_max = 1.0
-        if q_C is None:
-            raise DomainError("q_C required when no SphereConfig is given")
-    return _validity_report(*_validity_values(chi, float(boundary_max),
-                                              float(q_C)))
+    if config is None and q_C is None:
+        raise DomainError("q_C required when no SphereConfig is given")
+    if boundary_max is None:
+        boundary_max = 1.0 if config is None else config.q_L + config.q_R
+    boundary_max = float(boundary_max)
+    q_C = float(config.q_C if q_C is None else q_C)
+    raise_first(itertools.chain(qc_faults(q_C),
+                                positive("boundary_max", boundary_max)))
+    return _validity_report(*_validity_values(chi, boundary_max, q_C))
 
 
 def _validity_values(chi, boundary_max, q_C: float):
@@ -490,8 +408,14 @@ def _validity_values(chi, boundary_max, q_C: float):
     return np.abs(chi) * boundary_max, np.imag(chi) / q_C**3
 
 
+def _validity_ok(chi_size, absorption):
+    """Whether the two validity values pass their thresholds."""
+    return chi_size <= _CHI_SIZE_MAX, absorption <= _ABSORPTION_MAX
+
+
 def _validity_report(chi_size, absorption) -> ValidityReport:
+    chi_size_ok, absorption_ok = _validity_ok(chi_size, absorption)
     return ValidityReport(chi_size_value=float(chi_size),
-                          chi_size_ok=bool(chi_size <= _CHI_SIZE_MAX),
+                          chi_size_ok=bool(chi_size_ok),
                           absorption_value=float(absorption),
-                          absorption_ok=bool(absorption <= _ABSORPTION_MAX))
+                          absorption_ok=bool(absorption_ok))

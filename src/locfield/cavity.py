@@ -21,11 +21,11 @@ whose divergent terms describe nonradiative transfer into the absorbing
 material around the cavity and vanish for real eps.  The constant term
 is K - i, with K = i n L^2 (n = sqrt(eps)) the prefactor of the sphere
 series in :mod:`locfield.mie` and L = 3 eps/(2 eps + 1) the local-field
-factor.  L, its pole eps = -1/2, K, the cavity term and the
+factor.  L, K, the cavity term and the
 weak-absorption shift are each written once, as a private function of
 scalars or arrays: the public functions check their input and call it,
 and the columns of :mod:`locfield.rates` call it on whole arrays.  Every
-public route raises SingularityError at the pole.  The decomposition
+public route raises SingularityError at eps = -1/2.  The decomposition
 holds for host bodies of arbitrary shape, which is why the body tensor is
 an *input* here (spheres get theirs from :mod:`locfield.mie`, generic
 star-shaped bodies from :mod:`locfield.greens` to linear order).
@@ -43,10 +43,11 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InvariantError, SingularityError
-from .greens import _ABSORPTION_TOL, as_permittivity, unit_vector
+from .errors import (ABSORPTION_TOL, DomainError, InvariantError,
+                     SingularityError, check_qc, method_faults, positive,
+                     raise_first)
+from .greens import as_permittivity, unit_vector
 from .specfun import riccati_derivative, spherical_bessel_j, spherical_hankel_h1
-from .born import _check_qc
 
 __all__ = [
     "CavityCoefficients",
@@ -64,9 +65,6 @@ BULK_MODELS = ("real_cavity", "virtual_cavity", "linear")
 # symmetry tolerance for input Green tensors (relative to their scale)
 _SYM_TOL = 1.0e-12
 
-_POLE = "eps = -1/2 is the pole of the local-field factor 3 eps/(2 eps + 1)"
-_WEAK_RE_EPS = "weak-absorption split needs Re eps > 0"
-
 
 @dataclasses.dataclass(frozen=True)
 class CavityCoefficients:
@@ -76,16 +74,6 @@ class CavityCoefficients:
     A: complex
     B_M: np.ndarray
     B_N: np.ndarray
-
-
-def _pole(eps):
-    """Whether eps is -1/2, the pole of the local-field factor."""
-    return 2.0 * eps + 1.0 == 0
-
-
-def _check_pole(eps) -> None:
-    if np.any(_pole(eps)):
-        raise SingularityError(_POLE)
 
 
 def _local_field(eps):
@@ -127,8 +115,7 @@ def transmission_coefficient(eps, q_C: float) -> complex:
     """
     eps = as_permittivity(eps)
     q_C = float(q_C)
-    if not (math.isfinite(q_C) and q_C > 0):
-        raise DomainError("q_C must be positive and finite")
+    raise_first(positive("q_C", q_C))
     n = eps.n
     e = eps.epsilon
     z0 = complex(q_C)
@@ -156,8 +143,7 @@ def outside_scatter_coefficients(eps, q_C: float,
     """
     eps = as_permittivity(eps)
     q_C = float(q_C)
-    if not (math.isfinite(q_C) and q_C > 0):
-        raise DomainError("q_C must be positive and finite")
+    raise_first(positive("q_C", q_C))
     m_max = int(m_max)
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
@@ -192,8 +178,8 @@ def gamma_c_exact(eps, q_C: float) -> float:
     eps only the constant survives: 9 eps^{5/2}/(2 eps+1)^2 - 1.
     """
     eps = as_permittivity(eps)
-    q_C = _check_qc(q_C)
-    _check_pole(eps.epsilon)
+    q_C = check_qc(q_C)
+    raise_first(method_faults("exact", eps.epsilon))
     return float(_cavity_term(eps.epsilon, eps.n, q_C))
 
 
@@ -222,7 +208,7 @@ def gamma_b_corrected(eps, gB1, dipole) -> float:
     eps = as_permittivity(eps)
     g = _check_green_tensor(gB1)
     d = unit_vector(dipole)
-    _check_pole(eps.epsilon)
+    raise_first(method_faults("exact", eps.epsilon))
     return 6.0 * np.pi * float(np.imag(_local_field(eps.epsilon) ** 2
                                        * (d @ g @ d)))
 
@@ -252,13 +238,12 @@ def gamma_weak_absorption(eps, q_C: float, gamma_b_uncorrected: float,
     scattering part contributes to the numerator at this order).
     """
     eps = as_permittivity(eps)
-    q_C = _check_qc(q_C)
+    q_C = check_qc(q_C)
     g = _check_green_tensor(gB1)
     d = unit_vector(dipole)
+    raise_first(method_faults("weak_absorption", eps.epsilon))
     re = eps.epsilon.real
     im = eps.epsilon.imag
-    if re <= 0:
-        raise DomainError(_WEAK_RE_EPS)
     gamma = (_local_field(re) ** 2 * float(gamma_b_uncorrected)
              + _absorption_shift(eps.epsilon, q_C))
     gdd = complex(d @ g @ d)
@@ -295,7 +280,7 @@ def gamma_bulk(eps, q_C: float | None = None,
             hint = f"1 + gamma_c_exact(eps, {q_C:g})"
         raise DomainError(
             f"bulk model {model!r} assumes negligible absorption "
-            f"(Im eps <= {_ABSORPTION_TOL:g}); for absorbing media use "
+            f"(Im eps <= {ABSORPTION_TOL:g}); for absorbing media use "
             + hint)
     e = eps.epsilon.real
     if e <= 0:

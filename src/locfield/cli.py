@@ -60,7 +60,8 @@ import sys
 import numpy as np
 
 from . import __version__, born, cavity, rates
-from .errors import ConfigError, DomainError, LocfieldError
+from .errors import (ConfigError, DomainError, LocfieldError, positive,
+                     raise_first)
 
 __all__ = ["PRESETS", "SweepSpec", "build_sweep", "run_sweep",
            "emit_plot_script", "main"]
@@ -247,6 +248,7 @@ def build_sweep(cfg: dict[str, str]) -> SweepSpec:
         raise ConfigError("eps_im conflicts with sweeping im_chi")
     nu = _parse_float(cfg.get("nu", "0"), "nu")
     tol = _parse_float(cfg.get("tol", "1e-10"), "tol")
+    raise_first(positive("tol", tol))
 
     q_R = _parse_float(cfg["qr"], "qr") if "qr" in cfg else None
     q_L = _parse_float(cfg.get("ql", "0"), "ql")
@@ -340,8 +342,9 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
         cells.append(column)
         # the validity flags are the first successful curve's
         take = np.flatnonzero(pending & ok)
-        for k, c, a in zip(take.tolist(), rates_.chi_size_ok[take].tolist(),
-                           rates_.absorption_ok[take].tolist()):
+        chi_size_pass, absorption_pass = rates_.validity_ok
+        for k, c, a in zip(take.tolist(), chi_size_pass[take].tolist(),
+                           absorption_pass[take].tolist()):
             chi_size_ok[k] = "1" if c else "0"
             absorption_ok[k] = "1" if a else "0"
         pending[take] = False

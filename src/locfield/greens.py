@@ -33,7 +33,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InvariantError, SingularityError
+from .errors import (ABSORPTION_TOL, AccuracyError, DomainError,
+                     InvariantError, SingularityError, inside_sphere,
+                     permittivity_faults, positive, raise_first)
 from .specfun import exponential_integral_ei
 
 __all__ = [
@@ -54,10 +56,6 @@ _EYE = np.eye(3)
 # unit-vector norm tolerance
 _UNIT_TOL = 1.0e-12
 
-# Im eps above which a medium counts as absorbing, and the
-# negligible-absorption closed forms are refused
-_ABSORPTION_TOL = 1.0e-6
-
 
 @dataclasses.dataclass(frozen=True)
 class Permittivity:
@@ -71,7 +69,7 @@ class Permittivity:
 
     def __post_init__(self):
         eps = complex(self.epsilon)
-        _raise_first(_permittivity_faults(eps))
+        raise_first(permittivity_faults(eps))
         object.__setattr__(self, "epsilon", eps)
 
     @property
@@ -84,27 +82,8 @@ class Permittivity:
         """Principal refractive index sqrt(eps)."""
         return complex(np.sqrt(complex(self.epsilon)))
 
-    def is_absorbing(self, tol: float = _ABSORPTION_TOL) -> bool:
-        return self.epsilon.imag > tol
-
-
-def _permittivity_faults(eps):
-    """The checks of :class:`Permittivity`, in its order, for a complex
-    or a complex array: (failed, message) pairs, failed a bool or a bool
-    array of the shape of eps."""
-    yield ~np.isfinite(eps), "permittivity must be finite"
-    yield np.imag(eps) < 0, "passive medium required: Im eps >= 0"
-    yield eps == 0, "permittivity must be nonzero"
-
-
-def _raise_first(faults, *point):
-    """Raise DomainError for the first of scalar (failed, message)
-    checks that failed; a message that is a function of the point
-    (e.g. its q_R and q_L) is called with ``point``."""
-    for failed, message in faults:
-        if failed:
-            raise DomainError(message if isinstance(message, str)
-                              else message(*point))
+    def is_absorbing(self) -> bool:
+        return self.epsilon.imag > ABSORPTION_TOL
 
 
 def as_permittivity(value) -> Permittivity:
@@ -153,8 +132,7 @@ class StarBoundary:
             return
         if self.q_outer is None:
             raise DomainError("finite boundary requires a q_outer callable")
-        if not (math.isfinite(self.q_max) and self.q_max > 0):
-            raise DomainError("q_max must be positive and finite")
+        raise_first(positive("q_max", self.q_max))
 
     @classmethod
     def bulk(cls) -> "StarBoundary":
@@ -164,10 +142,7 @@ class StarBoundary:
     def sphere(cls, q_R: float, q_L: float = 0.0) -> "StarBoundary":
         """Sphere of optical radius q_R with the emitter displaced q_L
         from the center along +z (q_L < q_R)."""
-        if not (math.isfinite(q_R) and q_R > 0):
-            raise DomainError("q_R must be positive and finite")
-        if not (0.0 <= q_L < q_R):
-            raise DomainError("need 0 <= q_L < q_R (emitter inside sphere)")
+        raise_first(inside_sphere(q_R, q_L))
 
         def q_outer(theta, phi):
             return _sphere_distance(q_R, q_L, np.cos(theta))
@@ -205,10 +180,7 @@ def ab_coefficients(q):
     (a, b) : complex, matching the input shape
     """
     q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise DomainError("q must be finite")
-    if np.any(q <= 0):
-        raise DomainError("q must be positive")
+    raise_first(positive("q", q))
     a = 1.0 / q + 1j / q**2 - 1.0 / q**3
     b = 1.0 / q + 3j / q**2 - 3.0 / q**3
     if a.ndim == 0:
@@ -274,8 +246,7 @@ def f_integrand(q, s_hat) -> np.ndarray:
     (3, 3) or (N, 3, 3) complex ndarray
     """
     q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-    if not np.all(np.isfinite(q_arr)) or np.any(q_arr <= 0):
-        raise DomainError("q must be positive and finite")
+    raise_first(positive("q", q_arr))
     s = np.asarray(s_hat, dtype=float)
     scalar = (s.ndim == 1)
     s2 = np.atleast_2d(s)
@@ -310,8 +281,7 @@ def f_constant_q(q, chi) -> np.ndarray:
     boundary at constant optical distance q from the emitter.
     """
     q = float(q)
-    if not (math.isfinite(q) and q > 0):
-        raise DomainError("q must be positive and finite")
+    raise_first(positive("q", q))
     chi = complex(chi)
     coeff = (-chi / (12.0 * np.pi)
              * (2.0 / q**3 - 4j / q**2 - 2.0 / q + 1j) * np.exp(2j * q))

@@ -42,10 +42,10 @@ import numbers
 import numpy as np
 
 from . import cavity
-from .born import _check_orientation
-from .errors import AccuracyError, DomainError, SingularityError
-from .greens import (Permittivity, _permittivity_faults, _raise_first,
-                     as_permittivity)
+from .errors import (AccuracyError, DomainError, SingularityError,
+                     inside_sphere, method_faults, orientation_faults,
+                     permittivity_faults, positive, raise_first)
+from .greens import Permittivity, as_permittivity
 from .specfun import riccati_derivative, spherical_bessel_j, spherical_hankel_h1
 
 __all__ = [
@@ -99,24 +99,16 @@ def _epsilon(eps):
     if e.dtype == object:
         e = np.array([as_permittivity(v).epsilon for v in eps])
     e = e.astype(complex)
-    _raise_first((failed.any(), message)
-                 for failed, message in _permittivity_faults(e))
+    raise_first(permittivity_faults(e))
     return e, np.sqrt(e)
 
 
 def _radius(q_R):
-    """q_R as a float, or as a float array for array input; every value
-    must be positive and finite.  Scalars are checked in plain Python:
-    the series calls sphere_coefficients once per order, and numpy checks
-    on a scalar cost several per cent of each call."""
-    if isinstance(q_R, numbers.Real):
-        q_R = float(q_R)
-        ok = math.isfinite(q_R) and q_R > 0
-    else:
-        q_R = np.asarray(q_R, dtype=float)
-        ok = (q_R > 0).all() and np.isfinite(q_R).all()
-    if not ok:
-        raise DomainError("q_R must be positive and finite")
+    """q_R as a float, or as a float array for array input, checked
+    positive and finite.  The series checks a float q_R once per order."""
+    q_R = (float(q_R) if isinstance(q_R, numbers.Real)
+           else np.asarray(q_R, dtype=float))
+    raise_first(positive("q_R", q_R))
     return q_R
 
 
@@ -204,7 +196,7 @@ def gamma_b_center(eps, q_R):
     """
     C_N, _ = sphere_coefficients(eps, q_R, 1)
     e, n = _epsilon(eps)
-    cavity._check_pole(e)
+    raise_first(method_faults("exact", e))
     gamma = np.imag(cavity._prefactor(e, n) * C_N)
     return float(gamma) if np.ndim(gamma) == 0 else gamma
 
@@ -229,14 +221,11 @@ def gamma_b_exact(eps, q_R: float, q_L: float, orient: str = "radial",
     eps = as_permittivity(eps)
     q_R = float(q_R)
     q_L = float(q_L)
-    if not (math.isfinite(q_R) and q_R > 0):
-        raise DomainError("q_R must be positive and finite")
-    if not (0.0 <= q_L < q_R):
-        raise DomainError("need 0 <= q_L < q_R (emitter inside sphere)")
-    _check_orientation(orient)
+    raise_first(inside_sphere(q_R, q_L))
+    raise_first(orientation_faults(orient))
     if q_L == 0.0:
         return gamma_b_center(eps, q_R)
-    cavity._check_pole(eps.epsilon)
+    raise_first(method_faults("exact", eps.epsilon))
     if settings is None:
         settings = _DEFAULT_SETTINGS
     K = cavity._prefactor(eps.epsilon, eps.n)

@@ -12,9 +12,9 @@ weak-absorption, or uncorrected evaluation paths.
 breakdown or an error for each.  It groups them into columns, one per
 set of requests that share method, geometry, orientation, q_C, nu, tol
 and Mie settings; a column, one curve of a sweep, is what the
-evaluation works on.  Its shared scalars are checked once, and its eps,
-q_R and q_L as arrays, each point that fails getting the error (text
-and precedence) that a RateRequest and :func:`compute` give it.  A
+evaluation works on.  Its points are checked as arrays by the rules of
+:mod:`locfield.errors`, each failing point getting the error (text and
+precedence) that a RateRequest and :func:`compute` give it.  A
 column's cavity term is one array expression of the closed forms that
 the scalar functions of :mod:`locfield.cavity` and :mod:`locfield.born`
 also call, and its validity values are arrays too.  The sphere body
@@ -48,10 +48,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import born, cavity, mie
-from .errors import (ConfigError, DomainError, LocfieldError,
-                     SingularityError)
-from .greens import (_ABSORPTION_TOL, Permittivity, _permittivity_faults,
-                     as_permittivity, unit_vector)
+from .errors import (ConfigError, DomainError, LocfieldError, check_qc,
+                     error_of, method_faults, orientation_faults,
+                     permittivity_faults, positive, qc_faults, raise_first,
+                     sphere_faults, warn_qc)
+from .greens import Permittivity, as_permittivity, unit_vector
 
 __all__ = [
     "AtomParams",
@@ -87,12 +88,9 @@ class AtomParams:
     def __post_init__(self):
         if (self.k_A is None) == (self.wavelength is None):
             raise DomainError("give exactly one of k_A and wavelength")
-        if self.k_A is not None and not (self.k_A > 0):
-            raise DomainError("k_A must be positive")
-        if self.wavelength is not None and not (self.wavelength > 0):
-            raise DomainError("wavelength must be positive")
-        if self.d_A is not None and not (self.d_A > 0):
-            raise DomainError("d_A must be positive when given")
+        for name in ("k_A", "wavelength", "d_A"):
+            if getattr(self, name) is not None:
+                raise_first(positive(name, getattr(self, name)))
 
     @property
     def wavenumber(self) -> float:
@@ -123,12 +121,8 @@ def gamma_uncorrected(eps_real, gB1, dipole) -> float:
     sqrt(eps) limit does not exist.
     """
     eps = as_permittivity(eps_real)
-    if eps.is_absorbing():
-        raise DomainError("gamma_uncorrected assumes a transparent host "
-                          f"(Im eps <= {_ABSORPTION_TOL:g})")
+    raise_first(method_faults("uncorrected", eps.epsilon))
     e = eps.epsilon.real
-    if e <= 0:
-        raise DomainError(_RE_EPS_POSITIVE)
     g = np.asarray(gB1, dtype=complex)
     d = unit_vector(dipole)
     return math.sqrt(e) + 6.0 * math.pi * float(np.imag(d @ g @ d))
@@ -143,10 +137,10 @@ class RateRequest:
     method is available for bulk and centered-sphere geometries only
     (its absorption split is formulated for the isotropic case).
     Inconsistent combinations raise ConfigError at construction time,
-    and numbers out of range (q_C too, for either geometry) DomainError.
-    A permittivity that the method cannot take (eps = -1/2 for exact;
-    Re eps <= 0 for uncorrected and weak_absorption) is the request's
-    error in :func:`compute`.
+    and numbers out of range (q_C and tol too, for either geometry)
+    DomainError.  A permittivity that the method cannot take
+    (:func:`locfield.errors.method_faults`) is the request's error in
+    :func:`compute`.
     """
 
     eps: complex
@@ -172,10 +166,7 @@ class RateRequest:
         if self.geometry not in GEOMETRIES:
             raise ConfigError(f"geometry must be one of {GEOMETRIES}, "
                               f"got {self.geometry!r}")
-        if self.orientation not in born.ORIENTATIONS:
-            raise ConfigError(f"orientation must be one of "
-                              f"{born.ORIENTATIONS}, "
-                              f"got {self.orientation!r}")
+        raise_first(orientation_faults(self.orientation, ConfigError))
         if self.geometry == "sphere":
             if self.q_R is None:
                 raise ConfigError("sphere geometry requires q_R")
@@ -184,8 +175,7 @@ class RateRequest:
                 raise ConfigError("bulk geometry takes no q_R")
             if self.q_L != 0.0:
                 raise ConfigError("bulk geometry takes no q_L")
-        if self.method == "weak_absorption" and self.q_L != 0.0:
-            raise ConfigError(_WEAK_OFF_CENTER)
+        raise_first(_off_center_faults(self.method, self.q_L))
         # validate the permittivity and geometry numbers eagerly
         object.__setattr__(self, "_permittivity", as_permittivity(self.eps))
         sphere = None
@@ -193,7 +183,8 @@ class RateRequest:
             sphere = born.SphereConfig(q_R=float(self.q_R), q_L=self.q_L,
                                        q_C=self.q_C, nu=self.nu)
         else:
-            born._check_qc(self.q_C)
+            check_qc(self.q_C)
+        raise_first(positive("tol", self.tol))
         object.__setattr__(self, "_sphere", sphere)
 
     def sphere_config(self) -> born.SphereConfig | None:
@@ -244,9 +235,11 @@ def compute_batch(requests) -> list:
     return results
 
 
-_WEAK_OFF_CENTER = ("weak_absorption is formulated for the sphere center "
-                    "(q_L = 0) or bulk")
-_RE_EPS_POSITIVE = "the uncorrected rate needs Re eps > 0"
+def _off_center_faults(method: str, q_L):
+    """The rule that a weak_absorption request has q_L = 0."""
+    if method == "weak_absorption":
+        yield (q_L != 0.0, "weak_absorption is formulated for the sphere "
+               "center (q_L = 0) or bulk", ConfigError)
 
 
 class _Column(NamedTuple):
@@ -281,12 +274,9 @@ class _Rates(NamedTuple):
         return 1.0 + self.gamma_c + self.gamma_b
 
     @property
-    def chi_size_ok(self) -> np.ndarray:
-        return self.chi_size <= born._CHI_SIZE_MAX
-
-    @property
-    def absorption_ok(self) -> np.ndarray:
-        return self.absorption <= born._ABSORPTION_MAX
+    def validity_ok(self) -> tuple:
+        """The pass flags of chi_size and absorption."""
+        return born._validity_ok(self.chi_size, self.absorption)
 
     def result(self, k: int):
         """The RateBreakdown of point k, or the error it raised."""
@@ -300,10 +290,9 @@ class _Rates(NamedTuple):
 def _compute_columns(columns) -> list:
     """The :class:`_Rates` of each column.
 
-    Each column is validated as arrays, point by point with the errors
-    (text and precedence) that a RateRequest and :func:`compute` give;
-    a large q_C warns once per column that yields a rate.  The cavity
-    term and the validity values are worked out as arrays.  The sphere
+    Each column is validated by :func:`_check_points`, and a large q_C
+    warns once per column that yields a rate.  The cavity term and the
+    validity values are worked out as arrays.  The sphere
     body terms of all the columns go to the array kernels together, one
     call per kernel and tol; off-center exact points keep their
     per-point series.
@@ -343,7 +332,7 @@ def _column_rates(col: _Column, batches) -> _Rates:
     q_C = float(col.q_C)
     rates_.chi_size[live], rates_.absorption[live] = born._validity_values(
         chi, q_L + q_R if sphere else 1.0, q_C)
-    born._warn_qc(q_C)
+    warn_qc(q_C)
     method = col.method
     if method == "linear_born":
         rates_.gamma_c[live] = born._cavity_term(chi, q_C)
@@ -388,30 +377,18 @@ def _check_points(col: _Column, eps, q_R, q_L):
     points that pass.  The checks are RateRequest's, then compute's, in
     their order, so a point's error is the first that it fails; they run
     one by one only if some point fails one."""
-    checks = [(q_L != 0.0, _WEAK_OFF_CENTER, ConfigError)
-              ] if col.method == "weak_absorption" else []
-    checks += [(failed, message, DomainError) for failed, message in
-               itertools.chain(_permittivity_faults(eps), born._sphere_faults(
-                   q_R, q_L, float(col.q_C), float(col.nu))
-                   if col.q_R is not None
-                   else born._qc_faults(float(col.q_C)))]
-    if col.method == "uncorrected":
-        checks += [(eps.imag > _ABSORPTION_TOL, "uncorrected method assumes "
-                    "a transparent host; use exact or weak_absorption",
-                    DomainError),
-                   (eps.real <= 0, _RE_EPS_POSITIVE, DomainError)]
-    elif col.method == "exact":
-        checks.append((cavity._pole(eps), cavity._POLE, SingularityError))
-    elif col.method == "weak_absorption":
-        checks.append((eps.real <= 0, cavity._WEAK_RE_EPS, DomainError))
+    checks = list(itertools.chain(
+        _off_center_faults(col.method, q_L), permittivity_faults(eps),
+        sphere_faults(q_R, q_L, float(col.q_C), float(col.nu))
+        if col.q_R is not None else qc_faults(float(col.q_C)),
+        positive("tol", col.tol), method_faults(col.method, eps)))
     errors = {}
     ok = np.ones(eps.shape, dtype=bool)
     if functools.reduce(operator.or_, [c[0] for c in checks]).any():
-        for failed, message, kind in checks:
-            bad = ok & failed
+        for check in checks:
+            bad = ok & check[0]
             for k in np.flatnonzero(bad).tolist():
-                errors[k] = kind(message if isinstance(message, str)
-                                 else message(q_R[k], q_L[k]))
+                errors[k] = error_of(check, q_R[k], q_L[k])
             ok &= ~bad
     return errors, ok
 

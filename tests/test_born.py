@@ -318,6 +318,13 @@ def test_body_term_rows_broadcast_and_zero_chi():
     assert values[1] == 0.0
     assert values[0] == gamma_b_sphere_linear(SphereConfig(q_R=3.0), 0.1,
                                               "tangential")
+    # every row is checked, once, as arrays: emitter inside the sphere,
+    # chi finite and passive
+    for q_L, chi, message in ((2.0, 0.1, "emitter inside sphere"),
+                              (0.5, 0.1 - 1j, "passive"),
+                              (0.5, np.nan, "chi must be finite")):
+        with pytest.raises(DomainError, match=message):
+            gamma_b_sphere_rows([1.0, 1.0], [0.0, q_L], [0.1, chi])
 
 
 # -- assembled rate -------------------------------------------------------------
@@ -366,6 +373,12 @@ def test_validity_examples():
     r = validity_check(None, 0.0, q_C=0.01)
     assert r.chi_size_value == 0.0 and r.absorption_value == 0.0
     assert r.all_ok
+    # the numbers are checked: q_C as a cavity radius, boundary_max > 0
+    for kwargs in ({"q_C": 0.0}, {"q_C": -0.01}, {"q_C": 0.5},
+                   {"q_C": 0.01, "boundary_max": np.nan},
+                   {"q_C": 0.01, "boundary_max": -1.0}):
+        with pytest.raises(DomainError):
+            validity_check(None, 0.1, **kwargs)
 
 
 def test_validity_sphere_geometry():

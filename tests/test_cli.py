@@ -299,6 +299,9 @@ def test_plot_scripts_have_expected_curve_counts(tmp_path):
     ["sweep", "--preset", "fig3a", "--set", "points=1"],
     ["sweep", "--preset", "fig3a", "--set", "banana=5"],
     ["sweep", "--config", "does-not-exist.cfg"],
+    # tol is a request rule, checked before any computation
+    ["sweep", "--preset", "fig5a", "--set", "tol=-1"],
+    ["sweep", "--preset", "fig5a", "--set", "tol=0"],
     # a bulk request checks q_C before any computation
     ["compute", "--eps-re", "1.1", "--qc", "0", "--method", "linear_born"],
     ["compute", "--eps-re", "1.1", "--qc", "-0.5", "--method", "linear_born"],

@@ -28,6 +28,8 @@ def test_permittivity_properties():
     assert p.n.imag >= 0
     assert not p.is_absorbing()
     assert Permittivity(1.1 + 1e-3j).is_absorbing()
+    with pytest.raises(TypeError):
+        p.is_absorbing(1e-9)  # the threshold is fixed
 
 
 def test_permittivity_validation():

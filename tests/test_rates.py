@@ -70,6 +70,10 @@ def test_atom_params_validation():
         AtomParams(wavelength=0.0)
     with pytest.raises(DomainError):
         AtomParams(k_A=1.0, d_A=-1.0e-30)
+    for kwargs in ({"k_A": math.inf}, {"wavelength": math.inf},
+                   {"k_A": 1.0, "d_A": math.inf}):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            AtomParams(**kwargs)
     with pytest.raises(DomainError):
         gamma0_si(AtomParams(k_A=1.0))
 
@@ -81,9 +85,10 @@ def test_gamma_uncorrected_limits():
     zeros = np.zeros((3, 3), dtype=complex)
     assert gamma_uncorrected(1.1, zeros, Z) == math.sqrt(1.1)
     assert gamma_uncorrected(1.0, zeros, Z) == 1.0
-    with pytest.raises(DomainError):
+    # the same rules, and texts, as the uncorrected method of a request
+    with pytest.raises(DomainError, match="transparent host; use exact or weak_absorption"):
         gamma_uncorrected(1.1 + 1e-3j, zeros, Z)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="needs Re eps > 0"):
         gamma_uncorrected(-1.0, zeros, Z)
 
 
@@ -115,6 +120,10 @@ def test_request_config_errors():
         with pytest.raises(DomainError, match="q_C"):
             RateRequest(eps=1.1, method="linear_born", geometry="bulk",
                         q_C=q_C)
+    # so does tol, whatever the method
+    for tol in (-1.0, 0.0, math.nan):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            RateRequest(eps=1.1, method="exact", q_R=2.0, tol=tol)
     assert METHODS == ("linear_born", "exact", "weak_absorption",
                        "uncorrected")
     assert GEOMETRIES == ("sphere", "bulk")
