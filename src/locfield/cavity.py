@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import (ABSORPTION_TOL, DomainError, InvariantError,
                      SingularityError, check_qc, method_faults, positive,
-                     raise_first)
+                     raise_first, whole_number)
 from .greens import as_permittivity, unit_vector
 from .specfun import riccati_derivative, spherical_bessel_j, spherical_hankel_h1
 
@@ -144,9 +144,8 @@ def outside_scatter_coefficients(eps, q_C: float,
     eps = as_permittivity(eps)
     q_C = float(q_C)
     raise_first(positive("q_C", q_C))
+    raise_first(whole_number("m_max", m_max))
     m_max = int(m_max)
-    if m_max < 1:
-        raise DomainError("m_max must be >= 1")
     e = eps.epsilon
     z0 = complex(q_C)
     z1 = eps.n * q_C

@@ -60,8 +60,8 @@ import sys
 import numpy as np
 
 from . import __version__, born, cavity, rates
-from .errors import (ConfigError, DomainError, LocfieldError, positive,
-                     raise_first)
+from .errors import (ConfigError, DomainError, LocfieldError, nu_faults,
+                     positive, qc_faults, raise_first)
 
 __all__ = ["PRESETS", "SweepSpec", "build_sweep", "run_sweep",
            "emit_plot_script", "main"]
@@ -247,6 +247,7 @@ def build_sweep(cfg: dict[str, str]) -> SweepSpec:
     if swept == "im_chi" and "eps_im" in cfg:
         raise ConfigError("eps_im conflicts with sweeping im_chi")
     nu = _parse_float(cfg.get("nu", "0"), "nu")
+    raise_first(nu_faults(nu))
     tol = _parse_float(cfg.get("tol", "1e-10"), "tol")
     raise_first(positive("tol", tol))
 
@@ -262,6 +263,7 @@ def build_sweep(cfg: dict[str, str]) -> SweepSpec:
     qc_values = []
     for part in cfg.get("qc", "0.01").split(","):
         qc_values.append(_parse_float(part.strip(), "qc"))
+        raise_first(qc_faults(qc_values[-1]))
     if len(set(qc_values)) != len(qc_values):
         raise ConfigError("duplicate qc values")
 

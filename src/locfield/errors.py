@@ -109,6 +109,12 @@ def positive(name: str, value):
            f"{name} must be positive and finite")
 
 
+def whole_number(name: str, value):
+    """The rule that value, a real number, is a whole number >= 1."""
+    yield (not (1 <= value < math.inf and value == int(value)),
+           f"{name} must be a whole number >= 1")
+
+
 def inside_sphere(q_R, q_L):
     """The rule that the emitter q_L lies inside the sphere q_R."""
     yield from positive("q_R", q_R)
@@ -180,6 +186,11 @@ def outside_stacklevel() -> int:
     return level
 
 
+def nu_faults(nu: float):
+    """The rule of a finite clearance factor nu: non-negative."""
+    yield nu < 0, "nu must be non-negative"
+
+
 def sphere_faults(q_R, q_L, q_C: float, nu: float):
     """The rule of :class:`locfield.born.SphereConfig` (q_C, nu floats)."""
     yield ~np.isfinite(q_R), "q_R must be finite"
@@ -188,7 +199,7 @@ def sphere_faults(q_R, q_L, q_C: float, nu: float):
     yield not math.isfinite(nu), "nu must be finite"
     yield q_R <= 0, "q_R must be positive"
     yield q_L < 0, "q_L must be non-negative"
-    yield nu < 0, "nu must be non-negative"
+    yield from nu_faults(nu)
     yield from qc_faults(q_C)
     yield q_L + (1.0 + nu) * q_C > q_R, lambda R, L: (
         f"emitter too close to the surface: q_L + (1+nu) q_C = "

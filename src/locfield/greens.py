@@ -77,9 +77,9 @@ class Permittivity:
         """Susceptibility chi = eps - 1."""
         return self.epsilon - 1.0
 
-    @property
+    @functools.cached_property
     def n(self) -> complex:
-        """Principal refractive index sqrt(eps)."""
+        """Principal refractive index sqrt(eps), computed once."""
         return complex(np.sqrt(complex(self.epsilon)))
 
     def is_absorbing(self) -> bool:

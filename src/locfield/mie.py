@@ -44,9 +44,11 @@ import numpy as np
 from . import cavity
 from .errors import (AccuracyError, DomainError, SingularityError,
                      inside_sphere, method_faults, orientation_faults,
-                     permittivity_faults, positive, raise_first)
+                     permittivity_faults, positive, raise_first,
+                     whole_number)
 from .greens import Permittivity, as_permittivity
-from .specfun import riccati_derivative, spherical_bessel_j, spherical_hankel_h1
+from .specfun import (ORDER_MAX, riccati_derivative, spherical_bessel_j,
+                      spherical_hankel_h1)
 
 __all__ = [
     "MieSeriesSettings",
@@ -64,7 +66,9 @@ class MieSeriesSettings:
 
     m_max = None uses ceil(q_R |n|) + 30.  The series stops only after
     `consecutive_small` successive terms fall below term_tolerance times
-    the running sum magnitude; hitting m_max first raises AccuracyError.
+    the running sum magnitude; hitting m_max first, or the largest order
+    the Bessel functions admit (specfun.ORDER_MAX = 200) when m_max is
+    larger, raises AccuracyError.
     """
 
     m_max: int | None = None
@@ -72,12 +76,11 @@ class MieSeriesSettings:
     consecutive_small: int = 3
 
     def __post_init__(self):
-        if self.m_max is not None and int(self.m_max) < 1:
-            raise DomainError("m_max must be >= 1")
-        if not (self.term_tolerance > 0):
-            raise DomainError("term_tolerance must be positive")
-        if int(self.consecutive_small) < 1:
-            raise DomainError("consecutive_small must be >= 1")
+        if self.m_max is not None:
+            raise_first(whole_number("m_max", self.m_max))
+        raise_first(positive("term_tolerance", self.term_tolerance))
+        raise_first(whole_number("consecutive_small",
+                                 self.consecutive_small))
 
     def resolve_m_max(self, q_R: float, n_abs: float) -> int:
         if self.m_max is not None:
@@ -134,7 +137,8 @@ def sphere_coefficients(eps, q_R, m: int):
     ps1p = riccati_derivative("bessel_j", m, z1)
     den_N = e * j1 * xi0p - ps1p * h0
     den_M = j1 * xi0p - ps1p * h0
-    if (np.minimum(abs(den_N), abs(den_M)) < 1.0e-300).any():
+    if (min(abs(den_N), abs(den_M)) < 1.0e-300 if isinstance(den_N, complex)
+            else (np.minimum(abs(den_N), abs(den_M)) < 1.0e-300).any()):
         raise SingularityError(f"sphere coefficient denominator vanished "
                                f"at m = {m} (resonance pole)")
     C_N = -(e * h1 * xi0p - xi1p * h0) / den_N
@@ -164,7 +168,7 @@ def _series(eps, q_R: float, q_L: float, orient: str,
     m_cap = settings.resolve_m_max(q_R, abs(n))
     total = 0.0j
     small_run = 0
-    for m in range(1, m_cap + 1):
+    for m in range(1, min(m_cap, ORDER_MAX) + 1):
         C_N, C_M = sphere_coefficients(eps, q_R, m)
         if orient == "radial":
             jm = spherical_bessel_j(m, x)
@@ -180,8 +184,10 @@ def _series(eps, q_R: float, q_L: float, orient: str,
                 return total
         else:
             small_run = 0
-    raise AccuracyError(f"sphere series not converged within m_max = "
-                        f"{m_cap} (q_R = {q_R:g}, q_L = {q_L:g})")
+    cap = (f"m_max = {m_cap}" if m_cap <= ORDER_MAX else
+           f"specfun.ORDER_MAX = {ORDER_MAX}, below m_max = {m_cap}")
+    raise AccuracyError(f"sphere series not converged within {cap} "
+                        f"(q_R = {q_R:g}, q_L = {q_L:g})")
 
 
 def gamma_b_center(eps, q_R):

@@ -19,10 +19,18 @@ Conventions
   silently picking a side.
 
 All functions accept scalars or ndarrays of complex argument and
-broadcast like the underlying scipy routines.
+broadcast like the underlying scipy routines.  A Python int order and a
+scalar argument are checked in plain Python (``cmath``, ``math.hypot``
+and comparisons), arrays with numpy reductions: the same rules, in the
+same order, with the same errors.  The Mie series calls these functions
+once per order, and numpy's reductions on 0-d arrays would cost several
+times the Bessel evaluation itself.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 from scipy import special as _sp
@@ -45,32 +53,43 @@ ORDER_MAX = 200
 ARG_MAX = 1.0e4
 
 
-def _check_order(m) -> np.ndarray:
-    m = np.asarray(m)
-    if not np.issubdtype(m.dtype, np.integer):
-        raise DomainError(f"order m must be integer, got dtype {m.dtype}")
-    if np.any(m < 0) or np.any(m > ORDER_MAX):
+def _check_order(m):
+    """m as a Python int for a Python int, else as an integer array."""
+    plain = type(m) is int
+    if not plain:
+        m = np.asarray(m)
+        if not np.issubdtype(m.dtype, np.integer):
+            raise DomainError(f"order m must be integer, got dtype {m.dtype}")
+    if (not 0 <= m <= ORDER_MAX if plain
+            else np.any(m < 0) or np.any(m > ORDER_MAX)):
         raise DomainError(f"order m must lie in [0, {ORDER_MAX}]")
     return m
 
 
-def _check_arg(z, allow_zero: bool) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
+def _check_arg(z, allow_zero: bool):
+    """z as a Python complex for a Python number (numpy's float64 and
+    complex128 scalars among them), else as a complex array."""
+    plain = isinstance(z, (int, float, complex))
+    z = complex(z) if plain else np.asarray(z, dtype=complex)
+    if not (cmath.isfinite(z) if plain else np.all(np.isfinite(z))):
         raise DomainError("argument z must be finite")
-    if np.any(np.abs(z) >= ARG_MAX):
+    # hypot, unlike abs of a complex, returns inf rather than raising
+    if (math.hypot(z.real, z.imag) >= ARG_MAX if plain
+            else np.any(np.abs(z) >= ARG_MAX)):
         raise DomainError(f"|z| must be < {ARG_MAX:g}")
-    if not allow_zero and np.any(z == 0):
+    if not allow_zero and (z == 0 if plain else np.any(z == 0)):
         raise SingularityError("function is singular at z = 0")
     return z
 
 
-def _finite_or_raise(value: np.ndarray, what: str):
-    if not np.all(np.isfinite(value)):
+def _finite_or_raise(value, what: str):
+    """value, checked finite: a complex for a scalar, else the array."""
+    plain = isinstance(value, complex)
+    if not (cmath.isfinite(value) if plain else np.all(np.isfinite(value))):
         raise NonFiniteError(f"{what} overflowed or produced NaN; "
                              "argument too deep in the complex plane for "
                              "double precision")
-    if value.ndim == 0:
+    if plain or value.ndim == 0:
         return complex(value)
     return value
 

@@ -302,6 +302,9 @@ def test_plot_scripts_have_expected_curve_counts(tmp_path):
     # tol is a request rule, checked before any computation
     ["sweep", "--preset", "fig5a", "--set", "tol=-1"],
     ["sweep", "--preset", "fig5a", "--set", "tol=0"],
+    # so are q_C and nu, which every point of a sweep shares
+    ["sweep", "--preset", "fig5a", "--set", "qc=0.5"],
+    ["sweep", "--preset", "fig5a", "--set", "nu=-1"],
     # a bulk request checks q_C before any computation
     ["compute", "--eps-re", "1.1", "--qc", "0", "--method", "linear_born"],
     ["compute", "--eps-re", "1.1", "--qc", "-0.5", "--method", "linear_born"],
@@ -325,6 +328,15 @@ def test_numerical_failure_exits_3(tmp_path):
     res = run_cli(["compute", "--eps-re", "1.1", "--qr", "20000"], tmp_path)
     assert res.returncode == 3, res.stderr
     assert "numerical error" in res.stderr
+
+
+def test_series_past_the_order_cap_exits_3(tmp_path):
+    res = run_cli(["compute", "--eps-re", "1.1", "--eps-im", "1e-8",
+                   "--qr", "200", "--ql", "190", "--method", "exact"],
+                  tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith("locfield: numerical error: sphere series "
+                                 "not converged within specfun.ORDER_MAX")
 
 
 @pytest.mark.parametrize("args, message", [

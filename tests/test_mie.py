@@ -1,6 +1,7 @@
 """Sphere scattering series: coefficients, series rates, assembled center rate."""
 
 import cmath
+import math
 
 import mpmath
 import numpy as np
@@ -256,12 +257,29 @@ def test_rate_validation():
         gamma_b_exact(1.1, 2.0, -0.5)
     with pytest.raises(DomainError):
         gamma_b_exact(1.1, 2.0, 1.0, orient="up")
-    with pytest.raises(DomainError):
-        MieSeriesSettings(m_max=0)
-    with pytest.raises(DomainError):
-        MieSeriesSettings(term_tolerance=0.0)
-    with pytest.raises(DomainError):
-        MieSeriesSettings(consecutive_small=0)
+    # non-finite settings would silently truncate the series (an infinite
+    # tolerance stops it after consecutive_small terms) or fail untyped
+    for bad in ({"m_max": 0}, {"m_max": 2.5}, {"m_max": math.inf},
+                {"m_max": math.nan}, {"term_tolerance": 0.0},
+                {"term_tolerance": math.inf}, {"term_tolerance": math.nan},
+                {"consecutive_small": 0}, {"consecutive_small": math.inf},
+                {"consecutive_small": math.nan}):
+        (name, _), = bad.items()
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            MieSeriesSettings(**bad)
+
+
+def test_series_stops_at_the_order_cap():
+    # the default cap ceil(q_R |n|) + 30 = 240 passes the largest order
+    # specfun admits; the series ends there with its own AccuracyError
+    with pytest.raises(AccuracyError, match="ORDER_MAX = 200, below "
+                                            "m_max = 240"):
+        gamma_b_exact(1.1 + 1e-8j, 200.0, 190.0)
+    # a series that converges below the cap is unaffected by a larger one
+    for orient in ("radial", "tangential"):
+        assert gamma_b_exact(1.1 + 1e-8j, 5.0, 2.0, orient=orient,
+                             settings=MieSeriesSettings(m_max=500)) \
+            == gamma_b_exact(1.1 + 1e-8j, 5.0, 2.0, orient=orient)
 
 
 # -- assembled center rate ----------------------------------------------------------

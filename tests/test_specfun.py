@@ -1,5 +1,7 @@
 """Special-function wrappers: values, identities, and error policy."""
 
+import functools
+
 import mpmath
 import numpy as np
 import pytest
@@ -247,6 +249,16 @@ def test_vectorized_matches_scalar():
                         rtol=5e-16, atol=0)
     vec_ei = exponential_integral_ei(2j * np.array([0.5, 1.0, 2.0]))
     assert vec_ei[1] == exponential_integral_ei(2j)
+    # a Python int order and complex argument take the plain-Python
+    # checks, arrays the numpy ones; both reach the same scipy call
+    for m in (0, 1, 5, 40):
+        vec = spherical_bessel_j(np.full(z.shape, m), z)
+        vec_h = spherical_hankel_h1(np.full(z.shape, m), z)
+        for i, zi in enumerate(z.tolist()):
+            assert type(zi) is complex
+            assert spherical_bessel_j(m, zi) == vec[i]
+            assert_allclose(spherical_hankel_h1(m, zi), vec_h[i],
+                            rtol=5e-16, atol=0)
 
 
 def test_scalar_in_scalar_out():
@@ -279,6 +291,22 @@ def test_ei_rejects_branch_cut():
     assert_allclose(up - dn, 2j * np.pi, rtol=1e-9)
 
 
+def _raises_alike(kind, func, *args):
+    """func raises `kind` for scalar arguments, and the same type with the
+    same message when each scalar is a 1-element array instead."""
+    with pytest.raises(kind) as scalar:
+        func(*args)
+    with pytest.raises(kind) as array:
+        func(*(np.array([a]) for a in args))
+    assert type(scalar.value) is type(array.value)
+    assert str(scalar.value) == str(array.value)
+
+
+FUNCTIONS = (spherical_bessel_j, spherical_hankel_h1,
+             functools.partial(riccati_derivative, "bessel_j"),
+             functools.partial(riccati_derivative, "hankel_h1"))
+
+
 def test_argument_caps():
     with pytest.raises(DomainError):
         spherical_bessel_j(1, ARG_MAX * (1.0 + 0j))
@@ -286,6 +314,13 @@ def test_argument_caps():
         spherical_bessel_j(1, np.nan + 0j)
     with pytest.raises(DomainError):
         exponential_integral_ei(np.inf)
+    for func in FUNCTIONS:
+        for z in (ARG_MAX * (1.0 + 0j), -ARG_MAX * 1j, 1.7e308 + 1.7e308j,
+                  complex(np.nan, 0.0), complex(0.0, np.inf), np.inf, 2e4):
+            _raises_alike(DomainError, func, 1, z)
+    for func in FUNCTIONS[1::2]:    # the Hankel functions
+        for z in (0j, 0.0, 0):
+            _raises_alike(SingularityError, func, 1, z)
 
 
 def test_order_validation():
@@ -295,6 +330,11 @@ def test_order_validation():
         spherical_bessel_j(1.5, 1.0 + 0j)
     with pytest.raises(DomainError):
         spherical_hankel_h1(201, 1.0 + 0j)
+    for func in FUNCTIONS:
+        # the order is checked first, whatever the argument
+        for m, z in ((-1, 1.0 + 0j), (201, 1.0 + 0j), (1.5, 1.0 + 0j),
+                     (True, 1.0 + 0j), (-1, np.nan), (201, 0j)):
+            _raises_alike(DomainError, func, m, z)
 
 
 def test_riccati_kind_validation():
@@ -308,3 +348,5 @@ def test_overflow_raises_nonfinite():
         spherical_hankel_h1(1, -900j)
     with pytest.raises(NonFiniteError):
         exponential_integral_ei(800.0)
+    for func in FUNCTIONS[1:]:
+        _raises_alike(NonFiniteError, func, 1, -900j)
