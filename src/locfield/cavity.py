@@ -116,18 +116,15 @@ def transmission_coefficient(eps, q_C: float) -> complex:
     eps = as_permittivity(eps)
     q_C = float(q_C)
     raise_first(positive("q_C", q_C))
-    n = eps.n
-    e = eps.epsilon
-    z0 = complex(q_C)
-    z1 = n * q_C
-    num = (spherical_bessel_j(1, z0) * riccati_derivative("hankel_h1", 1, z0)
-           - riccati_derivative("bessel_j", 1, z0) * spherical_hankel_h1(1, z0))
-    den = (spherical_bessel_j(1, z0) * riccati_derivative("hankel_h1", 1, z1)
-           - e * riccati_derivative("bessel_j", 1, z0)
-           * spherical_hankel_h1(1, z1))
+    z0, z1 = complex(q_C), eps.n * q_C
+    j, pj = spherical_bessel_j(1, z0), riccati_derivative("bessel_j", 1, z0)
+    num = (j * riccati_derivative("hankel_h1", 1, z0)
+           - pj * spherical_hankel_h1(1, z0))
+    den = (j * riccati_derivative("hankel_h1", 1, z1)
+           - eps.epsilon * pj * spherical_hankel_h1(1, z1))
     if abs(den) < 1.0e-300:
         raise SingularityError("cavity transmission denominator vanished")
-    return n * num / den
+    return eps.n * num / den
 
 
 def outside_scatter_coefficients(eps, q_C: float,

@@ -23,14 +23,12 @@ only m = 1 survives and both orientations give Im[K C_1^N]; this limit is
 implemented analytically rather than by small-q_L evaluation, so there is
 no 0/0.
 
-The fully assembled exact center rate, 1 + cavity.gamma_c_exact +
-gamma_b_center (Tomas's formula), is the quantity plotted against sphere
-radius in the sweep presets.  eps = -1/2, the pole of L, raises
-SingularityError on every route.
-
-Series terms decay super-exponentially once m exceeds ~ q_R |n|, so the
-default truncation ceil(q_R |n|) + 30 is generous; truncation additionally
-requires several consecutive terms below a relative tolerance.
+The series walks the orders upward.  Each order evaluates h_m(z0),
+h_m(z1), j_m(z1) and j_m(x) once, and forms xi_m', psi_m' from them and
+the values of order m-1 by [z f_m]' = z f_{m-1} - m f_m
+(:func:`locfield.specfun.riccati_upward`).  Its terms decay
+super-exponentially once m exceeds ~ q_R |n| (see MieSeriesSettings).
+eps = -1/2, the pole of L, raises SingularityError on every route.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ from .errors import (AccuracyError, DomainError, SingularityError,
                      permittivity_faults, positive, raise_first,
                      whole_number)
 from .greens import Permittivity, as_permittivity
-from .specfun import (ORDER_MAX, riccati_derivative, spherical_bessel_j,
-                      spherical_hankel_h1)
+from .specfun import (ORDER_MAX, riccati_derivative, riccati_upward,
+                      spherical_bessel_j, spherical_hankel_h1)
 
 __all__ = [
     "MieSeriesSettings",
@@ -106,13 +104,17 @@ def _epsilon(eps):
     return e, np.sqrt(e)
 
 
-def _radius(q_R):
-    """q_R as a float, or as a float array for array input, checked
-    positive and finite.  The series checks a float q_R once per order."""
-    q_R = (float(q_R) if isinstance(q_R, numbers.Real)
-           else np.asarray(q_R, dtype=float))
-    raise_first(positive("q_R", q_R))
-    return q_R
+def _coefficients(e, m, h0, h1, j1, xi0p, xi1p, ps1p):
+    """(C_m^N, C_m^M) from h_m(z0), h_m(z1), j_m(z1), xi_m'(z0), xi_m'(z1)
+    and psi_m'(z1), scalars or arrays, or the resonance pole's error."""
+    den_N = e * j1 * xi0p - ps1p * h0
+    den_M = j1 * xi0p - ps1p * h0
+    if (min(abs(den_N), abs(den_M)) < 1.0e-300 if isinstance(den_N, complex)
+            else (np.minimum(abs(den_N), abs(den_M)) < 1.0e-300).any()):
+        raise SingularityError(f"sphere coefficient denominator vanished "
+                               f"at m = {m} (resonance pole)")
+    return (-(e * h1 * xi0p - xi1p * h0) / den_N,
+            -(h1 * xi0p - xi1p * h0) / den_M)
 
 
 def sphere_coefficients(eps, q_R, m: int):
@@ -123,27 +125,19 @@ def sphere_coefficients(eps, q_R, m: int):
     a single order.
     """
     e, n = _epsilon(eps)
-    q_R = _radius(q_R)
+    q_R = (float(q_R) if isinstance(q_R, numbers.Real)
+           else np.asarray(q_R, dtype=float))
+    raise_first(positive("q_R", q_R))
     m = int(m)
     if m < 1:
         raise DomainError("m must be >= 1")
-    z0 = q_R + 0j
-    z1 = n * q_R
-    h0 = spherical_hankel_h1(m, z0)
-    h1 = spherical_hankel_h1(m, z1)
-    j1 = spherical_bessel_j(m, z1)
-    xi0p = riccati_derivative("hankel_h1", m, z0)
-    xi1p = riccati_derivative("hankel_h1", m, z1)
-    ps1p = riccati_derivative("bessel_j", m, z1)
-    den_N = e * j1 * xi0p - ps1p * h0
-    den_M = j1 * xi0p - ps1p * h0
-    if (min(abs(den_N), abs(den_M)) < 1.0e-300 if isinstance(den_N, complex)
-            else (np.minimum(abs(den_N), abs(den_M)) < 1.0e-300).any()):
-        raise SingularityError(f"sphere coefficient denominator vanished "
-                               f"at m = {m} (resonance pole)")
-    C_N = -(e * h1 * xi0p - xi1p * h0) / den_N
-    C_M = -(h1 * xi0p - xi1p * h0) / den_M
-    return C_N, C_M
+    z0, z1 = q_R + 0j, n * q_R
+    return _coefficients(e, m, spherical_hankel_h1(m, z0),
+                         spherical_hankel_h1(m, z1),
+                         spherical_bessel_j(m, z1),
+                         riccati_derivative("hankel_h1", m, z0),
+                         riccati_derivative("hankel_h1", m, z1),
+                         riccati_derivative("bessel_j", m, z1))
 
 
 def body_green_center(eps, q_R: float) -> np.ndarray:
@@ -162,28 +156,33 @@ def body_green_center(eps, q_R: float) -> np.ndarray:
 def _series(eps, q_R: float, q_L: float, orient: str,
             settings: MieSeriesSettings) -> complex:
     """Orientation-resolved series sum (without the K prefactor and the
-    outer 3/2 or 3/4 normalization)."""
-    n = eps.n
-    x = n * q_L
+    outer 3/2 or 3/4 normalization), carrying each order's values to the
+    next for its Riccati derivatives."""
+    e, n = eps.epsilon, eps.n
+    z0, z1, x = q_R + 0j, n * q_R, n * q_L
+    h0, h1 = spherical_hankel_h1(0, z0), spherical_hankel_h1(0, z1)
+    j1, jx = spherical_bessel_j(0, z1), spherical_bessel_j(0, x)
     m_cap = settings.resolve_m_max(q_R, abs(n))
-    total = 0.0j
-    small_run = 0
+    total, small_run = 0.0j, 0
     for m in range(1, min(m_cap, ORDER_MAX) + 1):
-        C_N, C_M = sphere_coefficients(eps, q_R, m)
+        h0_, h0 = h0, spherical_hankel_h1(m, z0)
+        h1_, h1 = h1, spherical_hankel_h1(m, z1)
+        j1_, j1 = j1, spherical_bessel_j(m, z1)
+        C_N, C_M = _coefficients(e, m, h0, h1, j1,
+                                 riccati_upward("hankel_h1", m, z0, h0_, h0),
+                                 riccati_upward("hankel_h1", m, z1, h1_, h1),
+                                 riccati_upward("bessel_j", m, z1, j1_, j1))
+        jx_, jx = jx, spherical_bessel_j(m, x)
         if orient == "radial":
-            jm = spherical_bessel_j(m, x)
-            term = (2 * m + 1) * m * (m + 1) * C_N * (jm / x) ** 2
+            term = (2 * m + 1) * m * (m + 1) * C_N * (jx / x) ** 2
         else:
-            jm = spherical_bessel_j(m, x)
-            pj = riccati_derivative("bessel_j", m, x)
-            term = (2 * m + 1) * (C_M * jm * jm + C_N * (pj / x) ** 2)
+            pj = riccati_upward("bessel_j", m, x, jx_, jx)
+            term = (2 * m + 1) * (C_M * jx * jx + C_N * (pj / x) ** 2)
         total += term
-        if abs(term) < settings.term_tolerance * max(abs(total), 1.0e-300):
-            small_run += 1
-            if small_run >= settings.consecutive_small:
-                return total
-        else:
-            small_run = 0
+        small = abs(term) < settings.term_tolerance * max(abs(total), 1e-300)
+        small_run = small_run + 1 if small else 0
+        if small_run >= settings.consecutive_small:
+            return total
     cap = (f"m_max = {m_cap}" if m_cap <= ORDER_MAX else
            f"specfun.ORDER_MAX = {ORDER_MAX}, below m_max = {m_cap}")
     raise AccuracyError(f"sphere series not converged within {cap} "
@@ -225,20 +224,15 @@ def gamma_b_exact(eps, q_R: float, q_L: float, orient: str = "radial",
     identical for both orientations.
     """
     eps = as_permittivity(eps)
-    q_R = float(q_R)
-    q_L = float(q_L)
+    q_R, q_L = float(q_R), float(q_L)
     raise_first(inside_sphere(q_R, q_L))
     raise_first(orientation_faults(orient))
     if q_L == 0.0:
         return gamma_b_center(eps, q_R)
     raise_first(method_faults("exact", eps.epsilon))
-    if settings is None:
-        settings = _DEFAULT_SETTINGS
-    K = cavity._prefactor(eps.epsilon, eps.n)
-    series = _series(eps, q_R, q_L, orient, settings)
-    if orient == "radial":
-        return 1.5 * float(np.imag(K * series))
-    return 0.75 * float(np.imag(K * series))
+    series = _series(eps, q_R, q_L, orient, settings or _DEFAULT_SETTINGS)
+    return ((1.5 if orient == "radial" else 0.75)
+            * float(np.imag(cavity._prefactor(eps.epsilon, eps.n) * series)))
 
 
 def gamma_center_exact(eps, q_R: float, q_C: float) -> float:

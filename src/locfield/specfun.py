@@ -22,9 +22,10 @@ All functions accept scalars or ndarrays of complex argument and
 broadcast like the underlying scipy routines.  A Python int order and a
 scalar argument are checked in plain Python (``cmath``, ``math.hypot``
 and comparisons), arrays with numpy reductions: the same rules, in the
-same order, with the same errors.  The Mie series calls these functions
-once per order, and numpy's reductions on 0-d arrays would cost several
-times the Bessel evaluation itself.
+same order, with the same errors.  The Mie series makes four scalar
+calls per order, and numpy's reductions on 0-d arrays would cost several
+times the Bessel evaluation itself; it forms the Riccati derivatives
+from values in hand by :func:`riccati_upward`.
 """
 
 from __future__ import annotations
@@ -164,14 +165,22 @@ def riccati_derivative(kind, m, z):
         val = _sp.spherical_jn(m, z) + z * _sp.spherical_jn(m, z, derivative=True)
     elif kind == "hankel_h1":
         z = _check_arg(z, allow_zero=False)
-        # [z h_m]' = z h_{m-1} - m h_m, exact for all m >= 0 with
-        # h_{-1}(z) = exp(iz)/z; avoids the j + iy cancellation in the
-        # upper half plane (see spherical_hankel_h1)
-        val = z * _half_order_h1(m - 1, z) - m * _half_order_h1(m, z)
+        # exact for all m >= 0 with h_{-1}(z) = exp(iz)/z; avoids the
+        # j + iy cancellation in the upper half plane (spherical_hankel_h1)
+        return riccati_upward(kind, m, z, _half_order_h1(m - 1, z),
+                              _half_order_h1(m, z))
     else:
         raise DomainError(f"unknown Riccati kind {kind!r}; "
                           "expected 'bessel_j' or 'hankel_h1'")
     return _finite_or_raise(val, f"riccati_derivative[{kind}]")
+
+
+def riccati_upward(kind, m, z, f_prev, f_m):
+    """[z f_m(z)]' = z f_{m-1}(z) - m f_m(z) (Wiscombe 1980, Appl. Opt. 19,
+    1505) from checked values in hand, with the non-finite check and
+    message of :func:`riccati_derivative` for the same kind."""
+    return _finite_or_raise(z * f_prev - m * f_m,
+                            f"riccati_derivative[{kind}]")
 
 
 def exponential_integral_ei(z):

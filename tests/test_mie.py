@@ -6,15 +6,21 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from locfield.born import SphereConfig, gamma_b_sphere_linear
+from locfield import mie
+from locfield.born import ORIENTATIONS, SphereConfig, gamma_b_sphere_linear
 from locfield.cavity import gamma_bulk
-from locfield.errors import AccuracyError, DomainError
+from locfield.errors import (AccuracyError, DomainError, NonFiniteError,
+                             SingularityError)
 from locfield.greens import Permittivity
 from locfield.mie import (MieSeriesSettings, body_green_center,
                           gamma_b_center, gamma_b_exact, gamma_center_exact,
                           sphere_coefficients)
+from locfield.specfun import (riccati_derivative, riccati_upward,
+                              spherical_bessel_j, spherical_hankel_h1)
 
 mpmath.mp.dps = 40
 
@@ -280,6 +286,157 @@ def test_series_stops_at_the_order_cap():
         assert gamma_b_exact(1.1 + 1e-8j, 5.0, 2.0, orient=orient,
                              settings=MieSeriesSettings(m_max=500)) \
             == gamma_b_exact(1.1 + 1e-8j, 5.0, 2.0, orient=orient)
+
+
+# -- the series' order walk ---------------------------------------------------------
+
+
+def _record_calls(monkeypatch, replace=None):
+    """Wrap the Bessel and Hankel functions that mie looks up, recording
+    (name, m, z) of each call; replace maps such a triple to the value
+    that call returns instead.  Riccati derivatives and per-order
+    coefficients must not be called at all."""
+    calls, replace = [], replace or {}
+    for name in ("spherical_hankel_h1", "spherical_bessel_j"):
+        def wrapped(m, z, f=getattr(mie, name), name=name):
+            calls.append((name, m, z))
+            return replace[name, m, z] if (name, m, z) in replace else f(m, z)
+        monkeypatch.setattr(mie, name, wrapped)
+    for name in ("riccati_derivative", "sphere_coefficients"):
+        monkeypatch.setattr(mie, name, None)
+    return calls
+
+
+@pytest.mark.parametrize("orient", ORIENTATIONS)
+def test_series_evaluates_each_value_once(monkeypatch, orient):
+    # four checked calls per order: h_m(q_R), h_m(n q_R), j_m(n q_R) and
+    # j_m(n q_L), from the start values at m = 0 up to the last order
+    # walked; every Riccati derivative comes from these and order m - 1
+    eps, q_R, q_L = 1.2 + 1e-6j, 5.0, 2.0
+    n = Permittivity(eps).n
+    calls = _record_calls(monkeypatch)
+    gamma_b_exact(eps, q_R, q_L, orient)
+    last = calls[-1][1]
+    assert last > 10
+    assert calls == [call for m in range(last + 1) for call in (
+        ("spherical_hankel_h1", m, q_R), ("spherical_hankel_h1", m, n * q_R),
+        ("spherical_bessel_j", m, n * q_R),
+        ("spherical_bessel_j", m, n * q_L))]
+
+
+@pytest.mark.parametrize("q_R", [0.5, 2.0, 7.3, 20.0])
+@pytest.mark.parametrize("eps", [1.05 + 1e-8j, 1.5 + 1e-6j])
+def test_carried_derivatives_match_riccati_derivative(eps, q_R):
+    # the upward identity on carried values, as the series walks the
+    # orders, against specfun's own derivative for m = 1..60 over the
+    # exact_offcenter ranges, down to a tiny x (q_L/q_R = 1e-6): within
+    # 1e-15 of |z f_{m-1}| + m |f_m|, the size of the two terms combined
+    n = Permittivity(eps).n
+    for kind, f, z in (("hankel_h1", spherical_hankel_h1, q_R + 0j),
+                       ("hankel_h1", spherical_hankel_h1, n * q_R),
+                       ("bessel_j", spherical_bessel_j, n * q_R),
+                       ("bessel_j", spherical_bessel_j, n * q_R * 0.5),
+                       ("bessel_j", spherical_bessel_j, n * q_R * 0.05),
+                       ("bessel_j", spherical_bessel_j, n * q_R * 1e-6)):
+        prev = f(0, z)
+        for m in range(1, 61):
+            value = f(m, z)
+            got = riccati_upward(kind, m, z, prev, value)
+            want = riccati_derivative(kind, m, z)
+            assert abs(got - want) <= 1e-15 * (abs(z * prev)
+                                               + m * abs(value)), (kind, m, z)
+            prev = value
+
+
+def test_series_errors_keep_their_order_and_text(monkeypatch):
+    # q_R = 1, q_L = 0.95 needs orders past 149, where h_m(1) overflows:
+    # the first call of order 149 raises, before any derivative of it
+    calls = _record_calls(monkeypatch)
+    for orient in ORIENTATIONS:
+        with pytest.raises(NonFiniteError, match=r"^spherical_hankel_h1 "
+                           r"overflowed or produced NaN; argument too deep "
+                           r"in the complex plane for double precision$"):
+            gamma_b_exact(1.1 + 1e-8j, 1.0, 0.95, orient,
+                          MieSeriesSettings(m_max=200))
+        assert calls[-1] == ("spherical_hankel_h1", 149, 1.0)
+
+
+@pytest.mark.parametrize("name, at, kind", [
+    ("spherical_hankel_h1", "z0", "hankel_h1"),
+    ("spherical_hankel_h1", "z1", "hankel_h1"),
+    ("spherical_bessel_j", "z1", "bessel_j"),
+    ("spherical_bessel_j", "x", "bessel_j")])
+def test_series_checks_every_carried_derivative(monkeypatch, name, at, kind):
+    # a finite value so large that z f_{m-1} - m f_m overflows raises
+    # NonFiniteError with riccati_derivative's text, not an inf term
+    eps, q_R, q_L = 1.2 + 1e-6j, 5.0, 2.0
+    n = Permittivity(eps).n
+    z = {"z0": q_R, "z1": n * q_R, "x": n * q_L}[at]
+    _record_calls(monkeypatch, {(name, 5, z): 1e308 + 0j})
+    with pytest.raises(NonFiniteError,
+                       match=rf"^riccati_derivative\[{kind}\] overflowed"):
+        gamma_b_exact(eps, q_R, q_L, "tangential")
+
+
+def test_series_pole_names_its_order(monkeypatch):
+    # j_3(n q_R) = h_3(q_R) = 0 empties both denominators at m = 3
+    eps, q_R = 1.2 + 1e-6j, 5.0
+    n = Permittivity(eps).n
+    _record_calls(monkeypatch, {("spherical_hankel_h1", 3, q_R): 0j,
+                                ("spherical_bessel_j", 3, n * q_R): 0j})
+    with pytest.raises(SingularityError, match=r"^sphere coefficient "
+                       r"denominator vanished at m = 3 \(resonance pole\)$"):
+        gamma_b_exact(eps, q_R, 2.0)
+
+
+# -- invariants of the exact rate (drawn where the series converges) ----------------
+
+_EPS = st.builds(complex, st.floats(1.05, 2.5),
+                 st.floats(-8.0, -1.0).map(lambda e: 10.0 ** e))
+_Q_R = st.floats(0.0, 1.0).map(lambda u: 0.5 * 40.0 ** u)  # 0.5 .. 20
+
+
+def _q_L2_coefficient(eps, q_R, orient):
+    """(a, A): gamma_b_exact - gamma_b_center = a q_L^2 + O(q_L^4) from
+    the m <= 2 terms of the series expanded in x = n q_L, and A the sum
+    of the magnitudes that make up a."""
+    K = 9j * eps * eps * cmath.sqrt(eps) / (2 * eps + 1) ** 2
+    N1, M1 = sphere_coefficients(eps, q_R, 1)
+    N2, _ = sphere_coefficients(eps, q_R, 2)
+    parts = ((-0.2 * N1, 0.2 * N2) if orient == "radial"
+             else (0.25 * M1, -0.4 * N1, 0.15 * N2))
+    return ((K * eps * sum(parts)).imag,
+            abs(K * eps) * sum(abs(p) for p in parts))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(eps=_EPS, q_R=_Q_R, ratio=st.floats(-4.0, -2.0).map(lambda e: 10 ** e))
+def test_offcentre_rate_tends_to_the_centre_as_q_L_squared(eps, q_R, ratio):
+    # the gap to the centre rate is a q_L^2, from the coefficients of
+    # orders 1 and 2, up to an O(q_L^4) remainder; at q_L <= 1e-2 q_R that
+    # stays below a tenth of A q_L^2 (at most 0.018 of it in 3,000
+    # random cases at q_L = 1e-3..1e-2 q_R)
+    q_L = ratio * q_R
+    centre = gamma_b_center(eps, q_R)
+    for orient in ORIENTATIONS:
+        a, A = _q_L2_coefficient(eps, q_R, orient)
+        gap = gamma_b_exact(eps, q_R, q_L, orient) - centre
+        assert abs(gap - a * q_L**2) <= 0.1 * A * q_L**2, orient
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(eps=_EPS, q_R=_Q_R)
+def test_orientations_agree_at_the_centre(eps, q_R):
+    # at q_L = 0 both orientations are the centre rate, bit for bit; at
+    # q_L = 1e-6 q_R both series give it up to their q_L^2 terms
+    centre = gamma_b_center(eps, q_R)
+    assert all(gamma_b_exact(eps, q_R, 0.0, o) == centre
+               for o in ORIENTATIONS)
+    q_L = 1e-6 * q_R
+    radial, tangential = (gamma_b_exact(eps, q_R, q_L, o)
+                          for o in ORIENTATIONS)
+    bound = sum(_q_L2_coefficient(eps, q_R, o)[1] for o in ORIENTATIONS)
+    assert abs(radial - tangential) <= bound * q_L**2
 
 
 # -- assembled center rate ----------------------------------------------------------
