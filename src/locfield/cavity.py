@@ -47,7 +47,8 @@ from .errors import (ABSORPTION_TOL, DomainError, InvariantError,
                      SingularityError, check_qc, method_faults, positive,
                      raise_first, whole_number)
 from .greens import as_permittivity, unit_vector
-from .specfun import riccati_derivative, spherical_bessel_j, spherical_hankel_h1
+from .specfun import (dipole_bessel_j, dipole_hankel_h1, riccati_derivative,
+                      spherical_bessel_j, spherical_hankel_h1)
 
 __all__ = [
     "CavityCoefficients",
@@ -111,17 +112,19 @@ def transmission_coefficient(eps, q_C: float) -> complex:
               / [j_1(z0) xi_1'(z1) - eps psi_1'(z0) h_1(z1)],
 
     z0 = q_C, z1 = n q_C, with psi/xi the Riccati-Bessel functions of
-    j/h type.  As q_C -> 0, A -> n 3 eps/(2 eps + 1).
+    j/h type, in the closed forms of :func:`locfield.specfun.dipole_bessel_j`
+    and :func:`locfield.specfun.dipole_hankel_h1`.  As q_C -> 0,
+    A -> n 3 eps/(2 eps + 1).
     """
     eps = as_permittivity(eps)
     q_C = float(q_C)
     raise_first(positive("q_C", q_C))
     z0, z1 = complex(q_C), eps.n * q_C
-    j, pj = spherical_bessel_j(1, z0), riccati_derivative("bessel_j", 1, z0)
-    num = (j * riccati_derivative("hankel_h1", 1, z0)
-           - pj * spherical_hankel_h1(1, z0))
-    den = (j * riccati_derivative("hankel_h1", 1, z1)
-           - eps.epsilon * pj * spherical_hankel_h1(1, z1))
+    j, pj = dipole_bessel_j(z0)
+    h0, xi0p = dipole_hankel_h1(z0)
+    h1, xi1p = dipole_hankel_h1(z1)
+    num = j * xi0p - pj * h0
+    den = j * xi1p - eps.epsilon * pj * h1
     if abs(den) < 1.0e-300:
         raise SingularityError("cavity transmission denominator vanished")
     return eps.n * num / den

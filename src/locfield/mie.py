@@ -21,7 +21,8 @@ C_m^M the interior scattering coefficients
 (C_m^M without the eps factors), z0 = q_R, z1 = n q_R.  At the center
 only m = 1 survives and both orientations give Im[K C_1^N]; this limit is
 implemented analytically rather than by small-q_L evaluation, so there is
-no 0/0.
+no 0/0, and from the closed-form dipole functions of
+:mod:`locfield.specfun`, so it needs no :mod:`scipy.special`.
 
 The series walks the orders upward.  Each order evaluates h_m(z0),
 h_m(z1), j_m(z1) and j_m(x) once, and forms xi_m', psi_m' from them and
@@ -33,6 +34,7 @@ eps = -1/2, the pole of L, raises SingularityError on every route.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import numbers
@@ -40,13 +42,14 @@ import numbers
 import numpy as np
 
 from . import cavity
-from .errors import (AccuracyError, DomainError, SingularityError,
-                     inside_sphere, method_faults, orientation_faults,
-                     permittivity_faults, positive, raise_first,
-                     whole_number)
+from .errors import (AccuracyError, DomainError, NonFiniteError,
+                     SingularityError, inside_sphere, method_faults,
+                     orientation_faults, permittivity_faults, positive,
+                     raise_first, whole_number)
 from .greens import Permittivity, as_permittivity
-from .specfun import (ORDER_MAX, riccati_derivative, riccati_upward,
-                      spherical_bessel_j, spherical_hankel_h1)
+from .specfun import (ORDER_MAX, dipole_bessel_j, dipole_hankel_h1,
+                      riccati_derivative, riccati_upward, spherical_bessel_j,
+                      spherical_hankel_h1)
 
 __all__ = [
     "MieSeriesSettings",
@@ -122,7 +125,10 @@ def sphere_coefficients(eps, q_R, m: int):
 
     eps is one permittivity or a sequence of them, and q_R a float or an
     array broadcasting with it; the coefficients take their shape.  m is
-    a single order.
+    a single order.  The dipole order m = 1, all that the centre rate
+    needs, takes the closed forms of :func:`locfield.specfun.dipole_hankel_h1`
+    and :func:`locfield.specfun.dipole_bessel_j`, which need no
+    :mod:`scipy.special`; higher orders call the scipy-backed functions.
     """
     e, n = _epsilon(eps)
     q_R = (float(q_R) if isinstance(q_R, numbers.Real)
@@ -132,6 +138,11 @@ def sphere_coefficients(eps, q_R, m: int):
     if m < 1:
         raise DomainError("m must be >= 1")
     z0, z1 = q_R + 0j, n * q_R
+    if m == 1:
+        h0, xi0p = dipole_hankel_h1(z0)
+        h1, xi1p = dipole_hankel_h1(z1)
+        j1, ps1p = dipole_bessel_j(z1)
+        return _coefficients(e, m, h0, h1, j1, xi0p, xi1p, ps1p)
     return _coefficients(e, m, spherical_hankel_h1(m, z0),
                          spherical_hankel_h1(m, z1),
                          spherical_bessel_j(m, z1),
@@ -173,11 +184,18 @@ def _series(eps, q_R: float, q_L: float, orient: str,
                                  riccati_upward("hankel_h1", m, z1, h1_, h1),
                                  riccati_upward("bessel_j", m, z1, j1_, j1))
         jx_, jx = jx, spherical_bessel_j(m, x)
-        if orient == "radial":
-            term = (2 * m + 1) * m * (m + 1) * C_N * (jx / x) ** 2
-        else:
-            pj = riccati_upward("bessel_j", m, x, jx_, jx)
-            term = (2 * m + 1) * (C_M * jx * jx + C_N * (pj / x) ** 2)
+        radial = orient == "radial"
+        r = (jx if radial else riccati_upward("bessel_j", m, x, jx_, jx)) / x
+        r2 = r * r
+        if not cmath.isfinite(r2):
+            # deep in an absorbing sphere j_m(x) grows as C_m decays;
+            # squared apart from C_m, it leaves double range
+            raise NonFiniteError(f"sphere series overflowed at m = {m}: "
+                                 "the emitter's Bessel factor squared "
+                                 "leaves double range (q_R = "
+                                 f"{q_R:g}, q_L = {q_L:g})")
+        term = ((2 * m + 1) * m * (m + 1) * C_N * r2 if radial
+                else (2 * m + 1) * (C_M * jx * jx + C_N * r2))
         total += term
         small = abs(term) < settings.term_tolerance * max(abs(total), 1e-300)
         small_run = small_run + 1 if small else 0

@@ -209,9 +209,13 @@ def mc_delta1_green(sampler: RegionSampler, chi, n_samples: int,
                           "meaningful error estimate")
     chi = complex(chi)
     rng = np.random.default_rng(seed)
-    s1 = np.zeros((3, 3), dtype=complex)
-    s2_re = np.zeros((3, 3))
-    s2_im = np.zeros((3, 3))
+    # the sample tensor ca I + cb u u^T is symmetric: accumulate its six
+    # distinct components (xx, yy, zz, xy, xz, yz), then spread them
+    rows, cols = (0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)
+    spread = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+    s1 = np.zeros(6, dtype=complex)
+    s2_re = np.zeros(6)
+    s2_im = np.zeros(6)
     pref = chi / (16.0 * np.pi**2)
     done = 0
     while done < n_samples:
@@ -225,13 +229,15 @@ def mc_delta1_green(sampler: RegionSampler, chi, n_samples: int,
         w = pref * phase / pdf
         ca = w * a * a
         cb = w * (b * b - 2.0 * a * b)
-        uu = u[:, :, None] * u[:, None, :]
-        vals = (ca[:, None, None] * np.eye(3)[None, :, :]
-                + cb[:, None, None] * uu)
-        s1 += vals.sum(axis=0)
-        s2_re += (vals.real**2).sum(axis=0)
-        s2_im += (vals.imag**2).sum(axis=0)
+        for k, (i, j) in enumerate(zip(rows, cols)):
+            vals = cb * (u[:, i] * u[:, j])
+            if i == j:
+                vals += ca
+            s1[k] += vals.sum()
+            s2_re[k] += (vals.real**2).sum()
+            s2_im[k] += (vals.imag**2).sum()
         done += m
+    s1, s2_re, s2_im = s1[spread], s2_re[spread], s2_im[spread]
     mean = s1 / n_samples
     var_re = np.maximum(s2_re / n_samples - mean.real**2, 0.0)
     var_im = np.maximum(s2_im / n_samples - mean.imag**2, 0.0)

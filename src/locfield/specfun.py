@@ -26,6 +26,14 @@ same order, with the same errors.  The Mie series makes four scalar
 calls per order, and numpy's reductions on 0-d arrays would cost several
 times the Bessel evaluation itself; it forms the Riccati derivatives
 from values in hand by :func:`riccati_upward`.
+
+The dipole wave (m = 1) alone serves Tomas's centre rate, the centred
+exact and weak-absorption rows and the cavity transmission coefficient.
+:func:`dipole_hankel_h1` and :func:`dipole_bessel_j` give its functions
+in closed form, in sin, cos and exp, with the checks and messages of the
+calls they replace.  So :mod:`scipy.special`, which takes longer to
+import than the rest of the package, is imported on first use: bulk,
+centred exact and weak-absorption rates never load it.
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError, NonFiniteError, SingularityError
 
@@ -42,6 +49,8 @@ __all__ = [
     "spherical_bessel_j",
     "spherical_hankel_h1",
     "riccati_derivative",
+    "dipole_hankel_h1",
+    "dipole_bessel_j",
     "exponential_integral_ei",
     "ORDER_MAX",
     "ARG_MAX",
@@ -52,6 +61,27 @@ __all__ = [
 # error surface predictable.
 ORDER_MAX = 200
 ARG_MAX = 1.0e4
+
+# below this |z|, j_1 is summed as its Taylor series: the closed form
+# sin z - z cos z cancels to z^3/3.  Measured against 40-digit mpmath,
+# the closed form's relative error is 1.1e-15 at |z| = 1, 5e-16 at 2
+# and 8e-14 at 0.1; the series stays within 4e-16 below 2.
+_J1_TAYLOR_BELOW = 2.0
+
+
+class _DeferredSpecial:
+    """Stands in for :mod:`scipy.special` until the first attribute
+    access, which imports it and rebinds ``_sp`` to the real module, so
+    later calls look it up at no extra cost."""
+
+    def __getattr__(self, name):
+        global _sp
+        from scipy import special
+        _sp = special
+        return getattr(special, name)
+
+
+_sp = _DeferredSpecial()
 
 
 def _check_order(m):
@@ -181,6 +211,57 @@ def riccati_upward(kind, m, z, f_prev, f_m):
     message of :func:`riccati_derivative` for the same kind."""
     return _finite_or_raise(z * f_prev - m * f_m,
                             f"riccati_derivative[{kind}]")
+
+
+def dipole_hankel_h1(z):
+    """(h_1(z), xi_1'(z)): the outgoing dipole Hankel function and its
+    Riccati derivative [z h_1(z)]', in closed form,
+
+        h_1 = -e^{iz} (1/z + i/z^2),   xi_1' = e^{iz} (1/z + i/z^2 - i),
+
+    for a scalar or an array z; a scalar is worked out as a one-element
+    array, so it equals the same point of an array.  Raises as
+    spherical_hankel_h1(1, z) and riccati_derivative("hankel_h1", 1, z)
+    do, in that order.
+    """
+    z = _check_arg(z, allow_zero=False)
+    shape, z = np.shape(z), np.atleast_1d(z)
+    with np.errstate(all="ignore"):
+        e = np.exp(1j * z)
+        a = 1.0 / z + 1j / (z * z)
+        h, xp = -e * a, e * (a - 1j)
+    return (_finite_or_raise(h.reshape(shape), "spherical_hankel_h1"),
+            _finite_or_raise(xp.reshape(shape),
+                             "riccati_derivative[hankel_h1]"))
+
+
+def dipole_bessel_j(z):
+    """(j_1(z), psi_1'(z)): the dipole Bessel function and its Riccati
+    derivative [z j_1(z)]' = sin z - j_1(z), in closed form,
+
+        j_1 = (sin z - z cos z)/z^2,
+
+    summed as its Taylor series z/3 - z^3/30 + ... below |z| = 2, where
+    the closed form cancels.  For a scalar or an array z, as
+    :func:`dipole_hankel_h1`; raises as spherical_bessel_j(1, z) and
+    riccati_derivative("bessel_j", 1, z) do, in that order.
+    """
+    z = _check_arg(z, allow_zero=True)
+    shape, z = np.shape(z), np.atleast_1d(z)
+    with np.errstate(all="ignore"):
+        s, z2 = np.sin(z), z * z
+        small = np.abs(z) < _J1_TAYLOR_BELOW
+        # j_1 = sum_k (-1)^k z^(2k+1) / (2^k k! (2k+3)!!), whose
+        # terms fall by z^2 / (2 (k+1)(2k+5)): at |z| < 2 the first
+        # term left out is below 1e-18 of the sum
+        series = 1.0
+        for k in range(11, -1, -1):
+            series = 1.0 - series * z2 / (2.0 * (k + 1) * (2 * k + 5))
+        j = np.where(small, z * series / 3.0,
+                     (s - z * np.cos(z)) / np.where(small, 1.0, z2))
+        p = s - j
+    return (_finite_or_raise(j.reshape(shape), "spherical_bessel_j"),
+            _finite_or_raise(p.reshape(shape), "riccati_derivative[bessel_j]"))
 
 
 def exponential_integral_ei(z):

@@ -10,7 +10,11 @@ from locfield.cavity import (BULK_MODELS, gamma_b_corrected, gamma_bulk,
                              gamma_c_exact, gamma_weak_absorption,
                              outside_scatter_coefficients,
                              transmission_coefficient)
-from locfield.errors import DomainError, InvariantError
+from locfield.errors import (DomainError, InvariantError, LocfieldError,
+                             SingularityError)
+from locfield.greens import Permittivity
+from locfield.specfun import (riccati_derivative, spherical_bessel_j,
+                              spherical_hankel_h1)
 
 mpmath.mp.dps = 40
 
@@ -72,9 +76,45 @@ def test_transmission_approach_rate():
 
 def test_transmission_against_mpmath():
     for eps, q_C in ((1.2 + 1e-8j, 0.05), (2.0 + 0.05j, 0.1),
-                     (1.1 + 0j, 0.02)):
+                     (1.1 + 0j, 0.02), (1.1 + 1e-8j, 0.01),
+                     (2.25 + 1e-3j, 1e-3), (1.0 + 100j, 0.01),
+                     (1.5 + 10j, 0.2)):
         assert_allclose(transmission_coefficient(eps, q_C),
                         _mp_transmission(eps, q_C), rtol=1e-12)
+
+
+def _scipy_route_transmission(eps, q_C):
+    """transmission_coefficient from the order-generic Bessel functions,
+    called in the order the scipy-backed route called them."""
+    eps = Permittivity(eps)
+    z0, z1 = complex(q_C), eps.n * q_C
+    j, pj = spherical_bessel_j(1, z0), riccati_derivative("bessel_j", 1, z0)
+    num = (j * riccati_derivative("hankel_h1", 1, z0)
+           - pj * spherical_hankel_h1(1, z0))
+    den = (j * riccati_derivative("hankel_h1", 1, z1)
+           - eps.epsilon * pj * spherical_hankel_h1(1, z1))
+    if abs(den) < 1.0e-300:
+        raise SingularityError("cavity transmission denominator vanished")
+    return eps.n * num / den
+
+
+@pytest.mark.parametrize("eps", [1.1, 2.25 + 1e-3j, 1.0 + 100j, 100j,
+                                 -4.0 + 1e-3j, 3.0 + 1e5j])
+def test_transmission_matches_scipy_route(eps):
+    # the closed forms refuse what the scipy-backed calls refused, with
+    # the same error and text, and agree where they return; far up the
+    # plane, where h_1(n q_C) underflows, that is the vanished denominator
+    for q_C in (1e-3, 0.01, 0.3, 1.0, 60.0, 99.0, 150.0, 500.0, 999.0,
+                1e4, 2e4):
+        try:
+            want = _scipy_route_transmission(eps, q_C)
+        except LocfieldError as exc:
+            with pytest.raises(type(exc)) as got:
+                transmission_coefficient(eps, q_C)
+            assert str(got.value) == str(exc), q_C
+        else:
+            assert_allclose(transmission_coefficient(eps, q_C), want,
+                            rtol=1e-12, err_msg=str(q_C))
 
 
 def test_transmission_validation():

@@ -339,6 +339,15 @@ def test_series_past_the_order_cap_exits_3(tmp_path):
                                  "not converged within specfun.ORDER_MAX")
 
 
+def test_series_overflow_exits_3_without_traceback(tmp_path):
+    res = run_cli(["compute", "--eps-re", "1", "--eps-im", "100", "--qr",
+                   "60", "--ql", "53", "--method", "exact"], tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith("locfield: numerical error: sphere series "
+                                 "overflowed at m = 1")
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("args, message", [
     (["compute", "--eps-re", "-0.5", "--qr", "2"],
      "eps = -1/2 is the pole of the local-field factor"),

@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 from locfield import mie
 from locfield.born import ORIENTATIONS, SphereConfig, gamma_b_sphere_linear
 from locfield.cavity import gamma_bulk
-from locfield.errors import (AccuracyError, DomainError, NonFiniteError,
-                             SingularityError)
+from locfield.errors import (AccuracyError, DomainError, LocfieldError,
+                             NonFiniteError, SingularityError)
 from locfield.greens import Permittivity
 from locfield.mie import (MieSeriesSettings, body_green_center,
                           gamma_b_center, gamma_b_exact, gamma_center_exact,
@@ -159,6 +159,41 @@ def test_coefficient_validation():
     records = gamma_b_center([Permittivity(1.1 + 1e-8j), 1.2], [2.0, 3.0])
     assert records.tolist() == gamma_b_center([1.1 + 1e-8j, 1.2],
                                               [2.0, 3.0]).tolist()
+
+
+def _scipy_route_dipole_coefficients(eps, q_R):
+    """sphere_coefficients(eps, q_R, 1) from the order-generic Bessel
+    functions, called in the order the scipy-backed route called them."""
+    n = Permittivity(eps).n
+    z0, z1 = q_R + 0j, n * q_R
+    # the Hankel prefactor overflows with a numpy warning before the
+    # wrapper's own check raises NonFiniteError
+    with np.errstate(all="ignore"):
+        h0, h1 = spherical_hankel_h1(1, z0), spherical_hankel_h1(1, z1)
+        j1 = spherical_bessel_j(1, z1)
+        return mie._coefficients(eps, 1, h0, h1, j1,
+                                 riccati_derivative("hankel_h1", 1, z0),
+                                 riccati_derivative("hankel_h1", 1, z1),
+                                 riccati_derivative("bessel_j", 1, z1))
+
+
+@pytest.mark.parametrize("eps", [1.1, 2.25 + 1e-3j, 1.0 + 100j, 100j,
+                                 -4.0 + 1e-3j, 3.0 + 1e5j])
+def test_dipole_coefficients_match_scipy_route(eps):
+    # the closed-form m = 1 route refuses what the scipy-backed calls
+    # refused, with the same error and text, and agrees where they return
+    # (C_1^M cancels to a part in 1e11 at q_R = 0.01 in either route)
+    for q_R in (1e-160, 0.01, 1.0, 60.0, 150.0, 9999.0, 1e4, 2e4):
+        try:
+            want = _scipy_route_dipole_coefficients(eps, q_R)
+        except LocfieldError as exc:
+            with pytest.raises(type(exc)) as got:
+                sphere_coefficients(eps, q_R, 1)
+            assert str(got.value) == str(exc), (eps, q_R)
+        else:
+            got = sphere_coefficients(eps, q_R, 1)
+            assert_allclose(got[0], want[0], rtol=1e-12, err_msg=str(q_R))
+            assert_allclose(got[1], want[1], rtol=1e-10, err_msg=str(q_R))
 
 
 def test_coefficients_and_center_rate_on_arrays():
@@ -359,6 +394,16 @@ def test_series_errors_keep_their_order_and_text(monkeypatch):
             gamma_b_exact(1.1 + 1e-8j, 1.0, 0.95, orient,
                           MieSeriesSettings(m_max=200))
         assert calls[-1] == ("spherical_hankel_h1", 149, 1.0)
+
+
+@pytest.mark.parametrize("orient", ORIENTATIONS)
+def test_series_overflow_is_typed(orient):
+    # deep in a strongly absorbing sphere j_1(n q_L)^2 leaves double
+    # range at the first order: a NonFiniteError, not Python's
+    # OverflowError from complex exponentiation
+    with pytest.raises(NonFiniteError, match=r"^sphere series overflowed "
+                       r"at m = 1: .*\(q_R = 60, q_L = 53\)$"):
+        gamma_b_exact(1.0 + 100j, 60.0, 53.0, orient)
 
 
 @pytest.mark.parametrize("name, at, kind", [

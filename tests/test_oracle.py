@@ -187,19 +187,78 @@ def test_quad_reference_validation():
         quad_reference(lambda x: x, (0.0, 1.0), tol=0.0)
 
 
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(locfield.__file__).resolve().parent.parent),
+                    env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res
+
+
 def test_import_defers_scipy_integrate_to_first_use():
     # a fresh interpreter, since this one has long loaded scipy.integrate
     code = ("import sys, locfield\n"
             "print('scipy.integrate' in sys.modules)\n"
             "from locfield.oracle import quad_reference\n"
             "print(quad_reference(lambda x: x * x, (0.0, 3.0)))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(locfield.__file__).resolve().parent.parent),
-                    env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    loaded, value = res.stdout.split()
+    loaded, value = _fresh_python("-c", code).stdout.split()
     assert loaded == "False"
     assert_allclose(complex(value), 9.0, rtol=1e-13)
+
+
+# requests that need no scipy.special: bulk, and the dipole wave alone at
+# the sphere centre; then two that do, the off-centre series and Ei in
+# the linear Born body term
+_CLOSED_FORM_REQUESTS = (
+    dict(eps=1.2 + 1e-7j, method="exact", geometry="bulk"),
+    dict(eps=1.2 + 1e-7j, method="linear_born", geometry="bulk"),
+    dict(eps=1.2 + 1e-7j, method="exact", q_R=3.0),
+    dict(eps=1.2 + 1e-7j, method="weak_absorption", q_R=3.0),
+    dict(eps=1.2 + 1e-7j, method="weak_absorption", geometry="bulk"))
+_SPECIAL_REQUESTS = (
+    dict(eps=1.2 + 1e-7j, method="exact", q_R=3.0, q_L=1.0),
+    dict(eps=1.2 + 1e-7j, method="linear_born", q_R=3.0, q_L=1.0))
+
+
+def test_import_defers_scipy_special_to_rates_that_need_it():
+    code = ("import sys, locfield\n"
+            "def rate(kw):\n"
+            "    return locfield.compute(locfield.RateRequest(**kw))\n"
+            f"for kw in {_CLOSED_FORM_REQUESTS!r}:\n"
+            "    print(repr(rate(kw).total_ratio))\n"
+            "print('scipy.special' in sys.modules, 'scipy' in sys.modules)\n"
+            f"for kw in {_SPECIAL_REQUESTS!r}:\n"
+            "    print(repr(rate(kw).total_ratio))\n"
+            "    print('scipy.special' in sys.modules)\n")
+    lines = _fresh_python("-c", code).stdout.splitlines()
+    assert lines[5] == "False False"
+    assert lines[7] == lines[9] == "True"
+    # the same rates as in this interpreter, which loaded scipy long ago
+    values = [float(v) for v in lines[:5] + [lines[6], lines[8]]]
+    for kw, value in zip(_CLOSED_FORM_REQUESTS + _SPECIAL_REQUESTS, values):
+        assert value == locfield.compute(locfield.RateRequest(**kw)
+                                         ).total_ratio, kw
+
+
+@pytest.mark.parametrize("args, loads", [
+    (["--eps-re", "1.2", "--eps-im", "1e-7"], False),
+    (["--eps-re", "1.2", "--eps-im", "1e-7", "--qr", "3"], False),
+    (["--eps-re", "1.2", "--eps-im", "1e-7", "--qr", "3",
+      "--method", "weak_absorption"], False),
+    (["--eps-re", "1.2", "--eps-im", "1e-7", "--qr", "3", "--ql", "1"],
+     True),
+], ids=["bulk", "centre_exact", "centre_weak_absorption", "offcentre_exact"])
+def test_cli_compute_imports_scipy_special_only_off_centre(args, loads):
+    # -X importtime lists the modules the command imports (scipy.special
+    # itself by its submodules)
+    res = _fresh_python("-X", "importtime", "-m", "locfield", "compute",
+                        *args)
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in res.stderr.splitlines()]
+    assert any(name.startswith("scipy.special.")
+               for name in imported) is loads
+    assert "total_ratio = " in res.stdout

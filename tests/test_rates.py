@@ -18,7 +18,7 @@ from locfield.cavity import (gamma_b_corrected, gamma_c_exact,
                              gamma_weak_absorption)
 from locfield.cli import build_sweep, run_sweep
 from locfield.errors import (ConfigError, DomainError, LocfieldError,
-                             SingularityError)
+                             NonFiniteError, SingularityError)
 from locfield.greens import Permittivity
 from locfield.mie import (MieSeriesSettings, body_green_center,
                           gamma_b_center, gamma_b_exact, gamma_center_exact)
@@ -318,6 +318,17 @@ def test_compute_batch_matches_compute_and_keeps_errors_on_their_requests():
         else:
             assert result == compute(request)
     assert compute_batch([]) == []
+
+
+def test_series_overflow_fails_only_its_own_request():
+    # an off-centre series that overflows is a typed error of its own
+    # request; the request beside it finishes
+    deep = RateRequest(eps=1.0 + 100j, method="exact", q_R=60.0, q_L=53.0)
+    good = RateRequest(eps=1.1 + 1e-8j, method="exact", q_R=3.0, q_L=1.0)
+    bad, result = compute_batch([deep, good])
+    assert isinstance(bad, NonFiniteError)
+    assert str(bad).startswith("sphere series overflowed at m = 1")
+    assert result == compute(good)
 
 
 def test_permittivities_the_rates_refuse_fail_their_own_requests():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from locfield.errors import DomainError, NonFiniteError, SingularityError
-from locfield.specfun import (ARG_MAX, exponential_integral_ei,
-                              riccati_derivative, spherical_bessel_j,
-                              spherical_hankel_h1)
+from locfield.errors import (DomainError, LocfieldError, NonFiniteError,
+                             SingularityError)
+from locfield.specfun import (ARG_MAX, dipole_bessel_j, dipole_hankel_h1,
+                              exponential_integral_ei, riccati_derivative,
+                              spherical_bessel_j, spherical_hankel_h1)
 
 mpmath.mp.dps = 40
 
@@ -96,6 +97,90 @@ def test_h1_against_mpmath(m):
     for z in (0.5 + 0.2j, 3.0 - 0.4j, 12.0 + 2.0j):
         assert_allclose(spherical_hankel_h1(m, z), mp_spherical_h1(m, z),
                         rtol=1e-12)
+
+
+# |z| from 1e-8 to 1e3, across the switch to j_1's Taylor series at
+# |z| = 2, along the real axis and along n = sqrt(eps) up to Im eps = 100
+# (the directions of n q_R and n q_C), short of j_1's overflow
+_DIPOLE_Z = [complex(r * d)
+             for d in [1.0] + [np.sqrt(e) / abs(np.sqrt(e)) for e in
+                               (1.1 + 1e-8j, 2.25 + 1e-3j, 1.5 + 10j,
+                                1.0 + 100j)]
+             for r in np.concatenate([np.geomspace(1e-8, 1e3, 45),
+                                      [1.999, 2.0, 2.001]])
+             if abs(r * d.imag) < 600]
+
+
+def test_dipole_closed_forms_against_mpmath():
+    # h_1 and xi_1' = [z h_1]' in closed form at 40 digits; j_1 from
+    # mpmath's Bessel J and psi_1' = z j_0 - j_1: all to rounding level
+    for z in _DIPOLE_Z:
+        w = mpmath.mpc(z)
+        e = mpmath.exp(1j * w)
+        j1 = mp_spherical_j(1, z)
+        want = (complex(-e * (1 / w + 1j / w**2)),
+                complex(e * (1 / w + 1j / w**2 - 1j)),
+                j1, complex(w * mp_spherical_j(0, z) - j1))
+        got = dipole_hankel_h1(z) + dipole_bessel_j(z)
+        for g, v in zip(got, want):
+            assert type(g) is complex
+            assert_allclose(g, v, rtol=2e-15, atol=0, err_msg=str(z))
+
+
+def test_dipole_closed_forms_match_scipy_route():
+    # the same four numbers as the order-generic functions at m = 1: for
+    # h_1 and xi_1' the check independent of their closed form
+    for z in _DIPOLE_Z:
+        got = dipole_hankel_h1(z) + dipole_bessel_j(z)
+        want = (spherical_hankel_h1(1, z),
+                riccati_derivative("hankel_h1", 1, z),
+                spherical_bessel_j(1, z), riccati_derivative("bessel_j", 1, z))
+        assert_allclose(got, want, rtol=5e-14, atol=0, err_msg=str(z))
+
+
+def test_dipole_arrays_equal_scalar_calls():
+    z = np.array(_DIPOLE_Z)
+    for func in (dipole_hankel_h1, dipole_bessel_j):
+        arrays = func(z)
+        assert all(a.shape == z.shape for a in arrays)
+        for k, zk in enumerate(_DIPOLE_Z):
+            assert func(zk) == (arrays[0][k], arrays[1][k])
+        grid = func(z[:6].reshape(2, 3))
+        assert all(np.array_equal(g, a[:6].reshape(2, 3))
+                   for g, a in zip(grid, arrays))
+
+
+def _outcome(*calls):
+    """The values of calls made in order, or the type and text of the
+    first error one raises."""
+    try:
+        return np.ravel([call() for call in calls])
+    except LocfieldError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("z", [
+    0j, 0.0, 0, ARG_MAX * (1.0 + 0j), -ARG_MAX * 1j, 2e4, np.inf,
+    complex(np.nan, 0.0), 1.7e308 + 1.7e308j,
+    800j, 720j, -720j, -900j, 3.0 - 800j, 5.0 + 900j])
+def test_dipole_errors_match_scipy_route(z):
+    # z = 0, the argument cap and overflow: the error, its text and which
+    # function raises it are those of the calls the closed forms replace,
+    # for a scalar and for a one-element array alike; where both return,
+    # the values agree (h_1 underflows to about 0 far up the plane)
+    for arg in (z, np.array([z])):
+        for closed, scipy_route in (
+                (lambda: dipole_hankel_h1(arg),
+                 (lambda: spherical_hankel_h1(1, arg),
+                  lambda: riccati_derivative("hankel_h1", 1, arg))),
+                (lambda: dipole_bessel_j(arg),
+                 (lambda: spherical_bessel_j(1, arg),
+                  lambda: riccati_derivative("bessel_j", 1, arg)))):
+            got, want = _outcome(closed), _outcome(*scipy_route)
+            if isinstance(want, tuple) or isinstance(got, tuple):
+                assert got == want
+            else:
+                assert_allclose(got, want, rtol=5e-14, atol=1e-300)
 
 
 def test_ei_against_mpmath():
