@@ -315,7 +315,7 @@ def _moments(q_R, q_L, x, w):
     of G geometries (q_R, q_L) under the rule (x, w), as a (3, G) array.
     The rate density is P + z Q, with P and Q the coefficients of
     :func:`locfield.greens._brace_coeffs` at the distance q_o(x).  All
-    the distances go to Ei in one call.  A centered geometry is one
+    the distances go to it in one call.  A centered geometry is one
     distance, exactly q_R (:func:`locfield.greens._sphere_distance`),
     broadcast against the weights, so every moment is the one a full
     (G, n) evaluation gives, bit for bit.

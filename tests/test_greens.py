@@ -2,14 +2,16 @@
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from locfield.errors import DomainError, InvariantError, SingularityError
-from locfield.greens import (Permittivity, StarBoundary, ab_coefficients,
-                             as_permittivity, body_green_linear,
+from locfield.greens import (Permittivity, StarBoundary, _brace_coeffs,
+                             ab_coefficients, as_permittivity,
+                             body_green_linear,
                              cavity_green_linear, f_constant_q, f_integrand,
                              unit_vector, vacuum_green)
 
@@ -182,6 +184,38 @@ def test_f_integrand_shapes_and_validation():
 
 
 # -- constant-q closed form ---------------------------------------------------
+
+
+def _mp_brace_coeffs(q):
+    # P = cI e^{2iq} + (4i/3) Ei(2iq), Q = cS e^{2iq} - 4i Ei(2iq)
+    with mpmath.workdps(40):
+        q = mpmath.mpf(q)
+        phase, ei = mpmath.expj(2 * q), mpmath.ei(mpmath.mpc(0, 2 * q))
+        c_I = 1 / (3 * q**3) - 2j / (3 * q**2) - 5 / (3 * q) + 0.5j
+        c_S = 1 / q**3 - 2j / q**2 + 3 / q - 0.5j
+        return c_I * phase + 4j / 3 * ei, c_S * phase - 4j * ei
+
+
+# q = 2 and 4 are the edges of the Ei pieces at y = 2q = 4 and 8
+BRACE_Q = np.concatenate([np.geomspace(1e-3, 5e3, 46), [2.0, 4.0],
+                          np.nextafter([2.0, 4.0], 0.0)])
+
+
+def test_brace_coeffs_against_mpmath():
+    P, Q = _brace_coeffs(BRACE_Q)
+    for q, p, s in zip(BRACE_Q, P, Q):
+        want_P, want_Q = _mp_brace_coeffs(q)
+        assert abs(p - want_P) <= 1e-14 * abs(want_P), q
+        assert abs(s - want_Q) <= 1e-14 * abs(want_Q), q
+
+
+def test_brace_coeffs_arrays_equal_scalar_calls():
+    P, Q = _brace_coeffs(BRACE_Q)
+    for i, q in enumerate(BRACE_Q):
+        for arg in (q, BRACE_Q[i:i + 1]):
+            p, s = _brace_coeffs(arg)
+            assert p.shape == s.shape == np.shape(arg)
+            assert p.ravel()[0] == P[i] and s.ravel()[0] == Q[i], q
 
 
 def test_f_constant_q_small_q_expansion():

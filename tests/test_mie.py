@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from locfield import mie
+from locfield import RateRequest, compute, mie
 from locfield.born import ORIENTATIONS, SphereConfig, gamma_b_sphere_linear
 from locfield.cavity import gamma_bulk
 from locfield.errors import (AccuracyError, DomainError, LocfieldError,
@@ -394,6 +395,20 @@ def test_series_errors_keep_their_order_and_text(monkeypatch):
             gamma_b_exact(1.1 + 1e-8j, 1.0, 0.95, orient,
                           MieSeriesSettings(m_max=200))
         assert calls[-1] == ("spherical_hankel_h1", 149, 1.0)
+
+
+def test_coefficient_overflow_is_typed():
+    # eps = 1e-300 puts C_1^N and C_1^M near 1e450: one NonFiniteError
+    # from the coefficients, with no numpy warning before it, for the
+    # centred exact rate and for scalar and array coefficient calls
+    message = r"^sphere coefficients at m = 1 overflowed or produced NaN"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=message):
+            compute(RateRequest(eps=1e-300, method="exact", q_R=1.0))
+        for eps in (1e-310, [1e-310, 2.0], np.array([2.0, 1e-300])):
+            with pytest.raises(NonFiniteError, match=message):
+                sphere_coefficients(eps, 60.0, 1)
 
 
 @pytest.mark.parametrize("orient", ORIENTATIONS)

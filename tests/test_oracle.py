@@ -210,36 +210,40 @@ def test_import_defers_scipy_integrate_to_first_use():
     assert_allclose(complex(value), 9.0, rtol=1e-13)
 
 
-# requests that need no scipy.special: bulk, and the dipole wave alone at
-# the sphere centre; then two that do, the off-centre series and Ei in
-# the linear Born body term
-_CLOSED_FORM_REQUESTS = (
+# requests that need no scipy.special: bulk, the dipole wave alone at the
+# sphere centre, and the linear Born and uncorrected body terms, whose Ei
+# lies on the positive imaginary axis; then the one that does, the
+# off-centre series
+_SCIPY_FREE_REQUESTS = (
     dict(eps=1.2 + 1e-7j, method="exact", geometry="bulk"),
     dict(eps=1.2 + 1e-7j, method="linear_born", geometry="bulk"),
     dict(eps=1.2 + 1e-7j, method="exact", q_R=3.0),
     dict(eps=1.2 + 1e-7j, method="weak_absorption", q_R=3.0),
-    dict(eps=1.2 + 1e-7j, method="weak_absorption", geometry="bulk"))
+    dict(eps=1.2 + 1e-7j, method="weak_absorption", geometry="bulk"),
+    dict(eps=1.2 + 1e-7j, method="linear_born", q_R=3.0, q_L=1.0),
+    dict(eps=1.2 + 1e-7j, method="uncorrected", q_R=3.0))
 _SPECIAL_REQUESTS = (
-    dict(eps=1.2 + 1e-7j, method="exact", q_R=3.0, q_L=1.0),
-    dict(eps=1.2 + 1e-7j, method="linear_born", q_R=3.0, q_L=1.0))
+    dict(eps=1.2 + 1e-7j, method="exact", q_R=3.0, q_L=1.0),)
 
 
 def test_import_defers_scipy_special_to_rates_that_need_it():
     code = ("import sys, locfield\n"
             "def rate(kw):\n"
             "    return locfield.compute(locfield.RateRequest(**kw))\n"
-            f"for kw in {_CLOSED_FORM_REQUESTS!r}:\n"
+            f"for kw in {_SCIPY_FREE_REQUESTS!r}:\n"
             "    print(repr(rate(kw).total_ratio))\n"
             "print('scipy.special' in sys.modules, 'scipy' in sys.modules)\n"
             f"for kw in {_SPECIAL_REQUESTS!r}:\n"
             "    print(repr(rate(kw).total_ratio))\n"
             "    print('scipy.special' in sys.modules)\n")
     lines = _fresh_python("-c", code).stdout.splitlines()
-    assert lines[5] == "False False"
-    assert lines[7] == lines[9] == "True"
+    n = len(_SCIPY_FREE_REQUESTS)
+    assert lines[n] == "False False"
+    assert lines[n + 2::2] == ["True"] * len(_SPECIAL_REQUESTS)
     # the same rates as in this interpreter, which loaded scipy long ago
-    values = [float(v) for v in lines[:5] + [lines[6], lines[8]]]
-    for kw, value in zip(_CLOSED_FORM_REQUESTS + _SPECIAL_REQUESTS, values):
+    values = [float(v) for v in lines[:n] + lines[n + 1::2]]
+    for kw, value in zip(_SCIPY_FREE_REQUESTS + _SPECIAL_REQUESTS, values,
+                         strict=True):
         assert value == locfield.compute(locfield.RateRequest(**kw)
                                          ).total_ratio, kw
 
@@ -249,16 +253,33 @@ def test_import_defers_scipy_special_to_rates_that_need_it():
     (["--eps-re", "1.2", "--eps-im", "1e-7", "--qr", "3"], False),
     (["--eps-re", "1.2", "--eps-im", "1e-7", "--qr", "3",
       "--method", "weak_absorption"], False),
+    (["--eps-re", "1.2", "--eps-im", "1e-7", "--qr", "3", "--ql", "1",
+      "--method", "linear_born"], False),
+    (["--eps-re", "1.2", "--eps-im", "1e-7", "--qr", "3",
+      "--method", "uncorrected"], False),
     (["--eps-re", "1.2", "--eps-im", "1e-7", "--qr", "3", "--ql", "1"],
      True),
-], ids=["bulk", "centre_exact", "centre_weak_absorption", "offcentre_exact"])
+], ids=["bulk", "centre_exact", "centre_weak_absorption",
+        "offcentre_linear_born", "centre_uncorrected", "offcentre_exact"])
 def test_cli_compute_imports_scipy_special_only_off_centre(args, loads):
-    # -X importtime lists the modules the command imports (scipy.special
-    # itself by its submodules)
     res = _fresh_python("-X", "importtime", "-m", "locfield", "compute",
                         *args)
+    assert _imports_scipy_special(res) is loads
+    assert "total_ratio = " in res.stdout
+
+
+def _imports_scipy_special(res):
+    # -X importtime lists the modules the command imports (scipy.special
+    # itself by its submodules)
     imported = [line.rsplit("|", 1)[-1].strip()
                 for line in res.stderr.splitlines()]
-    assert any(name.startswith("scipy.special.")
-               for name in imported) is loads
-    assert "total_ratio = " in res.stdout
+    return any(name.startswith("scipy.special.") for name in imported)
+
+
+def test_linear_preset_sweep_never_imports_scipy_special(tmp_path):
+    # every curve of fig5a is linear Born or uncorrected, q_L from 0 to 0.95
+    res = _fresh_python("-X", "importtime", "-m", "locfield", "sweep",
+                        "--preset", "fig5a", "--out",
+                        str(tmp_path / "fig5a.csv"))
+    assert not _imports_scipy_special(res)
+    assert "wrote " in res.stdout

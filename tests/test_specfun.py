@@ -1,12 +1,14 @@
 """Special-function wrappers: values, identities, and error policy."""
 
 import functools
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from locfield import specfun
 from locfield.errors import (DomainError, LocfieldError, NonFiniteError,
                              SingularityError)
 from locfield.specfun import (ARG_MAX, dipole_bessel_j, dipole_hankel_h1,
@@ -205,6 +207,66 @@ def test_ei_negative_imaginary_axis_is_conjugate():
     assert_allclose(exponential_integral_ei(-1j * AXIS_Y),
                     np.conj(exponential_integral_ei(1j * AXIS_Y)),
                     rtol=1e-15, atol=0)
+
+
+# specfun._ei_imaginary_axis is pieced together from rational fits that
+# meet at y = 4 and y = 8
+AXIS_EDGES = (4.0, 8.0)
+
+
+def _mp_ei_axis(y):
+    return mpmath.ei(mpmath.mpc(0, y))
+
+
+def test_ei_imaginary_axis_kernel_against_mpmath():
+    y = np.geomspace(1e-8, 1e4, 521)
+    for yi, value in zip(y, exponential_integral_ei(1j * y)):
+        want = _mp_ei_axis(yi)
+        assert abs(value - want) <= 5e-16 * abs(want), yi
+
+
+@pytest.mark.parametrize("edge", AXIS_EDGES)
+def test_ei_imaginary_axis_is_continuous_at_its_edges(edge):
+    # Ei(iy) moves by about 1e-16/y between neighbouring doubles, so each
+    # side must match mpmath and the two sides each other
+    y = np.array([np.nextafter(edge, 0.0), edge])
+    below, at = exponential_integral_ei(1j * y)
+    assert abs(at - below) <= 5e-16 * abs(at)
+    for yi, value in zip(y, (below, at)):
+        want = _mp_ei_axis(yi)
+        assert abs(value - want) <= 5e-16 * abs(want), yi
+
+
+def test_ei_imaginary_axis_arrays_equal_scalar_calls():
+    y = np.concatenate([np.geomspace(1e-8, 1e4, 37), AXIS_EDGES,
+                        np.nextafter(AXIS_EDGES, 0.0)])
+    vec = exponential_integral_ei(1j * y)
+    for i, yi in enumerate(y):
+        assert vec[i] == exponential_integral_ei(complex(0.0, yi)), yi
+        assert vec[i] == exponential_integral_ei(1j * y[i:i + 1])[0], yi
+
+
+def test_ei_imaginary_axis_warns_never():
+    # each piece alone, the others empty, out to the ends of double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in ([5e-324, 1e-300, 1e-8], [0.5, 3.9], [4.0, 7.9],
+                  [8.0, 1e4, 1e20, 1e300], []):
+            got = exponential_integral_ei(1j * np.array(y))
+            assert got.shape == (len(y),)
+            assert np.all(np.isfinite(got))
+
+
+def test_ei_on_the_positive_imaginary_axis_needs_no_scipy(monkeypatch):
+    class NoScipy:
+        def __getattr__(self, name):
+            raise AssertionError(f"scipy.special.{name} was called")
+
+    monkeypatch.setattr(specfun, "_sp", NoScipy())
+    exponential_integral_ei(2j)
+    exponential_integral_ei(1j * np.geomspace(1e-3, 1e3, 7))
+    with pytest.raises(AssertionError, match="expi"):
+        exponential_integral_ei(np.array([2j, 1.0 + 2j]))
 
 
 def test_ei_mixed_array_matches_scalar_calls():
