@@ -14,15 +14,18 @@ and the body piece reducing, for a star-shaped body, to a single angular
 integral of the radial antiderivative implemented in
 :mod:`locfield.greens`.  For a sphere with the emitter displaced q_L from
 the center both dipole orientations collapse the angular integral to one
-dimension in x = cos(theta), evaluated here with a Gauss-Legendre rule
-whose node count doubles until the rate settles.  The rule works on
-rows: :func:`gamma_b_sphere_rows` integrates a batch of sphere
-configurations, such as a whole sweep, in one call, each row settling
-(or failing) on its own, and :func:`gamma_b_sphere_linear` is one row of
-it.  chi multiplies an integral of the geometry alone, so each pass
-integrates three chi-free moments once per distinct sphere geometry
-(q_R, q_L), and each row, whatever its chi and orientation, is a scalar
-contraction of its geometry's moments.
+dimension in x = cos(theta).  chi multiplies an integral of the geometry
+alone: three chi-free moments per distinct sphere geometry (q_R, q_L),
+and each row, whatever its chi and orientation, is a scalar contraction
+of its geometry's moments.  Off the centre the moments have a closed
+form, a difference of antiderivatives at the endpoint distances
+q_R -/+ q_L (:func:`locfield.greens._sphere_moments`), which a row takes
+where a rounding bound certifies it; the other rows, the centered ones
+among them, take a Gauss-Legendre rule whose node count doubles until
+the rate settles.  Both work on rows: :func:`gamma_b_sphere_rows` takes
+a batch of sphere configurations, such as a whole sweep, in one call,
+each row settling (or failing) on its own, and
+:func:`gamma_b_sphere_linear` is one row of it.
 :func:`locfield.rates.compute_batch` is the entry point that groups rate
 requests into such batches.  The centered sphere has a closed form (no
 quadrature), kept as an independent cross-check of the 1D path.
@@ -43,8 +46,8 @@ from .errors import (ORIENTATIONS, AccuracyError, DomainError, chi_faults,
                      check_qc, inside_sphere, orientation_faults, positive,
                      qc_faults, raise_first, sphere_faults, warn_qc)
 from .greens import (_GL_N_MAX, _GL_N_MIN, StarBoundary, _brace_coeffs,
-                     _gauss_legendre, _sphere_distance, body_green_linear,
-                     unit_vector)
+                     _gauss_legendre, _sphere_distance, _sphere_moments,
+                     body_green_linear, unit_vector)
 
 __all__ = [
     "ORIENTATIONS",
@@ -64,6 +67,10 @@ _CHI_SIZE_MAX = 0.3
 _ABSORPTION_MAX = 0.1
 
 _Z_HAT = np.array([0.0, 0.0, 1.0])
+
+# largest rounding bound, relative to each moment, under which an
+# off-centre row takes the closed form of greens._sphere_moments
+_CLOSED_FORM_REL = 1.0e-13
 
 # values per block of a quad pass (rows x nodes): 2**15 complex
 # temporaries are 0.5 MB each, and 256 rows at 128 nodes fit in one block
@@ -233,9 +240,14 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
         gamma_b = -(3/4) Im[ chi * Int_{-1}^{1} f(q_o(x), z(x)) dx ]
 
     with q_o(x) the emitter-to-surface distance, z = x^2 for a radially
-    oriented dipole and z = (1 - x^2)/2 for a tangential one.  The
-    integral is taken by :func:`quad`, Gauss-Legendre in x with the node
-    count doubled from 64 to 2048 until the rate settles; this is one
+    oriented dipole and z = (1 - x^2)/2 for a tangential one.  Off the
+    centre the integral has a closed form in the endpoint distances
+    q_R - q_L and q_R + q_L (:func:`locfield.greens._sphere_moments`),
+    taken wherever its rounding bound is certified small: from q_L/q_R
+    of about 0.17 out to the surface for q_R <= 10, a narrower band
+    toward the surface for larger spheres.  Elsewhere, and at the
+    centre, :func:`quad` takes it, Gauss-Legendre in x with the node
+    count doubled from 64 to 2048 until the rate settles.  This is one
     row of :func:`gamma_b_sphere_rows`.
 
     Parameters
@@ -257,17 +269,20 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
 
 def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
                         tol: float = 1.0e-10):
-    """Linear body terms of many sphere configurations in one quadrature.
+    """Linear body terms of many sphere configurations in one call.
 
     q_R, q_L, chi and orientation are scalars or 1-D arrays that
     broadcast to N rows; orientation is "radial" or "tangential" per
     row.  Every row must have its emitter inside the sphere and a
-    passive chi, checked once as arrays.  All rows share tol and go
-    through one row-wise :func:`quad`.  chi stands outside the integral,
-    so each pass evaluates the three chi-free moments of :func:`_moments`
-    once per distinct geometry (q_R, q_L) with a live row, and a row's
-    rate is the scalar -(3/4) Im(chi I), I = M0 + M2 (radial) or
-    M0 + (M1 - M2)/2 (tangential).
+    passive chi, checked once as arrays.  All rows share tol.  chi
+    stands outside the integral, so the three chi-free moments are
+    evaluated once per distinct geometry (q_R, q_L), and a row's rate is
+    the scalar -(3/4) Im(chi I), I = M0 + M2 (radial) or M0 + (M1 - M2)/2
+    (tangential).  An off-centre row takes the closed-form moments of
+    :func:`locfield.greens._sphere_moments` when the rounding bound of
+    each is within _CLOSED_FORM_REL of it and that of the rate within
+    tol; the other rows go through one row-wise :func:`quad` of the
+    moments of :func:`_moments`.
 
     Returns
     -------
@@ -296,18 +311,41 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     q_R, q_L = q_R[first], q_L[first]
     chi = chi[live]
     tangential = orientation[live] == "tangential"
+    moments = np.full((3, q_R.size), np.nan + 0j)
+    bounds = np.full((3, q_R.size), np.inf)
+    off = q_L > 0.0
+    if off.any():
+        moments[:, off], bounds[:, off] = _sphere_moments(q_R[off], q_L[off])
+    certified = (np.isfinite(moments).all(axis=0)
+                 & (bounds <= _CLOSED_FORM_REL * np.abs(moments)).all(axis=0))
+    b0, b1, b2 = bounds[:, geometry]
+    closed = certified[geometry] & (
+        0.75 * np.abs(chi) * (b0 + np.where(tangential, 0.5 * (b1 + b2), b2))
+        <= tol)
+    values[live[closed]] = _rate(chi[closed], tangential[closed],
+                                 *moments[:, geometry[closed]])
+    rest = np.flatnonzero(~closed)
+    if rest.size == 0:
+        return values, {}
+    live, geometry = live[rest], geometry[rest]
+    chi, tangential = chi[rest], tangential[rest]
 
     def rate(x, w, idx):
         g, rows = np.unique(geometry[idx], return_inverse=True)
-        m0, m1, m2 = _moments(q_R[g], q_L[g], x, w)[:, rows]
-        # z is the squared projection (s.d)^2 averaged over azimuth: x^2
-        # for a radial dipole, (1 - x^2)/2 for a tangential one
-        integral = np.where(tangential[idx], m0 + 0.5 * (m1 - m2), m0 + m2)
-        return -0.75 * (chi[idx] * integral).imag
+        return _rate(chi[idx], tangential[idx],
+                     *_moments(q_R[g], q_L[g], x, w)[:, rows])
 
     got, errors = quad(rate, live.size, tol)
     values[live] = got
     return values, {int(live[i]): exc for i, exc in errors.items()}
+
+
+def _rate(chi, tangential, m0, m1, m2):
+    """The rows' body terms -(3/4) Im(chi Int (P + z Q) dx) from their
+    moments: z is the squared projection (s.d)^2 averaged over azimuth,
+    x^2 for a radial dipole and (1 - x^2)/2 for a tangential one."""
+    integral = np.where(tangential, m0 + 0.5 * (m1 - m2), m0 + m2)
+    return -0.75 * (chi * integral).imag
 
 
 def _moments(q_R, q_L, x, w):

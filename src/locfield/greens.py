@@ -39,7 +39,8 @@ from .errors import (ABSORPTION_TOL, AccuracyError, DomainError,
 # _brace_coeffs takes Ei's parts from _ei_imaginary_axis; the benchmark's
 # tracer still wraps exponential_integral_ei in this namespace
 # (tests/test_trace_sites.py)
-from .specfun import _ei_imaginary_axis, exponential_integral_ei
+from .specfun import (_ei_imaginary_axis, _horner_table,
+                      exponential_integral_ei)
 
 __all__ = [
     "Permittivity",
@@ -262,6 +263,162 @@ def _brace_coeffs(q):
         out.real = cos * a_re - sin * a_im - k * v
         out.imag = sin * a_re + cos * a_im + k * u
     return rows[0].reshape(q.shape), rows[1].reshape(q.shape)
+
+
+# Antiderivatives e^{2iq} R(q) + Ei(2iq) S(q) of the six bases of
+# _sphere_moments, Int q^k P dq (k = 0, -2) and Int q^k Q dq (k = 2, 0,
+# -2, -4), as printed by tools/derive_sphere_moments.py: the rows Re R of
+# the six in turn, then Im R, Re S, Im S, and the moduli |R| and |S| of
+# every coefficient; powers q^3 .. q^0 (_MOMENT_Q) and t^6 .. t^1 in
+# t = 1/q (_MOMENT_T)
+_MOMENT_Q = _horner_table(
+    (0.0, 0.0, 0.0, -0.4166666666666667),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.4166666666666667, 0.0, -0.4583333333333333),
+    (0.0, 0.0, 0.0, 1.75),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, -1.0833333333333333, 0.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, -1.0),
+    (0.0, 0.0, 0.0, -1.0),
+    (0.0, 0.0, 0.0, 1.0),
+    (0.0, 0.0, 0.0, 5.0),
+    (0.0, 0.0, 0.0, 1.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 1.3333333333333333, 0.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (-1.3333333333333333, 0.0, 0.0, 0.0),
+    (0.0, 0.0, -4.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.4166666666666667),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.4166666666666667, 1.0833333333333333, 0.4583333333333333),
+    (0.0, 0.0, 0.0, 1.75),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 1.3333333333333333, 1.0),
+    (0.0, 0.0, 0.0, 1.0),
+    (1.3333333333333333, 0.0, 0.0, 1.0),
+    (0.0, 0.0, 4.0, 5.0),
+    (0.0, 0.0, 0.0, 1.0),
+    (0.0, 0.0, 0.0, 0.0))
+_MOMENT_T = _horner_table(
+    (0.0, 0.0, 0.0, 0.0, -0.16666666666666666, 0.0),
+    (0.0, 0.0, -0.08333333333333333, 0.0, 0.6666666666666666, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, -0.5, 0.0),
+    (0.0, 0.0, -0.25, 0.0, -2.0, 0.0),
+    (-0.16666666666666666, 0.0, -0.9166666666666666, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.3333333333333333),
+    (0.0, 0.0, 0.0, 0.16666666666666666, 0.0, -0.5),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+    (0.0, 0.0, 0.0, 0.5, 0.0, 0.5),
+    (0.0, 0.3333333333333333, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, -1.3333333333333333),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 4.0),
+    (0.0, 0.0, 0.0, 1.3333333333333333, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.16666666666666666, 0.3333333333333333),
+    (0.0, 0.0, 0.08333333333333333, 0.16666666666666666, 0.6666666666666666,
+     0.5),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.5, 1.0),
+    (0.0, 0.0, 0.25, 0.5, 2.0, 0.5),
+    (0.16666666666666666, 0.3333333333333333, 0.9166666666666666, 0.0, 0.0,
+     0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 1.3333333333333333),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 4.0),
+    (0.0, 0.0, 0.0, 1.3333333333333333, 0.0, 0.0))
+
+
+def _sphere_moments(q_R, q_L):
+    """The chi-free moments M0 = Int P dx, M1 = Int Q dx and
+    M2 = Int x^2 Q dx over x in [-1, 1] of off-centre sphere geometries
+    (q_L > 0), in closed form, and a bound on their rounding errors.
+
+    P and Q are those of :func:`_brace_coeffs` at the distance q = q_o(x)
+    of :func:`_sphere_distance`.  With q as the variable, A = q_- q_+,
+    q_- = q_R - q_L, q_+ = q_R + q_L (A is never formed as q_R^2 - q_L^2,
+    which cancels near the surface),
+
+        x = (A - q^2)/(2 q_L q),   dx = -(A + q^2)/(2 q_L q^2) dq,
+
+    and each moment is a sum of the six antiderivatives of the tables,
+    times powers of A, taken between q_- and q_+:
+
+        2 q_L M0 = [Int P + A Int q^-2 P],  2 q_L M1 = [Int Q + A Int q^-2 Q],
+        8 q_L^3 M2 = [Int q^2 Q - A Int Q - A^2 Int q^-2 Q + A^3 Int q^-4 Q].
+
+    Every table row is evaluated by Horner's rule in q and in 1/q at both
+    endpoints, with Ei(2iq) from
+    :func:`locfield.specfun._ei_imaginary_axis` folded into one cos/sin
+    pair as in :func:`_brace_coeffs`.  All arithmetic is elementwise, so
+    a geometry's moments do not depend on the geometries beside it.
+
+    Returns
+    -------
+    (moments, bounds) : the (3, G) complex moments and the (3, G) real
+    bounds 2^-52 times the summed moduli of every endpoint term, the
+    rounding error to expect when the terms cancel.  Where a moment
+    leaves double range the bound is not finite.
+    """
+    q_R, q_L = np.asarray(q_R, dtype=float), np.asarray(q_L, dtype=float)
+    with np.errstate(all="ignore"):
+        A = (q_R - q_L) * (q_R + q_L)
+        q = np.concatenate([q_R + q_L, q_R - q_L])
+        y = 2.0 * q
+        u, v, f, g = _ei_imaginary_axis(y)
+        cos, sin = np.cos(y), np.sin(y)
+        t = 1.0 / q
+        rows, by_t = _MOMENT_Q[0] * q, _MOMENT_T[0] * t
+        for c in _MOMENT_Q[1:-1]:
+            rows += c
+            rows *= q
+        for c in _MOMENT_T[1:]:
+            by_t += c
+            by_t *= t
+        rows += _MOMENT_Q[-1]
+        rows += by_t
+        r_re, r_im, s_re, s_im, r_abs, s_abs = rows.reshape(6, 6, -1)
+        # e^{iy} R + Ei S = e^{iy} (R - (g + i f) S) + (u + i v) S
+        a_re = r_re - g * s_re + f * s_im
+        a_im = r_im - g * s_im - f * s_re
+        ends = np.empty((6, q.size), dtype=complex)
+        ends.real = cos * a_re - sin * a_im + u * s_re - v * s_im
+        ends.imag = sin * a_re + cos * a_im + u * s_im + v * s_re
+        ei_abs = np.hypot(u - g * cos + f * sin, v - g * sin - f * cos)
+        sizes = r_abs + ei_abs * s_abs
+        n = q_R.size
+        j = ends[:, :n] - ends[:, n:]
+        m = sizes[:, :n] + sizes[:, n:]
+        half, eighth = 0.5 / q_L, 0.125 / q_L**3
+        moments = np.stack([
+            (j[0] + A * j[1]) * half,
+            (j[3] + A * j[4]) * half,
+            (j[2] - A * (j[3] + A * (j[4] - A * j[5]))) * eighth])
+        bounds = 2.0**-52 * np.stack([
+            (m[0] + A * m[1]) * half,
+            (m[3] + A * m[4]) * half,
+            (m[2] + A * (m[3] + A * (m[4] + A * m[5]))) * eighth])
+    return moments, bounds
 
 
 def f_integrand(q, s_hat) -> np.ndarray:

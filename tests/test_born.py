@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from locfield.born import (ORIENTATIONS, RateBreakdown, SphereConfig,
-                           ValidityReport, _moments, gamma_b_center_closed,
+from locfield.born import (_CLOSED_FORM_REL, ORIENTATIONS, RateBreakdown,
+                           SphereConfig, ValidityReport, _moments,
+                           gamma_b_center_closed,
                            gamma_b_sphere_linear, gamma_b_sphere_rows,
                            gamma_c_linear, gamma_total_linear, quad,
                            validity_check)
 from locfield.errors import AccuracyError, DomainError
 from locfield.greens import (StarBoundary, _brace_coeffs, _gauss_legendre,
-                             _sphere_distance, f_integrand)
+                             _sphere_distance, _sphere_moments, f_integrand)
+from moment_reference import mp_body_term
 
 
 # -- configuration records ----------------------------------------------------
@@ -154,30 +156,36 @@ def test_body_term_off_center_matches_split_quadrature(q_R, q_L,
     assert abs(got - want) <= 1e-12
 
 
-def test_body_term_refuses_unsettled_rule():
+def test_body_term_settles_at_the_surface_edge():
     # at q_R = 1000 and a distance 0.02 from the surface, the spike of the
-    # integrand at x = 1 is too narrow for 2048 nodes
+    # integrand at x = 1 is too narrow for 2048 Gauss-Legendre nodes; the
+    # closed form of the moments takes it with no quadrature
     cfg = SphereConfig(q_R=1000.0, q_L=999.98, q_C=0.01)
+    chi = 0.1 + 1e-8j
     for orientation in ORIENTATIONS:
-        with pytest.raises(AccuracyError, match="n = 2048"):
-            gamma_b_sphere_linear(cfg, 0.1 + 1e-8j, orientation)
+        got = gamma_b_sphere_linear(cfg, chi, orientation)
+        want = mp_body_term(1000.0, 999.98, chi, orientation)
+        assert abs(got - want) <= 1e-12 * abs(want), orientation
 
 
-# the two rates the rule gives up on, as it words them
+# the two rates the rule gives up on, at q_R = 1e5 and q_L = 2000, as it
+# words them: some 1,300 oscillations of e^{2iq} across x are more than
+# 2048 nodes resolve, and the closed form's rounding bound on M2, which
+# cancels as q_L/q_R falls, is 2.6e-7 of M2
 UNSETTLED = {
     "radial": "1D Gauss-Legendre rule did not settle to 1e-10 by n = 2048; "
-              "last change 6.688e-05",
+              "last change 6.451e-05",
     "tangential": "1D Gauss-Legendre rule did not settle to 1e-10 by "
-                  "n = 2048; last change 5.319e-05",
+                  "n = 2048; last change 1.649e-04",
 }
 
 
 @pytest.mark.parametrize("orientation", ORIENTATIONS)
 def test_body_term_rows_fail_one_by_one(orientation):
-    # rows that settle at n = 128 around the row q_R = 1000, q_L = 999.98
-    # that does not settle by n = 2048: only that row reports the error
-    q_R = np.array([2.0, 1000.0, 5.0, 50.0, 1.0])
-    q_L = np.array([0.5, 999.98, 3.0, 10.0, 0.0])
+    # rows that settle around the row q_R = 1e5, q_L = 2000 that does not
+    # settle by n = 2048: only that row reports the error
+    q_R = np.array([2.0, 1e5, 5.0, 50.0, 1.0])
+    q_L = np.array([0.5, 2000.0, 3.0, 10.0, 0.0])
     chi = 0.1 + 1e-8j
     values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
     assert list(errors) == [1]
@@ -185,7 +193,7 @@ def test_body_term_rows_fail_one_by_one(orientation):
     assert str(errors[1]) == UNSETTLED[orientation]
     assert np.isnan(values[1])
     with pytest.raises(AccuracyError) as scalar:
-        gamma_b_sphere_linear(SphereConfig(q_R=1000.0, q_L=999.98),
+        gamma_b_sphere_linear(SphereConfig(q_R=1e5, q_L=2000.0),
                               chi, orientation)
     assert str(scalar.value) == UNSETTLED[orientation]
     for k in (0, 2, 3, 4):
@@ -200,11 +208,10 @@ def _full_node_terms(q_R, q_L, x):
     return _brace_coeffs(_sphere_distance(q_R, q_L, x))
 
 
-def _full_node_row(q_R, q_L, chi, orientation):
+def _node_rule(q_R, q_L, chi, orientation):
     # one row alone in the paper's order, -(3/4) Im[chi Int f dx] with
     # f = P + z Q chi-free, Int f dx taken as Int P + Int z Q and z = x^2
-    # (radial) or (1 - x^2)/2 (tangential): the values the rows must
-    # equal bit for bit
+    # (radial) or (1 - x^2)/2 (tangential), as a rule for quad
     def rule(x, w, idx):
         P, Q = (a[None, :] for a in _full_node_terms(q_R, q_L, x))
         m0, m1, m2 = ((P * w).sum(axis=1), (Q * w).sum(axis=1),
@@ -212,38 +219,67 @@ def _full_node_row(q_R, q_L, chi, orientation):
         integral = m0 + m2 if orientation == "radial" else m0 + 0.5 * (m1 - m2)
         return -0.75 * (chi * integral).imag
 
-    values, _ = quad(rule, 1, 1.0e-10)
+    return rule
+
+
+def _full_node_row(q_R, q_L, chi, orientation):
+    # the values the rows the rule takes must equal bit for bit
+    values, _ = quad(_node_rule(q_R, q_L, chi, orientation), 1, 1.0e-10)
     return values[0]
+
+
+def _closed_form_row(q_R, q_L, chi, orientation, tol=1.0e-10):
+    # one row alone from the closed-form moments of its geometry, in the
+    # paper's order, or None where their rounding bound sends the row to
+    # the Gauss-Legendre rule: the values the rows must equal bit for bit
+    if q_L == 0.0:
+        return None
+    moments, bounds = _sphere_moments(np.array([q_R]), np.array([q_L]))
+    (m0, m1, m2), (b0, b1, b2) = moments, bounds
+    radial = orientation == "radial"
+    error = 0.75 * abs(chi) * (b0 + b2 if radial else b0 + 0.5 * (b1 + b2))
+    if (bounds > _CLOSED_FORM_REL * np.abs(moments)).any() or error > tol:
+        return None
+    integral = m0 + m2 if radial else m0 + 0.5 * (m1 - m2)
+    return (-0.75 * (chi * integral).imag)[0]
 
 
 def test_body_term_rows_share_geometries_bit_for_bit():
     # geometries shared across a complex and a real chi and both
-    # orientations, centered rows, and the geometry that does not settle
+    # orientations, centered rows, rows that take the closed form or the
+    # rule, and the geometry that does not settle
     rows = [
         (5.0, 3.0, 0.1 + 1e-8j, "radial"),
-        (1000.0, 999.98, 0.1 + 1e-8j, "radial"),
+        (1e5, 2000.0, 0.1 + 1e-8j, "radial"),
         (2.0, 0.0, 0.1 + 1e-8j, "tangential"),
         (5.0, 3.0, 0.2, "tangential"),
         (2.0, 0.0, 0.2, "radial"),
         (50.0, 30.0, 0.1 + 1e-8j, "tangential"),
         (5.0, 3.0, 0.2, "radial"),
-        (1000.0, 999.98, 0.1 + 1e-8j, "tangential"),
+        (1e5, 2000.0, 0.1 + 1e-8j, "tangential"),
         (7.0, 0.0, 0.05j, "radial"),
         (5.0, 3.0, 0.1 + 1e-8j, "tangential"),
         (2.0, 0.5, 0.2, "tangential"),
         (50.0, 30.0, 0.1 + 1e-8j, "radial"),
+        (5.0, 0.25, 0.2, "radial"),
+        (5.0, 0.25, 0.1 + 1e-8j, "tangential"),
     ]
     q_R, q_L, chi, orientation = zip(*rows)
     values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
     assert {k: str(exc) for k, exc in errors.items()} == {
         1: UNSETTLED["radial"], 7: UNSETTLED["tangential"]}
+    closed = [k for k, row in enumerate(rows)
+              if _closed_form_row(*row) is not None]
+    assert closed == [0, 3, 5, 6, 9, 10, 11]
     for k, (qr, ql, c, o) in enumerate(rows):
         if k in errors:
             assert np.isnan(values[k])
             continue
         assert values[k] == gamma_b_sphere_linear(
             SphereConfig(q_R=qr, q_L=ql), c, o), rows[k]
-        assert values[k] == _full_node_row(qr, ql, c, o), rows[k]
+        want = (_closed_form_row if k in closed else _full_node_row)(
+            qr, ql, c, o)
+        assert values[k] == want, rows[k]
 
 
 def test_centered_geometry_is_one_column_equal_to_its_nodes(monkeypatch):
@@ -309,6 +345,62 @@ def test_body_term_rows_equal_their_single_rows(rows, data):
             assert np.isnan(values[k])
         else:
             assert values[k] == gamma_b_sphere_linear(config, c, o), rows[k]
+
+
+def test_near_surface_rate_builds_no_rule(monkeypatch):
+    # a row the closed form certifies makes no Gauss-Legendre rule, so a
+    # first rate in a process does not pay for one (leggauss(2048) alone
+    # takes about 0.8 s)
+    def no_rule(n):
+        raise AssertionError(f"Gauss-Legendre rule of {n} nodes asked for")
+
+    monkeypatch.setattr("locfield.born._gauss_legendre", no_rule)
+    cfg = SphereConfig(q_R=200.0, q_L=199.98)
+    for orientation in ORIENTATIONS:
+        gamma_b_sphere_linear(cfg, 0.1 + 1e-8j, orientation)
+
+
+@pytest.mark.parametrize("q_R", [0.5, 1.0, 5.0, 20.0, 50.0])
+def test_closed_form_agrees_with_the_rule_where_both_settle(q_R):
+    chi = 0.1 + 1e-8j
+    checked = 0
+    for ratio in (0.2, 0.3, 0.5, 0.7, 0.9, 0.99):
+        for orientation in ORIENTATIONS:
+            closed = _closed_form_row(q_R, q_R * ratio, chi, orientation)
+            if closed is None:
+                continue
+            values, errors = quad(_node_rule(q_R, q_R * ratio, chi,
+                                             orientation), 1, 1.0e-10)
+            if errors:
+                continue
+            checked += 1
+            assert abs(closed - values[0]) <= 1e-12 * max(1.0, abs(closed))
+    assert checked >= 6
+
+
+# geometries on both sides of the routing boundary: M2's rounding bound
+# passes 1e-13 of M2 where q_L/q_R falls to about 0.2
+_NEAR_BOUNDARY = st.builds(
+    lambda q_R, ratio: (q_R, q_R * ratio), st.floats(0.3, 50.0),
+    st.floats(0.05, 0.6))
+
+
+@settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(_NEAR_BOUNDARY, _CHIS,
+                               st.sampled_from(ORIENTATIONS)),
+                     min_size=1, max_size=4))
+def test_body_term_is_continuous_across_the_routing_boundary(rows):
+    # whichever route a row takes, it gives the rule's rate to 1e-12, and
+    # a batch gives each row's single value to the bit
+    geometries, chi, orientation = zip(*rows)
+    q_R, q_L = zip(*geometries)
+    values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
+    assert errors == {}
+    for k, ((qr, ql), c, o) in enumerate(rows):
+        assert values[k] == gamma_b_sphere_linear(
+            SphereConfig(q_R=qr, q_L=ql, q_C=1e-3), c, o), rows[k]
+        rule, _ = quad(_node_rule(qr, ql, c, o), 1, 1.0e-10)
+        assert abs(values[k] - rule[0]) <= 1e-12 * max(1.0, abs(rule[0]))
 
 
 def test_body_term_rows_broadcast_and_zero_chi():

@@ -8,12 +8,16 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from locfield.born import _CLOSED_FORM_REL
 from locfield.errors import DomainError, InvariantError, SingularityError
-from locfield.greens import (Permittivity, StarBoundary, _brace_coeffs,
+from locfield.greens import (_MOMENT_Q, _MOMENT_T, Permittivity,
+                             StarBoundary, _brace_coeffs, _sphere_moments,
                              ab_coefficients, as_permittivity,
                              body_green_linear,
                              cavity_green_linear, f_constant_q, f_integrand,
                              unit_vector, vacuum_green)
+from moment_reference import (DERIVATION, mp_antiderivative, mp_brace_coeffs,
+                              mp_sphere_moments)
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -186,16 +190,6 @@ def test_f_integrand_shapes_and_validation():
 # -- constant-q closed form ---------------------------------------------------
 
 
-def _mp_brace_coeffs(q):
-    # P = cI e^{2iq} + (4i/3) Ei(2iq), Q = cS e^{2iq} - 4i Ei(2iq)
-    with mpmath.workdps(40):
-        q = mpmath.mpf(q)
-        phase, ei = mpmath.expj(2 * q), mpmath.ei(mpmath.mpc(0, 2 * q))
-        c_I = 1 / (3 * q**3) - 2j / (3 * q**2) - 5 / (3 * q) + 0.5j
-        c_S = 1 / q**3 - 2j / q**2 + 3 / q - 0.5j
-        return c_I * phase + 4j / 3 * ei, c_S * phase - 4j * ei
-
-
 # q = 2 and 4 are the edges of the Ei pieces at y = 2q = 4 and 8
 BRACE_Q = np.concatenate([np.geomspace(1e-3, 5e3, 46), [2.0, 4.0],
                           np.nextafter([2.0, 4.0], 0.0)])
@@ -204,7 +198,7 @@ BRACE_Q = np.concatenate([np.geomspace(1e-3, 5e3, 46), [2.0, 4.0],
 def test_brace_coeffs_against_mpmath():
     P, Q = _brace_coeffs(BRACE_Q)
     for q, p, s in zip(BRACE_Q, P, Q):
-        want_P, want_Q = _mp_brace_coeffs(q)
+        want_P, want_Q = mp_brace_coeffs(q)
         assert abs(p - want_P) <= 1e-14 * abs(want_P), q
         assert abs(s - want_Q) <= 1e-14 * abs(want_Q), q
 
@@ -216,6 +210,56 @@ def test_brace_coeffs_arrays_equal_scalar_calls():
             p, s = _brace_coeffs(arg)
             assert p.shape == s.shape == np.shape(arg)
             assert p.ravel()[0] == P[i] and s.ravel()[0] == Q[i], q
+
+
+# -- closed-form moments of the off-centre sphere ---------------------------
+
+
+def test_sphere_moment_tables_are_the_derived_ones():
+    # the shipped literals are the exact rationals of the derivation,
+    # rounded to double, row for row
+    q_rows, t_rows = DERIVATION.tables()
+    for table, rows in ((_MOMENT_Q, q_rows), (_MOMENT_T, t_rows)):
+        assert table.shape == (len(rows[0]), len(rows), 1)
+        assert table[:, :, 0].T.tolist() == [list(r) for r in rows]
+
+
+def test_sphere_moment_antiderivatives_differentiate_to_the_density():
+    # d/dq of each basis is q^k P or q^k Q, with P and Q as mpmath
+    # evaluates them apart from the derivation (from double constants
+    # such as 4j/3, so to about 1e-16)
+    with mpmath.workdps(40):
+        for basis, (density, k) in enumerate(DERIVATION.BASES):
+            for q in (mpmath.mpf("0.3"), mpmath.mpf("3.7"),
+                      mpmath.mpf(41)):
+                got = mpmath.diff(lambda v: mp_antiderivative(basis, v), q)
+                want = q**k * mp_brace_coeffs(q)["PQ".index(density)]
+                assert abs(got - want) <= 1e-15 * abs(want), (basis, q)
+
+
+def test_sphere_moments_against_mpmath():
+    # within 1e-13 wherever the rounding bound routes a geometry to the
+    # closed form, and every near-surface geometry is routed there
+    q_R, ratio = (a.ravel() for a in np.meshgrid(
+        [0.05, 1.0, 5.0, 50.0, 1000.0], [0.1, 0.5, 0.9, 0.99, 0.99998]))
+    q_L = q_R * ratio
+    moments, bounds = _sphere_moments(q_R, q_L)
+    routed = (bounds <= _CLOSED_FORM_REL * np.abs(moments)).all(axis=0)
+    assert routed[ratio >= 0.9].all()
+    for k in np.flatnonzero(routed):
+        for got, want in zip(moments[:, k], mp_sphere_moments(q_R[k],
+                                                               q_L[k])):
+            assert abs(got - want) <= 1e-13 * abs(want), (q_R[k], q_L[k])
+
+
+def test_sphere_moments_alone_equal_their_batch():
+    q_R = np.array([1000.0, 5.0, 10.0, 0.05, 200.0])
+    q_L = np.array([999.98, 0.25, 5.0, 0.045, 199.98])
+    moments, bounds = _sphere_moments(q_R, q_L)
+    for k in range(q_R.size):
+        m, b = _sphere_moments(q_R[k:k + 1], q_L[k:k + 1])
+        assert m.tobytes() == moments[:, k:k + 1].tobytes()
+        assert b.tobytes() == bounds[:, k:k + 1].tobytes()
 
 
 def test_f_constant_q_small_q_expansion():

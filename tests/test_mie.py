@@ -385,16 +385,19 @@ def test_carried_derivatives_match_riccati_derivative(eps, q_R):
 
 
 def test_series_errors_keep_their_order_and_text(monkeypatch):
-    # q_R = 1, q_L = 0.95 needs orders past 149, where h_m(1) overflows:
-    # the first call of order 149 raises, before any derivative of it
+    # q_R = 1, q_L = 0.95 needs orders past 149, where h_m(1) overflows;
+    # from m = 86 on the products of h_m and xi_m' in C_m^N and C_m^M
+    # leave double range, and the series raises there, with the text of
+    # sphere_coefficients, before the emitter's j_m(n q_L) of that order
     calls = _record_calls(monkeypatch)
+    n = Permittivity(1.1 + 1e-8j).n
     for orient in ORIENTATIONS:
-        with pytest.raises(NonFiniteError, match=r"^spherical_hankel_h1 "
-                           r"overflowed or produced NaN; argument too deep "
-                           r"in the complex plane for double precision$"):
+        with pytest.raises(NonFiniteError, match=r"^sphere coefficients at "
+                           r"m = 86 overflowed or produced NaN; eps or q_R "
+                           r"too extreme for double precision$"):
             gamma_b_exact(1.1 + 1e-8j, 1.0, 0.95, orient,
                           MieSeriesSettings(m_max=200))
-        assert calls[-1] == ("spherical_hankel_h1", 149, 1.0)
+        assert calls[-1] == ("spherical_bessel_j", 86, n * 1.0)
 
 
 def test_coefficient_overflow_is_typed():
@@ -522,3 +525,34 @@ def test_center_rate_validation():
     # q_C follows gamma_c_exact's rules: at most 0.2, however large q_R
     with pytest.raises(DomainError, match="too large"):
         gamma_center_exact(1.1, 2.0, 0.25)
+
+
+def _mp_center_rate(eps, q_R):
+    # Im[K C_1^N] at 60 digits, K = i n L^2 and L = 3 eps/(2 eps + 1)
+    with mpmath.workdps(60):
+        e = mpmath.mpc(eps)
+        n = mpmath.sqrt(e)
+        z0, z1 = mpmath.mpc(q_R), n * q_R
+        h0, xi0p = (-mpmath.expj(z0) * (1 / z0 + 1j / z0**2),
+                    mpmath.expj(z0) * (1 / z0 + 1j / z0**2 - 1j))
+        h1, xi1p = (-mpmath.expj(z1) * (1 / z1 + 1j / z1**2),
+                    mpmath.expj(z1) * (1 / z1 + 1j / z1**2 - 1j))
+        j1 = (mpmath.sin(z1) - z1 * mpmath.cos(z1)) / z1**2
+        ps1p = mpmath.sin(z1) - j1
+        C_N = -(e * h1 * xi0p - xi1p * h0) / (e * j1 * xi0p - ps1p * h0)
+        return float((1j * n * (3 * e / (2 * e + 1))**2 * C_N).imag)
+
+
+def test_center_rate_of_a_tiny_transparent_sphere_is_refused():
+    # in a transparent host the rate is Re C_1^N, which at a small sphere
+    # sits under Im C_1^N ~ 1/q_R^3: at q_R = 1e-8 the double-precision
+    # rate was 2.97 against -0.1194, at 1e-5 off by 9.5e-6 of itself
+    for q_R in (1e-8, 1e-5):
+        with pytest.raises(AccuracyError, match=rf"^centre rate at q_R = "
+                           rf"{q_R:g} may be off by a relative "):
+            gamma_b_center(1.1, q_R)
+        with pytest.raises(AccuracyError, match=rf"q_R = {q_R:g} "):
+            gamma_b_center([1.1, 1.1], [2.0, q_R])
+    got, want = gamma_b_center(1.1, 0.01), _mp_center_rate(1.1, 0.01)
+    assert abs(got - want) <= 1e-11 * abs(want)
+    assert gamma_b_center(1.0, 0.01) == 0.0
