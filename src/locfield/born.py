@@ -20,15 +20,16 @@ and each row, whatever its chi and orientation, is a scalar contraction
 of its geometry's moments.  Off the centre the moments have a closed
 form, a difference of antiderivatives at the endpoint distances
 q_R -/+ q_L (:func:`locfield.greens._sphere_moments`), which a row takes
-where a rounding bound certifies it; the other rows, the centered ones
-among them, take a Gauss-Legendre rule whose node count doubles until
-the rate settles.  Both work on rows: :func:`gamma_b_sphere_rows` takes
-a batch of sphere configurations, such as a whole sweep, in one call,
-each row settling (or failing) on its own, and
-:func:`gamma_b_sphere_linear` is one row of it.
+where a rounding bound certifies it; the other off-centre rows take a
+Gauss-Legendre rule whose node count doubles until the rate settles.
+At the centre the rate itself has a closed form, Tomas's (no moments
+and no quadrature), guarded by a rounding bound of its own.  All of
+this works on rows: :func:`gamma_b_sphere_rows` takes a batch of sphere
+configurations, such as a whole sweep, in one call, each row settling
+(or failing) on its own, and :func:`gamma_b_sphere_linear` is one row
+of it, as :func:`gamma_b_center_closed` is one centred row.
 :func:`locfield.rates.compute_batch` is the entry point that groups rate
-requests into such batches.  The centered sphere has a closed form (no
-quadrature), kept as an independent cross-check of the 1D path.
+requests into such batches.
 
 Everything in this module is strictly first order in chi; the accompanying
 validity report quantifies when that is trustworthy (optically small
@@ -42,7 +43,8 @@ import itertools
 
 import numpy as np
 
-from .errors import (ORIENTATIONS, AccuracyError, DomainError, chi_faults,
+from .errors import (ORIENTATIONS, AccuracyError, DomainError,
+                     NonFiniteError, cavity_scale_faults, chi_faults,
                      check_qc, inside_sphere, orientation_faults, positive,
                      qc_faults, raise_first, sphere_faults, warn_qc)
 from .greens import (_GL_N_MAX, _GL_N_MIN, StarBoundary, _brace_coeffs,
@@ -220,13 +222,48 @@ def gamma_b_center_closed(q_R: float, chi) -> float:
         gamma_b = -Im{ chi (1/q^3 - 2i/q^2 - 1/q + i/2) e^{2iq} },  q = q_R.
 
     For real chi and large q_R this oscillates as -(chi/2) cos(2 q_R)
-    with remainder bounded by 2 chi/q_R.
+    with remainder bounded by 2 chi/q_R.  One row of :func:`_center_rows`,
+    with no tolerance: its rounding error grows as chi/q_R^3, which the
+    centred rows of :func:`gamma_b_sphere_rows` refuse above tol.
     """
     q = float(q_R)
     raise_first(positive("q_R", q))
-    chi = _check_chi(chi)
-    val = chi * (1.0 / q**3 - 2j / q**2 - 1.0 / q + 0.5j) * np.exp(2j * q)
-    return -float(np.imag(val))
+    value, bound = _center_rows(np.array([q]), np.array([_check_chi(chi)]))
+    if not np.isfinite(bound[0]):
+        raise NonFiniteError(f"linear centre rate at q_R = {q:g} leaves "
+                             f"double range")
+    return float(value[0])
+
+
+def _center_rows(q_R, chi):
+    """The closed form of :func:`gamma_b_center_closed` for arrays q_R and
+    chi, and a bound on each value's rounding error.
+
+    With t = 1/q_R, chi = c_r + i c_i, a = t^3 - t and b = 1/2 - 2 t^2,
+
+        gamma_b = -Im[chi (a + i b) e^{2iq}]
+                = -[(c_r a - c_i b) sin 2q + (c_r b + c_i a) cos 2q],
+
+    in real arithmetic on one sin/cos pair.  Each of the eight terms
+    (c_r t^3 sin 2q, c_r t sin 2q, ...) passes through at most twelve
+    roundings of 2^-53: five in t^3 (t's three times, t^2's and t^3's),
+    one in t^3 - t, two with chi, two in sin or cos (one ulp) and two
+    after.  One more covers second-order terms and the bound's own
+    rounding: the bound is 6.5 2^-52 times the summed moduli of the
+    terms, not finite where a term leaves double range.
+    """
+    with np.errstate(all="ignore"):
+        t = 1.0 / q_R
+        t2 = t * t
+        t3 = t2 * t
+        a, b = t3 - t, 0.5 - 2.0 * t2
+        y = 2.0 * q_R
+        cos, sin = np.cos(y), np.sin(y)
+        c_r, c_i = chi.real, chi.imag
+        value = -((c_r * a - c_i * b) * sin + (c_r * b + c_i * a) * cos)
+        size = ((np.abs(c_r * sin) + np.abs(c_i * cos)) * (t3 + t)
+                + (np.abs(c_i * sin) + np.abs(c_r * cos)) * (0.5 + 2.0 * t2))
+        return value, 6.5 * 2.0**-52 * size
 
 
 def gamma_b_sphere_linear(config: SphereConfig, chi,
@@ -245,10 +282,13 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
     q_R - q_L and q_R + q_L (:func:`locfield.greens._sphere_moments`),
     taken wherever its rounding bound is certified small: from q_L/q_R
     of about 0.17 out to the surface for q_R <= 10, a narrower band
-    toward the surface for larger spheres.  Elsewhere, and at the
-    centre, :func:`quad` takes it, Gauss-Legendre in x with the node
-    count doubled from 64 to 2048 until the rate settles.  This is one
-    row of :func:`gamma_b_sphere_rows`.
+    toward the surface for larger spheres.  Elsewhere off the centre
+    :func:`quad` takes it, Gauss-Legendre in x with the node count
+    doubled from 64 to 2048 until the rate settles.  At the centre the
+    rate is the closed form of :func:`gamma_b_center_closed`, refused
+    with AccuracyError where its rounding bound exceeds tol (at
+    chi = 0.1, below q_R of about 2e-3).  This is one row of
+    :func:`gamma_b_sphere_rows`.
 
     Parameters
     ----------
@@ -281,15 +321,19 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     (tangential).  An off-centre row takes the closed-form moments of
     :func:`locfield.greens._sphere_moments` when the rounding bound of
     each is within _CLOSED_FORM_REL of it and that of the rate within
-    tol; the other rows go through one row-wise :func:`quad` of the
-    moments of :func:`_moments`.
+    tol; the other off-centre rows go through one row-wise :func:`quad`
+    of the moments of :func:`_moments`.  A centred row (q_L = 0), in
+    either orientation, is the closed form of :func:`_center_rows`, or an
+    AccuracyError naming q_R and the bound where that exceeds tol (a rule
+    would only multiply the same coefficients by its weights).
 
     Returns
     -------
     (values, errors) : the (N,) body terms, as :func:`gamma_b_sphere_linear`
-    gives them row by row, and a dict mapping the index of each row whose
-    rule did not settle to its AccuracyError (that row's value is NaN).
-    Rows with chi = 0 are 0 without quadrature.
+    gives them row by row, and a dict mapping the index of each row that
+    failed, a centred row over its bound or a rule that did not settle,
+    to its AccuracyError (that row's value is NaN).  Rows with chi = 0
+    are 0.
     """
     q_R, q_L, chi, orientation = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(q_R, dtype=float), np.asarray(q_L, dtype=float),
@@ -299,9 +343,19 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     for o in set(orientation.tolist()):
         raise_first(orientation_faults(o))
     values = np.zeros(q_R.shape)
-    live = np.flatnonzero(chi != 0)
+    errors = {}
+    center = np.flatnonzero((chi != 0) & (q_L == 0.0))
+    if center.size:
+        values[center], bounds = _center_rows(q_R[center], chi[center])
+        for k in np.flatnonzero(~(bounds <= tol)).tolist():
+            row = int(center[k])
+            values[row] = np.nan
+            errors[row] = AccuracyError(
+                f"linear centre rate at q_R = {q_R[row]:g} may be off by "
+                f"{bounds[k]:.1e} from rounding, above tol = {tol:g}")
+    live = np.flatnonzero((chi != 0) & (q_L > 0.0))
     if live.size == 0:
-        return values, {}
+        return values, errors
     # rows sharing a geometry are adjacent, so that the rows of one
     # geometry fall in as few of quad's blocks as possible
     live = live[np.lexsort((q_L[live], q_R[live]))]
@@ -311,11 +365,7 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     q_R, q_L = q_R[first], q_L[first]
     chi = chi[live]
     tangential = orientation[live] == "tangential"
-    moments = np.full((3, q_R.size), np.nan + 0j)
-    bounds = np.full((3, q_R.size), np.inf)
-    off = q_L > 0.0
-    if off.any():
-        moments[:, off], bounds[:, off] = _sphere_moments(q_R[off], q_L[off])
+    moments, bounds = _sphere_moments(q_R, q_L)
     certified = (np.isfinite(moments).all(axis=0)
                  & (bounds <= _CLOSED_FORM_REL * np.abs(moments)).all(axis=0))
     b0, b1, b2 = bounds[:, geometry]
@@ -326,7 +376,7 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
                                  *moments[:, geometry[closed]])
     rest = np.flatnonzero(~closed)
     if rest.size == 0:
-        return values, {}
+        return values, errors
     live, geometry = live[rest], geometry[rest]
     chi, tangential = chi[rest], tangential[rest]
 
@@ -335,9 +385,10 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
         return _rate(chi[idx], tangential[idx],
                      *_moments(q_R[g], q_L[g], x, w)[:, rows])
 
-    got, errors = quad(rate, live.size, tol)
+    got, unsettled = quad(rate, live.size, tol)
     values[live] = got
-    return values, {int(live[i]): exc for i, exc in errors.items()}
+    errors.update((int(live[i]), exc) for i, exc in unsettled.items())
+    return values, errors
 
 
 def _rate(chi, tangential, m0, m1, m2):
@@ -350,28 +401,16 @@ def _rate(chi, tangential, m0, m1, m2):
 
 def _moments(q_R, q_L, x, w):
     """The chi-free moments M0 = Sum w P, M1 = Sum w Q, M2 = Sum w x^2 Q
-    of G geometries (q_R, q_L) under the rule (x, w), as a (3, G) array.
-    The rate density is P + z Q, with P and Q the coefficients of
-    :func:`locfield.greens._brace_coeffs` at the distance q_o(x).  All
-    the distances go to it in one call.  A centered geometry is one
-    distance, exactly q_R (:func:`locfield.greens._sphere_distance`),
-    broadcast against the weights, so every moment is the one a full
-    (G, n) evaluation gives, bit for bit.
+    of G off-centre geometries (q_R, q_L) under the rule (x, w), as a
+    (3, G) array.  The rate density is P + z Q, with P and Q the
+    coefficients of :func:`locfield.greens._brace_coeffs` at the distance
+    q_o(x), all the distances in one call.
     """
-    centered = q_L == 0.0
-    n_c = int(np.count_nonzero(centered))
-    q = np.concatenate([q_R[centered], _sphere_distance(
-        q_R[~centered, None], q_L[~centered, None], x).ravel()])
-    P, Q = _brace_coeffs(q)
-    moments = np.empty((3, q_R.size), dtype=complex)
+    P, Q = _brace_coeffs(_sphere_distance(q_R[:, None], q_L[:, None], x))
     # a row's sum must not depend on the rows beside it, which a BLAS
     # matrix-vector product does not promise; numpy's row sums do
-    for group, p, s in ((centered, P[:n_c, None], Q[:n_c, None]),
-                        (~centered, P[n_c:].reshape(-1, x.size),
-                         Q[n_c:].reshape(-1, x.size))):
-        moments[:, group] = ((p * w).sum(axis=1), (s * w).sum(axis=1),
-                             (s * (w * x * x)).sum(axis=1))
-    return moments
+    return np.stack([(P * w).sum(axis=1), (Q * w).sum(axis=1),
+                     (Q * (w * x * x)).sum(axis=1)])
 
 
 def gamma_total_linear(geometry, chi, orientation: str = "radial",
@@ -436,7 +475,8 @@ def validity_check(config: SphereConfig | None, chi,
     boundary_max = float(boundary_max)
     q_C = float(config.q_C if q_C is None else q_C)
     raise_first(itertools.chain(qc_faults(q_C),
-                                positive("boundary_max", boundary_max)))
+                                positive("boundary_max", boundary_max),
+                                cavity_scale_faults("q_C", q_C)))
     return _validity_report(*_validity_values(chi, boundary_max, q_C))
 
 

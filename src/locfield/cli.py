@@ -317,8 +317,9 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
     Each curve is one column of rates: the scalars it shares and the
     swept values as an array, validated as arrays (see
     :func:`locfield.rates._compute_columns`).  The columns of a sweep
-    are evaluated together, so its linear body terms are one quadrature
-    that integrates each distinct sphere geometry once.
+    are evaluated together, so its linear body terms are one call of
+    the row kernel, which integrates each distinct off-centre sphere
+    geometry once and takes the centred ones in closed form.
     Per-point failures leave the rate cells empty and put the message
     in the error column; the sweep continues.  Rows come out in sweep
     order.

@@ -154,10 +154,23 @@ def qc_faults(q_C: float):
                          f"expansion needs q_C <= {QC_MAX}")
 
 
+def cavity_scale_faults(name: str, q: float):
+    """The rule that a float cavity radius q is positive and finite and
+    1/q^3, the scale of the cavity terms, a finite double: a q that
+    passes :func:`qc_faults` can still be too small for it (below about
+    1.8e-103), and the rates that divide by q^3 then leave double range."""
+    yield from positive(name, q)
+    cube = q * q * q
+    yield (not (cube > 0 and 1.0 / cube < math.inf),
+           f"{name} = {q:g} is too small: 1/{name}^3 leaves double range",
+           NonFiniteError)
+
+
 def check_qc(q_C: float) -> float:
-    """q_C as a float, checked and warned about."""
+    """q_C as a float, checked, also for its cube, and warned about."""
     q_C = float(q_C)
     raise_first(qc_faults(q_C))
+    raise_first(cavity_scale_faults("q_C", q_C))
     warn_qc(q_C)
     return q_C
 

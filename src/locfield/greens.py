@@ -34,8 +34,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ABSORPTION_TOL, AccuracyError, DomainError,
-                     InvariantError, SingularityError, inside_sphere,
-                     permittivity_faults, positive, raise_first)
+                     InvariantError, SingularityError, cavity_scale_faults,
+                     inside_sphere, permittivity_faults, positive,
+                     raise_first)
 # _brace_coeffs takes Ei's parts from _ei_imaginary_axis; the benchmark's
 # tracer still wraps exponential_integral_ei in this namespace
 # (tests/test_trace_sites.py)
@@ -160,12 +161,6 @@ def _sphere_distance(q_R, q_L, x):
     q_L of the emitter from the center:
 
         q_o(x) = sqrt(q_R^2 - q_L^2 (1 - x^2)) - q_L x.
-
-    At q_L = 0 this is exactly q_R at every x, not merely close: in
-    binary floating point the correctly rounded square root of the
-    rounded square of a positive number is that number (barring overflow
-    and underflow), and q_R - 0 x = q_R.  A centered sphere can
-    therefore stand for all of its nodes with q_R.
     """
     return np.sqrt(q_R**2 - q_L**2 * (1.0 - x * x)) - q_L * x
 
@@ -197,17 +192,20 @@ def vacuum_green(q, u_hat) -> np.ndarray:
 
         G^(0)(q, u) = (1/4pi) [ a(q) I - b(q) uu ] e^{iq}
 
-    where u is the unit separation vector and q > 0 the optical distance.
-    The delta-function contact term is omitted (never needed off
-    coincidence).  As q -> 0 the imaginary part tends to I/(6 pi), the
-    free-space local density of states.
+    where u is the unit separation vector and q > 0 the optical distance,
+    a scalar: q = 0 raises SingularityError, and any other q that is not
+    a positive finite number DomainError.  The delta-function contact
+    term is omitted (never needed off coincidence).  As q -> 0 the
+    imaginary part tends to I/(6 pi), the free-space local density of
+    states.
     """
     u = unit_vector(u_hat)
-    if np.isscalar(q) or np.asarray(q).ndim == 0:
-        if q <= 0:
-            raise SingularityError("vacuum Green tensor diverges at q = 0")
+    q = float(q) if np.ndim(q) == 0 else math.nan
+    if q == 0:
+        raise SingularityError("vacuum Green tensor diverges at q = 0")
+    raise_first(positive("q", q))
     a, b = ab_coefficients(q)
-    phase = np.exp(1j * float(q))
+    phase = np.exp(1j * q)
     return (phase / (4.0 * np.pi)) * (a * _EYE - b * np.outer(u, u))
 
 
@@ -479,7 +477,7 @@ def f_constant_q(q, chi) -> np.ndarray:
     boundary at constant optical distance q from the emitter.
     """
     q = float(q)
-    raise_first(positive("q", q))
+    raise_first(cavity_scale_faults("q", q))
     chi = complex(chi)
     coeff = (-chi / (12.0 * np.pi)
              * (2.0 / q**3 - 4j / q**2 - 2.0 / q + 1j) * np.exp(2j * q))
@@ -496,6 +494,7 @@ def cavity_green_linear(q_C, chi) -> np.ndarray:
     carries the divergent local-field terms and the 7/6 constant that
     survives in the linear bulk rate 1 + 7 chi/6.
     """
+    raise_first(cavity_scale_faults("q_C", float(q_C)))
     return -f_constant_q(q_C, chi)
 
 

@@ -19,11 +19,12 @@ column's cavity term is one array expression of the closed forms that
 the scalar functions of :mod:`locfield.cavity` and :mod:`locfield.born`
 also call, and its validity values are arrays too.  The sphere body
 terms of all the columns go to the array kernels together: the linear
-Born and uncorrected terms share one row-wise quadrature
-(:func:`locfield.born.gamma_b_sphere_rows`), which integrates each
-distinct sphere geometry once, and exact body terms at the sphere
-center, weak_absorption's (the exact one at Re eps) among them, are one
-call of :func:`locfield.mie.gamma_b_center`.  Only off-center exact
+Born and uncorrected terms are one call of
+:func:`locfield.born.gamma_b_sphere_rows`, where the centred rows are a
+closed form and each distinct off-centre geometry is integrated once,
+and exact body terms at the sphere center, weak_absorption's (the exact
+one at Re eps) among them, are one call of
+:func:`locfield.mie.gamma_b_center`.  Only off-center exact
 points keep a per-point series.  A sweep
 (:func:`locfield.cli.run_sweep`) builds one column per curve from its
 grid; :func:`compute` is a batch of one.
@@ -48,10 +49,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import born, cavity, mie
-from .errors import (ConfigError, DomainError, LocfieldError, check_qc,
-                     error_of, method_faults, orientation_faults,
-                     permittivity_faults, positive, qc_faults, raise_first,
-                     sphere_faults, warn_qc)
+from .errors import (ConfigError, DomainError, LocfieldError,
+                     cavity_scale_faults, error_of, method_faults,
+                     orientation_faults, permittivity_faults, positive,
+                     qc_faults, raise_first, sphere_faults, warn_qc)
 from .greens import Permittivity, as_permittivity, unit_vector
 
 __all__ = [
@@ -139,8 +140,9 @@ class RateRequest:
     Inconsistent combinations raise ConfigError at construction time,
     and numbers out of range (q_C and tol too, for either geometry)
     DomainError.  A permittivity that the method cannot take
-    (:func:`locfield.errors.method_faults`) is the request's error in
-    :func:`compute`.
+    (:func:`locfield.errors.method_faults`), and a q_C so small that
+    1/q_C^3 leaves double range (NonFiniteError), are the request's
+    errors in :func:`compute`.
     """
 
     eps: complex
@@ -183,7 +185,8 @@ class RateRequest:
             sphere = born.SphereConfig(q_R=float(self.q_R), q_L=self.q_L,
                                        q_C=self.q_C, nu=self.nu)
         else:
-            check_qc(self.q_C)
+            raise_first(qc_faults(float(self.q_C)))
+            warn_qc(float(self.q_C))
         raise_first(positive("tol", self.tol))
         object.__setattr__(self, "_sphere", sphere)
 
@@ -381,7 +384,8 @@ def _check_points(col: _Column, eps, q_R, q_L):
         _off_center_faults(col.method, q_L), permittivity_faults(eps),
         sphere_faults(q_R, q_L, float(col.q_C), float(col.nu))
         if col.q_R is not None else qc_faults(float(col.q_C)),
-        positive("tol", col.tol), method_faults(col.method, eps)))
+        positive("tol", col.tol), method_faults(col.method, eps),
+        cavity_scale_faults("q_C", float(col.q_C))))
     errors = {}
     ok = np.ones(eps.shape, dtype=bool)
     if functools.reduce(operator.or_, [c[0] for c in checks]).any():

@@ -1,5 +1,8 @@
 """Linear Born rates: closed forms, 1D reduction, validity bookkeeping."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +10,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from locfield.born import (_CLOSED_FORM_REL, ORIENTATIONS, RateBreakdown,
-                           SphereConfig, ValidityReport, _moments,
+                           SphereConfig, ValidityReport, _center_rows,
+                           _moments,
                            gamma_b_center_closed,
                            gamma_b_sphere_linear, gamma_b_sphere_rows,
                            gamma_c_linear, gamma_total_linear, quad,
                            validity_check)
-from locfield.errors import AccuracyError, DomainError
+from locfield.errors import AccuracyError, DomainError, NonFiniteError
 from locfield.greens import (StarBoundary, _brace_coeffs, _gauss_legendre,
                              _sphere_distance, _sphere_moments, f_integrand)
 from moment_reference import mp_body_term
@@ -72,12 +76,20 @@ def test_gamma_c_linear_values():
 
 
 def test_center_closed_form_matches_quadrature():
+    # the centred rows and gamma_b_center_closed are one closed form; the
+    # reference is the Gauss-Legendre rule over the full nodes, built here
     for q_R in (0.5, 1.556, 4.0, 9.3):
         for chi in (0.05, 0.1 + 1e-8j, 0.2 + 1e-7j):
-            cfg = SphereConfig(q_R=q_R, q_L=0.0, q_C=0.01)
-            g_quad = gamma_b_sphere_linear(cfg, chi, "radial")
             g_closed = gamma_b_center_closed(q_R, chi)
-            assert abs(g_quad - g_closed) <= 1e-10 * max(abs(g_closed), 1.0)
+            for orientation in ORIENTATIONS:
+                rule, errors = quad(_node_rule(q_R, 0.0, chi, orientation), 1,
+                                    1.0e-10)
+                assert errors == {}
+                cfg = SphereConfig(q_R=q_R, q_L=0.0, q_C=0.01)
+                g_rows = gamma_b_sphere_linear(cfg, chi, orientation)
+                assert g_rows == g_closed
+                assert abs(rule[0] - g_closed) <= 1e-10 * max(abs(g_closed),
+                                                              1.0)
 
 
 def test_body_term_linearity_in_chi():
@@ -98,6 +110,61 @@ def test_center_large_sphere_oscillation_bound():
     for q_R in (10.0, 15.0, 22.0, 40.0):
         g = gamma_b_center_closed(q_R, chi)
         assert abs(g + 0.5 * chi * np.cos(2 * q_R)) <= 2.0 * chi / q_R
+
+
+def _mp_center_rate(q_R, chi):
+    # Tomas's closed form at 40 digits, at the double q_R and chi
+    with mpmath.workdps(40):
+        t = 1 / mpmath.mpf(q_R)
+        c = mpmath.mpc(chi.real, chi.imag)
+        return -mpmath.im(c * (t**3 - t + 1j * (mpmath.mpf(0.5) - 2 * t**2))
+                          * mpmath.expj(2 * mpmath.mpf(q_R)))
+
+
+@pytest.mark.parametrize("chi", [0.1, -0.3, 1e-3j, 0.3j, 0.1 + 1e-8j,
+                                 0.2 + 0.2j])
+def test_center_rows_against_mpmath(chi):
+    # every centred row returned is within its rounding bound and tol of
+    # the 40-digit rate; every row refused has its bound above tol, and
+    # none of them is at q_R >= 0.05; the orientations agree to the bit
+    tol = 1.0e-10
+    q_R = np.logspace(-6, 3, 181)
+    values, errors = gamma_b_sphere_rows(q_R, 0.0, chi, "radial", tol)
+    tangential, t_errors = gamma_b_sphere_rows(q_R, 0.0, chi, "tangential",
+                                               tol)
+    assert tangential.tobytes() == values.tobytes()
+    assert {k: str(e) for k, e in t_errors.items()} == {
+        k: str(e) for k, e in errors.items()}
+    _, bounds = _center_rows(q_R, np.full(q_R.size, complex(chi)))
+    assert 0 < len(errors) < q_R.size
+    for k, q in enumerate(q_R.tolist()):
+        if k in errors:
+            assert isinstance(errors[k], AccuracyError)
+            assert f"at q_R = {q:g} may be off by" in str(errors[k])
+            assert bounds[k] > tol and q < 0.05 and np.isnan(values[k])
+            continue
+        err = abs(mpmath.mpf(values[k]) - _mp_center_rate(q, complex(chi)))
+        assert err <= bounds[k] <= tol, q
+
+
+def test_center_rows_refuse_tiny_spheres():
+    # at chi = 0.1 the rule returned these off by 8.6e-10 and 3.0e-7
+    chi = 0.1
+    for q_R, text in ((1e-4, "5.8e-08"), (1e-5, "5.8e-06")):
+        cfg = SphereConfig(q_R=q_R, q_C=q_R / 10.0)
+        for orientation in ORIENTATIONS:
+            with pytest.raises(AccuracyError) as refused:
+                gamma_b_sphere_linear(cfg, chi, orientation)
+            assert str(refused.value) == (
+                f"linear centre rate at q_R = {q_R:g} may be off by {text} "
+                f"from rounding, above tol = 1e-10")
+    # where t^3 leaves double range: typed errors and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match="may be off by inf"):
+            gamma_b_sphere_linear(SphereConfig(q_R=1e-120, q_C=1e-121), chi)
+        with pytest.raises(NonFiniteError, match="q_R = 1e-120"):
+            gamma_b_center_closed(1e-120, chi)
 
 
 def test_orientation_degeneracy_at_center():
@@ -230,10 +297,11 @@ def _full_node_row(q_R, q_L, chi, orientation):
 
 def _closed_form_row(q_R, q_L, chi, orientation, tol=1.0e-10):
     # one row alone from the closed-form moments of its geometry, in the
-    # paper's order, or None where their rounding bound sends the row to
-    # the Gauss-Legendre rule: the values the rows must equal bit for bit
+    # paper's order, or from the centre's closed form, or None where the
+    # moments' rounding bound sends the row to the Gauss-Legendre rule:
+    # the values the rows must equal bit for bit
     if q_L == 0.0:
-        return None
+        return gamma_b_center_closed(q_R, chi)
     moments, bounds = _sphere_moments(np.array([q_R]), np.array([q_L]))
     (m0, m1, m2), (b0, b1, b2) = moments, bounds
     radial = orientation == "radial"
@@ -270,7 +338,7 @@ def test_body_term_rows_share_geometries_bit_for_bit():
         1: UNSETTLED["radial"], 7: UNSETTLED["tangential"]}
     closed = [k for k, row in enumerate(rows)
               if _closed_form_row(*row) is not None]
-    assert closed == [0, 3, 5, 6, 9, 10, 11]
+    assert closed == [0, 2, 3, 4, 5, 6, 8, 9, 10, 11]
     for k, (qr, ql, c, o) in enumerate(rows):
         if k in errors:
             assert np.isnan(values[k])
@@ -282,15 +350,12 @@ def test_body_term_rows_share_geometries_bit_for_bit():
         assert values[k] == want, rows[k]
 
 
-def test_centered_geometry_is_one_column_equal_to_its_nodes(monkeypatch):
+def test_moments_are_one_call_equal_to_their_nodes(monkeypatch):
     x, w = _gauss_legendre(128)
     q_R = np.array([0.5, 2.0, 5.0, 7.3, 1000.0 / 3.0])
-    q_L = np.array([0.0, 1.5, 0.0, 0.0, 100.0])
-    for qr in q_R:
-        assert np.all(_sphere_distance(qr, 0.0, x) == qr)
-    # the moments of a centered geometry come from one distance, in the
-    # one brace/Ei/phase call of the block; they equal those of every
-    # node evaluated, to the byte
+    q_L = np.array([0.1, 1.5, 0.25, 4.0, 100.0])
+    # the moments of all the geometries come from one brace/Ei/phase
+    # call; they equal those of every node evaluated, to the byte
     sizes = []
 
     def brace_coeffs(q):
@@ -299,7 +364,7 @@ def test_centered_geometry_is_one_column_equal_to_its_nodes(monkeypatch):
 
     monkeypatch.setattr("locfield.born._brace_coeffs", brace_coeffs)
     moments = _moments(q_R, q_L, x, w)
-    assert sizes == [3 + 2 * x.size]
+    assert sizes == [q_R.size * x.size]
     P, Q = _full_node_terms(q_R[:, None], q_L[:, None], x)
     full = np.stack([(P * w).sum(axis=1), (Q * w).sum(axis=1),
                      (Q * (w * x * x)).sum(axis=1)])

@@ -181,8 +181,9 @@ def test_sweep_leaves_unsettled_cells_empty(tmp_path):
 # Sweeps that hit per-point errors, beside the presets (which hit none):
 # the clearance limit and exact AccuracyError on a q_L sweep; "too close"
 # and the weak_absorption off-centre ConfigError on a q_R sweep; the
-# transparent-host refusal and q_C warnings on a log im_chi sweep; and
-# the passivity refusal on an im_chi sweep through zero.
+# transparent-host refusal and q_C warnings on a log im_chi sweep; the
+# passivity refusal on an im_chi sweep through zero; and cavity radii
+# whose 1/q_C^3 is no double, beside one that is.
 ERROR_SWEEPS = {
     "qL_edge": {
         "sweep": "qL", "lo": "0", "hi": "0.999", "points": "12",
@@ -202,6 +203,10 @@ ERROR_SWEEPS = {
     "im_chi_passive": {
         "sweep": "im_chi", "lo": "-1e-6", "hi": "1e-6", "points": "9",
         "qr": "2", "ql": "0.5", "eps_re": "1.1",
+        "methods": "linear_born,exact,uncorrected,weak_absorption"},
+    "qc_beyond_double_range": {
+        "sweep": "qR", "lo": "0.5", "hi": "3", "points": "4",
+        "qc": "1e-120,1e-103,0.01", "eps_re": "1.1", "eps_im": "1e-8",
         "methods": "linear_born,exact,uncorrected,weak_absorption"},
 }
 
@@ -372,6 +377,35 @@ def test_series_overflow_exits_3_without_traceback(tmp_path):
     assert res.stderr.startswith("locfield: numerical error: sphere series "
                                  "overflowed at m = 1")
     assert "Traceback" not in res.stderr
+
+
+def test_cavity_radius_beyond_double_range_exits_3(tmp_path):
+    # on every method, in bulk and in a sphere
+    for q_C in ("1e-120", "1e-103"):
+        for method in rates.METHODS:
+            for sphere in ([], ["--qr", "2"]):
+                res = run_cli(["compute", "--eps-re", "1.1", "--eps-im",
+                               "1e-8", "--qc", q_C, "--method", method,
+                               *sphere], tmp_path)
+                assert res.returncode == 3, (method, sphere, res.stderr)
+                assert res.stderr == (
+                    f"locfield: numerical error: q_C = {q_C} is too small: "
+                    f"1/q_C^3 leaves double range\n")
+
+
+def test_centred_sweeps_build_no_gauss_legendre_rule(tmp_path, monkeypatch):
+    # fig3a, fig3b and fig4 have only centred rows: their linear body
+    # terms are the closed form, with no quadrature and no rule
+    def refuse(*args):
+        raise AssertionError("Gauss-Legendre quadrature asked for")
+
+    monkeypatch.setattr("locfield.born.quad", refuse)
+    monkeypatch.setattr("locfield.born._gauss_legendre", refuse)
+    for preset in ("fig3a", "fig3b", "fig4"):
+        run_sweep(build_sweep(dict(PRESETS[preset])),
+                  str(tmp_path / f"{preset}.csv"))
+        header, rows = read_rows(tmp_path / f"{preset}.csv")
+        assert all(row[header.index("error")] == "" for row in rows), preset
 
 
 @pytest.mark.parametrize("args, message", [

@@ -113,8 +113,24 @@ def test_vacuum_green_structure():
     ref = np.exp(2j) / (4 * np.pi) * (a * np.eye(3) - b * np.outer(X, X))
     assert np.array_equal(g, ref)
     assert np.array_equal(g, g.T)      # exactly symmetric by construction
+    assert np.array_equal(vacuum_green(np.float64(2.0), X), g)
     with pytest.raises(SingularityError):
         vacuum_green(0.0, Z)
+
+
+@pytest.mark.parametrize("q", [-1.0, -0.0, np.inf, -np.inf, np.nan,
+                               np.array([1.0, 2.0]), np.array([1.0]), [2.0]])
+def test_vacuum_green_refuses_q_outside_its_domain(q):
+    # q = 0 is the one singular point; a negative, non-finite or
+    # non-scalar q is outside the domain
+    if np.ndim(q) == 0 and q == 0:
+        with pytest.raises(SingularityError, match="diverges at q = 0"):
+            vacuum_green(q, Z)
+        return
+    with pytest.raises(DomainError, match="q must be positive and finite") \
+            as refused:
+        vacuum_green(q, Z)
+    assert not isinstance(refused.value, SingularityError)
 
 
 # -- radial antiderivative ----------------------------------------------------
@@ -272,16 +288,20 @@ def test_f_constant_q_small_q_expansion():
 
 
 def test_f_constant_q_against_angular_quadrature():
-    from locfield.oracle import quad_reference
+    # -chi/(16 pi^2) Int dOmega F(q, ss) at constant q by one product
+    # rule, Gauss-Legendre in cos(theta) times a uniform grid in phi, in
+    # one f_integrand call: F is quadratic in s, which both rules
+    # integrate exactly, so the reference is exact up to rounding
     q, chi = 0.5, 0.1
-
-    def integrand(theta, phi):
-        s = np.array([np.sin(theta) * np.cos(phi),
-                      np.sin(theta) * np.sin(phi), np.cos(theta)])
-        return (-chi / (16 * np.pi**2)) * f_integrand(q, s) * np.sin(theta)
-
-    ref = quad_reference(integrand, ((0.0, np.pi), (0.0, 2 * np.pi)),
-                         tol=1e-11)
+    x, w = np.polynomial.legendre.leggauss(4)
+    n_phi = 8
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    sin_t = np.sqrt(1.0 - x * x)[:, None]
+    s = np.stack(np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi),
+                                     x[:, None]), axis=-1).reshape(-1, 3)
+    weights = np.repeat(w * (2.0 * np.pi / n_phi), n_phi)
+    F = f_integrand(np.full(len(s), q), s)
+    ref = (-chi / (16 * np.pi**2)) * np.einsum("n,nij->ij", weights, F)
     assert_allclose(f_constant_q(q, chi), ref, atol=1e-10)
 
 

@@ -8,18 +8,20 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import constants
 
 from locfield.born import (ORIENTATIONS, RateBreakdown, SphereConfig,
-                           gamma_c_linear)
+                           gamma_c_linear, validity_check)
 from locfield import rates
 from locfield.cavity import (gamma_b_corrected, gamma_c_exact,
                              gamma_weak_absorption)
 from locfield.cli import build_sweep, run_sweep
-from locfield.errors import (ConfigError, DomainError, LocfieldError,
-                             NonFiniteError, SingularityError)
-from locfield.greens import Permittivity
+from locfield.errors import (AccuracyError, ConfigError, DomainError,
+                             LocfieldError, NonFiniteError, SingularityError)
+from locfield.greens import Permittivity, cavity_green_linear
 from locfield.mie import (MieSeriesSettings, body_green_center,
                           gamma_b_center, gamma_b_exact, gamma_center_exact)
 from locfield.rates import (GEOMETRIES, METHODS, AtomParams, RateRequest,
@@ -391,6 +393,100 @@ def test_permittivities_the_rates_refuse_fail_their_own_requests():
         gamma_uncorrected(-1.0, np.zeros((3, 3)), Z)
     with pytest.raises(DomainError, match=weak):
         gamma_weak_absorption(1e-7j, 0.01, 1.0, np.zeros((3, 3)), Z)
+
+
+@pytest.mark.parametrize("q_C", [1e-120, 1e-103])
+def test_cavity_radius_beyond_double_range_fails_its_own_requests(q_C):
+    # q_C passes the cavity-radius rule, but 1/q_C^3 is no double (at
+    # 1e-103 the exact cavity term overflows): a NonFiniteError naming
+    # q_C on every method, in bulk and in a sphere, and on each scalar
+    # route; the requests beside them finish, and nothing warns
+    message = f"q_C = {q_C:g} is too small: 1/q_C^3 leaves double range"
+    requests = []
+    for method in METHODS:
+        for geometry in GEOMETRIES:
+            q_R = 2.0 if geometry == "sphere" else None
+            requests += [RateRequest(eps=1.1 + 1e-8j, method=method,
+                                     geometry=geometry, q_R=q_R, q_C=c)
+                         for c in (q_C, 0.01)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = compute_batch(requests)
+        for request, result in zip(requests, results):
+            if request.q_C == q_C:
+                assert isinstance(result, NonFiniteError)
+                assert str(result) == message
+                with pytest.raises(NonFiniteError, match=re.escape(message)):
+                    compute(request)
+            else:
+                assert result == compute(request)
+        g = np.zeros((3, 3))
+        for call in (lambda: gamma_c_linear(0.1, q_C),
+                     lambda: gamma_c_exact(1.1 + 1e-3j, q_C),
+                     lambda: gamma_weak_absorption(1.1 + 1e-7j, q_C, 1.0, g,
+                                                   Z),
+                     lambda: cavity_green_linear(q_C, 0.1),
+                     lambda: validity_check(None, 0.1, q_C=q_C),
+                     lambda: validity_check(
+                         SphereConfig(q_R=1.0, q_C=q_C), 0.1)):
+            with pytest.raises(NonFiniteError, match=re.escape(message)):
+                call()
+
+
+# mixed batches: linear_born, uncorrected and exact requests, centred and
+# off the centre, with centred spheres from q_R = 1e-5 (the linear centre
+# refuses below about 2e-3, the exact one below about 7e-3) up to 10,
+# transparent and absorbing hosts, and now and then a cavity radius whose
+# 1/q_C^3 is no double
+_BATCH_REQUESTS = st.builds(
+    lambda method, eps, q_R, ratio, orientation, q_C: RateRequest(
+        eps=eps, method=method, q_R=q_R, q_L=q_R * ratio,
+        orientation=orientation, q_C=q_C),
+    st.sampled_from(("linear_born", "uncorrected", "exact")),
+    st.sampled_from((1.1, 1.1 + 1e-8j, 1.3, 1.0 + 0.1j, 0.8 + 0.2j)),
+    st.floats(-5.0, 1.0).map(lambda e: 10.0**e),
+    st.one_of(st.just(0.0), st.floats(0.05, 0.5)),
+    st.sampled_from(ORIENTATIONS),
+    st.sampled_from((1e-6, 1e-6, 1e-6, 1e-120)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(requests=st.lists(_BATCH_REQUESTS, min_size=1, max_size=8))
+@example(requests=[
+    RateRequest(eps=1.1, method="linear_born", q_R=1e-4, q_C=1e-6),
+    RateRequest(eps=1.1, method="linear_born", q_R=0.01, q_C=1e-6),
+    RateRequest(eps=1.1, method="uncorrected", q_R=1e-3, q_C=1e-6,
+                orientation="tangential"),
+    RateRequest(eps=1.1, method="exact", q_R=1e-3, q_C=1e-6),
+    RateRequest(eps=1.1, method="linear_born", q_R=0.01, q_L=0.004,
+                q_C=1e-6)])
+def test_compute_batch_equals_compute_per_request(requests):
+    # each request's entry is what compute gives it alone: the same
+    # breakdown, or an error of the same type and text
+    results = compute_batch(requests)
+    assert len(results) == len(requests)
+    for request, result in zip(requests, results):
+        if isinstance(result, LocfieldError):
+            with pytest.raises(LocfieldError) as single:
+                compute(request)
+            assert type(single.value) is type(result), request
+            assert str(single.value) == str(result), request
+        else:
+            assert result == compute(request), request
+
+
+def test_centred_refusal_stays_on_its_row():
+    # a centred linear rate over its rounding bound fails alone; the
+    # centred rows beside it, in its column too, finish
+    requests = [RateRequest(eps=1.1, method="linear_born", q_R=q_R,
+                            q_C=1e-6) for q_R in (0.01, 1e-4, 0.5, 1e-5)]
+    results = compute_batch(requests)
+    assert [isinstance(r, AccuracyError) for r in results] == [
+        False, True, False, True]
+    assert str(results[1]).startswith("linear centre rate at q_R = 0.0001 ")
+    for request, result in zip(requests, results):
+        if not isinstance(result, LocfieldError):
+            assert result == compute(request)
 
 
 # -- warnings ---------------------------------------------------------------------------
