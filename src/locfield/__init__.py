@@ -35,8 +35,8 @@ from .errors import (AccuracyError, ConfigError, DomainError,
 from .greens import (Permittivity, StarBoundary, body_green_linear,
                      cavity_green_linear, f_constant_q, f_integrand,
                      vacuum_green)
-from .mie import (MieSeriesSettings, body_green_center, gamma_b_exact,
-                  gamma_center_exact, sphere_coefficients)
+from .mie import (body_green_center, gamma_b_exact, gamma_center_exact,
+                  sphere_coefficients)
 from .rates import (GEOMETRIES, METHODS, AtomParams, RateRequest, compute,
                     compute_batch, gamma0_si, gamma_uncorrected)
 
@@ -45,10 +45,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError", "AtomParams", "BULK_MODELS", "CavityCoefficients",
     "ConfigError", "DomainError", "GEOMETRIES", "InvariantError",
-    "LocfieldError", "METHODS", "MieSeriesSettings", "NonFiniteError",
-    "ORIENTATIONS", "Permittivity", "RateBreakdown", "RateRequest",
-    "SingularityError", "SphereConfig", "StarBoundary", "ValidityReport",
-    "body_green_center", "body_green_linear", "cavity_green_linear",
+    "LocfieldError", "METHODS", "NonFiniteError", "ORIENTATIONS",
+    "Permittivity", "RateBreakdown", "RateRequest", "SingularityError",
+    "SphereConfig", "StarBoundary", "ValidityReport", "body_green_center",
+    "body_green_linear", "cavity_green_linear",
     "compute", "compute_batch", "f_constant_q", "f_integrand", "gamma0_si",
     "gamma_b_center_closed", "gamma_b_corrected", "gamma_b_exact",
     "gamma_b_sphere_linear", "gamma_bulk", "gamma_c_exact",

@@ -166,7 +166,8 @@ def gamma_c_linear(chi, q_C: float) -> float:
     material bordering the cavity; the 7/6 constant is what turns the
     vacuum rate into the linear bulk rate 1 + 7 chi/6.
     """
-    return _cavity_term(_check_chi(chi), check_qc(q_C))
+    chi = _check_chi(chi)
+    return _cavity_term(chi, check_qc(q_C, np.imag(chi)))
 
 
 def _cavity_term(chi, q_C: float):
@@ -476,7 +477,8 @@ def validity_check(config: SphereConfig | None, chi,
     q_C = float(config.q_C if q_C is None else q_C)
     raise_first(itertools.chain(qc_faults(q_C),
                                 positive("boundary_max", boundary_max),
-                                cavity_scale_faults("q_C", q_C)))
+                                cavity_scale_faults("q_C", q_C,
+                                                    np.imag(chi))))
     return _validity_report(*_validity_values(chi, boundary_max, q_C))
 
 

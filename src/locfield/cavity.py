@@ -237,7 +237,7 @@ def gamma_weak_absorption(eps, q_C: float, gamma_b_uncorrected: float,
     scattering part contributes to the numerator at this order).
     """
     eps = as_permittivity(eps)
-    q_C = check_qc(q_C)
+    q_C = check_qc(q_C, eps.epsilon.imag)
     g = _check_green_tensor(gB1)
     d = unit_vector(dipole)
     raise_first(method_faults("weak_absorption", eps.epsilon))

@@ -381,8 +381,8 @@ def _sweep_results(spec: SweepSpec, grid) -> list:
             eps.imag = grid
         columns.append(rates._Column(
             method=curve.method, orientation=curve.orientation,
-            q_C=curve.q_C, nu=spec.nu, tol=spec.tol, mie_settings=None,
-            eps=eps, q_R=q_R, q_L=q_L))
+            q_C=curve.q_C, nu=spec.nu, tol=spec.tol, eps=eps, q_R=q_R,
+            q_L=q_L))
     return rates._compute_columns(columns)
 
 

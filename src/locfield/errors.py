@@ -76,6 +76,13 @@ ABSORPTION_TOL = 1.0e-6
 QC_MAX = 0.2
 QC_WARN = 0.1
 
+# bound on the cavity terms over max(1, |c|)/q^3 (cavity_scale_faults):
+# 2 in f_constant_q, Im chi in the linear rate and its validity value,
+# |3 chi/(2 eps + 1)| <= 6 in the exact one and 9 Im chi/(2 Re eps + 1)^2
+# in the weak-absorption shift, both for Re eps > 0, each with the
+# smaller 1/q terms added
+_CAVITY_SCALE = 16.0
+
 POLE = "eps = -1/2 is the pole of the local-field factor 3 eps/(2 eps + 1)"
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
@@ -154,23 +161,30 @@ def qc_faults(q_C: float):
                          f"expansion needs q_C <= {QC_MAX}")
 
 
-def cavity_scale_faults(name: str, q: float):
+def cavity_scale_faults(name: str, q: float, c=1.0):
     """The rule that a float cavity radius q is positive and finite and
-    1/q^3, the scale of the cavity terms, a finite double: a q that
-    passes :func:`qc_faults` can still be too small for it (below about
-    1.8e-103), and the rates that divide by q^3 then leave double range."""
+    the cavity terms, at most _CAVITY_SCALE max(1, |c|)/q^3, finite
+    doubles; c, a number or an array, is the factor the medium puts on
+    them: Im chi in the rates and their validity values, chi in
+    :func:`locfield.greens.f_constant_q`.  A q that passes
+    :func:`qc_faults` can still be too small for it (below about 4.5e-103
+    at |c| <= 1), and the rates that divide by q^3 then leave double
+    range."""
     yield from positive(name, q)
     cube = q * q * q
-    yield (not (cube > 0 and 1.0 / cube < math.inf),
-           f"{name} = {q:g} is too small: 1/{name}^3 leaves double range",
-           NonFiniteError)
+    # the largest max(1, |c|) whose terms are doubles
+    room = cube * (sys.float_info.max / _CAVITY_SCALE)
+    yield (not (cube > 0 and room >= 1.0) or _not(abs(c) <= room),
+           f"{name} = {q:g} is too small: the cavity terms in 1/{name}^3 "
+           "leave double range", NonFiniteError)
 
 
-def check_qc(q_C: float) -> float:
-    """q_C as a float, checked, also for its cube, and warned about."""
+def check_qc(q_C: float, c=1.0) -> float:
+    """q_C as a float, checked, also for the cavity terms of factor c
+    (:func:`cavity_scale_faults`), and warned about."""
     q_C = float(q_C)
     raise_first(qc_faults(q_C))
-    raise_first(cavity_scale_faults("q_C", q_C))
+    raise_first(cavity_scale_faults("q_C", q_C, c))
     warn_qc(q_C)
     return q_C
 

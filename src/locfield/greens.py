@@ -476,9 +476,8 @@ def f_constant_q(q, chi) -> np.ndarray:
     This is (minus) the linear scattering tensor of a spherical shell
     boundary at constant optical distance q from the emitter.
     """
-    q = float(q)
-    raise_first(cavity_scale_faults("q", q))
-    chi = complex(chi)
+    q, chi = float(q), complex(chi)
+    raise_first(cavity_scale_faults("q", q, chi))
     coeff = (-chi / (12.0 * np.pi)
              * (2.0 / q**3 - 4j / q**2 - 2.0 / q + 1j) * np.exp(2j * q))
     return coeff * _EYE.astype(complex)
@@ -494,7 +493,7 @@ def cavity_green_linear(q_C, chi) -> np.ndarray:
     carries the divergent local-field terms and the 7/6 constant that
     survives in the linear bulk rate 1 + 7 chi/6.
     """
-    raise_first(cavity_scale_faults("q_C", float(q_C)))
+    raise_first(cavity_scale_faults("q_C", float(q_C), complex(chi)))
     return -f_constant_q(q_C, chi)
 
 

@@ -28,14 +28,16 @@ The series walks the orders upward.  Each order evaluates h_m(z0),
 h_m(z1), j_m(z1) and j_m(x) once, and forms xi_m', psi_m' from them and
 the values of order m-1 by [z f_m]' = z f_{m-1} - m f_m
 (:func:`locfield.specfun.riccati_upward`).  Its terms decay
-super-exponentially once m exceeds ~ q_R |n| (see MieSeriesSettings).
+super-exponentially once m exceeds ~ q_R |n|, and then as
+(q_L/q_R)^{2m}; the series stops once _SMALL_RUN successive terms fall
+below _TERM_TOLERANCE of the sum, and raises AccuracyError if that has
+not happened by specfun.ORDER_MAX = 200.
 eps = -1/2, the pole of L, raises SingularityError on every route.
 """
 
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import numbers
 
@@ -45,14 +47,13 @@ from . import cavity
 from .errors import (AccuracyError, DomainError, NonFiniteError,
                      SingularityError, inside_sphere, method_faults,
                      orientation_faults, permittivity_faults, positive,
-                     raise_first, whole_number)
+                     raise_first)
 from .greens import Permittivity, as_permittivity
 from .specfun import (ORDER_MAX, dipole_bessel_j, dipole_hankel_h1,
                       riccati_derivative, riccati_upward, spherical_bessel_j,
                       spherical_hankel_h1)
 
 __all__ = [
-    "MieSeriesSettings",
     "sphere_coefficients",
     "body_green_center",
     "gamma_b_center",
@@ -61,35 +62,10 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class MieSeriesSettings:
-    """Truncation policy for the sphere series.
-
-    m_max = None uses ceil(q_R |n|) + 30.  The series stops only after
-    `consecutive_small` successive terms fall below term_tolerance times
-    the running sum magnitude; hitting m_max first, or the largest order
-    the Bessel functions admit (specfun.ORDER_MAX = 200) when m_max is
-    larger, raises AccuracyError.
-    """
-
-    m_max: int | None = None
-    term_tolerance: float = 1.0e-14
-    consecutive_small: int = 3
-
-    def __post_init__(self):
-        if self.m_max is not None:
-            raise_first(whole_number("m_max", self.m_max))
-        raise_first(positive("term_tolerance", self.term_tolerance))
-        raise_first(whole_number("consecutive_small",
-                                 self.consecutive_small))
-
-    def resolve_m_max(self, q_R: float, n_abs: float) -> int:
-        if self.m_max is not None:
-            return int(self.m_max)
-        return int(math.ceil(q_R * n_abs)) + 30
-
-
-_DEFAULT_SETTINGS = MieSeriesSettings()
+# the series stops after _SMALL_RUN successive terms below _TERM_TOLERANCE
+# times the modulus of the running sum
+_TERM_TOLERANCE = 1.0e-14
+_SMALL_RUN = 3
 
 # largest relative rounding error, as _center_rounding_bound puts it, of
 # a centre rate that gamma_b_center returns
@@ -197,8 +173,7 @@ def body_green_center(eps, q_R: float) -> np.ndarray:
     return (1j * eps.n * C_N / (6.0 * np.pi)) * np.eye(3, dtype=complex)
 
 
-def _series(eps, q_R: float, q_L: float, orient: str,
-            settings: MieSeriesSettings) -> complex:
+def _series(eps, q_R: float, q_L: float, orient: str) -> complex:
     """Orientation-resolved series sum (without the K prefactor and the
     outer 3/2 or 3/4 normalization), carrying each order's values to the
     next for its Riccati derivatives."""
@@ -206,9 +181,8 @@ def _series(eps, q_R: float, q_L: float, orient: str,
     z0, z1, x = q_R + 0j, n * q_R, n * q_L
     h0, h1 = spherical_hankel_h1(0, z0), spherical_hankel_h1(0, z1)
     j1, jx = spherical_bessel_j(0, z1), spherical_bessel_j(0, x)
-    m_cap = settings.resolve_m_max(q_R, abs(n))
     total, small_run = 0.0j, 0
-    for m in range(1, min(m_cap, ORDER_MAX) + 1):
+    for m in range(1, ORDER_MAX + 1):
         h0_, h0 = h0, spherical_hankel_h1(m, z0)
         h1_, h1 = h1, spherical_hankel_h1(m, z1)
         j1_, j1 = j1, spherical_bessel_j(m, z1)
@@ -232,14 +206,13 @@ def _series(eps, q_R: float, q_L: float, orient: str,
         term = ((2 * m + 1) * m * (m + 1) * C_N * r2 if radial
                 else (2 * m + 1) * (C_M * jx * jx + C_N * r2))
         total += term
-        small = abs(term) < settings.term_tolerance * max(abs(total), 1e-300)
+        small = abs(term) < _TERM_TOLERANCE * max(abs(total), 1e-300)
         small_run = small_run + 1 if small else 0
-        if small_run >= settings.consecutive_small:
+        if small_run >= _SMALL_RUN:
             return total
-    cap = (f"m_max = {m_cap}" if m_cap <= ORDER_MAX else
-           f"specfun.ORDER_MAX = {ORDER_MAX}, below m_max = {m_cap}")
-    raise AccuracyError(f"sphere series not converged within {cap} "
-                        f"(q_R = {q_R:g}, q_L = {q_L:g})")
+    raise AccuracyError(f"sphere series not converged within specfun."
+                        f"ORDER_MAX = {ORDER_MAX} (q_R = {q_R:g}, "
+                        f"q_L = {q_L:g})")
 
 
 def gamma_b_center(eps, q_R):
@@ -298,8 +271,8 @@ def _center_rounding_bound(e, kc, z0, z1, h0, h1, j1, xi0p, xi1p, ps1p):
                 * np.abs(kc) / np.abs(np.imag(kc)))
 
 
-def gamma_b_exact(eps, q_R: float, q_L: float, orient: str = "radial",
-                  settings: MieSeriesSettings | None = None) -> float:
+def gamma_b_exact(eps, q_R: float, q_L: float,
+                  orient: str = "radial") -> float:
     """Exact local-field corrected body rate gamma_b for the sphere.
 
     Parameters
@@ -308,7 +281,6 @@ def gamma_b_exact(eps, q_R: float, q_L: float, orient: str = "radial",
     q_R, q_L : optical radius and emitter displacement, 0 <= q_L < q_R.
     orient : {"radial", "tangential"}
         Dipole along the displacement axis or perpendicular to it.
-    settings : MieSeriesSettings, optional
 
     Notes
     -----
@@ -322,7 +294,7 @@ def gamma_b_exact(eps, q_R: float, q_L: float, orient: str = "radial",
     if q_L == 0.0:
         return gamma_b_center(eps, q_R)
     raise_first(method_faults("exact", eps.epsilon))
-    series = _series(eps, q_R, q_L, orient, settings or _DEFAULT_SETTINGS)
+    series = _series(eps, q_R, q_L, orient)
     return ((1.5 if orient == "radial" else 0.75)
             * float(np.imag(cavity._prefactor(eps.epsilon, eps.n) * series)))
 

@@ -141,8 +141,8 @@ class RateRequest:
     and numbers out of range (q_C and tol too, for either geometry)
     DomainError.  A permittivity that the method cannot take
     (:func:`locfield.errors.method_faults`), and a q_C so small that
-    1/q_C^3 leaves double range (NonFiniteError), are the request's
-    errors in :func:`compute`.
+    its cavity terms in 1/q_C^3 leave double range (NonFiniteError), are
+    the request's errors in :func:`compute`.
     """
 
     eps: complex
@@ -154,7 +154,6 @@ class RateRequest:
     orientation: str = "radial"
     nu: float = 0.0
     tol: float = 1.0e-10
-    mie_settings: mie.MieSeriesSettings | None = None
     # built once by __post_init__, which validates through them
     _permittivity: Permittivity = dataclasses.field(
         init=False, repr=False, compare=False)
@@ -219,14 +218,14 @@ def compute_batch(requests) -> list:
     requests = list(requests)
     groups = defaultdict(list)
     for i, r in enumerate(requests):
-        groups[(r.method, r.geometry, r.orientation, r.q_C, r.nu, r.tol,
-                r.mie_settings)].append(i)
+        groups[(r.method, r.geometry, r.orientation, r.q_C, r.nu,
+                r.tol)].append(i)
     columns = []
-    for (method, geometry, orientation, q_C, nu, tol, settings), members \
+    for (method, geometry, orientation, q_C, nu, tol), members \
             in groups.items():
         group = [requests[i] for i in members]
         columns.append(_Column(
-            method, orientation, q_C, nu, tol, settings,
+            method, orientation, q_C, nu, tol,
             eps=np.array([r.permittivity.epsilon for r in group]),
             q_R=(np.array([r.q_R for r in group], dtype=float)
                  if geometry == "sphere" else None),
@@ -246,16 +245,15 @@ def _off_center_faults(method: str, q_L):
 
 
 class _Column(NamedTuple):
-    """One curve of rates: the method, orientation, q_C, nu, tol and Mie
-    settings its points share, and the arrays eps, q_R and q_L, which
-    broadcast against each other; q_R is None for bulk."""
+    """One curve of rates: the method, orientation, q_C, nu and tol its
+    points share, and the arrays eps, q_R and q_L, which broadcast
+    against each other; q_R is None for bulk."""
 
     method: str
     orientation: str
     q_C: float
     nu: float
     tol: float
-    mie_settings: mie.MieSeriesSettings | None
     eps: np.ndarray
     q_R: np.ndarray | None
     q_L: np.ndarray
@@ -368,8 +366,8 @@ def _column_rates(col: _Column, batches) -> _Rates:
         for i, e, R, L in zip(live[off].tolist(), eps[off].tolist(),
                               q_R[off].tolist(), q_L[off].tolist()):
             try:
-                rates_.gamma_b[i] = mie.gamma_b_exact(
-                    e, R, L, col.orientation, col.mie_settings)
+                rates_.gamma_b[i] = mie.gamma_b_exact(e, R, L,
+                                                      col.orientation)
             except LocfieldError as exc:
                 errors[i] = exc
     return rates_
@@ -385,7 +383,7 @@ def _check_points(col: _Column, eps, q_R, q_L):
         sphere_faults(q_R, q_L, float(col.q_C), float(col.nu))
         if col.q_R is not None else qc_faults(float(col.q_C)),
         positive("tol", col.tol), method_faults(col.method, eps),
-        cavity_scale_faults("q_C", float(col.q_C))))
+        cavity_scale_faults("q_C", float(col.q_C), np.imag(eps))))
     errors = {}
     ok = np.ones(eps.shape, dtype=bool)
     if functools.reduce(operator.or_, [c[0] for c in checks]).any():

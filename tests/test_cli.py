@@ -204,6 +204,13 @@ ERROR_SWEEPS = {
         "sweep": "im_chi", "lo": "-1e-6", "hi": "1e-6", "points": "9",
         "qr": "2", "ql": "0.5", "eps_re": "1.1",
         "methods": "linear_born,exact,uncorrected,weak_absorption"},
+    # an exact curve beside the linear one out to q_L/q_R = 0.98: the
+    # series converges out to q_L = 4.08 and overflows in C_m from 4.29
+    "qL_exact_near_surface": {
+        "sweep": "qL", "lo": "0", "hi": "4.9", "points": "25",
+        "qr": "5", "eps_re": "1.1", "eps_im": "1e-8",
+        "methods": "exact,linear_born",
+        "orientations": "radial,tangential"},
     "qc_beyond_double_range": {
         "sweep": "qR", "lo": "0.5", "hi": "3", "points": "4",
         "qc": "1e-120,1e-103,0.01", "eps_re": "1.1", "eps_im": "1e-8",
@@ -390,7 +397,7 @@ def test_cavity_radius_beyond_double_range_exits_3(tmp_path):
                 assert res.returncode == 3, (method, sphere, res.stderr)
                 assert res.stderr == (
                     f"locfield: numerical error: q_C = {q_C} is too small: "
-                    f"1/q_C^3 leaves double range\n")
+                    f"the cavity terms in 1/q_C^3 leave double range\n")
 
 
 def test_centred_sweeps_build_no_gauss_legendre_rule(tmp_path, monkeypatch):

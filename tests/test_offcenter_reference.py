@@ -1,12 +1,20 @@
 """The exact route off the sphere centre reproduces the rates recorded in
-the benchmark's reference manifest."""
+the benchmark's reference manifest, and a 40-digit mpmath table of the
+sphere series (``tools/offcenter_reference.py``)."""
 
 import importlib.util
+import json
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from locfield.errors import LocfieldError
+from locfield.mie import gamma_b_exact
+
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
+TABLE = Path(__file__).with_name("offcenter_reference.json")
 
 
 @pytest.fixture(scope="module")
@@ -22,23 +30,80 @@ def workloads():
     return module
 
 
+@pytest.fixture(scope="module")
+def table():
+    return json.loads(TABLE.read_text(encoding="utf-8"))
+
+
+def _point(row):
+    """(eps, q_R, q_L, orientation) of a table row."""
+    return complex(*row["eps"]), row["q_R"], row["q_L"], row["orientation"]
+
+
+def _request_point(item):
+    """The same of a request of benchmarks/workloads.py."""
+    return (complex(item["eps_re"], item["eps_im"]), item["q_R"],
+            item["q_L"], item["orientation"])
+
+
 @pytest.mark.parametrize("name", ["exact_offcenter", "interior_probe"])
-def test_seed0_rates_match_the_manifest(workloads, name):
+def test_seed0_rates_match_the_manifest(workloads, table, name):
     # seed 0's requests: 400 converging ones at q_L/q_R <= 0.5, and the 100
-    # of the interior probe, most of which raise AccuracyError today; each
-    # rate within the parity rule of 1e-12 relative, each failure with the
-    # recorded error name
+    # of the interior probe; each recorded rate within the parity rule of
+    # 1e-12 relative.  The manifest's probe errors are the AccuracyErrors
+    # of an order cap the series no longer has: such a request now returns
+    # a rate, or raises the error that the 40-digit table names
     load = workloads.build(name, 0)
     reference = load.reference  # also checks the digest of the inputs
     assert len(reference) == len(load.inputs)
-    wrong = []
+    table_error = {_point(row): row["error"] for row in table
+                   if row["set"] == "probe"}
+    wrong, reopened = [], Counter()
     for i, ref in enumerate(reference):
         got = load.run(i)
-        if isinstance(ref, str):
+        if ref == "AccuracyError":
+            want = table_error[_request_point(load.inputs[i])]
+            ok = got == want if want else isinstance(got, float)
+            reopened[want or "rate"] += 1
+        elif isinstance(ref, str):
             ok = got == ref
         else:
             ok = (isinstance(got, float)
                   and abs(got - ref) <= workloads.REL_TOL * abs(ref))
         if not ok:
             wrong.append((i, got, ref))
+    assert wrong == []
+    assert reopened == ({"rate": 57, "NonFiniteError": 26}
+                        if name == "interior_probe" else {})
+
+
+def test_exact_rates_match_the_40_digit_reference(workloads, table):
+    # the table's probe rows are seed 0's interior probe, and its grid
+    # spans eps in {1.1 + 1e-8j, 1.5 + 1e-6j}, q_R in {0.5, 1, 2, 5},
+    # q_L/q_R from 0.6 to 0.95 and both orientations.  Every rate that
+    # gamma_b_exact returns is within 2e-13 of max(|ref|, 0.01) (6.6e-14
+    # measured), and every other point raises the error the table names,
+    # with no numpy warning.  On the grid that is NonFiniteError where
+    # C_m overflows: from q_L/q_R = 0.8 at q_R <= 1, from 0.85 at q_R = 2
+    # and from 0.9 at q_R = 5
+    assert [_point(row) for row in table if row["set"] == "probe"] \
+        == [_request_point(item) for item in workloads.probe_inputs(0)]
+    first_overflow = {0.5: 0.8, 1.0: 0.8, 2.0: 0.85, 5.0: 0.9}
+    wrong = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row in table:
+            ref, error = row["gamma_b"], row["error"]
+            if row["set"] == "grid":
+                ratio = row["q_L"] / row["q_R"]
+                assert (error == "NonFiniteError") \
+                    == (ratio > first_overflow[row["q_R"]] - 1e-9), row
+            try:
+                got = gamma_b_exact(*_point(row))
+            except LocfieldError as exc:
+                got = type(exc).__name__
+            ok = (got == error if error else isinstance(got, float)
+                  and abs(got - ref) <= 2e-13 * max(abs(ref), 0.01))
+            if not ok:
+                wrong.append((row, got))
     assert wrong == []

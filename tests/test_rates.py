@@ -21,9 +21,9 @@ from locfield.cavity import (gamma_b_corrected, gamma_c_exact,
 from locfield.cli import build_sweep, run_sweep
 from locfield.errors import (AccuracyError, ConfigError, DomainError,
                              LocfieldError, NonFiniteError, SingularityError)
-from locfield.greens import Permittivity, cavity_green_linear
-from locfield.mie import (MieSeriesSettings, body_green_center,
-                          gamma_b_center, gamma_b_exact, gamma_center_exact)
+from locfield.greens import Permittivity, cavity_green_linear, f_constant_q
+from locfield.mie import (body_green_center, gamma_b_center, gamma_b_exact,
+                          gamma_center_exact)
 from locfield.rates import (GEOMETRIES, METHODS, AtomParams, RateRequest,
                             compute, compute_batch, gamma0_si,
                             gamma_uncorrected)
@@ -204,15 +204,13 @@ def test_uncorrected_profile_against_exact_series():
     # independent route: sqrt(eps) + exact series body term with the
     # local-field factor divided back out; agreement to O(chi^2)
     f2 = (3 * 1.1 / (2 * 1.1 + 1)) ** 2
-    settings = MieSeriesSettings(m_max=120)
     for q_R, q_L in ((1.0, 0.0), (1.0, 0.3), (1.0, 0.6), (5.0, 4.0)):
         for orient in ("radial", "tangential"):
             unc = compute(RateRequest(eps=1.1, method="uncorrected",
                                       q_R=q_R, q_L=q_L,
                                       orientation=orient)).total_ratio
             alt = (math.sqrt(1.1)
-                   + gamma_b_exact(1.1, q_R, q_L, orient=orient,
-                                   settings=settings) / f2)
+                   + gamma_b_exact(1.1, q_R, q_L, orient=orient) / f2)
             assert abs(unc - alt) < 0.01
 
 
@@ -401,7 +399,8 @@ def test_cavity_radius_beyond_double_range_fails_its_own_requests(q_C):
     # 1e-103 the exact cavity term overflows): a NonFiniteError naming
     # q_C on every method, in bulk and in a sphere, and on each scalar
     # route; the requests beside them finish, and nothing warns
-    message = f"q_C = {q_C:g} is too small: 1/q_C^3 leaves double range"
+    message = (f"q_C = {q_C:g} is too small: the cavity terms in 1/q_C^3 "
+               "leave double range")
     requests = []
     for method in METHODS:
         for geometry in GEOMETRIES:
@@ -431,6 +430,43 @@ def test_cavity_radius_beyond_double_range_fails_its_own_requests(q_C):
                          SphereConfig(q_R=1.0, q_C=q_C), 0.1)):
             with pytest.raises(NonFiniteError, match=re.escape(message)):
                 call()
+
+
+def test_cavity_terms_that_overflow_inside_the_old_rule_are_refused():
+    # at q_C = 1.8e-103 1/q_C^3 is a double, but Im chi/q_C^3 at
+    # Im chi = 2 and 2/q^3 are not: the NonFiniteError that names the
+    # radius, on the batch and on each scalar route, where the batch once
+    # returned total_ratio = inf and f_constant_q NaN; nothing warns
+    q_C = 1.8e-103
+    message = (f"q_C = {q_C:g} is too small: the cavity terms in 1/q_C^3 "
+               "leave double range")
+    requests = [RateRequest(eps=1 + 2j, method=method, geometry=geometry,
+                            q_R=2.0 if geometry == "sphere" else None,
+                            q_C=q_C)
+                for method in ("linear_born", "exact", "weak_absorption")
+                for geometry in GEOMETRIES]
+    g = np.zeros((3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for result in compute_batch(requests):
+            assert isinstance(result, NonFiniteError)
+            assert str(result) == message
+        for call in (lambda: gamma_c_linear(2j, q_C),
+                     lambda: gamma_c_exact(1 + 2j, q_C),
+                     lambda: gamma_weak_absorption(1 + 2j, q_C, 1.0, g, Z),
+                     lambda: cavity_green_linear(q_C, 2j),
+                     lambda: validity_check(None, 2j, q_C=q_C)):
+            with pytest.raises(NonFiniteError, match=re.escape(message)):
+                call()
+        with pytest.raises(NonFiniteError, match=r"^q = 1.8e-103 is too "
+                           r"small: the cavity terms in 1/q\^3 leave"):
+            f_constant_q(q_C, 0.1)
+        # a radius ten times larger leaves the same medium its rates
+        (result,) = compute_batch([dataclasses.replace(requests[0],
+                                                       q_C=1e-102)])
+        assert math.isfinite(result.total_ratio)
+        assert_allclose(f_constant_q(1e-102, 0.1)[0, 0],
+                        -0.1 / (6 * np.pi) * 1e306, rtol=1e-12)
 
 
 # mixed batches: linear_born, uncorrected and exact requests, centred and
