@@ -21,7 +21,8 @@ of its geometry's moments.  Off the centre the moments have a closed
 form, a difference of antiderivatives at the endpoint distances
 q_R -/+ q_L (:func:`locfield.greens._sphere_moments`), which a row takes
 where a rounding bound certifies it; the other off-centre rows take a
-Gauss-Legendre rule whose node count doubles until the rate settles.
+Gauss-Legendre rule whose node count doubles until the rate settles,
+guarded by a rounding bound from the moduli of its terms.
 At the centre the rate itself has a closed form, Tomas's (no moments
 and no quadrature), guarded by a rounding bound of its own.  All of
 this works on rows: :func:`gamma_b_sphere_rows` takes a batch of sphere
@@ -285,7 +286,9 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
     of about 0.17 out to the surface for q_R <= 10, a narrower band
     toward the surface for larger spheres.  Elsewhere off the centre
     :func:`quad` takes it, Gauss-Legendre in x with the node count
-    doubled from 64 to 2048 until the rate settles.  At the centre the
+    doubled from 64 to 2048 until the rate settles, refused with
+    AccuracyError where its rounding bound exceeds tol (at chi = 0.1,
+    below q_R of about 6e-3, 3.5e-2 at q_L/q_R = 0.9).  At the centre the
     rate is the closed form of :func:`gamma_b_center_closed`, refused
     with AccuracyError where its rounding bound exceeds tol (at
     chi = 0.1, below q_R of about 2e-3).  This is one row of
@@ -323,7 +326,10 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     :func:`locfield.greens._sphere_moments` when the rounding bound of
     each is within _CLOSED_FORM_REL of it and that of the rate within
     tol; the other off-centre rows go through one row-wise :func:`quad`
-    of the moments of :func:`_moments`.  A centred row (q_L = 0), in
+    of the moments of :func:`_moments`, and fail with AccuracyError
+    naming q_R, q_L and the bound where the rule's rounding bound,
+    (3/4) |chi| 2^-52 Sum w (|P| + z |Q|) in its last pass, exceeds tol.
+    A centred row (q_L = 0), in
     either orientation, is the closed form of :func:`_center_rows`, or an
     AccuracyError naming q_R and the bound where that exceeds tol (a rule
     would only multiply the same coefficients by its weights).
@@ -332,7 +338,7 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     -------
     (values, errors) : the (N,) body terms, as :func:`gamma_b_sphere_linear`
     gives them row by row, and a dict mapping the index of each row that
-    failed, a centred row over its bound or a rule that did not settle,
+    failed, a row over its rounding bound or a rule that did not settle,
     to its AccuracyError (that row's value is NaN).  Rows with chi = 0
     are 0.
     """
@@ -348,12 +354,8 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     center = np.flatnonzero((chi != 0) & (q_L == 0.0))
     if center.size:
         values[center], bounds = _center_rows(q_R[center], chi[center])
-        for k in np.flatnonzero(~(bounds <= tol)).tolist():
-            row = int(center[k])
-            values[row] = np.nan
-            errors[row] = AccuracyError(
-                f"linear centre rate at q_R = {q_R[row]:g} may be off by "
-                f"{bounds[k]:.1e} from rounding, above tol = {tol:g}")
+        _refuse(values, errors, center, bounds, tol,
+                lambda k: f"centre rate at q_R = {q_R[center[k]]:g}")
     live = np.flatnonzero((chi != 0) & (q_L > 0.0))
     if live.size == 0:
         return values, errors
@@ -380,38 +382,65 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
         return values, errors
     live, geometry = live[rest], geometry[rest]
     chi, tangential = chi[rest], tangential[rest]
+    # each pass overwrites the bounds of the rows it takes, so a row
+    # keeps those of the pass at which it settled
+    bounds = np.full(live.size, np.nan)
 
     def rate(x, w, idx):
         g, rows = np.unique(geometry[idx], return_inverse=True)
-        return _rate(chi[idx], tangential[idx],
-                     *_moments(q_R[g], q_L[g], x, w)[:, rows])
+        moments, moduli = _moments(q_R[g], q_L[g], x, w)
+        bounds[idx] = (0.75 * 2.0**-52 * np.abs(chi[idx])
+                       * _integral(tangential[idx], *moduli[:, rows]))
+        return _rate(chi[idx], tangential[idx], *moments[:, rows])
 
-    got, unsettled = quad(rate, live.size, tol)
+    with np.errstate(all="ignore"):  # a tiny sphere fails its bound
+        got, unsettled = quad(rate, live.size, tol)
     values[live] = got
     errors.update((int(live[i]), exc) for i, exc in unsettled.items())
+    _refuse(values, errors, live, bounds, tol,
+            lambda k: f"body rate at q_R = {q_R[geometry[k]]:g}, "
+                      f"q_L = {q_L[geometry[k]]:g}")
     return values, errors
 
 
-def _rate(chi, tangential, m0, m1, m2):
-    """The rows' body terms -(3/4) Im(chi Int (P + z Q) dx) from their
-    moments: z is the squared projection (s.d)^2 averaged over azimuth,
-    x^2 for a radial dipole and (1 - x^2)/2 for a tangential one."""
-    integral = np.where(tangential, m0 + 0.5 * (m1 - m2), m0 + m2)
-    return -0.75 * (chi * integral).imag
+def _refuse(values, errors, rows, bounds, tol, rate):
+    """Refuse each of the rows whose rounding bound exceeds tol (or is
+    not finite): a NaN value and an AccuracyError naming rate(k), the
+    k-th row's rate and where it is."""
+    for k in np.flatnonzero(~(bounds <= tol)).tolist():
+        values[rows[k]] = np.nan
+        errors[int(rows[k])] = AccuracyError(
+            f"linear {rate(k)} may be off by {bounds[k]:.1e} from "
+            f"rounding, above tol = {tol:g}")
+
+
+def _integral(tangential, m0, m1, m2):
+    """The rows' Int (P + z Q) dx from their moments: z is the squared
+    projection (s.d)^2 averaged over azimuth, x^2 for a radial dipole and
+    (1 - x^2)/2 for a tangential one."""
+    return np.where(tangential, m0 + 0.5 * (m1 - m2), m0 + m2)
+
+
+def _rate(chi, tangential, *moments):
+    """The rows' body terms -(3/4) Im(chi Int (P + z Q) dx)."""
+    return -0.75 * (chi * _integral(tangential, *moments)).imag
 
 
 def _moments(q_R, q_L, x, w):
     """The chi-free moments M0 = Sum w P, M1 = Sum w Q, M2 = Sum w x^2 Q
-    of G off-centre geometries (q_R, q_L) under the rule (x, w), as a
-    (3, G) array.  The rate density is P + z Q, with P and Q the
-    coefficients of :func:`locfield.greens._brace_coeffs` at the distance
-    q_o(x), all the distances in one call.
+    of G off-centre geometries (q_R, q_L) under the rule (x, w), and
+    their moduli Sum w |P|, Sum w |Q|, Sum w x^2 |Q|, as two (3, G)
+    arrays.  The rate density is P + z Q, with P and Q the coefficients
+    of :func:`locfield.greens._brace_coeffs` at the distance q_o(x), all
+    the distances in one call.
     """
     P, Q = _brace_coeffs(_sphere_distance(q_R[:, None], q_L[:, None], x))
+    x2w = w * x * x
     # a row's sum must not depend on the rows beside it, which a BLAS
     # matrix-vector product does not promise; numpy's row sums do
-    return np.stack([(P * w).sum(axis=1), (Q * w).sum(axis=1),
-                     (Q * (w * x * x)).sum(axis=1)])
+    return tuple(np.stack([(p * w).sum(axis=1), (q * w).sum(axis=1),
+                           (q * x2w).sum(axis=1)])
+                 for p, q in ((P, Q), (np.abs(P), np.abs(Q))))
 
 
 def gamma_total_linear(geometry, chi, orientation: str = "radial",

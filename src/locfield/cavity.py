@@ -39,13 +39,15 @@ justify dropping the cavity-scattering corrections in the assembled rate.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 
-from .errors import (ABSORPTION_TOL, DomainError, InvariantError,
-                     SingularityError, check_qc, method_faults, positive,
-                     raise_first, whole_number)
+from .errors import (_CAVITY_SCALE, ABSORPTION_TOL, DomainError,
+                     InvariantError, SingularityError, cavity_scale_faults,
+                     check_qc, method_faults, positive, qc_faults,
+                     raise_first, warn_qc, whole_number)
 from .greens import as_permittivity, unit_vector
 from .specfun import (dipole_bessel_j, dipole_hankel_h1, riccati_derivative,
                       spherical_bessel_j, spherical_hankel_h1)
@@ -88,13 +90,32 @@ def _prefactor(eps, n):
     return 1j * n * _local_field(eps) ** 2
 
 
+def _cavity_parts(eps):
+    """The factors 3 chi/(2 eps + 1) of 1/q_C^3 and
+    9 chi (4 eps + 1)/(5 (2 eps + 1)^2) of 1/q_C in gamma_c_exact."""
+    s = 2.0 * eps + 1.0
+    return (3.0 * (eps - 1.0) / s,
+            9.0 * (eps - 1.0) * (4.0 * eps + 1.0) / (5.0 * s**2))
+
+
 def _cavity_term(eps, n, q_C: float):
     """gamma_c of :func:`gamma_c_exact`."""
-    s = 2.0 * eps + 1.0
-    return np.imag(3.0 * (eps - 1.0) / s / q_C**3
-                   + 9.0 * (eps - 1.0) * (4.0 * eps + 1.0)
-                   / (5.0 * s**2) / q_C
-                   + _prefactor(eps, n)) - 1.0
+    a, b = _cavity_parts(eps)
+    return np.imag(a / q_C**3 + b / q_C + _prefactor(eps, n)) - 1.0
+
+
+def _scale_factor(method: str, eps):
+    """The factor c of :func:`locfield.errors.cavity_scale_faults` for a
+    method's rates at eps, a complex array: Im eps, as every absorption
+    validity value has it, or on the exact route the larger
+    (|a| + |b|)/16 of :func:`_cavity_parts`, which grows near the pole;
+    at Re eps >= 0 that stays below 0.31 and is not worked out."""
+    c = np.imag(eps)
+    if method != "exact" or not (np.real(eps) < 0).any():
+        return c
+    with np.errstate(all="ignore"):
+        a, b = _cavity_parts(eps)
+        return np.maximum(c, (np.abs(a) + np.abs(b)) / _CAVITY_SCALE)
 
 
 def _absorption_shift(eps, q_C: float):
@@ -174,12 +195,17 @@ def gamma_c_exact(eps, q_C: float) -> float:
 
     Reduces to :func:`locfield.born.gamma_c_linear` to first order in
     chi (the difference is -chi^2/8 + O(chi^3) for real chi).  For real
-    eps only the constant survives: 9 eps^{5/2}/(2 eps+1)^2 - 1.
+    eps only the constant survives: 9 eps^{5/2}/(2 eps+1)^2 - 1.  Worked
+    out as a one-element column of the exact rates of
+    :mod:`locfield.rates`, so it equals their gamma_c bit for bit.
     """
-    eps = as_permittivity(eps)
-    q_C = check_qc(q_C)
-    raise_first(method_faults("exact", eps.epsilon))
-    return float(_cavity_term(eps.epsilon, eps.n, q_C))
+    e = np.array([as_permittivity(eps).epsilon])
+    q_C = float(q_C)
+    raise_first(itertools.chain(
+        qc_faults(q_C), method_faults("exact", e),
+        cavity_scale_faults("q_C", q_C, _scale_factor("exact", e))))
+    warn_qc(q_C)
+    return float(_cavity_term(e, np.sqrt(e), q_C)[0])
 
 
 def _check_green_tensor(gB1) -> np.ndarray:

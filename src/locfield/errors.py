@@ -80,10 +80,15 @@ QC_WARN = 0.1
 # 2 in f_constant_q, Im chi in the linear rate and its validity value,
 # |3 chi/(2 eps + 1)| <= 6 in the exact one and 9 Im chi/(2 Re eps + 1)^2
 # in the weak-absorption shift, both for Re eps > 0, each with the
-# smaller 1/q terms added
+# smaller 1/q terms added; near the pole the exact c grows instead
 _CAVITY_SCALE = 16.0
 
 POLE = "eps = -1/2 is the pole of the local-field factor 3 eps/(2 eps + 1)"
+NEAR_POLE = ("eps is too near -1/2, the pole of the local-field factor "
+             "L = 3 eps/(2 eps + 1): L^2 leaves double range")
+# L^2 and K = i n L^2 (|n| < 1 there) are doubles while
+# |2 eps + 1| >= _POLE_BAND |eps|, that is outside |2 eps + 1| < 1.1e-154
+_POLE_BAND = 3.0 / math.sqrt(sys.float_info.max)
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
@@ -145,7 +150,10 @@ def permittivity_faults(eps):
 def method_faults(method: str, eps):
     """The rules of a rate method on its permittivity."""
     if method == "exact":
-        yield 2.0 * eps + 1.0 == 0, POLE, SingularityError
+        s = 2.0 * eps + 1.0
+        yield s == 0, POLE, SingularityError
+        yield (np.abs(s) < _POLE_BAND * np.abs(eps), NEAR_POLE,
+               SingularityError)
     elif method == "uncorrected":
         yield (np.imag(eps) > ABSORPTION_TOL, "uncorrected method assumes "
                "a transparent host; use exact or weak_absorption")
@@ -165,8 +173,9 @@ def cavity_scale_faults(name: str, q: float, c=1.0):
     """The rule that a float cavity radius q is positive and finite and
     the cavity terms, at most _CAVITY_SCALE max(1, |c|)/q^3, finite
     doubles; c, a number or an array, is the factor the medium puts on
-    them: Im chi in the rates and their validity values, chi in
-    :func:`locfield.greens.f_constant_q`.  A q that passes
+    them: Im chi in the rates and their validity values, more on the
+    exact route near the pole (:func:`locfield.cavity._scale_factor`),
+    chi in :func:`locfield.greens.f_constant_q`.  A q that passes
     :func:`qc_faults` can still be too small for it (below about 4.5e-103
     at |c| <= 1), and the rates that divide by q^3 then leave double
     range."""

@@ -18,11 +18,17 @@ C_m^M the interior scattering coefficients
     C_m^N = -[eps h_m(z1) xi_m'(z0) - xi_m'(z1) h_m(z0)]
              / [eps j_m(z1) xi_m'(z0) - psi_m'(z1) h_m(z0)],
 
-(C_m^M without the eps factors), z0 = q_R, z1 = n q_R.  At the center
+(C_m^M without the eps factors), z0 = q_R, z1 = n q_R.  In vacuum
+(eps = 1) both are exactly 0, and so is every body term.  At the center
 only m = 1 survives and both orientations give Im[K C_1^N]; this limit is
 implemented analytically rather than by small-q_L evaluation, so there is
 no 0/0, and from the closed-form dipole functions of
 :mod:`locfield.specfun`, so it needs no :mod:`scipy.special`.
+
+The coefficients and the centre rate take arrays, a curve of spheres
+per call; a scalar runs as a one-element column of the same code, so it
+equals that point of a column bit for bit.  :func:`_gamma_b_rows` is
+the rows kernel of :mod:`locfield.rates`.
 
 The series walks the orders upward.  Each order evaluates h_m(z0),
 h_m(z1), j_m(z1) and j_m(x) once, and forms xi_m', psi_m' from them and
@@ -32,22 +38,22 @@ super-exponentially once m exceeds ~ q_R |n|, and then as
 (q_L/q_R)^{2m}; the series stops once _SMALL_RUN successive terms fall
 below _TERM_TOLERANCE of the sum, and raises AccuracyError if that has
 not happened by specfun.ORDER_MAX = 200.
-eps = -1/2, the pole of L, raises SingularityError on every route.
+eps = -1/2, the pole of L, raises SingularityError on every route, and
+so does eps so near it that L^2 leaves double range.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import numbers
 
 import numpy as np
 
 from . import cavity
-from .errors import (AccuracyError, DomainError, NonFiniteError,
-                     SingularityError, inside_sphere, method_faults,
-                     orientation_faults, permittivity_faults, positive,
-                     raise_first)
+from .errors import (AccuracyError, DomainError, LocfieldError,
+                     NonFiniteError, SingularityError, inside_sphere,
+                     method_faults, orientation_faults, permittivity_faults,
+                     positive, raise_first)
 from .greens import Permittivity, as_permittivity
 from .specfun import (ORDER_MAX, dipole_bessel_j, dipole_hankel_h1,
                       riccati_derivative, riccati_upward, spherical_bessel_j,
@@ -72,60 +78,65 @@ _SMALL_RUN = 3
 _CENTER_REL_MAX = 1.0e-8
 
 
-def _epsilon(eps):
-    """(eps, n): the relative permittivity and its principal root, as
-    complex scalars, or as complex arrays for a sequence of permittivities
-    (checked as one array, by Permittivity's checks in their order)."""
-    if isinstance(eps, (Permittivity, numbers.Number)) or np.ndim(eps) == 0:
-        eps = as_permittivity(eps)
-        return eps.epsilon, eps.n
-    e = np.asarray(eps)
+def _columns(eps, q_R):
+    """(e, n, q_R, shape): eps (one or a sequence, checked as one array by
+    Permittivity's checks in their order), its root n and q_R (checked
+    positive) as arrays of at least one element, and the arguments' shape."""
+    shape = np.broadcast_shapes(np.shape(eps), np.shape(q_R))
+    if isinstance(eps, Permittivity):
+        eps = eps.epsilon
+    e = np.atleast_1d(np.asarray(eps))
     if e.dtype == object:
-        e = np.array([as_permittivity(v).epsilon for v in eps])
+        e = np.array([as_permittivity(v).epsilon for v in e.ravel()]
+                     ).reshape(e.shape)
     e = e.astype(complex)
     raise_first(permittivity_faults(e))
-    return e, np.sqrt(e)
+    q_R = np.atleast_1d(np.asarray(q_R, dtype=float))
+    raise_first(positive("q_R", q_R))
+    return e, np.sqrt(e), q_R, shape
+
+
+def _shaped(value, shape):
+    """A column's values in the arguments' shape: a Python scalar for
+    scalar arguments."""
+    return value.item() if shape == () else value.reshape(shape)
 
 
 def _coefficients(e, m, h0, h1, j1, xi0p, xi1p, ps1p):
     """(C_m^N, C_m^M) from h_m(z0), h_m(z1), j_m(z1), xi_m'(z0), xi_m'(z1)
-    and psi_m'(z1), scalars or arrays, or the resonance pole's error."""
+    and psi_m'(z1), scalars or arrays, or the resonance pole's error.
+    In vacuum (e == 1) both are exactly 0, not rounding noise."""
     den_N = e * j1 * xi0p - ps1p * h0
     den_M = j1 * xi0p - ps1p * h0
     if (min(abs(den_N), abs(den_M)) < 1.0e-300 if isinstance(den_N, complex)
             else (np.minimum(abs(den_N), abs(den_M)) < 1.0e-300).any()):
         raise SingularityError(f"sphere coefficient denominator vanished "
                                f"at m = {m} (resonance pole)")
-    return (-(e * h1 * xi0p - xi1p * h0) / den_N,
-            -(h1 * xi0p - xi1p * h0) / den_M)
+    medium = e != 1
+    return (-(e * h1 * xi0p - xi1p * h0) * medium / den_N,
+            -(h1 * xi0p - xi1p * h0) * medium / den_M)
 
 
 def sphere_coefficients(eps, q_R, m: int):
     """Interior scattering coefficients (C_m^N, C_m^M) of the sphere.
 
     eps is one permittivity or a sequence of them, and q_R a float or an
-    array broadcasting with it; the coefficients take their shape.  m is
-    a single order.  The dipole order m = 1, all that the centre rate
+    array broadcasting with it; the coefficients take their shape (complex
+    numbers for scalars, worked out as a one-element column).  m is a
+    single order.  The dipole order m = 1, all that the centre rate
     needs, takes the closed forms of :func:`locfield.specfun.dipole_hankel_h1`
     and :func:`locfield.specfun.dipole_bessel_j`, which need no
     :mod:`scipy.special`; higher orders call the scipy-backed functions.
     A coefficient that leaves double range raises NonFiniteError, as at
     eps = 1e-300, q_R = 1, where C_1^N and C_1^M are about 1e450.
     """
-    e, n = _epsilon(eps)
-    q_R = _radius(q_R)
+    e, n, q_R, shape = _columns(eps, q_R)
     m = int(m)
     if m < 1:
         raise DomainError("m must be >= 1")
-    return _finite_coefficients(e, m, *_order_values(m, q_R + 0j, n * q_R))
-
-
-def _radius(q_R):
-    """q_R as a float, or as a float array, checked positive."""
-    q_R = (float(q_R) if isinstance(q_R, numbers.Real)
-           else np.asarray(q_R, dtype=float))
-    raise_first(positive("q_R", q_R))
-    return q_R
+    C_N, C_M = _finite_coefficients(
+        e, m, *_order_values(m, q_R + 0j, n * q_R))
+    return _shaped(C_N, shape), _shaped(C_M, shape)
 
 
 def _order_values(m: int, z0, z1):
@@ -143,13 +154,11 @@ def _order_values(m: int, z0, z1):
 
 
 def _finite_coefficients(e, m, *values):
-    """:func:`_coefficients` of scalars or arrays, or NonFiniteError
-    where a coefficient leaves double range."""
+    """:func:`_coefficients` of arrays, or NonFiniteError where a
+    coefficient leaves double range."""
     with np.errstate(all="ignore"):
         C_N, C_M = _coefficients(e, m, *values)
-    if not (cmath.isfinite(C_N) and cmath.isfinite(C_M)
-            if isinstance(C_N, complex)
-            else np.isfinite(C_N).all() and np.isfinite(C_M).all()):
+    if not (np.isfinite(C_N).all() and np.isfinite(C_M).all()):
         raise _nonfinite_coefficients(m)
     return C_N, C_M
 
@@ -230,25 +239,26 @@ def gamma_b_center(eps, q_R):
     transparent host K is imaginary, so the rate is Re C_1^N, which at a
     small sphere sits under Im C_1^N ~ 1/q_R^3 (at eps = 1.1 the bound
     passes 1e-8 below q_R = 7e-3, and at q_R = 1e-5 the rate is off by
-    1e-5 of itself).
+    1e-5 of itself).  In vacuum C_1^N = 0, and the rate is exactly 0.
     """
-    e, n = _epsilon(eps)
-    q_R = _radius(q_R)
+    e, n, q_R, shape = _columns(eps, q_R)
+    raise_first(method_faults("exact", e))
     z0, z1 = q_R + 0j, n * q_R
     values = _order_values(1, z0, z1)
     C_N, _ = _finite_coefficients(e, 1, *values)
-    raise_first(method_faults("exact", e))
-    K = cavity._prefactor(e, n)
-    gamma = np.imag(K * C_N)
-    bound = np.ravel(_center_rounding_bound(e, K * C_N, z0, z1, *values))
+    with np.errstate(all="ignore"):
+        kc = cavity._prefactor(e, n) * C_N
+    # a non-finite K C_1^N fails; a zero one (vacuum) has a NaN bound
+    bound = np.where(np.isfinite(kc), _center_rounding_bound(
+        e, kc, z0, z1, *values), np.inf).ravel()
     over = np.flatnonzero(bound > _CENTER_REL_MAX)
     if over.size:
         k = over[0]
-        q = np.broadcast_to(q_R, np.shape(gamma)).ravel()[k]
+        q = np.broadcast_to(q_R, kc.shape).ravel()[k]
         raise AccuracyError(f"centre rate at q_R = {q:g} may be off by a "
                             f"relative {bound[k]:.1e} from rounding, above "
                             f"{_CENTER_REL_MAX:g}")
-    return float(gamma) if np.ndim(gamma) == 0 else gamma
+    return _shaped(kc.imag, shape)
 
 
 def _center_rounding_bound(e, kc, z0, z1, h0, h1, j1, xi0p, xi1p, ps1p):
@@ -261,8 +271,8 @@ def _center_rounding_bound(e, kc, z0, z1, h0, h1, j1, xi0p, xi1p, ps1p):
     It bounds the error measured against a 60-digit mpmath sweep over
     q_R = 1e-8 .. 20 at twelve eps, and it is pessimistic where that
     small part is formed without cancellation (4e-9 at eps = 1.1,
-    q_R = 0.01, where the measured error is 5e-12).  An exactly zero
-    rate (eps = 1) gives NaN, which no check refuses."""
+    q_R = 0.01, where the measured error is 5e-12).  A zero rate
+    (eps = 1) gives NaN, which no check refuses."""
     with np.errstate(all="ignore"):
         num, den = (e * h1 * xi0p, xi1p * h0), (e * j1 * xi0p, ps1p * h0)
         cancel = sum((np.abs(a) + np.abs(b)) / np.abs(a - b)
@@ -295,8 +305,41 @@ def gamma_b_exact(eps, q_R: float, q_L: float,
         return gamma_b_center(eps, q_R)
     raise_first(method_faults("exact", eps.epsilon))
     series = _series(eps, q_R, q_L, orient)
-    return ((1.5 if orient == "radial" else 0.75)
-            * float(np.imag(cavity._prefactor(eps.epsilon, eps.n) * series)))
+    gamma = ((1.5 if orient == "radial" else 0.75)
+             * float(np.imag(cavity._prefactor(eps.epsilon, eps.n) * series)))
+    if not math.isfinite(gamma):  # K near the pole times a large sum
+        raise NonFiniteError(f"sphere series rate leaves double range "
+                             f"(q_R = {q_R:g}, q_L = {q_L:g})")
+    return gamma
+
+
+def _gamma_b_rows(eps, q_R, q_L, orientation):
+    """Exact body terms of the rows (eps, q_R, q_L, orientation), four
+    (N,) arrays, as :func:`locfield.born.gamma_b_sphere_rows` returns
+    them: the (N,) values, and a dict from the index of each row that
+    failed to its LocfieldError (its value is NaN).  The centred rows
+    are one :func:`gamma_b_center` call, each row alone if that raises;
+    every other row is one :func:`gamma_b_exact` call."""
+    values, errors = np.full(eps.size, np.nan), {}
+    center = q_L == 0.0
+
+    def alone(k):
+        if center[k]:
+            return gamma_b_center(eps[k:k + 1], q_R[k:k + 1])[0]
+        return gamma_b_exact(eps[k], q_R[k], q_L[k], str(orientation[k]))
+
+    rows = np.flatnonzero(~center).tolist()
+    if len(rows) < eps.size:
+        try:
+            values[center] = gamma_b_center(eps[center], q_R[center])
+        except LocfieldError:
+            rows = range(eps.size)
+    for k in rows:
+        try:
+            values[k] = alone(k)
+        except LocfieldError as exc:
+            errors[k] = exc
+    return values, errors
 
 
 def gamma_center_exact(eps, q_R: float, q_C: float) -> float:

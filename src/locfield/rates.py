@@ -10,22 +10,21 @@ weak-absorption, or uncorrected evaluation paths.
 
 :func:`compute_batch` is the entry point for requests: it returns a
 breakdown or an error for each.  It groups them into columns, one per
-set of requests that share method, geometry, orientation, q_C, nu, tol
-and Mie settings; a column, one curve of a sweep, is what the
-evaluation works on.  Its points are checked as arrays by the rules of
-:mod:`locfield.errors`, each failing point getting the error (text and
-precedence) that a RateRequest and :func:`compute` give it.  A
-column's cavity term is one array expression of the closed forms that
-the scalar functions of :mod:`locfield.cavity` and :mod:`locfield.born`
-also call, and its validity values are arrays too.  The sphere body
-terms of all the columns go to the array kernels together: the linear
-Born and uncorrected terms are one call of
-:func:`locfield.born.gamma_b_sphere_rows`, where the centred rows are a
-closed form and each distinct off-centre geometry is integrated once,
-and exact body terms at the sphere center, weak_absorption's (the exact
-one at Re eps) among them, are one call of
-:func:`locfield.mie.gamma_b_center`.  Only off-center exact
-points keep a per-point series.  A sweep
+set of requests that share method, geometry, orientation, q_C, nu and
+tol; a column, one curve of a sweep, is what the evaluation works on.
+Its points are checked as arrays by the rules of :mod:`locfield.errors`,
+each failing point getting the error (text and precedence) that a
+RateRequest and :func:`compute` give it.  A column's cavity term is one
+array expression of the closed forms that the scalar functions of
+:mod:`locfield.cavity` and :mod:`locfield.born` also call, and its
+validity values are arrays too.  The sphere body terms of all the
+columns go to two array kernels, each of which returns a value or an
+error per row: the exact and weak_absorption terms (the exact one at
+Re eps for weak_absorption) are one call of
+:func:`locfield.mie._gamma_b_rows`, and the linear Born and uncorrected
+terms that share a tol one call of
+:func:`locfield.born.gamma_b_sphere_rows`, where rows on one sphere
+geometry share its moments.  A sweep
 (:func:`locfield.cli.run_sweep`) builds one column per curve from its
 grid; :func:`compute` is a batch of one.
 
@@ -293,24 +292,26 @@ def _compute_columns(columns) -> list:
 
     Each column is validated by :func:`_check_points`, and a large q_C
     warns once per column that yields a rate.  The cavity term and the
-    validity values are worked out as arrays.  The sphere
-    body terms of all the columns go to the array kernels together, one
-    call per kernel and tol; off-center exact points keep their
-    per-point series.
+    validity values are worked out as arrays.  The sphere body terms of
+    all the columns go to the array kernels together, one call per
+    kernel (and tol): :func:`locfield.mie._gamma_b_rows` for the exact
+    and weak-absorption rows, :func:`locfield.born.gamma_b_sphere_rows`
+    for the linear ones, where rows on one sphere geometry share its
+    moments.
     """
     batches = defaultdict(list)
     out = [_column_rates(column, batches) for column in columns]
-    for key, members in batches.items():
+    for (kernel, *args), members in batches.items():
         rows = [np.concatenate(parts) for parts in zip(
             *(arrays for _, _, arrays in members))]
-        values, errors = _body_rows(key, rows)
+        values, errors = kernel(*rows, *args)
         start = 0
         for rates_, idx, _ in members:
             stop = start + idx.size
             rates_.gamma_b[idx] = values[start:stop]
-            for j, exc in errors.items():
-                if start <= j < stop:
-                    rates_.errors[int(idx[j - start])] = exc
+            rates_.errors.update((int(idx[j - start]), exc)
+                                 for j, exc in errors.items()
+                                 if start <= j < stop)
             start = stop
     return out
 
@@ -318,7 +319,8 @@ def _compute_columns(columns) -> list:
 def _column_rates(col: _Column, batches) -> _Rates:
     """The rates of one column, but for the sphere body terms that go to
     an array kernel: those rows are added to ``batches``, keyed by
-    kernel, with the indices of their points."""
+    kernel and its further arguments, with the indices of their
+    points."""
     sphere = col.q_R is not None
     eps, q_L, q_R = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(col.eps, dtype=complex), np.asarray(col.q_L, dtype=float),
@@ -351,25 +353,15 @@ def _column_rates(col: _Column, batches) -> _Rates:
         rates_.gamma_c[live] = (cavity._local_field(re) ** 2 * np.sqrt(re)
                                 - 1.0 + cavity._absorption_shift(eps, q_C))
         eps = re + 0j
+    orientation = np.full(live.size, col.orientation)
     if not sphere:
         rates_.gamma_b[live] = 0.0
     elif method in ("linear_born", "uncorrected"):
-        orientation = np.full(live.size, col.orientation)
-        batches[("linear", col.tol)].append(
+        batches[born.gamma_b_sphere_rows, col.tol].append(
             (rates_, live, (q_R, q_L, chi, orientation)))
     else:
-        center = q_L == 0.0
-        if center.any():
-            batches[("center",)].append(
-                (rates_, live[center], (eps[center], q_R[center])))
-        off = ~center  # none for weak absorption
-        for i, e, R, L in zip(live[off].tolist(), eps[off].tolist(),
-                              q_R[off].tolist(), q_L[off].tolist()):
-            try:
-                rates_.gamma_b[i] = mie.gamma_b_exact(e, R, L,
-                                                      col.orientation)
-            except LocfieldError as exc:
-                errors[i] = exc
+        batches[mie._gamma_b_rows,].append(
+            (rates_, live, (eps, q_R, q_L, orientation)))
     return rates_
 
 
@@ -383,7 +375,8 @@ def _check_points(col: _Column, eps, q_R, q_L):
         sphere_faults(q_R, q_L, float(col.q_C), float(col.nu))
         if col.q_R is not None else qc_faults(float(col.q_C)),
         positive("tol", col.tol), method_faults(col.method, eps),
-        cavity_scale_faults("q_C", float(col.q_C), np.imag(eps))))
+        cavity_scale_faults("q_C", float(col.q_C),
+                            cavity._scale_factor(col.method, eps))))
     errors = {}
     ok = np.ones(eps.shape, dtype=bool)
     if functools.reduce(operator.or_, [c[0] for c in checks]).any():
@@ -393,26 +386,3 @@ def _check_points(col: _Column, eps, q_R, q_L):
                 errors[k] = error_of(check, q_R[k], q_L[k])
             ok &= ~bad
     return errors, ok
-
-
-def _body_rows(key, rows):
-    """Body terms of the rows of one kernel, given as a list of arrays
-    (its arguments): the values, and a dict from the index of each row
-    that failed to its LocfieldError.  An error the kernel raises for the
-    whole call is pinned on its row by running each row alone."""
-    try:
-        if key[0] == "linear":
-            return born.gamma_b_sphere_rows(*rows, key[1])
-        return mie.gamma_b_center(*rows), {}
-    except LocfieldError as exc:
-        n = rows[0].size
-        if n == 1:
-            return np.full(1, np.nan), {0: exc}
-        values, errors = np.full(n, np.nan), {}
-        for k in range(n):
-            values[k:k + 1], error = _body_rows(key, [r[k:k + 1]
-                                                      for r in rows])
-            if error:
-                errors[k] = error[0]
-        return values, errors
-

@@ -167,6 +167,31 @@ def test_center_rows_refuse_tiny_spheres():
             gamma_b_center_closed(1e-120, chi)
 
 
+def test_offcentre_rule_refuses_tiny_spheres():
+    # the Gauss-Legendre rule returned -0.11666666637193909 here, 4.2e-10
+    # from the 40-digit rate, at tol = 1e-10
+    chi = 0.1
+    values, errors = gamma_b_sphere_rows(1e-4, 3e-5, chi)
+    assert np.isnan(values[0])
+    assert isinstance(errors[0], AccuracyError)
+    assert str(errors[0]) == ("linear body rate at q_R = 0.0001, q_L = "
+                              "3e-05 may be off by 3.1e-05 from rounding, "
+                              "above tol = 1e-10")
+    # the rows its bound admits are within tol of the 40-digit rate
+    for q_R in (0.01, 0.1, 1.0):
+        for orientation in ORIENTATIONS:
+            values, errors = gamma_b_sphere_rows(q_R, 0.3 * q_R, chi,
+                                                 orientation)
+            assert errors == {}, (q_R, orientation)
+            want = mp_body_term(q_R, 0.3 * q_R, chi, orientation)
+            assert abs(values[0] - want) <= 1e-10, (q_R, orientation)
+    # where 1/q^3 leaves double range: a typed error and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, errors = gamma_b_sphere_rows(1e-120, 3e-121, chi)
+        assert "may be off by inf from rounding" in str(errors[0])
+
+
 def test_orientation_degeneracy_at_center():
     chi = 0.1 + 1e-8j
     for q_R in (1.0, 2.0, 5.0):
@@ -363,15 +388,19 @@ def test_moments_are_one_call_equal_to_their_nodes(monkeypatch):
         return _brace_coeffs(q)
 
     monkeypatch.setattr("locfield.born._brace_coeffs", brace_coeffs)
-    moments = _moments(q_R, q_L, x, w)
+    moments, moduli = _moments(q_R, q_L, x, w)
     assert sizes == [q_R.size * x.size]
     P, Q = _full_node_terms(q_R[:, None], q_L[:, None], x)
     full = np.stack([(P * w).sum(axis=1), (Q * w).sum(axis=1),
                      (Q * (w * x * x)).sum(axis=1)])
     assert moments.tobytes() == full.tobytes()
+    P, Q = np.abs(P), np.abs(Q)
+    assert moduli.tobytes() == np.stack([
+        (P * w).sum(axis=1), (Q * w).sum(axis=1),
+        (Q * (w * x * x)).sum(axis=1)]).tobytes()
     # and a geometry's moments do not depend on the geometries beside it
     for k in range(q_R.size):
-        alone = _moments(q_R[k:k + 1], q_L[k:k + 1], x, w)
+        alone, _ = _moments(q_R[k:k + 1], q_L[k:k + 1], x, w)
         assert alone.tobytes() == full[:, k:k + 1].tobytes()
 
 

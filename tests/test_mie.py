@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from locfield import RateRequest, compute, mie
+from locfield import RateRequest, compute, compute_batch, mie
 from locfield.born import ORIENTATIONS, SphereConfig, gamma_b_sphere_linear
-from locfield.cavity import gamma_bulk
+from locfield.cavity import gamma_bulk, gamma_c_exact
 from locfield.errors import (AccuracyError, DomainError, LocfieldError,
                              NonFiniteError, SingularityError)
 from locfield.greens import Permittivity
@@ -492,6 +492,83 @@ def test_orientations_agree_at_the_centre(eps, q_R):
 
 def test_center_rate_vacuum_is_unity():
     assert gamma_center_exact(1.0, 2.0, 0.01) == 1.0
+
+
+# the grid on which the scalar calls once ran in Python complex
+# arithmetic and differed from the columns in the last bits
+_ONE_PATH_EPS = (1.1, 1.1 + 1e-8j, 1.3 + 0.01j, 2.25 + 0.1j, 1.05 + 1e-6j,
+                 1.0)
+_ONE_PATH_Q_R = np.append(np.geomspace(0.5, 20.0, 40), 0.01)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except LocfieldError as exc:
+        return type(exc), str(exc)
+
+
+def test_scalar_calls_are_one_element_columns():
+    # a scalar call runs the column code that compute runs, so each centre
+    # number equals the same point of a column, bit for bit
+    q_C = 1e-3
+    for eps in _ONE_PATH_EPS:
+        for q_R in _ONE_PATH_Q_R.tolist():
+            request = RateRequest(eps=eps, method="exact", q_R=q_R, q_C=q_C)
+            got = _outcome(lambda: compute(request))
+            parts = (_outcome(lambda: gamma_c_exact(eps, q_C)),
+                     _outcome(lambda: gamma_b_center(eps, q_R)),
+                     _outcome(lambda: gamma_center_exact(eps, q_R, q_C)))
+            if isinstance(got, tuple):  # an error, the same on each route
+                assert got in parts[1:], (eps, q_R)
+            else:
+                assert parts == (got.gamma_c_ratio, got.gamma_b_ratio,
+                                 got.total_ratio), (eps, q_R)
+    eps, q_R = np.meshgrid(np.array(_ONE_PATH_EPS), _ONE_PATH_Q_R)
+    for m in (1, 4):
+        C_N, C_M = sphere_coefficients(eps.ravel(), q_R.ravel(), m)
+        for k, (e, q) in enumerate(zip(eps.ravel().tolist(),
+                                       q_R.ravel().tolist())):
+            assert sphere_coefficients(e, q, m) == (C_N[k], C_M[k]), (e, q, m)
+
+
+def test_vacuum_rows_are_exact():
+    # eps = 1: C_m = 0, and the centre rate is 0 with no rounding guard,
+    # which the column's rounding noise once tripped ("off by a relative
+    # 6.3e+06")
+    assert compute(RateRequest(eps=1.0, method="exact",
+                               q_R=0.01)).total_ratio == 1.0
+    assert gamma_b_center([1.0, 1.0], [0.01, 1e-6]).tolist() == [0.0, 0.0]
+    for m in (1, 4):
+        assert sphere_coefficients(1.0, 0.01, m) == (0j, 0j)
+    assert gamma_b_exact(1.0, 2.0, 1.5, "tangential") == 0.0
+
+
+def test_exact_kernel_keeps_each_rows_error():
+    # one column: centred rows, one of them a tiny transparent sphere the
+    # centre call refuses, and off-centre rows, one of them overflowing;
+    # each error stays on its row, and every other row is compute's alone
+    rows = [(1.1 + 1e-8j, 2.0, 0.0), (1.1, 1e-5, 0.0),
+            (1.0 + 100j, 60.0, 53.0), (1.2 + 1e-7j, 5.0, 0.0),
+            (1.1 + 1e-8j, 3.0, 1.0), (1.3, 0.5, 0.0)]
+    requests = [RateRequest(eps=e, method="exact", q_R=q_R, q_L=q_L,
+                            q_C=1e-6) for e, q_R, q_L in rows]
+    results = compute_batch(requests)
+    assert {k: type(r) for k, r in enumerate(results)
+            if isinstance(r, LocfieldError)} == {1: AccuracyError,
+                                                  2: NonFiniteError}
+    assert str(results[1]).startswith("centre rate at q_R = 1e-05 ")
+    assert str(results[2]).startswith("sphere series overflowed at m = 1")
+    for request, result in zip(requests, results):
+        if isinstance(result, LocfieldError):
+            with pytest.raises(type(result)) as alone:
+                compute(request)
+            assert str(alone.value) == str(result)
+        else:
+            assert result == compute(request)
+    values, errors = mie._gamma_b_rows(*map(np.array, zip(*rows)),
+                                       np.full(len(rows), "radial"))
+    assert sorted(errors) == [1, 2] and np.isnan(values[[1, 2]]).all()
 
 
 def test_center_rate_oscillates_about_bulk():

@@ -160,6 +160,25 @@ def test_vacuum_gives_unity_for_every_method():
         assert isinstance(r, RateBreakdown)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(METHODS), geometry=st.sampled_from(GEOMETRIES),
+       orientation=st.sampled_from(ORIENTATIONS),
+       q_R=st.floats(-1.5, 1.5).map(lambda e: 10.0**e),
+       ratio=st.floats(0.0, 0.99))
+def test_vacuum_is_unity_on_every_route(method, geometry, orientation, q_R,
+                                        ratio):
+    # the chi -> 0 limit at its endpoint: eps = 1 gives exactly the vacuum
+    # rate, centred or off the centre (weak_absorption only at the
+    # centre), with a body term of exactly 0
+    sphere = geometry == "sphere"
+    q_L = ratio * (q_R - 0.01) if sphere and method != "weak_absorption" \
+        else 0.0
+    r = compute(RateRequest(eps=1.0, method=method, geometry=geometry,
+                            q_R=q_R if sphere else None, q_L=q_L,
+                            orientation=orientation))
+    assert r.total_ratio == 1.0 and r.gamma_b_ratio == 0.0
+
+
 def test_bulk_linear_is_cavity_term_only():
     eps = 1.12 + 1e-8j
     r = compute(RateRequest(eps=eps, method="linear_born",
@@ -393,6 +412,42 @@ def test_permittivities_the_rates_refuse_fail_their_own_requests():
         gamma_weak_absorption(1e-7j, 0.01, 1.0, np.zeros((3, 3)), Z)
 
 
+def test_the_pole_band_is_refused():
+    # eps = -1/2 is not the only point where the local-field factor
+    # leaves double range: next to it n L^2, or the exact cavity terms in
+    # 1/q_C^3, overflow.  Each route raises a typed error naming the pole
+    # or q_C, where compute returned total_ratio = inf and gamma_c_exact
+    # raised Python's OverflowError or ZeroDivisionError; nothing warns
+    near = ("eps is too near -1/2, the pole of the local-field factor "
+            "L = 3 eps/(2 eps + 1): L^2 leaves double range")
+    g = np.eye(3, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (result,) = compute_batch([RateRequest(
+            eps=-0.5 + 1e-12j, method="exact", geometry="bulk", q_C=1e-99)])
+        assert isinstance(result, NonFiniteError)
+        assert str(result) == ("q_C = 1e-99 is too small: the cavity terms "
+                               "in 1/q_C^3 leave double range")
+        assert math.isfinite(compute(RateRequest(
+            eps=-0.5 + 1e-12j, method="exact", geometry="bulk")).total_ratio)
+        for eps in (-0.5 + 1e-155j, -0.5 + 1e-160j, -0.5 + 1e-200j):
+            for call in (lambda: gamma_c_exact(eps, 0.01),
+                         lambda: gamma_b_center(eps, 2.0),
+                         lambda: gamma_b_exact(eps, 2.0, 1.0),
+                         lambda: gamma_b_corrected(eps, g, Z),
+                         lambda: compute(RateRequest(eps=eps, method="exact",
+                                                     q_R=2.0, q_L=1.0))):
+                with pytest.raises(SingularityError, match=re.escape(near)):
+                    call()
+        # just outside the band K is a double, but K C_1^N and K times
+        # the series sum need not be
+        with pytest.raises(AccuracyError, match="relative inf from"):
+            gamma_b_center(-0.5 + 6.4e-155j, 1e-3)
+        with pytest.raises(NonFiniteError, match=r"^sphere series rate "
+                           r"leaves double range \(q_R = 0.001, "):
+            gamma_b_exact(-0.5 + 6.4e-155j, 1e-3, 5e-4)
+
+
 @pytest.mark.parametrize("q_C", [1e-120, 1e-103])
 def test_cavity_radius_beyond_double_range_fails_its_own_requests(q_C):
     # q_C passes the cavity-radius rule, but 1/q_C^3 is no double (at
@@ -469,17 +524,18 @@ def test_cavity_terms_that_overflow_inside_the_old_rule_are_refused():
                         -0.1 / (6 * np.pi) * 1e306, rtol=1e-12)
 
 
-# mixed batches: linear_born, uncorrected and exact requests, centred and
-# off the centre, with centred spheres from q_R = 1e-5 (the linear centre
-# refuses below about 2e-3, the exact one below about 7e-3) up to 10,
-# transparent and absorbing hosts, and now and then a cavity radius whose
-# 1/q_C^3 is no double
+# mixed batches: requests of every method, centred and off the centre
+# (weak_absorption only centred), with centred spheres from q_R = 1e-5
+# (the linear centre refuses below about 2e-3, the exact one below about
+# 7e-3) up to 10, vacuum, transparent and absorbing hosts, and now and
+# then a cavity radius whose 1/q_C^3 is no double
 _BATCH_REQUESTS = st.builds(
     lambda method, eps, q_R, ratio, orientation, q_C: RateRequest(
-        eps=eps, method=method, q_R=q_R, q_L=q_R * ratio,
+        eps=eps, method=method, q_R=q_R,
+        q_L=0.0 if method == "weak_absorption" else q_R * ratio,
         orientation=orientation, q_C=q_C),
-    st.sampled_from(("linear_born", "uncorrected", "exact")),
-    st.sampled_from((1.1, 1.1 + 1e-8j, 1.3, 1.0 + 0.1j, 0.8 + 0.2j)),
+    st.sampled_from(METHODS),
+    st.sampled_from((1.1, 1.1 + 1e-8j, 1.3, 1.0 + 0.1j, 0.8 + 0.2j, 1.0)),
     st.floats(-5.0, 1.0).map(lambda e: 10.0**e),
     st.one_of(st.just(0.0), st.floats(0.05, 0.5)),
     st.sampled_from(ORIENTATIONS),
