@@ -45,9 +45,9 @@ import math
 import numpy as np
 
 from .errors import (_CAVITY_SCALE, ABSORPTION_TOL, DomainError,
-                     InvariantError, SingularityError, cavity_scale_faults,
-                     check_qc, method_faults, positive, qc_faults,
-                     raise_first, warn_qc, whole_number)
+                     InvariantError, NonFiniteError, SingularityError,
+                     cavity_scale_faults, check_qc, method_faults, positive,
+                     qc_faults, raise_first, warn_qc, whole_number)
 from .greens import as_permittivity, unit_vector
 from .specfun import (dipole_bessel_j, dipole_hankel_h1, riccati_derivative,
                       spherical_bessel_j, spherical_hankel_h1)
@@ -234,8 +234,13 @@ def gamma_b_corrected(eps, gB1, dipole) -> float:
     g = _check_green_tensor(gB1)
     d = unit_vector(dipole)
     raise_first(method_faults("exact", eps.epsilon))
-    return 6.0 * np.pi * float(np.imag(_local_field(eps.epsilon) ** 2
-                                       * (d @ g @ d)))
+    with np.errstate(all="ignore"):  # L^2 is up to 1e308 by the pole band
+        gamma = 6.0 * np.pi * float(np.imag(_local_field(eps.epsilon) ** 2
+                                            * (d @ g @ d)))
+    if not math.isfinite(gamma):
+        raise NonFiniteError("corrected body rate overflowed: 6 pi "
+                             "Im[L^2 d.gB1.d] leaves double range")
+    return gamma
 
 
 def gamma_weak_absorption(eps, q_C: float, gamma_b_uncorrected: float,

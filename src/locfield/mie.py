@@ -30,14 +30,13 @@ per call; a scalar runs as a one-element column of the same code, so it
 equals that point of a column bit for bit.  :func:`_gamma_b_rows` is
 the rows kernel of :mod:`locfield.rates`.
 
-The series walks the orders upward.  Each order evaluates h_m(z0),
-h_m(z1), j_m(z1) and j_m(x) once, and forms xi_m', psi_m' from them and
-the values of order m-1 by [z f_m]' = z f_{m-1} - m f_m
-(:func:`locfield.specfun.riccati_upward`).  Its terms decay
-super-exponentially once m exceeds ~ q_R |n|, and then as
-(q_L/q_R)^{2m}; the series stops once _SMALL_RUN successive terms fall
-below _TERM_TOLERANCE of the sum, and raises AccuracyError if that has
-not happened by specfun.ORDER_MAX = 200.
+The series takes h_m(z0), h_m(z1), j_m(z1) and j_m(x) for all its orders
+from the recurrences of :mod:`locfield.specfun`, with no scipy, and forms
+xi_m', psi_m' from them by [z f_m]' = z f_{m-1} - m f_m.  Its terms decay
+super-exponentially once m exceeds ~ q_R |n|, and then as (q_L/q_R)^{2m};
+the series stops once _SMALL_RUN successive terms fall below
+_TERM_TOLERANCE of the sum, and raises AccuracyError if that has not
+happened by specfun.ORDER_MAX = 200.
 eps = -1/2, the pole of L, raises SingularityError on every route, and
 so does eps so near it that L^2 leaves double range.
 """
@@ -55,9 +54,9 @@ from .errors import (AccuracyError, DomainError, LocfieldError,
                      method_faults, orientation_faults, permittivity_faults,
                      positive, raise_first)
 from .greens import Permittivity, as_permittivity
-from .specfun import (ORDER_MAX, dipole_bessel_j, dipole_hankel_h1,
-                      riccati_derivative, riccati_upward, spherical_bessel_j,
-                      spherical_hankel_h1)
+from .specfun import (ORDER_MAX, _bessel_orders, _hankel_orders, _nonfinite,
+                      dipole_bessel_j, dipole_hankel_h1, riccati_derivative,
+                      riccati_upward, spherical_bessel_j, spherical_hankel_h1)
 
 __all__ = [
     "sphere_coefficients",
@@ -184,41 +183,51 @@ def body_green_center(eps, q_R: float) -> np.ndarray:
 
 def _series(eps, q_R: float, q_L: float, orient: str) -> complex:
     """Orientation-resolved series sum (without the K prefactor and the
-    outer 3/2 or 3/4 normalization), carrying each order's values to the
-    next for its Riccati derivatives."""
+    outer 3/2 or 3/4 normalization), each value checked at the order that
+    uses it, in the order of :func:`_coefficients`' arguments."""
     e, n = eps.epsilon, eps.n
     z0, z1, x = q_R + 0j, n * q_R, n * q_L
-    h0, h1 = spherical_hankel_h1(0, z0), spherical_hankel_h1(0, z1)
-    j1, jx = spherical_bessel_j(0, z1), spherical_bessel_j(0, x)
-    total, small_run = 0.0j, 0
-    for m in range(1, ORDER_MAX + 1):
-        h0_, h0 = h0, spherical_hankel_h1(m, z0)
-        h1_, h1 = h1, spherical_hankel_h1(m, z1)
-        j1_, j1 = j1, spherical_bessel_j(m, z1)
-        C_N, C_M = _coefficients(e, m, h0, h1, j1,
-                                 riccati_upward("hankel_h1", m, z0, h0_, h0),
-                                 riccati_upward("hankel_h1", m, z1, h1_, h1),
-                                 riccati_upward("bessel_j", m, z1, j1_, j1))
-        if not (cmath.isfinite(C_N) and cmath.isfinite(C_M)):
-            raise _nonfinite_coefficients(m)
-        jx_, jx = jx, spherical_bessel_j(m, x)
-        radial = orient == "radial"
-        r = (jx if radial else riccati_upward("bessel_j", m, x, jx_, jx)) / x
-        r2 = r * r
-        if not cmath.isfinite(r2):
-            # deep in an absorbing sphere j_m(x) grows as C_m decays;
-            # squared apart from C_m, it leaves double range
-            raise NonFiniteError(f"sphere series overflowed at m = {m}: "
-                                 "the emitter's Bessel factor squared "
-                                 "leaves double range (q_R = "
-                                 f"{q_R:g}, q_L = {q_L:g})")
-        term = ((2 * m + 1) * m * (m + 1) * C_N * r2 if radial
-                else (2 * m + 1) * (C_M * jx * jx + C_N * r2))
-        total += term
-        small = abs(term) < _TERM_TOLERANCE * max(abs(total), 1e-300)
-        small_run = small_run + 1 if small else 0
-        if small_run >= _SMALL_RUN:
-            return total
+    radial = orient == "radial"
+    # first the orders by which the terms, falling as (q_L/q_R)^{2m} from
+    # m ~ |n| q_R on, reach 1e-16 = e^-36.8; then all of them
+    guess = int(min(ORDER_MAX, 8 + abs(n) * q_R
+                    + 18.4 / max(math.log(q_R / q_L), 0.01)))
+    total, small_run, m = 0.0j, 0, 0
+    for top in sorted({guess, ORDER_MAX}):
+        h0s, h1s = _hankel_orders(z0, top), _hankel_orders(z1, top)
+        j1s, jxs = _bessel_orders(z1, top), _bessel_orders(x, top)
+        for m in range(m + 1, top + 1):
+            if m >= min(len(h0s), len(h1s)):
+                raise _nonfinite("spherical_hankel_h1")
+            h0, h1, j1, jx = h0s[m], h1s[m], j1s[m], jxs[m]
+            xi0p = riccati_upward(m, z0, h0s[m - 1], h0)
+            xi1p = riccati_upward(m, z1, h1s[m - 1], h1)
+            ps1p = riccati_upward(m, z1, j1s[m - 1], j1)
+            if not (cmath.isfinite(xi0p) and cmath.isfinite(xi1p)):
+                raise _nonfinite("riccati_derivative[hankel_h1]")
+            if not cmath.isfinite(ps1p):
+                raise _nonfinite("riccati_derivative[bessel_j]")
+            C_N, C_M = _coefficients(e, m, h0, h1, j1, xi0p, xi1p, ps1p)
+            if not (cmath.isfinite(C_N) and cmath.isfinite(C_M)):
+                raise _nonfinite_coefficients(m)
+            r = jx if radial else riccati_upward(m, x, jxs[m - 1], jx)
+            if not cmath.isfinite(r):
+                raise _nonfinite("riccati_derivative[bessel_j]")
+            r2 = (r / x) * (r / x)
+            if not cmath.isfinite(r2):
+                # deep in an absorbing sphere j_m(x) grows as C_m decays;
+                # squared apart from C_m, it leaves double range
+                raise NonFiniteError(f"sphere series overflowed at m = {m}: "
+                                     "the emitter's Bessel factor squared "
+                                     "leaves double range (q_R = "
+                                     f"{q_R:g}, q_L = {q_L:g})")
+            term = ((2 * m + 1) * m * (m + 1) * C_N * r2 if radial
+                    else (2 * m + 1) * (C_M * jx * jx + C_N * r2))
+            total += term
+            small = abs(term) < _TERM_TOLERANCE * max(abs(total), 1e-300)
+            small_run = small_run + 1 if small else 0
+            if small_run >= _SMALL_RUN:
+                return total
     raise AccuracyError(f"sphere series not converged within specfun."
                         f"ORDER_MAX = {ORDER_MAX} (q_R = {q_R:g}, "
                         f"q_L = {q_L:g})")

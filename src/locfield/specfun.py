@@ -19,31 +19,27 @@ Conventions
   silently picking a side.
 
 All functions accept scalars or ndarrays of complex argument and
-broadcast like the underlying scipy routines.  A Python int order and a
-scalar argument are checked in plain Python (``cmath``, ``math.hypot``
-and comparisons), arrays with numpy reductions: the same rules, in the
-same order, with the same errors.  The Mie series makes four scalar
-calls per order, and numpy's reductions on 0-d arrays would cost several
-times the Bessel evaluation itself; it forms the Riccati derivatives
-from values in hand by :func:`riccati_upward`.
+broadcast like the underlying scipy routines.  Orders and arguments are
+checked as arrays with numpy reductions; a scalar is a 0-d array.
 
 The dipole wave (m = 1) alone serves Tomas's centre rate, the centred
 exact and weak-absorption rows and the cavity transmission coefficient.
 :func:`dipole_hankel_h1` and :func:`dipole_bessel_j` give its functions
 in closed form, in sin, cos and exp, with the checks and messages of the
-calls they replace.  The linear Born body term needs Ei only on the
-positive imaginary axis, where :func:`_ei_imaginary_axis` evaluates it
-from fitted rational functions.  So :mod:`scipy.special`, which takes
-longer to import than the rest of the package, is imported on first
-use: bulk, centred exact, weak-absorption, linear Born and uncorrected
-rates never load it.  The off-centre exact series (Bessel and Hankel
-functions of order m > 1) and Ei off the imaginary axis do.
+calls they replace.  The off-centre exact series takes all its orders
+from the recurrences :func:`_hankel_orders` and :func:`_bessel_orders`.
+The linear Born body term needs Ei only on the positive imaginary axis,
+where :func:`_ei_imaginary_axis` evaluates it from fitted rational
+functions.  So :mod:`scipy.special`, which takes longer to import than
+the rest of the package, is imported on first use, and no rate of
+:func:`locfield.compute` loads it: sphere coefficients of one order
+m > 1, the cavity's outside-scattering coefficients and Ei off the
+imaginary axis do.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
@@ -141,44 +137,37 @@ _sp = _DeferredSpecial()
 
 
 def _check_order(m):
-    """m as a Python int for a Python int, else as an integer array."""
-    plain = type(m) is int
-    if not plain:
-        m = np.asarray(m)
-        if not np.issubdtype(m.dtype, np.integer):
-            raise DomainError(f"order m must be integer, got dtype {m.dtype}")
-    if (not 0 <= m <= ORDER_MAX if plain
-            else np.any(m < 0) or np.any(m > ORDER_MAX)):
+    """m as an integer array, checked."""
+    m = np.asarray(m)
+    if not np.issubdtype(m.dtype, np.integer):
+        raise DomainError(f"order m must be integer, got dtype {m.dtype}")
+    if np.any(m < 0) or np.any(m > ORDER_MAX):
         raise DomainError(f"order m must lie in [0, {ORDER_MAX}]")
     return m
 
 
 def _check_arg(z, allow_zero: bool):
-    """z as a Python complex for a Python number (numpy's float64 and
-    complex128 scalars among them), else as a complex array."""
-    plain = isinstance(z, (int, float, complex))
-    z = complex(z) if plain else np.asarray(z, dtype=complex)
-    if not (cmath.isfinite(z) if plain else np.all(np.isfinite(z))):
+    """z as a complex array, checked."""
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
         raise DomainError("argument z must be finite")
-    # hypot, unlike abs of a complex, returns inf rather than raising
-    if (math.hypot(z.real, z.imag) >= ARG_MAX if plain
-            else np.any(np.abs(z) >= ARG_MAX)):
+    if np.any(np.abs(z) >= ARG_MAX):
         raise DomainError(f"|z| must be < {ARG_MAX:g}")
-    if not allow_zero and (z == 0 if plain else np.any(z == 0)):
+    if not allow_zero and np.any(z == 0):
         raise SingularityError("function is singular at z = 0")
     return z
 
 
+def _nonfinite(what: str) -> NonFiniteError:
+    return NonFiniteError(f"{what} overflowed or produced NaN; argument "
+                          "too deep in the complex plane for double precision")
+
+
 def _finite_or_raise(value, what: str):
     """value, checked finite: a complex for a scalar, else the array."""
-    plain = isinstance(value, complex)
-    if not (cmath.isfinite(value) if plain else np.all(np.isfinite(value))):
-        raise NonFiniteError(f"{what} overflowed or produced NaN; "
-                             "argument too deep in the complex plane for "
-                             "double precision")
-    if plain or value.ndim == 0:
-        return complex(value)
-    return value
+    if not np.all(np.isfinite(value)):
+        raise _nonfinite(what)
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 def spherical_bessel_j(m, z):
@@ -253,20 +242,18 @@ def riccati_derivative(kind, m, z):
         z = _check_arg(z, allow_zero=False)
         # exact for all m >= 0 with h_{-1}(z) = exp(iz)/z; avoids the
         # j + iy cancellation in the upper half plane (spherical_hankel_h1)
-        return riccati_upward(kind, m, z, _half_order_h1(m - 1, z),
-                              _half_order_h1(m, z))
+        val = riccati_upward(m, z, _half_order_h1(m - 1, z),
+                             _half_order_h1(m, z))
     else:
         raise DomainError(f"unknown Riccati kind {kind!r}; "
                           "expected 'bessel_j' or 'hankel_h1'")
     return _finite_or_raise(val, f"riccati_derivative[{kind}]")
 
 
-def riccati_upward(kind, m, z, f_prev, f_m):
+def riccati_upward(m, z, f_prev, f_m):
     """[z f_m(z)]' = z f_{m-1}(z) - m f_m(z) (Wiscombe 1980, Appl. Opt. 19,
-    1505) from checked values in hand, with the non-finite check and
-    message of :func:`riccati_derivative` for the same kind."""
-    return _finite_or_raise(z * f_prev - m * f_m,
-                            f"riccati_derivative[{kind}]")
+    1505) from values in hand, unchecked: the caller checks the result."""
+    return z * f_prev - m * f_m
 
 
 def dipole_hankel_h1(z):
@@ -318,6 +305,45 @@ def dipole_bessel_j(z):
         p = s - j
     return (_finite_or_raise(j.reshape(shape), "spherical_bessel_j"),
             _finite_or_raise(p.reshape(shape), "riccati_derivative[bessel_j]"))
+
+
+def _hankel_orders(z, top: int) -> list:
+    """h_m(z) for m = 0..top, cut before the first that is not finite, by
+    the upward recurrence h_{m+1} = (2m + 1)/z h_m - h_{m-1} from
+    h_{-1} = e^{iz}/z and h_0 = -i h_{-1}, stable since h_m is its dominant
+    solution (Bohren & Huffman 1983, ch. 4); z is checked as by
+    spherical_hankel_h1."""
+    z = _check_arg(z, allow_zero=False)
+    with np.errstate(all="ignore"):
+        g = complex(np.exp(1j * z) / z)
+    z, h = complex(z), [g, -1j * g]
+    for m in range(top):
+        h.append((2 * m + 1) / z * h[-1] - h[-2])
+    finite = [cmath.isfinite(v) for v in h[1:]] + [False]
+    return h[1:finite.index(False) + 1]
+
+
+def _bessel_orders(z, top: int) -> list:
+    """j_m(z) for m = 0..top: Miller's ratios r_m = j_m/j_{m-1}
+    = z/(2m + 1 - z r_{m+1}), run down from r = 0 above top + |z|
+    (Wiscombe 1980), scale j_0 = sin z/z, or j_1 = (j_0 - cos z)/z where
+    that is the larger, from |z| = 2 on, where it does not cancel; z is
+    checked as by spherical_hankel_h1, for the series divides by it."""
+    z = _check_arg(z, allow_zero=False)
+    with np.errstate(all="ignore"):
+        j0 = complex(np.sin(z) / z)
+        j1 = complex((j0 - np.cos(z)) / z)
+    z, r = complex(z), [0j]
+    for m in range(top + int(abs(z)) + 16, 0, -1):
+        # where j_{m-1} vanishes the ratio is huge, not a ZeroDivisionError
+        r.append(z / (2 * m + 1 - z * r[-1] or 1e-300))
+    r.reverse()  # r_1, r_2, ... at index 0, 1, ...
+    big = abs(z) >= _J1_TAYLOR_BELOW and abs(j1) > abs(j0)
+    j = [j0, j1 if big else j0 * r[0]]
+    for m in range(2, top + 1):
+        j.append(j[-1] * r[m - 1])
+    return _finite_or_raise(np.array(j[:top + 1]),
+                            "spherical_bessel_j").tolist()
 
 
 def _ratios(table, x):

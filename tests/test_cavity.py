@@ -1,5 +1,7 @@
 """Real-cavity model: coefficients, exact cavity rate, bulk limits."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from locfield.cavity import (BULK_MODELS, gamma_b_corrected, gamma_bulk,
                              outside_scatter_coefficients,
                              transmission_coefficient)
 from locfield.errors import (DomainError, InvariantError, LocfieldError,
-                             SingularityError)
+                             NonFiniteError, SingularityError)
 from locfield.greens import Permittivity
 from locfield.specfun import (riccati_derivative, spherical_bessel_j,
                               spherical_hankel_h1)
@@ -216,6 +218,25 @@ def test_gamma_b_corrected_input_validation():
         gamma_b_corrected(1.1, np.zeros((2, 2)), Z)
     with pytest.raises(InvariantError):
         gamma_b_corrected(1.1, ZEROS, np.array([0.0, 0.0, 2.0]))
+
+
+def test_gamma_b_corrected_next_to_the_pole_band():
+    # just outside the pole band L^2 is about -1.4e308: with gB1 = 1e5 I
+    # only the real part of L^2 d.gB1.d, which the rate does not use,
+    # leaves double range, and 6 pi Im[...] comes back as 40-digit mpmath
+    # has it; with gB1 = 1e5 (1 + i) I the rate itself does, and raises a
+    # typed error.  No numpy warning either way
+    eps = -0.5 + 6.4e-155j
+    e = mpmath.mpc(eps.real, eps.imag)
+    want = float(6 * mpmath.pi * mpmath.im((3 * e / (2 * e + 1)) ** 2 * 1e5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gamma_b_corrected(eps, 1e5 * np.eye(3), Z)
+        with pytest.raises(NonFiniteError, match=r"^corrected body rate "
+                           r"overflowed: 6 pi Im\[L\^2 d.gB1.d\] leaves "
+                           r"double range$"):
+            gamma_b_corrected(eps, (1e5 + 1e5j) * np.eye(3), Z)
+    assert_allclose(got, want, rtol=1e-14)
 
 
 def test_assembly_identity_with_mie_tensor():

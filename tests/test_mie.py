@@ -1,7 +1,9 @@
 """Sphere scattering series: coefficients, series rates, assembled center rate."""
 
 import cmath
+import json
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from locfield import RateRequest, compute, compute_batch, mie
+from locfield import RateRequest, compute, compute_batch, mie, specfun
 from locfield.born import ORIENTATIONS, SphereConfig, gamma_b_sphere_linear
 from locfield.cavity import gamma_bulk, gamma_c_exact
 from locfield.errors import (AccuracyError, DomainError, LocfieldError,
@@ -284,11 +286,16 @@ def test_agrees_with_linear_response_for_small_chi():
 def test_near_surface_converges_by_itself():
     # interior terms decay like (q_L/q_R)^{2m}, so near the surface the
     # series walks well past q_R |n| orders before its own test stops it;
-    # these are the rates of the series cut at 60 orders, to the bit
-    expected = {"radial": -0.07518870020976746,
-                "tangential": -0.07688945373452571}
+    # these are the rates of the 40-digit table, to its 2e-13 rule
+    table = json.loads(Path(__file__).with_name("offcenter_reference.json")
+                       .read_text(encoding="utf-8"))
+    expected = {row["orientation"]: row["gamma_b"] for row in table
+                if row["set"] == "grid" and row["eps"] == [1.1, 1e-8]
+                and (row["q_R"], row["q_L"]) == (1.0, 0.6)}
+    assert sorted(expected) == sorted(ORIENTATIONS)
     for orient, value in expected.items():
-        assert gamma_b_exact(1.1 + 1e-8j, 1.0, 0.6, orient) == value
+        got = gamma_b_exact(1.1 + 1e-8j, 1.0, 0.6, orient)
+        assert abs(got - value) <= 2e-13 * max(abs(value), 0.01)
 
 
 def test_rate_validation():
@@ -313,37 +320,59 @@ def test_series_stops_at_the_order_cap():
 # -- the series' order walk ---------------------------------------------------------
 
 
-def _record_calls(monkeypatch, replace=None):
-    """Wrap the Bessel and Hankel functions that mie looks up, recording
-    (name, m, z) of each call; replace maps such a triple to the value
-    that call returns instead.  Riccati derivatives and per-order
-    coefficients must not be called at all."""
+def _record_tables(monkeypatch, replace=None):
+    """Wrap the order tables that mie looks up, recording (name, z, top,
+    orders returned) of each call; replace maps (name, m, z) to the value
+    that order of that table holds instead.  The scipy-backed functions
+    and the per-order coefficients must not be called at all."""
     calls, replace = [], replace or {}
-    for name in ("spherical_hankel_h1", "spherical_bessel_j"):
-        def wrapped(m, z, f=getattr(mie, name), name=name):
-            calls.append((name, m, z))
-            return replace[name, m, z] if (name, m, z) in replace else f(m, z)
+    for name in ("_hankel_orders", "_bessel_orders"):
+        def wrapped(z, top, f=getattr(mie, name), name=name):
+            values = f(z, top)
+            calls.append((name, z, top, len(values)))
+            for (key, m, at), value in replace.items():
+                if key == name and at == z:
+                    values[m] = value
+            return values
         monkeypatch.setattr(mie, name, wrapped)
-    for name in ("riccati_derivative", "sphere_coefficients"):
+    for name in ("spherical_hankel_h1", "spherical_bessel_j",
+                 "riccati_derivative", "sphere_coefficients"):
         monkeypatch.setattr(mie, name, None)
     return calls
 
 
 @pytest.mark.parametrize("orient", ORIENTATIONS)
 def test_series_evaluates_each_value_once(monkeypatch, orient):
-    # four checked calls per order: h_m(q_R), h_m(n q_R), j_m(n q_R) and
-    # j_m(n q_L), from the start values at m = 0 up to the last order
-    # walked; every Riccati derivative comes from these and order m - 1
+    # one table per function and argument: h_m(q_R), h_m(n q_R),
+    # j_m(n q_R) and j_m(n q_L) for m = 0..top, where top is enough for
+    # the stop test; every Riccati derivative comes from these
     eps, q_R, q_L = 1.2 + 1e-6j, 5.0, 2.0
     n = Permittivity(eps).n
-    calls = _record_calls(monkeypatch)
+    calls = _record_tables(monkeypatch)
     gamma_b_exact(eps, q_R, q_L, orient)
-    last = calls[-1][1]
-    assert last > 10
-    assert calls == [call for m in range(last + 1) for call in (
-        ("spherical_hankel_h1", m, q_R), ("spherical_hankel_h1", m, n * q_R),
-        ("spherical_bessel_j", m, n * q_R),
-        ("spherical_bessel_j", m, n * q_L))]
+    top = calls[0][2]
+    assert top > 10
+    assert calls == [(name, z, top, top + 1) for name, z in (
+        ("_hankel_orders", q_R), ("_hankel_orders", n * q_R),
+        ("_bessel_orders", n * q_R), ("_bessel_orders", n * q_L))]
+
+
+def test_series_makes_no_scipy_special_call(monkeypatch):
+    # the off-centre series, by itself and through compute, in nearly
+    # transparent and in absorbing spheres, runs on specfun's recurrences
+    # alone; sphere coefficients of one order m > 1 still call scipy
+    class NoScipy:
+        def __getattr__(self, name):
+            raise AssertionError(f"scipy.special.{name} was called")
+
+    monkeypatch.setattr(specfun, "_sp", NoScipy())
+    for eps, q_R, q_L in ((1.05 + 1e-8j, 0.5, 0.2), (1.5 + 1e-6j, 20.0, 9.0),
+                          (2.25 + 0.1j, 5.0, 2.5), (1.0 + 2j, 0.05, 0.01)):
+        for orient in ORIENTATIONS:
+            assert np.isfinite(gamma_b_exact(eps, q_R, q_L, orient))
+    compute(RateRequest(eps=1.2 + 1e-7j, method="exact", q_R=3.0, q_L=1.0))
+    with pytest.raises(AssertionError, match="was called"):
+        sphere_coefficients(1.2, 3.0, 2)
 
 
 @pytest.mark.parametrize("q_R", [0.5, 2.0, 7.3, 20.0])
@@ -363,7 +392,7 @@ def test_carried_derivatives_match_riccati_derivative(eps, q_R):
         prev = f(0, z)
         for m in range(1, 61):
             value = f(m, z)
-            got = riccati_upward(kind, m, z, prev, value)
+            got = riccati_upward(m, z, prev, value)
             want = riccati_derivative(kind, m, z)
             assert abs(got - want) <= 1e-15 * (abs(z * prev)
                                                + m * abs(value)), (kind, m, z)
@@ -374,15 +403,18 @@ def test_series_errors_keep_their_order_and_text(monkeypatch):
     # q_R = 1, q_L = 0.95 needs orders past 149, where h_m(1) overflows;
     # from m = 86 on the products of h_m and xi_m' in C_m^N and C_m^M
     # leave double range, and the series raises there, with the text of
-    # sphere_coefficients, before the emitter's j_m(n q_L) of that order
-    calls = _record_calls(monkeypatch)
+    # sphere_coefficients, although its tables reach past that order
+    calls = _record_tables(monkeypatch)
     n = Permittivity(1.1 + 1e-8j).n
     for orient in ORIENTATIONS:
         with pytest.raises(NonFiniteError, match=r"^sphere coefficients at "
                            r"m = 86 overflowed or produced NaN; eps or q_R "
                            r"too extreme for double precision$"):
             gamma_b_exact(1.1 + 1e-8j, 1.0, 0.95, orient)
-        assert calls[-1] == ("spherical_bessel_j", 86, n * 1.0)
+        assert calls[-4:] == [("_hankel_orders", 1.0, 200, 151),
+                              ("_hankel_orders", n, 200, 152),
+                              ("_bessel_orders", n, 200, 201),
+                              ("_bessel_orders", n * 0.95, 200, 201)]
 
 
 def test_coefficient_overflow_is_typed():
@@ -415,12 +447,15 @@ def test_series_overflow_is_typed(orient):
     ("spherical_bessel_j", "z1", "bessel_j"),
     ("spherical_bessel_j", "x", "bessel_j")])
 def test_series_checks_every_carried_derivative(monkeypatch, name, at, kind):
-    # a finite value so large that z f_{m-1} - m f_m overflows raises
-    # NonFiniteError with riccati_derivative's text, not an inf term
+    # a finite value at order 5 of a table so large that z f_{m-1} - m f_m
+    # overflows raises NonFiniteError with riccati_derivative's text, not
+    # an inf term
     eps, q_R, q_L = 1.2 + 1e-6j, 5.0, 2.0
     n = Permittivity(eps).n
     z = {"z0": q_R, "z1": n * q_R, "x": n * q_L}[at]
-    _record_calls(monkeypatch, {(name, 5, z): 1e308 + 0j})
+    table = {"spherical_hankel_h1": "_hankel_orders",
+             "spherical_bessel_j": "_bessel_orders"}[name]
+    _record_tables(monkeypatch, {(table, 5, z): 1e308 + 0j})
     with pytest.raises(NonFiniteError,
                        match=rf"^riccati_derivative\[{kind}\] overflowed"):
         gamma_b_exact(eps, q_R, q_L, "tangential")
@@ -430,8 +465,8 @@ def test_series_pole_names_its_order(monkeypatch):
     # j_3(n q_R) = h_3(q_R) = 0 empties both denominators at m = 3
     eps, q_R = 1.2 + 1e-6j, 5.0
     n = Permittivity(eps).n
-    _record_calls(monkeypatch, {("spherical_hankel_h1", 3, q_R): 0j,
-                                ("spherical_bessel_j", 3, n * q_R): 0j})
+    _record_tables(monkeypatch, {("_hankel_orders", 3, q_R): 0j,
+                                 ("_bessel_orders", 3, n * q_R): 0j})
     with pytest.raises(SingularityError, match=r"^sphere coefficient "
                        r"denominator vanished at m = 3 \(resonance pole\)$"):
         gamma_b_exact(eps, q_R, 2.0)

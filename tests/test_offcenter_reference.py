@@ -80,12 +80,15 @@ def test_seed0_rates_match_the_manifest(workloads, table, name):
 def test_exact_rates_match_the_40_digit_reference(workloads, table):
     # the table's probe rows are seed 0's interior probe, and its grid
     # spans eps in {1.1 + 1e-8j, 1.5 + 1e-6j}, q_R in {0.5, 1, 2, 5},
-    # q_L/q_R from 0.6 to 0.95 and both orientations.  Every rate that
-    # gamma_b_exact returns is within 2e-13 of max(|ref|, 0.01) (6.6e-14
-    # measured), and every other point raises the error the table names,
-    # with no numpy warning.  On the grid that is NonFiniteError where
-    # C_m overflows: from q_L/q_R = 0.8 at q_R <= 1, from 0.85 at q_R = 2
-    # and from 0.9 at q_R = 5
+    # q_L/q_R from 0.6 to 0.95 and both orientations.  Its small rows put
+    # the same eps in spheres of q_R = 0.05 and 0.3, and its absorbing
+    # rows eps = 2.25 + 0.1j and 1 + 2j in the grid's spheres, both at
+    # q_L/q_R = 0.2 and 0.5.  Every rate that gamma_b_exact returns is
+    # within 2e-13 of max(|ref|, 0.01) (8.2e-14 measured; scipy's Bessel
+    # functions gave 3.3e-12 at q_R = 0.05), and every other point raises
+    # the error the table names, with no numpy warning.  On the grid that
+    # is NonFiniteError where C_m overflows: from q_L/q_R = 0.8 at
+    # q_R <= 1, from 0.85 at q_R = 2 and from 0.9 at q_R = 5
     assert [_point(row) for row in table if row["set"] == "probe"] \
         == [_request_point(item) for item in workloads.probe_inputs(0)]
     first_overflow = {0.5: 0.8, 1.0: 0.8, 2.0: 0.85, 5.0: 0.9}

@@ -185,6 +185,65 @@ def test_dipole_errors_match_scipy_route(z):
                 assert_allclose(got, want, rtol=5e-14, atol=1e-300)
 
 
+# -- order tables of the off-centre series ----------------------------------
+
+_ORDER_Z = ([6.726852144858135e-108 + 0j, 1e-12 + 0j]
+            + [complex(x) for x in np.geomspace(1e-3, 1e3, 13)]
+            + [x * (1 + 1e-8j) for x in (1e-3, 0.7, 30.0, 1e3)]
+            + [x + 1e-3j for x in (0.05, 8.0, 400.0)]
+            + [complex(a, b) for a in (0.01, 2.0, 40.0, 600.0)
+               for b in (0.5, 5.0, 50.0)]
+            + [3 * np.pi, 3 * np.pi * (1 + 1e-8), 4.4934,
+               4.493409457909064, 4.4934 + 1e-9j])
+_ORDERS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200)
+
+
+def _mp_order(func, m, z):
+    # h_m falls like e^{-Im z} while the J and Y it is made of grow like
+    # e^{Im z}: the digits lost to that cancellation are added
+    w = mpmath.mpc(z)
+    with mpmath.workdps(30 + int(w.imag)):
+        return mpmath.sqrt(mpmath.pi / (2 * w)) * func(m + 0.5, w)
+
+
+def test_order_tables_against_mpmath():
+    # orders 0..200 of both tables, sampled, on the real axis from 6.7e-108
+    # (where sin z / z rounds to 1 - 2^-53) to 1e3, next to it, up to Im z = 50 and next to the zeros of j_0 (3 pi)
+    # and j_1 (4.4934...), wherever the value is a normal double: h_m
+    # within 1e-14 of itself, and j_m within 1e-14 of the larger of itself
+    # and j_{m-1} (j_1 for m = 0), the only scale next to its own zero,
+    # times |z|/100 beyond |z| = 100, where the downward ratios cross |z|
+    # oscillating orders.  h_m's table stops only where h_m leaves double
+    # range.  (The scipy route is no oracle at this level: it is off by
+    # 2e-12 at z = 1000, and underflows j_200(4.4934) to 0.)
+    for z in _ORDER_Z:
+        h, j = specfun._hankel_orders(z, 200), specfun._bessel_orders(z, 200)
+        assert len(j) == 201
+        for m in _ORDERS:
+            ref = _mp_order(mpmath.hankel1, m, z)
+            if m >= len(h):
+                assert abs(ref) > 1.7e308, (z, m)
+            elif 2.3e-308 < abs(ref) < 1.7e308:
+                assert abs(h[m] - complex(ref)) <= 1e-14 * abs(ref), (z, m)
+            ref = complex(_mp_order(mpmath.besselj, m, z))
+            scale = max(abs(ref), abs(j[abs(m - 1)]))
+            if 2.3e-308 < abs(ref):
+                assert abs(j[m] - ref) <= (1e-14 * scale
+                                           * max(1.0, abs(z) / 100)), (z, m)
+
+
+def test_order_tables_check_like_the_scipy_route():
+    # the argument cap and z = 0 raise as spherical_hankel_h1 does (the
+    # series divides by z, so j's table refuses 0 too), and j_m's table
+    # raises spherical_bessel_j's NonFiniteError where j_0 overflows
+    for table in (specfun._hankel_orders, specfun._bessel_orders):
+        for z in (ARG_MAX + 0j, -ARG_MAX * 1j, complex(np.nan, 0.0), 2e4, 0j):
+            assert (_outcome(lambda: table(z, 5))
+                    == _outcome(lambda: spherical_hankel_h1(0, z)))
+    assert (_outcome(lambda: specfun._bessel_orders(800j, 5))
+            == _outcome(lambda: spherical_bessel_j(0, 800j)))
+
+
 def test_ei_against_mpmath():
     for z in (0.5, 3.0 + 4.0j, -2.0 + 0.7j, 0.05 - 0.9j, 20.0 + 1.0j):
         assert_allclose(exponential_integral_ei(z), complex(mpmath.ei(z)),
@@ -396,8 +455,8 @@ def test_vectorized_matches_scalar():
                         rtol=5e-16, atol=0)
     vec_ei = exponential_integral_ei(2j * np.array([0.5, 1.0, 2.0]))
     assert vec_ei[1] == exponential_integral_ei(2j)
-    # a Python int order and complex argument take the plain-Python
-    # checks, arrays the numpy ones; both reach the same scipy call
+    # a Python int order and complex argument are checked as 0-d arrays,
+    # like arrays; both reach the same scipy call
     for m in (0, 1, 5, 40):
         vec = spherical_bessel_j(np.full(z.shape, m), z)
         vec_h = spherical_hankel_h1(np.full(z.shape, m), z)

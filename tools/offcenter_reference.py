@@ -4,7 +4,7 @@ Run from the repository root::
 
     python3 tools/offcenter_reference.py
 
-It writes ``tests/offcenter_reference.json`` (about 90 s on one core).  For each
+It writes ``tests/offcenter_reference.json`` (about 100 s on one core).  For each
 input the table holds gamma_b from the naive sphere series of the
 ``locfield.mie`` docstring,
 
@@ -28,7 +28,10 @@ inputs are
 * the 100 requests of the benchmark's interior probe at seed 0
   (``benchmarks/workloads.py::probe_inputs``), q_L/q_R in [0.5, 0.95];
 * the grid GRID_EPS x GRID_Q_R x GRID_RATIO x both orientations, with
-  q_L = ratio * q_R.
+  q_L = ratio * q_R;
+* small spheres, GRID_EPS x SMALL_Q_R x INNER_RATIO x both orientations;
+* absorbing hosts, ABSORBING_EPS x GRID_Q_R x INNER_RATIO x both
+  orientations.
 
 The script prints the largest error of the returned rates, in units of
 max(|reference|, 0.01).
@@ -58,6 +61,9 @@ ORDER_LIMIT = 5000
 GRID_EPS = (complex(1.1, 1e-8), complex(1.5, 1e-6))
 GRID_Q_R = (0.5, 1.0, 2.0, 5.0)
 GRID_RATIO = (0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+SMALL_Q_R = (0.05, 0.3)
+ABSORBING_EPS = (complex(2.25, 0.1), complex(1.0, 2.0))
+INNER_RATIO = (0.2, 0.5)
 ORIENTATIONS = ("radial", "tangential")
 
 
@@ -118,11 +124,15 @@ def _inputs():
     for item in workloads.probe_inputs(0):
         yield ("probe", complex(item["eps_re"], item["eps_im"]),
                item["q_R"], item["q_L"], item["orientation"])
-    for eps in GRID_EPS:
-        for q_R in GRID_Q_R:
-            for ratio in GRID_RATIO:
-                for o in ORIENTATIONS:
-                    yield "grid", eps, q_R, ratio * q_R, o
+    for name, epses, q_Rs, ratios in (
+            ("grid", GRID_EPS, GRID_Q_R, GRID_RATIO),
+            ("small", GRID_EPS, SMALL_Q_R, INNER_RATIO),
+            ("absorbing", ABSORBING_EPS, GRID_Q_R, INNER_RATIO)):
+        for eps in epses:
+            for q_R in q_Rs:
+                for ratio in ratios:
+                    for o in ORIENTATIONS:
+                        yield name, eps, q_R, ratio * q_R, o
 
 
 def _program_outcome(eps, q_R, q_L, orientation):
