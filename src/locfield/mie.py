@@ -30,13 +30,14 @@ per call; a scalar runs as a one-element column of the same code, so it
 equals that point of a column bit for bit.  :func:`_gamma_b_rows` is
 the rows kernel of :mod:`locfield.rates`.
 
-The series takes h_m(z0), h_m(z1), j_m(z1) and j_m(x) for all its orders
-from the recurrences of :mod:`locfield.specfun`, with no scipy, and forms
-xi_m', psi_m' from them by [z f_m]' = z f_{m-1} - m f_m.  Its terms decay
-super-exponentially once m exceeds ~ q_R |n|, and then as (q_L/q_R)^{2m};
-the series stops once _SMALL_RUN successive terms fall below
-_TERM_TOLERANCE of the sum, and raises AccuracyError if that has not
-happened by specfun.ORDER_MAX = 200.
+The series checks z0, z1 and x = n q_L in one call, carries h_m(z0),
+h_m(z1) upward (stable: h_m is the dominant solution; Bohren & Huffman
+1983, ch. 4), takes j_m(z1), j_m(x) from Miller tables of
+:mod:`locfield.specfun`, with no scipy, and forms xi_m', psi_m' by
+[z f_m]' = z f_{m-1} - m f_m.  Its terms decay super-exponentially once
+m exceeds ~ q_R |n|, and then as (q_L/q_R)^{2m}; the series stops once
+_SMALL_RUN successive terms fall below _TERM_TOLERANCE of the sum, and
+raises AccuracyError if that has not happened by specfun.ORDER_MAX = 200.
 eps = -1/2, the pole of L, raises SingularityError on every route, and
 so does eps so near it that L^2 leaves double range.
 """
@@ -54,7 +55,7 @@ from .errors import (AccuracyError, DomainError, LocfieldError,
                      method_faults, orientation_faults, permittivity_faults,
                      positive, raise_first)
 from .greens import Permittivity, as_permittivity
-from .specfun import (ORDER_MAX, _bessel_orders, _hankel_orders, _nonfinite,
+from .specfun import (ORDER_MAX, _bessel_orders, _check_arg, _nonfinite,
                       dipole_bessel_j, dipole_hankel_h1, riccati_derivative,
                       riccati_upward, spherical_bessel_j, spherical_hankel_h1)
 
@@ -186,27 +187,40 @@ def _series(eps, q_R: float, q_L: float, orient: str) -> complex:
     outer 3/2 or 3/4 normalization), each value checked at the order that
     uses it, in the order of :func:`_coefficients`' arguments."""
     e, n = eps.epsilon, eps.n
-    z0, z1, x = q_R + 0j, n * q_R, n * q_L
+    args = (q_R, n * q_R, n * q_L)
+    try:
+        z0, z1, x = _check_arg(args, allow_zero=False).tolist()
+    except LocfieldError:  # raise as the first that fails by itself would
+        for z in args:
+            _check_arg(z, allow_zero=False)
+        raise
     radial = orient == "radial"
-    # first the orders by which the terms, falling as (q_L/q_R)^{2m} from
-    # m ~ |n| q_R on, reach 1e-16 = e^-36.8; then all of them
-    guess = int(min(ORDER_MAX, 8 + abs(n) * q_R
-                    + 18.4 / max(math.log(q_R / q_L), 0.01)))
-    total, small_run, m = 0.0j, 0, 0
-    for top in sorted({guess, ORDER_MAX}):
-        h0s, h1s = _hankel_orders(z0, top), _hankel_orders(z1, top)
-        j1s, jxs = _bessel_orders(z1, top), _bessel_orders(x, top)
-        for m in range(m + 1, top + 1):
-            if m >= min(len(h0s), len(h1s)):
-                raise _nonfinite("spherical_hankel_h1")
-            h0, h1, j1, jx = h0s[m], h1s[m], j1s[m], jxs[m]
-            xi0p = riccati_upward(m, z0, h0s[m - 1], h0)
-            xi1p = riccati_upward(m, z1, h1s[m - 1], h1)
-            ps1p = riccati_upward(m, z1, j1s[m - 1], j1)
-            if not (cmath.isfinite(xi0p) and cmath.isfinite(xi1p)):
-                raise _nonfinite("riccati_derivative[hankel_h1]")
-            if not cmath.isfinite(ps1p):
-                raise _nonfinite("riccati_derivative[bessel_j]")
+    # j_m to the order where the terms, falling as (q_L/q_R)^{2m} from
+    # m ~ |n| q_R on, reach 1e-16 = e^-36.8; extended if the walk passes it
+    top = int(min(ORDER_MAX, 8 + abs(n) * q_R
+                  + 18.4 / max(math.log(q_R / q_L), 0.01)))
+    j1s, jxs = _bessel_orders(z1, top), _bessel_orders(x, top)
+    with np.errstate(all="ignore"):  # h_{-1} = e^{iz}/z and h_0 = -i h_{-1}
+        g0, g1 = complex(np.exp(1j * z0) / z0), complex(np.exp(1j * z1) / z1)
+    h0p, h0, h1p, h1 = g0, -1j * g0, g1, -1j * g1
+    total, small_run = 0.0j, 0
+    for m in range(1, ORDER_MAX + 1):
+        if m == len(j1s):
+            j1s, jxs = (_bessel_orders(z1, ORDER_MAX, j1s),
+                        _bessel_orders(x, ORDER_MAX, jxs))
+        h0p, h0 = h0, (2 * m - 1) / z0 * h0 - h0p
+        h1p, h1 = h1, (2 * m - 1) / z1 * h1 - h1p
+        if not (cmath.isfinite(h0) and cmath.isfinite(h1)):
+            raise _nonfinite("spherical_hankel_h1")
+        j1, jx = j1s[m], jxs[m]
+        xi0p = riccati_upward(m, z0, h0p, h0)
+        xi1p = riccati_upward(m, z1, h1p, h1)
+        ps1p = riccati_upward(m, z1, j1s[m - 1], j1)
+        if not (cmath.isfinite(xi0p) and cmath.isfinite(xi1p)):
+            raise _nonfinite("riccati_derivative[hankel_h1]")
+        if not cmath.isfinite(ps1p):
+            raise _nonfinite("riccati_derivative[bessel_j]")
+        try:  # abs of a complex beyond double range: OverflowError
             C_N, C_M = _coefficients(e, m, h0, h1, j1, xi0p, xi1p, ps1p)
             if not (cmath.isfinite(C_N) and cmath.isfinite(C_M)):
                 raise _nonfinite_coefficients(m)
@@ -225,9 +239,11 @@ def _series(eps, q_R: float, q_L: float, orient: str) -> complex:
                     else (2 * m + 1) * (C_M * jx * jx + C_N * r2))
             total += term
             small = abs(term) < _TERM_TOLERANCE * max(abs(total), 1e-300)
-            small_run = small_run + 1 if small else 0
-            if small_run >= _SMALL_RUN:
-                return total
+        except OverflowError:
+            raise _nonfinite_coefficients(m) from None
+        small_run = small_run + 1 if small else 0
+        if small_run >= _SMALL_RUN:
+            return total
     raise AccuracyError(f"sphere series not converged within specfun."
                         f"ORDER_MAX = {ORDER_MAX} (q_R = {q_R:g}, "
                         f"q_L = {q_L:g})")

@@ -1,11 +1,12 @@
 """Special functions of complex argument used by the rate formulas.
 
-Thin, defensively checked wrappers over :mod:`scipy.special`: spherical
-Bessel functions ``j_m``, outgoing spherical Hankel functions
+Spherical Bessel functions ``j_m``, outgoing spherical Hankel functions
 ``h_m == h_m^{(1)}``, the Riccati-Bessel derivatives ``[z f_m(z)]'``, and
-the exponential integral ``Ei`` on its principal branch.  The wrappers pin
-down conventions the rest of the package relies on and enforce a strict
-non-finite policy: no NaN or infinity escapes silently.
+the exponential integral ``Ei`` on its principal branch.  The public
+functions pin down conventions the rest of the package relies on, check
+their orders and arguments, and enforce a strict non-finite policy: no
+NaN or infinity escapes silently.  Some call :mod:`scipy.special`; the
+rest are closed forms, recurrences or rational fits (below).
 
 Conventions
 -----------
@@ -18,16 +19,17 @@ Conventions
   as ``y -> +inf``.  Evaluation *on* the cut is rejected rather than
   silently picking a side.
 
-All functions accept scalars or ndarrays of complex argument and
-broadcast like the underlying scipy routines.  Orders and arguments are
-checked as arrays with numpy reductions; a scalar is a 0-d array.
+The public functions accept scalars or ndarrays of complex argument and
+broadcast like numpy ufuncs.  Orders and arguments are checked as arrays
+with numpy reductions; a scalar is a 0-d array.
 
 The dipole wave (m = 1) alone serves Tomas's centre rate, the centred
 exact and weak-absorption rows and the cavity transmission coefficient.
 :func:`dipole_hankel_h1` and :func:`dipole_bessel_j` give its functions
 in closed form, in sin, cos and exp, with the checks and messages of the
-calls they replace.  The off-centre exact series takes all its orders
-from the recurrences :func:`_hankel_orders` and :func:`_bessel_orders`.
+calls they replace.  The off-centre exact series checks its arguments
+in one :func:`_check_arg` call and carries h_m upward itself; its j_m
+come from :func:`_bessel_orders`, which does not check them again.
 The linear Born body term needs Ei only on the positive imaginary axis,
 where :func:`_ei_imaginary_axis` evaluates it from fitted rational
 functions.  So :mod:`scipy.special`, which takes longer to import than
@@ -307,43 +309,29 @@ def dipole_bessel_j(z):
             _finite_or_raise(p.reshape(shape), "riccati_derivative[bessel_j]"))
 
 
-def _hankel_orders(z, top: int) -> list:
-    """h_m(z) for m = 0..top, cut before the first that is not finite, by
-    the upward recurrence h_{m+1} = (2m + 1)/z h_m - h_{m-1} from
-    h_{-1} = e^{iz}/z and h_0 = -i h_{-1}, stable since h_m is its dominant
-    solution (Bohren & Huffman 1983, ch. 4); z is checked as by
-    spherical_hankel_h1."""
-    z = _check_arg(z, allow_zero=False)
-    with np.errstate(all="ignore"):
-        g = complex(np.exp(1j * z) / z)
-    z, h = complex(z), [g, -1j * g]
-    for m in range(top):
-        h.append((2 * m + 1) / z * h[-1] - h[-2])
-    finite = [cmath.isfinite(v) for v in h[1:]] + [False]
-    return h[1:finite.index(False) + 1]
-
-
-def _bessel_orders(z, top: int) -> list:
-    """j_m(z) for m = 0..top: Miller's ratios r_m = j_m/j_{m-1}
+def _bessel_orders(z: complex, top: int, head=()) -> list:
+    """j_m(z), m = 0..top >= 1, for a z checked as by spherical_hankel_h1
+    (the series divides by it): Miller's ratios r_m = j_m/j_{m-1}
     = z/(2m + 1 - z r_{m+1}), run down from r = 0 above top + |z|
-    (Wiscombe 1980), scale j_0 = sin z/z, or j_1 = (j_0 - cos z)/z where
-    that is the larger, from |z| = 2 on, where it does not cancel; z is
-    checked as by spherical_hankel_h1, for the series divides by it."""
-    z = _check_arg(z, allow_zero=False)
+    (Wiscombe 1980), scaled to j_0 = sin z/z, or from |z| = 2 on to
+    j_1 = (j_0 - cos z)/z where that is larger (it does not cancel
+    there); head, orders 0..k of an earlier call, is carried on from j_k.
+    spherical_bessel_j's NonFiniteError where an order is not finite."""
+    low = max(len(head), 1)
+    r = [0j]
+    for m in range(top + int(abs(z)) + 16, low - 1, -1):
+        # where j_{m-1} vanishes the ratio is huge, not a ZeroDivisionError
+        r.append(z / (2 * m + 1 - z * r[-1] or 1e-300))
     with np.errstate(all="ignore"):
         j0 = complex(np.sin(z) / z)
         j1 = complex((j0 - np.cos(z)) / z)
-    z, r = complex(z), [0j]
-    for m in range(top + int(abs(z)) + 16, 0, -1):
-        # where j_{m-1} vanishes the ratio is huge, not a ZeroDivisionError
-        r.append(z / (2 * m + 1 - z * r[-1] or 1e-300))
-    r.reverse()  # r_1, r_2, ... at index 0, 1, ...
     big = abs(z) >= _J1_TAYLOR_BELOW and abs(j1) > abs(j0)
-    j = [j0, j1 if big else j0 * r[0]]
-    for m in range(2, top + 1):
-        j.append(j[-1] * r[m - 1])
-    return _finite_or_raise(np.array(j[:top + 1]),
-                            "spherical_bessel_j").tolist()
+    j = list(head) or [j0, j1 if big else j0 * r[-1]]
+    for m in range(len(j), top + 1):
+        j.append(j[-1] * r[low - m - 1])  # r_m, as r ends with r_low
+    if not all(map(cmath.isfinite, j)):
+        raise _nonfinite("spherical_bessel_j")
+    return j
 
 
 def _ratios(table, x):

@@ -154,6 +154,34 @@ def test_per_point_failures_are_recorded_not_fatal(tmp_path):
     assert "too close" in last[ecol]
 
 
+def test_sweep_records_a_coefficient_beyond_double_range(tmp_path):
+    # at q_L = 1.2621 the exact series meets a finite coefficient
+    # denominator whose modulus leaves double range: the sweep writes the
+    # coefficients' NonFiniteError in that row's error column, and the
+    # centred row keeps its exact rate
+    (tmp_path / "far.cfg").write_text(
+        "sweep = qL\n"
+        "lo = 0\n"
+        "hi = 1.262112299072595\n"
+        "points = 2\n"
+        "qr = 1.5776403738407436\n"
+        "qc = 1e-4\n"
+        "eps_re = 1e5\n"
+        "eps_im = 1e5\n"
+        "methods = exact\n"
+        "orientations = tangential\n")
+    res = run_cli(["sweep", "--config", "far.cfg", "--out", "f.csv"],
+                  tmp_path)
+    assert res.returncode == 0, res.stderr
+    header, (centre, far) = read_rows(tmp_path / "f.csv")
+    gcol, ecol = header.index("gamma_exact"), header.index("error")
+    assert centre[gcol] != "" and centre[ecol] == ""
+    assert far[gcol] == ""
+    assert far[ecol] == ("gamma_exact: sphere coefficients at m = 119 "
+                         "overflowed or produced NaN; eps or q_R too "
+                         "extreme for double precision")
+
+
 def test_sweep_leaves_unsettled_cells_empty(tmp_path):
     # q_L across the edge where the body-term rule stops settling at
     # q_R = 1e5, too near the centre for the closed form: the first two

@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -320,21 +321,32 @@ def test_series_stops_at_the_order_cap():
 # -- the series' order walk ---------------------------------------------------------
 
 
-def _record_tables(monkeypatch, replace=None):
-    """Wrap the order tables that mie looks up, recording (name, z, top,
-    orders returned) of each call; replace maps (name, m, z) to the value
-    that order of that table holds instead.  The scipy-backed functions
-    and the per-order coefficients must not be called at all."""
-    calls, replace = [], replace or {}
-    for name in ("_hankel_orders", "_bessel_orders"):
-        def wrapped(z, top, f=getattr(mie, name), name=name):
-            values = f(z, top)
-            calls.append((name, z, top, len(values)))
-            for (key, m, at), value in replace.items():
-                if key == name and at == z:
-                    values[m] = value
-            return values
-        monkeypatch.setattr(mie, name, wrapped)
+def _record_walk(monkeypatch, cut=None):
+    """Wrap what the series calls for a request, recording ("check", z) of
+    each argument check, ("j", z, top, len(head)) of each j_m table and
+    ("C", m) of each order's coefficients; with cut, a first j_m table
+    stops at that order, so that the walk has to extend it.  The
+    scipy-backed functions and sphere_coefficients must not be called
+    at all."""
+    calls = []
+    check, table, coefficients = (mie._check_arg, mie._bessel_orders,
+                                  mie._coefficients)
+
+    def checked(z, allow_zero):
+        calls.append(("check", z))
+        return check(z, allow_zero)
+
+    def orders(z, top, head=()):
+        calls.append(("j", z, top, len(head)))
+        return table(z, top if head or cut is None else cut, head)
+
+    def coefficient(e, m, *values):
+        calls.append(("C", m))
+        return coefficients(e, m, *values)
+
+    monkeypatch.setattr(mie, "_check_arg", checked)
+    monkeypatch.setattr(mie, "_bessel_orders", orders)
+    monkeypatch.setattr(mie, "_coefficients", coefficient)
     for name in ("spherical_hankel_h1", "spherical_bessel_j",
                  "riccati_derivative", "sphere_coefficients"):
         monkeypatch.setattr(mie, name, None)
@@ -343,18 +355,29 @@ def _record_tables(monkeypatch, replace=None):
 
 @pytest.mark.parametrize("orient", ORIENTATIONS)
 def test_series_evaluates_each_value_once(monkeypatch, orient):
-    # one table per function and argument: h_m(q_R), h_m(n q_R),
-    # j_m(n q_R) and j_m(n q_L) for m = 0..top, where top is enough for
-    # the stop test; every Riccati derivative comes from these
+    # one check of the three arguments (q_R, n q_R, n q_L), one j_m table
+    # of n q_R and one of n q_L to an order top that is enough for the
+    # stop test, and each order's coefficients once, from m = 1 up; the
+    # Hankel orders are carried in that walk.  A walk that passes its
+    # first top extends the j_m tables from where they end, with no
+    # order computed again, to the same rate
     eps, q_R, q_L = 1.2 + 1e-6j, 5.0, 2.0
     n = Permittivity(eps).n
-    calls = _record_tables(monkeypatch)
-    gamma_b_exact(eps, q_R, q_L, orient)
-    top = calls[0][2]
-    assert top > 10
-    assert calls == [(name, z, top, top + 1) for name, z in (
-        ("_hankel_orders", q_R), ("_hankel_orders", n * q_R),
-        ("_bessel_orders", n * q_R), ("_bessel_orders", n * q_L))]
+    calls = _record_walk(monkeypatch)
+    rate = gamma_b_exact(eps, q_R, q_L, orient)
+    top, last = calls[1][2], calls[-1][1]
+    assert 10 < last < top
+    assert calls == [("check", (q_R, n * q_R, n * q_L)),
+                     ("j", n * q_R, top, 0), ("j", n * q_L, top, 0),
+                     *(("C", m) for m in range(1, last + 1))]
+    calls = _record_walk(monkeypatch, cut=6)
+    assert gamma_b_exact(eps, q_R, q_L, orient) == pytest.approx(rate,
+                                                                 rel=1e-14)
+    assert calls == [("check", (q_R, n * q_R, n * q_L)),
+                     ("j", n * q_R, top, 0), ("j", n * q_L, top, 0),
+                     *(("C", m) for m in range(1, 7)),
+                     ("j", n * q_R, 200, 7), ("j", n * q_L, 200, 7),
+                     *(("C", m) for m in range(7, last + 1))]
 
 
 def test_series_makes_no_scipy_special_call(monkeypatch):
@@ -403,18 +426,47 @@ def test_series_errors_keep_their_order_and_text(monkeypatch):
     # q_R = 1, q_L = 0.95 needs orders past 149, where h_m(1) overflows;
     # from m = 86 on the products of h_m and xi_m' in C_m^N and C_m^M
     # leave double range, and the series raises there, with the text of
-    # sphere_coefficients, although its tables reach past that order
-    calls = _record_tables(monkeypatch)
+    # sphere_coefficients, after one argument check and j_m tables built
+    # once, to ORDER_MAX
+    calls = _record_walk(monkeypatch)
     n = Permittivity(1.1 + 1e-8j).n
     for orient in ORIENTATIONS:
+        calls.clear()
         with pytest.raises(NonFiniteError, match=r"^sphere coefficients at "
                            r"m = 86 overflowed or produced NaN; eps or q_R "
                            r"too extreme for double precision$"):
             gamma_b_exact(1.1 + 1e-8j, 1.0, 0.95, orient)
-        assert calls[-4:] == [("_hankel_orders", 1.0, 200, 151),
-                              ("_hankel_orders", n, 200, 152),
-                              ("_bessel_orders", n, 200, 201),
-                              ("_bessel_orders", n * 0.95, 200, 201)]
+        assert calls == [("check", (1.0, n, n * 0.95)),
+                         ("j", n, 200, 0), ("j", n * 0.95, 200, 0),
+                         *(("C", m) for m in range(1, 87))]
+
+
+# a finite coefficient denominator whose modulus leaves double range, so
+# that Python's abs of it raises OverflowError
+_BEYOND_ABS = [
+    ((1e5 + 1e5j, 1.5776403738407436, 1.262112299072595, "tangential"), 119),
+    ((0.001 + 1e5j, 0.2963991134633263, 0.29610271434986296, "radial"),
+     121)]
+
+
+@pytest.mark.parametrize("args, m", _BEYOND_ABS)
+def test_coefficient_modulus_beyond_double_range_is_typed(args, m):
+    # the NonFiniteError of the coefficients at the order where it
+    # happens, through gamma_b_exact, compute and compute_batch, whose
+    # good request beside it still returns its rate
+    message = (rf"^sphere coefficients at m = {m} overflowed or produced "
+               "NaN; eps or q_R too extreme for double precision$")
+    eps, q_R, q_L, orient = args
+    with pytest.raises(NonFiniteError, match=message):
+        gamma_b_exact(*args)
+    request = RateRequest(eps=eps, method="exact", q_R=q_R, q_L=q_L,
+                          q_C=1e-4, orientation=orient)
+    with pytest.raises(NonFiniteError, match=message):
+        compute(request)
+    good = RateRequest(eps=1.1 + 1e-8j, method="exact", q_R=3.0, q_L=1.0)
+    bad, result = compute_batch([request, good])
+    assert isinstance(bad, NonFiniteError) and re.match(message, str(bad))
+    assert result == compute(good)
 
 
 def test_coefficient_overflow_is_typed():
@@ -447,29 +499,45 @@ def test_series_overflow_is_typed(orient):
     ("spherical_bessel_j", "z1", "bessel_j"),
     ("spherical_bessel_j", "x", "bessel_j")])
 def test_series_checks_every_carried_derivative(monkeypatch, name, at, kind):
-    # a finite value at order 5 of a table so large that z f_{m-1} - m f_m
-    # overflows raises NonFiniteError with riccati_derivative's text, not
-    # an inf term
+    # a finite value of the named function at order 5, so large that
+    # z f_{m-1} - m f_m overflows, raises NonFiniteError with
+    # riccati_derivative's text, not an inf term.  At each order the
+    # series forms xi_m'(z0), xi_m'(z1), psi_m'(z1) and psi_m'(x) in turn
     eps, q_R, q_L = 1.2 + 1e-6j, 5.0, 2.0
     n = Permittivity(eps).n
     z = {"z0": q_R, "z1": n * q_R, "x": n * q_L}[at]
-    table = {"spherical_hankel_h1": "_hankel_orders",
-             "spherical_bessel_j": "_bessel_orders"}[name]
-    _record_tables(monkeypatch, {(table, 5, z): 1e308 + 0j})
+    turn = [("spherical_hankel_h1", "z0"), ("spherical_hankel_h1", "z1"),
+            ("spherical_bessel_j", "z1"), ("spherical_bessel_j", "x")
+            ].index((name, at))
+    seen = []
+
+    def upward(m, w, f_prev, f_m):
+        if m == 5:
+            seen.append(w)
+            if len(seen) == turn + 1:
+                assert w == z
+                f_m = 1e308 + 0j
+        return riccati_upward(m, w, f_prev, f_m)
+
+    monkeypatch.setattr(mie, "riccati_upward", upward)
     with pytest.raises(NonFiniteError,
                        match=rf"^riccati_derivative\[{kind}\] overflowed"):
         gamma_b_exact(eps, q_R, q_L, "tangential")
 
 
 def test_series_pole_names_its_order(monkeypatch):
-    # j_3(n q_R) = h_3(q_R) = 0 empties both denominators at m = 3
-    eps, q_R = 1.2 + 1e-6j, 5.0
-    n = Permittivity(eps).n
-    _record_tables(monkeypatch, {("_hankel_orders", 3, q_R): 0j,
-                                 ("_bessel_orders", 3, n * q_R): 0j})
+    # h_3(q_R) = j_3(n q_R) = 0 empties both denominators at m = 3
+    coefficients = mie._coefficients
+
+    def emptied(e, m, h0, h1, j1, *rest):
+        if m == 3:
+            h0 = j1 = 0j
+        return coefficients(e, m, h0, h1, j1, *rest)
+
+    monkeypatch.setattr(mie, "_coefficients", emptied)
     with pytest.raises(SingularityError, match=r"^sphere coefficient "
                        r"denominator vanished at m = 3 \(resonance pole\)$"):
-        gamma_b_exact(eps, q_R, 2.0)
+        gamma_b_exact(1.2 + 1e-6j, 5.0, 2.0)
 
 
 # -- invariants of the exact rate (drawn where the series converges) ----------------

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from locfield import specfun
-from locfield.errors import (DomainError, LocfieldError, NonFiniteError,
-                             SingularityError)
+from locfield import RateRequest, compute, mie, specfun
+from locfield.errors import (AccuracyError, DomainError, LocfieldError,
+                             NonFiniteError, SingularityError)
+from locfield.greens import Permittivity
 from locfield.specfun import (ARG_MAX, dipole_bessel_j, dipole_hankel_h1,
                               exponential_integral_ei, riccati_derivative,
                               spherical_bessel_j, spherical_hankel_h1)
@@ -206,24 +207,51 @@ def _mp_order(func, m, z):
         return mpmath.sqrt(mpmath.pi / (2 * w)) * func(m + 0.5, w)
 
 
-def test_order_tables_against_mpmath():
-    # orders 0..200 of both tables, sampled, on the real axis from 6.7e-108
-    # (where sin z / z rounds to 1 - 2^-53) to 1e3, next to it, up to Im z = 50 and next to the zeros of j_0 (3 pi)
-    # and j_1 (4.4934...), wherever the value is a normal double: h_m
-    # within 1e-14 of itself, and j_m within 1e-14 of the larger of itself
-    # and j_{m-1} (j_1 for m = 0), the only scale next to its own zero,
-    # times |z|/100 beyond |z| = 100, where the downward ratios cross |z|
-    # oscillating orders.  h_m's table stops only where h_m leaves double
-    # range.  (The scipy route is no oracle at this level: it is off by
-    # 2e-12 at z = 1000, and underflows j_200(4.4934) to 0.)
+def _carried_hankel(monkeypatch, z):
+    """(w, h): w = n q_R, within rounding of z, and h_m(w), m = 1.., as
+    the off-centre series carries them, recorded at the coefficients of
+    each order while the walk, with terms of 0 and no stop test, runs to
+    ORDER_MAX or to the order where h_m or xi_m' = w h_{m-1} - m h_m
+    leaves double range."""
+    values = []
+
+    def coefficients(e, m, h0, h1, *rest):
+        values.append(h1)
+        return 0j, 0j
+
+    monkeypatch.setattr(mie, "_coefficients", coefficients)
+    monkeypatch.setattr(mie, "_TERM_TOLERANCE", 0.0)
+    q_R = 20.0  # h_m(20) stays finite to m = 200
+    eps = Permittivity((z / q_R) ** 2)
+    with pytest.raises((AccuracyError, NonFiniteError),
+                       match=r"^(sphere series not converged|"
+                       r"spherical_hankel_h1 overflowed|"
+                       r"riccati_derivative\[hankel_h1\] overflowed)"):
+        mie._series(eps, q_R, q_R / 2, "radial")
+    return eps.n * q_R, [None, *values]
+
+
+def test_order_tables_against_mpmath(monkeypatch):
+    # orders 0..200 of j_m's table, and orders 1..200 of h_m as the series
+    # carries them, sampled, on the real axis from 6.7e-108 (where
+    # sin z / z rounds to 1 - 2^-53) to 1e3, next to it, up to Im z = 50
+    # and next to the zeros of j_0 (3 pi) and j_1 (4.4934...), wherever the
+    # value is a normal double: h_m within 1e-14 of itself, and j_m within
+    # 1e-14 of the larger of itself and j_{m-1} (j_1 for m = 0), the only
+    # scale next to its own zero, times |z|/100 beyond |z| = 100, where
+    # the downward ratios cross |z| oscillating orders.  The walk stops
+    # only where h_m, or xi_m' ~ m h_m, leaves double range, so h_m is
+    # above 1e305 there.  (The scipy route is no oracle at this level: it
+    # is off by 2e-12 at z = 1000, and underflows j_200(4.4934) to 0.)
     for z in _ORDER_Z:
-        h, j = specfun._hankel_orders(z, 200), specfun._bessel_orders(z, 200)
+        (w, h), j = (_carried_hankel(monkeypatch, z),
+                     specfun._bessel_orders(z, 200))
         assert len(j) == 201
         for m in _ORDERS:
-            ref = _mp_order(mpmath.hankel1, m, z)
+            ref = _mp_order(mpmath.hankel1, m, w)
             if m >= len(h):
-                assert abs(ref) > 1.7e308, (z, m)
-            elif 2.3e-308 < abs(ref) < 1.7e308:
+                assert abs(ref) > 1e305, (z, m)
+            elif m and 2.3e-308 < abs(ref) < 1.7e308:
                 assert abs(h[m] - complex(ref)) <= 1e-14 * abs(ref), (z, m)
             ref = complex(_mp_order(mpmath.besselj, m, z))
             scale = max(abs(ref), abs(j[abs(m - 1)]))
@@ -233,13 +261,28 @@ def test_order_tables_against_mpmath():
 
 
 def test_order_tables_check_like_the_scipy_route():
-    # the argument cap and z = 0 raise as spherical_hankel_h1 does (the
-    # series divides by z, so j's table refuses 0 too), and j_m's table
-    # raises spherical_bessel_j's NonFiniteError where j_0 overflows
-    for table in (specfun._hankel_orders, specfun._bessel_orders):
-        for z in (ARG_MAX + 0j, -ARG_MAX * 1j, complex(np.nan, 0.0), 2e4, 0j):
-            assert (_outcome(lambda: table(z, 5))
-                    == _outcome(lambda: spherical_hankel_h1(0, z)))
+    # the off-centre series checks (q_R, n q_R, n q_L) once, and refuses
+    # as spherical_hankel_h1 of the first of them that fails: the argument
+    # cap, before a non-finite n q_R; n q_R or n q_L rounding to 0, where
+    # the series would divide by it.  So do gamma_b_exact and compute
+    # (q_R = 1e300 is left to gamma_b_exact: compute warns on it first).
+    # j_m's table raises spherical_bessel_j's NonFiniteError where j_0
+    # overflows
+    for eps, q_R, q_L, via_compute in (
+            (1.1, ARG_MAX, 1.0, True), (4.0, 6000.0, 1.0, True),
+            (1e100, 1e300, 1.0, False), (0.01, 1.0, 5e-324, True),
+            (1e-300, 1e-200, 1e-201, False)):
+        n = Permittivity(eps).n
+        want = _outcome(*(functools.partial(spherical_hankel_h1, 0, z)
+                          for z in (q_R, n * q_R, n * q_L)))
+        assert isinstance(want, tuple), (eps, q_R, q_L)
+        for orient in ("radial", "tangential"):
+            assert _outcome(lambda: mie.gamma_b_exact(eps, q_R, q_L,
+                                                      orient)) == want
+            if via_compute:
+                assert _outcome(lambda: compute(RateRequest(
+                    eps=eps, method="exact", q_R=q_R, q_L=q_L,
+                    orientation=orient)).total_ratio) == want
     assert (_outcome(lambda: specfun._bessel_orders(800j, 5))
             == _outcome(lambda: spherical_bessel_j(0, 800j)))
 
