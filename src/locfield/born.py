@@ -406,11 +406,13 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
 def _refuse(values, errors, rows, bounds, tol, rate):
     """Refuse each of the rows whose rounding bound exceeds tol (or is
     not finite): a NaN value and an AccuracyError naming rate(k), the
-    k-th row's rate and where it is."""
+    k-th row's rate and where it is, and the bound, or that it is NaN."""
     for k in np.flatnonzero(~(bounds <= tol)).tolist():
         values[rows[k]] = np.nan
         errors[int(rows[k])] = AccuracyError(
-            f"linear {rate(k)} may be off by {bounds[k]:.1e} from "
+            f"linear {rate(k)} has a rounding bound that is not a number, "
+            f"so it cannot be held to tol = {tol:g}" if np.isnan(bounds[k])
+            else f"linear {rate(k)} may be off by {bounds[k]:.1e} from "
             f"rounding, above tol = {tol:g}")
 
 
@@ -512,9 +514,10 @@ def validity_check(config: SphereConfig | None, chi,
 
 
 def _validity_values(chi, boundary_max, q_C: float):
-    """|chi| q_max and Im(chi)/q_C^3, for a complex chi or an array of
-    them with the boundary distances q_max alike."""
-    return np.abs(chi) * boundary_max, np.imag(chi) / q_C**3
+    """|chi| q_max (inf, which fails, beyond double range) and
+    Im(chi)/q_C^3, for a complex chi or an array of them with q_max alike."""
+    with np.errstate(over="ignore"):
+        return np.abs(chi) * boundary_max, np.imag(chi) / q_C**3
 
 
 def _validity_ok(chi_size, absorption):

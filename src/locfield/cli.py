@@ -369,15 +369,13 @@ def _sweep_results(spec: SweepSpec, grid) -> list:
     :func:`locfield.rates._compute_columns`."""
     columns = []
     for curve in spec.curves:
-        eps = complex(spec.eps_re, spec.eps_im)
-        q_R = spec.q_R
-        q_L = 0.0 if curve.center else spec.q_L
-        if spec.swept_variable == "qR":
-            q_R = grid
-        elif spec.swept_variable == "qL":
-            q_L = 0.0 if curve.center else grid
-        else:
-            eps = np.full(grid.shape, eps)
+        swept = spec.swept_variable
+        eps = np.full(grid.shape, complex(spec.eps_re, spec.eps_im))
+        q_R = grid if swept == "qR" else np.full(grid.shape, spec.q_R)
+        q_L = np.full(grid.shape, 0.0 if curve.center else spec.q_L)
+        if swept == "qL" and not curve.center:
+            q_L = grid
+        elif swept == "im_chi":
             eps.imag = grid
         columns.append(rates._Column(
             method=curve.method, orientation=curve.orientation,

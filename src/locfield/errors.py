@@ -142,8 +142,9 @@ def chi_faults(chi):
 
 def permittivity_faults(eps):
     """The rule of :class:`locfield.greens.Permittivity`."""
-    yield ~np.isfinite(eps), "permittivity must be finite"
-    yield np.imag(eps) < 0, "passive medium required: Im eps >= 0"
+    yield (_not((abs(eps.real) < math.inf) & (abs(eps.imag) < math.inf)),
+           "permittivity must be finite")
+    yield eps.imag < 0, "passive medium required: Im eps >= 0"
     yield eps == 0, "permittivity must be nonzero"
 
 
@@ -229,8 +230,8 @@ def nu_faults(nu: float):
 
 def sphere_faults(q_R, q_L, q_C: float, nu: float):
     """The rule of :class:`locfield.born.SphereConfig` (q_C, nu floats)."""
-    yield ~np.isfinite(q_R), "q_R must be finite"
-    yield ~np.isfinite(q_L), "q_L must be finite"
+    yield _not(abs(q_R) < math.inf), "q_R must be finite"
+    yield _not(abs(q_L) < math.inf), "q_L must be finite"
     yield not math.isfinite(q_C), "q_C must be finite"
     yield not math.isfinite(nu), "nu must be finite"
     yield q_R <= 0, "q_R must be positive"

@@ -55,9 +55,10 @@ from .errors import (AccuracyError, DomainError, LocfieldError,
                      method_faults, orientation_faults, permittivity_faults,
                      positive, raise_first)
 from .greens import Permittivity, as_permittivity
-from .specfun import (ORDER_MAX, _bessel_orders, _check_arg, _nonfinite,
-                      dipole_bessel_j, dipole_hankel_h1, riccati_derivative,
-                      riccati_upward, spherical_bessel_j, spherical_hankel_h1)
+from .specfun import (ORDER_MAX, _bessel_orders, _check_arg, _divide,
+                      _nonfinite, dipole_bessel_j, dipole_hankel_h1,
+                      riccati_derivative, riccati_upward, spherical_bessel_j,
+                      spherical_hankel_h1)
 
 __all__ = [
     "sphere_coefficients",
@@ -74,7 +75,7 @@ _TERM_TOLERANCE = 1.0e-14
 _SMALL_RUN = 3
 
 # largest relative rounding error, as _center_rounding_bound puts it, of
-# a centre rate that gamma_b_center returns
+# an exact rate that gamma_b_center or the series returns
 _CENTER_REL_MAX = 1.0e-8
 
 
@@ -182,11 +183,12 @@ def body_green_center(eps, q_R: float) -> np.ndarray:
     return (1j * eps.n * C_N / (6.0 * np.pi)) * np.eye(3, dtype=complex)
 
 
-def _series(eps, q_R: float, q_L: float, orient: str) -> complex:
-    """Orientation-resolved series sum (without the K prefactor and the
-    outer 3/2 or 3/4 normalization), each value checked at the order that
-    uses it, in the order of :func:`_coefficients`' arguments."""
-    e, n = eps.epsilon, eps.n
+def _series(e, n, q_R: float, q_L: float, orient: str) -> float:
+    """gamma_b off the centre for the Python scalars eps, n = sqrt(eps),
+    q_R, q_L and orient, which passed :func:`gamma_b_exact`'s checks; each
+    value checked at the order that uses it, in the order of
+    :func:`_coefficients`' arguments, and the rate refused as the centre's
+    is, by :func:`_center_rounding_bound` of K times the sum."""
     args = (q_R, n * q_R, n * q_L)
     try:
         z0, z1, x = _check_arg(args, allow_zero=False).tolist()
@@ -200,8 +202,8 @@ def _series(eps, q_R: float, q_L: float, orient: str) -> complex:
     top = int(min(ORDER_MAX, 8 + abs(n) * q_R
                   + 18.4 / max(math.log(q_R / q_L), 0.01)))
     j1s, jxs = _bessel_orders(z1, top), _bessel_orders(x, top)
-    with np.errstate(all="ignore"):  # h_{-1} = e^{iz}/z and h_0 = -i h_{-1}
-        g0, g1 = complex(np.exp(1j * z0) / z0), complex(np.exp(1j * z1) / z1)
+    # h_{-1} = e^{iz}/z and h_0 = -i h_{-1}; |e^{iz}| <= 1, as Im z >= 0
+    g0, g1 = _divide(cmath.exp(1j * z0), z0), _divide(cmath.exp(1j * z1), z1)
     h0p, h0, h1p, h1 = g0, -1j * g0, g1, -1j * g1
     total, small_run = 0.0j, 0
     for m in range(1, ORDER_MAX + 1):
@@ -224,6 +226,8 @@ def _series(eps, q_R: float, q_L: float, orient: str) -> complex:
             C_N, C_M = _coefficients(e, m, h0, h1, j1, xi0p, xi1p, ps1p)
             if not (cmath.isfinite(C_N) and cmath.isfinite(C_M)):
                 raise _nonfinite_coefficients(m)
+            if m == 1:
+                first = (h0, h1, j1, xi0p, xi1p, ps1p)
             r = jx if radial else riccati_upward(m, x, jxs[m - 1], jx)
             if not cmath.isfinite(r):
                 raise _nonfinite("riccati_derivative[bessel_j]")
@@ -243,10 +247,25 @@ def _series(eps, q_R: float, q_L: float, orient: str) -> complex:
             raise _nonfinite_coefficients(m) from None
         small_run = small_run + 1 if small else 0
         if small_run >= _SMALL_RUN:
-            return total
-    raise AccuracyError(f"sphere series not converged within specfun."
-                        f"ORDER_MAX = {ORDER_MAX} (q_R = {q_R:g}, "
-                        f"q_L = {q_L:g})")
+            break
+    else:
+        raise AccuracyError(f"sphere series not converged within specfun."
+                            f"ORDER_MAX = {ORDER_MAX} (q_R = {q_R:g}, "
+                            f"q_L = {q_L:g})")
+    ks = cavity._prefactor(e, n) * total
+    gamma = (1.5 if radial else 0.75) * ks.imag
+    if not math.isfinite(gamma):  # K near the pole times a large sum
+        raise NonFiniteError(f"sphere series rate leaves double range "
+                             f"(q_R = {q_R:g}, q_L = {q_L:g})")
+    try:  # in plain Python a zero difference or rate divides by zero
+        bound = _center_rounding_bound(e, ks, z0, z1, *first)
+    except (ZeroDivisionError, OverflowError):
+        bound = math.inf if ks else 0.0
+    if bound > _CENTER_REL_MAX:
+        raise AccuracyError(f"sphere series rate at q_R = {q_R:g}, q_L = "
+                            f"{q_L:g} may be off by a relative {bound:.1e} "
+                            f"from rounding, above {_CENTER_REL_MAX:g}")
+    return gamma
 
 
 def gamma_b_center(eps, q_R):
@@ -273,9 +292,9 @@ def gamma_b_center(eps, q_R):
     C_N, _ = _finite_coefficients(e, 1, *values)
     with np.errstate(all="ignore"):
         kc = cavity._prefactor(e, n) * C_N
-    # a non-finite K C_1^N fails; a zero one (vacuum) has a NaN bound
-    bound = np.where(np.isfinite(kc), _center_rounding_bound(
-        e, kc, z0, z1, *values), np.inf).ravel()
+        # a non-finite K C_1^N fails; a zero one (vacuum) has a NaN bound
+        bound = np.where(np.isfinite(kc), _center_rounding_bound(
+            e, kc, z0, z1, *values), np.inf).ravel()
     over = np.flatnonzero(bound > _CENTER_REL_MAX)
     if over.size:
         k = over[0]
@@ -296,14 +315,12 @@ def _center_rounding_bound(e, kc, z0, z1, h0, h1, j1, xi0p, xi1p, ps1p):
     It bounds the error measured against a 60-digit mpmath sweep over
     q_R = 1e-8 .. 20 at twelve eps, and it is pessimistic where that
     small part is formed without cancellation (4e-9 at eps = 1.1,
-    q_R = 0.01, where the measured error is 5e-12).  A zero rate
-    (eps = 1) gives NaN, which no check refuses."""
-    with np.errstate(all="ignore"):
-        num, den = (e * h1 * xi0p, xi1p * h0), (e * j1 * xi0p, ps1p * h0)
-        cancel = sum((np.abs(a) + np.abs(b)) / np.abs(a - b)
-                     for a, b in (num, den))
-        return (2.0**-52 * (cancel + 2.0 * (np.abs(z0) + np.abs(z1)) + 2.0)
-                * np.abs(kc) / np.abs(np.imag(kc)))
+    q_R = 0.01, where the measured error is 5e-12).  On arrays, under
+    np.errstate, a zero rate (eps = 1) gives NaN, which no check refuses."""
+    num, den = (e * h1 * xi0p, xi1p * h0), (e * j1 * xi0p, ps1p * h0)
+    cancel = sum((abs(a) + abs(b)) / abs(a - b) for a, b in (num, den))
+    return (2.0**-52 * (cancel + 2.0 * (abs(z0) + abs(z1)) + 2.0)
+            * abs(kc) / abs(kc.imag))
 
 
 def gamma_b_exact(eps, q_R: float, q_L: float,
@@ -320,7 +337,8 @@ def gamma_b_exact(eps, q_R: float, q_L: float,
     Notes
     -----
     q_L = 0 takes the analytic m = 1 limit of :func:`gamma_b_center`,
-    identical for both orientations.
+    identical for both orientations.  Off the centre the rate is refused
+    where the centre's would be, with the sum in place of C_1^N.
     """
     eps = as_permittivity(eps)
     q_R, q_L = float(q_R), float(q_L)
@@ -329,39 +347,31 @@ def gamma_b_exact(eps, q_R: float, q_L: float,
     if q_L == 0.0:
         return gamma_b_center(eps, q_R)
     raise_first(method_faults("exact", eps.epsilon))
-    series = _series(eps, q_R, q_L, orient)
-    gamma = ((1.5 if orient == "radial" else 0.75)
-             * float(np.imag(cavity._prefactor(eps.epsilon, eps.n) * series)))
-    if not math.isfinite(gamma):  # K near the pole times a large sum
-        raise NonFiniteError(f"sphere series rate leaves double range "
-                             f"(q_R = {q_R:g}, q_L = {q_L:g})")
-    return gamma
+    return _series(eps.epsilon, eps.n, q_R, q_L, orient)
 
 
 def _gamma_b_rows(eps, q_R, q_L, orientation):
     """Exact body terms of the rows (eps, q_R, q_L, orientation), four
     (N,) arrays, as :func:`locfield.born.gamma_b_sphere_rows` returns
     them: the (N,) values, and a dict from the index of each row that
-    failed to its LocfieldError (its value is NaN).  The centred rows
-    are one :func:`gamma_b_center` call, each row alone if that raises;
-    every other row is one :func:`gamma_b_exact` call."""
+    failed to its LocfieldError (its value is NaN).  The rows passed the
+    rules of a RateRequest and of compute in :mod:`locfield.rates`: the
+    centred rows are one :func:`gamma_b_center` call, each row alone if
+    that raises; every other row is one unchecked :func:`_series` call."""
     values, errors = np.full(eps.size, np.nan), {}
-    center = q_L == 0.0
-
-    def alone(k):
-        if center[k]:
-            return gamma_b_center(eps[k:k + 1], q_R[k:k + 1])[0]
-        return gamma_b_exact(eps[k], q_R[k], q_L[k], str(orientation[k]))
-
-    rows = np.flatnonzero(~center).tolist()
-    if len(rows) < eps.size:
+    center, rows = q_L == 0.0, range(eps.size)
+    if center.any():
         try:
             values[center] = gamma_b_center(eps[center], q_R[center])
+            rows = np.flatnonzero(~center).tolist()
         except LocfieldError:
-            rows = range(eps.size)
+            pass
+    point = list(zip(eps.tolist(), np.sqrt(eps).tolist(), q_R.tolist(),
+                     q_L.tolist(), orientation.tolist()))
     for k in rows:
         try:
-            values[k] = alone(k)
+            values[k] = (gamma_b_center(eps[k:k + 1], q_R[k:k + 1])[0]
+                         if center[k] else _series(*point[k]))
         except LocfieldError as exc:
             errors[k] = exc
     return values, errors

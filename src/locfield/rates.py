@@ -14,7 +14,9 @@ set of requests that share method, geometry, orientation, q_C, nu and
 tol; a column, one curve of a sweep, is what the evaluation works on.
 Its points are checked as arrays by the rules of :mod:`locfield.errors`,
 each failing point getting the error (text and precedence) that a
-RateRequest and :func:`compute` give it.  A column's cavity term is one
+RateRequest and :func:`compute` give it: a sweep's by both, and a
+batch's, whose RateRequests checked theirs when they were made, by
+compute's method and q_C rules alone.  A column's cavity term is one
 array expression of the closed forms that the scalar functions of
 :mod:`locfield.cavity` and :mod:`locfield.born` also call, and its
 validity values are arrays too.  The sphere body terms of all the
@@ -230,7 +232,8 @@ def compute_batch(requests) -> list:
                  if geometry == "sphere" else None),
             q_L=np.array([r.q_L for r in group], dtype=float)))
     results: list = [None] * len(requests)
-    for members, column in zip(groups.values(), _compute_columns(columns)):
+    for members, column in zip(groups.values(),
+                               _compute_columns(columns, checked=True)):
         for j, i in enumerate(members):
             results[i] = column.result(j)
     return results
@@ -245,8 +248,8 @@ def _off_center_faults(method: str, q_L):
 
 class _Column(NamedTuple):
     """One curve of rates: the method, orientation, q_C, nu and tol its
-    points share, and the arrays eps, q_R and q_L, which broadcast
-    against each other; q_R is None for bulk."""
+    points share, and the (N,) arrays eps (complex), q_R and q_L (float)
+    of its points; q_R is None for bulk."""
 
     method: str
     orientation: str
@@ -287,23 +290,23 @@ class _Rates(NamedTuple):
             born._validity_report(self.chi_size[k], self.absorption[k]))
 
 
-def _compute_columns(columns) -> list:
+def _compute_columns(columns, checked: bool = False) -> list:
     """The :class:`_Rates` of each column.
 
-    Each column is validated by :func:`_check_points`, and a large q_C
-    warns once per column that yields a rate.  The cavity term and the
-    validity values are worked out as arrays.  The sphere body terms of
-    all the columns go to the array kernels together, one call per
-    kernel (and tol): :func:`locfield.mie._gamma_b_rows` for the exact
-    and weak-absorption rows, :func:`locfield.born.gamma_b_sphere_rows`
-    for the linear ones, where rows on one sphere geometry share its
-    moments.
+    Each column is validated by :func:`_check_points` (checked: its
+    points are RateRequests'), and a large q_C warns once per column
+    that yields a rate.  The cavity term and the validity values are
+    worked out as arrays.  The sphere body terms of all the columns go
+    to the array kernels together, one call per kernel (and tol):
+    :func:`locfield.mie._gamma_b_rows` for the exact and weak-absorption
+    rows, :func:`locfield.born.gamma_b_sphere_rows` for the linear ones,
+    where rows on one sphere geometry share its moments.
     """
     batches = defaultdict(list)
-    out = [_column_rates(column, batches) for column in columns]
+    out = [_column_rates(column, batches, checked) for column in columns]
     for (kernel, *args), members in batches.items():
-        rows = [np.concatenate(parts) for parts in zip(
-            *(arrays for _, _, arrays in members))]
+        rows = [np.concatenate(parts) if len(parts) > 1 else parts[0]
+                for parts in zip(*(arrays for _, _, arrays in members))]
         values, errors = kernel(*rows, *args)
         start = 0
         for rates_, idx, _ in members:
@@ -316,21 +319,19 @@ def _compute_columns(columns) -> list:
     return out
 
 
-def _column_rates(col: _Column, batches) -> _Rates:
+def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
     """The rates of one column, but for the sphere body terms that go to
     an array kernel: those rows are added to ``batches``, keyed by
     kernel and its further arguments, with the indices of their
     points."""
-    sphere = col.q_R is not None
-    eps, q_L, q_R = (a.ravel() for a in np.broadcast_arrays(
-        np.asarray(col.eps, dtype=complex), np.asarray(col.q_L, dtype=float),
-        np.asarray(col.q_R if sphere else np.nan, dtype=float)))
-    errors, ok = _check_points(col, eps, q_R, q_L)
+    sphere, eps, q_L = col.q_R is not None, col.eps, col.q_L
+    q_R = col.q_R if sphere else np.full(eps.size, np.nan)
+    errors, live = _check_points(col, eps, q_R, q_L, checked)
     rates_ = _Rates(*np.full((4, eps.size), np.nan), errors)
-    live = np.flatnonzero(ok)
-    if live.size == 0:
-        return rates_
-    eps, q_R, q_L = eps[live], q_R[live], q_L[live]
+    if errors:
+        if live.size == 0:
+            return rates_
+        eps, q_R, q_L = eps[live], q_R[live], q_L[live]
     chi = eps - 1.0
     q_C = float(col.q_C)
     rates_.chi_size[live], rates_.absorption[live] = born._validity_values(
@@ -353,7 +354,7 @@ def _column_rates(col: _Column, batches) -> _Rates:
         rates_.gamma_c[live] = (cavity._local_field(re) ** 2 * np.sqrt(re)
                                 - 1.0 + cavity._absorption_shift(eps, q_C))
         eps = re + 0j
-    orientation = np.full(live.size, col.orientation)
+    orientation = np.full(eps.size, col.orientation)
     if not sphere:
         rates_.gamma_b[live] = 0.0
     elif method in ("linear_born", "uncorrected"):
@@ -365,24 +366,28 @@ def _column_rates(col: _Column, batches) -> _Rates:
     return rates_
 
 
-def _check_points(col: _Column, eps, q_R, q_L):
-    """The errors of a column's points, by index, and the mask of the
-    points that pass.  The checks are RateRequest's, then compute's, in
-    their order, so a point's error is the first that it fails; they run
-    one by one only if some point fails one."""
-    checks = list(itertools.chain(
+def _check_points(col: _Column, eps, q_R, q_L, checked: bool):
+    """The errors of a column's points, by index, and the indices of the
+    points that pass: a sweep's by RateRequest's rules and compute's, in
+    their order, so that a point's error is the first that it fails, and
+    checked points (RateRequests', checked when made) by compute's alone.
+    The rules run one by one only if some point fails one."""
+    request = () if checked else itertools.chain(
         _off_center_faults(col.method, q_L), permittivity_faults(eps),
         sphere_faults(q_R, q_L, float(col.q_C), float(col.nu))
         if col.q_R is not None else qc_faults(float(col.q_C)),
-        positive("tol", col.tol), method_faults(col.method, eps),
+        positive("tol", col.tol))
+    checks = list(itertools.chain(
+        request, method_faults(col.method, eps),
         cavity_scale_faults("q_C", float(col.q_C),
                             cavity._scale_factor(col.method, eps))))
+    if not np.any(functools.reduce(operator.or_, [c[0] for c in checks])):
+        return {}, np.arange(eps.size)
     errors = {}
     ok = np.ones(eps.shape, dtype=bool)
-    if functools.reduce(operator.or_, [c[0] for c in checks]).any():
-        for check in checks:
-            bad = ok & check[0]
-            for k in np.flatnonzero(bad).tolist():
-                errors[k] = error_of(check, q_R[k], q_L[k])
-            ok &= ~bad
-    return errors, ok
+    for check in checks:
+        bad = ok & check[0]
+        for k in np.flatnonzero(bad).tolist():
+            errors[k] = error_of(check, q_R[k], q_L[k])
+        ok &= ~bad
+    return errors, np.flatnonzero(ok)

@@ -151,11 +151,11 @@ def _check_order(m):
 def _check_arg(z, allow_zero: bool):
     """z as a complex array, checked."""
     z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DomainError("argument z must be finite")
-    if np.any(np.abs(z) >= ARG_MAX):
+    if (np.abs(z) >= ARG_MAX).any():
         raise DomainError(f"|z| must be < {ARG_MAX:g}")
-    if not allow_zero and np.any(z == 0):
+    if not allow_zero and (z == 0).any():
         raise SingularityError("function is singular at z = 0")
     return z
 
@@ -309,6 +309,16 @@ def dipole_bessel_j(z):
             _finite_or_raise(p.reshape(shape), "riccati_derivative[bessel_j]"))
 
 
+def _divide(a: complex, b: complex) -> complex:
+    """a/b, b != 0, by Smith's method with one reciprocal, as numpy divides
+    complex numbers (bit for bit; inf where 1/b leaves double range)."""
+    if abs(b.real) < abs(b.imag):  # as (-i a)/(-i b), whose real part wins
+        a, b = complex(a.imag, -a.real), complex(b.imag, -b.real)
+    t = b.imag / b.real
+    s = 1.0 / (b.real + b.imag * t)
+    return complex((a.real + a.imag * t) * s, (a.imag - a.real * t) * s)
+
+
 def _bessel_orders(z: complex, top: int, head=()) -> list:
     """j_m(z), m = 0..top >= 1, for a z checked as by spherical_hankel_h1
     (the series divides by it): Miller's ratios r_m = j_m/j_{m-1}
@@ -318,18 +328,23 @@ def _bessel_orders(z: complex, top: int, head=()) -> list:
     there); head, orders 0..k of an earlier call, is carried on from j_k.
     spherical_bessel_j's NonFiniteError where an order is not finite."""
     low = max(len(head), 1)
-    r = [0j]
+    ratio, r = 0j, [0j]
     for m in range(top + int(abs(z)) + 16, low - 1, -1):
         # where j_{m-1} vanishes the ratio is huge, not a ZeroDivisionError
-        r.append(z / (2 * m + 1 - z * r[-1] or 1e-300))
-    with np.errstate(all="ignore"):
-        j0 = complex(np.sin(z) / z)
-        j1 = complex((j0 - np.cos(z)) / z)
+        ratio = z / (2 * m + 1 - z * ratio or 1e-300)
+        r.append(ratio)
+    try:
+        j0 = _divide(cmath.sin(z), z)
+        j1 = _divide(j0 - cmath.cos(z), z)
+    except OverflowError:
+        raise _nonfinite("spherical_bessel_j") from None
     big = abs(z) >= _J1_TAYLOR_BELOW and abs(j1) > abs(j0)
     j = list(head) or [j0, j1 if big else j0 * r[-1]]
+    value = j[-1]
     for m in range(len(j), top + 1):
-        j.append(j[-1] * r[low - m - 1])  # r_m, as r ends with r_low
-    if not all(map(cmath.isfinite, j)):
+        value *= r[low - m - 1]  # r_m, as r ends with r_low
+        j.append(value)
+    if not cmath.isfinite(value):  # as is every order above a non-finite one
         raise _nonfinite("spherical_bessel_j")
     return j
 

@@ -1,9 +1,11 @@
 """Sphere scattering series: coefficients, series rates, assembled center rate."""
 
 import cmath
+import importlib
 import json
 import re
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -721,3 +723,87 @@ def test_center_rate_of_a_tiny_transparent_sphere_is_refused():
     got, want = gamma_b_center(1.1, 0.01), _mp_center_rate(1.1, 0.01)
     assert abs(got - want) <= 1e-11 * abs(want)
     assert gamma_b_center(1.0, 0.01) == 0.0
+
+
+# spheres so small that C_1^N's rounding swamps the rate: a transparent
+# host, where the rate is the small real part of K times the sum (the
+# double-precision sum gave -0.844 against -1.509 from 40-digit mpmath),
+# and the lossless Frohlich pole eps = -2, where C_1^N's denominator
+# cancels (1.83e48 against 2.16e32)
+_TINY_SPHERES = [
+    ((2.25, 1.5621345181484196e-08, 1.5621345181484196e-14, "tangential"),
+     "2.3e+08"),
+    ((-2.0, 1.3041047308660494e-08, 1.2388994943227469e-08, "radial"),
+     "2.0e+08")]
+
+
+@pytest.mark.parametrize("args, bound", _TINY_SPHERES)
+def test_tiny_offcentre_spheres_are_refused_as_the_centre_is(args, bound):
+    # the series refuses by the centre's rounding bound, with K times the
+    # sum in place of K C_1^N, through gamma_b_exact, compute and
+    # compute_batch, whose good request beside it keeps its rate; the
+    # centre of the same sphere refuses too
+    eps, q_R, q_L, orient = args
+    message = (rf"^sphere series rate at q_R = {q_R:g}, q_L = {q_L:g} may "
+               rf"be off by a relative {re.escape(bound)} from rounding, "
+               r"above 1e-08$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match=message):
+            gamma_b_exact(*args)
+        request = RateRequest(eps=eps, method="exact", q_R=q_R, q_L=q_L,
+                              q_C=q_R / 100, orientation=orient)
+        with pytest.raises(AccuracyError, match=message):
+            compute(request)
+        good = RateRequest(eps=eps, method="exact", q_R=2.0, q_L=1.0,
+                           q_C=q_R / 100, orientation=orient)
+        refused, kept = compute_batch([request, good])
+        assert isinstance(refused, AccuracyError)
+        assert re.match(message, str(refused))
+        assert kept == compute(good)
+        with pytest.raises(AccuracyError, match=r"^centre rate at q_R = "):
+            gamma_b_center(eps, q_R)
+
+
+def _count_calls(monkeypatch, module_names, name, calls):
+    """Wrap the function ``name`` wherever the package's modules hold it,
+    counting its calls by first argument in ``calls``."""
+    original = getattr(importlib.import_module("locfield.errors"), name)
+
+    def counted(*args, **kwargs):
+        calls[name, args[0] if isinstance(args[0], str) else None] += 1
+        return original(*args, **kwargs)
+
+    for module in module_names:
+        module = importlib.import_module(f"locfield.{module}")
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+
+
+def test_exact_requests_are_checked_once(monkeypatch):
+    # an off-centre exact request runs the permittivity and sphere rules
+    # when it is made, and compute runs only its own: the method's rule
+    # once per column; the rows kernel calls the series directly, with no
+    # gamma_b_exact and no Permittivity per row
+    calls = Counter()
+    for name in ("permittivity_faults", "sphere_faults", "method_faults"):
+        _count_calls(monkeypatch, ("errors", "greens", "born", "rates",
+                                   "mie", "cavity"), name, calls)
+    requests = [RateRequest(eps=eps, method="exact", q_R=3.0, q_L=q_L)
+                for eps, q_L in ((1.2 + 1e-7j, 1.0), (1.5, 0.5),
+                                 (1.1 + 1e-8j, 2.0))]
+    assert calls[("permittivity_faults", None)] >= 3
+    assert calls[("sphere_faults", None)] == 3
+    assert calls[("method_faults", "exact")] == 0
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a row was checked again")
+
+    for module, name in ((mie, "gamma_b_exact"), (mie, "as_permittivity")):
+        monkeypatch.setattr(module, name, refused)
+    for batch in ([requests[0]], requests):
+        calls.clear()
+        results = (compute_batch(batch) if len(batch) > 1
+                   else [compute(batch[0])])
+        assert all(r.total_ratio > 0 for r in results)
+        assert calls == {("method_faults", "exact"): 1}

@@ -527,19 +527,21 @@ def test_cavity_terms_that_overflow_inside_the_old_rule_are_refused():
 # mixed batches: requests of every method, centred and off the centre
 # (weak_absorption only centred), with centred spheres from q_R = 1e-5
 # (the linear centre refuses below about 2e-3, the exact one below about
-# 7e-3) up to 10, vacuum, transparent and absorbing hosts, and now and
-# then a cavity radius whose 1/q_C^3 is no double
+# 7e-3) up to 10, vacuum, transparent and absorbing hosts, the pole of L
+# and its band, and now and then a cavity radius whose 1/q_C^3 is no
+# double, or is one only for a medium with |Im chi| below 11 (1e-102)
 _BATCH_REQUESTS = st.builds(
     lambda method, eps, q_R, ratio, orientation, q_C: RateRequest(
         eps=eps, method=method, q_R=q_R,
         q_L=0.0 if method == "weak_absorption" else q_R * ratio,
         orientation=orientation, q_C=q_C),
     st.sampled_from(METHODS),
-    st.sampled_from((1.1, 1.1 + 1e-8j, 1.3, 1.0 + 0.1j, 0.8 + 0.2j, 1.0)),
+    st.sampled_from((1.1, 1.1 + 1e-8j, 1.3, 1.0 + 0.1j, 0.8 + 0.2j, 1.0,
+                     -0.5, -0.5 + 5e-155j, 1.0 + 20j)),
     st.floats(-5.0, 1.0).map(lambda e: 10.0**e),
     st.one_of(st.just(0.0), st.floats(0.05, 0.5)),
     st.sampled_from(ORIENTATIONS),
-    st.sampled_from((1e-6, 1e-6, 1e-6, 1e-120)))
+    st.sampled_from((1e-6, 1e-6, 1e-6, 1e-120, 1e-102)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -552,6 +554,10 @@ _BATCH_REQUESTS = st.builds(
     RateRequest(eps=1.1, method="exact", q_R=1e-3, q_C=1e-6),
     RateRequest(eps=1.1, method="linear_born", q_R=0.01, q_L=0.004,
                 q_C=1e-6)])
+@example(requests=[
+    RateRequest(eps=eps, method="exact", q_R=2.0, q_L=q_L, q_C=q_C)
+    for q_C in (1e-6, 1e-102) for q_L in (0.0, 0.9)
+    for eps in (1.1 + 1e-8j, -0.5, 1.3, -0.5 + 5e-155j, 1.0 + 20j)])
 def test_compute_batch_equals_compute_per_request(requests):
     # each request's entry is what compute gives it alone: the same
     # breakdown, or an error of the same type and text
@@ -565,6 +571,33 @@ def test_compute_batch_equals_compute_per_request(requests):
             assert str(single.value) == str(result), request
         else:
             assert result == compute(request), request
+
+
+def test_an_absurd_radius_is_a_typed_error():
+    # |chi| q_max beyond double range is an infinite validity value, which
+    # fails, so that each route reaches its own typed refusal with no
+    # numpy warning: the exact series its argument cap, the linear rule a
+    # rounding bound that is NaN (once written "off by nan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q_R in (1e308, 1e300):
+            for method in ("exact", "linear_born", "uncorrected"):
+                request = RateRequest(eps=4, method=method, q_R=q_R,
+                                      q_L=1.0)
+                with pytest.raises(LocfieldError) as refused:
+                    compute(request)
+                if method == "exact":
+                    assert type(refused.value) is DomainError
+                    assert str(refused.value) == "|z| must be < 10000"
+                else:
+                    assert type(refused.value) is AccuracyError
+                    assert str(refused.value) == (
+                        f"linear body rate at q_R = {q_R:g}, q_L = 1 has a "
+                        "rounding bound that is not a number, so it cannot "
+                        "be held to tol = 1e-10")
+        report = validity_check(None, 3.0, boundary_max=1e308, q_C=0.01)
+        assert report.chi_size_value == math.inf
+        assert not report.chi_size_ok
 
 
 def test_centred_refusal_stays_on_its_row():

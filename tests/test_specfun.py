@@ -227,7 +227,7 @@ def _carried_hankel(monkeypatch, z):
                        match=r"^(sphere series not converged|"
                        r"spherical_hankel_h1 overflowed|"
                        r"riccati_derivative\[hankel_h1\] overflowed)"):
-        mie._series(eps, q_R, q_R / 2, "radial")
+        mie._series(eps.epsilon, eps.n, q_R, q_R / 2, "radial")
     return eps.n * q_R, [None, *values]
 
 
@@ -260,17 +260,40 @@ def test_order_tables_against_mpmath(monkeypatch):
                                            * max(1.0, abs(z) / 100)), (z, m)
 
 
+def test_scalar_division_is_numpys_bit_for_bit():
+    # the series' seeds and j_m's anchors divide Python complex numbers as
+    # numpy divides them, so its values keep their bits: both parts and
+    # the signs of zeros, over 60 decades either way, and an infinite part
+    # where 1/b leaves double range (as at a subnormal argument)
+    rng = np.random.default_rng(20)
+    parts = np.concatenate([rng.standard_normal(4000)
+                            * 10.0 ** rng.uniform(-300, 300, 4000),
+                            [0.0, -0.0, 5e-324, -1.0, 1.0]])
+    a = rng.choice(parts, (3000, 2))
+    b = rng.choice(parts, (3000, 2))
+    with np.errstate(all="ignore"):
+        for (ar, ai), (br, bi) in zip(a.tolist(), b.tolist()):
+            if br == bi == 0.0:
+                continue
+            want = np.complex128(complex(ar, ai)) / complex(br, bi)
+            got = specfun._divide(complex(ar, ai), complex(br, bi))
+            assert (np.array([got.real, got.imag]).view(np.uint64).tolist()
+                    == np.array([want.real, want.imag]).view(
+                        np.uint64).tolist()), (ar, ai, br, bi)
+    assert specfun._divide(1.0 + 0j, 5e-324 + 0j).real == np.inf
+
+
 def test_order_tables_check_like_the_scipy_route():
     # the off-centre series checks (q_R, n q_R, n q_L) once, and refuses
     # as spherical_hankel_h1 of the first of them that fails: the argument
     # cap, before a non-finite n q_R; n q_R or n q_L rounding to 0, where
     # the series would divide by it.  So do gamma_b_exact and compute
-    # (q_R = 1e300 is left to gamma_b_exact: compute warns on it first).
+    # (at q_R = 1e300 too, whose |chi| q_R leaves double range).
     # j_m's table raises spherical_bessel_j's NonFiniteError where j_0
     # overflows
     for eps, q_R, q_L, via_compute in (
             (1.1, ARG_MAX, 1.0, True), (4.0, 6000.0, 1.0, True),
-            (1e100, 1e300, 1.0, False), (0.01, 1.0, 5e-324, True),
+            (1e100, 1e300, 1.0, True), (0.01, 1.0, 5e-324, True),
             (1e-300, 1e-200, 1e-201, False)):
         n = Permittivity(eps).n
         want = _outcome(*(functools.partial(spherical_hankel_h1, 0, z)

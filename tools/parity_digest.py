@@ -13,6 +13,15 @@ and prints one line per item:
   repr of (total, gamma_c, gamma_b) from ``locfield.compute``, or the
   type and text of the LocfieldError it raises (the CLI prints what
   ``compute`` returns);
+* for each of seeds 0-15, one ``compute_batch`` call over its
+  ``exact_offcenter`` requests mixed with the requests of its interior
+  probe that ``compute`` refuses: how many requests it refused, whether
+  each entry is what ``compute`` gives that request alone, and the
+  sha256 of the entries;
+* the outcomes of edge inputs where refusals have moved: spheres so
+  small that rounding swamps the series (``mie.gamma_b_exact``), and
+  radii whose |chi| q_R leaves double range (``compute``), with a numpy
+  RuntimeWarning printed as an error;
 * the sha256 of each of the seven preset CSVs, written by
   ``cli.run_sweep`` into a temporary directory;
 * a last line, the sha256 of all the lines above it.
@@ -20,44 +29,103 @@ and prints one line per item:
 With ``--against FILE`` (an earlier output of this script, say from
 another checkout) it also reports on stderr how many lines differ, and
 the largest relative difference among the rates that both runs
-returned; it exits 1 if any line differs.  Seeds 0-15 take about 7 s on
+returned; it exits 1 if any line differs.  Seeds 0-15 take about 8 s on
 one core.
 """
 
 import argparse
 import ast
 import hashlib
+import random
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import workloads  # noqa: E402
-from locfield import cli, compute  # noqa: E402
+from locfield import RateRequest, cli, compute, compute_batch  # noqa: E402
 from locfield.errors import LocfieldError  # noqa: E402
+from locfield.mie import gamma_b_exact  # noqa: E402
 
 SEEDS = range(16)
+# gamma_b_exact where C_1^N's rounding swamps the rate: a transparent
+# host, and the lossless Frohlich pole eps = -2
+TINY_SPHERES = (
+    (2.25, 1.5621345181484196e-08, 1.5621345181484196e-14, "tangential"),
+    (-2.0, 1.3041047308660494e-08, 1.2388994943227469e-08, "radial"))
+# compute at eps = 4, q_L = 1 with these q_R: |chi| q_R is no double
+ABSURD_RADII = (1e308, 1e300)
 
 
-def outcome(item: dict) -> str:
-    """repr of (total, gamma_c, gamma_b), or the error's type and text."""
-    try:
-        r = compute(workloads.rate_request(item))
-    except LocfieldError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return repr((r.total_ratio, r.gamma_c_ratio, r.gamma_b_ratio))
+def described(result) -> str:
+    """repr of a float or of a breakdown's (total, gamma_c, gamma_b), or
+    an error's type and text."""
+    if isinstance(result, Exception):
+        return f"{type(result).__name__}: {result}"
+    if isinstance(result, float):
+        return repr(result)
+    return repr((result.total_ratio, result.gamma_c_ratio,
+                 result.gamma_b_ratio))
+
+
+def outcome(call) -> str:
+    """described() of call(), or of the LocfieldError it raises or the
+    numpy RuntimeWarning it issues."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return described(call())
+        except (LocfieldError, RuntimeWarning) as exc:
+            return described(exc)
+
+
+def batch_line(seed: int, exact: list, alone: list) -> str:
+    """compute_batch over a seed's exact requests, with alone their
+    outcomes, mixed with its refused interior-probe requests."""
+    requests, alone = list(exact), list(alone)
+    for item in workloads.probe_inputs(seed):
+        request = workloads.rate_request(item)
+        text = outcome(lambda: compute(request))
+        if not text.startswith("("):
+            requests.append(request)
+            alone.append(text)
+    order = list(range(len(requests)))
+    random.Random(seed).shuffle(order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = compute_batch([requests[i] for i in order])
+    got = [described(r) for r in results]
+    same = got == [alone[i] for i in order]
+    return (f"{len(requests)} requests, "
+            f"{sum(isinstance(r, LocfieldError) for r in results)} refused, "
+            f"{'each' if same else 'NOT each'} as compute alone, sha256 "
+            f"{hashlib.sha256(chr(10).join(got).encode()).hexdigest()}")
 
 
 def digest_lines():
     for seed in SEEDS:
+        exact, alone = [], []
         for k, item in enumerate(workloads.exact_inputs(seed)):
-            yield f"exact_offcenter/{seed}/{k} {outcome(item)}"
+            exact.append(workloads.rate_request(item))
+            alone.append(outcome(lambda: compute(exact[-1])))
+            yield f"exact_offcenter/{seed}/{k} {alone[-1]}"
         for k, item in enumerate(workloads.cli_inputs(seed)):
-            yield f"cli_compute/{seed}/{k} {outcome(item)}"
+            request = workloads.rate_request(item)
+            yield f"cli_compute/{seed}/{k} {outcome(lambda: compute(request))}"
+        yield f"compute_batch/{seed} {batch_line(seed, exact, alone)}"
     for k, item in enumerate(workloads.probe_inputs(0)):
-        yield f"interior_probe/0/{k} {outcome(item)}"
+        request = workloads.rate_request(item)
+        yield f"interior_probe/0/{k} {outcome(lambda: compute(request))}"
+    for k, args in enumerate(TINY_SPHERES):
+        yield f"edge/gamma_b_exact/{k} {outcome(lambda: gamma_b_exact(*args))}"
+    for q_R in ABSURD_RADII:
+        for method in ("exact", "linear_born", "uncorrected"):
+            request = RateRequest(eps=4.0, method=method, q_R=q_R, q_L=1.0)
+            yield (f"edge/compute/{method}/q_R={q_R:g} "
+                   f"{outcome(lambda: compute(request))}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in workloads.PRESET_NAMES:
             path = Path(tmp) / f"{name}.csv"
