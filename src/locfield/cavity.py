@@ -79,29 +79,28 @@ class CavityCoefficients:
     B_N: np.ndarray
 
 
-def _local_field(eps):
-    """The local-field factor L = 3 eps/(2 eps + 1) of the real cavity."""
-    return 3.0 * eps / (2.0 * eps + 1.0)
+def _local_field(eps, s=None):
+    """The local-field factor L = 3 eps/s of the real cavity, s = 2 eps + 1."""
+    return 3.0 * eps / (2.0 * eps + 1.0 if s is None else s)
 
 
-def _prefactor(eps, n):
-    """K = i n L^2 = 9 i eps^{5/2}/(2 eps + 1)^2, the local-field
+def _prefactor(eps, n, s=None):
+    """K = i n L^2 = 9 i eps^{5/2}/s^2, s = 2 eps + 1, the local-field
     corrected prefactor of the sphere's body term."""
-    return 1j * n * _local_field(eps) ** 2
+    return 1j * n * _local_field(eps, s) ** 2
 
 
 def _cavity_parts(eps):
-    """The factors 3 chi/(2 eps + 1) of 1/q_C^3 and
-    9 chi (4 eps + 1)/(5 (2 eps + 1)^2) of 1/q_C in gamma_c_exact."""
-    s = 2.0 * eps + 1.0
-    return (3.0 * (eps - 1.0) / s,
-            9.0 * (eps - 1.0) * (4.0 * eps + 1.0) / (5.0 * s**2))
+    """s = 2 eps + 1 and the factors 3 chi/s of 1/q_C^3 and
+    9 chi (4 eps + 1)/(5 s^2) of 1/q_C in gamma_c_exact."""
+    s, chi = 2.0 * eps + 1.0, eps - 1.0
+    return s, 3.0 * chi / s, 9.0 * chi * (4.0 * eps + 1.0) / (5.0 * s**2)
 
 
 def _cavity_term(eps, n, q_C: float):
     """gamma_c of :func:`gamma_c_exact`."""
-    a, b = _cavity_parts(eps)
-    return np.imag(a / q_C**3 + b / q_C + _prefactor(eps, n)) - 1.0
+    s, a, b = _cavity_parts(eps)
+    return np.imag(a / q_C**3 + b / q_C + _prefactor(eps, n, s)) - 1.0
 
 
 def _scale_factor(method: str, eps):
@@ -114,7 +113,7 @@ def _scale_factor(method: str, eps):
     if method != "exact" or not (np.real(eps) < 0).any():
         return c
     with np.errstate(all="ignore"):
-        a, b = _cavity_parts(eps)
+        _, a, b = _cavity_parts(eps)
         return np.maximum(c, (np.abs(a) + np.abs(b)) / _CAVITY_SCALE)
 
 

@@ -30,14 +30,20 @@ per call; a scalar runs as a one-element column of the same code, so it
 equals that point of a column bit for bit.  :func:`_gamma_b_rows` is
 the rows kernel of :mod:`locfield.rates`.
 
-The series checks z0, z1 and x = n q_L in one call, carries h_m(z0),
-h_m(z1) upward (stable: h_m is the dominant solution; Bohren & Huffman
-1983, ch. 4), takes j_m(z1), j_m(x) from Miller tables of
-:mod:`locfield.specfun`, with no scipy, and forms xi_m', psi_m' by
-[z f_m]' = z f_{m-1} - m f_m.  Its terms decay super-exponentially once
-m exceeds ~ q_R |n|, and then as (q_L/q_R)^{2m}; the series stops once
+Near the surface C_m^N and j_m(x)^2 leave double range before the terms
+are small, so off the centre the series is summed in ratio form
+(Wiscombe 1980, Appl. Opt. 19, 1505), over j_m(z1) h_m(z0):
+
+    C_m^N j_m(x)^2 = -P_m rho_m^2 (eps A0 - A1)/(eps A0 - B1),
+
+with A = xi_m'/h_m at z0, z1 and B = psi_m'/j_m at z1, x from the ratios
+h_{m-1}/h_m, carried up, and j_{m-1}/j_m, Miller's (from specfun);
+rho_m = j_m(x)/j_m(z1) and, by the Wronskian, P_m = h_m(z1) j_m(z1)
+= i/(z1 (A1 - B1)), which keeps its small real part j_m^2 at real z1.
+C_m^M takes eps -> 1.  Every factor is bounded.  The terms fall as
+(q_L/q_R)^{2m} once m exceeds ~ q_R |n|; the series stops once
 _SMALL_RUN successive terms fall below _TERM_TOLERANCE of the sum, and
-raises AccuracyError if that has not happened by specfun.ORDER_MAX = 200.
+past _ORDER_LIMIT orders raises AccuracyError naming the order needed.
 eps = -1/2, the pole of L, raises SingularityError on every route, and
 so does eps so near it that L^2 leaves double range.
 """
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -55,9 +62,8 @@ from .errors import (AccuracyError, DomainError, LocfieldError,
                      method_faults, orientation_faults, permittivity_faults,
                      positive, raise_first)
 from .greens import Permittivity, as_permittivity
-from .specfun import (ORDER_MAX, _bessel_orders, _check_arg, _divide,
-                      _nonfinite, dipole_bessel_j, dipole_hankel_h1,
-                      riccati_derivative, riccati_upward, spherical_bessel_j,
+from .specfun import (_bessel_ratios, _check_arg, dipole_bessel_j,
+                      dipole_hankel_h1, riccati_derivative, spherical_bessel_j,
                       spherical_hankel_h1)
 
 __all__ = [
@@ -73,6 +79,11 @@ __all__ = [
 # times the modulus of the running sum
 _TERM_TOLERANCE = 1.0e-14
 _SMALL_RUN = 3
+
+# the series takes at most _ORDER_LIMIT orders, and refuses an |n q_L|
+# below _X_MIN, where 1/(n q_L) leaves double range
+_ORDER_LIMIT = 5000
+_X_MIN = 1.0 / sys.float_info.max
 
 # largest relative rounding error, as _center_rounding_bound puts it, of
 # an exact rate that gamma_b_center or the series returns
@@ -105,12 +116,11 @@ def _shaped(value, shape):
 
 def _coefficients(e, m, h0, h1, j1, xi0p, xi1p, ps1p):
     """(C_m^N, C_m^M) from h_m(z0), h_m(z1), j_m(z1), xi_m'(z0), xi_m'(z1)
-    and psi_m'(z1), scalars or arrays, or the resonance pole's error.
-    In vacuum (e == 1) both are exactly 0, not rounding noise."""
+    and psi_m'(z1), arrays, or the resonance pole's error.  In vacuum
+    (e == 1) both are exactly 0, not rounding noise."""
     den_N = e * j1 * xi0p - ps1p * h0
     den_M = j1 * xi0p - ps1p * h0
-    if (min(abs(den_N), abs(den_M)) < 1.0e-300 if isinstance(den_N, complex)
-            else (np.minimum(abs(den_N), abs(den_M)) < 1.0e-300).any()):
+    if (np.minimum(abs(den_N), abs(den_M)) < 1.0e-300).any():
         raise SingularityError(f"sphere coefficient denominator vanished "
                                f"at m = {m} (resonance pole)")
     medium = e != 1
@@ -185,9 +195,8 @@ def body_green_center(eps, q_R: float) -> np.ndarray:
 
 def _series(e, n, q_R: float, q_L: float, orient: str) -> float:
     """gamma_b off the centre for the Python scalars eps, n = sqrt(eps),
-    q_R, q_L and orient, which passed :func:`gamma_b_exact`'s checks; each
-    value checked at the order that uses it, in the order of
-    :func:`_coefficients`' arguments, and the rate refused as the centre's
+    q_R, q_L and orient, which passed :func:`gamma_b_exact`'s checks, in
+    the ratio form of the module docstring; refused as the centre's rate
     is, by :func:`_center_rounding_bound` of K times the sum."""
     args = (q_R, n * q_R, n * q_L)
     try:
@@ -196,62 +205,58 @@ def _series(e, n, q_R: float, q_L: float, orient: str) -> float:
         for z in args:
             _check_arg(z, allow_zero=False)
         raise
+    if abs(x) < _X_MIN:
+        raise DomainError(f"|n q_L| = {abs(x):.3g} is below {_X_MIN:.2g}, "
+                          "where 1/(n q_L) leaves double range; take "
+                          "q_L = 0 for the centre")
     radial = orient == "radial"
-    # j_m to the order where the terms, falling as (q_L/q_R)^{2m} from
-    # m ~ |n| q_R on, reach 1e-16 = e^-36.8; extended if the walk passes it
-    top = int(min(ORDER_MAX, 8 + abs(n) * q_R
-                  + 18.4 / max(math.log(q_R / q_L), 0.01)))
-    j1s, jxs = _bessel_orders(z1, top), _bessel_orders(x, top)
-    # h_{-1} = e^{iz}/z and h_0 = -i h_{-1}; |e^{iz}| <= 1, as Im z >= 0
-    g0, g1 = _divide(cmath.exp(1j * z0), z0), _divide(cmath.exp(1j * z1), z1)
-    h0p, h0, h1p, h1 = g0, -1j * g0, g1, -1j * g1
+    # the terms fall as (q_L/q_R)^{2m} m^2 from m ~ |n| q_R on: below
+    # 1e-16 = e^-36.8 of the largest after k orders more, and the log term
+    # covers the m^2
+    fall = max(math.log(q_R / q_L), 1e-300)
+    k = 18.4 / fall
+    need = 8 + abs(z1) + k + math.log1p(k) / fall
+    top = int(min(need, _ORDER_LIMIT))
+    (jz, r1), (jx, rx) = _bessel_ratios(z1, top), _bessel_ratios(x, top)
+    sigma = jx / x / jz  # j_m(x)/(x j_m(z1)), carried up
+    v0, v1 = 1j * z0, 1j * z1  # z h_{m-1}/h_m at z0 and z1, from h_{-1}/h_0
+    zz0, zz1 = z0 * z0, z1 * z1
     total, small_run = 0.0j, 0
-    for m in range(1, ORDER_MAX + 1):
-        if m == len(j1s):
-            j1s, jxs = (_bessel_orders(z1, ORDER_MAX, j1s),
-                        _bessel_orders(x, ORDER_MAX, jxs))
-        h0p, h0 = h0, (2 * m - 1) / z0 * h0 - h0p
-        h1p, h1 = h1, (2 * m - 1) / z1 * h1 - h1p
-        if not (cmath.isfinite(h0) and cmath.isfinite(h1)):
-            raise _nonfinite("spherical_hankel_h1")
-        j1, jx = j1s[m], jxs[m]
-        xi0p = riccati_upward(m, z0, h0p, h0)
-        xi1p = riccati_upward(m, z1, h1p, h1)
-        ps1p = riccati_upward(m, z1, j1s[m - 1], j1)
-        if not (cmath.isfinite(xi0p) and cmath.isfinite(xi1p)):
-            raise _nonfinite("riccati_derivative[hankel_h1]")
-        if not cmath.isfinite(ps1p):
-            raise _nonfinite("riccati_derivative[bessel_j]")
-        try:  # abs of a complex beyond double range: OverflowError
-            C_N, C_M = _coefficients(e, m, h0, h1, j1, xi0p, xi1p, ps1p)
-            if not (cmath.isfinite(C_N) and cmath.isfinite(C_M)):
-                raise _nonfinite_coefficients(m)
+    try:
+        for m in range(1, top + 1):
+            v0 = zz0 / (2 * m - 1 - v0)
+            v1 = zz1 / (2 * m - 1 - v1)
+            a0, a1, b1 = v0 - m, v1 - m, m + 1 - z1 * r1[m + 1]
+            ea0 = e * a0
+            if radial:
+                term = ((2 * m + 1) * m * (m + 1) * sigma * sigma
+                        * (ea0 - a1) / ((a1 - b1) * (ea0 - b1)))
+            else:
+                rho, sb = sigma * x, sigma * (m + 1 - x * rx[m + 1])
+                term = (2 * m + 1) * (rho * rho * (a0 - a1) / (a0 - b1)
+                                      + sb * sb * (ea0 - a1) / (ea0 - b1)
+                                      ) / (a1 - b1)
             if m == 1:
-                first = (h0, h1, j1, xi0p, xi1p, ps1p)
-            r = jx if radial else riccati_upward(m, x, jxs[m - 1], jx)
-            if not cmath.isfinite(r):
-                raise _nonfinite("riccati_derivative[bessel_j]")
-            r2 = (r / x) * (r / x)
-            if not cmath.isfinite(r2):
-                # deep in an absorbing sphere j_m(x) grows as C_m decays;
-                # squared apart from C_m, it leaves double range
-                raise NonFiniteError(f"sphere series overflowed at m = {m}: "
-                                     "the emitter's Bessel factor squared "
-                                     "leaves double range (q_R = "
-                                     f"{q_R:g}, q_L = {q_L:g})")
-            term = ((2 * m + 1) * m * (m + 1) * C_N * r2 if radial
-                    else (2 * m + 1) * (C_M * jx * jx + C_N * r2))
+                first = 1.0, 1.0, 1.0, a0, a1, b1
             total += term
             small = abs(term) < _TERM_TOLERANCE * max(abs(total), 1e-300)
-        except OverflowError:
-            raise _nonfinite_coefficients(m) from None
-        small_run = small_run + 1 if small else 0
-        if small_run >= _SMALL_RUN:
-            break
-    else:
-        raise AccuracyError(f"sphere series not converged within specfun."
-                            f"ORDER_MAX = {ORDER_MAX} (q_R = {q_R:g}, "
-                            f"q_L = {q_L:g})")
+            small_run = small_run + 1 if small else 0
+            if small_run == _SMALL_RUN:
+                break
+            sigma *= rx[m + 1] / r1[m + 1]
+        else:
+            if not cmath.isfinite(total):
+                raise _nonfinite_coefficients(m)
+            raise AccuracyError(f"sphere series not converged by m = {top}: "
+                                f"about {need:.3g} orders needed, "
+                                f"{_ORDER_LIMIT} allowed (q_R = {q_R:g}, "
+                                f"q_L = {q_L:g})")
+    except ZeroDivisionError:
+        raise SingularityError(f"sphere coefficient denominator vanished "
+                               f"at m = {m} (resonance pole)") from None
+    except OverflowError:  # abs of a complex beyond double range
+        raise _nonfinite_coefficients(m) from None
+    total *= -1j / z1  # -P_m = -i/(z1 (A1 - B1))
     ks = cavity._prefactor(e, n) * total
     gamma = (1.5 if radial else 0.75) * ks.imag
     if not math.isfinite(gamma):  # K near the pole times a large sum
@@ -308,7 +313,8 @@ def gamma_b_center(eps, q_R):
 def _center_rounding_bound(e, kc, z0, z1, h0, h1, j1, xi0p, xi1p, ps1p):
     """Relative rounding error that Im[K C_1^N] may carry, from
     kc = K C_1^N, z0 = q_R, z1 = n q_R and the values of
-    :func:`_order_values` there: 2^-52 times the sum of the cancellation
+    :func:`_order_values` there, or (the series' ratios) those values over
+    j_1(z1) h_1(z0): 2^-52 times the sum of the cancellation
     (|a| + |b|)/|a - b| of C_1^N's numerator and of its denominator, of
     2 (|z0| + |z1|) for the phases e^{iz}, and of 2, all times
     |K C|/|Im(K C)|, which is large where Im(K C) is a small part of K C.

@@ -28,8 +28,9 @@ exact and weak-absorption rows and the cavity transmission coefficient.
 :func:`dipole_hankel_h1` and :func:`dipole_bessel_j` give its functions
 in closed form, in sin, cos and exp, with the checks and messages of the
 calls they replace.  The off-centre exact series checks its arguments
-in one :func:`_check_arg` call and carries h_m upward itself; its j_m
-come from :func:`_bessel_orders`, which does not check them again.
+in one :func:`_check_arg` call and carries the ratios h_{m-1}/h_m
+upward itself; its ratios j_m/j_{m-1} come from :func:`_bessel_ratios`,
+which does not check them again.
 The linear Born body term needs Ei only on the positive imaginary axis,
 where :func:`_ei_imaginary_axis` evaluates it from fitted rational
 functions.  So :mod:`scipy.special`, which takes longer to import than
@@ -319,34 +320,26 @@ def _divide(a: complex, b: complex) -> complex:
     return complex((a.real + a.imag * t) * s, (a.imag - a.real * t) * s)
 
 
-def _bessel_orders(z: complex, top: int, head=()) -> list:
-    """j_m(z), m = 0..top >= 1, for a z checked as by spherical_hankel_h1
-    (the series divides by it): Miller's ratios r_m = j_m/j_{m-1}
-    = z/(2m + 1 - z r_{m+1}), run down from r = 0 above top + |z|
-    (Wiscombe 1980), scaled to j_0 = sin z/z, or from |z| = 2 on to
-    j_1 = (j_0 - cos z)/z where that is larger (it does not cancel
-    there); head, orders 0..k of an earlier call, is carried on from j_k.
-    spherical_bessel_j's NonFiniteError where an order is not finite."""
-    low = max(len(head), 1)
-    ratio, r = 0j, [0j]
-    for m in range(top + int(abs(z)) + 16, low - 1, -1):
+def _bessel_ratios(z: complex, top: int) -> tuple:
+    """(j_1(z), r) for a z checked as by spherical_hankel_h1, where
+    r[m] = j_m(z)/j_{m-1}(z) for m = 1..top + 1 (r[0] is unused, and the
+    orders above are cruder): Miller's ratios z/(2m + 1 - z r_{m+1}), run
+    down from 0 at top + |z| + 17 (Wiscombe 1980).  j_1 is (j_0 - cos z)/z,
+    j_0 = sin z/z, from |z| = 2 on where it is the larger of the two (it
+    does not cancel there), and j_0 r_1 otherwise.  spherical_bessel_j's
+    NonFiniteError where sin z or cos z overflows."""
+    ratio, r = 0j, [0j] * (top + int(abs(z)) + 19)
+    for m in range(len(r) - 2, 0, -1):
         # where j_{m-1} vanishes the ratio is huge, not a ZeroDivisionError
-        ratio = z / (2 * m + 1 - z * ratio or 1e-300)
-        r.append(ratio)
+        ratio = r[m] = z / (2 * m + 1 - z * ratio or 1e-300)
     try:
         j0 = _divide(cmath.sin(z), z)
         j1 = _divide(j0 - cmath.cos(z), z)
     except OverflowError:
         raise _nonfinite("spherical_bessel_j") from None
-    big = abs(z) >= _J1_TAYLOR_BELOW and abs(j1) > abs(j0)
-    j = list(head) or [j0, j1 if big else j0 * r[-1]]
-    value = j[-1]
-    for m in range(len(j), top + 1):
-        value *= r[low - m - 1]  # r_m, as r ends with r_low
-        j.append(value)
-    if not cmath.isfinite(value):  # as is every order above a non-finite one
-        raise _nonfinite("spherical_bessel_j")
-    return j
+    if not (abs(z) >= _J1_TAYLOR_BELOW and abs(j1) > abs(j0)):
+        j1 = j0 * ratio
+    return j1, r
 
 
 def _ratios(table, x):

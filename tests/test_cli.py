@@ -154,22 +154,22 @@ def test_per_point_failures_are_recorded_not_fatal(tmp_path):
     assert "too close" in last[ecol]
 
 
-def test_sweep_records_a_coefficient_beyond_double_range(tmp_path):
-    # at q_L = 1.2621 the exact series meets a finite coefficient
-    # denominator whose modulus leaves double range: the sweep writes the
-    # coefficients' NonFiniteError in that row's error column, and the
-    # centred row keeps its exact rate
+def test_sweep_records_a_series_past_the_order_limit(tmp_path):
+    # at q_L/q_R = 0.999 in an absorbing sphere the exact series needs
+    # about 28,000 orders, more than the 5,000 it takes: the sweep writes
+    # its AccuracyError in that row's error column, and the centred row
+    # keeps its exact rate
     (tmp_path / "far.cfg").write_text(
         "sweep = qL\n"
         "lo = 0\n"
-        "hi = 1.262112299072595\n"
+        "hi = 0.29610271434986296\n"
         "points = 2\n"
-        "qr = 1.5776403738407436\n"
+        "qr = 0.2963991134633263\n"
         "qc = 1e-4\n"
-        "eps_re = 1e5\n"
+        "eps_re = 0.001\n"
         "eps_im = 1e5\n"
         "methods = exact\n"
-        "orientations = tangential\n")
+        "orientations = radial\n")
     res = run_cli(["sweep", "--config", "far.cfg", "--out", "f.csv"],
                   tmp_path)
     assert res.returncode == 0, res.stderr
@@ -177,9 +177,9 @@ def test_sweep_records_a_coefficient_beyond_double_range(tmp_path):
     gcol, ecol = header.index("gamma_exact"), header.index("error")
     assert centre[gcol] != "" and centre[ecol] == ""
     assert far[gcol] == ""
-    assert far[ecol] == ("gamma_exact: sphere coefficients at m = 119 "
-                         "overflowed or produced NaN; eps or q_R too "
-                         "extreme for double precision")
+    assert far[ecol] == ("gamma_exact: sphere series not converged by "
+                         "m = 5000: about 2.83e+04 orders needed, 5000 "
+                         "allowed (q_R = 0.296399, q_L = 0.296103)")
 
 
 def test_sweep_leaves_unsettled_cells_empty(tmp_path):
@@ -232,17 +232,22 @@ ERROR_SWEEPS = {
         "sweep": "im_chi", "lo": "-1e-6", "hi": "1e-6", "points": "9",
         "qr": "2", "ql": "0.5", "eps_re": "1.1",
         "methods": "linear_born,exact,uncorrected,weak_absorption"},
-    # an exact curve beside the linear one out to q_L/q_R = 0.98: the
-    # series converges out to q_L = 4.08 and overflows in C_m from 4.29
+    "qc_beyond_double_range": {
+        "sweep": "qR", "lo": "0.5", "hi": "3", "points": "4",
+        "qc": "1e-120,1e-103,0.01", "eps_re": "1.1", "eps_im": "1e-8",
+        "methods": "linear_born,exact,uncorrected,weak_absorption"},
+}
+
+
+# sweeps with no failing cell beyond the presets: an exact curve beside
+# the linear one out to q_L/q_R = 0.98, where the series' tables reach
+# about 1,300 orders
+CLEAN_SWEEPS = {
     "qL_exact_near_surface": {
         "sweep": "qL", "lo": "0", "hi": "4.9", "points": "25",
         "qr": "5", "eps_re": "1.1", "eps_im": "1e-8",
         "methods": "exact,linear_born",
         "orientations": "radial,tangential"},
-    "qc_beyond_double_range": {
-        "sweep": "qR", "lo": "0.5", "hi": "3", "points": "4",
-        "qc": "1e-120,1e-103,0.01", "eps_re": "1.1", "eps_im": "1e-8",
-        "methods": "linear_born,exact,uncorrected,weak_absorption"},
 }
 
 
@@ -284,12 +289,14 @@ def test_presets_match_the_shipped_references(tmp_path, preset):
 
 
 @pytest.mark.filterwarnings("ignore:q_C = 0.15")
-@pytest.mark.parametrize("preset", [*sorted(PRESETS), *ERROR_SWEEPS])
+@pytest.mark.parametrize("preset", [*sorted(PRESETS), *CLEAN_SWEEPS,
+                                    *ERROR_SWEEPS])
 def test_sweep_matches_per_point_compute(tmp_path, preset):
     # the sweep gives the cells that one compute call per (point, curve)
     # gives: the linear body terms to the bit, every error with its text,
     # and the validity flags of the first curve that succeeds
-    spec = build_sweep(dict(PRESETS.get(preset) or ERROR_SWEEPS[preset]))
+    spec = build_sweep(dict({**PRESETS, **CLEAN_SWEEPS,
+                             **ERROR_SWEEPS}[preset]))
     run_sweep(spec, str(tmp_path / "p.csv"))
     header, rows = read_rows(tmp_path / "p.csv")
     assert len(rows) == spec.points
@@ -398,19 +405,22 @@ def test_numerical_failure_exits_3(tmp_path):
 
 def test_series_past_the_order_cap_exits_3(tmp_path):
     res = run_cli(["compute", "--eps-re", "1.1", "--eps-im", "1e-8",
-                   "--qr", "200", "--ql", "190", "--method", "exact"],
+                   "--qr", "200", "--ql", "199.9", "--method", "exact"],
                   tmp_path)
     assert res.returncode == 3, res.stderr
     assert res.stderr.startswith("locfield: numerical error: sphere series "
-                                 "not converged within specfun.ORDER_MAX")
+                                 "not converged by m = 5000: about 5.8e+04 "
+                                 "orders needed")
 
 
 def test_series_overflow_exits_3_without_traceback(tmp_path):
+    # sin(n q_R), of which j_1(n q_R) is made, leaves double range at
+    # Im n q_R = 1407
     res = run_python_m(["compute", "--eps-re", "1", "--eps-im", "100", "--qr",
-                        "60", "--ql", "53", "--method", "exact"], tmp_path)
+                        "200", "--ql", "100", "--method", "exact"], tmp_path)
     assert res.returncode == 3, res.stderr
-    assert res.stderr.startswith("locfield: numerical error: sphere series "
-                                 "overflowed at m = 1")
+    assert res.stderr.startswith("locfield: numerical error: "
+                                 "spherical_bessel_j overflowed")
     assert "Traceback" not in res.stderr
 
 

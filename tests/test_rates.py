@@ -341,13 +341,13 @@ def test_compute_batch_matches_compute_and_keeps_errors_on_their_requests():
 
 
 def test_series_overflow_fails_only_its_own_request():
-    # an off-centre series that overflows is a typed error of its own
-    # request; the request beside it finishes
-    deep = RateRequest(eps=1.0 + 100j, method="exact", q_R=60.0, q_L=53.0)
+    # an off-centre series that overflows (sin(n q_R) at Im n q_R = 1407)
+    # is a typed error of its own request; the request beside it finishes
+    deep = RateRequest(eps=1.0 + 100j, method="exact", q_R=200.0, q_L=100.0)
     good = RateRequest(eps=1.1 + 1e-8j, method="exact", q_R=3.0, q_L=1.0)
     bad, result = compute_batch([deep, good])
     assert isinstance(bad, NonFiniteError)
-    assert str(bad).startswith("sphere series overflowed at m = 1")
+    assert str(bad).startswith("spherical_bessel_j overflowed")
     assert result == compute(good)
 
 

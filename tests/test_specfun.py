@@ -9,8 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from locfield import RateRequest, compute, mie, specfun
-from locfield.errors import (AccuracyError, DomainError, LocfieldError,
-                             NonFiniteError, SingularityError)
+from locfield.errors import (DomainError, LocfieldError, NonFiniteError,
+                             SingularityError)
 from locfield.greens import Permittivity
 from locfield.specfun import (ARG_MAX, dipole_bessel_j, dipole_hankel_h1,
                               exponential_integral_ei, riccati_derivative,
@@ -207,57 +207,30 @@ def _mp_order(func, m, z):
         return mpmath.sqrt(mpmath.pi / (2 * w)) * func(m + 0.5, w)
 
 
-def _carried_hankel(monkeypatch, z):
-    """(w, h): w = n q_R, within rounding of z, and h_m(w), m = 1.., as
-    the off-centre series carries them, recorded at the coefficients of
-    each order while the walk, with terms of 0 and no stop test, runs to
-    ORDER_MAX or to the order where h_m or xi_m' = w h_{m-1} - m h_m
-    leaves double range."""
-    values = []
-
-    def coefficients(e, m, h0, h1, *rest):
-        values.append(h1)
-        return 0j, 0j
-
-    monkeypatch.setattr(mie, "_coefficients", coefficients)
-    monkeypatch.setattr(mie, "_TERM_TOLERANCE", 0.0)
-    q_R = 20.0  # h_m(20) stays finite to m = 200
-    eps = Permittivity((z / q_R) ** 2)
-    with pytest.raises((AccuracyError, NonFiniteError),
-                       match=r"^(sphere series not converged|"
-                       r"spherical_hankel_h1 overflowed|"
-                       r"riccati_derivative\[hankel_h1\] overflowed)"):
-        mie._series(eps.epsilon, eps.n, q_R, q_R / 2, "radial")
-    return eps.n * q_R, [None, *values]
-
-
-def test_order_tables_against_mpmath(monkeypatch):
-    # orders 0..200 of j_m's table, and orders 1..200 of h_m as the series
-    # carries them, sampled, on the real axis from 6.7e-108 (where
-    # sin z / z rounds to 1 - 2^-53) to 1e3, next to it, up to Im z = 50
-    # and next to the zeros of j_0 (3 pi) and j_1 (4.4934...), wherever the
-    # value is a normal double: h_m within 1e-14 of itself, and j_m within
-    # 1e-14 of the larger of itself and j_{m-1} (j_1 for m = 0), the only
-    # scale next to its own zero, times |z|/100 beyond |z| = 100, where
-    # the downward ratios cross |z| oscillating orders.  The walk stops
-    # only where h_m, or xi_m' ~ m h_m, leaves double range, so h_m is
-    # above 1e305 there.  (The scipy route is no oracle at this level: it
-    # is off by 2e-12 at z = 1000, and underflows j_200(4.4934) to 0.)
+def test_order_tables_against_mpmath():
+    # the ratio tables of the off-centre series, orders 1..200, sampled,
+    # on the real axis from 6.7e-108 (where sin z / z rounds to
+    # 1 - 2^-53) to 1e3, next to it, up to Im z = 50 and next to the
+    # zeros of j_0 (3 pi) and j_1 (4.4934...): j_1 within 1e-14 of the
+    # larger of |j_0| and |j_1|, the only scale next to its own zero, and
+    # r_m = j_m/j_{m-1} as near as j_m and j_{m-1} within 1e-14 of the
+    # larger of them make it, 1e-14 max(1, |r_m|) (1 + |r_m|), both times
+    # |z|/100 beyond |z| = 100, where the downward ratios cross |z|
+    # oscillating orders.
+    # (The scipy route is no oracle at this level: it is off by 2e-12 at
+    # z = 1000, and underflows j_200(4.4934) to 0.)
     for z in _ORDER_Z:
-        (w, h), j = (_carried_hankel(monkeypatch, z),
-                     specfun._bessel_orders(z, 200))
-        assert len(j) == 201
+        j1, r = specfun._bessel_ratios(z, 200)
+        assert len(r) >= 202
+        j = {m: complex(_mp_order(mpmath.besselj, m, z)) for m in
+             {0, 1, *_ORDERS, *(m - 1 for m in _ORDERS if m)}}
+        grow = max(1.0, abs(z) / 100)
+        assert abs(j1 - j[1]) <= 1e-14 * max(abs(j[0]), abs(j[1])) * grow, z
         for m in _ORDERS:
-            ref = _mp_order(mpmath.hankel1, m, w)
-            if m >= len(h):
-                assert abs(ref) > 1e305, (z, m)
-            elif m and 2.3e-308 < abs(ref) < 1.7e308:
-                assert abs(h[m] - complex(ref)) <= 1e-14 * abs(ref), (z, m)
-            ref = complex(_mp_order(mpmath.besselj, m, z))
-            scale = max(abs(ref), abs(j[abs(m - 1)]))
-            if 2.3e-308 < abs(ref):
-                assert abs(j[m] - ref) <= (1e-14 * scale
-                                           * max(1.0, abs(z) / 100)), (z, m)
+            if m and 2.3e-308 < abs(j[m]) and 2.3e-308 < abs(j[m - 1]):
+                want = j[m] / j[m - 1]
+                assert abs(r[m] - want) <= (1e-14 * max(1.0, abs(want))
+                                            * (1 + abs(want)) * grow), (z, m)
 
 
 def test_scalar_division_is_numpys_bit_for_bit():
@@ -289,8 +262,8 @@ def test_order_tables_check_like_the_scipy_route():
     # cap, before a non-finite n q_R; n q_R or n q_L rounding to 0, where
     # the series would divide by it.  So do gamma_b_exact and compute
     # (at q_R = 1e300 too, whose |chi| q_R leaves double range).
-    # j_m's table raises spherical_bessel_j's NonFiniteError where j_0
-    # overflows
+    # the ratio tables raise spherical_bessel_j's NonFiniteError where
+    # j_0 overflows
     for eps, q_R, q_L, via_compute in (
             (1.1, ARG_MAX, 1.0, True), (4.0, 6000.0, 1.0, True),
             (1e100, 1e300, 1.0, True), (0.01, 1.0, 5e-324, True),
@@ -306,7 +279,7 @@ def test_order_tables_check_like_the_scipy_route():
                 assert _outcome(lambda: compute(RateRequest(
                     eps=eps, method="exact", q_R=q_R, q_L=q_L,
                     orientation=orient)).total_ratio) == want
-    assert (_outcome(lambda: specfun._bessel_orders(800j, 5))
+    assert (_outcome(lambda: specfun._bessel_ratios(800j, 5))
             == _outcome(lambda: spherical_bessel_j(0, 800j)))
 
 

@@ -4,9 +4,9 @@ Run from the repository root::
 
     python3 tools/offcenter_reference.py
 
-It writes ``tests/offcenter_reference.json`` (about 100 s on one core).  For each
-input the table holds gamma_b from the naive sphere series of the
-``locfield.mie`` docstring,
+It writes ``tests/offcenter_reference.json`` (about 5 minutes on one
+core).  For each input the table holds gamma_b from the naive sphere
+series of the ``locfield.mie`` docstring,
 
     gamma_b(radial) = (3/2) Im{ K sum_m (2m+1) m (m+1) C_m^N [j_m(x)/x]^2 },
     gamma_b(tang.)  = (3/4) Im{ K sum_m (2m+1)
@@ -14,8 +14,11 @@ input the table holds gamma_b from the naive sphere series of the
 
 summed in mpmath at 40 digits, with h_m and j_m from ``hankel1`` and
 ``besselj`` of half-integer order and the Riccati derivatives from
-[z f_m]' = z f_{m-1} - m f_m.  mpmath's numbers have no exponent range,
-so C_m^N ~ 1e100 and j_m(x)^2 ~ 1e-100 are formed apart without harm,
+[z f_m]' = z f_{m-1} - m f_m.  mpmath's ``hankel1`` is ``besselj`` plus
+i ``bessely``, which cancel as e^{-2 Im z}, so h_m is taken with that
+many more digits (about 370 at eps = 1 + 100j, q_R = 60).  mpmath's
+numbers have no exponent range, so C_m^N ~ 1e100 and j_m(x)^2 ~ 1e-100
+are formed apart without harm,
 and the sum runs until SMALL_RUN successive terms fall below TERM_TOL of
 it, with no cap short of ORDER_LIMIT.
 
@@ -31,7 +34,11 @@ inputs are
   q_L = ratio * q_R;
 * small spheres, GRID_EPS x SMALL_Q_R x INNER_RATIO x both orientations;
 * absorbing hosts, ABSORBING_EPS x GRID_Q_R x INNER_RATIO x both
-  orientations.
+  orientations;
+* a strongly absorbing host, DEEP_EPS at q_R = DEEP_Q_R, with the emitter
+  at DEEP_Q_L, both orientations: its rates are 1e-260 to 1e-44, so the
+  suite's rule, which floors |reference| at 0.01, cannot see them, and
+  ``tests/test_mie.py`` holds them to 1e-12 of themselves.
 
 The script prints the largest error of the returned rates, in units of
 max(|reference|, 0.01).
@@ -59,11 +66,12 @@ SMALL_RUN = 5
 ORDER_LIMIT = 5000
 
 GRID_EPS = (complex(1.1, 1e-8), complex(1.5, 1e-6))
-GRID_Q_R = (0.5, 1.0, 2.0, 5.0)
-GRID_RATIO = (0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+GRID_Q_R = (0.5, 1.0, 2.0, 5.0, 20.0)
+GRID_RATIO = (0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.97)
 SMALL_Q_R = (0.05, 0.3)
 ABSORBING_EPS = (complex(2.25, 0.1), complex(1.0, 2.0))
 INNER_RATIO = (0.2, 0.5)
+DEEP_EPS, DEEP_Q_R, DEEP_Q_L = complex(1.0, 100.0), 60.0, (18.0, 53.0)
 ORIENTATIONS = ("radial", "tangential")
 
 
@@ -72,7 +80,10 @@ def _j(m, z):
 
 
 def _h(m, z):
-    return mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.hankel1(m + 0.5, z)
+    # 2 Im z / ln 10 = Im z / 1.15 digits cancel in besselj + i bessely
+    with mpmath.extradps(int(max(mpmath.im(z), 0) / 1.15) + 1):
+        return +(mpmath.sqrt(mpmath.pi / (2 * z))
+                 * mpmath.hankel1(m + 0.5, z))
 
 
 def body_rates(eps: complex, q_R: float, q_Ls) -> dict:
@@ -133,6 +144,9 @@ def _inputs():
                 for ratio in ratios:
                     for o in ORIENTATIONS:
                         yield name, eps, q_R, ratio * q_R, o
+    for q_L in DEEP_Q_L:
+        for o in ORIENTATIONS:
+            yield "deep", DEEP_EPS, DEEP_Q_R, q_L, o
 
 
 def _program_outcome(eps, q_R, q_L, orientation):

@@ -19,7 +19,8 @@ and prints one line per item:
   each entry is what ``compute`` gives that request alone, and the
   sha256 of the entries;
 * the outcomes of edge inputs where refusals have moved: spheres so
-  small that rounding swamps the series (``mie.gamma_b_exact``), and
+  small that rounding swamps the series, a subnormal emitter offset and
+  a strongly absorbing sphere (``mie.gamma_b_exact``), and
   radii whose |chi| q_R leaves double range (``compute``), with a numpy
   RuntimeWarning printed as an error;
 * the sha256 of each of the seven preset CSVs, written by
@@ -51,11 +52,15 @@ from locfield.errors import LocfieldError  # noqa: E402
 from locfield.mie import gamma_b_exact  # noqa: E402
 
 SEEDS = range(16)
-# gamma_b_exact where C_1^N's rounding swamps the rate: a transparent
-# host, and the lossless Frohlich pole eps = -2
-TINY_SPHERES = (
+# gamma_b_exact where C_1^N's rounding swamps the rate (a transparent
+# host, and the lossless Frohlich pole eps = -2), where n q_L is
+# subnormal, and near the surface of a strongly absorbing sphere
+EDGE_SERIES = (
     (2.25, 1.5621345181484196e-08, 1.5621345181484196e-14, "tangential"),
-    (-2.0, 1.3041047308660494e-08, 1.2388994943227469e-08, "radial"))
+    (-2.0, 1.3041047308660494e-08, 1.2388994943227469e-08, "radial"),
+    (-5.409430790265708 + 2.876432724082736e-10j, 0.02573436651202789,
+     4e-323, "radial"),
+    (1 + 100j, 60.0, 18.0, "radial"), (1 + 100j, 60.0, 53.0, "radial"))
 # compute at eps = 4, q_L = 1 with these q_R: |chi| q_R is no double
 ABSURD_RADII = (1e308, 1e300)
 
@@ -119,7 +124,7 @@ def digest_lines():
     for k, item in enumerate(workloads.probe_inputs(0)):
         request = workloads.rate_request(item)
         yield f"interior_probe/0/{k} {outcome(lambda: compute(request))}"
-    for k, args in enumerate(TINY_SPHERES):
+    for k, args in enumerate(EDGE_SERIES):
         yield f"edge/gamma_b_exact/{k} {outcome(lambda: gamma_b_exact(*args))}"
     for q_R in ABSURD_RADII:
         for method in ("exact", "linear_born", "uncorrected"):
