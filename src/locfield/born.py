@@ -510,7 +510,8 @@ def validity_check(config: SphereConfig | None, chi,
                                 positive("boundary_max", boundary_max),
                                 cavity_scale_faults("q_C", q_C,
                                                     np.imag(chi))))
-    return _validity_report(*_validity_values(chi, boundary_max, q_C))
+    return _validity_report(*map(float, _validity_values(chi, boundary_max,
+                                                         q_C)))
 
 
 def _validity_values(chi, boundary_max, q_C: float):
@@ -525,9 +526,8 @@ def _validity_ok(chi_size, absorption):
     return chi_size <= _CHI_SIZE_MAX, absorption <= _ABSORPTION_MAX
 
 
-def _validity_report(chi_size, absorption) -> ValidityReport:
+def _validity_report(chi_size: float, absorption: float) -> ValidityReport:
+    """The report of two validity values, Python floats (an array's
+    ``.tolist()``), so that its flags are Python bools."""
     chi_size_ok, absorption_ok = _validity_ok(chi_size, absorption)
-    return ValidityReport(chi_size_value=float(chi_size),
-                          chi_size_ok=bool(chi_size_ok),
-                          absorption_value=float(absorption),
-                          absorption_ok=bool(absorption_ok))
+    return ValidityReport(chi_size, chi_size_ok, absorption, absorption_ok)

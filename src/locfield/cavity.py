@@ -90,30 +90,35 @@ def _prefactor(eps, n, s=None):
     return 1j * n * _local_field(eps, s) ** 2
 
 
-def _cavity_parts(eps):
-    """s = 2 eps + 1 and the factors 3 chi/s of 1/q_C^3 and
-    9 chi (4 eps + 1)/(5 s^2) of 1/q_C in gamma_c_exact."""
-    s, chi = 2.0 * eps + 1.0, eps - 1.0
-    return s, 3.0 * chi / s, 9.0 * chi * (4.0 * eps + 1.0) / (5.0 * s**2)
+def _medium(eps):
+    """s = 2 eps + 1, n = sqrt(eps) and chi = eps - 1 of a complex array,
+    formed once per column for the rules, the terms and the series."""
+    return 2.0 * eps + 1.0, np.sqrt(eps), eps - 1.0
 
 
-def _cavity_term(eps, n, q_C: float):
-    """gamma_c of :func:`gamma_c_exact`."""
-    s, a, b = _cavity_parts(eps)
-    return np.imag(a / q_C**3 + b / q_C + _prefactor(eps, n, s)) - 1.0
+def _cavity_parts(eps, s, chi):
+    """The factors 3 chi/s of 1/q_C^3 and 9 chi (4 eps + 1)/(5 s^2) of
+    1/q_C in gamma_c_exact, from the parts of :func:`_medium`."""
+    return 3.0 * chi / s, 9.0 * chi * (4.0 * eps + 1.0) / (5.0 * s**2)
 
 
-def _scale_factor(method: str, eps):
+def _cavity_term(eps, s, n, chi, q_C: float):
+    """gamma_c of :func:`gamma_c_exact`, from the parts of :func:`_medium`."""
+    a, b = _cavity_parts(eps, s, chi)
+    return (a / q_C**3 + b / q_C + _prefactor(eps, n, s)).imag - 1.0
+
+
+def _scale_factor(method: str, eps, s, chi):
     """The factor c of :func:`locfield.errors.cavity_scale_faults` for a
     method's rates at eps, a complex array: Im eps, as every absorption
     validity value has it, or on the exact route the larger
     (|a| + |b|)/16 of :func:`_cavity_parts`, which grows near the pole;
     at Re eps >= 0 that stays below 0.31 and is not worked out."""
-    c = np.imag(eps)
-    if method != "exact" or not (np.real(eps) < 0).any():
+    c = eps.imag
+    if method != "exact" or not np.count_nonzero(eps.real < 0):
         return c
     with np.errstate(all="ignore"):
-        _, a, b = _cavity_parts(eps)
+        a, b = _cavity_parts(eps, s, chi)
         return np.maximum(c, (np.abs(a) + np.abs(b)) / _CAVITY_SCALE)
 
 
@@ -200,11 +205,12 @@ def gamma_c_exact(eps, q_C: float) -> float:
     """
     e = np.array([as_permittivity(eps).epsilon])
     q_C = float(q_C)
+    s, n, chi = _medium(e)
     raise_first(itertools.chain(
-        qc_faults(q_C), method_faults("exact", e),
-        cavity_scale_faults("q_C", q_C, _scale_factor("exact", e))))
+        qc_faults(q_C), method_faults("exact", e, s),
+        cavity_scale_faults("q_C", q_C, _scale_factor("exact", e, s, chi))))
     warn_qc(q_C)
-    return float(_cavity_term(e, np.sqrt(e), q_C)[0])
+    return float(_cavity_term(e, s, n, chi, q_C)[0])
 
 
 def _check_green_tensor(gB1) -> np.ndarray:

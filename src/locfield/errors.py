@@ -99,14 +99,20 @@ def error_of(check, *point):
     return kind(check[1] if isinstance(check[1], str) else check[1](*point))
 
 
-def raise_first(checks, *point):
-    """Raise the error of the first check that fails anywhere."""
+def failing(checks):
+    """The checks that fail somewhere, in their order."""
     for check in checks:
         failed = check[0]
-        if isinstance(failed, np.ndarray):
-            failed = failed.any()
-        if failed:
-            raise error_of(check, *point)
+        # count_nonzero is a third of .any()'s cost on a short array
+        if (np.count_nonzero(failed) if isinstance(failed, np.ndarray)
+                else failed):
+            yield check
+
+
+def raise_first(checks, *point):
+    """Raise the error of the first check that fails anywhere."""
+    for check in failing(checks):
+        raise error_of(check, *point)
 
 
 def _not(ok):
@@ -148,10 +154,11 @@ def permittivity_faults(eps):
     yield eps == 0, "permittivity must be nonzero"
 
 
-def method_faults(method: str, eps):
-    """The rules of a rate method on its permittivity."""
+def method_faults(method: str, eps, s=None):
+    """The rules of a rate method on its permittivity; s = 2 eps + 1,
+    which the exact rule reads, is formed here unless given."""
     if method == "exact":
-        s = 2.0 * eps + 1.0
+        s = 2.0 * eps + 1.0 if s is None else s
         yield s == 0, POLE, SingularityError
         yield (np.abs(s) < _POLE_BAND * np.abs(eps), NEAR_POLE,
                SingularityError)

@@ -16,13 +16,16 @@ Its points are checked as arrays by the rules of :mod:`locfield.errors`,
 each failing point getting the error (text and precedence) that a
 RateRequest and :func:`compute` give it: a sweep's by both, and a
 batch's, whose RateRequests checked theirs when they were made, by
-compute's method and q_C rules alone.  A column's cavity term is one
-array expression of the closed forms that the scalar functions of
-:mod:`locfield.cavity` and :mod:`locfield.born` also call, and its
-validity values are arrays too.  The sphere body terms of all the
-columns go to two array kernels, each of which returns a value or an
-error per row: the exact and weak_absorption terms (the exact one at
-Re eps for weak_absorption) are one call of
+compute's method and q_C rules alone.  A column forms s = 2 eps + 1,
+n = sqrt(eps) and chi = eps - 1 once (s and n on the exact route) and
+hands them to the rules, the cavity term, the validity values and the
+row kernel.  Its cavity term is one array expression of the closed
+forms that the scalar functions of :mod:`locfield.cavity` and
+:mod:`locfield.born` also call, and its validity values are arrays too.
+The sphere body terms of all the columns go to two array kernels, each
+of which returns a value or an error per row: the exact and
+weak_absorption terms (the exact one at Re eps for weak_absorption)
+that share an orientation are one call of
 :func:`locfield.mie._gamma_b_rows`, and the linear Born and uncorrected
 terms that share a tol one call of
 :func:`locfield.born.gamma_b_sphere_rows`, where rows on one sphere
@@ -40,10 +43,8 @@ Physical constants (SI; h is exact by definition, eps_0 is the CODATA
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
-import operator
 from collections import defaultdict
 from typing import NamedTuple
 
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import born, cavity, mie
 from .errors import (ConfigError, DomainError, LocfieldError,
-                     cavity_scale_faults, error_of, method_faults,
+                     cavity_scale_faults, error_of, failing, method_faults,
                      orientation_faults, permittivity_faults, positive,
                      qc_faults, raise_first, sphere_faults, warn_qc)
 from .greens import Permittivity, as_permittivity, unit_vector
@@ -140,7 +141,8 @@ class RateRequest:
     (its absorption split is formulated for the isotropic case).
     Inconsistent combinations raise ConfigError at construction time,
     and numbers out of range (q_C and tol too, for either geometry)
-    DomainError.  A permittivity that the method cannot take
+    DomainError; q_R, q_L, q_C, nu and tol are held as floats.  A
+    permittivity that the method cannot take
     (:func:`locfield.errors.method_faults`), and a q_C so small that
     its cavity terms in 1/q_C^3 leave double range (NonFiniteError), are
     the request's errors in :func:`compute`.
@@ -169,6 +171,15 @@ class RateRequest:
             raise ConfigError(f"geometry must be one of {GEOMETRIES}, "
                               f"got {self.geometry!r}")
         raise_first(orientation_faults(self.orientation, ConfigError))
+        for name in ("q_R", "q_L", "q_C", "nu", "tol"):
+            value = getattr(self, name)
+            if type(value) is float or (name == "q_R" and value is None):
+                continue
+            try:
+                object.__setattr__(self, name, float(value))
+            except (TypeError, ValueError):
+                raise DomainError(f"{name} must be a real number, got "
+                                  f"{value!r}") from None
         if self.geometry == "sphere":
             if self.q_R is None:
                 raise ConfigError("sphere geometry requires q_R")
@@ -182,11 +193,11 @@ class RateRequest:
         object.__setattr__(self, "_permittivity", as_permittivity(self.eps))
         sphere = None
         if self.geometry == "sphere":
-            sphere = born.SphereConfig(q_R=float(self.q_R), q_L=self.q_L,
+            sphere = born.SphereConfig(q_R=self.q_R, q_L=self.q_L,
                                        q_C=self.q_C, nu=self.nu)
         else:
-            raise_first(qc_faults(float(self.q_C)))
-            warn_qc(float(self.q_C))
+            raise_first(qc_faults(self.q_C))
+            warn_qc(self.q_C)
         raise_first(positive("tol", self.tol))
         object.__setattr__(self, "_sphere", sphere)
 
@@ -227,15 +238,16 @@ def compute_batch(requests) -> list:
         group = [requests[i] for i in members]
         columns.append(_Column(
             method, orientation, q_C, nu, tol,
-            eps=np.array([r.permittivity.epsilon for r in group]),
+            eps=np.array([r.permittivity.epsilon for r in group],
+                         dtype=complex),
             q_R=(np.array([r.q_R for r in group], dtype=float)
                  if geometry == "sphere" else None),
             q_L=np.array([r.q_L for r in group], dtype=float)))
     results: list = [None] * len(requests)
     for members, column in zip(groups.values(),
                                _compute_columns(columns, checked=True)):
-        for j, i in enumerate(members):
-            results[i] = column.result(j)
+        for i, result in zip(members, column.results()):
+            results[i] = result
     return results
 
 
@@ -281,13 +293,15 @@ class _Rates(NamedTuple):
         """The pass flags of chi_size and absorption."""
         return born._validity_ok(self.chi_size, self.absorption)
 
-    def result(self, k: int):
-        """The RateBreakdown of point k, or the error it raised."""
-        if k in self.errors:
-            return self.errors[k]
-        return born.RateBreakdown.from_parts(
-            self.gamma_c[k], self.gamma_b[k],
-            born._validity_report(self.chi_size[k], self.absorption[k]))
+    def results(self) -> list:
+        """The RateBreakdown of each point, or the error it raised."""
+        errors = self.errors
+        return [errors[k] if k in errors else born.RateBreakdown.from_parts(
+                    gamma_c, gamma_b,
+                    born._validity_report(chi_size, absorption))
+                for k, (gamma_c, gamma_b, chi_size, absorption) in enumerate(
+                    zip(self.gamma_c.tolist(), self.gamma_b.tolist(),
+                        self.chi_size.tolist(), self.absorption.tolist()))]
 
 
 def _compute_columns(columns, checked: bool = False) -> list:
@@ -295,12 +309,14 @@ def _compute_columns(columns, checked: bool = False) -> list:
 
     Each column is validated by :func:`_check_points` (checked: its
     points are RateRequests'), and a large q_C warns once per column
-    that yields a rate.  The cavity term and the validity values are
-    worked out as arrays.  The sphere body terms of all the columns go
-    to the array kernels together, one call per kernel (and tol):
-    :func:`locfield.mie._gamma_b_rows` for the exact and weak-absorption
-    rows, :func:`locfield.born.gamma_b_sphere_rows` for the linear ones,
-    where rows on one sphere geometry share its moments.
+    that yields a rate.  A column forms s, n and chi once and hands them
+    to the rules, the cavity term, the validity values and the row
+    kernel, all worked out as arrays.  The sphere body terms of all the
+    columns go to the array kernels together, one call per kernel (and
+    orientation or tol): :func:`locfield.mie._gamma_b_rows` for the exact
+    and weak-absorption rows, :func:`locfield.born.gamma_b_sphere_rows`
+    for the linear ones, where rows on one sphere geometry share its
+    moments.
     """
     batches = defaultdict(list)
     out = [_column_rates(column, batches, checked) for column in columns]
@@ -309,12 +325,13 @@ def _compute_columns(columns, checked: bool = False) -> list:
                 for parts in zip(*(arrays for _, _, arrays in members))]
         values, errors = kernel(*rows, *args)
         start = 0
-        for rates_, idx, _ in members:
-            stop = start + idx.size
-            rates_.gamma_b[idx] = values[start:stop]
-            rates_.errors.update((int(idx[j - start]), exc)
-                                 for j, exc in errors.items()
-                                 if start <= j < stop)
+        for rates_, live, arrays in members:
+            stop = start + arrays[0].size
+            rates_.gamma_b[slice(None) if live is None else live] = \
+                values[start:stop]
+            rates_.errors.update(
+                (j - start if live is None else int(live[j - start]), exc)
+                for j, exc in errors.items() if start <= j < stop)
             start = stop
     return out
 
@@ -322,67 +339,77 @@ def _compute_columns(columns, checked: bool = False) -> list:
 def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
     """The rates of one column, but for the sphere body terms that go to
     an array kernel: those rows are added to ``batches``, keyed by
-    kernel and its further arguments, with the indices of their
-    points."""
-    sphere, eps, q_L = col.q_R is not None, col.eps, col.q_L
+    kernel and its further arguments, with the indices of their points
+    (None for all of them)."""
+    sphere, eps, q_L, method = (col.q_R is not None, col.eps, col.q_L,
+                                col.method)
     q_R = col.q_R if sphere else np.full(eps.size, np.nan)
-    errors, live = _check_points(col, eps, q_R, q_L, checked)
-    rates_ = _Rates(*np.full((4, eps.size), np.nan), errors)
+    s, n, chi = (cavity._medium(eps) if method == "exact"
+                 else (None, None, eps - 1.0))
+    errors, live = _check_points(col, eps, s, chi, q_R, q_L, checked)
     if errors:
         if live.size == 0:
-            return rates_
-        eps, q_R, q_L = eps[live], q_R[live], q_L[live]
-    chi = eps - 1.0
-    q_C = float(col.q_C)
-    rates_.chi_size[live], rates_.absorption[live] = born._validity_values(
+            return _Rates(*np.full((4, eps.size), np.nan), errors)
+        eps, s, n, chi, q_R, q_L = (None if a is None else a[live]
+                                    for a in (eps, s, n, chi, q_R, q_L))
+    q_C = col.q_C
+    chi_size, absorption = born._validity_values(
         chi, q_L + q_R if sphere else 1.0, q_C)
     warn_qc(q_C)
-    method = col.method
     if method == "linear_born":
-        rates_.gamma_c[live] = born._cavity_term(chi, q_C)
+        gamma_c = born._cavity_term(chi, q_C)
     elif method == "uncorrected":
-        rates_.gamma_c[live] = np.sqrt(eps.real) - 1.0
+        gamma_c = np.sqrt(eps.real) - 1.0
         # body term to linear order in the (real) susceptibility
         chi = eps.real - 1.0
     elif method == "exact":
-        rates_.gamma_c[live] = cavity._cavity_term(eps, np.sqrt(eps), q_C)
+        gamma_c = cavity._cavity_term(eps, s, n, chi, q_C)
     else:
         # weak absorption: the corrected rate of the transparent host
         # Re eps, plus the absorption shift; its body term is the exact
         # one at the center of a sphere of Re eps
         re = eps.real
-        rates_.gamma_c[live] = (cavity._local_field(re) ** 2 * np.sqrt(re)
-                                - 1.0 + cavity._absorption_shift(eps, q_C))
+        n = np.sqrt(re)
+        gamma_c = (cavity._local_field(re) ** 2 * n - 1.0
+                   + cavity._absorption_shift(eps, q_C))
         eps = re + 0j
-    orientation = np.full(eps.size, col.orientation)
-    if not sphere:
-        rates_.gamma_b[live] = 0.0
-    elif method in ("linear_born", "uncorrected"):
-        batches[born.gamma_b_sphere_rows, col.tol].append(
-            (rates_, live, (q_R, q_L, chi, orientation)))
-    else:
-        batches[mie._gamma_b_rows,].append(
-            (rates_, live, (eps, q_R, q_L, orientation)))
+    # a sphere's kernel writes each of its body terms, NaN where it fails
+    gamma_b = np.empty(eps.size) if sphere else np.zeros(eps.size)
+    if errors:  # NaN at the failing points
+        spread = np.full((4, col.eps.size), np.nan)
+        spread[:, live] = gamma_c, gamma_b, chi_size, absorption
+        gamma_c, gamma_b, chi_size, absorption = spread
+    rates_ = _Rates(gamma_c, gamma_b, chi_size, absorption, errors)
+    if method in ("linear_born", "uncorrected"):
+        if sphere:
+            batches[born.gamma_b_sphere_rows, col.tol].append(
+                (rates_, live,
+                 (q_R, q_L, chi, np.full(eps.size, col.orientation))))
+    elif sphere:
+        batches[mie._gamma_b_rows, col.orientation].append(
+            (rates_, live, (eps, n, q_R, q_L)))
     return rates_
 
 
-def _check_points(col: _Column, eps, q_R, q_L, checked: bool):
+def _check_points(col: _Column, eps, s, chi, q_R, q_L, checked: bool):
     """The errors of a column's points, by index, and the indices of the
-    points that pass: a sweep's by RateRequest's rules and compute's, in
-    their order, so that a point's error is the first that it fails, and
-    checked points (RateRequests', checked when made) by compute's alone.
-    The rules run one by one only if some point fails one."""
+    points that pass (None when every point passes): a sweep's by
+    RateRequest's rules and compute's, in their order, so that a point's
+    error is the first that it fails, and checked points (RateRequests',
+    checked when made) by compute's alone, reading the column's s and
+    chi.  Only the rules that some point fails run one by one."""
+    q_C = col.q_C
     request = () if checked else itertools.chain(
         _off_center_faults(col.method, q_L), permittivity_faults(eps),
-        sphere_faults(q_R, q_L, float(col.q_C), float(col.nu))
-        if col.q_R is not None else qc_faults(float(col.q_C)),
+        sphere_faults(q_R, q_L, q_C, col.nu)
+        if col.q_R is not None else qc_faults(q_C),
         positive("tol", col.tol))
-    checks = list(itertools.chain(
-        request, method_faults(col.method, eps),
-        cavity_scale_faults("q_C", float(col.q_C),
-                            cavity._scale_factor(col.method, eps))))
-    if not np.any(functools.reduce(operator.or_, [c[0] for c in checks])):
-        return {}, np.arange(eps.size)
+    checks = list(failing(itertools.chain(
+        request, method_faults(col.method, eps, s),
+        cavity_scale_faults("q_C", q_C,
+                            cavity._scale_factor(col.method, eps, s, chi)))))
+    if not checks:
+        return {}, None
     errors = {}
     ok = np.ones(eps.shape, dtype=bool)
     for check in checks:

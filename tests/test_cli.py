@@ -300,7 +300,8 @@ def test_sweep_matches_per_point_compute(tmp_path, preset):
     run_sweep(spec, str(tmp_path / "p.csv"))
     header, rows = read_rows(tmp_path / "p.csv")
     assert len(rows) == spec.points
-    columns = _sweep_results(spec, spec.grid())
+    columns = [rates_.results()
+               for rates_ in _sweep_results(spec, spec.grid())]
     failures = 0
     for k, (row, x) in enumerate(zip(rows, spec.grid())):
         errors, validity = [], None
@@ -314,7 +315,7 @@ def test_sweep_matches_per_point_compute(tmp_path, preset):
                 continue
             validity = validity or want.validity
             if curve.method in ("linear_born", "uncorrected"):
-                assert column.result(k) == want, (curve.column, x)
+                assert column[k] == want, (curve.column, x)
                 assert cell == _fmt(want.total_ratio), (curve.column, x)
                 continue
             got = float(cell)

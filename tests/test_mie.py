@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from locfield import RateRequest, compute, compute_batch, mie, specfun
+from locfield import RateRequest, cavity, compute, compute_batch, mie, specfun
 from locfield.born import ORIENTATIONS, SphereConfig, gamma_b_sphere_linear
 from locfield.cavity import gamma_bulk, gamma_c_exact
 from locfield.errors import (AccuracyError, DomainError, LocfieldError,
@@ -686,8 +686,8 @@ def test_exact_kernel_keeps_each_rows_error():
             assert str(alone.value) == str(result)
         else:
             assert result == compute(request)
-    values, errors = mie._gamma_b_rows(*map(np.array, zip(*rows)),
-                                       np.full(len(rows), "radial"))
+    eps, q_R, q_L = map(np.array, zip(*rows))
+    values, errors = mie._gamma_b_rows(eps, np.sqrt(eps), q_R, q_L, "radial")
     assert sorted(errors) == [1, 2] and np.isnan(values[[1, 2]]).all()
 
 
@@ -822,3 +822,28 @@ def test_exact_requests_are_checked_once(monkeypatch):
                    else [compute(batch[0])])
         assert all(r.total_ratio > 0 for r in results)
         assert calls == {("method_faults", "exact"): 1}
+
+
+def test_exact_columns_form_their_parts_once(monkeypatch):
+    # a column forms s = 2 eps + 1, n = sqrt(eps) and chi = eps - 1 once
+    # and hands them on: three exact requests on two columns (two
+    # orientations) form them twice, and no row takes its own root
+    requests = [RateRequest(eps=eps, method="exact", q_R=3.0, q_L=q_L,
+                            orientation=orientation)
+                for eps, q_L, orientation in (
+                    (1.2 + 1e-7j, 1.0, "radial"), (1.5, 0.5, "tangential"),
+                    (1.1 + 1e-8j, 2.0, "radial"))]
+    alone = [compute(r) for r in requests]
+    calls = Counter()
+
+    def counted(name, function):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(cavity, "_medium",
+                        counted("_medium", cavity._medium))
+    monkeypatch.setattr(mie.np, "sqrt", counted("sqrt", mie.np.sqrt))
+    assert compute_batch(requests) == alone
+    assert calls == {"_medium": 2, "sqrt": 2}

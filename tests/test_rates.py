@@ -150,6 +150,27 @@ def test_request_keeps_its_validated_records():
     assert moved.sphere_config() == SphereConfig(q_R=2.0, q_L=1.0)
 
 
+def test_request_numbers_are_floats():
+    # q_R, q_L, q_C, nu and tol are held as floats: a numpy number hashes
+    # and groups like the float it is, a numeric string reads as one, and
+    # a value that float() refuses is a DomainError naming its field
+    req = RateRequest(eps=1.2, method="exact", q_R=3, q_L=1,
+                      q_C=np.array(0.01))
+    assert [type(getattr(req, name)) for name in
+            ("q_R", "q_L", "q_C", "nu", "tol")] == [float] * 5
+    twin = RateRequest(eps=1.2, method="exact", q_R=3.0, q_L=1.0, q_C=0.01)
+    assert req == twin and hash(req) == hash(twin)
+    assert compute(req) == compute(twin)
+    assert compute_batch([req, twin]) == [compute(twin)] * 2
+    assert RateRequest(eps=1.2, method="exact", q_R=3.0,
+                       tol="1e-10").tol == 1e-10
+    for name, value in (("q_L", np.array([1.0])), ("tol", "tight"),
+                        ("q_C", None), ("nu", 1j)):
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be a real number, got "):
+            RateRequest(eps=1.2, method="exact", q_R=3.0, **{name: value})
+
+
 # -- method dispatch ---------------------------------------------------------------
 
 
@@ -293,6 +314,34 @@ def test_rates_stay_positive():
                                             q_R=q_R, q_L=q_L,
                                             orientation=orient))
                     assert r.total_ratio > 0.0
+
+
+_PASSIVE_HOSTS = st.builds(
+    lambda re, negative, im: complex(-re if negative else re, im),
+    st.floats(0.05, 5.0), st.booleans(),
+    st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(("exact", "weak_absorption")),
+       eps=_PASSIVE_HOSTS, q_R=st.floats(0.1, 30.0),
+       ratio=st.floats(0.0, 0.95), orientation=st.sampled_from(ORIENTATIONS))
+def test_passive_hosts_give_positive_rates(method, eps, q_R, ratio,
+                                           orientation):
+    # a passive host only takes energy from the emitter, so every rate the
+    # exact and weak-absorption routes return is positive; weak_absorption
+    # takes the centre and Re eps > 0, and other refusals are typed
+    weak = method == "weak_absorption"
+    if weak:
+        eps = complex(abs(eps.real), eps.imag)
+    request = RateRequest(eps=eps, method=method, q_R=q_R,
+                          q_L=0.0 if weak else ratio * q_R,
+                          orientation=orientation)
+    try:
+        rate = compute(request)
+    except LocfieldError:
+        return
+    assert rate.total_ratio > 0.0, request
 
 
 def test_validity_report_attached():
@@ -558,6 +607,12 @@ _BATCH_REQUESTS = st.builds(
     RateRequest(eps=eps, method="exact", q_R=2.0, q_L=q_L, q_C=q_C)
     for q_C in (1e-6, 1e-102) for q_L in (0.0, 0.9)
     for eps in (1.1 + 1e-8j, -0.5, 1.3, -0.5 + 5e-155j, 1.0 + 20j)])
+# one exact column at Re eps < 0, where the q_C rule reads the column's
+# s = 2 eps + 1 and chi = eps - 1 as the cavity term does
+@example(requests=[
+    RateRequest(eps=eps, method="exact", q_R=2.0, q_L=q_L, q_C=1e-6)
+    for q_L in (0.0, 0.9)
+    for eps in (-0.5, -0.5 + 5e-155j, -0.3 + 0.01j, -2 + 0.1j, 1.2 + 1e-7j)])
 def test_compute_batch_equals_compute_per_request(requests):
     # each request's entry is what compute gives it alone: the same
     # breakdown, or an error of the same type and text
