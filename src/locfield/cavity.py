@@ -79,47 +79,56 @@ class CavityCoefficients:
     B_N: np.ndarray
 
 
-def _local_field(eps, s=None):
-    """The local-field factor L = 3 eps/s of the real cavity, s = 2 eps + 1."""
-    return 3.0 * eps / (2.0 * eps + 1.0 if s is None else s)
+def _local_field(eps, h=None):
+    """The local-field factor L = 3 eps/(2 eps + 1) = 1.5 eps/h of the
+    real cavity, h = eps + 1/2 (formed here unless given)."""
+    return 1.5 * eps / (eps + 0.5 if h is None else h)
 
 
-def _prefactor(eps, n, s=None):
-    """K = i n L^2 = 9 i eps^{5/2}/s^2, s = 2 eps + 1, the local-field
-    corrected prefactor of the sphere's body term."""
-    return 1j * n * _local_field(eps, s) ** 2
+def _prefactor(eps, n, h=None):
+    """K = i n L^2 = 9 i eps^{5/2}/(2 eps + 1)^2, h = eps + 1/2, the
+    local-field corrected prefactor of the sphere's body term."""
+    return 1j * n * _local_field(eps, h) ** 2
 
 
 def _medium(eps):
-    """s = 2 eps + 1, n = sqrt(eps) and chi = eps - 1 of a complex array,
-    formed once per column for the rules, the terms and the series."""
-    return 2.0 * eps + 1.0, np.sqrt(eps), eps - 1.0
+    """h = eps + 1/2 (half of 2 eps + 1, a double for every finite eps),
+    n = sqrt(eps) and chi = eps - 1 of a complex array, formed once per
+    column for the rules, the terms and the series."""
+    return eps + 0.5, np.sqrt(eps), eps - 1.0
 
 
-def _cavity_parts(eps, s, chi):
-    """The factors 3 chi/s of 1/q_C^3 and 9 chi (4 eps + 1)/(5 s^2) of
-    1/q_C in gamma_c_exact, from the parts of :func:`_medium`."""
-    return 3.0 * chi / s, 9.0 * chi * (4.0 * eps + 1.0) / (5.0 * s**2)
+def _cavity_parts(h, chi):
+    """chi t and 2 - t = (4 eps + 1) t, t = 1/(2 eps + 1) = 0.5/h: the
+    factors a = 3 chi t of 1/q_C^3 and b = 1.8 chi t (2 - t) of 1/q_C in
+    gamma_c_exact are 3 and 1.8 (2 - t) times chi t."""
+    t = 0.5 / h
+    return chi * t, 2.0 - t
 
 
-def _cavity_term(eps, s, n, chi, q_C: float):
-    """gamma_c of :func:`gamma_c_exact`, from the parts of :func:`_medium`."""
-    a, b = _cavity_parts(eps, s, chi)
-    return (a / q_C**3 + b / q_C + _prefactor(eps, n, s)).imag - 1.0
+def _cavity_term(eps, h, n, chi, q_C: float):
+    """gamma_c of :func:`gamma_c_exact`, from the parts of :func:`_medium`,
+    as Im[chi t (3/q_C^3 + 1.8 (2 - t)/q_C) + K] - 1 (:func:`_cavity_parts`,
+    :func:`_prefactor`)."""
+    ct, u = _cavity_parts(h, chi)
+    return (ct * (3.0 / q_C**3 + (1.8 / q_C) * u)
+            + _prefactor(eps, n, h)).imag - 1.0
 
 
-def _scale_factor(method: str, eps, s, chi):
+def _scale_factor(method: str, eps, h, chi):
     """The factor c of :func:`locfield.errors.cavity_scale_faults` for a
     method's rates at eps, a complex array: Im eps, as every absorption
     validity value has it, or on the exact route the larger
-    (|a| + |b|)/16 of :func:`_cavity_parts`, which grows near the pole;
-    at Re eps >= 0 that stays below 0.31 and is not worked out."""
+    (|a| + |b|)/16 of the factors of :func:`_cavity_parts`, which grow
+    near the pole; at Re eps >= 0 that stays below 0.31 and is not
+    worked out."""
     c = eps.imag
     if method != "exact" or not np.count_nonzero(eps.real < 0):
         return c
     with np.errstate(all="ignore"):
-        a, b = _cavity_parts(eps, s, chi)
-        return np.maximum(c, (np.abs(a) + np.abs(b)) / _CAVITY_SCALE)
+        ct, u = _cavity_parts(h, chi)
+        ab = np.abs(ct) * (3.0 + 1.8 * np.abs(u))
+        return np.maximum(c, ab / _CAVITY_SCALE)
 
 
 def _absorption_shift(eps, q_C: float):
@@ -205,12 +214,12 @@ def gamma_c_exact(eps, q_C: float) -> float:
     """
     e = np.array([as_permittivity(eps).epsilon])
     q_C = float(q_C)
-    s, n, chi = _medium(e)
+    h, n, chi = _medium(e)
     raise_first(itertools.chain(
-        qc_faults(q_C), method_faults("exact", e, s),
-        cavity_scale_faults("q_C", q_C, _scale_factor("exact", e, s, chi))))
+        qc_faults(q_C), method_faults("exact", e, h),
+        cavity_scale_faults("q_C", q_C, _scale_factor("exact", e, h, chi))))
     warn_qc(q_C)
-    return float(_cavity_term(e, s, n, chi, q_C)[0])
+    return float(_cavity_term(e, h, n, chi, q_C)[0])
 
 
 def _check_green_tensor(gB1) -> np.ndarray:

@@ -10,7 +10,10 @@ maps configuration problems to exit code 2 and numerical failures to 3.
 Each input rule is written once, here, as a generator of checks of a
 scalar or an array: ``(failed, message)``, or ``(failed, message, type)``
 when the type is not ``DomainError``; ``failed`` is a bool or a bool
-array, ``message`` a string or a function of the point's (q_R, q_L).
+array, ``message`` a string or a function, called only when the check
+fails (with the point's (q_R, q_L) in a column, with nothing otherwise),
+so that a rule whose text names its numbers formats nothing when it
+passes.
 The records and the public functions raise the first check that fails
 (:func:`raise_first`); the columns of :mod:`locfield.rates` chain the
 same rules over arrays and record each failing point's error.
@@ -87,8 +90,17 @@ POLE = "eps = -1/2 is the pole of the local-field factor 3 eps/(2 eps + 1)"
 NEAR_POLE = ("eps is too near -1/2, the pole of the local-field factor "
              "L = 3 eps/(2 eps + 1): L^2 leaves double range")
 # L^2 and K = i n L^2 (|n| < 1 there) are doubles while
-# |2 eps + 1| >= _POLE_BAND |eps|, that is outside |2 eps + 1| < 1.1e-154
-_POLE_BAND = 3.0 / math.sqrt(sys.float_info.max)
+# |2 eps + 1| >= 3 |eps|/sqrt(max double), outside |2 eps + 1| < 1.1e-154:
+# there Re eps = -1/2 exactly and |eps| rounds to 1/2, so the band is
+# |eps + 1/2| < _POLE_BAND
+_POLE_BAND = 0.75 / math.sqrt(sys.float_info.max)
+# |eps| up to which a method's terms are doubles, with room: the exact
+# route forms 2 eps + 1 and 1/(2 eps + 1), doubles to |eps| ~ 9e307, and
+# the weak-absorption shift divides by 5 (2 Re eps + 1)^3, a double to
+# Re eps ~ 1.65e102, and multiplies 14 Re eps + 1 by Im eps, which leaves
+# double range at eps = 1e10 + 1e299j already, so |eps| is bounded there
+# too, not Re eps alone
+EPS_MAX = {"exact": 1.0e300, "weak_absorption": 1.0e100}
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
@@ -124,13 +136,13 @@ def positive(name: str, value):
     """The rule that value, a real or a real array, is positive and
     finite; a float is checked in plain Python, without numpy's cost."""
     yield (_not((value > 0) & (value < math.inf)),
-           f"{name} must be positive and finite")
+           lambda *_: f"{name} must be positive and finite")
 
 
 def whole_number(name: str, value):
     """The rule that value, a real number, is a whole number >= 1."""
     yield (not (1 <= value < math.inf and value == int(value)),
-           f"{name} must be a whole number >= 1")
+           lambda *_: f"{name} must be a whole number >= 1")
 
 
 def inside_sphere(q_R, q_L):
@@ -154,27 +166,39 @@ def permittivity_faults(eps):
     yield eps == 0, "permittivity must be nonzero"
 
 
-def method_faults(method: str, eps, s=None):
-    """The rules of a rate method on its permittivity; s = 2 eps + 1,
+def method_faults(method: str, eps, h=None):
+    """The rules of a rate method on its permittivity; h = eps + 1/2,
     which the exact rule reads, is formed here unless given."""
     if method == "exact":
-        s = 2.0 * eps + 1.0 if s is None else s
-        yield s == 0, POLE, SingularityError
-        yield (np.abs(s) < _POLE_BAND * np.abs(eps), NEAR_POLE,
-               SingularityError)
+        h = eps + 0.5 if h is None else h
+        yield h == 0, POLE, SingularityError
+        size = np.abs(h)  # |eps| to within 1/2
+        yield size < _POLE_BAND, NEAR_POLE, SingularityError
+        yield from eps_size_faults(method, size)
     elif method == "uncorrected":
         yield (np.imag(eps) > ABSORPTION_TOL, "uncorrected method assumes "
                "a transparent host; use exact or weak_absorption")
         yield np.real(eps) <= 0, "the uncorrected rate needs Re eps > 0"
     elif method == "weak_absorption":
         yield np.real(eps) <= 0, "weak-absorption split needs Re eps > 0"
+        yield from eps_size_faults(method, np.abs(eps))
+
+
+def eps_size_faults(method: str, size):
+    """The rule that |eps| (size, a float or an array) is at most
+    EPS_MAX[method], beyond which the method's terms leave double range."""
+    limit = EPS_MAX[method]
+    yield size > limit, lambda *_: (
+        f"|eps| must be at most {limit:g} for the {method} rates: their "
+        "terms leave double range beyond")
 
 
 def qc_faults(q_C: float):
     """The rule of a float cavity radius q_C: positive, at most QC_MAX."""
     yield from positive("q_C", q_C)
-    yield q_C > QC_MAX, (f"q_C = {q_C:g} too large; the small-cavity "
-                         f"expansion needs q_C <= {QC_MAX}")
+    yield q_C > QC_MAX, lambda *_: (f"q_C = {q_C:g} too large; the "
+                                    "small-cavity expansion needs "
+                                    f"q_C <= {QC_MAX}")
 
 
 def cavity_scale_faults(name: str, q: float, c=1.0):
@@ -192,8 +216,8 @@ def cavity_scale_faults(name: str, q: float, c=1.0):
     # the largest max(1, |c|) whose terms are doubles
     room = cube * (sys.float_info.max / _CAVITY_SCALE)
     yield (not (cube > 0 and room >= 1.0) or _not(abs(c) <= room),
-           f"{name} = {q:g} is too small: the cavity terms in 1/{name}^3 "
-           "leave double range", NonFiniteError)
+           lambda *_: (f"{name} = {q:g} is too small: the cavity terms in "
+                       f"1/{name}^3 leave double range"), NonFiniteError)
 
 
 def check_qc(q_C: float, c=1.0) -> float:
@@ -252,5 +276,6 @@ def sphere_faults(q_R, q_L, q_C: float, nu: float):
 
 def orientation_faults(orientation: str, kind=DomainError):
     """The rule that a dipole orientation is radial or tangential."""
-    yield (orientation not in ORIENTATIONS, f"orientation must be one of "
-           f"{ORIENTATIONS}, got {orientation!r}", kind)
+    yield (orientation not in ORIENTATIONS, lambda *_: (
+        f"orientation must be one of {ORIENTATIONS}, got {orientation!r}"),
+        kind)

@@ -37,7 +37,9 @@ are small, so off the centre the series is summed in ratio form
     C_m^N j_m(x)^2 = -P_m rho_m^2 (eps A0 - A1)/(eps A0 - B1),
 
 with A = xi_m'/h_m at z0, z1 and B = psi_m'/j_m at z1, x from the ratios
-h_{m-1}/h_m, carried up, and j_{m-1}/j_m, Miller's (from specfun);
+h_{m-1}/h_m, carried up, and j_{m-1}/j_m, Miller's, both tables (z1 and
+x) from one downward run of specfun, after a plain-Python check of
+q_R, z1 and x;
 rho_m = j_m(x)/j_m(z1) and, by the Wronskian, P_m = h_m(z1) j_m(z1)
 = i/(z1 (A1 - B1)), which keeps its small real part j_m^2 at real z1.
 C_m^M takes eps -> 1.  Every factor is bounded.  The terms fall as
@@ -62,7 +64,7 @@ from .errors import (AccuracyError, DomainError, LocfieldError,
                      method_faults, orientation_faults, permittivity_faults,
                      positive, raise_first)
 from .greens import Permittivity, as_permittivity
-from .specfun import (_bessel_ratios, _check_arg, dipole_bessel_j,
+from .specfun import (_bessel_ratio_tables, _check_point, dipole_bessel_j,
                       dipole_hankel_h1, riccati_derivative, spherical_bessel_j,
                       spherical_hankel_h1)
 
@@ -198,13 +200,8 @@ def _series(e, n, q_R: float, q_L: float, orient: str) -> float:
     q_R, q_L and orient, which passed :func:`gamma_b_exact`'s checks, in
     the ratio form of the module docstring; refused as the centre's rate
     is, by :func:`_center_rounding_bound` of K times the sum."""
-    args = (q_R, n * q_R, n * q_L)
-    try:
-        z0, z1, x = _check_arg(args, allow_zero=False).tolist()
-    except LocfieldError:  # raise as the first that fails by itself would
-        for z in args:
-            _check_arg(z, allow_zero=False)
-        raise
+    z0, z1, x = (_check_point(q_R), _check_point(n * q_R),
+                 _check_point(n * q_L))
     if abs(x) < _X_MIN:
         raise DomainError(f"|n q_L| = {abs(x):.3g} is below {_X_MIN:.2g}, "
                           "where 1/(n q_L) leaves double range; take "
@@ -217,7 +214,7 @@ def _series(e, n, q_R: float, q_L: float, orient: str) -> float:
     k = 18.4 / fall
     need = 8 + abs(z1) + k + math.log1p(k) / fall
     top = int(min(need, _ORDER_LIMIT))
-    (jz, r1), (jx, rx) = _bessel_ratios(z1, top), _bessel_ratios(x, top)
+    jz, r1, jx, rx = _bessel_ratio_tables(z1, x, top)
     sigma = jx / x / jz  # j_m(x)/(x j_m(z1)), carried up
     v0, v1 = 1j * z0, 1j * z1  # z h_{m-1}/h_m at z0 and z1, from h_{-1}/h_0
     zz0, zz1 = z0 * z0, z1 * z1

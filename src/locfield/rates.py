@@ -16,8 +16,8 @@ Its points are checked as arrays by the rules of :mod:`locfield.errors`,
 each failing point getting the error (text and precedence) that a
 RateRequest and :func:`compute` give it: a sweep's by both, and a
 batch's, whose RateRequests checked theirs when they were made, by
-compute's method and q_C rules alone.  A column forms s = 2 eps + 1,
-n = sqrt(eps) and chi = eps - 1 once (s and n on the exact route) and
+compute's method and q_C rules alone.  A column forms h = eps + 1/2,
+n = sqrt(eps) and chi = eps - 1 once (h and n on the exact route) and
 hands them to the rules, the cavity term, the validity values and the
 row kernel.  Its cavity term is one array expression of the closed
 forms that the scalar functions of :mod:`locfield.cavity` and
@@ -309,7 +309,7 @@ def _compute_columns(columns, checked: bool = False) -> list:
 
     Each column is validated by :func:`_check_points` (checked: its
     points are RateRequests'), and a large q_C warns once per column
-    that yields a rate.  A column forms s, n and chi once and hands them
+    that yields a rate.  A column forms h, n and chi once and hands them
     to the rules, the cavity term, the validity values and the row
     kernel, all worked out as arrays.  The sphere body terms of all the
     columns go to the array kernels together, one call per kernel (and
@@ -344,14 +344,14 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
     sphere, eps, q_L, method = (col.q_R is not None, col.eps, col.q_L,
                                 col.method)
     q_R = col.q_R if sphere else np.full(eps.size, np.nan)
-    s, n, chi = (cavity._medium(eps) if method == "exact"
+    h, n, chi = (cavity._medium(eps) if method == "exact"
                  else (None, None, eps - 1.0))
-    errors, live = _check_points(col, eps, s, chi, q_R, q_L, checked)
+    errors, live = _check_points(col, eps, h, chi, q_R, q_L, checked)
     if errors:
         if live.size == 0:
             return _Rates(*np.full((4, eps.size), np.nan), errors)
-        eps, s, n, chi, q_R, q_L = (None if a is None else a[live]
-                                    for a in (eps, s, n, chi, q_R, q_L))
+        eps, h, n, chi, q_R, q_L = (None if a is None else a[live]
+                                    for a in (eps, h, n, chi, q_R, q_L))
     q_C = col.q_C
     chi_size, absorption = born._validity_values(
         chi, q_L + q_R if sphere else 1.0, q_C)
@@ -363,7 +363,7 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
         # body term to linear order in the (real) susceptibility
         chi = eps.real - 1.0
     elif method == "exact":
-        gamma_c = cavity._cavity_term(eps, s, n, chi, q_C)
+        gamma_c = cavity._cavity_term(eps, h, n, chi, q_C)
     else:
         # weak absorption: the corrected rate of the transparent host
         # Re eps, plus the absorption shift; its body term is the exact
@@ -391,12 +391,12 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
     return rates_
 
 
-def _check_points(col: _Column, eps, s, chi, q_R, q_L, checked: bool):
+def _check_points(col: _Column, eps, h, chi, q_R, q_L, checked: bool):
     """The errors of a column's points, by index, and the indices of the
     points that pass (None when every point passes): a sweep's by
     RateRequest's rules and compute's, in their order, so that a point's
     error is the first that it fails, and checked points (RateRequests',
-    checked when made) by compute's alone, reading the column's s and
+    checked when made) by compute's alone, reading the column's h and
     chi.  Only the rules that some point fails run one by one."""
     q_C = col.q_C
     request = () if checked else itertools.chain(
@@ -405,9 +405,9 @@ def _check_points(col: _Column, eps, s, chi, q_R, q_L, checked: bool):
         if col.q_R is not None else qc_faults(q_C),
         positive("tol", col.tol))
     checks = list(failing(itertools.chain(
-        request, method_faults(col.method, eps, s),
+        request, method_faults(col.method, eps, h),
         cavity_scale_faults("q_C", q_C,
-                            cavity._scale_factor(col.method, eps, s, chi)))))
+                            cavity._scale_factor(col.method, eps, h, chi)))))
     if not checks:
         return {}, None
     errors = {}

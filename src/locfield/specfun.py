@@ -27,10 +27,12 @@ The dipole wave (m = 1) alone serves Tomas's centre rate, the centred
 exact and weak-absorption rows and the cavity transmission coefficient.
 :func:`dipole_hankel_h1` and :func:`dipole_bessel_j` give its functions
 in closed form, in sin, cos and exp, with the checks and messages of the
-calls they replace.  The off-centre exact series checks its arguments
-in one :func:`_check_arg` call and carries the ratios h_{m-1}/h_m
-upward itself; its ratios j_m/j_{m-1} come from :func:`_bessel_ratios`,
-which does not check them again.
+calls they replace.  The off-centre exact series checks each of its
+three arguments in plain Python with :func:`_check_point`, which
+refuses as :func:`_check_arg` does, and carries the ratios h_{m-1}/h_m
+upward itself; its two tables of ratios j_m/j_{m-1} come from one
+downward run of :func:`_bessel_ratio_tables`, which does not check the
+arguments again.
 The linear Born body term needs Ei only on the positive imaginary axis,
 where :func:`_ei_imaginary_axis` evaluates it from fitted rational
 functions.  So :mod:`scipy.special`, which takes longer to import than
@@ -158,6 +160,19 @@ def _check_arg(z, allow_zero: bool):
         raise DomainError(f"|z| must be < {ARG_MAX:g}")
     if not allow_zero and (z == 0).any():
         raise SingularityError("function is singular at z = 0")
+    return z
+
+
+def _check_point(z) -> complex:
+    """z, a Python number, as a complex checked in plain Python; where it
+    fails, ``_check_arg(z, allow_zero=False)`` raises its error."""
+    z = complex(z)
+    try:
+        ok = cmath.isfinite(z) and abs(z) < ARG_MAX and z != 0
+    except OverflowError:  # |z| beyond double range
+        ok = False
+    if not ok:  # refused by the same tests, so this raises
+        _check_arg(z, allow_zero=False)
     return z
 
 
@@ -320,26 +335,40 @@ def _divide(a: complex, b: complex) -> complex:
     return complex((a.real + a.imag * t) * s, (a.imag - a.real * t) * s)
 
 
-def _bessel_ratios(z: complex, top: int) -> tuple:
-    """(j_1(z), r) for a z checked as by spherical_hankel_h1, where
-    r[m] = j_m(z)/j_{m-1}(z) for m = 1..top + 1 (r[0] is unused, and the
-    orders above are cruder): Miller's ratios z/(2m + 1 - z r_{m+1}), run
-    down from 0 at top + |z| + 17 (Wiscombe 1980).  j_1 is (j_0 - cos z)/z,
-    j_0 = sin z/z, from |z| = 2 on where it is the larger of the two (it
-    does not cancel there), and j_0 r_1 otherwise.  spherical_bessel_j's
-    NonFiniteError where sin z or cos z overflows."""
-    ratio, r = 0j, [0j] * (top + int(abs(z)) + 19)
-    for m in range(len(r) - 2, 0, -1):
-        # where j_{m-1} vanishes the ratio is huge, not a ZeroDivisionError
+def _bessel_ratio_tables(z: complex, x: complex, top: int) -> tuple:
+    """(j_1(z), r, j_1(x), rx) for z and x checked as by
+    spherical_hankel_h1, |x| <= |z|, where r[m] = j_m(z)/j_{m-1}(z) and
+    rx[m] = j_m(x)/j_{m-1}(x) for m = 1..top + 1 (entry 0 is unused, and
+    the orders above are cruder): Miller's ratios w/(2m + 1 - w r_{m+1}),
+    run down from 0 at top + |w| + 17 for each argument w (Wiscombe 1980),
+    z's alone down to x's start and then both together in one loop.  j_1
+    is (j_0 - cos w)/w, j_0 = sin w/w, from |w| = 2 on where it is the
+    larger of the two (it does not cancel there), and j_0 r_1 otherwise.
+    spherical_bessel_j's NonFiniteError where sin or cos overflows, z's
+    first."""
+    start, start_x = top + int(abs(z)) + 17, top + int(abs(x)) + 17
+    r, rx = [0j] * (start + 2), [0j] * (start_x + 2)
+    ratio = ratio_x = 0j
+    # where j_{m-1} vanishes a ratio is huge, not a ZeroDivisionError
+    for m in range(start, start_x, -1):
         ratio = r[m] = z / (2 * m + 1 - z * ratio or 1e-300)
+    for m in range(start_x, 0, -1):
+        ratio = r[m] = z / (2 * m + 1 - z * ratio or 1e-300)
+        ratio_x = rx[m] = x / (2 * m + 1 - x * ratio_x or 1e-300)
+    return _j1(z, ratio), r, _j1(x, ratio_x), rx
+
+
+def _j1(w: complex, r1: complex) -> complex:
+    """j_1(w) from sin w and cos w, or from j_0(w) and r1 = j_1/j_0 where
+    that cancels, as :func:`_bessel_ratio_tables` says."""
     try:
-        j0 = _divide(cmath.sin(z), z)
-        j1 = _divide(j0 - cmath.cos(z), z)
+        j0 = _divide(cmath.sin(w), w)
+        j1 = _divide(j0 - cmath.cos(w), w)
     except OverflowError:
         raise _nonfinite("spherical_bessel_j") from None
-    if not (abs(z) >= _J1_TAYLOR_BELOW and abs(j1) > abs(j0)):
-        j1 = j0 * ratio
-    return j1, r
+    if not (abs(w) >= _J1_TAYLOR_BELOW and abs(j1) > abs(j0)):
+        j1 = j0 * r1
+    return j1
 
 
 def _ratios(table, x):

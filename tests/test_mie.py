@@ -2,6 +2,7 @@
 
 import cmath
 import importlib
+import itertools
 import json
 import re
 import warnings
@@ -286,6 +287,37 @@ def test_agrees_with_linear_response_for_small_chi():
         assert gap[0.05] / gap[0.1] < 0.35
 
 
+# chi = c d for c over a decade, along directions d of both signs of Re chi
+# and the imaginary axis, where the chi^2 term of the gap vanishes
+_GAP_CHI = np.geomspace(1e-3, 1e-2, 3)
+_GAP_DIRECTIONS = (1, -1, 1 + 0.5j, -1 + 0.5j, 0.5 + 1j, 0.2 + 1j,
+                   -0.2 + 1j, 1j)
+
+
+def test_exact_minus_linear_is_second_order_in_chi():
+    # the gap between the exact and linear_born totals is O(chi^2): its
+    # fitted log-log slope in |chi| is 2 +- 0.1 where Re chi != 0 and at
+    # least 1.9 on the imaginary axis (3 there: the gap's chi^2 term is
+    # real and drops out of the rate),
+    # over q_R 0.5-20, q_L/q_R 0-0.9 and both orientations
+    cases = list(itertools.product(_GAP_DIRECTIONS, (0.5, 2.0, 7.0, 20.0),
+                                   (0.0, 0.3, 0.9), ORIENTATIONS))
+
+    def totals(method):
+        return [r.total_ratio for r in compute_batch(
+            RateRequest(eps=1 + c * d, method=method, q_R=q_R,
+                        q_L=ratio * q_R, orientation=orient)
+            for d, q_R, ratio, orient in cases for c in _GAP_CHI)]
+
+    gap = np.abs(np.subtract(totals("exact"), totals("linear_born")))
+    slopes = np.polyfit(np.log(_GAP_CHI),
+                        np.log(gap.reshape(len(cases), -1)).T, 1)[0]
+    for case, slope in zip(cases, slopes.tolist()):
+        assert slope >= 1.9, case
+        if case[0].real != 0:
+            assert slope <= 2.1, case
+
+
 def test_near_surface_converges_by_itself():
     # interior terms decay like (q_L/q_R)^{2m}, so near the surface the
     # series walks well past q_R |n| orders before its own test stops it;
@@ -327,22 +359,23 @@ def test_series_stops_at_the_order_cap():
 
 def _record_walk(monkeypatch):
     """Wrap what the series calls for a request, recording ("check", z) of
-    each argument check and ("j", z, top) of each table of Bessel ratios.
-    The scipy-backed functions and sphere_coefficients must not be
-    called at all."""
+    each argument check and ("j", z, top) of each table of Bessel ratios
+    (both tables come from one call, in the order z, x).  The
+    scipy-backed functions and sphere_coefficients must not be called at
+    all."""
     calls = []
-    check, table = mie._check_arg, mie._bessel_ratios
+    check, tables = mie._check_point, mie._bessel_ratio_tables
 
-    def checked(z, allow_zero):
+    def checked(z):
         calls.append(("check", z))
-        return check(z, allow_zero)
+        return check(z)
 
-    def ratios(z, top):
-        calls.append(("j", z, top))
-        return table(z, top)
+    def ratios(z, x, top):
+        calls.extend((("j", z, top), ("j", x, top)))
+        return tables(z, x, top)
 
-    monkeypatch.setattr(mie, "_check_arg", checked)
-    monkeypatch.setattr(mie, "_bessel_ratios", ratios)
+    monkeypatch.setattr(mie, "_check_point", checked)
+    monkeypatch.setattr(mie, "_bessel_ratio_tables", ratios)
     for name in ("spherical_hankel_h1", "spherical_bessel_j",
                  "riccati_derivative", "sphere_coefficients"):
         monkeypatch.setattr(mie, name, None)
@@ -351,17 +384,17 @@ def _record_walk(monkeypatch):
 
 @pytest.mark.parametrize("orient", ORIENTATIONS)
 def test_series_evaluates_each_value_once(monkeypatch, orient):
-    # one check of the three arguments (q_R, n q_R, n q_L), and one table
-    # of Bessel ratios of n q_R and one of n q_L, to the order where the
-    # terms have fallen below 1e-16 of the largest; the Hankel ratios are
-    # carried in the walk
+    # one check of each of the three arguments q_R, n q_R, n q_L, in that
+    # order, and one table of Bessel ratios of n q_R and one of n q_L, to
+    # the order where the terms have fallen below 1e-16 of the largest;
+    # the Hankel ratios are carried in the walk
     eps, q_R, q_L = 1.2 + 1e-6j, 5.0, 2.0
     n = Permittivity(eps).n
     calls = _record_walk(monkeypatch)
     gamma_b_exact(eps, q_R, q_L, orient)
     fall = np.log(q_R / q_L)
     top = int(8 + abs(n * q_R) + 18.4 / fall + np.log1p(18.4 / fall) / fall)
-    assert calls == [("check", (q_R, n * q_R, n * q_L)),
+    assert calls == [("check", q_R), ("check", n * q_R), ("check", n * q_L),
                      ("j", n * q_R, top), ("j", n * q_L, top)]
 
 
@@ -410,8 +443,8 @@ def test_carried_derivatives_match_riccati_derivative(eps, q_R):
 
 def test_series_errors_keep_their_order_and_text(monkeypatch):
     # q_R = 1, q_L = 0.9999 needs about 300,000 orders: the series raises
-    # its AccuracyError at the limit of 5,000, after one argument check
-    # and tables of Bessel ratios built once, to that limit
+    # its AccuracyError at the limit of 5,000, after one check of each
+    # argument and tables of Bessel ratios built once, to that limit
     calls = _record_walk(monkeypatch)
     n = Permittivity(1.1 + 1e-8j).n
     for orient in ORIENTATIONS:
@@ -420,7 +453,7 @@ def test_series_errors_keep_their_order_and_text(monkeypatch):
                            r"converged by m = 5000: about 3\.05e\+05 orders "
                            r"needed, 5000 allowed \(q_R = 1, q_L = 0\.9999\)$"):
             gamma_b_exact(1.1 + 1e-8j, 1.0, 0.9999, orient)
-        assert calls == [("check", (1.0, n, n * 0.9999)),
+        assert calls == [("check", 1.0), ("check", n), ("check", n * 0.9999),
                          ("j", n, 5000), ("j", n * 0.9999, 5000)]
 
 
@@ -531,15 +564,15 @@ def test_series_through_a_zero_of_j_m():
 def test_series_pole_names_its_order(monkeypatch):
     # eps A0 = B1 empties C_m^N's denominator: with eps = 0 handed to the
     # series and j_4(z1)/j_3(z1) = 4/z1, B1 = 4 - z1 j_4/j_3 = 0 at m = 3
-    table = mie._bessel_ratios
+    tables = mie._bessel_ratio_tables
 
-    def ratios(w, top):
-        j1, r = table(w, top)
+    def ratios(w, x, top):
+        j1, r, jx, rx = tables(w, x, top)
         if w == 5.0:
             r[4] = 4.0 / w
-        return j1, r
+        return j1, r, jx, rx
 
-    monkeypatch.setattr(mie, "_bessel_ratios", ratios)
+    monkeypatch.setattr(mie, "_bessel_ratio_tables", ratios)
     with pytest.raises(SingularityError, match=r"^sphere coefficient "
                        r"denominator vanished at m = 3 \(resonance pole\)$"):
         mie._series(0j, 1.0 + 0j, 5.0, 2.0, "radial")

@@ -1,5 +1,6 @@
 """Emitter-level rate assembly: SI rates, method dispatch, cross-method checks."""
 
+import csv
 import dataclasses
 import math
 import re
@@ -477,8 +478,15 @@ def test_the_pole_band_is_refused():
         assert isinstance(result, NonFiniteError)
         assert str(result) == ("q_C = 1e-99 is too small: the cavity terms "
                                "in 1/q_C^3 leave double range")
-        assert math.isfinite(compute(RateRequest(
-            eps=-0.5 + 1e-12j, method="exact", geometry="bulk")).total_ratio)
+        # the rule bounds the factors of 1/q_C^3 and 1/q_C, which grow
+        # like |2 eps + 1|^-2: here it lets q_C down to about 1.6e-95, and
+        # at -0.5 + 1e-120j q_C = 0.01 (terms about 1e241) gives a rate
+        for eps, q_C in ((-0.5 + 1e-12j, 0.01), (-0.5 + 1e-12j, 1e-93),
+                         (-0.5 + 1e-120j, 0.01)):
+            assert math.isfinite(compute(RateRequest(
+                eps=eps, method="exact", geometry="bulk",
+                q_C=q_C)).total_ratio)
+            assert math.isfinite(gamma_c_exact(eps, q_C))
         for eps in (-0.5 + 1e-155j, -0.5 + 1e-160j, -0.5 + 1e-200j):
             for call in (lambda: gamma_c_exact(eps, 0.01),
                          lambda: gamma_b_center(eps, 2.0),
@@ -608,7 +616,7 @@ _BATCH_REQUESTS = st.builds(
     for q_C in (1e-6, 1e-102) for q_L in (0.0, 0.9)
     for eps in (1.1 + 1e-8j, -0.5, 1.3, -0.5 + 5e-155j, 1.0 + 20j)])
 # one exact column at Re eps < 0, where the q_C rule reads the column's
-# s = 2 eps + 1 and chi = eps - 1 as the cavity term does
+# h = eps + 1/2 and chi = eps - 1 as the cavity term does
 @example(requests=[
     RateRequest(eps=eps, method="exact", q_R=2.0, q_L=q_L, q_C=1e-6)
     for q_L in (0.0, 0.9)
@@ -667,6 +675,71 @@ def test_centred_refusal_stays_on_its_row():
     for request, result in zip(requests, results):
         if not isinstance(result, LocfieldError):
             assert result == compute(request)
+
+
+# -- huge permittivities -----------------------------------------------------------
+
+# |eps| just below and above where a term left double range (2.2e153 on
+# the exact route, 1.65e102 on the weak-absorption one), where the rule
+# of each route refuses (1e300 and 1e100) and at the top of double range
+_HUGE_EPS = (1e100 * 0.99, 1e100 * 1.01, 1.6e102, 1.7e102, 2.1e153, 2.3e153,
+             1e300 * 0.99, 1e300 * 1.01, 1e308, 1.7e308)
+
+
+@pytest.mark.parametrize("size", _HUGE_EPS)
+def test_huge_permittivities_end_in_a_rate_or_a_typed_error(size):
+    # real or imaginary, at and off the centre: a finite rate or a
+    # LocfieldError, never a numpy warning; beyond its rule's bound each
+    # route refuses, naming |eps|.  The weak-absorption shift multiplies
+    # 14 Re eps + 1 by Im eps, so at Re eps = 1e10 a large Im eps leaves
+    # double range too (a warning at 1e10 + 1e299j): the bound is on |eps|
+    for eps in (size, 1.0 + 1j * size, 1e10 + 1j * size,
+                size * (0.6 + 0.8j)):
+        for method, q_L in (("exact", 0.0), ("exact", 0.3),
+                            ("weak_absorption", 0.0)):
+            request = RateRequest(eps=eps, method=method, q_R=1.0, q_L=q_L)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    total = compute(request).total_ratio
+                except LocfieldError as exc:
+                    limit = 1e300 if method == "exact" else 1e100
+                    assert (size <= limit) == ("|eps|" not in str(exc))
+                    if size > limit:
+                        assert type(exc) is DomainError
+                        assert str(exc) == (
+                            f"|eps| must be at most {limit:g} for the "
+                            f"{method} rates: their terms leave double "
+                            "range beyond")
+                else:
+                    assert math.isfinite(total)
+
+
+def test_huge_permittivity_refusals_keep_to_their_rows(tmp_path):
+    # compute_batch refuses the huge rows and returns the others' rates
+    # as compute does; a sweep writes the refusal in its error column
+    good = [RateRequest(eps=1.2 + 1e-7j, method="exact", q_R=2.0, q_L=0.5),
+            RateRequest(eps=1.2 + 1e-7j, method="weak_absorption", q_R=2.0)]
+    huge = [RateRequest(eps=2e300, method="exact", q_R=2.0, q_L=0.5),
+            RateRequest(eps=1.2 + 2e100j, method="weak_absorption", q_R=2.0)]
+    results = compute_batch([huge[0], good[0], huge[1], good[1]])
+    assert results[1::2] == [compute(r) for r in good]
+    for exc, limit in zip(results[0::2], ("1e+300", "1e+100")):
+        assert type(exc) is DomainError
+        assert str(exc).startswith(f"|eps| must be at most {limit} for")
+    spec = build_sweep({
+        "sweep": "im_chi", "lo": "1e99", "hi": "1e301", "points": "3",
+        "log": "1", "eps_re": "1.1", "qr": "2", "qc": "0.01",
+        "methods": "exact,weak_absorption"})
+    run_sweep(spec, str(tmp_path / "huge.csv"))
+    with open(tmp_path / "huge.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    errors = [row[header.index("error")] for row in rows]
+    assert "|eps| must be at most" not in errors[0]
+    assert ("gamma_weak_absorption: |eps| must be at most 1e+100 for the "
+            "weak_absorption rates" in errors[1])
+    assert ("gamma_exact: |eps| must be at most 1e+300 for the exact rates"
+            in errors[2])
 
 
 # -- warnings ---------------------------------------------------------------------------

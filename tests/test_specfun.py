@@ -1,6 +1,8 @@
 """Special-function wrappers: values, identities, and error policy."""
 
+import cmath
 import functools
+import itertools
 import warnings
 
 import mpmath
@@ -220,7 +222,7 @@ def test_order_tables_against_mpmath():
     # (The scipy route is no oracle at this level: it is off by 2e-12 at
     # z = 1000, and underflows j_200(4.4934) to 0.)
     for z in _ORDER_Z:
-        j1, r = specfun._bessel_ratios(z, 200)
+        j1, r, _, _ = specfun._bessel_ratio_tables(z, z, 200)
         assert len(r) >= 202
         j = {m: complex(_mp_order(mpmath.besselj, m, z)) for m in
              {0, 1, *_ORDERS, *(m - 1 for m in _ORDERS if m)}}
@@ -279,8 +281,65 @@ def test_order_tables_check_like_the_scipy_route():
                 assert _outcome(lambda: compute(RateRequest(
                     eps=eps, method="exact", q_R=q_R, q_L=q_L,
                     orientation=orient)).total_ratio) == want
-    assert (_outcome(lambda: specfun._bessel_ratios(800j, 5))
+    assert (_outcome(lambda: specfun._bessel_ratio_tables(800j, 1.0, 5))
             == _outcome(lambda: spherical_bessel_j(0, 800j)))
+
+
+def _miller_table(w, top):
+    """(j_1(w), r) by one plain downward Miller run of w alone, from 0 at
+    top + |w| + 17, and j_1 from sin and cos divided as numpy divides."""
+    start = top + int(abs(w)) + 17
+    r, ratio = [0j] * (start + 2), 0j
+    for m in range(start, 0, -1):
+        ratio = r[m] = w / (2 * m + 1 - w * ratio or 1e-300)
+    j0 = complex(np.complex128(cmath.sin(w)) / w)
+    j1 = complex(np.complex128(j0 - cmath.cos(w)) / w)
+    if not (abs(w) >= 2.0 and abs(j1) > abs(j0)):
+        j1 = j0 * ratio
+    return j1, r
+
+
+def test_one_run_tables_equal_two_single_runs():
+    # the tables of n q_R and n q_L, built together in one downward run,
+    # equal two runs of the plain recurrence bit for bit: |x| <= |z| up
+    # to the argument cap, tops 1-300, x at |z| (1 - 1e-9) and at z itself
+    rng = np.random.default_rng(23)
+    cases = [(z, z * (1 - 1e-9), 300) for z in (0.3 + 0j, 50.0 + 2j)]
+    cases += [(z, z, 1) for z in (7.0 + 0j, 0.9999 * ARG_MAX + 600j)]
+    for _ in range(100):
+        z = cmath.rect(10.0 ** rng.uniform(-6, 4) * 0.9999,
+                       rng.uniform(-0.2, np.pi + 0.2))
+        if abs(z.imag) > 700:  # sin z overflows: the refusal is tested
+            z = complex(z.real, 700.0 * np.sign(z.imag))
+        x = z * rng.choice([rng.uniform(0, 1), 1 - 1e-9, 1.0])
+        turned = x * cmath.exp(1j * rng.uniform(-0.3, 0.3))
+        if abs(turned) <= abs(z) and abs(turned.imag) <= 700:
+            x = turned
+        cases.append((z, x, int(rng.integers(1, 301))))
+    for z, x, top in cases:
+        got = specfun._bessel_ratio_tables(z, x, top)
+        want = (*_miller_table(z, top), *_miller_table(x, top))
+        assert repr(got) == repr(want), (z, x, top)
+
+
+# the inputs where the series' argument checks were tried first
+_EDGE_ARGS = (np.inf, complex(np.nan, 0.0), complex(0.0, -np.inf),
+              1e308 + 1e308j, ARG_MAX, ARG_MAX * 1j, 0.0, -0j, 0.5, 3.0 - 2j)
+
+
+def test_scalar_check_refuses_as_the_array_check():
+    # each argument of the series, checked alone in plain Python, in
+    # order, gives the error (type and text) of specfun's array check of
+    # the first that fails, or the same complex numbers
+    for args in itertools.product(_EDGE_ARGS, repeat=3):
+        got = _outcome(*(functools.partial(specfun._check_point, z)
+                         for z in args))
+        want = _outcome(*(functools.partial(specfun._check_arg, z,
+                                            allow_zero=False) for z in args))
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want, args
+        else:
+            assert repr(got.tolist()) == repr(want.tolist()), args
 
 
 def test_ei_against_mpmath():

@@ -8,7 +8,7 @@ Run from the repository root::
 It imports ``benchmarks/workloads.py`` of the tree (read only, as the
 benchmark does), which puts that tree's ``src`` first on the import
 path, and builds the ``exact_offcenter`` inputs of the given seeds.
-Each pass times four things over all of those inputs, one after the
+Each pass times five things over all of those inputs, one after the
 other:
 
 * ``request``: building the ``RateRequest`` of each input;
@@ -17,12 +17,16 @@ other:
   after the pass);
 * ``series``: ``mie._series`` alone, on the arguments the rows kernel
   gives it for each request;
+* ``series_tables``: the series' two tables of Bessel ratios alone
+  (``mie._bessel_ratio_tables``), on the (n q_R, n q_L, top) that the
+  series passes them for each request, recorded in a first run;
 * ``whole``: building each request and computing it.
 
 It prints one JSON line: the best pass of each, in microseconds per
 request, with the seeds, the number of requests and of passes.  The
 passes are interleaved so that a slow spell of the machine falls on all
-four alike.
+five alike.  A tree whose series has no ``_bessel_ratio_tables`` times
+no ``series_tables``.
 """
 
 import argparse
@@ -56,6 +60,19 @@ def layers(seeds, passes: int) -> dict:
         series_args.append((eps, complex(np.sqrt(eps)), float(r.q_R),
                             float(r.q_L), r.orientation))
     series = mie._series
+    tables = getattr(mie, "_bessel_ratio_tables", None)
+    table_args = []
+    if tables is not None:
+        def record(*args):
+            table_args.append(args)
+            return tables(*args)
+
+        mie._bessel_ratio_tables = record
+        try:
+            for args in series_args:
+                series(*args)
+        finally:
+            mie._bessel_ratio_tables = tables
 
     def stub(*args):
         return 0.0
@@ -69,6 +86,9 @@ def layers(seeds, passes: int) -> dict:
         finally:
             mie._series = series
         _best(times, "series", lambda args: series(*args), series_args)
+        if table_args:
+            _best(times, "series_tables", lambda args: tables(*args),
+                  table_args)
         _best(times, "whole",
               lambda item: compute(workloads.rate_request(item)), items)
     return {"seeds": list(seeds), "requests": len(items), "passes": passes,
