@@ -44,10 +44,11 @@ import itertools
 
 import numpy as np
 
-from .errors import (ORIENTATIONS, AccuracyError, DomainError,
-                     NonFiniteError, cavity_scale_faults, chi_faults,
-                     check_qc, inside_sphere, orientation_faults, positive,
-                     qc_faults, raise_first, sphere_faults, warn_qc)
+from .errors import (ORIENTATIONS, QC_DEFAULT, TOL_DEFAULT, AccuracyError,
+                     DomainError, NonFiniteError, cavity_scale_faults,
+                     chi_faults, check_qc, inside_sphere, orientation_faults,
+                     positive, qc_faults, raise_first, sphere_faults,
+                     warn_qc)
 from .greens import (_GL_N_MAX, _GL_N_MIN, StarBoundary, _brace_coeffs,
                      _gauss_legendre, _sphere_distance, _sphere_moments,
                      body_green_linear, unit_vector)
@@ -99,7 +100,7 @@ class SphereConfig:
 
     q_R: float
     q_L: float = 0.0
-    q_C: float = 0.01
+    q_C: float = QC_DEFAULT
     nu: float = 0.0
 
     def __post_init__(self):
@@ -270,7 +271,7 @@ def _center_rows(q_R, chi):
 
 def gamma_b_sphere_linear(config: SphereConfig, chi,
                           orientation: str = "radial",
-                          tol: float = 1.0e-10) -> float:
+                          tol: float = TOL_DEFAULT) -> float:
     """Linear body contribution for an emitter inside a sphere.
 
     The angular integral over the boundary reduces to one dimension in
@@ -312,7 +313,7 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
 
 
 def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
-                        tol: float = 1.0e-10):
+                        tol: float = TOL_DEFAULT):
     """Linear body terms of many sphere configurations in one call.
 
     q_R, q_L, chi and orientation are scalars or 1-D arrays that
@@ -447,7 +448,7 @@ def _moments(q_R, q_L, x, w):
 
 def gamma_total_linear(geometry, chi, orientation: str = "radial",
                        q_C: float | None = None, dipole=None,
-                       tol: float = 1.0e-10) -> RateBreakdown:
+                       tol: float = TOL_DEFAULT) -> RateBreakdown:
     """Assembled linear rate Gamma/Gamma_0 = 1 + gamma_c + gamma_b.
 
     Parameters

@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .errors import (_CAVITY_SCALE, ABSORPTION_TOL, DomainError,
+from .errors import (_CAVITY_SCALE, ABSORPTION_TOL, POLE_CUT, DomainError,
                      InvariantError, NonFiniteError, SingularityError,
                      cavity_scale_faults, check_qc, method_faults, positive,
                      qc_faults, raise_first, warn_qc, whole_number)
@@ -159,7 +159,7 @@ def transmission_coefficient(eps, q_C: float) -> complex:
     h1, xi1p = dipole_hankel_h1(z1)
     num = j * xi0p - pj * h0
     den = j * xi1p - eps.epsilon * pj * h1
-    if abs(den) < 1.0e-300:
+    if abs(den) < POLE_CUT:
         raise SingularityError("cavity transmission denominator vanished")
     return eps.n * num / den
 
@@ -194,7 +194,7 @@ def outside_scatter_coefficients(eps, q_C: float,
         ph1 = riccati_derivative("hankel_h1", m, z1)
         den_M = j0 * ph1 - pj0 * h1v
         den_N = j0 * ph1 - e * pj0 * h1v
-        if min(abs(den_M), abs(den_N)) < 1.0e-300:
+        if min(abs(den_M), abs(den_N)) < POLE_CUT:
             raise SingularityError(f"cavity scattering denominator vanished "
                                    f"at m = {m}")
         B_M[m - 1] = -(j0 * pj1 - pj0 * j1) / den_M

@@ -60,8 +60,9 @@ import sys
 import numpy as np
 
 from . import __version__, born, cavity, rates
-from .errors import (ConfigError, DomainError, LocfieldError, nu_faults,
-                     positive, qc_faults, raise_first)
+from .errors import (QC_DEFAULT, TOL_DEFAULT, ConfigError, DomainError,
+                     LocfieldError, nu_faults, positive, qc_faults,
+                     raise_first)
 
 __all__ = ["PRESETS", "SweepSpec", "build_sweep", "run_sweep",
            "emit_plot_script", "main"]
@@ -248,7 +249,7 @@ def build_sweep(cfg: dict[str, str]) -> SweepSpec:
         raise ConfigError("eps_im conflicts with sweeping im_chi")
     nu = _parse_float(cfg.get("nu", "0"), "nu")
     raise_first(nu_faults(nu))
-    tol = _parse_float(cfg.get("tol", "1e-10"), "tol")
+    tol = _parse_float(cfg.get("tol", str(TOL_DEFAULT)), "tol")
     raise_first(positive("tol", tol))
 
     q_R = _parse_float(cfg["qr"], "qr") if "qr" in cfg else None
@@ -261,7 +262,7 @@ def build_sweep(cfg: dict[str, str]) -> SweepSpec:
         raise ConfigError("qr is required unless it is the swept variable")
 
     qc_values = []
-    for part in cfg.get("qc", "0.01").split(","):
+    for part in cfg.get("qc", str(QC_DEFAULT)).split(","):
         qc_values.append(_parse_float(part.strip(), "qc"))
         raise_first(qc_faults(qc_values[-1]))
     if len(set(qc_values)) != len(qc_values):
@@ -516,7 +517,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--qr", type=float, default=None,
                         help="sphere radius; omit for bulk")
     p_comp.add_argument("--ql", type=float, default=0.0)
-    p_comp.add_argument("--qc", type=float, default=0.01)
+    p_comp.add_argument("--qc", type=float, default=QC_DEFAULT)
     p_comp.add_argument("--nu", type=float, default=0.0)
     p_comp.add_argument("--method", choices=rates.METHODS, default="exact")
     p_comp.add_argument("--orientation", choices=born.ORIENTATIONS,

@@ -74,10 +74,15 @@ ORIENTATIONS = ("radial", "tangential")
 # negligible-absorption closed forms are refused
 ABSORPTION_TOL = 1.0e-6
 
-# Hard cap and soft warning threshold for the cavity radius; the
+# Hard cap, soft warning threshold and default of the cavity radius; the
 # closed-form cavity terms drop O(q_C) corrections.
 QC_MAX = 0.2
 QC_WARN = 0.1
+QC_DEFAULT = 0.01
+# default absolute tolerance on the linear body term
+TOL_DEFAULT = 1.0e-10
+# modulus below which a coefficient's denominator is the resonance pole
+POLE_CUT = 1.0e-300
 
 # bound on the cavity terms over max(1, |c|)/q^3 (cavity_scale_faults):
 # 2 in f_constant_q, Im chi in the linear rate and its validity value,

@@ -263,13 +263,21 @@ def _brace_coeffs(q):
     return rows[0].reshape(q.shape), rows[1].reshape(q.shape)
 
 
+def _moment_table(*rows):
+    """_horner_table of the rows Re R, Im R, Re S and Im S of six bases,
+    and of the moduli |R| and |S| (no coefficient has two nonzero parts)."""
+    re_r, im_r, re_s, im_s = np.array(rows).reshape(4, 6, -1)
+    return _horner_table(*rows, *np.hypot(re_r, im_r),
+                         *np.hypot(re_s, im_s))
+
+
 # Antiderivatives e^{2iq} R(q) + Ei(2iq) S(q) of the six bases of
 # _sphere_moments, Int q^k P dq (k = 0, -2) and Int q^k Q dq (k = 2, 0,
 # -2, -4), as printed by tools/derive_sphere_moments.py: the rows Re R of
-# the six in turn, then Im R, Re S, Im S, and the moduli |R| and |S| of
-# every coefficient; powers q^3 .. q^0 (_MOMENT_Q) and t^6 .. t^1 in
-# t = 1/q (_MOMENT_T)
-_MOMENT_Q = _horner_table(
+# the six in turn, then Im R, Re S and Im S, which _moment_table follows
+# with the moduli |R| and |S|; powers q^3 .. q^0 (_MOMENT_Q) and
+# t^6 .. t^1 in t = 1/q (_MOMENT_T)
+_MOMENT_Q = _moment_table(
     (0.0, 0.0, 0.0, -0.4166666666666667),
     (0.0, 0.0, 0.0, 0.0),
     (0.0, 0.4166666666666667, 0.0, -0.4583333333333333),
@@ -293,20 +301,8 @@ _MOMENT_Q = _horner_table(
     (-1.3333333333333333, 0.0, 0.0, 0.0),
     (0.0, 0.0, -4.0, 0.0),
     (0.0, 0.0, 0.0, 0.0),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 0.0, 0.0, 0.4166666666666667),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 0.4166666666666667, 1.0833333333333333, 0.4583333333333333),
-    (0.0, 0.0, 0.0, 1.75),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 0.0, 1.3333333333333333, 1.0),
-    (0.0, 0.0, 0.0, 1.0),
-    (1.3333333333333333, 0.0, 0.0, 1.0),
-    (0.0, 0.0, 4.0, 5.0),
-    (0.0, 0.0, 0.0, 1.0),
     (0.0, 0.0, 0.0, 0.0))
-_MOMENT_T = _horner_table(
+_MOMENT_T = _moment_table(
     (0.0, 0.0, 0.0, 0.0, -0.16666666666666666, 0.0),
     (0.0, 0.0, -0.08333333333333333, 0.0, 0.6666666666666666, 0.0),
     (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
@@ -327,20 +323,6 @@ _MOMENT_T = _horner_table(
     (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
     (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
     (0.0, 0.0, 0.0, 0.0, 0.0, -1.3333333333333333),
-    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (0.0, 0.0, 0.0, 0.0, 0.0, 4.0),
-    (0.0, 0.0, 0.0, 1.3333333333333333, 0.0, 0.0),
-    (0.0, 0.0, 0.0, 0.0, 0.16666666666666666, 0.3333333333333333),
-    (0.0, 0.0, 0.08333333333333333, 0.16666666666666666, 0.6666666666666666,
-     0.5),
-    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (0.0, 0.0, 0.0, 0.0, 0.5, 1.0),
-    (0.0, 0.0, 0.25, 0.5, 2.0, 0.5),
-    (0.16666666666666666, 0.3333333333333333, 0.9166666666666666, 0.0, 0.0,
-     0.0),
-    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (0.0, 0.0, 0.0, 0.0, 0.0, 1.3333333333333333),
     (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
     (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
     (0.0, 0.0, 0.0, 0.0, 0.0, 4.0),

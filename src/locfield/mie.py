@@ -27,8 +27,10 @@ no 0/0, and from the closed-form dipole functions of
 
 The coefficients and the centre rate take arrays, a curve of spheres
 per call; a scalar runs as a one-element column of the same code, so it
-equals that point of a column bit for bit.  :func:`_gamma_b_rows` is
-the rows kernel of :mod:`locfield.rates`.
+equals that point of a column bit for bit.  The public functions check
+their input and call the unchecked kernels, :func:`_center_rate` and
+:func:`_series`, as :func:`_gamma_b_rows` does on the checked rows of
+:mod:`locfield.rates`.
 
 Near the surface C_m^N and j_m(x)^2 leave double range before the terms
 are small, so off the centre the series is summed in ratio form
@@ -59,11 +61,11 @@ import sys
 import numpy as np
 
 from . import cavity
-from .errors import (AccuracyError, DomainError, LocfieldError,
+from .errors import (POLE_CUT, AccuracyError, DomainError, LocfieldError,
                      NonFiniteError, SingularityError, inside_sphere,
                      method_faults, orientation_faults, permittivity_faults,
                      positive, raise_first)
-from .greens import Permittivity, as_permittivity
+from .greens import as_permittivity
 from .specfun import (_bessel_ratio_tables, _check_point, dipole_bessel_j,
                       dipole_hankel_h1, riccati_derivative, spherical_bessel_j,
                       spherical_hankel_h1)
@@ -97,10 +99,8 @@ def _columns(eps, q_R):
     Permittivity's checks in their order), its root n and q_R (checked
     positive) as arrays of at least one element, and the arguments' shape."""
     shape = np.broadcast_shapes(np.shape(eps), np.shape(q_R))
-    if isinstance(eps, Permittivity):
-        eps = eps.epsilon
     e = np.atleast_1d(np.asarray(eps))
-    if e.dtype == object:
+    if e.dtype == object:  # Permittivity records, or one
         e = np.array([as_permittivity(v).epsilon for v in e.ravel()]
                      ).reshape(e.shape)
     e = e.astype(complex)
@@ -114,20 +114,6 @@ def _shaped(value, shape):
     """A column's values in the arguments' shape: a Python scalar for
     scalar arguments."""
     return value.item() if shape == () else value.reshape(shape)
-
-
-def _coefficients(e, m, h0, h1, j1, xi0p, xi1p, ps1p):
-    """(C_m^N, C_m^M) from h_m(z0), h_m(z1), j_m(z1), xi_m'(z0), xi_m'(z1)
-    and psi_m'(z1), arrays, or the resonance pole's error.  In vacuum
-    (e == 1) both are exactly 0, not rounding noise."""
-    den_N = e * j1 * xi0p - ps1p * h0
-    den_M = j1 * xi0p - ps1p * h0
-    if (np.minimum(abs(den_N), abs(den_M)) < 1.0e-300).any():
-        raise SingularityError(f"sphere coefficient denominator vanished "
-                               f"at m = {m} (resonance pole)")
-    medium = e != 1
-    return (-(e * h1 * xi0p - xi1p * h0) * medium / den_N,
-            -(h1 * xi0p - xi1p * h0) * medium / den_M)
 
 
 def sphere_coefficients(eps, q_R, m: int):
@@ -154,7 +140,7 @@ def sphere_coefficients(eps, q_R, m: int):
 
 def _order_values(m: int, z0, z1):
     """h_m(z0), h_m(z1), j_m(z1), xi_m'(z0), xi_m'(z1) and psi_m'(z1),
-    in the order :func:`_coefficients` takes them."""
+    in the order :func:`_finite_coefficients` takes them."""
     if m == 1:
         h0, xi0p = dipole_hankel_h1(z0)
         h1, xi1p = dipole_hankel_h1(z1)
@@ -167,10 +153,20 @@ def _order_values(m: int, z0, z1):
 
 
 def _finite_coefficients(e, m, *values):
-    """:func:`_coefficients` of arrays, or NonFiniteError where a
-    coefficient leaves double range."""
+    """(C_m^N, C_m^M) from the arrays h_m(z0), h_m(z1), j_m(z1), xi_m'(z0),
+    xi_m'(z1) and psi_m'(z1), or the resonance pole's error, or
+    NonFiniteError where a coefficient leaves double range.  In vacuum
+    (e == 1) both are exactly 0, not rounding noise."""
+    h0, h1, j1, xi0p, xi1p, ps1p = values
     with np.errstate(all="ignore"):
-        C_N, C_M = _coefficients(e, m, *values)
+        den_N = e * j1 * xi0p - ps1p * h0
+        den_M = j1 * xi0p - ps1p * h0
+        if (np.minimum(abs(den_N), abs(den_M)) < POLE_CUT).any():
+            raise SingularityError(f"sphere coefficient denominator "
+                                   f"vanished at m = {m} (resonance pole)")
+        medium = e != 1
+        C_N = -(e * h1 * xi0p - xi1p * h0) * medium / den_N
+        C_M = -(h1 * xi0p - xi1p * h0) * medium / den_M
     if not (np.isfinite(C_N).all() and np.isfinite(C_M).all()):
         raise _nonfinite_coefficients(m)
     return C_N, C_M
@@ -278,7 +274,8 @@ def gamma_b_center(eps, q_R):
     the analytic m = 1 limit of the series, identical for both
     orientations.  eps and q_R are as for :func:`sphere_coefficients`, so
     a whole curve of centered spheres is one call; a float comes back
-    for scalar input, an array otherwise.
+    for scalar input, an array otherwise.  It checks them and the exact
+    method's rule, and returns :func:`_center_rate` of them.
 
     Where :func:`_center_rounding_bound` allows a relative error above
     _CENTER_REL_MAX, AccuracyError names q_R and the bound: in a
@@ -289,6 +286,12 @@ def gamma_b_center(eps, q_R):
     """
     e, n, q_R, shape = _columns(eps, q_R)
     raise_first(method_faults("exact", e))
+    return _shaped(_center_rate(e, n, q_R), shape)
+
+
+def _center_rate(e, n, q_R):
+    """:func:`gamma_b_center` of the arrays eps, n = sqrt(eps) (real or
+    complex) and q_R, which broadcast and passed its rules, unchecked."""
     z0, z1 = q_R + 0j, n * q_R
     values = _order_values(1, z0, z1)
     C_N, _ = _finite_coefficients(e, 1, *values)
@@ -304,7 +307,7 @@ def gamma_b_center(eps, q_R):
         raise AccuracyError(f"centre rate at q_R = {q:g} may be off by a "
                             f"relative {bound[k]:.1e} from rounding, above "
                             f"{_CENTER_REL_MAX:g}")
-    return _shaped(kc.imag, shape)
+    return kc.imag
 
 
 def _center_rounding_bound(e, kc, z0, z1, h0, h1, j1, xi0p, xi1p, ps1p):
@@ -347,9 +350,9 @@ def gamma_b_exact(eps, q_R: float, q_L: float,
     q_R, q_L = float(q_R), float(q_L)
     raise_first(inside_sphere(q_R, q_L))
     raise_first(orientation_faults(orient))
-    if q_L == 0.0:
-        return gamma_b_center(eps, q_R)
     raise_first(method_faults("exact", eps.epsilon))
+    if q_L == 0.0:
+        return _center_rate(*np.atleast_1d(eps.epsilon, eps.n, q_R)).item()
     return _series(eps.epsilon, eps.n, q_R, q_L, orient)
 
 
@@ -359,23 +362,24 @@ def _gamma_b_rows(eps, n, q_R, q_L, orient: str):
     :func:`locfield.born.gamma_b_sphere_rows` returns them: the (N,)
     values, and a dict from the index of each row that failed to its
     LocfieldError (its value is NaN).  The rows passed the rules of a
-    RateRequest and of compute in :mod:`locfield.rates`: the centred rows
-    are one :func:`gamma_b_center` call, each row alone if that raises;
-    every other row is one unchecked :func:`_series` call."""
+    RateRequest and of compute in :mod:`locfield.rates`, so none is
+    checked again: the centred rows are one :func:`_center_rate` call,
+    each row alone if that raises; every other row is one
+    :func:`_series` call."""
     values, errors = np.empty(eps.size), {}
     values.fill(np.nan)  # a third of np.full's cost
     rows, q_Ls = range(eps.size), q_L.tolist()
     if 0.0 in q_Ls:
         center = q_L == 0.0
         try:
-            values[center] = gamma_b_center(eps[center], q_R[center])
+            values[center] = _center_rate(eps[center], n[center], q_R[center])
             rows = np.flatnonzero(~center).tolist()
         except LocfieldError:
             pass
     point = list(zip(eps.tolist(), n.tolist(), q_R.tolist(), q_Ls))
     for k in rows:
         try:
-            values[k] = (gamma_b_center(eps[k:k + 1], q_R[k:k + 1])[0]
+            values[k] = (_center_rate(*(a[k:k + 1] for a in (eps, n, q_R)))[0]
                          if q_Ls[k] == 0.0 else _series(*point[k], orient))
         except LocfieldError as exc:
             errors[k] = exc
@@ -392,8 +396,11 @@ def gamma_center_exact(eps, q_R: float, q_C: float) -> float:
     0.2, a warning above 0.1) and must be smaller than q_R; eps = -1/2
     raises SingularityError.
     """
+    eps = as_permittivity(eps)
     gamma_c = cavity.gamma_c_exact(eps, q_C)
     q_R = float(q_R)
     if not (math.isfinite(q_R) and q_R > float(q_C)):
         raise DomainError("need q_R > q_C (cavity inside the sphere)")
-    return 1.0 + gamma_c + gamma_b_center(eps, q_R)
+    # those rules cover the centre rate's
+    return 1.0 + gamma_c + _center_rate(
+        *np.atleast_1d(eps.epsilon, eps.n, q_R)).item()

@@ -51,10 +51,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import born, cavity, mie
-from .errors import (ConfigError, DomainError, LocfieldError,
-                     cavity_scale_faults, error_of, failing, method_faults,
-                     orientation_faults, permittivity_faults, positive,
-                     qc_faults, raise_first, sphere_faults, warn_qc)
+from .errors import (QC_DEFAULT, TOL_DEFAULT, ConfigError, DomainError,
+                     LocfieldError, cavity_scale_faults, error_of, failing,
+                     method_faults, orientation_faults, permittivity_faults,
+                     positive, qc_faults, raise_first, sphere_faults,
+                     warn_qc)
 from .greens import Permittivity, as_permittivity, unit_vector
 
 __all__ = [
@@ -153,10 +154,10 @@ class RateRequest:
     geometry: str = "sphere"
     q_R: float | None = None
     q_L: float = 0.0
-    q_C: float = 0.01
+    q_C: float = QC_DEFAULT
     orientation: str = "radial"
     nu: float = 0.0
-    tol: float = 1.0e-10
+    tol: float = TOL_DEFAULT
     # built once by __post_init__, which validates through them
     _permittivity: Permittivity = dataclasses.field(
         init=False, repr=False, compare=False)

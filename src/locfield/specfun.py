@@ -27,12 +27,9 @@ The dipole wave (m = 1) alone serves Tomas's centre rate, the centred
 exact and weak-absorption rows and the cavity transmission coefficient.
 :func:`dipole_hankel_h1` and :func:`dipole_bessel_j` give its functions
 in closed form, in sin, cos and exp, with the checks and messages of the
-calls they replace.  The off-centre exact series checks each of its
-three arguments in plain Python with :func:`_check_point`, which
-refuses as :func:`_check_arg` does, and carries the ratios h_{m-1}/h_m
-upward itself; its two tables of ratios j_m/j_{m-1} come from one
-downward run of :func:`_bessel_ratio_tables`, which does not check the
-arguments again.
+calls they replace.  The off-centre exact series checks its arguments
+with :func:`_check_point` and takes its ratios j_m/j_{m-1} from
+:func:`_bessel_ratio_tables`.
 The linear Born body term needs Ei only on the positive imaginary axis,
 where :func:`_ei_imaginary_axis` evaluates it from fitted rational
 functions.  So :mod:`scipy.special`, which takes longer to import than
@@ -165,13 +162,11 @@ def _check_arg(z, allow_zero: bool):
 
 def _check_point(z) -> complex:
     """z, a Python number, as a complex checked in plain Python; where it
-    fails, ``_check_arg(z, allow_zero=False)`` raises its error."""
+    fails, ``_check_arg(z, allow_zero=False)`` raises its error.  Parts
+    below ARG_MAX are finite, and |z| of them a double."""
     z = complex(z)
-    try:
-        ok = cmath.isfinite(z) and abs(z) < ARG_MAX and z != 0
-    except OverflowError:  # |z| beyond double range
-        ok = False
-    if not ok:  # refused by the same tests, so this raises
+    if not (abs(z.real) < ARG_MAX > abs(z.imag) and abs(z) < ARG_MAX
+            and z != 0):  # refused by the same tests, so this raises
         _check_arg(z, allow_zero=False)
     return z
 
@@ -223,8 +218,7 @@ def spherical_hankel_h1(m, z):
     """
     m = _check_order(m)
     z = _check_arg(z, allow_zero=False)
-    val = _half_order_h1(m, z)
-    return _finite_or_raise(val, "spherical_hankel_h1")
+    return _finite_or_raise(_half_order_h1(m, z), "spherical_hankel_h1")
 
 
 def _half_order_h1(m, z):
@@ -325,16 +319,6 @@ def dipole_bessel_j(z):
             _finite_or_raise(p.reshape(shape), "riccati_derivative[bessel_j]"))
 
 
-def _divide(a: complex, b: complex) -> complex:
-    """a/b, b != 0, by Smith's method with one reciprocal, as numpy divides
-    complex numbers (bit for bit; inf where 1/b leaves double range)."""
-    if abs(b.real) < abs(b.imag):  # as (-i a)/(-i b), whose real part wins
-        a, b = complex(a.imag, -a.real), complex(b.imag, -b.real)
-    t = b.imag / b.real
-    s = 1.0 / (b.real + b.imag * t)
-    return complex((a.real + a.imag * t) * s, (a.imag - a.real * t) * s)
-
-
 def _bessel_ratio_tables(z: complex, x: complex, top: int) -> tuple:
     """(j_1(z), r, j_1(x), rx) for z and x checked as by
     spherical_hankel_h1, |x| <= |z|, where r[m] = j_m(z)/j_{m-1}(z) and
@@ -362,8 +346,8 @@ def _j1(w: complex, r1: complex) -> complex:
     """j_1(w) from sin w and cos w, or from j_0(w) and r1 = j_1/j_0 where
     that cancels, as :func:`_bessel_ratio_tables` says."""
     try:
-        j0 = _divide(cmath.sin(w), w)
-        j1 = _divide(j0 - cmath.cos(w), w)
+        j0 = cmath.sin(w) / w
+        j1 = (j0 - cmath.cos(w)) / w
     except OverflowError:
         raise _nonfinite("spherical_bessel_j") from None
     if not (abs(w) >= _J1_TAYLOR_BELOW and abs(j1) > abs(j0)):

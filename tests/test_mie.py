@@ -176,10 +176,10 @@ def _scipy_route_dipole_coefficients(eps, q_R):
     with np.errstate(all="ignore"):
         h0, h1 = spherical_hankel_h1(1, z0), spherical_hankel_h1(1, z1)
         j1 = spherical_bessel_j(1, z1)
-        return mie._coefficients(eps, 1, h0, h1, j1,
-                                 riccati_derivative("hankel_h1", 1, z0),
-                                 riccati_derivative("hankel_h1", 1, z1),
-                                 riccati_derivative("bessel_j", 1, z1))
+        return mie._finite_coefficients(
+            eps, 1, h0, h1, j1, riccati_derivative("hankel_h1", 1, z0),
+            riccati_derivative("hankel_h1", 1, z1),
+            riccati_derivative("bessel_j", 1, z1))
 
 
 @pytest.mark.parametrize("eps", [1.1, 2.25 + 1e-3j, 1.0 + 100j, 100j,
@@ -829,19 +829,23 @@ def _count_calls(monkeypatch, module_names, name, calls):
 
 
 def test_exact_requests_are_checked_once(monkeypatch):
-    # an off-centre exact request runs the permittivity and sphere rules
-    # when it is made, and compute runs only its own: the method's rule
-    # once per column; the rows kernel calls the series directly, with no
-    # gamma_b_exact and no Permittivity per row
+    # an exact or weak_absorption request runs the permittivity and sphere
+    # rules when it is made, and compute runs only its own: the method's
+    # rule and the q_C scale rule once per column; the rows kernel calls
+    # the series and the centre kernel directly, with no gamma_b_exact,
+    # no Permittivity and no rule per row, centred rows included
     calls = Counter()
-    for name in ("permittivity_faults", "sphere_faults", "method_faults"):
+    for name in ("permittivity_faults", "sphere_faults", "method_faults",
+                 "positive"):
         _count_calls(monkeypatch, ("errors", "greens", "born", "rates",
                                    "mie", "cavity"), name, calls)
-    requests = [RateRequest(eps=eps, method="exact", q_R=3.0, q_L=q_L)
-                for eps, q_L in ((1.2 + 1e-7j, 1.0), (1.5, 0.5),
-                                 (1.1 + 1e-8j, 2.0))]
-    assert calls[("permittivity_faults", None)] >= 3
-    assert calls[("sphere_faults", None)] == 3
+    requests = [RateRequest(eps=eps, method=method, q_R=3.0, q_L=q_L)
+                for eps, q_L, method in (
+                    (1.2 + 1e-7j, 1.0, "exact"), (1.5, 0.5, "exact"),
+                    (1.1 + 1e-8j, 2.0, "exact"), (1.3 + 1e-6j, 0.0, "exact"),
+                    (1.4 + 1e-7j, 0.0, "weak_absorption"))]
+    assert calls[("permittivity_faults", None)] >= 5
+    assert calls[("sphere_faults", None)] == 5
     assert calls[("method_faults", "exact")] == 0
 
     def refused(*args, **kwargs):
@@ -849,23 +853,33 @@ def test_exact_requests_are_checked_once(monkeypatch):
 
     for module, name in ((mie, "gamma_b_exact"), (mie, "as_permittivity")):
         monkeypatch.setattr(module, name, refused)
-    for batch in ([requests[0]], requests):
+    for batch, columns in (([requests[0]], {"exact": 1}),
+                           ([requests[3]], {"exact": 1}),
+                           ([requests[4]], {"weak_absorption": 1}),
+                           (requests, {"exact": 1, "weak_absorption": 1})):
         calls.clear()
         results = (compute_batch(batch) if len(batch) > 1
                    else [compute(batch[0])])
         assert all(r.total_ratio > 0 for r in results)
-        assert calls == {("method_faults", "exact"): 1}
+        assert calls == {("positive", "q_C"): sum(columns.values()),
+                         **{("method_faults", method): count
+                            for method, count in columns.items()}}
 
 
 def test_exact_columns_form_their_parts_once(monkeypatch):
     # a column forms s = 2 eps + 1, n = sqrt(eps) and chi = eps - 1 once
-    # and hands them on: three exact requests on two columns (two
-    # orientations) form them twice, and no row takes its own root
-    requests = [RateRequest(eps=eps, method="exact", q_R=3.0, q_L=q_L,
+    # and hands them on: four exact requests on two columns (two
+    # orientations) form them twice, a weak_absorption column takes the
+    # root of Re eps once, and no row takes its own root, centred rows
+    # included
+    requests = [RateRequest(eps=eps, method=method, q_R=3.0, q_L=q_L,
                             orientation=orientation)
-                for eps, q_L, orientation in (
-                    (1.2 + 1e-7j, 1.0, "radial"), (1.5, 0.5, "tangential"),
-                    (1.1 + 1e-8j, 2.0, "radial"))]
+                for eps, q_L, orientation, method in (
+                    (1.2 + 1e-7j, 1.0, "radial", "exact"),
+                    (1.5, 0.5, "tangential", "exact"),
+                    (1.1 + 1e-8j, 2.0, "radial", "exact"),
+                    (1.3 + 1e-6j, 0.0, "radial", "exact"),
+                    (1.4 + 1e-7j, 0.0, "radial", "weak_absorption"))]
     alone = [compute(r) for r in requests]
     calls = Counter()
 
@@ -879,4 +893,4 @@ def test_exact_columns_form_their_parts_once(monkeypatch):
                         counted("_medium", cavity._medium))
     monkeypatch.setattr(mie.np, "sqrt", counted("sqrt", mie.np.sqrt))
     assert compute_batch(requests) == alone
-    assert calls == {"_medium": 2, "sqrt": 2}
+    assert calls == {"_medium": 2, "sqrt": 3}

@@ -235,29 +235,6 @@ def test_order_tables_against_mpmath():
                                             * (1 + abs(want)) * grow), (z, m)
 
 
-def test_scalar_division_is_numpys_bit_for_bit():
-    # the series' seeds and j_m's anchors divide Python complex numbers as
-    # numpy divides them, so its values keep their bits: both parts and
-    # the signs of zeros, over 60 decades either way, and an infinite part
-    # where 1/b leaves double range (as at a subnormal argument)
-    rng = np.random.default_rng(20)
-    parts = np.concatenate([rng.standard_normal(4000)
-                            * 10.0 ** rng.uniform(-300, 300, 4000),
-                            [0.0, -0.0, 5e-324, -1.0, 1.0]])
-    a = rng.choice(parts, (3000, 2))
-    b = rng.choice(parts, (3000, 2))
-    with np.errstate(all="ignore"):
-        for (ar, ai), (br, bi) in zip(a.tolist(), b.tolist()):
-            if br == bi == 0.0:
-                continue
-            want = np.complex128(complex(ar, ai)) / complex(br, bi)
-            got = specfun._divide(complex(ar, ai), complex(br, bi))
-            assert (np.array([got.real, got.imag]).view(np.uint64).tolist()
-                    == np.array([want.real, want.imag]).view(
-                        np.uint64).tolist()), (ar, ai, br, bi)
-    assert specfun._divide(1.0 + 0j, 5e-324 + 0j).real == np.inf
-
-
 def test_order_tables_check_like_the_scipy_route():
     # the off-centre series checks (q_R, n q_R, n q_L) once, and refuses
     # as spherical_hankel_h1 of the first of them that fails: the argument
@@ -287,13 +264,13 @@ def test_order_tables_check_like_the_scipy_route():
 
 def _miller_table(w, top):
     """(j_1(w), r) by one plain downward Miller run of w alone, from 0 at
-    top + |w| + 17, and j_1 from sin and cos divided as numpy divides."""
+    top + |w| + 17, and j_1 from sin and cos."""
     start = top + int(abs(w)) + 17
     r, ratio = [0j] * (start + 2), 0j
     for m in range(start, 0, -1):
         ratio = r[m] = w / (2 * m + 1 - w * ratio or 1e-300)
-    j0 = complex(np.complex128(cmath.sin(w)) / w)
-    j1 = complex(np.complex128(j0 - cmath.cos(w)) / w)
+    j0 = cmath.sin(w) / w
+    j1 = (j0 - cmath.cos(w)) / w
     if not (abs(w) >= 2.0 and abs(j1) > abs(j0)):
         j1 = j0 * ratio
     return j1, r

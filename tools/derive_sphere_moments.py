@@ -35,7 +35,9 @@ is e^{2iq} R(q) + Ei(2iq) S(q) with Laurent polynomials R and S, from
 
 The last rule meets only even k, so k + 1 is never 0.  Each coefficient
 of R and S is real or imaginary, never both, so |re| + |im| is its
-modulus; the tables carry it for the rounding bound of the moments.
+modulus, and :func:`tables` has its rows for the rounding bound of the
+moments.  ``greens`` forms them from the real and imaginary rows at
+import (``np.hypot``), so :func:`main` prints those rows alone.
 """
 
 from fractions import Fraction
@@ -150,7 +152,7 @@ def tables():
 
 def _source(name, rows):
     """One table of greens, as Python source within 79 columns."""
-    lines = [f"{name} = _horner_table("]
+    lines = [f"{name} = _moment_table("]
     for k, row in enumerate(rows):
         line = "    ("
         for i, value in enumerate(row):
@@ -165,10 +167,12 @@ def _source(name, rows):
 
 def main():
     q_rows, t_rows = tables()
-    print("# rows: Re R, Im R, Re S, Im S, |R| and |S| of the bases")
+    # greens stores Re R, Im R, Re S and Im S, and forms |R| and |S|
+    stored = 4 * len(BASES)
+    print("# rows: Re R, Im R, Re S and Im S of the bases")
     print("# " + ", ".join(f"Int q^{k} {d}" for d, k in BASES))
-    print(_source("_MOMENT_Q", q_rows))
-    print(_source("_MOMENT_T", t_rows))
+    print(_source("_MOMENT_Q", q_rows[:stored]))
+    print(_source("_MOMENT_T", t_rows[:stored]))
 
 
 if __name__ == "__main__":
