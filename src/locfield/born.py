@@ -17,12 +17,14 @@ the center both dipole orientations collapse the angular integral to one
 dimension in x = cos(theta).  chi multiplies an integral of the geometry
 alone: three chi-free moments per distinct sphere geometry (q_R, q_L),
 and each row, whatever its chi and orientation, is a scalar contraction
-of its geometry's moments.  Off the centre the moments have a closed
-form, a difference of antiderivatives at the endpoint distances
-q_R -/+ q_L (:func:`locfield.greens._sphere_moments`), which a row takes
-where a rounding bound certifies it; the other off-centre rows take a
-Gauss-Legendre rule whose node count doubles until the rate settles,
-guarded by a rounding bound from the moduli of its terms.
+of its geometry's moments.  Off the centre the moments come by the
+first of three routes whose bound certifies them: a closed form, a
+difference of antiderivatives at the endpoint distances q_R -/+ q_L
+(:func:`locfield.greens._sphere_moments`); a Taylor series in the
+emitter offset q_L (:func:`locfield.greens._sphere_moments_near_centre`)
+near the centre, where the closed form cancels; else a Gauss-Legendre
+rule whose node count doubles until the rate settles, guarded by a
+rounding bound from the moduli of its terms.
 At the centre the rate itself has a closed form, Tomas's (no moments
 and no quadrature), guarded by a rounding bound of its own.  All of
 this works on rows: :func:`gamma_b_sphere_rows` takes a batch of sphere
@@ -51,7 +53,8 @@ from .errors import (ORIENTATIONS, QC_DEFAULT, TOL_DEFAULT, AccuracyError,
                      warn_qc)
 from .greens import (_GL_N_MAX, _GL_N_MIN, StarBoundary, _brace_coeffs,
                      _gauss_legendre, _sphere_distance, _sphere_moments,
-                     body_green_linear, unit_vector)
+                     _sphere_moments_near_centre, body_green_linear,
+                     unit_vector)
 
 __all__ = [
     "ORIENTATIONS",
@@ -72,8 +75,9 @@ _ABSORPTION_MAX = 0.1
 
 _Z_HAT = np.array([0.0, 0.0, 1.0])
 
-# largest rounding bound, relative to each moment, under which an
-# off-centre row takes the closed form of greens._sphere_moments
+# largest bound, relative to each moment, under which an off-centre row
+# takes the closed form of greens._sphere_moments or the series of
+# greens._sphere_moments_near_centre
 _CLOSED_FORM_REL = 1.0e-13
 
 # values per block of a quad pass (rows x nodes): 2**15 complex
@@ -281,19 +285,26 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
 
     with q_o(x) the emitter-to-surface distance, z = x^2 for a radially
     oriented dipole and z = (1 - x^2)/2 for a tangential one.  Off the
-    centre the integral has a closed form in the endpoint distances
-    q_R - q_L and q_R + q_L (:func:`locfield.greens._sphere_moments`),
-    taken wherever its rounding bound is certified small: from q_L/q_R
-    of about 0.17 out to the surface for q_R <= 10, a narrower band
-    toward the surface for larger spheres.  Elsewhere off the centre
-    :func:`quad` takes it, Gauss-Legendre in x with the node count
-    doubled from 64 to 2048 until the rate settles, refused with
-    AccuracyError where its rounding bound exceeds tol (at chi = 0.1,
-    below q_R of about 6e-3, 3.5e-2 at q_L/q_R = 0.9).  At the centre the
-    rate is the closed form of :func:`gamma_b_center_closed`, refused
-    with AccuracyError where its rounding bound exceeds tol (at
-    chi = 0.1, below q_R of about 2e-3).  This is one row of
-    :func:`gamma_b_sphere_rows`.
+    centre the integral comes by the first of three routes whose bound
+    certifies it:
+
+    * the closed form in the endpoint distances q_R - q_L and q_R + q_L
+      (:func:`locfield.greens._sphere_moments`), from q_L/q_R of about
+      0.17 out to the surface for q_R <= 10, a narrower band toward the
+      surface for larger spheres;
+    * the Taylor series in q_L
+      (:func:`locfield.greens._sphere_moments_near_centre`), out to
+      q_L/q_R of about 0.24 for q_R up to about 5 and to q_L of about
+      2.2 in larger spheres;
+    * :func:`quad`, Gauss-Legendre in x with the node count doubled from
+      64 to 2048 until the rate settles, refused with AccuracyError
+      where its rounding bound exceeds tol (at chi = 0.1, below q_R of
+      about 6e-3, 3.5e-2 at q_L/q_R = 0.9).
+
+    At the centre the rate is the closed form of
+    :func:`gamma_b_center_closed`, refused with AccuracyError where its
+    rounding bound exceeds tol (at chi = 0.1, below q_R of about 2e-3).
+    This is one row of :func:`gamma_b_sphere_rows`.
 
     Parameters
     ----------
@@ -323,12 +334,16 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     stands outside the integral, so the three chi-free moments are
     evaluated once per distinct geometry (q_R, q_L), and a row's rate is
     the scalar -(3/4) Im(chi I), I = M0 + M2 (radial) or M0 + (M1 - M2)/2
-    (tangential).  An off-centre row takes the closed-form moments of
-    :func:`locfield.greens._sphere_moments` when the rounding bound of
-    each is within _CLOSED_FORM_REL of it and that of the rate within
-    tol; the other off-centre rows go through one row-wise :func:`quad`
-    of the moments of :func:`_moments`, and fail with AccuracyError
-    naming q_R, q_L and the bound where the rule's rounding bound,
+    (tangential).  An off-centre row's moments come by three routes,
+    the first two with one rule: each moment's bound within
+    _CLOSED_FORM_REL of it, and the rate's, (3/4) |chi| times the
+    bounds' contraction, within tol.  They are the closed form of
+    :func:`locfield.greens._sphere_moments` where that certifies them,
+    else the Taylor series in q_L of
+    :func:`locfield.greens._sphere_moments_near_centre` where that does;
+    the other off-centre rows go through one row-wise :func:`quad` of
+    the moments of :func:`_moments`, and fail with AccuracyError naming
+    q_R, q_L and the bound where the rule's rounding bound,
     (3/4) |chi| 2^-52 Sum w (|P| + z |Q|) in its last pass, exceeds tol.
     A centred row (q_L = 0), in
     either orientation, is the closed form of :func:`_center_rows`, or an
@@ -370,15 +385,21 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     chi = chi[live]
     tangential = orientation[live] == "tangential"
     moments, bounds = _sphere_moments(q_R, q_L)
-    certified = (np.isfinite(moments).all(axis=0)
-                 & (bounds <= _CLOSED_FORM_REL * np.abs(moments)).all(axis=0))
+    certified = _certified(moments, bounds)
+    near = np.flatnonzero(~certified)
+    if near.size:
+        series = _sphere_moments_near_centre(q_R[near], q_L[near])
+        take = _certified(*series)
+        near = near[take]
+        moments[:, near], bounds[:, near] = (a[:, take] for a in series)
+        certified[near] = True
     b0, b1, b2 = bounds[:, geometry]
-    closed = certified[geometry] & (
+    formed = certified[geometry] & (
         0.75 * np.abs(chi) * (b0 + np.where(tangential, 0.5 * (b1 + b2), b2))
         <= tol)
-    values[live[closed]] = _rate(chi[closed], tangential[closed],
-                                 *moments[:, geometry[closed]])
-    rest = np.flatnonzero(~closed)
+    values[live[formed]] = _rate(chi[formed], tangential[formed],
+                                 *moments[:, geometry[formed]])
+    rest = np.flatnonzero(~formed)
     if rest.size == 0:
         return values, errors
     live, geometry = live[rest], geometry[rest]
@@ -402,6 +423,13 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
             lambda k: f"body rate at q_R = {q_R[geometry[k]]:g}, "
                       f"q_L = {q_L[geometry[k]]:g}")
     return values, errors
+
+
+def _certified(moments, bounds):
+    """Whether each geometry's three moments are finite, with each bound
+    within _CLOSED_FORM_REL of its moment."""
+    return (np.isfinite(moments).all(axis=0)
+            & (bounds <= _CLOSED_FORM_REL * np.abs(moments)).all(axis=0))
 
 
 def _refuse(values, errors, rows, bounds, tol, rate):

@@ -13,8 +13,10 @@ import mpmath
 
 
 def mp_brace_coeffs(q):
-    # P = cI e^{2iq} + (4i/3) Ei(2iq), Q = cS e^{2iq} - 4i Ei(2iq)
-    with mpmath.workdps(40):
+    # P = cI e^{2iq} + (4i/3) Ei(2iq), Q = cS e^{2iq} - 4i Ei(2iq), at 40
+    # digits or at the caller's precision where that is higher (as
+    # mpmath.diff raises it)
+    with mpmath.workdps(max(40, mpmath.mp.dps)):
         q = mpmath.mpf(q)
         phase, ei = mpmath.expj(2 * q), mpmath.ei(mpmath.mpc(0, 2 * q))
         c_I = 1 / (3 * q**3) - 2j / (3 * q**2) - 5 / (3 * q) + 0.5j

@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -18,7 +18,8 @@ from locfield.born import (_CLOSED_FORM_REL, ORIENTATIONS, RateBreakdown,
                            validity_check)
 from locfield.errors import AccuracyError, DomainError, NonFiniteError
 from locfield.greens import (StarBoundary, _brace_coeffs, _gauss_legendre,
-                             _sphere_distance, _sphere_moments, f_integrand)
+                             _sphere_distance, _sphere_moments,
+                             _sphere_moments_near_centre, f_integrand)
 from moment_reference import mp_body_term
 
 
@@ -320,14 +321,15 @@ def _full_node_row(q_R, q_L, chi, orientation):
     return values[0]
 
 
-def _closed_form_row(q_R, q_L, chi, orientation, tol=1.0e-10):
-    # one row alone from the closed-form moments of its geometry, in the
-    # paper's order, or from the centre's closed form, or None where the
-    # moments' rounding bound sends the row to the Gauss-Legendre rule:
-    # the values the rows must equal bit for bit
+def _closed_form_row(q_R, q_L, chi, orientation, tol=1.0e-10,
+                     kernel=_sphere_moments):
+    # one row alone from the closed-form moments of its geometry (or
+    # those of another kernel), in the paper's order, or from the
+    # centre's closed form, or None where the moments' bound does not
+    # certify the row: the values the rows must equal bit for bit
     if q_L == 0.0:
         return gamma_b_center_closed(q_R, chi)
-    moments, bounds = _sphere_moments(np.array([q_R]), np.array([q_L]))
+    moments, bounds = kernel(np.array([q_R]), np.array([q_L]))
     (m0, m1, m2), (b0, b1, b2) = moments, bounds
     radial = orientation == "radial"
     error = 0.75 * abs(chi) * (b0 + b2 if radial else b0 + 0.5 * (b1 + b2))
@@ -337,10 +339,27 @@ def _closed_form_row(q_R, q_L, chi, orientation, tol=1.0e-10):
     return (-0.75 * (chi * integral).imag)[0]
 
 
+def _series_row(q_R, q_L, chi, orientation):
+    # the same from the near-centre series of the moments, None where its
+    # bound does not certify the row
+    return _closed_form_row(q_R, q_L, chi, orientation,
+                            kernel=_sphere_moments_near_centre)
+
+
+def _route(q_R, q_L, chi, orientation):
+    # the single-row reference of the route a row takes: the closed form
+    # where it certifies the row, else the series where it does, else the
+    # rule
+    for row in (_closed_form_row, _series_row):
+        if row(q_R, q_L, chi, orientation) is not None:
+            return row
+    return _full_node_row
+
+
 def test_body_term_rows_share_geometries_bit_for_bit():
     # geometries shared across a complex and a real chi and both
-    # orientations, centered rows, rows that take the closed form or the
-    # rule, and the geometry that does not settle
+    # orientations, centered rows, rows that take the closed form, the
+    # series or the rule, and the geometry that does not settle
     rows = [
         (5.0, 3.0, 0.1 + 1e-8j, "radial"),
         (1e5, 2000.0, 0.1 + 1e-8j, "radial"),
@@ -361,18 +380,17 @@ def test_body_term_rows_share_geometries_bit_for_bit():
     values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
     assert {k: str(exc) for k, exc in errors.items()} == {
         1: UNSETTLED["radial"], 7: UNSETTLED["tangential"]}
-    closed = [k for k, row in enumerate(rows)
-              if _closed_form_row(*row) is not None]
-    assert closed == [0, 2, 3, 4, 5, 6, 8, 9, 10, 11]
+    routes = [_route(*row) for row in rows]
+    assert [k for k, r in enumerate(routes) if r is _closed_form_row] == [
+        0, 2, 3, 4, 5, 6, 8, 9, 10, 11]
+    assert [k for k, r in enumerate(routes) if r is _series_row] == [12, 13]
     for k, (qr, ql, c, o) in enumerate(rows):
         if k in errors:
             assert np.isnan(values[k])
             continue
         assert values[k] == gamma_b_sphere_linear(
             SphereConfig(q_R=qr, q_L=ql), c, o), rows[k]
-        want = (_closed_form_row if k in closed else _full_node_row)(
-            qr, ql, c, o)
-        assert values[k] == want, rows[k]
+        assert values[k] == routes[k](qr, ql, c, o), rows[k]
 
 
 def test_moments_are_one_call_equal_to_their_nodes(monkeypatch):
@@ -472,17 +490,23 @@ def test_closed_form_agrees_with_the_rule_where_both_settle(q_R):
     assert checked >= 6
 
 
-# geometries on both sides of the routing boundary: M2's rounding bound
-# passes 1e-13 of M2 where q_L/q_R falls to about 0.2
-_NEAR_BOUNDARY = st.builds(
-    lambda q_R, ratio: (q_R, q_R * ratio), st.floats(0.3, 50.0),
-    st.floats(0.05, 0.6))
+# geometries on both sides of the routing boundaries: the series hands
+# over to the closed form where q_L/q_R passes about 0.17 (M2's rounding
+# bound falls below 1e-13 of M2), and to the rule in spheres of q_R above
+# about 15 where q_L passes about 2.2 (the series' truncation)
+_NEAR_BOUNDARY = st.one_of(
+    st.builds(lambda q_R, ratio: (q_R, q_R * ratio), st.floats(0.3, 50.0),
+              st.floats(0.05, 0.6)),
+    st.tuples(st.floats(15.0, 50.0), st.floats(1.5, 3.5)))
 
 
 @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
 @given(rows=st.lists(st.tuples(_NEAR_BOUNDARY, _CHIS,
                                st.sampled_from(ORIENTATIONS)),
                      min_size=1, max_size=4))
+@example(rows=[((1.0, 0.15), 0.1, "radial"), ((1.0, 0.2), 0.1, "radial"),
+               ((20.0, 2.1), 0.1j, "tangential"),
+               ((20.0, 2.2), 0.1j, "tangential")])
 def test_body_term_is_continuous_across_the_routing_boundary(rows):
     # whichever route a row takes, it gives the rule's rate to 1e-12, and
     # a batch gives each row's single value to the bit
@@ -495,6 +519,34 @@ def test_body_term_is_continuous_across_the_routing_boundary(rows):
             SphereConfig(q_R=qr, q_L=ql, q_C=1e-3), c, o), rows[k]
         rule, _ = quad(_node_rule(qr, ql, c, o), 1, 1.0e-10)
         assert abs(values[k] - rule[0]) <= 1e-12 * max(1.0, abs(rule[0]))
+
+
+def test_rows_past_the_series_reach_the_rule(monkeypatch):
+    # only the geometries that neither the closed form nor the series
+    # certifies go to the rule: their values are its own, bit for bit, and
+    # its refusals keep their text
+    rows = [(100.0, 10.0, 0.1 + 1e-8j, "radial"),  # between the two forms
+            (1e5, 2000.0, 0.1 + 1e-8j, "tangential"),  # does not settle
+            (1e-4, 3e-5, 0.1, "radial"),  # over the rule's rounding bound
+            (5.0, 0.25, 0.2, "radial"),  # the series
+            (5.0, 3.0, 0.2, "tangential")]  # the closed form
+    seen = []
+
+    def spy(f, count, tol):
+        seen.append(count)
+        return quad(f, count, tol)
+
+    monkeypatch.setattr("locfield.born.quad", spy)
+    q_R, q_L, chi, orientation = zip(*rows)
+    values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
+    assert seen == [3]
+    assert {k: str(exc) for k, exc in errors.items()} == {
+        1: UNSETTLED["tangential"],
+        2: "linear body rate at q_R = 0.0001, q_L = 3e-05 may be off by "
+           "3.1e-05 from rounding, above tol = 1e-10"}
+    assert values[0] == _full_node_row(*rows[0])
+    assert [_route(*row) for row in rows[3:]] == [_series_row,
+                                                  _closed_form_row]
 
 
 def test_body_term_rows_broadcast_and_zero_chi():

@@ -454,6 +454,22 @@ def test_centred_sweeps_build_no_gauss_legendre_rule(tmp_path, monkeypatch):
         assert all(row[header.index("error")] == "" for row in rows), preset
 
 
+def test_preset_sweeps_build_no_gauss_legendre_rule(tmp_path, monkeypatch):
+    # the off-centre presets' linear body terms are the closed-form
+    # moments or, nearer the centre, their Taylor series in q_L: no
+    # quadrature and no rule
+    def refuse(*args):
+        raise AssertionError("Gauss-Legendre quadrature asked for")
+
+    monkeypatch.setattr("locfield.born.quad", refuse)
+    monkeypatch.setattr("locfield.born._gauss_legendre", refuse)
+    for preset in ("fig5a", "fig5b", "fig6a", "fig6b"):
+        run_sweep(build_sweep(dict(PRESETS[preset])),
+                  str(tmp_path / f"{preset}.csv"))
+        header, rows = read_rows(tmp_path / f"{preset}.csv")
+        assert all(row[header.index("error")] == "" for row in rows), preset
+
+
 @pytest.mark.parametrize("args, message", [
     (["compute", "--eps-re", "-0.5", "--qr", "2"],
      "eps = -1/2 is the pole of the local-field factor"),

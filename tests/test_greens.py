@@ -10,8 +10,10 @@ from scipy.integrate import quad
 
 from locfield.born import _CLOSED_FORM_REL
 from locfield.errors import DomainError, InvariantError, SingularityError
-from locfield.greens import (_MOMENT_Q, _MOMENT_T, Permittivity,
-                             StarBoundary, _brace_coeffs, _sphere_moments,
+from locfield.greens import (_MOMENT_Q, _MOMENT_T, _NEAR_ORDERS,
+                             Permittivity, StarBoundary, _brace_coeffs,
+                             _near_centre_tables, _sphere_moments,
+                             _sphere_moments_near_centre,
                              ab_coefficients, as_permittivity,
                              body_green_linear,
                              cavity_green_linear, f_constant_q, f_integrand,
@@ -274,6 +276,87 @@ def test_sphere_moments_alone_equal_their_batch():
     moments, bounds = _sphere_moments(q_R, q_L)
     for k in range(q_R.size):
         m, b = _sphere_moments(q_R[k:k + 1], q_L[k:k + 1])
+        assert m.tobytes() == moments[:, k:k + 1].tobytes()
+        assert b.tobytes() == bounds[:, k:k + 1].tobytes()
+
+
+# -- near-centre moments from a Taylor series in q_L --------------------------
+
+
+def _near_certified(moments, bounds):
+    return (np.isfinite(moments).all(axis=0)
+            & (bounds <= _CLOSED_FORM_REL * np.abs(moments)).all(axis=0))
+
+
+def test_near_centre_taylor_table_is_the_derivatives():
+    # row k of the table is e^{-2iq} P^(k)(q)/k! (and Q's) as a
+    # polynomial in t = 1/q, against mpmath's derivatives of P and Q
+    K = _NEAR_ORDERS
+    table = _near_centre_tables()[0].T.reshape(3, 2, K, K + 4)
+    with mpmath.workdps(40):
+        for q in (0.7, 3.0):
+            t = 1.0 / q
+            for k in range(1, 6):
+                for which in range(2):
+                    got = np.exp(2j * q) * np.polyval(
+                        (table[0, which, k - 1]
+                         + 1j * table[1, which, k - 1])[::-1], t)
+                    want = complex(mpmath.diff(
+                        lambda v: mp_brace_coeffs(v)[which], q, k)
+                        / mpmath.factorial(k))
+                    assert abs(got - want) <= 1e-14 * abs(want), (q, k)
+
+
+# the series is certified out to q_L/q_R of about 0.24 in small spheres
+# and to q_L of about 2.2 in large ones
+NEAR_EDGE = {0.05: 0.0119, 0.3: 0.0715, 1.0: 0.244, 5.0: 1.12, 20.0: 2.13,
+             100.0: 2.33}
+
+
+def test_near_centre_moments_against_mpmath():
+    # within their bounds of the 40-digit moments wherever the bound
+    # certifies a geometry, out to the series' edge: a few rounding
+    # errors, and 4e-15 at the edge where the truncation shows
+    errors = []
+    for q_R, edge in NEAR_EDGE.items():
+        q_L = edge * np.array([1e-3, 0.02, 0.1, 0.3, 0.6, 0.85, 1.0])
+        moments, bounds = _sphere_moments_near_centre(np.full(q_L.size, q_R),
+                                                      q_L)
+        assert _near_certified(moments, bounds).all(), q_R
+        for k, ql in enumerate(q_L):
+            want = np.array([complex(m) for m in mp_sphere_moments(q_R, ql)])
+            error = np.abs(moments[:, k] - want)
+            assert (error <= bounds[:, k]).all(), (q_R, ql)
+            errors.extend(error / np.abs(want))
+    assert max(errors) <= 1e-14
+    assert np.median(errors) <= 4e-16
+
+
+def test_near_centre_bound_catches_the_truncation_past_the_edge():
+    # past the edge the series' truncation grows to 1e-8 of a moment, and
+    # its last-order estimate stays above it, so no such geometry is
+    # certified
+    for q_R, q_L in ((1.0, 0.26), (1.0, 0.4), (5.0, 2.0), (5.0, 3.0),
+                     (20.0, 2.5), (20.0, 4.0), (100.0, 2.5), (100.0, 4.0),
+                     (1000.0, 3.0)):
+        moments, bounds = _sphere_moments_near_centre(np.array([q_R]),
+                                                      np.array([q_L]))
+        assert not _near_certified(moments, bounds)[0], (q_R, q_L)
+        want = np.array([complex(m) for m in mp_sphere_moments(q_R, q_L)])
+        assert (np.abs(moments[:, 0] - want) <= bounds[:, 0]).all(), (q_R,
+                                                                     q_L)
+
+
+def test_near_centre_moments_alone_equal_their_batch():
+    q_R = np.array([0.05, 5.0, 100.0, 1.0, 20.0, 1e5, 1e-120])
+    q_L = np.array([0.01, 0.25, 1.0, 0.2, 2.0, 2000.0, 3e-121])
+    with np.errstate(all="raise"):
+        moments, bounds = _sphere_moments_near_centre(q_R, q_L)
+    # a geometry past the series' reach is not certified, with no warning
+    assert _near_certified(moments, bounds).tolist() == [True] * 5 + [
+        False] * 2
+    for k in range(q_R.size):
+        m, b = _sphere_moments_near_centre(q_R[k:k + 1], q_L[k:k + 1])
         assert m.tobytes() == moments[:, k:k + 1].tobytes()
         assert b.tobytes() == bounds[:, k:k + 1].tobytes()
 
