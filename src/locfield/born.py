@@ -22,11 +22,11 @@ first of three routes whose bound certifies them: a closed form, a
 difference of antiderivatives at the endpoint distances q_R -/+ q_L
 (:func:`locfield.greens._sphere_moments`); a Taylor series in the
 emitter offset q_L (:func:`locfield.greens._sphere_moments_near_centre`)
-near the centre, where the closed form cancels; else a Gauss-Legendre
-rule whose node count doubles until the rate settles, guarded by a
-rounding bound from the moduli of its terms.
-At the centre the rate itself has a closed form, Tomas's (no moments
-and no quadrature), guarded by a rounding bound of its own.  All of
+near the centre, where the closed form cancels; else a Filon-Legendre
+rule of fixed size (:func:`quad`), which takes the oscillation e^{2iq}
+out of the integrand and so holds in large spheres too.  At the centre
+the rate itself has a closed form, Tomas's (no moments and no
+quadrature), guarded by a rounding bound of its own.  All of
 this works on rows: :func:`gamma_b_sphere_rows` takes a batch of sphere
 configurations, such as a whole sweep, in one call, each row settling
 (or failing) on its own, and :func:`gamma_b_sphere_linear` is one row
@@ -42,6 +42,7 @@ body, weak absorption relative to the cavity volume).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -51,10 +52,11 @@ from .errors import (ORIENTATIONS, QC_DEFAULT, TOL_DEFAULT, AccuracyError,
                      chi_faults, check_qc, inside_sphere, orientation_faults,
                      positive, qc_faults, raise_first, sphere_faults,
                      warn_qc)
-from .greens import (_GL_N_MAX, _GL_N_MIN, StarBoundary, _brace_coeffs,
-                     _gauss_legendre, _sphere_distance, _sphere_moments,
+from .greens import (_BRACE_EI, StarBoundary, _brace_parts,
+                     _gauss_legendre, _sphere_moments,
                      _sphere_moments_near_centre, body_green_linear,
                      unit_vector)
+from .specfun import _bessel_j_orders
 
 __all__ = [
     "ORIENTATIONS",
@@ -76,13 +78,23 @@ _ABSORPTION_MAX = 0.1
 _Z_HAT = np.array([0.0, 0.0, 1.0])
 
 # largest bound, relative to each moment, under which an off-centre row
-# takes the closed form of greens._sphere_moments or the series of
-# greens._sphere_moments_near_centre
+# takes the moments of greens._sphere_moments, of the series of
+# greens._sphere_moments_near_centre or of quad
 _CLOSED_FORM_REL = 1.0e-13
 
-# values per block of a quad pass (rows x nodes): 2**15 complex
-# temporaries are 0.5 MB each, and 256 rows at 128 nodes fit in one block
-_QUAD_BLOCK = 1 << 15
+# nodes of quad's Filon-Legendre rule, and geometries per block of it:
+# the (3, geometries, nodes) complex temporaries of a block of 512 are
+# 0.8 MB each
+_FILON_NODES = 32
+_FILON_BLOCK = 512
+# the moments of P and Q far from the emitter, P_far = -4 pi/3 and
+# Q_far = 4 pi, where Ei(2iq) -> i pi: 2 P_far, 2 Q_far and 2 Q_far/3
+_FAR_MOMENTS = np.pi * np.array([[-8.0 / 3.0], [8.0], [8.0 / 3.0]])
+# ulps of quad's rounding bound: the nodes' own rounding, which the
+# powers of 1/q in P, Q and the weights (up to 1/q^5) multiply near the
+# emitter, and a dozen roundings of each term take up to about 13 of them
+# (measured against 60-digit moments)
+_FILON_ULPS = 2.0**-47
 
 
 def _check_chi(chi) -> complex:
@@ -183,46 +195,6 @@ def _cavity_term(chi, q_C: float):
             + (7.0 / 6.0) * np.real(chi))
 
 
-def quad(f, rows: int, tol: float):
-    """Row-wise integrals over [-1, 1] by Gauss-Legendre rules.
-
-    f(x, w, idx) returns the (len(idx),) values of the rows idx under the
-    rule of nodes x and weights w; n = 64 nodes, doubled up to n = 2048.
-    A row is done once two successive passes differ by no more than the
-    absolute tolerance tol, and leaves the passes that follow.  Each
-    pass hands f blocks of at most _QUAD_BLOCK // n rows, so that their
-    (rows, n) temporaries stay bounded however many rows there are.
-
-    Returns
-    -------
-    (values, errors) : the (rows,) integrals, and a dict mapping each row
-    that still changed by more than tol at n = 2048 to its
-    AccuracyError; the value of such a row is NaN.
-    """
-    values = np.full(rows, np.nan)
-    idx = np.arange(rows)
-    n = _GL_N_MIN
-    prev = _quad_pass(f, n, idx)
-    while n < _GL_N_MAX and idx.size:
-        n *= 2
-        cur = _quad_pass(f, n, idx)
-        change = np.abs(cur - prev)
-        done = change <= tol
-        values[idx[done]] = cur[done]
-        idx, prev, change = idx[~done], cur[~done], change[~done]
-    return values, {
-        int(i): AccuracyError(f"1D Gauss-Legendre rule did not settle to "
-                              f"{tol:g} by n = {n}; last change {c:.3e}")
-        for i, c in zip(idx, change)}
-
-
-def _quad_pass(f, n: int, idx) -> np.ndarray:
-    x, w = _gauss_legendre(n)
-    step = max(1, _QUAD_BLOCK // n)
-    return np.concatenate([f(x, w, idx[k:k + step])
-                           for k in range(0, idx.size, step)])
-
-
 def gamma_b_center_closed(q_R: float, chi) -> float:
     """Closed-form linear body rate for an emitter at the sphere center.
 
@@ -291,15 +263,19 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
     * the closed form in the endpoint distances q_R - q_L and q_R + q_L
       (:func:`locfield.greens._sphere_moments`), from q_L/q_R of about
       0.17 out to the surface for q_R <= 10, a narrower band toward the
-      surface for larger spheres;
+      surface for larger spheres (from about 0.94 at q_R = 1e4);
     * the Taylor series in q_L
       (:func:`locfield.greens._sphere_moments_near_centre`), out to
       q_L/q_R of about 0.24 for q_R up to about 5 and to q_L of about
       2.2 in larger spheres;
-    * :func:`quad`, Gauss-Legendre in x with the node count doubled from
-      64 to 2048 until the rate settles, refused with AccuracyError
-      where its rounding bound exceeds tol (at chi = 0.1, below q_R of
-      about 6e-3, 3.5e-2 at q_L/q_R = 0.9).
+    * the Filon-Legendre rule of :func:`quad`, out to q_L/q_R of about
+      0.55 to 0.7, refused with AccuracyError where its rounding bound
+      exceeds tol (at chi = 0.1, below q_R of about 5e-3 at
+      q_L/q_R = 0.3; at chi = 0.3j, below about 0.05).
+
+    Rows none certifies raise AccuracyError: in spheres above q_R of
+    about 1e3, the band between the rule and the closed form (at
+    q_R = 1e4, q_L/q_R from about 0.66 to 0.94).
 
     At the centre the rate is the closed form of
     :func:`gamma_b_center_closed`, refused with AccuracyError where its
@@ -341,22 +317,24 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     :func:`locfield.greens._sphere_moments` where that certifies them,
     else the Taylor series in q_L of
     :func:`locfield.greens._sphere_moments_near_centre` where that does;
-    the other off-centre rows go through one row-wise :func:`quad` of
-    the moments of :func:`_moments`, and fail with AccuracyError naming
-    q_R, q_L and the bound where the rule's rounding bound,
-    (3/4) |chi| 2^-52 Sum w (|P| + z |Q|) in its last pass, exceeds tol.
-    A centred row (q_L = 0), in
-    either orientation, is the closed form of :func:`_center_rows`, or an
-    AccuracyError naming q_R and the bound where that exceeds tol (a rule
-    would only multiply the same coefficients by its weights).
+    the other off-centre rows take the Filon-Legendre rule of
+    :func:`quad`, once per geometry, under the same rule with its bounds
+    on the real and imaginary parts apart: the rate's bound is
+    (3/4) (|Re chi| b_im + |Im chi| b_re).  A row that it does not
+    certify fails with AccuracyError naming q_R, q_L and the rule's
+    bound: its moments' bound relative to them where that is above
+    _CLOSED_FORM_REL, else the rate's bound above tol.  A centred row
+    (q_L = 0), in either orientation, is the closed form of
+    :func:`_center_rows`, or an AccuracyError naming q_R and the bound
+    where that exceeds tol (a rule would only multiply the same
+    coefficients by its weights).
 
     Returns
     -------
     (values, errors) : the (N,) body terms, as :func:`gamma_b_sphere_linear`
     gives them row by row, and a dict mapping the index of each row that
-    failed, a row over its rounding bound or a rule that did not settle,
-    to its AccuracyError (that row's value is NaN).  Rows with chi = 0
-    are 0.
+    failed to its AccuracyError (that row's value is NaN).  Rows with
+    chi = 0 are 0.
     """
     q_R, q_L, chi, orientation = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(q_R, dtype=float), np.asarray(q_L, dtype=float),
@@ -375,8 +353,8 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     live = np.flatnonzero((chi != 0) & (q_L > 0.0))
     if live.size == 0:
         return values, errors
-    # rows sharing a geometry are adjacent, so that the rows of one
-    # geometry fall in as few of quad's blocks as possible
+    # rows sharing a geometry are adjacent, so that each geometry's
+    # moments are formed once
     live = live[np.lexsort((q_L[live], q_R[live]))]
     q_R, q_L = q_R[live], q_L[live]
     first = np.r_[True, (q_R[1:] != q_R[:-1]) | (q_L[1:] != q_L[:-1])]
@@ -402,26 +380,34 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     rest = np.flatnonzero(~formed)
     if rest.size == 0:
         return values, errors
-    live, geometry = live[rest], geometry[rest]
-    chi, tangential = chi[rest], tangential[rest]
-    # each pass overwrites the bounds of the rows it takes, so a row
-    # keeps those of the pass at which it settled
-    bounds = np.full(live.size, np.nan)
-
-    def rate(x, w, idx):
-        g, rows = np.unique(geometry[idx], return_inverse=True)
-        moments, moduli = _moments(q_R[g], q_L[g], x, w)
-        bounds[idx] = (0.75 * 2.0**-52 * np.abs(chi[idx])
-                       * _integral(tangential[idx], *moduli[:, rows]))
-        return _rate(chi[idx], tangential[idx], *moments[:, rows])
-
-    with np.errstate(all="ignore"):  # a tiny sphere fails its bound
-        got, unsettled = quad(rate, live.size, tol)
-    values[live] = got
-    errors.update((int(live[i]), exc) for i, exc in unsettled.items())
-    _refuse(values, errors, live, bounds, tol,
-            lambda k: f"body rate at q_R = {q_R[geometry[k]]:g}, "
-                      f"q_L = {q_L[geometry[k]]:g}")
+    live, chi, tangential = live[rest], chi[rest], tangential[rest]
+    g, at = np.unique(geometry[rest], return_inverse=True)
+    moments, bounds = quad(q_R[g], q_L[g])
+    # the rule bounds the real and imaginary parts apart; a part of chi
+    # that is 0 takes none of a bound, inf as it may be
+    b0, b1, b2 = bounds[:, at]
+    b = b0 + np.where(tangential, 0.5 * (b1 + b2), b2)
+    bound = 0.75 * (np.abs(chi.real) * np.where(chi.real, b.imag, 0.0)
+                    + np.abs(chi.imag) * np.where(chi.imag, b.real, 0.0))
+    sizes = np.abs(bounds)
+    formed = _certified(moments, sizes)[at] & (bound <= tol)
+    values[live[formed]] = _rate(chi[formed], tangential[formed],
+                                 *moments[:, at[formed]])
+    rest = np.flatnonzero(~formed)
+    labels = [f"body rate at q_R = {q_R[i]:g}, q_L = {q_L[i]:g}"
+              for i in g[at[rest]].tolist()]
+    # a row not formed under its bound (a moment 0, say) has a bound that
+    # is not a number; where the moments are over theirs, that names it
+    _refuse(values, errors, live[rest],
+            np.where(bound[rest] > tol, bound[rest], np.nan), tol,
+            labels.__getitem__)
+    with np.errstate(all="ignore"):
+        rel = (sizes / np.abs(moments)).max(axis=0)[at[rest]]
+    for k in np.flatnonzero(np.isfinite(rel)
+                            & (rel > _CLOSED_FORM_REL)).tolist():
+        errors[int(live[rest[k]])] = AccuracyError(
+            f"linear {labels[k]} has moments that may be off by "
+            f"{rel[k]:.1e} of themselves, above {_CLOSED_FORM_REL:g}")
     return values, errors
 
 
@@ -457,21 +443,103 @@ def _rate(chi, tangential, *moments):
     return -0.75 * (chi * _integral(tangential, *moments)).imag
 
 
-def _moments(q_R, q_L, x, w):
-    """The chi-free moments M0 = Sum w P, M1 = Sum w Q, M2 = Sum w x^2 Q
-    of G off-centre geometries (q_R, q_L) under the rule (x, w), and
-    their moduli Sum w |P|, Sum w |Q|, Sum w x^2 |Q|, as two (3, G)
-    arrays.  The rate density is P + z Q, with P and Q the coefficients
-    of :func:`locfield.greens._brace_coeffs` at the distance q_o(x), all
-    the distances in one call.
+@functools.cache
+def _filon_table():
+    """The nodes x_i of the Gauss-Legendre rule of _FILON_NODES nodes, and
+    the table w_i (2l + 1) P_l(x_i) of its weights w_i, rows l = 0 .. n-1;
+    built on first use and read-only."""
+    n = _FILON_NODES
+    x, w = _gauss_legendre(n)
+    table = (np.polynomial.legendre.legvander(x, n - 1)
+             * (2.0 * np.arange(n) + 1.0)).T * w
+    table.flags.writeable = False
+    return x, table
+
+
+def quad(q_R, q_L):
+    """The moments M0, M1 and M2 of :func:`locfield.greens._sphere_moments`
+    by a Filon-Legendre rule (Filon 1929; Iserles & Norsett 2005), with
+    no 1/q_L that cancels near the centre, and bounds on their errors.
+
+    With s = (q - q_R)/q_L in [-1, 1], t = 1/q and A = q_R^2 - q_L^2,
+
+        M0 = 1/2 Int P a ds,  M1 = 1/2 Int Q a ds,  M2 = 1/2 Int Q a x^2 ds,
+        a = 1 + A t^2,  x = -(q_L + 2 q_R s + q_L s^2) t/2,
+
+    with A t^2 formed as (q_- t)(q_+ t), which does not overflow.  P and Q
+    are their far values plus e^{2iq} times amplitudes A that do not
+    oscillate and are smooth across y = 2q = 4, where the evaluation of
+    Ei changes form (:func:`locfield.greens._brace_parts`).  The far
+    values give _FAR_MOMENTS exactly; the rest is
+    e^{2iq_R}/2 Int e^{iks} g(s) ds, k = 2 q_L, for each amplitude times
+    its weight, g.  The rule integrates the polynomial through g at the
+    n = _FILON_NODES Gauss-Legendre nodes s_i exactly, by
+    Int e^{iks} P_l(s) ds = 2 i^l j_l(k): weights
+    W_i = w_i Sum_{l<n} (2l + 1) i^l j_l(k) P_l(s_i), the j_l from
+    :func:`locfield.specfun._bessel_j_orders`.  Each geometry's products
+    are its own, so that its moments do not depend on the geometries
+    beside it, and the geometries go in blocks of _FILON_BLOCK.
+
+    Returns
+    -------
+    (moments, bounds) : the (3, G) complex moments and (3, G) complex
+    bounds, whose real and imaginary parts bound the errors of the
+    moments' real and imaginary parts apart.  Each is _FILON_ULPS times
+    the moduli of the far value and of the terms W_i g_i (the rounding,
+    of which the comment below says more), plus a truncation estimate
+    from the last two Legendre coefficients of g: with d their moduli
+    summed, twice their sizes (a factor 2 to spare),
+    d (|j_{n-2}(k)| + |j_{n-1}(k)|), where the oscillation takes the
+    tail, plus d^2/max|g|, the aliasing that stays where k is small.
+    The bounds are within 1e-13 of the moments out to q_L/q_R of about
+    0.65 for q_R up to 5, 0.55 at 50 to 100 and 0.6 to 0.7 from 1e3 to
+    1e5, and grow past that.
     """
-    P, Q = _brace_coeffs(_sphere_distance(q_R[:, None], q_L[:, None], x))
-    x2w = w * x * x
-    # a row's sum must not depend on the rows beside it, which a BLAS
-    # matrix-vector product does not promise; numpy's row sums do
-    return tuple(np.stack([(p * w).sum(axis=1), (q * w).sum(axis=1),
-                           (q * x2w).sum(axis=1)])
-                 for p, q in ((P, Q), (np.abs(P), np.abs(Q))))
+    x, table = _filon_table()
+    n = x.size
+    q_R, q_L = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (q_R, q_L))
+    moments = np.empty((3, q_R.size), dtype=complex)
+    bounds = np.empty((3, q_R.size), dtype=complex)
+    for start in range(0, q_R.size, _FILON_BLOCK):
+        block = slice(start, start + _FILON_BLOCK)
+        r, l = q_R[block], q_L[block]
+        with np.errstate(all="ignore"):
+            q = r + l * x
+            t = 1.0 / q
+            a = 1.0 + ((r - l) * t) * ((r + l) * t)
+            weight = np.stack(
+                [a, a, a * (0.5 * (l + (2.0 * r + l * x) * x) * t) ** 2])
+            # P = P_far + e^{iy} A: below y = 4 the part u + i (v - pi) of
+            # Ei, which does not oscillate, joins A through e^{-iy}
+            y, u, v, amp = _brace_parts(q.ravel())
+            low = np.flatnonzero(y < 4.0)
+            amp[:, low] += (1j * _BRACE_EI) * (
+                u[low] + 1j * (v[low] - np.pi)) * np.exp(-1j * y[low])
+            amp = amp.reshape(2, *q.shape)
+            g = amp[[0, 1, 1]] * weight
+            j = _bessel_j_orders(2.0 * l[:, 0], n)
+            W = ((1j ** np.arange(n)[:, None] * j).T[:, None] @ table)[:, 0]
+            moments[:, block] = _FAR_MOMENTS + 0.5 * np.exp(2j * r[:, 0]) * (
+                W * g).sum(axis=2)
+            # each part of an amplitude is rounded within its own size, the
+            # real part (the larger near the emitter) also within the
+            # rounding of its node; e^{2iq}, which W and e^{2iq_R} make,
+            # turns a rounding into the other part by up to 2 q_+ radians:
+            # min(1, q_+) |A|, with the ulps to spare; W_i is rounded within
+            # the moduli of its terms, which cancel where k is large
+            turn = np.minimum(1.0, r + l) * np.abs(amp)
+            rounding = (np.abs(amp.real) * (1.0 + l * t) + turn
+                        + 1j * (np.abs(amp.imag) + turn))
+            moduli = (np.abs(j).T[:, None] @ np.abs(table))[:, 0]
+            # the last two Legendre coefficients of g, row by row, as
+            # g @ table.T, one BLAS product of all the geometries, is not
+            d = sum(np.abs((g * row).sum(axis=2)) for row in table[-2:])
+            bounds[:, block] = (
+                _FILON_ULPS * (np.abs(_FAR_MOMENTS) + 0.5 * (
+                    moduli * weight * rounding[[0, 1, 1]]).sum(axis=2))
+                + (1 + 1j) * d * (np.abs(j[-2:]).sum(axis=0)
+                                  + d / np.abs(g).max(axis=2)))
+    return moments, bounds
 
 
 def gamma_total_linear(geometry, chi, orientation: str = "radial",

@@ -67,8 +67,9 @@ from .errors import (QC_DEFAULT, TOL_DEFAULT, ConfigError, DomainError,
 __all__ = ["PRESETS", "SweepSpec", "build_sweep", "run_sweep",
            "emit_plot_script", "main"]
 
-# a float as a CSV cell or an output value: 15 significant digits
-_fmt = "{:.15g}".format
+# a float as a CSV cell or an output value: 15 significant digits, the
+# bytes of "{:.15g}".format
+_fmt = "%.15g".__mod__
 
 _SWEPT_VARIABLES = ("qR", "im_chi", "qL")
 

@@ -223,6 +223,22 @@ _BRACE_EI = np.array([[4.0 / 3.0], [-4.0]])
 _BRACE_BLOCK = 8192
 
 
+def _brace_parts(q):
+    """For a 1-D float array q > 0: y = 2q, the parts u + i v of Ei(iy)
+    that do not oscillate, from :func:`locfield.specfun._ei_imaginary_axis`,
+    and the (2, q.size) complex amplitudes of the phase factor in
+    :func:`_brace_coeffs`, cI + k (f - i g) and cS + k (f - i g), k = 4/3
+    and -4, so that P = e^{iy} A_P + i k (u + i v) and Q alike."""
+    y = 2.0 * q
+    u, v, f, g = _ei_imaginary_axis(y)
+    t = 1.0 / q
+    t2 = t * t
+    amp = np.empty((2, q.size), dtype=complex)
+    amp.real = t * (t2 * _BRACE_T3 + _BRACE_T1) + _BRACE_EI * f
+    amp.imag = t2 * _BRACE_T2 + _BRACE_T0 - _BRACE_EI * g
+    return y, u, v, amp
+
+
 def _brace_coeffs(q):
     """Coefficients (P, Q) of I and ss in the radial antiderivative
 
@@ -240,7 +256,7 @@ def _brace_coeffs(q):
 
     where u + i v = i pi from y = 4 on, so that P and Q take the constants
     -4 pi/3 and 4 pi there.  Both rows are worked out at once, in real
-    arithmetic on one cos/sin pair.
+    arithmetic on one cos/sin pair, from :func:`_brace_parts`.
     """
     q = np.asarray(q, dtype=float)
     flat = q.ravel()
@@ -248,18 +264,11 @@ def _brace_coeffs(q):
     for start in range(0, flat.size, _BRACE_BLOCK):
         q_b = flat[start:start + _BRACE_BLOCK]
         out = rows[:, start:start + _BRACE_BLOCK]
-        y = 2.0 * q_b
-        u, v, f, g = _ei_imaginary_axis(y)
+        y, u, v, amp = _brace_parts(q_b)
         cos, sin = np.cos(y), np.sin(y)
-        t = 1.0 / q_b
-        t2 = t * t
-        # rows P (k = 4/3) and Q (k = -4): e^{iy} a + i k (u + i v), with
-        # the amplitude a = cI + k (f - i g) and cS + k (f - i g)
         k = _BRACE_EI
-        a_re = t * (t2 * _BRACE_T3 + _BRACE_T1) + k * f
-        a_im = t2 * _BRACE_T2 + _BRACE_T0 - k * g
-        out.real = cos * a_re - sin * a_im - k * v
-        out.imag = sin * a_re + cos * a_im + k * u
+        out.real = cos * amp.real - sin * amp.imag - k * v
+        out.imag = sin * amp.real + cos * amp.imag + k * u
     return rows[0].reshape(q.shape), rows[1].reshape(q.shape)
 
 
@@ -600,7 +609,8 @@ def cavity_green_linear(q_C, chi) -> np.ndarray:
     return -f_constant_q(q_C, chi)
 
 
-# node counts of the Gauss-Legendre refinement loops: 64, 128, ..., 2048
+# node counts of the refinement loop of body_green_linear: 64, 128, ...,
+# 2048
 _GL_N_MIN = 64
 _GL_N_MAX = 2048
 
@@ -609,9 +619,10 @@ _GL_N_MAX = 2048
 def _gauss_legendre(n: int):
     """Read-only Gauss-Legendre nodes and weights on [-1, 1].
 
-    Cached per n: the refinement loops only ask for the six node counts
-    _GL_N_MIN * 2**k <= _GL_N_MAX, and computing a rule costs more than
-    using it (about 0.8 s at n = 2048).
+    Cached per n: the refinement loop only asks for the six node counts
+    _GL_N_MIN * 2**k <= _GL_N_MAX, :func:`locfield.born.quad` for one
+    rule of 32 nodes, and computing a rule costs more than using it
+    (about 0.8 s at n = 2048).
     """
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False

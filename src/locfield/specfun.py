@@ -355,6 +355,30 @@ def _j1(w: complex, r1: complex) -> complex:
     return j1
 
 
+def _bessel_j_orders(z, n: int):
+    """j_0(z) .. j_{n-1}(z) of a float array z > 0, as an (n, z.size)
+    array.  Order l comes by the upward recurrence
+    j_l = (2l - 1)/z j_{l-1} - j_{l-2} from j_{-1} = cos z/z and
+    j_0 = sin z/z while l < z, where it is stable, and from l >= z on as
+    j_{l-1} times Miller's ratio j_l/j_{l-1} = z/(2l + 1 - z j_{l+1}/j_l),
+    run down from 0 at order 2n: j_{l-1} has no zero up to z there, so
+    the ratio does not cancel, and no ratio overflows however small z
+    is.  No scipy."""
+    z = np.asarray(z, dtype=float)
+    j = np.empty((n + 1, z.size))
+    with np.errstate(all="ignore"):
+        ratio = np.zeros_like(z)
+        for l in range(2 * n, 0, -1):
+            ratio = z / (2 * l + 1 - z * ratio)
+            if l < n:
+                j[l] = ratio
+        j[n], j[0] = np.cos(z) / z, np.sin(z) / z
+        for l in range(1, n):
+            j[l] = np.where(l < z, (2 * l - 1) / z * j[l - 1] - j[l - 2],
+                            j[l - 1] * j[l])
+    return j[:n]
+
+
 def _ratios(table, x):
     """The rational functions p/q of a :func:`_horner_table` with rows
     (p1, q1, p2, q2, ...) at x, by Horner's rule: one row per ratio."""

@@ -7,20 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from locfield.born import (_CLOSED_FORM_REL, ORIENTATIONS, RateBreakdown,
-                           SphereConfig, ValidityReport, _center_rows,
-                           _moments,
-                           gamma_b_center_closed,
+from locfield.born import (_CLOSED_FORM_REL, _FILON_BLOCK, ORIENTATIONS,
+                           RateBreakdown, SphereConfig, ValidityReport,
+                           _center_rows, _certified, gamma_b_center_closed,
                            gamma_b_sphere_linear, gamma_b_sphere_rows,
                            gamma_c_linear, gamma_total_linear, quad,
                            validity_check)
 from locfield.errors import AccuracyError, DomainError, NonFiniteError
-from locfield.greens import (StarBoundary, _brace_coeffs, _gauss_legendre,
-                             _sphere_distance, _sphere_moments,
+from locfield.greens import (StarBoundary, _brace_coeffs, _brace_parts,
+                             _gauss_legendre, _sphere_moments,
                              _sphere_moments_near_centre, f_integrand)
-from moment_reference import mp_body_term
+from moment_reference import mp_body_term, mp_sphere_moments
 
 
 # -- configuration records ----------------------------------------------------
@@ -78,19 +77,16 @@ def test_gamma_c_linear_values():
 
 def test_center_closed_form_matches_quadrature():
     # the centred rows and gamma_b_center_closed are one closed form; the
-    # reference is the Gauss-Legendre rule over the full nodes, built here
+    # reference is scipy's adaptive quadrature of the angular integral
     for q_R in (0.5, 1.556, 4.0, 9.3):
         for chi in (0.05, 0.1 + 1e-8j, 0.2 + 1e-7j):
             g_closed = gamma_b_center_closed(q_R, chi)
             for orientation in ORIENTATIONS:
-                rule, errors = quad(_node_rule(q_R, 0.0, chi, orientation), 1,
-                                    1.0e-10)
-                assert errors == {}
                 cfg = SphereConfig(q_R=q_R, q_L=0.0, q_C=0.01)
                 g_rows = gamma_b_sphere_linear(cfg, chi, orientation)
                 assert g_rows == g_closed
-                assert abs(rule[0] - g_closed) <= 1e-10 * max(abs(g_closed),
-                                                              1.0)
+            want = _split_quad_body_term(q_R, 0.0, chi, "radial")
+            assert abs(want - g_closed) <= 1e-10 * max(abs(g_closed), 1.0)
 
 
 def test_body_term_linearity_in_chi():
@@ -169,14 +165,15 @@ def test_center_rows_refuse_tiny_spheres():
 
 
 def test_offcentre_rule_refuses_tiny_spheres():
-    # the Gauss-Legendre rule returned -0.11666666637193909 here, 4.2e-10
-    # from the 40-digit rate, at tol = 1e-10
+    # the Gauss-Legendre rule this rule replaced returned
+    # -0.11666666637193909 here, 4.2e-10 from the 40-digit rate, at
+    # tol = 1e-10
     chi = 0.1
     values, errors = gamma_b_sphere_rows(1e-4, 3e-5, chi)
     assert np.isnan(values[0])
     assert isinstance(errors[0], AccuracyError)
     assert str(errors[0]) == ("linear body rate at q_R = 0.0001, q_L = "
-                              "3e-05 may be off by 3.1e-05 from rounding, "
+                              "3e-05 may be off by 3.0e-07 from rounding, "
                               "above tol = 1e-10")
     # the rows its bound admits are within tol of the 40-digit rate
     for q_R in (0.01, 0.1, 1.0):
@@ -190,7 +187,7 @@ def test_offcentre_rule_refuses_tiny_spheres():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, errors = gamma_b_sphere_rows(1e-120, 3e-121, chi)
-        assert "may be off by inf from rounding" in str(errors[0])
+        assert "has a rounding bound that is not a number" in str(errors[0])
 
 
 def test_orientation_degeneracy_at_center():
@@ -261,132 +258,130 @@ def test_body_term_settles_at_the_surface_edge():
         assert abs(got - want) <= 1e-12 * abs(want), orientation
 
 
-# the two rates the rule gives up on, at q_R = 1e5 and q_L = 2000, as it
-# words them: some 1,300 oscillations of e^{2iq} across x are more than
-# 2048 nodes resolve, and the closed form's rounding bound on M2, which
-# cancels as q_L/q_R falls, is 2.6e-7 of M2
-UNSETTLED = {
-    "radial": "1D Gauss-Legendre rule did not settle to 1e-10 by n = 2048; "
-              "last change 6.451e-05",
-    "tangential": "1D Gauss-Legendre rule did not settle to 1e-10 by "
-                  "n = 2048; last change 1.649e-04",
-}
+# the rate that no route certifies, at q_R = 1e4 and q_L = 9000, in
+# either orientation: the closed form's rounding bound on M2, which
+# cancels as q_L/q_R falls, is above 1e-13 of M2 below q_L/q_R of about
+# 0.94 there, and the rule's truncation estimate above about 0.66
+UNCERTIFIED = ("linear body rate at q_R = 10000, q_L = 9000 has moments "
+               "that may be off by 1.7e-07 of themselves, above 1e-13")
 
 
 @pytest.mark.parametrize("orientation", ORIENTATIONS)
 def test_body_term_rows_fail_one_by_one(orientation):
-    # rows that settle around the row q_R = 1e5, q_L = 2000 that does not
-    # settle by n = 2048: only that row reports the error
-    q_R = np.array([2.0, 1e5, 5.0, 50.0, 1.0])
-    q_L = np.array([0.5, 2000.0, 3.0, 10.0, 0.0])
+    # rows that are formed around the row q_R = 1e4, q_L = 9000 that no
+    # route certifies: only that row reports the error
+    q_R = np.array([2.0, 1e4, 5.0, 50.0, 1.0])
+    q_L = np.array([0.5, 9000.0, 3.0, 10.0, 0.0])
     chi = 0.1 + 1e-8j
     values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
     assert list(errors) == [1]
     assert isinstance(errors[1], AccuracyError)
-    assert str(errors[1]) == UNSETTLED[orientation]
+    assert str(errors[1]) == UNCERTIFIED
     assert np.isnan(values[1])
     with pytest.raises(AccuracyError) as scalar:
-        gamma_b_sphere_linear(SphereConfig(q_R=1e5, q_L=2000.0),
+        gamma_b_sphere_linear(SphereConfig(q_R=1e4, q_L=9000.0),
                               chi, orientation)
-    assert str(scalar.value) == UNSETTLED[orientation]
+    assert str(scalar.value) == UNCERTIFIED
     for k in (0, 2, 3, 4):
         want = gamma_b_sphere_linear(SphereConfig(q_R=q_R[k], q_L=q_L[k]),
                                      chi, orientation)
         assert abs(values[k] - want) <= 1e-13 * abs(want)
 
 
-def _full_node_terms(q_R, q_L, x):
-    # P and Q of the chi-free rate density f = P + z Q at every node of
-    # each geometry, no distance shared: the reference for the moments
-    return _brace_coeffs(_sphere_distance(q_R, q_L, x))
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_rule_returns_large_spheres_near_their_centre(orientation):
+    # at q_R = 1e5 the Gauss-Legendre rule this rule replaced did not
+    # settle by 2048 nodes from q_L of about 1000 on, and the closed form
+    # cancels: the rule returns the 40-digit rate to tol
+    chi = 0.1 + 1e-8j
+    q_L = np.array([1000.0, 1500.0, 2000.0, 50000.0])
+    values, errors = gamma_b_sphere_rows(1e5, q_L, chi, orientation)
+    assert errors == {}
+    for k, ql in enumerate(q_L.tolist()):
+        want = mp_body_term(1e5, ql, chi, orientation)
+        assert abs(values[k] - want) <= 1e-10, ql
 
 
-def _node_rule(q_R, q_L, chi, orientation):
-    # one row alone in the paper's order, -(3/4) Im[chi Int f dx] with
-    # f = P + z Q chi-free, Int f dx taken as Int P + Int z Q and z = x^2
-    # (radial) or (1 - x^2)/2 (tangential), as a rule for quad
-    def rule(x, w, idx):
-        P, Q = (a[None, :] for a in _full_node_terms(q_R, q_L, x))
-        m0, m1, m2 = ((P * w).sum(axis=1), (Q * w).sum(axis=1),
-                      (Q * (w * x * x)).sum(axis=1))
-        integral = m0 + m2 if orientation == "radial" else m0 + 0.5 * (m1 - m2)
-        return -0.75 * (chi * integral).imag
-
-    return rule
-
-
-def _full_node_row(q_R, q_L, chi, orientation):
-    # the values the rows the rule takes must equal bit for bit
-    values, _ = quad(_node_rule(q_R, q_L, chi, orientation), 1, 1.0e-10)
-    return values[0]
-
-
-def _closed_form_row(q_R, q_L, chi, orientation, tol=1.0e-10,
-                     kernel=_sphere_moments):
-    # one row alone from the closed-form moments of its geometry (or
-    # those of another kernel), in the paper's order, or from the
-    # centre's closed form, or None where the moments' bound does not
+def _route_row(q_R, q_L, chi, orientation, tol=1.0e-10,
+               kernel=_sphere_moments):
+    # one row alone from the moments of its geometry by one kernel, the
+    # closed form, the series or the rule, in the paper's order, or from
+    # the centre's closed form, or None where the kernel's bound does not
     # certify the row: the values the rows must equal bit for bit
     if q_L == 0.0:
         return gamma_b_center_closed(q_R, chi)
     moments, bounds = kernel(np.array([q_R]), np.array([q_L]))
     (m0, m1, m2), (b0, b1, b2) = moments, bounds
     radial = orientation == "radial"
-    error = 0.75 * abs(chi) * (b0 + b2 if radial else b0 + 0.5 * (b1 + b2))
-    if (bounds > _CLOSED_FORM_REL * np.abs(moments)).any() or error > tol:
+    b, chi = (b0 + b2 if radial else b0 + 0.5 * (b1 + b2))[0], complex(chi)
+    if np.iscomplexobj(bounds):  # the real and imaginary parts apart
+        error = 0.75 * ((abs(chi.real) * b.imag if chi.real else 0.0)
+                        + (abs(chi.imag) * b.real if chi.imag else 0.0))
+    else:
+        error = 0.75 * abs(chi) * b
+    if (np.abs(bounds) > _CLOSED_FORM_REL * np.abs(moments)).any() or (
+            error > tol):
         return None
     integral = m0 + m2 if radial else m0 + 0.5 * (m1 - m2)
     return (-0.75 * (chi * integral).imag)[0]
 
 
+def _closed_form_row(q_R, q_L, chi, orientation):
+    return _route_row(q_R, q_L, chi, orientation)
+
+
 def _series_row(q_R, q_L, chi, orientation):
-    # the same from the near-centre series of the moments, None where its
-    # bound does not certify the row
-    return _closed_form_row(q_R, q_L, chi, orientation,
-                            kernel=_sphere_moments_near_centre)
+    return _route_row(q_R, q_L, chi, orientation,
+                      kernel=_sphere_moments_near_centre)
+
+
+def _rule_row(q_R, q_L, chi, orientation):
+    return _route_row(q_R, q_L, chi, orientation, kernel=quad)
 
 
 def _route(q_R, q_L, chi, orientation):
     # the single-row reference of the route a row takes: the closed form
     # where it certifies the row, else the series where it does, else the
-    # rule
-    for row in (_closed_form_row, _series_row):
+    # rule where it does, else None
+    for row in (_closed_form_row, _series_row, _rule_row):
         if row(q_R, q_L, chi, orientation) is not None:
             return row
-    return _full_node_row
+    return None
 
 
 def test_body_term_rows_share_geometries_bit_for_bit():
     # geometries shared across a complex and a real chi and both
     # orientations, centered rows, rows that take the closed form, the
-    # series or the rule, and the geometry that does not settle
+    # series or the rule, and the geometry that none certifies
     rows = [
         (5.0, 3.0, 0.1 + 1e-8j, "radial"),
-        (1e5, 2000.0, 0.1 + 1e-8j, "radial"),
+        (1e4, 9000.0, 0.1 + 1e-8j, "radial"),
         (2.0, 0.0, 0.1 + 1e-8j, "tangential"),
         (5.0, 3.0, 0.2, "tangential"),
         (2.0, 0.0, 0.2, "radial"),
         (50.0, 30.0, 0.1 + 1e-8j, "tangential"),
         (5.0, 3.0, 0.2, "radial"),
-        (1e5, 2000.0, 0.1 + 1e-8j, "tangential"),
+        (1e4, 9000.0, 0.1 + 1e-8j, "tangential"),
         (7.0, 0.0, 0.05j, "radial"),
         (5.0, 3.0, 0.1 + 1e-8j, "tangential"),
         (2.0, 0.5, 0.2, "tangential"),
         (50.0, 30.0, 0.1 + 1e-8j, "radial"),
         (5.0, 0.25, 0.2, "radial"),
         (5.0, 0.25, 0.1 + 1e-8j, "tangential"),
+        (1e5, 2000.0, 0.3j, "radial"),
     ]
     q_R, q_L, chi, orientation = zip(*rows)
     values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
     assert {k: str(exc) for k, exc in errors.items()} == {
-        1: UNSETTLED["radial"], 7: UNSETTLED["tangential"]}
+        1: UNCERTIFIED, 7: UNCERTIFIED}
     routes = [_route(*row) for row in rows]
     assert [k for k, r in enumerate(routes) if r is _closed_form_row] == [
         0, 2, 3, 4, 5, 6, 8, 9, 10, 11]
     assert [k for k, r in enumerate(routes) if r is _series_row] == [12, 13]
+    assert [k for k, r in enumerate(routes) if r is _rule_row] == [14]
     for k, (qr, ql, c, o) in enumerate(rows):
         if k in errors:
-            assert np.isnan(values[k])
+            assert np.isnan(values[k]) and routes[k] is None
             continue
         assert values[k] == gamma_b_sphere_linear(
             SphereConfig(q_R=qr, q_L=ql), c, o), rows[k]
@@ -394,32 +389,39 @@ def test_body_term_rows_share_geometries_bit_for_bit():
 
 
 def test_moments_are_one_call_equal_to_their_nodes(monkeypatch):
-    x, w = _gauss_legendre(128)
-    q_R = np.array([0.5, 2.0, 5.0, 7.3, 1000.0 / 3.0])
-    q_L = np.array([0.1, 1.5, 0.25, 4.0, 100.0])
-    # the moments of all the geometries come from one brace/Ei/phase
-    # call; they equal those of every node evaluated, to the byte
+    # the rule's amplitudes of all the geometries come from one Ei call
+    # over every node; the moments equal the rule written out node by node
+    # on P and Q, its weights from scipy's j_l and numpy's P_l
+    from scipy.special import spherical_jn
+    q_R = np.array([0.5, 2.0, 5.0, 7.3, 1000.0 / 3.0, 1e5])
+    q_L = np.array([0.1, 1.5, 0.25, 4.0, 100.0, 2000.0])
     sizes = []
 
-    def brace_coeffs(q):
+    def brace_parts(q):
         sizes.append(np.size(q))
-        return _brace_coeffs(q)
+        return _brace_parts(q)
 
-    monkeypatch.setattr("locfield.born._brace_coeffs", brace_coeffs)
-    moments, moduli = _moments(q_R, q_L, x, w)
-    assert sizes == [q_R.size * x.size]
-    P, Q = _full_node_terms(q_R[:, None], q_L[:, None], x)
-    full = np.stack([(P * w).sum(axis=1), (Q * w).sum(axis=1),
-                     (Q * (w * x * x)).sum(axis=1)])
-    assert moments.tobytes() == full.tobytes()
-    P, Q = np.abs(P), np.abs(Q)
-    assert moduli.tobytes() == np.stack([
-        (P * w).sum(axis=1), (Q * w).sum(axis=1),
-        (Q * (w * x * x)).sum(axis=1)]).tobytes()
-    # and a geometry's moments do not depend on the geometries beside it
+    monkeypatch.setattr("locfield.born._brace_parts", brace_parts)
+    moments, _ = quad(q_R, q_L)
+    n = 32
+    assert sizes == [q_R.size * n]
+    x, w = _gauss_legendre(n)
+    legendre = np.polynomial.legendre.legvander(x, n - 1)
+    far = np.pi * np.array([-4.0 / 3.0, 4.0, 4.0])
     for k in range(q_R.size):
-        alone, _ = _moments(q_R[k:k + 1], q_L[k:k + 1], x, w)
-        assert alone.tobytes() == full[:, k:k + 1].tobytes()
+        r, ql = q_R[k], q_L[k]
+        j = spherical_jn(np.arange(n), 2.0 * ql)
+        weights = w * (legendre @ ((2 * np.arange(n) + 1) * 1j**np.arange(n)
+                                   * j))
+        q = r + ql * x
+        a = 1.0 + (r * r - ql * ql) / q**2
+        cos2 = ((r * r - ql * ql - q * q) / (2.0 * ql * q))**2
+        P, Q = _brace_coeffs(q)
+        for m, (f, z) in enumerate(((P, 1.0), (Q, 1.0), (Q, cos2))):
+            want = (2.0 * far[m] * (1.0 if m < 2 else 1.0 / 3.0)
+                    + 0.5 * np.exp(2j * r) * np.sum(
+                        weights * (f - far[m]) * np.exp(-2j * q) * a * z))
+            assert abs(moments[m, k] - want) <= 1e-13 * abs(want), (k, m)
 
 
 # a sphere geometry (q_R, q_L), the emitter at the center or off it by
@@ -474,20 +476,23 @@ def test_near_surface_rate_builds_no_rule(monkeypatch):
 
 @pytest.mark.parametrize("q_R", [0.5, 1.0, 5.0, 20.0, 50.0])
 def test_closed_form_agrees_with_the_rule_where_both_settle(q_R):
+    # where both routes certify a row they agree, and each gives the
+    # 40-digit rate
     chi = 0.1 + 1e-8j
     checked = 0
-    for ratio in (0.2, 0.3, 0.5, 0.7, 0.9, 0.99):
+    for ratio in (0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 0.99):
         for orientation in ORIENTATIONS:
             closed = _closed_form_row(q_R, q_R * ratio, chi, orientation)
-            if closed is None:
-                continue
-            values, errors = quad(_node_rule(q_R, q_R * ratio, chi,
-                                             orientation), 1, 1.0e-10)
-            if errors:
+            rule = _rule_row(q_R, q_R * ratio, chi, orientation)
+            if closed is None or rule is None:
                 continue
             checked += 1
-            assert abs(closed - values[0]) <= 1e-12 * max(1.0, abs(closed))
-    assert checked >= 6
+            want = mp_body_term(q_R, q_R * ratio, chi, orientation)
+            scale = max(1.0, abs(want))
+            assert abs(closed - rule) <= 1e-12 * scale
+            assert abs(closed - want) <= 1e-12 * scale
+            assert abs(rule - want) <= 1e-12 * scale
+    assert checked >= 4
 
 
 # geometries on both sides of the routing boundaries: the series hands
@@ -508,8 +513,8 @@ _NEAR_BOUNDARY = st.one_of(
                ((20.0, 2.1), 0.1j, "tangential"),
                ((20.0, 2.2), 0.1j, "tangential")])
 def test_body_term_is_continuous_across_the_routing_boundary(rows):
-    # whichever route a row takes, it gives the rule's rate to 1e-12, and
-    # a batch gives each row's single value to the bit
+    # whichever route a row takes, it gives the 40-digit rate to 1e-12,
+    # and a batch gives each row's single value to the bit
     geometries, chi, orientation = zip(*rows)
     q_R, q_L = zip(*geometries)
     values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
@@ -517,36 +522,99 @@ def test_body_term_is_continuous_across_the_routing_boundary(rows):
     for k, ((qr, ql), c, o) in enumerate(rows):
         assert values[k] == gamma_b_sphere_linear(
             SphereConfig(q_R=qr, q_L=ql, q_C=1e-3), c, o), rows[k]
-        rule, _ = quad(_node_rule(qr, ql, c, o), 1, 1.0e-10)
-        assert abs(values[k] - rule[0]) <= 1e-12 * max(1.0, abs(rule[0]))
+        want = mp_body_term(qr, ql, c, o)
+        assert abs(values[k] - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_rows_past_the_series_reach_the_rule(monkeypatch):
     # only the geometries that neither the closed form nor the series
-    # certifies go to the rule: their values are its own, bit for bit, and
-    # its refusals keep their text
+    # certifies go to the rule, in one call: their values are its own, bit
+    # for bit, and its refusals name their bound
     rows = [(100.0, 10.0, 0.1 + 1e-8j, "radial"),  # between the two forms
-            (1e5, 2000.0, 0.1 + 1e-8j, "tangential"),  # does not settle
+            (1e4, 9000.0, 0.1 + 1e-8j, "tangential"),  # none
             (1e-4, 3e-5, 0.1, "radial"),  # over the rule's rounding bound
             (5.0, 0.25, 0.2, "radial"),  # the series
             (5.0, 3.0, 0.2, "tangential")]  # the closed form
     seen = []
 
-    def spy(f, count, tol):
-        seen.append(count)
-        return quad(f, count, tol)
+    def spy(q_R, q_L):
+        seen.append(len(q_R))
+        return quad(q_R, q_L)
 
     monkeypatch.setattr("locfield.born.quad", spy)
     q_R, q_L, chi, orientation = zip(*rows)
     values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
     assert seen == [3]
     assert {k: str(exc) for k, exc in errors.items()} == {
-        1: UNSETTLED["tangential"],
+        1: UNCERTIFIED,
         2: "linear body rate at q_R = 0.0001, q_L = 3e-05 may be off by "
-           "3.1e-05 from rounding, above tol = 1e-10"}
-    assert values[0] == _full_node_row(*rows[0])
-    assert [_route(*row) for row in rows[3:]] == [_series_row,
-                                                  _closed_form_row]
+           "3.0e-07 from rounding, above tol = 1e-10"}
+    assert [_route(*row) for row in rows] == [_rule_row, None, None,
+                                              _series_row, _closed_form_row]
+    for k in (0, 3, 4):
+        assert values[k] == _route(*rows[k])(*rows[k])
+
+
+# the rule's reach: its bound certifies a geometry out to q_L/q_R of
+# about 0.65 for q_R up to 5, 0.55 at q_R = 50, 0.66 at q_R = 1e4 and
+# 0.7 at q_R = 1e5
+RULE_EDGE = {1e-3: 0.65, 0.05: 0.65, 1.0: 0.65, 5.0: 0.7, 20.0: 0.59,
+             100.0: 0.55, 1e3: 0.6, 1e5: 0.7}
+
+
+def test_rule_moments_against_mpmath():
+    # within 1e-14 of the 40-digit moments wherever the bound certifies a
+    # geometry, out to the rule's edge, each part within its part of the
+    # bound
+    errors = []
+    for q_R, edge in RULE_EDGE.items():
+        q_L = q_R * edge * np.array([1e-4, 0.02, 0.1, 0.3, 0.6, 0.85, 1.0])
+        moments, bounds = quad(np.full(q_L.size, q_R), q_L)
+        assert _certified(moments, np.abs(bounds)).all(), q_R
+        for k, ql in enumerate(q_L):
+            want = np.array([complex(m) for m in mp_sphere_moments(q_R, ql)])
+            error = moments[:, k] - want
+            assert (np.abs(error.real) <= bounds[:, k].real).all(), (q_R, ql)
+            assert (np.abs(error.imag) <= bounds[:, k].imag).all(), (q_R, ql)
+            errors.extend(np.abs(error) / np.abs(want))
+    assert max(errors) <= 1e-14
+    assert np.median(errors) <= 2e-16
+
+
+def test_rule_bound_catches_the_truncation_past_the_edge():
+    # past the edge the rule's truncation grows to 1e-7 of a moment, and
+    # its estimate stays above it, so no such geometry is certified
+    for q_R, q_L in ((0.01, 0.008), (1.0, 0.75), (1.0, 0.9), (20.0, 14.0),
+                     (100.0, 70.0), (1e3, 900.0), (1e4, 9000.0),
+                     (1e5, 80000.0)):
+        moments, bounds = quad(np.array([q_R]), np.array([q_L]))
+        assert not _certified(moments, np.abs(bounds))[0], (q_R, q_L)
+        want = np.array([complex(m) for m in mp_sphere_moments(q_R, q_L)])
+        error = moments[:, 0] - want
+        assert (np.abs(error.real) <= bounds[:, 0].real).all(), (q_R, q_L)
+        assert (np.abs(error.imag) <= bounds[:, 0].imag).all(), (q_R, q_L)
+
+
+def test_rule_moments_alone_equal_their_batch():
+    # a geometry's moments and bounds do not depend on the geometries
+    # beside it, nor on the block it falls in, with no warning past double
+    # range
+    rng = np.random.default_rng(7)
+    q_R = np.r_[0.05, 5.0, 100.0, 1e5, 1e-120, 1e300, 1e308,
+                10.0 ** rng.uniform(-2, 5, _FILON_BLOCK)]
+    q_L = q_R * np.r_[0.2, 0.05, 0.01, 0.02, 0.3, 1e-300, 1e-308,
+                      rng.uniform(0.0, 0.9, _FILON_BLOCK)]
+    with np.errstate(all="raise"):
+        moments, bounds = quad(q_R, q_L)
+    assert _certified(moments, np.abs(bounds))[:7].tolist() == [True] * 4 + [
+        False, True, False]
+    for k in list(range(7)) + [100, _FILON_BLOCK + 6]:
+        # the same bits, NaNs aside, whose sign SIMD lanes may flip
+        for alone, batch in zip(quad(q_R[k:k + 1], q_L[k:k + 1]),
+                                (moments[:, k:k + 1], bounds[:, k:k + 1])):
+            assert_array_equal(alone, batch)
+            finite = np.isfinite(batch)
+            assert alone[finite].tobytes() == batch[finite].tobytes()
 
 
 def test_body_term_rows_broadcast_and_zero_chi():

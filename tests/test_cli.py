@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -183,11 +184,11 @@ def test_sweep_records_a_series_past_the_order_limit(tmp_path):
 
 
 def test_sweep_leaves_unsettled_cells_empty(tmp_path):
-    # q_L across the edge where the body-term rule stops settling at
-    # q_R = 1e5, too near the centre for the closed form: the first two
-    # points settle, the last three refuse
+    # q_L across the edge of the body-term rule at q_R = 1e5, too near the
+    # centre for the closed form: the first four points are formed, the
+    # last refuses
     spec = build_sweep({
-        "sweep": "qL", "lo": "0", "hi": "2000", "points": "5",
+        "sweep": "qL", "lo": "0", "hi": "90000", "points": "5",
         "qr": "100000", "qc": "0.01", "eps_re": "1.1", "eps_im": "1e-8",
         "methods": "linear_born", "orientations": "radial,tangential"})
     run_sweep(spec, str(tmp_path / "edge.csv"))
@@ -195,12 +196,13 @@ def test_sweep_leaves_unsettled_cells_empty(tmp_path):
     gcols = [header.index("gamma_linear_born_radial"),
              header.index("gamma_linear_born_tangential")]
     ecol = header.index("error")
-    for row in rows[:2]:
+    for row in rows[:4]:
         assert row[ecol] == "" and all(row[c] != "" for c in gcols)
-    for row in rows[2:]:
+    for row in rows[4:]:
         assert all(row[c] == "" for c in gcols)
-        unsettled = ("1D Gauss-Legendre rule did not settle to 1e-10 by "
-                     r"n = 2048; last change \d\.\d{3}e-\d\d")
+        unsettled = ("linear body rate at q_R = 100000, q_L = 90000 has "
+                     r"moments that may be off by \d\.\de-\d\d of "
+                     "themselves, above 1e-13")
         assert re.fullmatch(f"gamma_linear_born_radial: {unsettled}; "
                             f"gamma_linear_born_tangential: {unsettled}",
                             row[ecol]), row[ecol]
@@ -286,6 +288,18 @@ def test_presets_match_the_shipped_references(tmp_path, preset):
                 got, want = float(cell), float(want)
                 assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)), \
                     (name, row[0])
+
+
+def test_cells_are_the_bytes_of_format_15g():
+    # a CSV cell is "{:.15g}".format of its float, byte for byte, on random
+    # bit patterns and the edges of the format: signed zeros, infinities,
+    # NaN, subnormals and the switch to exponents at 1e15 and 1e16
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+    for x in [*values.tolist(), *values[:100], 0.0, -0.0, np.inf, -np.inf,
+              np.nan, 5e-324, -2.2250738585072014e-308, 1e15, 1e16,
+              999999999999999.9, -1e16 + 2.0]:
+        assert _fmt(x) == "{:.15g}".format(x), x
 
 
 @pytest.mark.filterwarnings("ignore:q_C = 0.15")

@@ -5,6 +5,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -450,6 +452,33 @@ def test_body_green_symmetry_and_axial_structure():
     # axisymmetric about z: xx == yy, off-diagonals vanish
     assert_allclose(g[0, 0], g[1, 1], rtol=1e-12)
     assert np.max(np.abs(g - np.diag(np.diag(g)))) < 1e-13 * np.max(np.abs(g))
+
+
+# a smooth star boundary around the emitter: q_o = q0 (1 + c1 cos theta
+# + c2 sin theta cos(phi - phi0) + c3 P_2(cos theta) + c4 sin^2 theta
+# cos 2(phi - phi0)), positive for |c| <= 0.2, and a passive chi
+_STARS = st.tuples(st.floats(0.5, 4.0),
+                   st.lists(st.floats(-0.2, 0.2), min_size=4, max_size=4),
+                   st.floats(0.0, 2.0 * np.pi))
+_PASSIVE = st.builds(complex, st.floats(-0.3, 0.3), st.floats(0.0, 0.3))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(star=_STARS, chi=_PASSIVE)
+def test_body_green_is_symmetric_for_any_star_boundary(star, chi):
+    # reciprocity: G_B^(1) is a symmetric tensor whatever the boundary,
+    # each node contributing P I + Q ss
+    q0, (c1, c2, c3, c4), phi0 = star
+
+    def q_outer(theta, phi):
+        x, sin_t = np.cos(theta), np.sin(theta)
+        return q0 * (1.0 + c1 * x + c2 * sin_t * np.cos(phi - phi0)
+                     + c3 * (1.5 * x * x - 0.5)
+                     + c4 * sin_t**2 * np.cos(2.0 * (phi - phi0)))
+
+    g = body_green_linear(StarBoundary(q_outer, q_max=2.0 * q0), chi,
+                          angular_tolerance=1e-8)
+    assert np.abs(g - g.T).max() <= 1e-15 * np.abs(g).max()
 
 
 def test_body_green_tolerance_validation():

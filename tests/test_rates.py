@@ -370,9 +370,9 @@ def test_compute_batch_matches_compute_and_keeps_errors_on_their_requests():
         RateRequest(eps=1.1 + 1e-8j, method="linear_born", q_R=2.0, q_L=1.0),
         RateRequest(eps=1.1, method="uncorrected", q_R=2.0, q_L=1.0),
         RateRequest(eps=1.1 + 1e-3j, method="uncorrected", q_R=2.0),
-        # a body-term rule that does not settle
-        RateRequest(eps=1.1 + 1e-8j, method="linear_born", q_R=1e5,
-                    q_L=2000.0),
+        # a body term that no route certifies
+        RateRequest(eps=1.1 + 1e-8j, method="linear_born", q_R=1e4,
+                    q_L=9000.0),
         RateRequest(eps=1.1 + 1e-8j, method="linear_born", geometry="bulk"),
         RateRequest(eps=1.1 + 1e-7j, method="weak_absorption", q_R=2.0),
     ]

@@ -12,7 +12,9 @@ each pass every preset runs twice: once as it is, timed as ``whole``,
 and once with these functions wrapped, which gives the time spent in
 
 * ``rows_kernel``: ``born.gamma_b_sphere_rows``, the linear body terms;
-* ``quad``: ``born.quad``, the Gauss-Legendre rule, within the kernel;
+* ``quad``: ``born.quad``, the Filon-Legendre rule of the rows that
+  neither the closed form nor the series certifies, within the kernel
+  (in older trees the Gauss-Legendre rule);
 * ``series``: ``born._sphere_moments_near_centre``, the Taylor series of
   the near-centre moments, within the kernel (a tree without it times
   none);
