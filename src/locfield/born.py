@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 
 import numpy as np
 
@@ -339,8 +338,8 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     q_R, q_L, chi, orientation = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(q_R, dtype=float), np.asarray(q_L, dtype=float),
         np.asarray(chi, dtype=complex), np.asarray(orientation)))
-    raise_first(itertools.chain(inside_sphere(q_R, q_L), chi_faults(chi),
-                                positive("tol", tol)))
+    raise_first((*inside_sphere(q_R, q_L), *chi_faults(chi),
+                 *positive("tol", tol)))
     for o in set(orientation.tolist()):
         raise_first(orientation_faults(o))
     values = np.zeros(q_R.shape)
@@ -603,19 +602,18 @@ def validity_check(config: SphereConfig | None, chi,
         boundary_max = 1.0 if config is None else config.q_L + config.q_R
     boundary_max = float(boundary_max)
     q_C = float(config.q_C if q_C is None else q_C)
-    raise_first(itertools.chain(qc_faults(q_C),
-                                positive("boundary_max", boundary_max),
-                                cavity_scale_faults("q_C", q_C,
-                                                    np.imag(chi))))
-    return _validity_report(*map(float, _validity_values(chi, boundary_max,
-                                                         q_C)))
+    raise_first((*qc_faults(q_C), *positive("boundary_max", boundary_max),
+                 *cavity_scale_faults("q_C", q_C, np.imag(chi))))
+    with np.errstate(over="ignore"):
+        values = _validity_values(chi, boundary_max, q_C)
+    return _validity_report(*map(float, values))
 
 
 def _validity_values(chi, boundary_max, q_C: float):
-    """|chi| q_max (inf, which fails, beyond double range) and
-    Im(chi)/q_C^3, for a complex chi or an array of them with q_max alike."""
-    with np.errstate(over="ignore"):
-        return np.abs(chi) * boundary_max, np.imag(chi) / q_C**3
+    """|chi| q_max and Im(chi)/q_C^3, for a complex chi or an array of
+    them with q_max alike; the caller ignores overflow, so that |chi| q_max
+    beyond double range is inf, which fails."""
+    return np.abs(chi) * boundary_max, chi.imag / q_C**3
 
 
 def _validity_ok(chi_size, absorption):

@@ -39,7 +39,6 @@ justify dropping the cavity-scattering corrections in the assembled rate.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -123,7 +122,7 @@ def _scale_factor(method: str, eps, h, chi):
     near the pole; at Re eps >= 0 that stays below 0.31 and is not
     worked out."""
     c = eps.imag
-    if method != "exact" or not np.count_nonzero(eps.real < 0):
+    if method != "exact" or not np.count_nonzero(eps.real < 0.0):
         return c
     with np.errstate(all="ignore"):
         ct, u = _cavity_parts(h, chi)
@@ -215,9 +214,9 @@ def gamma_c_exact(eps, q_C: float) -> float:
     e = np.array([as_permittivity(eps).epsilon])
     q_C = float(q_C)
     h, n, chi = _medium(e)
-    raise_first(itertools.chain(
-        qc_faults(q_C), method_faults("exact", e, h),
-        cavity_scale_faults("q_C", q_C, _scale_factor("exact", e, h, chi))))
+    raise_first((*qc_faults(q_C), *method_faults("exact", e, h),
+                 *cavity_scale_faults("q_C", q_C,
+                                      _scale_factor("exact", e, h, chi))))
     warn_qc(q_C)
     return float(_cavity_term(e, h, n, chi, q_C)[0])
 

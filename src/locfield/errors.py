@@ -7,8 +7,9 @@ domain" (``DomainError`` and friends, subclasses of ``ValueError``) from
 and "a floating-point result degenerated" (``NonFiniteError``).  The CLI
 maps configuration problems to exit code 2 and numerical failures to 3.
 
-Each input rule is written once, here, as a generator of checks of a
-scalar or an array: ``(failed, message)``, or ``(failed, message, type)``
+Each input rule is written once, here, as a function that returns its
+checks of a scalar or an array, in their order: ``(failed, message)``,
+or ``(failed, message, type)``
 when the type is not ``DomainError``; ``failed`` is a bool or a bool
 array, ``message`` a string or a function, called only when the check
 fails (with the point's (q_R, q_L) in a column, with nothing otherwise),
@@ -116,14 +117,13 @@ def error_of(check, *point):
     return kind(check[1] if isinstance(check[1], str) else check[1](*point))
 
 
-def failing(checks):
-    """The checks that fail somewhere, in their order."""
-    for check in checks:
-        failed = check[0]
-        # count_nonzero is a third of .any()'s cost on a short array
-        if (np.count_nonzero(failed) if isinstance(failed, np.ndarray)
-                else failed):
-            yield check
+def failing(checks) -> list:
+    """The checks that fail somewhere, in their order; every check is
+    worked out, the failing ones too."""
+    # a plain bool is tested as such; count_nonzero takes a third of
+    # .any()'s time on a short array
+    return [check for check in checks if (failed := check[0]) is not False
+            and (failed is True or np.count_nonzero(failed))]
 
 
 def raise_first(checks, *point):
@@ -140,35 +140,35 @@ def _not(ok):
 def positive(name: str, value):
     """The rule that value, a real or a real array, is positive and
     finite; a float is checked in plain Python, without numpy's cost."""
-    yield (_not((value > 0) & (value < math.inf)),
-           lambda *_: f"{name} must be positive and finite")
+    return ((_not((value > 0) & (value < math.inf)),
+             lambda *_: f"{name} must be positive and finite"),)
 
 
 def whole_number(name: str, value):
     """The rule that value, a real number, is a whole number >= 1."""
-    yield (not (1 <= value < math.inf and value == int(value)),
-           lambda *_: f"{name} must be a whole number >= 1")
+    return ((not (1 <= value < math.inf and value == int(value)),
+             lambda *_: f"{name} must be a whole number >= 1"),)
 
 
 def inside_sphere(q_R, q_L):
     """The rule that the emitter q_L lies inside the sphere q_R."""
-    yield from positive("q_R", q_R)
-    yield (_not((q_L >= 0) & (q_L < q_R)),
-           "need 0 <= q_L < q_R (emitter inside sphere)")
+    return (*positive("q_R", q_R),
+            (_not((q_L >= 0) & (q_L < q_R)),
+             "need 0 <= q_L < q_R (emitter inside sphere)"))
 
 
 def chi_faults(chi):
     """The rule of a susceptibility chi = eps - 1: finite and passive."""
-    yield ~np.isfinite(chi), "chi must be finite"
-    yield np.imag(chi) < 0, "passive medium required: Im chi >= 0"
+    return ((~np.isfinite(chi), "chi must be finite"),
+            (np.imag(chi) < 0, "passive medium required: Im chi >= 0"))
 
 
 def permittivity_faults(eps):
     """The rule of :class:`locfield.greens.Permittivity`."""
-    yield (_not((abs(eps.real) < math.inf) & (abs(eps.imag) < math.inf)),
-           "permittivity must be finite")
-    yield eps.imag < 0, "passive medium required: Im eps >= 0"
-    yield eps == 0, "permittivity must be nonzero"
+    return ((_not((abs(eps.real) < math.inf) & (abs(eps.imag) < math.inf)),
+             "permittivity must be finite"),
+            (eps.imag < 0, "passive medium required: Im eps >= 0"),
+            (eps == 0, "permittivity must be nonzero"))
 
 
 def method_faults(method: str, eps, h=None):
@@ -176,34 +176,35 @@ def method_faults(method: str, eps, h=None):
     which the exact rule reads, is formed here unless given."""
     if method == "exact":
         h = eps + 0.5 if h is None else h
-        yield h == 0, POLE, SingularityError
-        size = np.abs(h)  # |eps| to within 1/2
-        yield size < _POLE_BAND, NEAR_POLE, SingularityError
-        yield from eps_size_faults(method, size)
-    elif method == "uncorrected":
-        yield (np.imag(eps) > ABSORPTION_TOL, "uncorrected method assumes "
-               "a transparent host; use exact or weak_absorption")
-        yield np.real(eps) <= 0, "the uncorrected rate needs Re eps > 0"
-    elif method == "weak_absorption":
-        yield np.real(eps) <= 0, "weak-absorption split needs Re eps > 0"
-        yield from eps_size_faults(method, np.abs(eps))
+        size = np.abs(h)  # |eps| to within 1/2; 0 exactly where h is
+        return ((size == 0.0, POLE, SingularityError),
+                (size < _POLE_BAND, NEAR_POLE, SingularityError),
+                *eps_size_faults(method, size))
+    if method == "uncorrected":
+        return ((np.imag(eps) > ABSORPTION_TOL, "uncorrected method assumes "
+                 "a transparent host; use exact or weak_absorption"),
+                (np.real(eps) <= 0, "the uncorrected rate needs Re eps > 0"))
+    if method == "weak_absorption":
+        return ((np.real(eps) <= 0, "weak-absorption split needs Re eps > 0"),
+                *eps_size_faults(method, np.abs(eps)))
+    return ()
 
 
 def eps_size_faults(method: str, size):
     """The rule that |eps| (size, a float or an array) is at most
     EPS_MAX[method], beyond which the method's terms leave double range."""
     limit = EPS_MAX[method]
-    yield size > limit, lambda *_: (
+    return ((size > limit, lambda *_: (
         f"|eps| must be at most {limit:g} for the {method} rates: their "
-        "terms leave double range beyond")
+        "terms leave double range beyond")),)
 
 
 def qc_faults(q_C: float):
     """The rule of a float cavity radius q_C: positive, at most QC_MAX."""
-    yield from positive("q_C", q_C)
-    yield q_C > QC_MAX, lambda *_: (f"q_C = {q_C:g} too large; the "
-                                    "small-cavity expansion needs "
-                                    f"q_C <= {QC_MAX}")
+    return (*positive("q_C", q_C),
+            (q_C > QC_MAX, lambda *_: (f"q_C = {q_C:g} too large; the "
+                                       "small-cavity expansion needs "
+                                       f"q_C <= {QC_MAX}")))
 
 
 def cavity_scale_faults(name: str, q: float, c=1.0):
@@ -216,21 +217,20 @@ def cavity_scale_faults(name: str, q: float, c=1.0):
     :func:`qc_faults` can still be too small for it (below about 4.5e-103
     at |c| <= 1), and the rates that divide by q^3 then leave double
     range."""
-    yield from positive(name, q)
     cube = q * q * q
     # the largest max(1, |c|) whose terms are doubles
     room = cube * (sys.float_info.max / _CAVITY_SCALE)
-    yield (not (cube > 0 and room >= 1.0) or _not(abs(c) <= room),
-           lambda *_: (f"{name} = {q:g} is too small: the cavity terms in "
-                       f"1/{name}^3 leave double range"), NonFiniteError)
+    return (*positive(name, q),
+            (not (cube > 0 and room >= 1.0) or _not(abs(c) <= room),
+             lambda *_: (f"{name} = {q:g} is too small: the cavity terms in "
+                         f"1/{name}^3 leave double range"), NonFiniteError))
 
 
 def check_qc(q_C: float, c=1.0) -> float:
     """q_C as a float, checked, also for the cavity terms of factor c
     (:func:`cavity_scale_faults`), and warned about."""
     q_C = float(q_C)
-    raise_first(qc_faults(q_C))
-    raise_first(cavity_scale_faults("q_C", q_C, c))
+    raise_first((*qc_faults(q_C), *cavity_scale_faults("q_C", q_C, c)))
     warn_qc(q_C)
     return q_C
 
@@ -261,26 +261,25 @@ def outside_stacklevel() -> int:
 
 def nu_faults(nu: float):
     """The rule of a finite clearance factor nu: non-negative."""
-    yield nu < 0, "nu must be non-negative"
+    return ((nu < 0, "nu must be non-negative"),)
 
 
 def sphere_faults(q_R, q_L, q_C: float, nu: float):
     """The rule of :class:`locfield.born.SphereConfig` (q_C, nu floats)."""
-    yield _not(abs(q_R) < math.inf), "q_R must be finite"
-    yield _not(abs(q_L) < math.inf), "q_L must be finite"
-    yield not math.isfinite(q_C), "q_C must be finite"
-    yield not math.isfinite(nu), "nu must be finite"
-    yield q_R <= 0, "q_R must be positive"
-    yield q_L < 0, "q_L must be non-negative"
-    yield from nu_faults(nu)
-    yield from qc_faults(q_C)
-    yield q_L + (1.0 + nu) * q_C > q_R, lambda R, L: (
-        f"emitter too close to the surface: q_L + (1+nu) q_C = "
-        f"{L + (1 + nu) * q_C:g} exceeds q_R = {R:g}")
+    return ((_not(abs(q_R) < math.inf), "q_R must be finite"),
+            (_not(abs(q_L) < math.inf), "q_L must be finite"),
+            (not math.isfinite(q_C), "q_C must be finite"),
+            (not math.isfinite(nu), "nu must be finite"),
+            (q_R <= 0, "q_R must be positive"),
+            (q_L < 0, "q_L must be non-negative"),
+            *nu_faults(nu), *qc_faults(q_C),
+            (q_L + (1.0 + nu) * q_C > q_R, lambda R, L: (
+                f"emitter too close to the surface: q_L + (1+nu) q_C = "
+                f"{L + (1 + nu) * q_C:g} exceeds q_R = {R:g}")))
 
 
 def orientation_faults(orientation: str, kind=DomainError):
     """The rule that a dipole orientation is radial or tangential."""
-    yield (orientation not in ORIENTATIONS, lambda *_: (
+    return ((orientation not in ORIENTATIONS, lambda *_: (
         f"orientation must be one of {ORIENTATIONS}, got {orientation!r}"),
-        kind)
+        kind),)

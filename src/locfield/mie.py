@@ -41,7 +41,7 @@ are small, so off the centre the series is summed in ratio form
 with A = xi_m'/h_m at z0, z1 and B = psi_m'/j_m at z1, x from the ratios
 h_{m-1}/h_m, carried up, and j_{m-1}/j_m, Miller's, both tables (z1 and
 x) from one downward run of specfun, after a plain-Python check of
-q_R, z1 and x;
+q_R, z1 and x, whose refusal names the argument it refuses;
 rho_m = j_m(x)/j_m(z1) and, by the Wronskian, P_m = h_m(z1) j_m(z1)
 = i/(z1 (A1 - B1)), which keeps its small real part j_m^2 at real z1.
 C_m^M takes eps -> 1.  Every factor is bounded.  The terms fall as
@@ -196,8 +196,11 @@ def _series(e, n, q_R: float, q_L: float, orient: str) -> float:
     q_R, q_L and orient, which passed :func:`gamma_b_exact`'s checks, in
     the ratio form of the module docstring; refused as the centre's rate
     is, by :func:`_center_rounding_bound` of K times the sum."""
-    z0, z1, x = (_check_point(q_R), _check_point(n * q_R),
-                 _check_point(n * q_L))
+    try:
+        z0, z1, x = (_check_point(q_R), _check_point(n * q_R),
+                     _check_point(n * q_L))
+    except DomainError:
+        raise _argument_refusal(n, q_R, q_L) from None
     if abs(x) < _X_MIN:
         raise DomainError(f"|n q_L| = {abs(x):.3g} is below {_X_MIN:.2g}, "
                           "where 1/(n q_L) leaves double range; take "
@@ -266,6 +269,18 @@ def _series(e, n, q_R: float, q_L: float, orient: str) -> float:
     return gamma
 
 
+def _argument_refusal(n, q_R: float, q_L: float) -> DomainError:
+    """The refusal, in its own type, of the first of the series' arguments
+    q_R, n q_R and n q_L that :func:`locfield.specfun._check_point` takes
+    no further, naming the argument and its value."""
+    for name, z in (("q_R", q_R), ("n q_R", n * q_R), ("n q_L", n * q_L)):
+        try:
+            _check_point(z)
+        except DomainError as exc:
+            return type(exc)(f"sphere series argument {name} = {z:.6g} is "
+                             f"refused: {exc} (q_R = {q_R:g}, q_L = {q_L:g})")
+
+
 def gamma_b_center(eps, q_R):
     """Exact local-field corrected body rate at the sphere center.
 
@@ -280,9 +295,8 @@ def gamma_b_center(eps, q_R):
     Where :func:`_center_rounding_bound` allows a relative error above
     _CENTER_REL_MAX, AccuracyError names q_R and the bound: in a
     transparent host K is imaginary, so the rate is Re C_1^N, which at a
-    small sphere sits under Im C_1^N ~ 1/q_R^3 (at eps = 1.1 the bound
-    passes 1e-8 below q_R = 7e-3, and at q_R = 1e-5 the rate is off by
-    1e-5 of itself).  In vacuum C_1^N = 0, and the rate is exactly 0.
+    small sphere sits under Im C_1^N ~ 1/q_R^3.  In vacuum C_1^N = 0,
+    and the rate is exactly 0.
     """
     e, n, q_R, shape = _columns(eps, q_R)
     raise_first(method_faults("exact", e))
@@ -317,12 +331,10 @@ def _center_rounding_bound(e, kc, z0, z1, h0, h1, j1, xi0p, xi1p, ps1p):
     j_1(z1) h_1(z0): 2^-52 times the sum of the cancellation
     (|a| + |b|)/|a - b| of C_1^N's numerator and of its denominator, of
     2 (|z0| + |z1|) for the phases e^{iz}, and of 2, all times
-    |K C|/|Im(K C)|, which is large where Im(K C) is a small part of K C.
-    It bounds the error measured against a 60-digit mpmath sweep over
-    q_R = 1e-8 .. 20 at twelve eps, and it is pessimistic where that
-    small part is formed without cancellation (4e-9 at eps = 1.1,
-    q_R = 0.01, where the measured error is 5e-12).  On arrays, under
-    np.errstate, a zero rate (eps = 1) gives NaN, which no check refuses."""
+    |K C|/|Im(K C)|, which is large where Im(K C) is a small part of K C,
+    and pessimistic where that part is formed without cancellation.  On
+    arrays, under np.errstate, a zero rate (eps = 1) gives NaN, which no
+    check refuses."""
     num, den = (e * h1 * xi0p, xi1p * h0), (e * j1 * xi0p, ps1p * h0)
     cancel = sum((abs(a) + abs(b)) / abs(a - b) for a, b in (num, den))
     return (2.0**-52 * (cancel + 2.0 * (abs(z0) + abs(z1)) + 2.0)
@@ -348,9 +360,8 @@ def gamma_b_exact(eps, q_R: float, q_L: float,
     """
     eps = as_permittivity(eps)
     q_R, q_L = float(q_R), float(q_L)
-    raise_first(inside_sphere(q_R, q_L))
-    raise_first(orientation_faults(orient))
-    raise_first(method_faults("exact", eps.epsilon))
+    raise_first((*inside_sphere(q_R, q_L), *orientation_faults(orient),
+                 *method_faults("exact", eps.epsilon)))
     if q_L == 0.0:
         return _center_rate(*np.atleast_1d(eps.epsilon, eps.n, q_R)).item()
     return _series(eps.epsilon, eps.n, q_R, q_L, orient)

@@ -8,30 +8,23 @@ this module converts to absolute rates when a dipole moment is supplied,
 and dispatches rate requests to the linear-Born, exact real-cavity,
 weak-absorption, or uncorrected evaluation paths.
 
-:func:`compute_batch` is the entry point for requests: it returns a
-breakdown or an error for each.  It groups them into columns, one per
-set of requests that share method, geometry, orientation, q_C, nu and
-tol; a column, one curve of a sweep, is what the evaluation works on.
-Its points are checked as arrays by the rules of :mod:`locfield.errors`,
-each failing point getting the error (text and precedence) that a
-RateRequest and :func:`compute` give it: a sweep's by both, and a
-batch's, whose RateRequests checked theirs when they were made, by
-compute's method and q_C rules alone.  A column forms h = eps + 1/2,
-n = sqrt(eps) and chi = eps - 1 once (h and n on the exact route) and
-hands them to the rules, the cavity term, the validity values and the
-row kernel.  Its cavity term is one array expression of the closed
-forms that the scalar functions of :mod:`locfield.cavity` and
-:mod:`locfield.born` also call, and its validity values are arrays too.
-The sphere body terms of all the columns go to two array kernels, each
-of which returns a value or an error per row: the exact and
-weak_absorption terms (the exact one at Re eps for weak_absorption)
-that share an orientation are one call of
-:func:`locfield.mie._gamma_b_rows`, and the linear Born and uncorrected
-terms that share a tol one call of
-:func:`locfield.born.gamma_b_sphere_rows`, where rows on one sphere
-geometry share its moments.  A sweep
-(:func:`locfield.cli.run_sweep`) builds one column per curve from its
-grid; :func:`compute` is a batch of one.
+The evaluation works on columns, the points of one curve, which share
+method, geometry, orientation, q_C, nu and tol: :func:`compute_batch`
+groups its requests into columns, :func:`compute` makes a column of one
+and a sweep (:func:`locfield.cli.run_sweep`) one column per curve.  A
+column's points are checked as arrays by the rules of
+:mod:`locfield.errors`, each failing point getting the error (text and
+precedence) that a RateRequest and :func:`compute` give it: a sweep's by
+both, requests' (checked when made) by compute's method and q_C rules
+alone.  A column forms h = eps + 1/2, n = sqrt(eps) and chi = eps - 1
+once and hands them to the rules, the cavity term, the validity values
+and the row kernel.  The sphere body terms of all the columns go to two
+array kernels, each returning a value or an error per row, in one call
+per orientation or tol: :func:`locfield.mie._gamma_b_rows` for the exact
+and weak_absorption terms (the exact one at Re eps for
+weak_absorption), :func:`locfield.born.gamma_b_sphere_rows` for the
+linear Born and uncorrected ones, where rows on one sphere geometry
+share its moments.
 
 Physical constants (SI; h is exact by definition, eps_0 is the CODATA
 2022 value):
@@ -43,7 +36,6 @@ Physical constants (SI; h is exact by definition, eps_0 is the CODATA
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from collections import defaultdict
 from typing import NamedTuple
@@ -194,8 +186,7 @@ class RateRequest:
         object.__setattr__(self, "_permittivity", as_permittivity(self.eps))
         sphere = None
         if self.geometry == "sphere":
-            sphere = born.SphereConfig(q_R=self.q_R, q_L=self.q_L,
-                                       q_C=self.q_C, nu=self.nu)
+            sphere = born.SphereConfig(self.q_R, self.q_L, self.q_C, self.nu)
         else:
             raise_first(qc_faults(self.q_C))
             warn_qc(self.q_C)
@@ -213,9 +204,10 @@ class RateRequest:
 
 def compute(request: RateRequest) -> born.RateBreakdown:
     """Evaluate one rate request; returns the Gamma/Gamma_0 breakdown
-    with the linearity/absorption validity report attached.  A batch of
-    one for :func:`compute_batch`, whose error it raises."""
-    (result,) = compute_batch([request])
+    with the linearity/absorption validity report attached.  A column of
+    one, as :func:`compute_batch` makes, whose error it raises."""
+    (rates_,) = _compute_columns([_request_column([request])], checked=True)
+    (result,) = rates_.results()
     if isinstance(result, LocfieldError):
         raise result
     return result
@@ -231,32 +223,36 @@ def compute_batch(requests) -> list:
     requests = list(requests)
     groups = defaultdict(list)
     for i, r in enumerate(requests):
-        groups[(r.method, r.geometry, r.orientation, r.q_C, r.nu,
-                r.tol)].append(i)
-    columns = []
-    for (method, geometry, orientation, q_C, nu, tol), members \
-            in groups.items():
-        group = [requests[i] for i in members]
-        columns.append(_Column(
-            method, orientation, q_C, nu, tol,
-            eps=np.array([r.permittivity.epsilon for r in group],
-                         dtype=complex),
-            q_R=(np.array([r.q_R for r in group], dtype=float)
-                 if geometry == "sphere" else None),
-            q_L=np.array([r.q_L for r in group], dtype=float)))
+        groups[r.method, r.geometry, r.orientation, r.q_C, r.nu,
+               r.tol].append(i)
+    columns = [_request_column([requests[i] for i in members])
+               for members in groups.values()]
     results: list = [None] * len(requests)
-    for members, column in zip(groups.values(),
+    for members, rates_ in zip(groups.values(),
                                _compute_columns(columns, checked=True)):
-        for i, result in zip(members, column.results()):
+        for i, result in zip(members, rates_.results()):
             results[i] = result
     return results
 
 
+def _request_column(group) -> _Column:
+    """The column of RateRequests that share method, geometry,
+    orientation, q_C, nu and tol."""
+    # a complex and two floats per request (q_R None in bulk), whose
+    # dtypes the arrays keep
+    eps, q_R, q_L = zip(*[(r._permittivity.epsilon, r.q_R, r.q_L)
+                          for r in group])
+    r = group[0]
+    return _Column(r.method, r.orientation, r.q_C, r.nu, r.tol,
+                   np.array(eps), np.array(q_R) if r.geometry == "sphere"
+                   else None, np.array(q_L))
+
+
 def _off_center_faults(method: str, q_L):
     """The rule that a weak_absorption request has q_L = 0."""
-    if method == "weak_absorption":
-        yield (q_L != 0.0, "weak_absorption is formulated for the sphere "
-               "center (q_L = 0) or bulk", ConfigError)
+    return ((method == "weak_absorption" and q_L != 0.0, "weak_absorption "
+             "is formulated for the sphere center (q_L = 0) or bulk",
+             ConfigError),)
 
 
 class _Column(NamedTuple):
@@ -297,8 +293,10 @@ class _Rates(NamedTuple):
     def results(self) -> list:
         """The RateBreakdown of each point, or the error it raised."""
         errors = self.errors
-        return [errors[k] if k in errors else born.RateBreakdown.from_parts(
-                    gamma_c, gamma_b,
+        # the floats of tolist, so the breakdown is built as from_parts
+        # would build it
+        return [errors[k] if k in errors else born.RateBreakdown(
+                    gamma_c, gamma_b, 1.0 + gamma_c + gamma_b,
                     born._validity_report(chi_size, absorption))
                 for k, (gamma_c, gamma_b, chi_size, absorption) in enumerate(
                     zip(self.gamma_c.tolist(), self.gamma_b.tolist(),
@@ -306,33 +304,26 @@ class _Rates(NamedTuple):
 
 
 def _compute_columns(columns, checked: bool = False) -> list:
-    """The :class:`_Rates` of each column.
-
-    Each column is validated by :func:`_check_points` (checked: its
-    points are RateRequests'), and a large q_C warns once per column
-    that yields a rate.  A column forms h, n and chi once and hands them
-    to the rules, the cavity term, the validity values and the row
-    kernel, all worked out as arrays.  The sphere body terms of all the
-    columns go to the array kernels together, one call per kernel (and
-    orientation or tol): :func:`locfield.mie._gamma_b_rows` for the exact
-    and weak-absorption rows, :func:`locfield.born.gamma_b_sphere_rows`
-    for the linear ones, where rows on one sphere geometry share its
-    moments.
-    """
+    """The :class:`_Rates` of each column, as the module docstring has
+    it: each is checked by :func:`_check_points` (checked: its points are
+    RateRequests'), warns once about a large q_C if it yields a rate, and
+    sends its sphere body terms to the array kernels with the others."""
     batches = defaultdict(list)
     out = [_column_rates(column, batches, checked) for column in columns]
-    for (kernel, *args), members in batches.items():
-        rows = [np.concatenate(parts) if len(parts) > 1 else parts[0]
-                for parts in zip(*(arrays for _, _, arrays in members))]
-        values, errors = kernel(*rows, *args)
+    for (kernel, arg), members in batches.items():
+        rows = (members[0][2] if len(members) == 1 else
+                [np.concatenate(parts)
+                 for parts in zip(*(arrays for _, _, arrays in members))])
+        values, errors = kernel(*rows, arg)
         start = 0
         for rates_, live, arrays in members:
             stop = start + arrays[0].size
             rates_.gamma_b[slice(None) if live is None else live] = \
                 values[start:stop]
-            rates_.errors.update(
-                (j - start if live is None else int(live[j - start]), exc)
-                for j, exc in errors.items() if start <= j < stop)
+            if errors:
+                rates_.errors.update(
+                    (j - start if live is None else int(live[j - start]),
+                     exc) for j, exc in errors.items() if start <= j < stop)
             start = stop
     return out
 
@@ -354,8 +345,10 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
         eps, h, n, chi, q_R, q_L = (None if a is None else a[live]
                                     for a in (eps, h, n, chi, q_R, q_L))
     q_C = col.q_C
-    chi_size, absorption = born._validity_values(
-        chi, q_L + q_R if sphere else 1.0, q_C)
+    # q_L + q_R and |chi| times it beyond double range are inf, which fails
+    with np.errstate(over="ignore"):
+        chi_size, absorption = born._validity_values(
+            chi, q_L + q_R if sphere else 1.0, q_C)
     warn_qc(q_C)
     if method == "linear_born":
         gamma_c = born._cavity_term(chi, q_C)
@@ -400,15 +393,14 @@ def _check_points(col: _Column, eps, h, chi, q_R, q_L, checked: bool):
     checked when made) by compute's alone, reading the column's h and
     chi.  Only the rules that some point fails run one by one."""
     q_C = col.q_C
-    request = () if checked else itertools.chain(
-        _off_center_faults(col.method, q_L), permittivity_faults(eps),
-        sphere_faults(q_R, q_L, q_C, col.nu)
-        if col.q_R is not None else qc_faults(q_C),
-        positive("tol", col.tol))
-    checks = list(failing(itertools.chain(
-        request, method_faults(col.method, eps, h),
-        cavity_scale_faults("q_C", q_C,
-                            cavity._scale_factor(col.method, eps, h, chi)))))
+    request = () if checked else (
+        *_off_center_faults(col.method, q_L), *permittivity_faults(eps),
+        *(sphere_faults(q_R, q_L, q_C, col.nu)
+          if col.q_R is not None else qc_faults(q_C)),
+        *positive("tol", col.tol))
+    checks = failing((*request, *method_faults(col.method, eps, h),
+                      *cavity_scale_faults("q_C", q_C, cavity._scale_factor(
+                          col.method, eps, h, chi))))
     if not checks:
         return {}, None
     errors = {}

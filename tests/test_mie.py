@@ -590,6 +590,29 @@ def test_subnormal_offset_is_refused_for_what_it_is():
     assert np.isfinite(gamma_b_exact(*args, 0.0, "radial"))
 
 
+@pytest.mark.parametrize("eps, q_R, q_L, kind, message", [
+    (4.0, 2e4, 1.0, DomainError, "sphere series argument q_R = 20000 is "
+     "refused: |z| must be < 10000 (q_R = 20000, q_L = 1)"),
+    (1e300, 5.0, 1.0, DomainError, "sphere series argument n q_R = "
+     "5e+150+0j is refused: |z| must be < 10000 (q_R = 5, q_L = 1)"),
+    # n = 1e-150 takes the subnormal q_L to 0
+    (1e-300, 2.0, 4e-323, SingularityError, "sphere series argument n q_L "
+     "= 0+0j is refused: function is singular at z = 0 (q_R = 2, q_L = "
+     "3.95253e-323)")], ids=["q_R", "n q_R", "n q_L"])
+def test_series_argument_refusals_name_their_argument(eps, q_R, q_L, kind,
+                                                      message):
+    # the first of q_R, n q_R and n q_L that the Bessel functions refuse
+    # is named, with its value and the request's q_R and q_L, in the
+    # refusal's own type, from compute and from gamma_b_exact alike
+    for call in (lambda: compute(RateRequest(eps=eps, method="exact",
+                                             q_R=q_R, q_L=q_L)),
+                 lambda: gamma_b_exact(eps, q_R, q_L)):
+        with pytest.raises(DomainError) as refused:
+            call()
+        assert type(refused.value) is kind
+        assert str(refused.value) == message
+
+
 # -- invariants of the exact rate (drawn where the series converges) ----------------
 
 _EPS = st.builds(complex, st.floats(1.05, 2.5),

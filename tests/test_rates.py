@@ -20,8 +20,9 @@ from locfield import rates
 from locfield.cavity import (gamma_b_corrected, gamma_c_exact,
                              gamma_weak_absorption)
 from locfield.cli import build_sweep, run_sweep
-from locfield.errors import (AccuracyError, ConfigError, DomainError,
-                             LocfieldError, NonFiniteError, SingularityError)
+from locfield.errors import (QC_DEFAULT, AccuracyError, ConfigError,
+                             DomainError, LocfieldError, NonFiniteError,
+                             SingularityError)
 from locfield.greens import Permittivity, cavity_green_linear, f_constant_q
 from locfield.mie import (body_green_center, gamma_b_center, gamma_b_exact,
                           gamma_center_exact)
@@ -345,6 +346,60 @@ def test_passive_hosts_give_positive_rates(method, eps, q_R, ratio,
     assert rate.total_ratio > 0.0, request
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(("exact", "linear_born")),
+       angle=st.floats(0.0, math.pi),
+       delta=st.floats(-6.0, -2.0).map(lambda e: 10.0**e),
+       q_R=st.floats(0.0, 1.0).map(lambda u: 0.5 * 40.0**u),  # 0.5 .. 20
+       ratio=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+       orientation=st.sampled_from(ORIENTATIONS))
+def test_rates_tend_to_vacuum_as_chi_vanishes(method, angle, delta, q_R,
+                                              ratio, orientation):
+    # along chi = delta u, |u| = 1 and Im u >= 0, the second difference
+    # D = Gamma(delta u) - 2 Gamma(delta u/2) + Gamma(0), Gamma(0) = 1, is
+    # O(delta^2) on the exact route and rounding alone on linear_born,
+    # which is linear in chi.  On the exact route the cavity term's chi^2
+    # coefficient -(2/3)/q_C^3 gives |D| = delta^2 |Im u^2|/(3 q_C^3) to
+    # leading order (0.35 allows for the next orders up to delta = 1e-2),
+    # and the body term's D, from the image field of the sphere's surface
+    # at distance q_R - q_L and a phase that grows with q_R, stays below
+    # delta^2 (1/(q_R - q_L)^3 + q_R) (it reaches 0.3 of that at q_R = 0.5);
+    # the exact series' rates carry up to 1e-8 of themselves from
+    # rounding.  A near-vacuum row that the exact route cannot certify is
+    # refused with a typed AccuracyError, and a subnormal q_L with its own
+    # DomainError.  Re chi is a multiple of 2^-51, so that 1 + chi and
+    # 1 + chi/2 are doubles and each rate is taken at its point of the ray
+    chi = complex(round(delta * math.cos(angle) * 2.0**51) * 2.0**-51,
+                  delta * math.sin(angle))
+    try:
+        rates_ = [compute(RateRequest(eps=1.0 + step, method=method,
+                                      q_R=q_R, q_L=ratio * q_R,
+                                      orientation=orientation))
+                  for step in (chi, 0.5 * chi)]
+    except AccuracyError:
+        assert method == "exact"
+        return
+    except DomainError as refused:  # a subnormal q_L, whatever chi is
+        assert method == "exact" and str(refused).startswith("|n q_L| = ")
+        return
+    second = rates_[0].total_ratio - 2.0 * rates_[1].total_ratio + 1.0
+    body = rates_[0].gamma_b_ratio - 2.0 * rates_[1].gamma_b_ratio
+    size = sum(abs(r.total_ratio) + abs(r.gamma_c_ratio)
+               + abs(r.gamma_b_ratio) for r in rates_) + 1.0
+    body_size = abs(rates_[0].gamma_b_ratio) + 2.0 * abs(
+        rates_[1].gamma_b_ratio)
+    rounding = 2.0**-50 * size
+    if method == "linear_born":
+        assert abs(second) <= rounding
+        assert abs(body) <= 2.0**-50 * body_size
+        return
+    gap = q_R - ratio * q_R
+    body_bound = delta**2 * (1.0 / gap**3 + q_R) + 1e-8 * body_size
+    assert abs(body) <= body_bound
+    assert abs(second) <= 0.35 * delta**2 / QC_DEFAULT**3 + body_bound + (
+        rounding)
+
+
 def test_validity_report_attached():
     r = compute(RateRequest(eps=1.1 + 2e-7j, method="linear_born", q_R=2.0))
     v = r.validity
@@ -661,7 +716,9 @@ def test_an_absurd_radius_is_a_typed_error():
                     compute(request)
                 if method == "exact":
                     assert type(refused.value) is DomainError
-                    assert str(refused.value) == "|z| must be < 10000"
+                    assert str(refused.value) == (
+                        f"sphere series argument q_R = {q_R:g} is refused: "
+                        f"|z| must be < 10000 (q_R = {q_R:g}, q_L = 1)")
                 else:
                     assert type(refused.value) is AccuracyError
                     assert str(refused.value) == (
@@ -671,6 +728,20 @@ def test_an_absurd_radius_is_a_typed_error():
         report = validity_check(None, 3.0, boundary_max=1e308, q_C=0.01)
         assert report.chi_size_value == math.inf
         assert not report.chi_size_ok
+
+
+def test_an_emitter_whose_q_max_leaves_double_range_warns_nothing():
+    # q_L + q_R, the q_max of the validity value, beyond double range is
+    # inf like the value itself, with no numpy warning ("overflow
+    # encountered in add" once); each route then refuses as it would
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method, kind in (("exact", DomainError),
+                             ("linear_born", AccuracyError),
+                             ("uncorrected", AccuracyError)):
+            with pytest.raises(kind):
+                compute(RateRequest(eps=2.0, method=method, q_R=1.7e308,
+                                    q_L=1e308))
 
 
 def test_centred_refusal_stays_on_its_row():

@@ -237,10 +237,10 @@ def test_order_tables_against_mpmath():
 
 def test_order_tables_check_like_the_scipy_route():
     # the off-centre series checks (q_R, n q_R, n q_L) once, and refuses
-    # as spherical_hankel_h1 of the first of them that fails: the argument
-    # cap, before a non-finite n q_R; n q_R or n q_L rounding to 0, where
-    # the series would divide by it.  So do gamma_b_exact and compute
-    # (at q_R = 1e300 too, whose |chi| q_R leaves double range).
+    # as spherical_hankel_h1 of the first of them that fails, naming it:
+    # the argument cap, before a non-finite n q_R; n q_R or n q_L rounding
+    # to 0, where the series would divide by it.  So do gamma_b_exact and
+    # compute (at q_R = 1e300 too, whose |chi| q_R leaves double range).
     # the ratio tables raise spherical_bessel_j's NonFiniteError where
     # j_0 overflows
     for eps, q_R, q_L, via_compute in (
@@ -248,9 +248,14 @@ def test_order_tables_check_like_the_scipy_route():
             (1e100, 1e300, 1.0, True), (0.01, 1.0, 5e-324, True),
             (1e-300, 1e-200, 1e-201, False)):
         n = Permittivity(eps).n
-        want = _outcome(*(functools.partial(spherical_hankel_h1, 0, z)
-                          for z in (q_R, n * q_R, n * q_L)))
-        assert isinstance(want, tuple), (eps, q_R, q_L)
+        for name, z in (("q_R", q_R), ("n q_R", n * q_R),
+                        ("n q_L", n * q_L)):
+            refused = _outcome(functools.partial(spherical_hankel_h1, 0, z))
+            if isinstance(refused, tuple):
+                break
+        assert isinstance(refused, tuple), (eps, q_R, q_L)
+        want = (refused[0], f"sphere series argument {name} = {z:.6g} is "
+                f"refused: {refused[1]} (q_R = {q_R:g}, q_L = {q_L:g})")
         for orient in ("radial", "tangential"):
             assert _outcome(lambda: mie.gamma_b_exact(eps, q_R, q_L,
                                                       orient)) == want

@@ -8,13 +8,24 @@ Run from the repository root::
 It imports ``benchmarks/workloads.py`` of the tree (read only, as the
 benchmark does), which puts that tree's ``src`` first on the import
 path, and builds the ``exact_offcenter`` inputs of the given seeds.
-Each pass times five things over all of those inputs, one after the
-other:
+Each pass times these over all of those inputs, one after the other:
 
 * ``request``: building the ``RateRequest`` of each input;
 * ``compute_outside_series``: ``locfield.compute`` of each request with
   ``mie._series`` replaced by a stub that returns 0.0 (and put back
-  after the pass);
+  after the pass), and, in the same calls, the layers it is made of
+  (``compute_layers``), each timed by a wrapper around the function the
+  package calls:
+
+  - ``rules``: compute's rules on the column, ``rates._check_points``;
+  - ``medium``, ``cavity_term``, ``validity_values``: the column's parts,
+    ``cavity._medium``, ``cavity._cavity_term`` and
+    ``born._validity_values``;
+  - ``kernel_plumbing``: ``mie._gamma_b_rows`` around the stubbed series;
+  - ``results``: ``rates._Rates.results``, the breakdowns;
+  - ``rest``: what is left, the grouping of the requests into a column
+    and the column's own assembly, with the wrappers' own cost;
+
 * ``series``: ``mie._series`` alone, on the arguments the rows kernel
   gives it for each request;
 * ``series_tables``: the series' two tables of Bessel ratios alone
@@ -23,10 +34,12 @@ other:
 * ``whole``: building each request and computing it.
 
 It prints one JSON line: the best pass of each, in microseconds per
-request, with the seeds, the number of requests and of passes.  The
-passes are interleaved so that a slow spell of the machine falls on all
-five alike.  A tree whose series has no ``_bessel_ratio_tables`` times
-no ``series_tables``.
+request, with the seeds, the number of requests and of passes; a
+layer's time is its time in the pass whose ``compute_outside_series``
+was best.  The passes are interleaved so that a slow spell of the
+machine falls on all of them alike.  A tree whose series has no
+``_bessel_ratio_tables`` times no ``series_tables``, and one without a
+layer's function times no such layer.
 """
 
 import argparse
@@ -39,6 +52,15 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# (module, attribute, layer) of the functions compute calls, wrapped to
+# time its layers; a class attribute is "Class.name"
+LAYERS = (("rates", "_check_points", "rules"),
+          ("cavity", "_medium", "medium"),
+          ("cavity", "_cavity_term", "cavity_term"),
+          ("born", "_validity_values", "validity_values"),
+          ("mie", "_gamma_b_rows", "kernel_plumbing"),
+          ("rates", "_Rates.results", "results"))
+
 
 def _best(times: dict, name: str, call, items) -> None:
     start = time.perf_counter()
@@ -48,9 +70,48 @@ def _best(times: dict, name: str, call, items) -> None:
     times[name] = min(times.get(name, elapsed), elapsed)
 
 
+def _wrapped(spent: dict, layer: str, function):
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            spent[layer] += time.perf_counter() - start
+    return timed
+
+
+def _layer_sites(modules: dict) -> list:
+    """(owner, attribute, function, layer) of each layer the tree has."""
+    sites = []
+    for module, attribute, layer in LAYERS:
+        owner = modules[module]
+        if "." in attribute:
+            cls, attribute = attribute.split(".")
+            owner = getattr(owner, cls, None)
+        function = getattr(owner, attribute, None) if owner else None
+        if function is not None:
+            sites.append((owner, attribute, function, layer))
+    return sites
+
+
+def _timed_compute(compute, requests, sites) -> tuple:
+    """The time of compute over the requests, and of each layer in it."""
+    spent = {layer: 0.0 for *_, layer in sites}
+    for owner, attribute, function, layer in sites:
+        setattr(owner, attribute, _wrapped(spent, layer, function))
+    try:
+        start = time.perf_counter()
+        for request in requests:
+            compute(request)
+        return time.perf_counter() - start, spent
+    finally:
+        for owner, attribute, function, _ in sites:
+            setattr(owner, attribute, function)
+
+
 def layers(seeds, passes: int) -> dict:
     import workloads
-    from locfield import compute, mie
+    from locfield import born, cavity, compute, mie, rates
 
     items = [item for seed in seeds for item in workloads.exact_inputs(seed)]
     requests = [workloads.rate_request(item) for item in items]
@@ -73,27 +134,39 @@ def layers(seeds, passes: int) -> dict:
                 series(*args)
         finally:
             mie._bessel_ratio_tables = tables
+    sites = _layer_sites({"rates": rates, "cavity": cavity, "born": born,
+                          "mie": mie})
 
     def stub(*args):
         return 0.0
 
-    times = {}
+    times, split, split_best = {}, {}, None
     for _ in range(passes):
         _best(times, "request", workloads.rate_request, items)
         mie._series = stub
         try:
             _best(times, "compute_outside_series", compute, requests)
+            total, spent = _timed_compute(compute, requests, sites)
         finally:
             mie._series = series
+        if split_best is None or total < split_best:
+            split_best = total
+            split = dict(spent, rest=total - sum(spent.values()))
         _best(times, "series", lambda args: series(*args), series_args)
         if table_args:
             _best(times, "series_tables", lambda args: tables(*args),
                   table_args)
         _best(times, "whole",
               lambda item: compute(workloads.rate_request(item)), items)
+
+    def per_request(seconds):
+        return round(1e6 * seconds / len(items), 2)
+
     return {"seeds": list(seeds), "requests": len(items), "passes": passes,
-            "us_per_request": {name: round(1e6 * t / len(items), 2)
-                               for name, t in times.items()}}
+            "us_per_request": {name: per_request(t)
+                               for name, t in times.items()},
+            "compute_layers_us_per_request": {
+                name: per_request(t) for name, t in split.items()}}
 
 
 def main(argv=None) -> int:
