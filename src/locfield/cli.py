@@ -4,9 +4,10 @@ Subcommands
 -----------
 ``locfield sweep``
     Run a parameter sweep from a preset or a flat key-value config file
-    and write a deterministic CSV (fixed 15-significant-digit formatting,
-    '.' decimal separator, LF line endings; identical config gives
-    byte-identical output).
+    and write a deterministic CSV (identical config gives byte-identical
+    output): comma-separated, LF line endings, each float cell "%.15g"
+    of its value, failed cells empty, and only the error cell quoted, as
+    RFC 4180 and csv.writer's QUOTE_MINIMAL quote.
 ``locfield compute``
     Evaluate a single rate and print the Gamma/Gamma_0 breakdown.
 ``locfield plot``
@@ -53,7 +54,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import math
 import sys
 
@@ -324,46 +324,49 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
     geometry once and takes the centred ones in closed form.
     Per-point failures leave the rate cells empty and put the message
     in the error column; the sweep continues.  Rows come out in sweep
-    order.
+    order, joined into the file's text in one pass.
     """
-    header = ([spec.swept_variable]
-              + [c.column for c in spec.curves]
-              + ["bulk_reference", "validity_chi_size",
-                 "validity_absorption", "error"])
-    bulk_ref = cavity.gamma_bulk(spec.eps_re, model="real_cavity")
+    header = [spec.swept_variable, *(c.column for c in spec.curves),
+              "bulk_reference", "validity_chi_size", "validity_absorption",
+              "error"]
+    bulk_ref = _fmt(cavity.gamma_bulk(spec.eps_re, model="real_cavity"))
     grid = spec.grid()
-    n = grid.size
     cells = [list(map(_fmt, grid.tolist()))]
-    errors = [[] for _ in range(n)]
-    chi_size_ok, absorption_ok = [""] * n, [""] * n
-    pending = np.ones(n, dtype=bool)  # rows whose validity is not set
+    errors = {}  # the messages of each failing row
+    # each row's validity flags are those of the first curve with a rate
+    # there, as 2 chi_size_ok + absorption_ok; 4 while no curve has one
+    flags = np.full(grid.size, 4, dtype=np.int8)
     for curve, rates_ in zip(spec.curves, _sweep_results(spec, grid)):
         column = list(map(_fmt, rates_.total.tolist()))
-        ok = np.ones(n, dtype=bool)
+        take = flags == 4
         for k, exc in rates_.errors.items():
             column[k] = ""
-            errors[k].append(f"{curve.column}: {exc}")
-            ok[k] = False
+            errors.setdefault(k, []).append(f"{curve.column}: {exc}")
+            take[k] = False
         cells.append(column)
-        # the validity flags are the first successful curve's
-        take = np.flatnonzero(pending & ok)
-        chi_size_pass, absorption_pass = rates_.validity_ok
-        for k, c, a in zip(take.tolist(), chi_size_pass[take].tolist(),
-                           absorption_pass[take].tolist()):
-            chi_size_ok[k] = "1" if c else "0"
-            absorption_ok[k] = "1" if a else "0"
-        pending[take] = False
-    cells += [[_fmt(bulk_ref)] * n, chi_size_ok, absorption_ok,
-              ["; ".join(e) for e in errors]]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*cells))
+        chi_size_ok, absorption_ok = rates_.validity_ok
+        flags[take] = (2 * chi_size_ok + absorption_ok)[take]
+    # a row's last four cells as one: bulk, flags and (empty) error cell
+    tail = list(map(tuple(f"{bulk_ref},{v}," for v in
+                          ("0,0", "0,1", "1,0", "1,1", ",")).__getitem__,
+                    flags.tolist()))
+    for k, messages in errors.items():
+        tail[k] += _quoted("; ".join(messages))
+    cells.append(tail)
+    text = "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
     try:
         with open(output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+            fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {output_path}: {exc}") from exc
+
+
+def _quoted(cell: str) -> str:
+    """A cell as RFC 4180 quotes it: in double quotes, its own doubled,
+    if it holds a comma, a double quote, CR or LF."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _sweep_results(spec: SweepSpec, grid) -> list:
@@ -449,10 +452,7 @@ def emit_plot_script(csv_path: str, output_path: str | None = None) -> str:
     orientations = {orient for _, _, _, orient, _ in gamma_cols
                     if orient is not None}
     by_orientation = len(orientations) > 1
-    methods = []
-    for _, _, method, _, _ in gamma_cols:
-        if method not in methods:
-            methods.append(method)
+    methods = list(dict.fromkeys(method for _, _, method, _, _ in gamma_cols))
 
     lines = [
         f"# generated by locfield {__version__}",

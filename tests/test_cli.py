@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,8 +213,11 @@ def test_sweep_leaves_unsettled_cells_empty(tmp_path):
 # the clearance limit and exact AccuracyError on a q_L sweep; "too close"
 # and the weak_absorption off-centre ConfigError on a q_R sweep; the
 # transparent-host refusal and q_C warnings on a log im_chi sweep; the
-# passivity refusal on an im_chi sweep through zero; and cavity radii
-# whose 1/q_C^3 is no double, beside one that is.
+# passivity refusal on an im_chi sweep through zero; cavity radii
+# whose 1/q_C^3 is no double, beside one that is; and, in a strongly
+# absorbing sphere out to q_L/q_R = 0.999, linear rates refused for their
+# rounding and an exact series past its order limit, whose messages hold
+# commas, on a row where no curve has a rate.
 ERROR_SWEEPS = {
     "qL_edge": {
         "sweep": "qL", "lo": "0", "hi": "0.999", "points": "12",
@@ -238,6 +242,11 @@ ERROR_SWEEPS = {
         "sweep": "qR", "lo": "0.5", "hi": "3", "points": "4",
         "qc": "1e-120,1e-103,0.01", "eps_re": "1.1", "eps_im": "1e-8",
         "methods": "linear_born,exact,uncorrected,weak_absorption"},
+    "qL_past_order_limit": {
+        "sweep": "qL", "lo": "0", "hi": "0.29610271434986296", "points": "4",
+        "qr": "0.2963991134633263", "qc": "1e-4", "eps_re": "0.001",
+        "eps_im": "1e5", "methods": "exact,linear_born",
+        "orientations": "radial,tangential"},
 }
 
 
@@ -290,16 +299,83 @@ def test_presets_match_the_shipped_references(tmp_path, preset):
                     (name, row[0])
 
 
-def test_cells_are_the_bytes_of_format_15g():
+def test_cells_are_the_bytes_of_format_15g(tmp_path, monkeypatch):
     # a CSV cell is "{:.15g}".format of its float, byte for byte, on random
     # bit patterns and the edges of the format: signed zeros, infinities,
-    # NaN, subnormals and the switch to exponents at 1e15 and 1e16
+    # NaN, subnormals and the switch to exponents at 1e15 and 1e16; the
+    # same values as a rate column pass through run_sweep's own column
+    # formatting into the file
     rng = np.random.default_rng(3)
     values = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
-    for x in [*values.tolist(), *values[:100], 0.0, -0.0, np.inf, -np.inf,
-              np.nan, 5e-324, -2.2250738585072014e-308, 1e15, 1e16,
-              999999999999999.9, -1e16 + 2.0]:
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+             -2.2250738585072014e-308, 1e15, 1e16, 999999999999999.9,
+             -1e16 + 2.0]
+    for x in [*values.tolist(), *values[:100], *edges]:
         assert _fmt(x) == "{:.15g}".format(x), x
+    column = np.concatenate([values, edges])
+    spec = build_sweep({"sweep": "qR", "lo": "0.5", "hi": "3",
+                        "points": str(column.size), "eps_re": "1.1",
+                        "methods": "linear_born"})
+    passing = np.ones(column.size, dtype=bool)
+    monkeypatch.setattr(cli, "_sweep_results", lambda spec, grid: [
+        SimpleNamespace(total=column, errors={},
+                        validity_ok=(passing, passing))])
+    run_sweep(spec, str(tmp_path / "f.csv"))
+    header, rows = read_rows(tmp_path / "f.csv")
+    assert [row[1] for row in rows] == [
+        "{:.15g}".format(x) for x in column.tolist()]
+    assert [row[0] for row in rows] == [
+        "{:.15g}".format(x) for x in spec.grid().tolist()]
+
+
+# cells that csv.writer's minimal quoting quotes, and cells it leaves bare
+QUOTING_CELLS = {
+    "plain": "plain text", "comma": "a, b", "quotes": 'say "no"',
+    "quote": '"', "lone_comma": ",", "lf": "two\nlines", "cr": "cr\ronly",
+    "crlf": "crlf\r\nend", "leading_space": " leading",
+    "trailing_space": "trailing ", "spaces": " both ", "empty": "",
+    "order_limit": "gamma_exact: about 2.83e+04 orders needed, 5000 "
+                   "allowed (q_R = 0.296399, q_L = 0.296103)"}
+
+
+@pytest.mark.parametrize("cell", QUOTING_CELLS.values(), ids=QUOTING_CELLS)
+def test_error_cells_are_quoted_as_csv_writer_quotes(cell):
+    # the helper quotes a cell as csv.writer (lineterminator "\n") does,
+    # wherever csv.reader reads the writer's line back; a lone CR, which
+    # Python 3.11's writer leaves bare and its reader then refuses, is
+    # quoted as RFC 4180 asks, so every cell reads back as itself
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([cell, "x"])
+    line = f"{cli._quoted(cell)},x\n"
+    assert list(csv.reader(io.StringIO(line))) == [[cell, "x"]]
+    try:
+        readable = list(csv.reader(io.StringIO(buf.getvalue())))
+    except csv.Error:
+        readable = None
+    if readable == [[cell, "x"]]:
+        assert line == buf.getvalue()
+    else:
+        assert cell == "cr\ronly"
+
+
+@pytest.mark.filterwarnings("ignore:q_C = 0.15")
+@pytest.mark.parametrize("preset", [*sorted(PRESETS), *CLEAN_SWEEPS,
+                                    *ERROR_SWEEPS])
+def test_sweep_csv_is_the_csv_writer_dialect(tmp_path, preset):
+    # the file is byte for byte what csv.writer(lineterminator="\n")
+    # writes of the rows csv.reader reads from it: comma-separated, LF
+    # line endings, and minimal quoting (the error cells that hold a
+    # comma, those of qL_past_order_limit, quoted, and no other cell)
+    spec = build_sweep(dict({**PRESETS, **CLEAN_SWEEPS,
+                             **ERROR_SWEEPS}[preset]))
+    run_sweep(spec, str(tmp_path / "p.csv"))
+    data = (tmp_path / "p.csv").read_bytes().decode("utf-8")
+    rows = list(csv.reader(io.StringIO(data, newline="")))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert data == buf.getvalue()
+    assert (',"gamma_' in data) == any("," in row[-1] for row in rows) \
+        == (preset == "qL_past_order_limit")
 
 
 @pytest.mark.filterwarnings("ignore:q_C = 0.15")
@@ -397,11 +473,15 @@ def test_plot_scripts_have_expected_curve_counts(tmp_path):
     ["compute", "--eps-re", "1.1", "--qc", "0", "--method", "linear_born"],
     ["compute", "--eps-re", "1.1", "--qc", "-0.5", "--method", "linear_born"],
     ["compute", "--eps-re", "1.1", "--qc", "0.5", "--method", "linear_born"],
+    # an output file that cannot be written
+    ["sweep", "--preset", "fig4", "--out", "no-such-dir/x.csv"],
 ])
 def test_usage_problems_exit_2(tmp_path, args):
     res = run_cli(args, tmp_path)
     assert res.returncode == 2, res.stderr
-    assert "config error" in res.stderr
+    assert "config error" in res.stderr and "Traceback" not in res.stderr
+    if "--out" in args:
+        assert "cannot write no-such-dir/x.csv" in res.stderr
 
 
 def test_malformed_plot_csv_exits_2(tmp_path):

@@ -23,8 +23,11 @@ and prints one line per item:
   a strongly absorbing sphere (``mie.gamma_b_exact``), and
   radii whose |chi| q_R leaves double range (``compute``), with a numpy
   RuntimeWarning printed as an error;
-* the sha256 of each of the seven preset CSVs, written by
-  ``cli.run_sweep`` into a temporary directory;
+* the sha256 of each of the seven preset CSVs, and of two sweeps whose
+  points fail (``ERROR_SWEEPS``: an exact and linear q_L sweep to
+  q_L/q_R = 0.999, whose messages hold commas and are quoted, and an
+  im_chi sweep through zero), written by ``cli.run_sweep`` into a
+  temporary directory, so that a comparison covers the error column;
 * a last line, the sha256 of all the lines above it.
 
 With ``--against FILE`` (an earlier output of this script, say from
@@ -63,6 +66,22 @@ EDGE_SERIES = (
     (1 + 100j, 60.0, 18.0, "radial"), (1 + 100j, 60.0, 53.0, "radial"))
 # compute at eps = 4, q_L = 1 with these q_R: |chi| q_R is no double
 ABSURD_RADII = (1e308, 1e300)
+# sweeps whose error columns are written: in a strongly absorbing sphere
+# out to q_L/q_R = 0.999, linear rates refused for their rounding and
+# exact series past the order limit; an im_chi sweep through zero, where
+# every method refuses the active points, and weak_absorption, off the
+# centre, every point
+ERROR_SWEEPS = {
+    "qL_past_order_limit": {
+        "sweep": "qL", "lo": "0", "hi": "0.29610271434986296", "points": "4",
+        "qr": "0.2963991134633263", "qc": "1e-4", "eps_re": "0.001",
+        "eps_im": "1e5", "methods": "exact,linear_born",
+        "orientations": "radial,tangential"},
+    "im_chi_through_zero": {
+        "sweep": "im_chi", "lo": "-1e-6", "hi": "1e-6", "points": "9",
+        "qr": "2", "ql": "0.5", "eps_re": "1.1",
+        "methods": "linear_born,exact,uncorrected,weak_absorption"},
+}
 
 
 def described(result) -> str:
@@ -131,12 +150,15 @@ def digest_lines():
             request = RateRequest(eps=4.0, method=method, q_R=q_R, q_L=1.0)
             yield (f"edge/compute/{method}/q_R={q_R:g} "
                    f"{outcome(lambda: compute(request))}")
+    sweeps = [(f"preset/{name}", cli.PRESETS[name])
+              for name in workloads.PRESET_NAMES]
+    sweeps += [(f"error_sweep/{name}", cfg)
+               for name, cfg in ERROR_SWEEPS.items()]
     with tempfile.TemporaryDirectory() as tmp:
-        for name in workloads.PRESET_NAMES:
-            path = Path(tmp) / f"{name}.csv"
-            cli.run_sweep(cli.build_sweep(dict(cli.PRESETS[name])), str(path))
-            yield (f"preset/{name} "
-                   f"{hashlib.sha256(path.read_bytes()).hexdigest()}")
+        for key, cfg in sweeps:
+            path = Path(tmp) / "sweep.csv"
+            cli.run_sweep(cli.build_sweep(dict(cfg)), str(path))
+            yield f"{key} {hashlib.sha256(path.read_bytes()).hexdigest()}"
 
 
 def rates(text: str):

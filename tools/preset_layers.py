@@ -18,8 +18,10 @@ and once with these functions wrapped, which gives the time spent in
 * ``series``: ``born._sphere_moments_near_centre``, the Taylor series of
   the near-centre moments, within the kernel (a tree without it times
   none);
-* ``csv``: ``cli.run_sweep`` less ``cli._sweep_results``, formatting the
-  cells and writing the file.
+* ``csv``: ``cli.run_sweep`` less ``cli._sweep_results``: formatting the
+  float cells ("%.15g"), the validity flags (array code per curve) and
+  the error cells (quoted where they must be), joining the rows into the
+  file's text in one pass, and writing it.
 
 It prints one JSON line: the best pass of each, in raw milliseconds,
 per preset and for the seven presets together (the best of the passes'
