@@ -17,8 +17,10 @@ the center both dipole orientations collapse the angular integral to one
 dimension in x = cos(theta).  chi multiplies an integral of the geometry
 alone: three chi-free moments per distinct sphere geometry (q_R, q_L),
 and each row, whatever its chi and orientation, is a scalar contraction
-of its geometry's moments.  Off the centre the moments come by the
-first of three routes whose bound certifies them: a closed form, a
+of its geometry's moments.  Every row is held to one fixed absolute
+tolerance, _TOL = 1e-10, which is no setting.  Off the centre a row
+takes the first of three routes whose bounds certify its moments and
+its rate: a closed form, a
 difference of antiderivatives at the endpoint distances q_R -/+ q_L
 (:func:`locfield.greens._sphere_moments`); a Taylor series in the
 emitter offset q_L (:func:`locfield.greens._sphere_moments_near_centre`)
@@ -46,11 +48,10 @@ import functools
 
 import numpy as np
 
-from .errors import (ORIENTATIONS, QC_DEFAULT, TOL_DEFAULT, AccuracyError,
-                     DomainError, NonFiniteError, cavity_scale_faults,
-                     chi_faults, check_qc, inside_sphere, orientation_faults,
-                     positive, qc_faults, raise_first, sphere_faults,
-                     warn_qc)
+from .errors import (ORIENTATIONS, QC_DEFAULT, AccuracyError, DomainError,
+                     NonFiniteError, cavity_scale_faults, chi_faults,
+                     check_qc, inside_sphere, orientation_faults, positive,
+                     qc_faults, raise_first, sphere_faults, warn_qc)
 from .greens import (_BRACE_EI, StarBoundary, _brace_parts,
                      _gauss_legendre, _sphere_moments,
                      _sphere_moments_near_centre, body_green_linear,
@@ -80,6 +81,9 @@ _Z_HAT = np.array([0.0, 0.0, 1.0])
 # takes the moments of greens._sphere_moments, of the series of
 # greens._sphere_moments_near_centre or of quad
 _CLOSED_FORM_REL = 1.0e-13
+# absolute tolerance on each linear body term, the rate's rounding bound
+# included
+_TOL = 1.0e-10
 
 # nodes of quad's Filon-Legendre rule, and geometries per block of it:
 # the (3, geometries, nodes) complex temporaries of a block of 512 are
@@ -107,21 +111,19 @@ class SphereConfig:
     """Sphere geometry in optical units: radius q_R = k_A R, emitter
     displacement q_L = k_A l_A from the center, cavity radius q_C = k_A R_C.
 
-    ``nu`` is a validity margin: the emitter cavity must keep a clearance
-    of (1 + nu) q_C from the surface.  Configurations with the emitter at
-    (or too near) the surface are rejected outright, the model breaks
-    down there.
+    The emitter cavity must keep a clearance of q_C from the surface,
+    q_L + q_C <= q_R.  Configurations with the emitter at (or too near)
+    the surface are rejected outright, the model breaks down there.
     """
 
     q_R: float
     q_L: float = 0.0
     q_C: float = QC_DEFAULT
-    nu: float = 0.0
 
     def __post_init__(self):
-        for name in ("q_R", "q_L", "q_C", "nu"):
+        for name in ("q_R", "q_L", "q_C"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        raise_first(sphere_faults(self.q_R, self.q_L, self.q_C, self.nu),
+        raise_first(sphere_faults(self.q_R, self.q_L, self.q_C),
                     self.q_R, self.q_L)
         warn_qc(self.q_C)
 
@@ -202,7 +204,7 @@ def gamma_b_center_closed(q_R: float, chi) -> float:
     For real chi and large q_R this oscillates as -(chi/2) cos(2 q_R)
     with remainder bounded by 2 chi/q_R.  One row of :func:`_center_rows`,
     with no tolerance: its rounding error grows as chi/q_R^3, which the
-    centred rows of :func:`gamma_b_sphere_rows` refuse above tol.
+    centred rows of :func:`gamma_b_sphere_rows` refuse above _TOL.
     """
     q = float(q_R)
     raise_first(positive("q_R", q))
@@ -245,8 +247,7 @@ def _center_rows(q_R, chi):
 
 
 def gamma_b_sphere_linear(config: SphereConfig, chi,
-                          orientation: str = "radial",
-                          tol: float = TOL_DEFAULT) -> float:
+                          orientation: str = "radial") -> float:
     """Linear body contribution for an emitter inside a sphere.
 
     The angular integral over the boundary reduces to one dimension in
@@ -269,7 +270,7 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
       2.2 in larger spheres;
     * the Filon-Legendre rule of :func:`quad`, out to q_L/q_R of about
       0.55 to 0.7, refused with AccuracyError where its rounding bound
-      exceeds tol (at chi = 0.1, below q_R of about 5e-3 at
+      exceeds _TOL = 1e-10 (at chi = 0.1, below q_R of about 5e-3 at
       q_L/q_R = 0.3; at chi = 0.3j, below about 0.05).
 
     Rows none certifies raise AccuracyError: in spheres above q_R of
@@ -278,7 +279,7 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
 
     At the centre the rate is the closed form of
     :func:`gamma_b_center_closed`, refused with AccuracyError where its
-    rounding bound exceeds tol (at chi = 0.1, below q_R of about 2e-3).
+    rounding bound exceeds _TOL (at chi = 0.1, below q_R of about 2e-3).
     This is one row of :func:`gamma_b_sphere_rows`.
 
     Parameters
@@ -288,44 +289,40 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
     orientation : {"radial", "tangential"}
         Dipole along the displacement axis or perpendicular to it
         (degenerate at q_L = 0).
-    tol : float
-        Absolute tolerance on the returned rate.
     """
     values, errors = gamma_b_sphere_rows(config.q_R, config.q_L, chi,
-                                         orientation, tol)
+                                         orientation)
     if errors:
         raise errors[0]
     return float(values[0])
 
 
-def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
-                        tol: float = TOL_DEFAULT):
+def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial"):
     """Linear body terms of many sphere configurations in one call.
 
     q_R, q_L, chi and orientation are scalars or 1-D arrays that
     broadcast to N rows; orientation is "radial" or "tangential" per
     row.  Every row must have its emitter inside the sphere and a
-    passive chi, checked once as arrays.  All rows share tol.  chi
-    stands outside the integral, so the three chi-free moments are
-    evaluated once per distinct geometry (q_R, q_L), and a row's rate is
-    the scalar -(3/4) Im(chi I), I = M0 + M2 (radial) or M0 + (M1 - M2)/2
-    (tangential).  An off-centre row's moments come by three routes,
-    the first two with one rule: each moment's bound within
-    _CLOSED_FORM_REL of it, and the rate's, (3/4) |chi| times the
-    bounds' contraction, within tol.  They are the closed form of
-    :func:`locfield.greens._sphere_moments` where that certifies them,
-    else the Taylor series in q_L of
-    :func:`locfield.greens._sphere_moments_near_centre` where that does;
-    the other off-centre rows take the Filon-Legendre rule of
-    :func:`quad`, once per geometry, under the same rule with its bounds
-    on the real and imaginary parts apart: the rate's bound is
-    (3/4) (|Re chi| b_im + |Im chi| b_re).  A row that it does not
-    certify fails with AccuracyError naming q_R, q_L and the rule's
-    bound: its moments' bound relative to them where that is above
-    _CLOSED_FORM_REL, else the rate's bound above tol.  A centred row
-    (q_L = 0), in either orientation, is the closed form of
+    passive chi, checked once as arrays.  chi stands outside the
+    integral, so the three chi-free moments are evaluated once per
+    distinct geometry (q_R, q_L) and route, and a row's rate is the
+    scalar -(3/4) Im(chi I), I = M0 + M2 (radial) or M0 + (M1 - M2)/2
+    (tangential).  An off-centre row takes the first of three routes
+    that certifies it: the bound of each of its geometry's moments
+    within _CLOSED_FORM_REL of the moment, and the rate's within _TOL.
+    The routes, each on the geometries of the rows still open, are the
+    closed form of :func:`locfield.greens._sphere_moments`, the Taylor
+    series in q_L of :func:`locfield.greens._sphere_moments_near_centre`
+    and the Filon-Legendre rule of :func:`quad`.  The first two bound
+    the moments' moduli, and the rate's bound is (3/4) |chi| times the
+    bounds' contraction; the rule bounds the real and imaginary parts
+    apart, and the rate's bound is (3/4) (|Re chi| b_im + |Im chi| b_re).
+    A row that none certifies fails with AccuracyError naming q_R, q_L
+    and the rule's bound: its moments' bound relative to them where that
+    is above _CLOSED_FORM_REL, else the rate's bound above _TOL.  A
+    centred row (q_L = 0), in either orientation, is the closed form of
     :func:`_center_rows`, or an AccuracyError naming q_R and the bound
-    where that exceeds tol (a rule would only multiply the same
+    where that exceeds _TOL (a rule would only multiply the same
     coefficients by its weights).
 
     Returns
@@ -338,8 +335,7 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     q_R, q_L, chi, orientation = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(q_R, dtype=float), np.asarray(q_L, dtype=float),
         np.asarray(chi, dtype=complex), np.asarray(orientation)))
-    raise_first((*inside_sphere(q_R, q_L), *chi_faults(chi),
-                 *positive("tol", tol)))
+    raise_first((*inside_sphere(q_R, q_L), *chi_faults(chi)))
     for o in set(orientation.tolist()):
         raise_first(orientation_faults(o))
     values = np.zeros(q_R.shape)
@@ -347,7 +343,7 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     center = np.flatnonzero((chi != 0) & (q_L == 0.0))
     if center.size:
         values[center], bounds = _center_rows(q_R[center], chi[center])
-        _refuse(values, errors, center, bounds, tol,
+        _refuse(values, errors, center, bounds,
                 lambda k: f"centre rate at q_R = {q_R[center[k]]:g}")
     live = np.flatnonzero((chi != 0) & (q_L > 0.0))
     if live.size == 0:
@@ -361,53 +357,57 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial",
     q_R, q_L = q_R[first], q_L[first]
     chi = chi[live]
     tangential = orientation[live] == "tangential"
-    moments, bounds = _sphere_moments(q_R, q_L)
-    certified = _certified(moments, bounds)
-    near = np.flatnonzero(~certified)
-    if near.size:
-        series = _sphere_moments_near_centre(q_R[near], q_L[near])
-        take = _certified(*series)
-        near = near[take]
-        moments[:, near], bounds[:, near] = (a[:, take] for a in series)
-        certified[near] = True
-    b0, b1, b2 = bounds[:, geometry]
-    formed = certified[geometry] & (
-        0.75 * np.abs(chi) * (b0 + np.where(tangential, 0.5 * (b1 + b2), b2))
-        <= tol)
-    values[live[formed]] = _rate(chi[formed], tangential[formed],
-                                 *moments[:, geometry[formed]])
-    rest = np.flatnonzero(~formed)
-    if rest.size == 0:
-        return values, errors
-    live, chi, tangential = live[rest], chi[rest], tangential[rest]
-    g, at = np.unique(geometry[rest], return_inverse=True)
-    moments, bounds = quad(q_R[g], q_L[g])
-    # the rule bounds the real and imaginary parts apart; a part of chi
-    # that is 0 takes none of a bound, inf as it may be
-    b0, b1, b2 = bounds[:, at]
-    b = b0 + np.where(tangential, 0.5 * (b1 + b2), b2)
-    bound = 0.75 * (np.abs(chi.real) * np.where(chi.real, b.imag, 0.0)
-                    + np.abs(chi.imag) * np.where(chi.imag, b.real, 0.0))
-    sizes = np.abs(bounds)
-    formed = _certified(moments, sizes)[at] & (bound <= tol)
-    values[live[formed]] = _rate(chi[formed], tangential[formed],
-                                 *moments[:, at[formed]])
-    rest = np.flatnonzero(~formed)
+    # the rows still open, into live, their geometries and each row's
+    # among them: at first every row and every geometry
+    rest, g, at = np.arange(live.size), np.arange(q_R.size), geometry
+    for moments_of, bound_of in ((_sphere_moments, _modulus_bound),
+                                 (_sphere_moments_near_centre,
+                                  _modulus_bound),
+                                 (quad, _parts_bound)):
+        if rest.size < live.size:
+            # the open rows' geometries, once each, adjacent as above
+            ids = geometry[rest]
+            first = np.r_[True, ids[1:] != ids[:-1]]
+            g, at = ids[first], np.cumsum(first) - 1
+        moments, bounds = moments_of(q_R[g], q_L[g])
+        c, t = chi[rest], tangential[rest]
+        b0, b1, b2 = bounds[:, at]
+        bound = bound_of(c, b0 + np.where(t, 0.5 * (b1 + b2), b2))
+        sizes = np.abs(bounds)
+        formed = _certified(moments, sizes)[at] & (bound <= _TOL)
+        values[live[rest[formed]]] = _rate(c[formed], t[formed],
+                                           *moments[:, at[formed]])
+        if formed.all():
+            return values, errors
+        rest, at, bound = rest[~formed], at[~formed], bound[~formed]
     labels = [f"body rate at q_R = {q_R[i]:g}, q_L = {q_L[i]:g}"
-              for i in g[at[rest]].tolist()]
+              for i in g[at].tolist()]
     # a row not formed under its bound (a moment 0, say) has a bound that
     # is not a number; where the moments are over theirs, that names it
     _refuse(values, errors, live[rest],
-            np.where(bound[rest] > tol, bound[rest], np.nan), tol,
-            labels.__getitem__)
+            np.where(bound > _TOL, bound, np.nan), labels.__getitem__)
     with np.errstate(all="ignore"):
-        rel = (sizes / np.abs(moments)).max(axis=0)[at[rest]]
+        rel = (sizes / np.abs(moments)).max(axis=0)[at]
     for k in np.flatnonzero(np.isfinite(rel)
                             & (rel > _CLOSED_FORM_REL)).tolist():
         errors[int(live[rest[k]])] = AccuracyError(
             f"linear {labels[k]} has moments that may be off by "
             f"{rel[k]:.1e} of themselves, above {_CLOSED_FORM_REL:g}")
     return values, errors
+
+
+def _modulus_bound(chi, b):
+    """The rows' rate bounds from b, a bound on the modulus of their
+    Int (P + z Q) dx (the closed form's and the series')."""
+    return 0.75 * np.abs(chi) * b
+
+
+def _parts_bound(chi, b):
+    """The rows' rate bounds from b, whose real and imaginary parts bound
+    those of their Int (P + z Q) dx apart (the rule's); a part of chi
+    that is 0 takes none of a bound, inf as it may be."""
+    return 0.75 * (np.abs(chi.real) * np.where(chi.real, b.imag, 0.0)
+                   + np.abs(chi.imag) * np.where(chi.imag, b.real, 0.0))
 
 
 def _certified(moments, bounds):
@@ -417,17 +417,17 @@ def _certified(moments, bounds):
             & (bounds <= _CLOSED_FORM_REL * np.abs(moments)).all(axis=0))
 
 
-def _refuse(values, errors, rows, bounds, tol, rate):
-    """Refuse each of the rows whose rounding bound exceeds tol (or is
+def _refuse(values, errors, rows, bounds, rate):
+    """Refuse each of the rows whose rounding bound exceeds _TOL (or is
     not finite): a NaN value and an AccuracyError naming rate(k), the
     k-th row's rate and where it is, and the bound, or that it is NaN."""
-    for k in np.flatnonzero(~(bounds <= tol)).tolist():
+    for k in np.flatnonzero(~(bounds <= _TOL)).tolist():
         values[rows[k]] = np.nan
         errors[int(rows[k])] = AccuracyError(
             f"linear {rate(k)} has a rounding bound that is not a number, "
-            f"so it cannot be held to tol = {tol:g}" if np.isnan(bounds[k])
+            f"so it cannot be held to tol = {_TOL:g}" if np.isnan(bounds[k])
             else f"linear {rate(k)} may be off by {bounds[k]:.1e} from "
-            f"rounding, above tol = {tol:g}")
+            f"rounding, above tol = {_TOL:g}")
 
 
 def _integral(tangential, m0, m1, m2):
@@ -542,8 +542,7 @@ def quad(q_R, q_L):
 
 
 def gamma_total_linear(geometry, chi, orientation: str = "radial",
-                       q_C: float | None = None, dipole=None,
-                       tol: float = TOL_DEFAULT) -> RateBreakdown:
+                       q_C: float | None = None, dipole=None) -> RateBreakdown:
     """Assembled linear rate Gamma/Gamma_0 = 1 + gamma_c + gamma_b.
 
     Parameters
@@ -565,7 +564,7 @@ def gamma_total_linear(geometry, chi, orientation: str = "radial",
             raise DomainError("q_C given both in SphereConfig and as an "
                               "argument; drop one")
         gamma_c = gamma_c_linear(chi, geometry.q_C)
-        gamma_b = gamma_b_sphere_linear(geometry, chi, orientation, tol)
+        gamma_b = gamma_b_sphere_linear(geometry, chi, orientation)
     elif isinstance(geometry, StarBoundary):
         if q_C is None:
             raise DomainError("q_C is required with a StarBoundary geometry")
@@ -574,7 +573,7 @@ def gamma_total_linear(geometry, chi, orientation: str = "radial",
             gamma_b = 0.0
         else:
             d = _Z_HAT if dipole is None else unit_vector(dipole)
-            g_b = body_green_linear(geometry, chi, angular_tolerance=tol)
+            g_b = body_green_linear(geometry, chi)
             gamma_b = 6.0 * np.pi * float(np.imag(d @ g_b @ d))
     else:
         raise DomainError(f"unsupported geometry type "

@@ -21,7 +21,7 @@ computation.  :func:`main` parses and validates the config or request
 once, before any computation, and runs what it built.
 
 A sweep evaluates each curve as one column of rates: its method,
-orientation, q_C, nu and tol once, the swept values as an array
+orientation and q_C once, the swept values as an array
 (:mod:`locfield.rates`), and the CSV is written from the column arrays.
 Per-point failures inside a sweep do not abort the run; they leave the
 rate cells empty and record the message that a single ``compute`` of
@@ -38,15 +38,17 @@ Config schema (flat ``key = value`` lines, ``#`` comments)::
     eps_im       imaginary part (not allowed when sweeping im_chi)
     qr, ql, qc   sphere radius, emitter displacement, cavity radius
                  (all premultiplied by k_A; qc may be a comma list,
-                 one curve set per value)
-    nu           emitter clearance margin (default 0)
+                 one curve set per value); the emitter keeps its
+                 cavity inside the sphere, ql + qc <= qr
     methods      comma list from: exact, linear_born, uncorrected,
                  weak_absorption
     orientations comma list from: radial, tangential
     center_reference  0 | 1: add a q_L = 0 reference curve per method
-    tol          absolute tolerance on the linear body term (default 1e-10)
 
-Any key can be overridden on the command line with ``--set key=value``.
+Any key can be overridden on the command line with ``--set key=value``;
+any other key is a configuration error.  No key sets an accuracy: the
+linear body term is held to an absolute 1e-10 and the exact one to a
+relative 1e-8.
 """
 
 from __future__ import annotations
@@ -60,9 +62,8 @@ import sys
 import numpy as np
 
 from . import __version__, born, cavity, rates
-from .errors import (QC_DEFAULT, TOL_DEFAULT, ConfigError, DomainError,
-                     LocfieldError, nu_faults, positive, qc_faults,
-                     raise_first)
+from .errors import (QC_DEFAULT, ConfigError, DomainError, LocfieldError,
+                     qc_faults, raise_first)
 
 __all__ = ["PRESETS", "SweepSpec", "build_sweep", "run_sweep",
            "emit_plot_script", "main"]
@@ -75,8 +76,7 @@ _SWEPT_VARIABLES = ("qR", "im_chi", "qL")
 
 _CONFIG_KEYS = {
     "sweep", "lo", "hi", "points", "log", "eps_re", "eps_im",
-    "qr", "ql", "qc", "nu", "methods", "orientations",
-    "center_reference", "tol",
+    "qr", "ql", "qc", "methods", "orientations", "center_reference",
 }
 
 PRESETS: dict[str, dict[str, str]] = {
@@ -151,8 +151,6 @@ class SweepSpec:
     eps_im: float
     q_R: float | None
     q_L: float
-    nu: float
-    tol: float
     curves: tuple[CurveSpec, ...]
 
     def grid(self) -> np.ndarray:
@@ -248,11 +246,6 @@ def build_sweep(cfg: dict[str, str]) -> SweepSpec:
     eps_im = _parse_float(cfg.get("eps_im", "0"), "eps_im")
     if swept == "im_chi" and "eps_im" in cfg:
         raise ConfigError("eps_im conflicts with sweeping im_chi")
-    nu = _parse_float(cfg.get("nu", "0"), "nu")
-    raise_first(nu_faults(nu))
-    tol = _parse_float(cfg.get("tol", str(TOL_DEFAULT)), "tol")
-    raise_first(positive("tol", tol))
-
     q_R = _parse_float(cfg["qr"], "qr") if "qr" in cfg else None
     q_L = _parse_float(cfg.get("ql", "0"), "ql")
     if swept == "qR" and "qr" in cfg:
@@ -310,7 +303,7 @@ def build_sweep(cfg: dict[str, str]) -> SweepSpec:
 
     return SweepSpec(swept_variable=swept, lo=lo, hi=hi, points=points,
                      log=log, eps_re=eps_re, eps_im=eps_im, q_R=q_R,
-                     q_L=q_L, nu=nu, tol=tol, curves=tuple(curves))
+                     q_L=q_L, curves=tuple(curves))
 
 
 def run_sweep(spec: SweepSpec, output_path: str) -> None:
@@ -384,8 +377,7 @@ def _sweep_results(spec: SweepSpec, grid) -> list:
             eps.imag = grid
         columns.append(rates._Column(
             method=curve.method, orientation=curve.orientation,
-            q_C=curve.q_C, nu=spec.nu, tol=spec.tol, eps=eps, q_R=q_R,
-            q_L=q_L))
+            q_C=curve.q_C, eps=eps, q_R=q_R, q_L=q_L))
     return rates._compute_columns(columns)
 
 
@@ -519,7 +511,6 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="sphere radius; omit for bulk")
     p_comp.add_argument("--ql", type=float, default=0.0)
     p_comp.add_argument("--qc", type=float, default=QC_DEFAULT)
-    p_comp.add_argument("--nu", type=float, default=0.0)
     p_comp.add_argument("--method", choices=rates.METHODS, default="exact")
     p_comp.add_argument("--orientation", choices=born.ORIENTATIONS,
                         default="radial")
@@ -550,7 +541,7 @@ def _compute_request(args) -> rates.RateRequest:
     return rates.RateRequest(eps=complex(args.eps_re, args.eps_im),
                              method=args.method, geometry=geometry,
                              q_R=args.qr, q_L=args.ql, q_C=args.qc,
-                             orientation=args.orientation, nu=args.nu)
+                             orientation=args.orientation)
 
 
 def _cmd_compute(request: rates.RateRequest) -> int:

@@ -80,8 +80,6 @@ ABSORPTION_TOL = 1.0e-6
 QC_MAX = 0.2
 QC_WARN = 0.1
 QC_DEFAULT = 0.01
-# default absolute tolerance on the linear body term
-TOL_DEFAULT = 1.0e-10
 # modulus below which a coefficient's denominator is the resonance pole
 POLE_CUT = 1.0e-300
 
@@ -259,23 +257,17 @@ def outside_stacklevel() -> int:
     return level
 
 
-def nu_faults(nu: float):
-    """The rule of a finite clearance factor nu: non-negative."""
-    return ((nu < 0, "nu must be non-negative"),)
-
-
-def sphere_faults(q_R, q_L, q_C: float, nu: float):
-    """The rule of :class:`locfield.born.SphereConfig` (q_C, nu floats)."""
+def sphere_faults(q_R, q_L, q_C: float):
+    """The rule of :class:`locfield.born.SphereConfig` (q_C a float)."""
     return ((_not(abs(q_R) < math.inf), "q_R must be finite"),
             (_not(abs(q_L) < math.inf), "q_L must be finite"),
             (not math.isfinite(q_C), "q_C must be finite"),
-            (not math.isfinite(nu), "nu must be finite"),
             (q_R <= 0, "q_R must be positive"),
             (q_L < 0, "q_L must be non-negative"),
-            *nu_faults(nu), *qc_faults(q_C),
-            (q_L + (1.0 + nu) * q_C > q_R, lambda R, L: (
-                f"emitter too close to the surface: q_L + (1+nu) q_C = "
-                f"{L + (1 + nu) * q_C:g} exceeds q_R = {R:g}")))
+            *qc_faults(q_C),
+            (q_L + q_C > q_R, lambda R, L: (
+                f"emitter too close to the surface: q_L + q_C = "
+                f"{L + q_C:g} exceeds q_R = {R:g}")))
 
 
 def orientation_faults(orientation: str, kind=DomainError):

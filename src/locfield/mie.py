@@ -367,9 +367,9 @@ def gamma_b_exact(eps, q_R: float, q_L: float,
     return _series(eps.epsilon, eps.n, q_R, q_L, orient)
 
 
-def _gamma_b_rows(eps, n, q_R, q_L, orient: str):
-    """Exact body terms of the rows (eps, n = sqrt(eps), q_R, q_L), four
-    (N,) arrays, at orientation orient, as
+def _gamma_b_rows(eps, n, q_R, q_L, orient):
+    """Exact body terms of the rows (eps, n = sqrt(eps), q_R, q_L and
+    orient, "radial" or "tangential"), five (N,) arrays, as
     :func:`locfield.born.gamma_b_sphere_rows` returns them: the (N,)
     values, and a dict from the index of each row that failed to its
     LocfieldError (its value is NaN).  The rows passed the rules of a
@@ -387,11 +387,12 @@ def _gamma_b_rows(eps, n, q_R, q_L, orient: str):
             rows = np.flatnonzero(~center).tolist()
         except LocfieldError:
             pass
-    point = list(zip(eps.tolist(), n.tolist(), q_R.tolist(), q_Ls))
+    point = list(zip(eps.tolist(), n.tolist(), q_R.tolist(), q_Ls,
+                     orient.tolist()))
     for k in rows:
         try:
             values[k] = (_center_rate(*(a[k:k + 1] for a in (eps, n, q_R)))[0]
-                         if q_Ls[k] == 0.0 else _series(*point[k], orient))
+                         if q_Ls[k] == 0.0 else _series(*point[k]))
         except LocfieldError as exc:
             errors[k] = exc
     return values, errors

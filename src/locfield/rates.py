@@ -9,7 +9,7 @@ and dispatches rate requests to the linear-Born, exact real-cavity,
 weak-absorption, or uncorrected evaluation paths.
 
 The evaluation works on columns, the points of one curve, which share
-method, geometry, orientation, q_C, nu and tol: :func:`compute_batch`
+method, geometry, orientation and q_C: :func:`compute_batch`
 groups its requests into columns, :func:`compute` makes a column of one
 and a sweep (:func:`locfield.cli.run_sweep`) one column per curve.  A
 column's points are checked as arrays by the rules of
@@ -19,12 +19,15 @@ both, requests' (checked when made) by compute's method and q_C rules
 alone.  A column forms h = eps + 1/2, n = sqrt(eps) and chi = eps - 1
 once and hands them to the rules, the cavity term, the validity values
 and the row kernel.  The sphere body terms of all the columns go to two
-array kernels, each returning a value or an error per row, in one call
-per orientation or tol: :func:`locfield.mie._gamma_b_rows` for the exact
-and weak_absorption terms (the exact one at Re eps for
-weak_absorption), :func:`locfield.born.gamma_b_sphere_rows` for the
-linear Born and uncorrected ones, where rows on one sphere geometry
-share its moments.
+array kernels, one call each, which take an orientation per row and
+return a value or an error per row:
+:func:`locfield.mie._gamma_b_rows` for the exact and weak_absorption
+terms (the exact one at Re eps for weak_absorption),
+:func:`locfield.born.gamma_b_sphere_rows` for the linear Born and
+uncorrected ones, where rows on one sphere geometry share its moments.
+The linear body term is held to an absolute 1e-10
+(``born._TOL``) and the exact one to a relative 1e-8
+(``mie._CENTER_REL_MAX``); neither is a setting.
 
 Physical constants (SI; h is exact by definition, eps_0 is the CODATA
 2022 value):
@@ -43,11 +46,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import born, cavity, mie
-from .errors import (QC_DEFAULT, TOL_DEFAULT, ConfigError, DomainError,
-                     LocfieldError, cavity_scale_faults, error_of, failing,
-                     method_faults, orientation_faults, permittivity_faults,
-                     positive, qc_faults, raise_first, sphere_faults,
-                     warn_qc)
+from .errors import (QC_DEFAULT, ConfigError, DomainError, LocfieldError,
+                     cavity_scale_faults, error_of, failing, method_faults,
+                     orientation_faults, permittivity_faults, positive,
+                     qc_faults, raise_first, sphere_faults, warn_qc)
 from .greens import Permittivity, as_permittivity, unit_vector
 
 __all__ = [
@@ -133,8 +135,8 @@ class RateRequest:
     method is available for bulk and centered-sphere geometries only
     (its absorption split is formulated for the isotropic case).
     Inconsistent combinations raise ConfigError at construction time,
-    and numbers out of range (q_C and tol too, for either geometry)
-    DomainError; q_R, q_L, q_C, nu and tol are held as floats.  A
+    and numbers out of range (q_C too, for either geometry)
+    DomainError; q_R, q_L and q_C are held as floats.  A
     permittivity that the method cannot take
     (:func:`locfield.errors.method_faults`), and a q_C so small that
     its cavity terms in 1/q_C^3 leave double range (NonFiniteError), are
@@ -148,8 +150,6 @@ class RateRequest:
     q_L: float = 0.0
     q_C: float = QC_DEFAULT
     orientation: str = "radial"
-    nu: float = 0.0
-    tol: float = TOL_DEFAULT
     # built once by __post_init__, which validates through them
     _permittivity: Permittivity = dataclasses.field(
         init=False, repr=False, compare=False)
@@ -164,7 +164,7 @@ class RateRequest:
             raise ConfigError(f"geometry must be one of {GEOMETRIES}, "
                               f"got {self.geometry!r}")
         raise_first(orientation_faults(self.orientation, ConfigError))
-        for name in ("q_R", "q_L", "q_C", "nu", "tol"):
+        for name in ("q_R", "q_L", "q_C"):
             value = getattr(self, name)
             if type(value) is float or (name == "q_R" and value is None):
                 continue
@@ -186,11 +186,10 @@ class RateRequest:
         object.__setattr__(self, "_permittivity", as_permittivity(self.eps))
         sphere = None
         if self.geometry == "sphere":
-            sphere = born.SphereConfig(self.q_R, self.q_L, self.q_C, self.nu)
+            sphere = born.SphereConfig(self.q_R, self.q_L, self.q_C)
         else:
             raise_first(qc_faults(self.q_C))
             warn_qc(self.q_C)
-        raise_first(positive("tol", self.tol))
         object.__setattr__(self, "_sphere", sphere)
 
     def sphere_config(self) -> born.SphereConfig | None:
@@ -218,13 +217,17 @@ def compute_batch(requests) -> list:
 
     Returns one entry per request, in order: its RateBreakdown (as
     :func:`compute` gives it), or the LocfieldError that request raised,
-    so that one failing request leaves the others to finish.
+    so that one failing request leaves the others to finish.  The
+    requests that share method, geometry, orientation and q_C are one
+    column; an entry equals :func:`compute` of its request bit for bit
+    while its column holds fewer than 16,384 requests (from 256 KiB on
+    numpy works a column's temporaries in place, and the last bits of
+    some cavity terms differ).
     """
     requests = list(requests)
     groups = defaultdict(list)
     for i, r in enumerate(requests):
-        groups[r.method, r.geometry, r.orientation, r.q_C, r.nu,
-               r.tol].append(i)
+        groups[r.method, r.geometry, r.orientation, r.q_C].append(i)
     columns = [_request_column([requests[i] for i in members])
                for members in groups.values()]
     results: list = [None] * len(requests)
@@ -237,15 +240,15 @@ def compute_batch(requests) -> list:
 
 def _request_column(group) -> _Column:
     """The column of RateRequests that share method, geometry,
-    orientation, q_C, nu and tol."""
+    orientation and q_C."""
     # a complex and two floats per request (q_R None in bulk), whose
     # dtypes the arrays keep
     eps, q_R, q_L = zip(*[(r._permittivity.epsilon, r.q_R, r.q_L)
                           for r in group])
     r = group[0]
-    return _Column(r.method, r.orientation, r.q_C, r.nu, r.tol,
-                   np.array(eps), np.array(q_R) if r.geometry == "sphere"
-                   else None, np.array(q_L))
+    return _Column(r.method, r.orientation, r.q_C, np.array(eps),
+                   np.array(q_R) if r.geometry == "sphere" else None,
+                   np.array(q_L))
 
 
 def _off_center_faults(method: str, q_L):
@@ -256,15 +259,13 @@ def _off_center_faults(method: str, q_L):
 
 
 class _Column(NamedTuple):
-    """One curve of rates: the method, orientation, q_C, nu and tol its
-    points share, and the (N,) arrays eps (complex), q_R and q_L (float)
-    of its points; q_R is None for bulk."""
+    """One curve of rates: the method, orientation and q_C its points
+    share, and the (N,) arrays eps (complex), q_R and q_L (float) of its
+    points; q_R is None for bulk."""
 
     method: str
     orientation: str
     q_C: float
-    nu: float
-    tol: float
     eps: np.ndarray
     q_R: np.ndarray | None
     q_L: np.ndarray
@@ -310,11 +311,11 @@ def _compute_columns(columns, checked: bool = False) -> list:
     sends its sphere body terms to the array kernels with the others."""
     batches = defaultdict(list)
     out = [_column_rates(column, batches, checked) for column in columns]
-    for (kernel, arg), members in batches.items():
+    for kernel, members in batches.items():
         rows = (members[0][2] if len(members) == 1 else
                 [np.concatenate(parts)
                  for parts in zip(*(arrays for _, _, arrays in members))])
-        values, errors = kernel(*rows, arg)
+        values, errors = kernel(*rows)
         start = 0
         for rates_, live, arrays in members:
             stop = start + arrays[0].size
@@ -330,9 +331,9 @@ def _compute_columns(columns, checked: bool = False) -> list:
 
 def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
     """The rates of one column, but for the sphere body terms that go to
-    an array kernel: those rows are added to ``batches``, keyed by
-    kernel and its further arguments, with the indices of their points
-    (None for all of them)."""
+    an array kernel: those rows, each with its orientation, are added to
+    ``batches``, keyed by kernel, with the indices of their points (None
+    for all of them)."""
     sphere, eps, q_L, method = (col.q_R is not None, col.eps, col.q_L,
                                 col.method)
     q_R = col.q_R if sphere else np.full(eps.size, np.nan)
@@ -374,14 +375,14 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
         spread[:, live] = gamma_c, gamma_b, chi_size, absorption
         gamma_c, gamma_b, chi_size, absorption = spread
     rates_ = _Rates(gamma_c, gamma_b, chi_size, absorption, errors)
-    if method in ("linear_born", "uncorrected"):
-        if sphere:
-            batches[born.gamma_b_sphere_rows, col.tol].append(
-                (rates_, live,
-                 (q_R, q_L, chi, np.full(eps.size, col.orientation))))
-    elif sphere:
-        batches[mie._gamma_b_rows, col.orientation].append(
-            (rates_, live, (eps, n, q_R, q_L)))
+    if sphere:
+        orientation = np.full(eps.size, col.orientation)
+        if method in ("linear_born", "uncorrected"):
+            batches[born.gamma_b_sphere_rows].append(
+                (rates_, live, (q_R, q_L, chi, orientation)))
+        else:
+            batches[mie._gamma_b_rows].append(
+                (rates_, live, (eps, n, q_R, q_L, orientation)))
     return rates_
 
 
@@ -395,9 +396,8 @@ def _check_points(col: _Column, eps, h, chi, q_R, q_L, checked: bool):
     q_C = col.q_C
     request = () if checked else (
         *_off_center_faults(col.method, q_L), *permittivity_faults(eps),
-        *(sphere_faults(q_R, q_L, q_C, col.nu)
-          if col.q_R is not None else qc_faults(q_C)),
-        *positive("tol", col.tol))
+        *(sphere_faults(q_R, q_L, q_C)
+          if col.q_R is not None else qc_faults(q_C)))
     checks = failing((*request, *method_faults(col.method, eps, h),
                       *cavity_scale_faults("q_C", q_C, cavity._scale_factor(
                           col.method, eps, h, chi))))

@@ -32,13 +32,20 @@ def test_sphere_config_invariants():
         SphereConfig(q_R=0.0)
     with pytest.raises(DomainError):
         SphereConfig(q_R=2.0, q_L=-0.1)
-    with pytest.raises(DomainError):
+    # the clearance margin nu is retired: the cavity keeps q_C from the
+    # surface, no more
+    with pytest.raises(TypeError):
         SphereConfig(q_R=2.0, nu=-1.0)
-    # emitter cavity reaching the surface is rejected
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):
+        SphereConfig(q_R=1.0, q_L=0.5, q_C=0.01, nu=0.0)
+    # emitter cavity reaching the surface is rejected, q_L + q_C > q_R
+    with pytest.raises(DomainError, match=r"^emitter too close to the "
+                       r"surface: q_L \+ q_C = 1\.005 exceeds q_R = 1$"):
         SphereConfig(q_R=1.0, q_L=0.995, q_C=0.01)
-    with pytest.raises(DomainError):
-        SphereConfig(q_R=1.0, q_L=0.97, q_C=0.01, nu=2.5)
+    with pytest.raises(DomainError, match=r"q_L \+ q_C = 0\.9801 exceeds"):
+        SphereConfig(q_R=0.98, q_L=0.97, q_C=0.0101)
+    # and the cavity touching it is not: 0.99 + 0.01 is 1.0 exactly
+    assert SphereConfig(q_R=1.0, q_L=0.99, q_C=0.01).q_L == 0.99
 
 
 def test_cavity_radius_guard_rails():
@@ -121,14 +128,14 @@ def _mp_center_rate(q_R, chi):
 @pytest.mark.parametrize("chi", [0.1, -0.3, 1e-3j, 0.3j, 0.1 + 1e-8j,
                                  0.2 + 0.2j])
 def test_center_rows_against_mpmath(chi):
-    # every centred row returned is within its rounding bound and tol of
-    # the 40-digit rate; every row refused has its bound above tol, and
-    # none of them is at q_R >= 0.05; the orientations agree to the bit
+    # every centred row returned is within its rounding bound and the
+    # fixed tol of the 40-digit rate; every row refused has its bound
+    # above tol, and none of them is at q_R >= 0.05; the orientations
+    # agree to the bit
     tol = 1.0e-10
     q_R = np.logspace(-6, 3, 181)
-    values, errors = gamma_b_sphere_rows(q_R, 0.0, chi, "radial", tol)
-    tangential, t_errors = gamma_b_sphere_rows(q_R, 0.0, chi, "tangential",
-                                               tol)
+    values, errors = gamma_b_sphere_rows(q_R, 0.0, chi, "radial")
+    tangential, t_errors = gamma_b_sphere_rows(q_R, 0.0, chi, "tangential")
     assert tangential.tobytes() == values.tobytes()
     assert {k: str(e) for k, e in t_errors.items()} == {
         k: str(e) for k, e in errors.items()}
@@ -204,8 +211,13 @@ def test_body_term_zero_chi_and_validation():
     assert gamma_b_sphere_linear(cfg, 0.0) == 0.0
     with pytest.raises(DomainError):
         gamma_b_sphere_linear(cfg, 0.1, "diagonal")
-    with pytest.raises(DomainError):
-        gamma_b_sphere_linear(cfg, 0.1, tol=0.0)
+    # the tolerance is fixed at 1e-10, not a parameter
+    with pytest.raises(TypeError):
+        gamma_b_sphere_linear(cfg, 0.1, tol=1e-12)
+    with pytest.raises(TypeError):
+        gamma_b_sphere_rows(2.0, 0.5, 0.1, "radial", 1e-12)
+    with pytest.raises(TypeError):
+        gamma_total_linear(cfg, 0.1, tol=1e-12)
     with pytest.raises(DomainError):
         gamma_b_center_closed(-1.0, 0.1)
 
@@ -352,7 +364,9 @@ def _route(q_R, q_L, chi, orientation):
 def test_body_term_rows_share_geometries_bit_for_bit():
     # geometries shared across a complex and a real chi and both
     # orientations, centered rows, rows that take the closed form, the
-    # series or the rule, and the geometry that none certifies
+    # series or the rule, and the geometry that none certifies; the last
+    # row's closed-form moments are certified but not its rate (0.75 |chi|
+    # times their bound is 1.2e-10), so it goes on to the series
     rows = [
         (5.0, 3.0, 0.1 + 1e-8j, "radial"),
         (1e4, 9000.0, 0.1 + 1e-8j, "radial"),
@@ -369,6 +383,7 @@ def test_body_term_rows_share_geometries_bit_for_bit():
         (5.0, 0.25, 0.2, "radial"),
         (5.0, 0.25, 0.1 + 1e-8j, "tangential"),
         (1e5, 2000.0, 0.3j, "radial"),
+        (0.5, 0.1, 1000.0, "radial"),
     ]
     q_R, q_L, chi, orientation = zip(*rows)
     values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
@@ -377,7 +392,8 @@ def test_body_term_rows_share_geometries_bit_for_bit():
     routes = [_route(*row) for row in rows]
     assert [k for k, r in enumerate(routes) if r is _closed_form_row] == [
         0, 2, 3, 4, 5, 6, 8, 9, 10, 11]
-    assert [k for k, r in enumerate(routes) if r is _series_row] == [12, 13]
+    assert [k for k, r in enumerate(routes) if r is _series_row] == [
+        12, 13, 15]
     assert [k for k, r in enumerate(routes) if r is _rule_row] == [14]
     for k, (qr, ql, c, o) in enumerate(rows):
         if k in errors:
@@ -386,6 +402,9 @@ def test_body_term_rows_share_geometries_bit_for_bit():
         assert values[k] == gamma_b_sphere_linear(
             SphereConfig(q_R=qr, q_L=ql), c, o), rows[k]
         assert values[k] == routes[k](qr, ql, c, o), rows[k]
+    # the row the series certifies is within the fixed tol of the
+    # 40-digit rate
+    assert abs(values[15] - mp_body_term(0.5, 0.1, 1000.0, "radial")) <= 1e-10
 
 
 def test_moments_are_one_call_equal_to_their_nodes(monkeypatch):

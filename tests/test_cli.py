@@ -277,8 +277,7 @@ def point_request(spec, curve, x):
     return rates.RateRequest(eps=complex(spec.eps_re, eps_im),
                              method=curve.method, geometry="sphere",
                              q_R=q_R, q_L=q_L, q_C=curve.q_C,
-                             orientation=curve.orientation, nu=spec.nu,
-                             tol=spec.tol)
+                             orientation=curve.orientation)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -463,12 +462,14 @@ def test_plot_scripts_have_expected_curve_counts(tmp_path):
     ["sweep", "--preset", "fig3a", "--set", "points=1"],
     ["sweep", "--preset", "fig3a", "--set", "banana=5"],
     ["sweep", "--config", "does-not-exist.cfg"],
-    # tol is a request rule, checked before any computation
+    # tol and nu are retired: unknown keys, whatever their value
     ["sweep", "--preset", "fig5a", "--set", "tol=-1"],
-    ["sweep", "--preset", "fig5a", "--set", "tol=0"],
-    # so are q_C and nu, which every point of a sweep shares
-    ["sweep", "--preset", "fig5a", "--set", "qc=0.5"],
+    ["sweep", "--preset", "fig5a", "--set", "tol=1e-12"],
     ["sweep", "--preset", "fig5a", "--set", "nu=-1"],
+    ["sweep", "--preset", "fig5a", "--set", "nu=0.5"],
+    # q_C, which every point of a sweep shares, is checked before any
+    # computation
+    ["sweep", "--preset", "fig5a", "--set", "qc=0.5"],
     # a bulk request checks q_C before any computation
     ["compute", "--eps-re", "1.1", "--qc", "0", "--method", "linear_born"],
     ["compute", "--eps-re", "1.1", "--qc", "-0.5", "--method", "linear_born"],
@@ -482,6 +483,36 @@ def test_usage_problems_exit_2(tmp_path, args):
     assert "config error" in res.stderr and "Traceback" not in res.stderr
     if "--out" in args:
         assert "cannot write no-such-dir/x.csv" in res.stderr
+
+
+@pytest.mark.parametrize("line", ["tol = 1e-12", "nu = 0.5", "nu = 0"])
+def test_retired_keys_are_unknown(tmp_path, line):
+    # the accuracy and the clearance margin are no settings: a config
+    # file or --set that names tol or nu fails as an unknown key, exit 2
+    key = line.partition(" ")[0]
+    (tmp_path / "sweep.cfg").write_text(
+        "sweep = qR\nlo = 1.0\nhi = 2.0\npoints = 3\neps_re = 1.1\n"
+        f"{line}\n")
+    res = run_cli(["sweep", "--config", "sweep.cfg", "--out", "s.csv"],
+                  tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == ("locfield: config error: sweep.cfg:6: unknown key "
+                          f"{key!r}\n")
+    res = run_cli(["sweep", "--preset", "fig5a", "--set",
+                   line.replace(" ", "")], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == ("locfield: config error: --set: unknown key "
+                          f"{key!r}\n")
+    assert not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "fig5a.csv").exists()
+
+
+def test_compute_takes_no_nu(tmp_path):
+    res = run_cli(["compute", "--eps-re", "1.1", "--qr", "2", "--ql", "0.5",
+                   "--nu", "0.5"], tmp_path)
+    assert res.returncode == 2
+    assert "unrecognized arguments: --nu 0.5" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_malformed_plot_csv_exits_2(tmp_path):

@@ -743,7 +743,8 @@ def test_exact_kernel_keeps_each_rows_error():
         else:
             assert result == compute(request)
     eps, q_R, q_L = map(np.array, zip(*rows))
-    values, errors = mie._gamma_b_rows(eps, np.sqrt(eps), q_R, q_L, "radial")
+    values, errors = mie._gamma_b_rows(eps, np.sqrt(eps), q_R, q_L,
+                                       np.full(eps.size, "radial"))
     assert sorted(errors) == [1, 2] and np.isnan(values[[1, 2]]).all()
 
 

@@ -124,10 +124,12 @@ def test_request_config_errors():
         with pytest.raises(DomainError, match="q_C"):
             RateRequest(eps=1.1, method="linear_born", geometry="bulk",
                         q_C=q_C)
-    # so does tol, whatever the method
-    for tol in (-1.0, 0.0, math.nan):
-        with pytest.raises(DomainError, match="tol must be positive"):
-            RateRequest(eps=1.1, method="exact", q_R=2.0, tol=tol)
+    # tol and nu are retired, whatever the method and value
+    for name in ("tol", "nu"):
+        for value in (-1.0, 0.0, 1e-12, math.nan):
+            with pytest.raises(TypeError, match=f"'{name}'"):
+                RateRequest(eps=1.1, method="exact", q_R=2.0,
+                            **{name: value})
     assert METHODS == ("linear_born", "exact", "weak_absorption",
                        "uncorrected")
     assert GEOMETRIES == ("sphere", "bulk")
@@ -153,24 +155,25 @@ def test_request_keeps_its_validated_records():
 
 
 def test_request_numbers_are_floats():
-    # q_R, q_L, q_C, nu and tol are held as floats: a numpy number hashes
-    # and groups like the float it is, a numeric string reads as one, and
-    # a value that float() refuses is a DomainError naming its field
+    # q_R, q_L and q_C are held as floats: a numpy number hashes and
+    # groups like the float it is, a numeric string reads as one, and a
+    # value that float() refuses is a DomainError naming its field
     req = RateRequest(eps=1.2, method="exact", q_R=3, q_L=1,
                       q_C=np.array(0.01))
     assert [type(getattr(req, name)) for name in
-            ("q_R", "q_L", "q_C", "nu", "tol")] == [float] * 5
+            ("q_R", "q_L", "q_C")] == [float] * 3
     twin = RateRequest(eps=1.2, method="exact", q_R=3.0, q_L=1.0, q_C=0.01)
     assert req == twin and hash(req) == hash(twin)
     assert compute(req) == compute(twin)
     assert compute_batch([req, twin]) == [compute(twin)] * 2
     assert RateRequest(eps=1.2, method="exact", q_R=3.0,
-                       tol="1e-10").tol == 1e-10
-    for name, value in (("q_L", np.array([1.0])), ("tol", "tight"),
-                        ("q_C", None), ("nu", 1j)):
+                       q_C="0.02").q_C == 0.02
+    for name, value in (("q_L", np.array([1.0])), ("q_R", "large"),
+                        ("q_C", None), ("q_L", 1j)):
         with pytest.raises(DomainError,
                            match=f"^{name} must be a real number, got "):
-            RateRequest(eps=1.2, method="exact", q_R=3.0, **{name: value})
+            RateRequest(**{"eps": 1.2, "method": "exact", "q_R": 3.0,
+                           name: value})
 
 
 # -- method dispatch ---------------------------------------------------------------

@@ -14,7 +14,8 @@ it runs on any checkout (``--tree``).
 
 It prints, per chi, one line per q_R: a cell per q_L/q_R, two
 characters for radial and tangential, ``.`` for a value within tol
-(1e-10) of mpmath, ``X`` for a value that is not, ``R`` for a refusal.
+(1e-10, the kernel's own) of mpmath, ``X`` for a value that is not,
+``R`` for a refusal.
 Then the count of each, the largest error of a returned value and the
 slowest row.  With ``--rows`` it also prints every row: q_R, q_L, chi,
 orientation, the value and its error or the refusal's text, and the
@@ -46,7 +47,7 @@ def routes():
                 for orientation in ORIENTATIONS:
                     start = time.perf_counter()
                     values, errors = gamma_b_sphere_rows(q_R, q_L, chi,
-                                                         orientation, TOL)
+                                                         orientation)
                     spent = time.perf_counter() - start
                     if errors:
                         yield (q_R, q_L, chi, orientation, None,

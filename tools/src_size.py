@@ -15,8 +15,11 @@ names, ``len(locfield.__all__)``, read from the literal list in
 
 With ``--against REV`` it reads the same files of that git revision
 (``git show``) and prints its numbers beside the tree's, the change,
-and the function parameters and ``add_argument`` options (flags) that
-the tree has and REV has not, for the functions both have.
+and what the settable interface gained and lost against REV: the
+parameters of the functions both have, the ``add_argument`` options
+(flags), the keys of ``cli._CONFIG_KEYS``, the fields of the
+dataclasses and NamedTuples both have, and the module-level names
+(functions, classes and constants).
 """
 
 import argparse
@@ -29,6 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "src/locfield"
+# the kinds of interface that --against compares
+KINDS = ("parameters", "options", "config keys", "fields", "module names")
 # tokens that carry no code
 _LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER, tokenize.COMMENT}
@@ -64,32 +69,65 @@ def public_names(init_text: str) -> int:
     raise ValueError("no literal __all__ in __init__.py")
 
 
-def interface(name: str, text: str) -> tuple:
-    """({(module, function): parameter names}, {option flags}) of a
-    module: every function's parameters by qualified name, and the first
-    argument of every ``add_argument`` call."""
-    params, options = {}, set()
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether a class is a dataclass or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d
+                  for d in node.decorator_list]
+    return (any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                for d in decorators)
+            or any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple"
+                   for b in node.bases))
+
+
+def interface(name: str, text: str) -> dict:
+    """The settable interface of a module, as sets of labels by kind:
+    "parameters", each function's ``module:function(parameter)`` by
+    qualified name; "options", the first argument of every
+    ``add_argument`` call; "config keys", the members of a literal
+    ``_CONFIG_KEYS``; "fields", each dataclass and NamedTuple field as
+    ``module:Class.field``; and "module names", the functions, classes
+    and assigned names at module level, as ``module:name``."""
+    found = {kind: set() for kind in KINDS}
+    tree = ast.parse(text)
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [node] if isinstance(node, (
+                       ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   else [])
+        for t in targets:
+            label = getattr(t, "id", getattr(t, "name", None))
+            if label is not None:
+                found["module names"].add(f"{name}:{label}")
+            if label == "_CONFIG_KEYS":
+                found["config keys"] |= set(ast.literal_eval(node.value))
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = child.args
-                params[name, prefix + child.name] = {
-                    p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
-                                    *filter(None, (a.vararg, a.kwarg)))}
+                found["parameters"] |= {
+                    f"{name}:{prefix}{child.name}({p.arg})"
+                    for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                              *filter(None, (a.vararg, a.kwarg)))}
                 visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, ast.ClassDef):
+                if _is_record(child):
+                    found["fields"] |= {
+                        f"{name}:{prefix}{child.name}.{f.target.id}"
+                        for f in child.body if isinstance(f, ast.AnnAssign)
+                        and isinstance(f.target, ast.Name)}
                 visit(child, f"{prefix}{child.name}.")
             else:
                 if (isinstance(child, ast.Call)
                         and getattr(child.func, "attr", None) == "add_argument"
                         and child.args
                         and isinstance(child.args[0], ast.Constant)):
-                    options.add(child.args[0].value)
+                    found["options"].add(child.args[0].value)
                 visit(child, prefix)
 
-    visit(ast.parse(text), "")
-    return params, options
+    visit(tree, "")
+    return found
 
 
 def tree_sources() -> dict:
@@ -116,22 +154,34 @@ def table(sources: dict) -> dict:
     return rows
 
 
-def added_interface(old: dict, new: dict) -> tuple:
-    """The parameters that functions in both old and new gained, and the
-    options new has and old has not."""
-    old_params, old_options = {}, set()
-    new_params, new_options = {}, set()
-    for sources, params, options in ((old, old_params, old_options),
-                                     (new, new_params, new_options)):
+def interface_changes(old: dict, new: dict) -> dict:
+    """{kind: (added, removed)} of the interface between the sources old
+    and new; parameters and fields only of the functions and classes
+    that both have, so that a function or class that comes or goes shows
+    once, as a module name."""
+    sides = []
+    for sources in (old, new):
+        found = {kind: set() for kind in KINDS}
         for name, text in sources.items():
-            p, o = interface(name, text)
-            params.update(p)
-            options |= o
-    gained = sorted(f"{module}:{function}({arg})"
-                    for (module, function), args in new_params.items()
-                    if (module, function) in old_params
-                    for arg in args - old_params[module, function])
-    return gained, sorted(new_options - old_options)
+            for kind, labels in interface(name, text).items():
+                found[kind] |= labels
+        sides.append(found)
+    old_found, new_found = sides
+    changes = {}
+    for kind in KINDS:
+        a, b = old_found[kind], new_found[kind]
+        if kind in ("parameters", "fields"):
+            owners = ({_owner(x) for x in a} & {_owner(x) for x in b})
+            a = {x for x in a if _owner(x) in owners}
+            b = {x for x in b if _owner(x) in owners}
+        changes[kind] = sorted(b - a), sorted(a - b)
+    return changes
+
+
+def _owner(label: str) -> str:
+    """The function or class of a parameter or field label."""
+    return label.partition("(")[0] if label.endswith(")") else \
+        label.rpartition(".")[0]
 
 
 def main(argv=None) -> int:
@@ -160,10 +210,9 @@ def main(argv=None) -> int:
     print(f"public names (locfield.__all__): "
           f"{public_names(new['__init__.py'])} "
           f"({public_names(old['__init__.py'])} at {args.against})")
-    gained, options = added_interface(old, new)
-    print("parameters added to existing functions: "
-          + (", ".join(gained) or "none"))
-    print("options added: " + (", ".join(options) or "none"))
+    for kind, (added, removed) in interface_changes(old, new).items():
+        print(f"{kind} added: " + (", ".join(added) or "none"))
+        print(f"{kind} removed: " + (", ".join(removed) or "none"))
     return 0
 
 
