@@ -143,9 +143,12 @@ def positive(name: str, value):
 
 
 def whole_number(name: str, value):
-    """The rule that value, a real number, is a whole number >= 1."""
-    return ((not (1 <= value < math.inf and value == int(value)),
-             lambda *_: f"{name} must be a whole number >= 1"),)
+    """The rule that value is a whole number >= 1 (a string is not)."""
+    try:
+        whole = 1 <= value < math.inf and value == int(value)
+    except TypeError:
+        whole = False
+    return ((not whole, lambda *_: f"{name} must be a whole number >= 1"),)
 
 
 def inside_sphere(q_R, q_L):

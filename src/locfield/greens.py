@@ -99,20 +99,22 @@ def as_permittivity(value) -> Permittivity:
 
 
 def unit_vector(v) -> np.ndarray:
-    """Validate a real 3-vector of unit length and return it as ndarray.
+    """Validate a unit 3-vector, or (N, 3) rows of them, as an ndarray.
 
-    The norm must equal 1 within 1e-12; vectors are not silently
+    Each norm must equal 1 within 1e-12; vectors are not silently
     renormalized, since a wrong length usually signals a caller bug.
     """
     arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise DomainError(f"expected a 3-vector, got shape {arr.shape}")
+    if arr.shape[-1:] != (3,) or arr.ndim > 2:
+        raise DomainError(f"expected a 3-vector or an (N, 3) array of "
+                          f"them, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DomainError("unit vector must be finite")
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > _UNIT_TOL:
-        raise InvariantError(f"vector norm {norm!r} differs from 1 by more "
-                             f"than {_UNIT_TOL:g}")
+    norm = np.linalg.norm(arr, axis=-1)
+    off = np.abs(norm - 1.0) > _UNIT_TOL
+    if off.any():
+        raise InvariantError(f"vector norm {float(norm[off][0])!r} differs "
+                             f"from 1 by more than {_UNIT_TOL:g}")
     return arr
 
 
@@ -218,8 +220,8 @@ _BRACE_T2 = np.array([[-2.0 / 3.0], [-2.0]])
 _BRACE_T0 = np.array([[0.5], [-0.5]])
 _BRACE_EI = np.array([[4.0 / 3.0], [-4.0]])
 # distances per block of _brace_coeffs, whose temporaries (about 1 MB)
-# then stay in cache: the 91,210 distances of the seven presets as one
-# unblocked array took twice as long
+# stay in cache; body_green_linear's rules from 128^2 nodes span blocks:
+# 65,536 distances took 8.1 ms blocked, 12.6 ms not (2-core x86-64)
 _BRACE_BLOCK = 8192
 
 
@@ -555,12 +557,9 @@ def f_integrand(q, s_hat) -> np.ndarray:
     """
     q_arr = np.atleast_1d(np.asarray(q, dtype=float))
     raise_first(positive("q", q_arr))
-    s = np.asarray(s_hat, dtype=float)
+    s = unit_vector(s_hat)
     scalar = (s.ndim == 1)
     s2 = np.atleast_2d(s)
-    norms = np.linalg.norm(s2, axis=1)
-    if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-        raise InvariantError("s_hat rows must be unit vectors")
     if s2.shape[0] != q_arr.shape[0]:
         if s2.shape[0] == 1:
             s2 = np.broadcast_to(s2, (q_arr.shape[0], 3))
@@ -649,8 +648,7 @@ def _angular_nodes(n_theta: int, n_phi: int):
     return theta.ravel(), PHI.ravel(), s.reshape(-1, 3), W.ravel()
 
 
-def body_green_linear(boundary: StarBoundary, chi,
-                      angular_tolerance: float = 1.0e-10) -> np.ndarray:
+def body_green_linear(boundary: StarBoundary, chi) -> np.ndarray:
     """Linear scattering tensor G_B^(1) of the body outside the cavity.
 
     For a star-shaped boundary at optical distance q_o(theta, phi) from
@@ -665,14 +663,12 @@ def body_green_linear(boundary: StarBoundary, chi,
     returned without quadrature.
 
     The angular integral uses a Gauss-Legendre x uniform product rule,
-    doubled until two successive refinements agree to angular_tolerance
-    (mixed absolute/relative).
+    doubled until two successive refinements agree to 1e-10 (mixed
+    absolute/relative), a fixed contract.
     """
     chi = complex(chi)
     if boundary.is_bulk or chi == 0:
         return np.zeros((3, 3), dtype=complex)
-    if not (angular_tolerance > 0):
-        raise DomainError("angular_tolerance must be positive")
 
     pref = -chi / (16.0 * np.pi**2)
 
@@ -691,9 +687,9 @@ def body_green_linear(boundary: StarBoundary, chi,
         n *= 2
         cur = evaluate(n)
         err = float(np.max(np.abs(cur - prev)))
-        if err <= angular_tolerance * (1.0 + float(np.max(np.abs(cur)))):
+        if err <= 1.0e-10 * (1.0 + float(np.max(np.abs(cur)))):
             return cur
         prev = cur
     raise AccuracyError(f"angular quadrature did not reach tolerance "
-                        f"{angular_tolerance:g} by n = {n}; last "
+                        f"1e-10 by n = {n}; last "
                         f"refinement change {err:.3e}")

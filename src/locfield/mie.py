@@ -64,7 +64,7 @@ from . import cavity
 from .errors import (POLE_CUT, AccuracyError, DomainError, LocfieldError,
                      NonFiniteError, SingularityError, inside_sphere,
                      method_faults, orientation_faults, permittivity_faults,
-                     positive, raise_first)
+                     positive, raise_first, sphere_faults, whole_number)
 from .greens import as_permittivity
 from .specfun import (_bessel_ratio_tables, _check_point, dipole_bessel_j,
                       dipole_hankel_h1, riccati_derivative, spherical_bessel_j,
@@ -122,17 +122,17 @@ def sphere_coefficients(eps, q_R, m: int):
     eps is one permittivity or a sequence of them, and q_R a float or an
     array broadcasting with it; the coefficients take their shape (complex
     numbers for scalars, worked out as a one-element column).  m is a
-    single order.  The dipole order m = 1, all that the centre rate
-    needs, takes the closed forms of :func:`locfield.specfun.dipole_hankel_h1`
-    and :func:`locfield.specfun.dipole_bessel_j`, which need no
+    single order, a whole number.  The dipole order m = 1, all that the
+    centre rate needs, takes the closed forms of
+    :func:`locfield.specfun.dipole_hankel_h1` and
+    :func:`locfield.specfun.dipole_bessel_j`, which need no
     :mod:`scipy.special`; higher orders call the scipy-backed functions.
     A coefficient that leaves double range raises NonFiniteError, as at
     eps = 1e-300, q_R = 1, where C_1^N and C_1^M are about 1e450.
     """
     e, n, q_R, shape = _columns(eps, q_R)
+    raise_first(whole_number("m", m))
     m = int(m)
-    if m < 1:
-        raise DomainError("m must be >= 1")
     C_N, C_M = _finite_coefficients(
         e, m, *_order_values(m, q_R + 0j, n * q_R))
     return _shaped(C_N, shape), _shaped(C_M, shape)
@@ -300,12 +300,17 @@ def gamma_b_center(eps, q_R):
     """
     e, n, q_R, shape = _columns(eps, q_R)
     raise_first(method_faults("exact", e))
-    return _shaped(_center_rate(e, n, q_R), shape)
+    rate, refused = _center_rate(e, n, q_R)
+    for exc in refused.values():
+        raise exc
+    return _shaped(rate, shape)
 
 
 def _center_rate(e, n, q_R):
     """:func:`gamma_b_center` of the arrays eps, n = sqrt(eps) (real or
-    complex) and q_R, which broadcast and passed its rules, unchecked."""
+    complex) and q_R, which broadcast and passed its rules, unchecked:
+    the rates, and by flat index the AccuracyError of each rate (NaN)
+    whose rounding bound is above _CENTER_REL_MAX."""
     z0, z1 = q_R + 0j, n * q_R
     values = _order_values(1, z0, z1)
     C_N, _ = _finite_coefficients(e, 1, *values)
@@ -314,14 +319,14 @@ def _center_rate(e, n, q_R):
         # a non-finite K C_1^N fails; a zero one (vacuum) has a NaN bound
         bound = np.where(np.isfinite(kc), _center_rounding_bound(
             e, kc, z0, z1, *values), np.inf).ravel()
-    over = np.flatnonzero(bound > _CENTER_REL_MAX)
-    if over.size:
-        k = over[0]
+    rate, refused = kc.imag, {}
+    for k in np.flatnonzero(bound > _CENTER_REL_MAX).tolist():
         q = np.broadcast_to(q_R, kc.shape).ravel()[k]
-        raise AccuracyError(f"centre rate at q_R = {q:g} may be off by a "
-                            f"relative {bound[k]:.1e} from rounding, above "
-                            f"{_CENTER_REL_MAX:g}")
-    return kc.imag
+        refused[k] = AccuracyError(f"centre rate at q_R = {q:g} may be off "
+                                   f"by a relative {bound[k]:.1e} from "
+                                   f"rounding, above {_CENTER_REL_MAX:g}")
+        rate.flat[k] = np.nan
+    return rate, refused
 
 
 def _center_rounding_bound(e, kc, z0, z1, h0, h1, j1, xi0p, xi1p, ps1p):
@@ -363,7 +368,7 @@ def gamma_b_exact(eps, q_R: float, q_L: float,
     raise_first((*inside_sphere(q_R, q_L), *orientation_faults(orient),
                  *method_faults("exact", eps.epsilon)))
     if q_L == 0.0:
-        return _center_rate(*np.atleast_1d(eps.epsilon, eps.n, q_R)).item()
+        return gamma_b_center(eps, q_R)
     return _series(eps.epsilon, eps.n, q_R, q_L, orient)
 
 
@@ -375,24 +380,30 @@ def _gamma_b_rows(eps, n, q_R, q_L, orient):
     LocfieldError (its value is NaN).  The rows passed the rules of a
     RateRequest and of compute in :mod:`locfield.rates`, so none is
     checked again: the centred rows are one :func:`_center_rate` call,
-    each row alone if that raises; every other row is one
-    :func:`_series` call."""
+    each row alone if it raises (not for a refused rounding bound);
+    every other row is one :func:`_series` call."""
     values, errors = np.empty(eps.size), {}
     values.fill(np.nan)  # a third of np.full's cost
     rows, q_Ls = range(eps.size), q_L.tolist()
     if 0.0 in q_Ls:
-        center = q_L == 0.0
+        center = np.flatnonzero(q_L == 0.0)
         try:
-            values[center] = _center_rate(eps[center], n[center], q_R[center])
-            rows = np.flatnonzero(~center).tolist()
+            values[center], refused = _center_rate(eps[center], n[center],
+                                                   q_R[center])
+            errors.update((int(center[k]), exc) for k, exc in refused.items())
+            rows = np.flatnonzero(q_L != 0.0).tolist()
         except LocfieldError:
             pass
     point = list(zip(eps.tolist(), n.tolist(), q_R.tolist(), q_Ls,
                      orient.tolist()))
     for k in rows:
         try:
-            values[k] = (_center_rate(*(a[k:k + 1] for a in (eps, n, q_R)))[0]
-                         if q_Ls[k] == 0.0 else _series(*point[k]))
+            if q_Ls[k]:
+                values[k] = _series(*point[k])
+            else:
+                (values[k],), refused = _center_rate(
+                    *(a[k:k + 1] for a in (eps, n, q_R)))
+                errors.update((k, exc) for exc in refused.values())
         except LocfieldError as exc:
             errors[k] = exc
     return values, errors
@@ -405,14 +416,11 @@ def gamma_center_exact(eps, q_R: float, q_C: float) -> float:
 
     Tomas's formula for a small cavity at the center of a sphere.  q_C
     follows the rules of :func:`locfield.cavity.gamma_c_exact` (at most
-    0.2, a warning above 0.1) and must be smaller than q_R; eps = -1/2
-    raises SingularityError.
+    0.2, a warning above 0.1) and q_R SphereConfig's (q_C <= q_R); eps =
+    -1/2 raises SingularityError.
     """
     eps = as_permittivity(eps)
     gamma_c = cavity.gamma_c_exact(eps, q_C)
     q_R = float(q_R)
-    if not (math.isfinite(q_R) and q_R > float(q_C)):
-        raise DomainError("need q_R > q_C (cavity inside the sphere)")
-    # those rules cover the centre rate's
-    return 1.0 + gamma_c + _center_rate(
-        *np.atleast_1d(eps.epsilon, eps.n, q_R)).item()
+    raise_first(sphere_faults(q_R, 0.0, float(q_C)), q_R, 0.0)
+    return 1.0 + gamma_c + gamma_b_center(eps, q_R)

@@ -136,7 +136,8 @@ class RateRequest:
     (its absorption split is formulated for the isotropic case).
     Inconsistent combinations raise ConfigError at construction time,
     and numbers out of range (q_C too, for either geometry)
-    DomainError; q_R, q_L and q_C are held as floats.  A
+    DomainError, by the rules of :mod:`locfield.errors`; eps is held as
+    a complex (repr ``eps=(1.1+0j)``) and q_R, q_L and q_C as floats.  A
     permittivity that the method cannot take
     (:func:`locfield.errors.method_faults`), and a q_C so small that
     its cavity terms in 1/q_C^3 leave double range (NonFiniteError), are
@@ -150,11 +151,6 @@ class RateRequest:
     q_L: float = 0.0
     q_C: float = QC_DEFAULT
     orientation: str = "radial"
-    # built once by __post_init__, which validates through them
-    _permittivity: Permittivity = dataclasses.field(
-        init=False, repr=False, compare=False)
-    _sphere: born.SphereConfig | None = dataclasses.field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -182,23 +178,14 @@ class RateRequest:
             if self.q_L != 0.0:
                 raise ConfigError("bulk geometry takes no q_L")
         raise_first(_off_center_faults(self.method, self.q_L))
-        # validate the permittivity and geometry numbers eagerly
-        object.__setattr__(self, "_permittivity", as_permittivity(self.eps))
-        sphere = None
-        if self.geometry == "sphere":
-            sphere = born.SphereConfig(self.q_R, self.q_L, self.q_C)
-        else:
-            raise_first(qc_faults(self.q_C))
-            warn_qc(self.q_C)
-        object.__setattr__(self, "_sphere", sphere)
-
-    def sphere_config(self) -> born.SphereConfig | None:
-        """The validated sphere geometry; None for bulk."""
-        return self._sphere
-
-    @property
-    def permittivity(self) -> Permittivity:
-        return self._permittivity
+        eps = self.eps
+        object.__setattr__(self, "eps", complex(
+            eps.epsilon if isinstance(eps, Permittivity) else eps))
+        raise_first(permittivity_faults(self.eps))
+        raise_first(sphere_faults(self.q_R, self.q_L, self.q_C)
+                    if self.geometry == "sphere" else qc_faults(self.q_C),
+                    self.q_R, self.q_L)
+        warn_qc(self.q_C)
 
 
 def compute(request: RateRequest) -> born.RateBreakdown:
@@ -243,8 +230,7 @@ def _request_column(group) -> _Column:
     orientation and q_C."""
     # a complex and two floats per request (q_R None in bulk), whose
     # dtypes the arrays keep
-    eps, q_R, q_L = zip(*[(r._permittivity.epsilon, r.q_R, r.q_L)
-                          for r in group])
+    eps, q_R, q_L = zip(*[(r.eps, r.q_R, r.q_L) for r in group])
     r = group[0]
     return _Column(r.method, r.orientation, r.q_C, np.array(eps),
                    np.array(q_R) if r.geometry == "sphere" else None,
@@ -350,7 +336,8 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
     with np.errstate(over="ignore"):
         chi_size, absorption = born._validity_values(
             chi, q_L + q_R if sphere else 1.0, q_C)
-    warn_qc(q_C)
+    if not checked:  # a RateRequest warned when it was made
+        warn_qc(q_C)
     if method == "linear_born":
         gamma_c = born._cavity_term(chi, q_C)
     elif method == "uncorrected":

@@ -63,6 +63,14 @@ def test_unit_vector_policy():
         unit_vector([1.0, 0.0])
     with pytest.raises(DomainError):
         unit_vector([np.inf, 0.0, 0.0])
+    # rows of unit vectors, each checked: the first that is off is named
+    rows = unit_vector([[0.0, 0.0, 1.0], [0.6, 0.8, 0.0]])
+    assert rows.shape == (2, 3)
+    with pytest.raises(InvariantError, match="^vector norm 2.0 differs"):
+        unit_vector([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0], [3.0, 0.0, 0.0]])
+    for bad in ([[1.0, 0.0]], np.zeros((1, 1, 3)), [[0.0, np.nan, 1.0]]):
+        with pytest.raises(DomainError):
+            unit_vector(bad)
 
 
 # -- a, b coefficients --------------------------------------------------------
@@ -205,6 +213,12 @@ def test_f_integrand_shapes_and_validation():
         f_integrand(-1.0, Z)
     with pytest.raises(DomainError):
         f_integrand(np.array([1.0, 2.0, 3.0]), s)
+    # a direction is checked by unit_vector's rule: a NaN one is refused,
+    # not turned into a NaN tensor, and so is a row of the wrong length
+    for bad in ([np.nan, 0.0, 0.0], [[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]],
+                [[1.0, 0.0]]):
+        with pytest.raises(DomainError):
+            f_integrand(1.0, bad)
 
 
 # -- constant-q closed form ---------------------------------------------------
@@ -476,11 +490,14 @@ def test_body_green_is_symmetric_for_any_star_boundary(star, chi):
                      + c3 * (1.5 * x * x - 0.5)
                      + c4 * sin_t**2 * np.cos(2.0 * (phi - phi0)))
 
-    g = body_green_linear(StarBoundary(q_outer, q_max=2.0 * q0), chi,
-                          angular_tolerance=1e-8)
+    g = body_green_linear(StarBoundary(q_outer, q_max=2.0 * q0), chi)
     assert np.abs(g - g.T).max() <= 1e-15 * np.abs(g).max()
 
 
 def test_body_green_tolerance_validation():
-    with pytest.raises(DomainError):
-        body_green_linear(StarBoundary.sphere(2.0), 0.1, angular_tolerance=0.0)
+    # the angular rule stops at a fixed agreement of 1e-10; no caller
+    # sets it, whatever the value
+    for value in (0.0, 1e-8, 1e-10):
+        with pytest.raises(TypeError, match="'angular_tolerance'"):
+            body_green_linear(StarBoundary.sphere(2.0), 0.1,
+                              angular_tolerance=value)

@@ -4,6 +4,7 @@ import cmath
 import importlib
 import itertools
 import json
+import math
 import re
 import warnings
 from collections import Counter
@@ -148,6 +149,18 @@ def test_coefficients_against_log_derivative_oracle():
 def test_coefficient_validation():
     with pytest.raises(DomainError):
         sphere_coefficients(1.1, 2.0, 0)
+    # the order is checked by the whole-number rule that
+    # outside_scatter_coefficients' m_max takes, not rounded: 1.5 is not
+    # C_1, and "2" is not C_2
+    for m in (1.5, "2", None, math.inf, -1):
+        for call in (lambda: sphere_coefficients(1.1, 2.0, m),
+                     lambda: cavity.outside_scatter_coefficients(1.1, 0.01,
+                                                                 m)):
+            with pytest.raises(DomainError, match="^m(_max)? must be a "
+                               "whole number >= 1$"):
+                call()
+    assert sphere_coefficients(1.1, 2.0, 2.0) == sphere_coefficients(
+        1.1, 2.0, 2)
     with pytest.raises(DomainError):
         sphere_coefficients(1.1, -1.0, 1)
     with pytest.raises(DomainError):
@@ -708,6 +721,38 @@ def test_scalar_calls_are_one_element_columns():
             assert sphere_coefficients(e, q, m) == (C_N[k], C_M[k]), (e, q, m)
 
 
+def test_refused_centre_rows_stay_one_kernel_call(monkeypatch):
+    # a centred exact curve down to small spheres: the rounding bound
+    # refuses 148 of its 400 rows, by mask, so the curve is still one call
+    # of the centre kernel, and each row's outcome is compute's alone;
+    # only a row whose kernel raises (here an overflow) sends the centred
+    # rows one by one
+    kernel, calls = mie._center_rate, []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(mie, "_center_rate", counted)
+    curve = [RateRequest(eps=1.1 + 1e-8j, method="exact", q_R=q_R,
+                         q_C=1e-5)
+             for q_R in np.geomspace(1e-4, 10.0, 400).tolist()]
+    overflow = [RateRequest(eps=1e-300, method="exact", q_R=1.0, q_C=1e-5)]
+    # (the first 50 rows, below q_R = 4.2e-4, are all refused)
+    for requests, sizes, count in ((curve, [400], 148),
+                                   (curve[:50] + overflow, [51] + [1] * 51,
+                                    50)):
+        calls.clear()
+        results = compute_batch(requests)
+        assert calls == sizes
+        assert sum(type(r) is AccuracyError for r in results) == count
+        for request, result in zip(requests, results):
+            assert _outcome(lambda: compute(request)) == (
+                (type(result), str(result))
+                if isinstance(result, LocfieldError) else result)
+    assert type(results[-1]) is NonFiniteError
+
+
 def test_vacuum_rows_are_exact():
     # eps = 1: C_m = 0, and the centre rate is 0 with no rounding guard,
     # which the column's rounding noise once tripped ("off by a relative
@@ -764,6 +809,16 @@ def test_center_rate_validation():
     # q_C follows gamma_c_exact's rules: at most 0.2, however large q_R
     with pytest.raises(DomainError, match="too large"):
         gamma_center_exact(1.1, 2.0, 0.25)
+    # q_R follows SphereConfig's rule at q_L = 0, q_C <= q_R: a cavity
+    # that touches the surface is compute's rate, not a refusal
+    eps = 1.1 + 1e-8j
+    assert gamma_center_exact(eps, 0.01, 0.01) == compute(RateRequest(
+        eps=eps, method="exact", q_R=0.01, q_C=0.01)).total_ratio
+    for q_R, message in ((0.005, "emitter too close to the surface"),
+                         (math.inf, "q_R must be finite"),
+                         (math.nan, "q_R must be finite")):
+        with pytest.raises(DomainError, match=message):
+            gamma_center_exact(1.1, q_R, 0.01)
 
 
 def _mp_center_rate(eps, q_R):

@@ -136,22 +136,31 @@ def test_request_config_errors():
     assert ORIENTATIONS == ("radial", "tangential")
 
 
-def test_request_keeps_its_validated_records():
+def test_request_holds_eps_as_a_complex():
+    # eps is held as a complex, as q_R, q_L and q_C are held as floats: a
+    # real number, a numpy number and a Permittivity all give the same
+    # request, equal, hashed and printed alike, and keep no other record
     req = RateRequest(eps=1.1 + 1e-8j, method="linear_born", q_R=2.0,
                       q_L=0.5)
-    assert req.sphere_config() is req.sphere_config()
-    assert req.sphere_config() == SphereConfig(q_R=2.0, q_L=0.5)
-    assert req.permittivity is req.permittivity
-    assert req.permittivity == Permittivity(1.1 + 1e-8j)
+    assert type(req.eps) is complex
+    for eps in (np.complex128(1.1 + 1e-8j), Permittivity(1.1 + 1e-8j)):
+        twin = RateRequest(eps=eps, method="linear_born", q_R=2.0, q_L=0.5)
+        assert type(twin.eps) is complex
+        assert twin == req and hash(twin) == hash(req)
+        assert repr(twin) == repr(req)
     bulk = RateRequest(eps=1.1, method="exact", geometry="bulk")
-    assert bulk.sphere_config() is None
-    # the records take no part in equality, hashing or repr
-    twin = RateRequest(eps=1.1 + 1e-8j, method="linear_born", q_R=2.0,
-                       q_L=0.5)
-    assert twin == req and hash(twin) == hash(req)
-    assert "_sphere" not in repr(req) and "_permittivity" not in repr(req)
+    assert type(bulk.eps) is complex and "eps=(1.1+0j)" in repr(bulk)
+    assert [f.name for f in dataclasses.fields(RateRequest)] == [
+        "eps", "method", "geometry", "q_R", "q_L", "q_C", "orientation"]
+    # replace checks the new numbers by the same rules
     moved = dataclasses.replace(req, q_L=1.0)
-    assert moved.sphere_config() == SphereConfig(q_R=2.0, q_L=1.0)
+    assert moved.q_L == 1.0 and moved.eps == req.eps
+    assert compute(moved) == compute(RateRequest(
+        eps=1.1 + 1e-8j, method="linear_born", q_R=2.0, q_L=1.0))
+    with pytest.raises(DomainError, match="emitter too close"):
+        dataclasses.replace(req, q_L=1.995)
+    with pytest.raises(DomainError, match="passive"):
+        dataclasses.replace(req, eps=1.0 - 1.0j)
 
 
 def test_request_numbers_are_floats():
@@ -841,6 +850,11 @@ def test_large_cavity_warning_names_the_callers_line(tmp_path):
         "SphereConfig": (lambda: SphereConfig(q_R=2.0, q_C=0.15), 1),
         "RateRequest": (lambda: RateRequest(eps=1.1, method="linear_born",
                                             q_R=2.0, q_C=0.15), 1),
+        # a request warns when it is made, and its rate adds none
+        "compute": (lambda: compute(RateRequest(
+            eps=1.1, method="exact", q_R=2.0, q_C=0.15)), 1),
+        "compute_batch": (lambda: compute_batch([RateRequest(
+            eps=1.1, method="exact", q_R=2.0, q_C=0.15)] * 2), 1),
         "gamma_c_linear": (lambda: gamma_c_linear(0.1, 0.15), 1),
         "gamma_c_exact": (lambda: gamma_c_exact(1.1, 0.15), 1),
         "gamma_center_exact": (lambda: gamma_center_exact(1.1, 2.0, 0.15),

@@ -117,7 +117,7 @@ def layers(seeds, passes: int) -> dict:
     requests = [workloads.rate_request(item) for item in items]
     series_args = []
     for r in requests:
-        eps = r.permittivity.epsilon
+        eps = r.eps
         series_args.append((eps, complex(np.sqrt(eps)), float(r.q_R),
                             float(r.q_L), r.orientation))
     series = mie._series
