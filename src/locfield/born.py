@@ -54,8 +54,8 @@ from .errors import (ORIENTATIONS, QC_DEFAULT, AccuracyError, DomainError,
                      qc_faults, raise_first, sphere_faults, warn_qc)
 from .greens import (_BRACE_EI, StarBoundary, _brace_parts,
                      _gauss_legendre, _sphere_moments,
-                     _sphere_moments_near_centre, body_green_linear,
-                     unit_vector)
+                     _sphere_moments_near_centre, _unit_3vector,
+                     body_green_linear)
 from .specfun import _bessel_j_orders
 
 __all__ = [
@@ -572,7 +572,7 @@ def gamma_total_linear(geometry, chi, orientation: str = "radial",
         if geometry.is_bulk:
             gamma_b = 0.0
         else:
-            d = _Z_HAT if dipole is None else unit_vector(dipole)
+            d = _Z_HAT if dipole is None else _unit_3vector(dipole)
             g_b = body_green_linear(geometry, chi)
             gamma_b = 6.0 * np.pi * float(np.imag(d @ g_b @ d))
     else:

@@ -47,7 +47,7 @@ from .errors import (_CAVITY_SCALE, ABSORPTION_TOL, POLE_CUT, DomainError,
                      InvariantError, NonFiniteError, SingularityError,
                      cavity_scale_faults, check_qc, method_faults, positive,
                      qc_faults, raise_first, warn_qc, whole_number)
-from .greens import as_permittivity, unit_vector
+from .greens import _unit_3vector, as_permittivity
 from .specfun import (dipole_bessel_j, dipole_hankel_h1, riccati_derivative,
                       spherical_bessel_j, spherical_hankel_h1)
 
@@ -221,7 +221,10 @@ def gamma_c_exact(eps, q_C: float) -> float:
     return float(_cavity_term(e, h, n, chi, q_C)[0])
 
 
-def _check_green_tensor(gB1) -> np.ndarray:
+def _dipole_element(gB1, dipole):
+    """d.gB1.d of a body tensor gB1, checked finite, 3x3 and symmetric,
+    and one unit dipole d (:func:`locfield.greens._unit_3vector`): the
+    checked contraction of every rate that takes its tensor as input."""
     g = np.asarray(gB1, dtype=complex)
     if g.shape != (3, 3):
         raise DomainError(f"gB1 must be a 3x3 tensor, got shape {g.shape}")
@@ -231,7 +234,8 @@ def _check_green_tensor(gB1) -> np.ndarray:
     if float(np.max(np.abs(g - g.T))) > _SYM_TOL * scale:
         raise InvariantError("gB1 must be symmetric (reciprocity); "
                              "asymmetry exceeds tolerance")
-    return g
+    d = _unit_3vector(dipole)
+    return d @ g @ d
 
 
 def gamma_b_corrected(eps, gB1, dipole) -> float:
@@ -244,12 +248,11 @@ def gamma_b_corrected(eps, gB1, dipole) -> float:
     factor is 1 and the uncorrected scattering term is recovered.
     """
     eps = as_permittivity(eps)
-    g = _check_green_tensor(gB1)
-    d = unit_vector(dipole)
+    gdd = _dipole_element(gB1, dipole)
     raise_first(method_faults("exact", eps.epsilon))
     with np.errstate(all="ignore"):  # L^2 is up to 1e308 by the pole band
         gamma = 6.0 * np.pi * float(np.imag(_local_field(eps.epsilon) ** 2
-                                            * (d @ g @ d)))
+                                            * gdd))
     if not math.isfinite(gamma):
         raise NonFiniteError("corrected body rate overflowed: 6 pi "
                              "Im[L^2 d.gB1.d] leaves double range")
@@ -282,14 +285,15 @@ def gamma_weak_absorption(eps, q_C: float, gamma_b_uncorrected: float,
     """
     eps = as_permittivity(eps)
     q_C = check_qc(q_C, eps.epsilon.imag)
-    g = _check_green_tensor(gB1)
-    d = unit_vector(dipole)
-    raise_first(method_faults("weak_absorption", eps.epsilon))
+    gdd = complex(_dipole_element(gB1, dipole))
+    gamma_b_uncorrected = float(gamma_b_uncorrected)
+    raise_first((*method_faults("weak_absorption", eps.epsilon),
+                 (not math.isfinite(gamma_b_uncorrected),
+                  "gamma_b_uncorrected must be finite")))
     re = eps.epsilon.real
     im = eps.epsilon.imag
-    gamma = (_local_field(re) ** 2 * float(gamma_b_uncorrected)
+    gamma = (_local_field(re) ** 2 * gamma_b_uncorrected
              + _absorption_shift(eps.epsilon, q_C))
-    gdd = complex(d @ g @ d)
     denom = re * (math.sqrt(re) / (6.0 * np.pi) + gdd.imag)
     if denom == 0:
         condition = math.inf

@@ -1,4 +1,4 @@
-"""Command-line front end: parameter sweeps, single rates, plot scripts.
+"""Command-line front end: parameter sweeps and single rates.
 
 Subcommands
 -----------
@@ -10,13 +10,9 @@ Subcommands
     RFC 4180 and csv.writer's QUOTE_MINIMAL quote.
 ``locfield compute``
     Evaluate a single rate and print the Gamma/Gamma_0 breakdown.
-``locfield plot``
-    Emit a gnuplot script for a sweep CSV (solid = exact, dashed =
-    linear Born, dotted = bulk reference; radial solid / tangential
-    dashed when both orientations are present).
 
 Exit codes: 0 success, 2 configuration/usage error (bad arguments,
-malformed config or CSV, unusable paths), 3 numerical failure during
+malformed config, unusable paths), 3 numerical failure during
 computation.  :func:`main` parses and validates the config or request
 once, before any computation, and runs what it built.
 
@@ -54,7 +50,6 @@ relative 1e-8.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import sys
@@ -65,8 +60,7 @@ from . import __version__, born, cavity, rates
 from .errors import (QC_DEFAULT, ConfigError, DomainError, LocfieldError,
                      qc_faults, raise_first)
 
-__all__ = ["PRESETS", "SweepSpec", "build_sweep", "run_sweep",
-           "emit_plot_script", "main"]
+__all__ = ["PRESETS", "SweepSpec", "build_sweep", "run_sweep", "main"]
 
 # a float as a CSV cell or an output value: 15 significant digits, the
 # bytes of "{:.15g}".format
@@ -381,106 +375,6 @@ def _sweep_results(spec: SweepSpec, grid) -> list:
     return rates._compute_columns(columns)
 
 
-# -- plot script ---------------------------------------------------------
-
-_METHOD_DASH = {"exact": 1, "linear_born": 2, "uncorrected": 4,
-                "weak_absorption": 5}
-
-_AXIS_LABEL = {"qR": "k_A R", "im_chi": "Im chi", "qL": "k_A l_A"}
-
-
-def _parse_gamma_column(name: str):
-    """Split a gamma column name into (method, orientation, suffix)."""
-    body = name[len("gamma_"):]
-    method = None
-    for m in sorted(rates.METHODS, key=len, reverse=True):
-        if body == m or body.startswith(m + "_"):
-            method = m
-            body = body[len(m):].lstrip("_")
-            break
-    if method is None:
-        return None
-    orientation = None
-    for o in born.ORIENTATIONS:
-        if body == o or body.startswith(o + "_"):
-            orientation = o
-            body = body[len(o):].lstrip("_")
-            break
-    return method, orientation, body
-
-
-def emit_plot_script(csv_path: str, output_path: str | None = None) -> str:
-    """Generate a gnuplot script for a sweep CSV; returns the script text.
-
-    Curve styling follows the figure conventions: dash type by method
-    (solid exact, dashed linear Born), or by orientation (solid radial,
-    dashed tangential) when both orientations are present; the bulk
-    reference is dotted and is omitted for position sweeps.
-    """
-    try:
-        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh), None)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
-    if not header:
-        raise ConfigError(f"{csv_path}: empty file")
-    if header[0] not in _SWEPT_VARIABLES:
-        raise ConfigError(f"{csv_path}: unrecognized swept column "
-                          f"{header[0]!r}")
-    for required in ("bulk_reference", "error"):
-        if required not in header:
-            raise ConfigError(f"{csv_path}: missing column {required!r}")
-    gamma_cols = []
-    for i, name in enumerate(header):
-        if name.startswith("gamma_"):
-            parsed = _parse_gamma_column(name)
-            if parsed is None:
-                raise ConfigError(f"{csv_path}: unrecognized rate column "
-                                  f"{name!r}")
-            gamma_cols.append((i, name, *parsed))
-    if not gamma_cols:
-        raise ConfigError(f"{csv_path}: no rate columns found")
-
-    orientations = {orient for _, _, _, orient, _ in gamma_cols
-                    if orient is not None}
-    by_orientation = len(orientations) > 1
-    methods = list(dict.fromkeys(method for _, _, method, _, _ in gamma_cols))
-
-    lines = [
-        f"# generated by locfield {__version__}",
-        "set datafile separator ','",
-        f"set xlabel '{_AXIS_LABEL[header[0]]}'",
-        "set ylabel 'Gamma/Gamma_0'",
-        "set key left bottom",
-    ]
-    plots = []
-    for col, name, method, orient, suffix in gamma_cols:
-        if by_orientation and orient is not None:
-            dash = 1 if orient == "radial" else 2
-            color = methods.index(method) + 1
-        else:
-            dash = _METHOD_DASH[method]
-            color = methods.index(method) + 1
-        if suffix == "center" or (by_orientation and orient is None):
-            dash, color = 5, len(methods) + 1
-        title = name[len("gamma_"):].replace("_", " ")
-        plots.append(f"'{csv_path}' skip 1 using 1:{col + 1} with lines "
-                     f"dt {dash} lc {color} lw 2 title '{title}'")
-    if header[0] != "qL":
-        bulk_col = header.index("bulk_reference") + 1
-        plots.append(f"'{csv_path}' skip 1 using 1:{bulk_col} with lines "
-                     f"dt 3 lc 0 lw 1 title 'bulk'")
-    lines.append("plot \\\n    " + ", \\\n    ".join(plots))
-    script = "\n".join(lines) + "\n"
-    if output_path:
-        try:
-            with open(output_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(script)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {output_path}: {exc}") from exc
-    return script
-
-
 # -- argument parsing -----------------------------------------------------
 
 
@@ -514,10 +408,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--method", choices=rates.METHODS, default="exact")
     p_comp.add_argument("--orientation", choices=born.ORIENTATIONS,
                         default="radial")
-
-    p_plot = sub.add_parser("plot", help="emit a gnuplot script for a CSV")
-    p_plot.add_argument("--csv", required=True)
-    p_plot.add_argument("--out", help="script path (default <csv>.gp)")
     return parser
 
 
@@ -557,13 +447,6 @@ def _cmd_compute(request: rates.RateRequest) -> int:
     return 0
 
 
-def _cmd_plot(args) -> int:
-    out = args.out or f"{args.csv}.gp"
-    emit_plot_script(args.csv, out)
-    print(f"wrote {out}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
@@ -572,7 +455,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             spec = build_sweep(_sweep_config(args))
-        elif args.command == "compute":
+        else:
             request = _compute_request(args)
     except (ConfigError, DomainError) as exc:
         print(f"locfield: config error: {exc}", file=sys.stderr)
@@ -581,9 +464,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             return _cmd_sweep(args, spec)
-        if args.command == "compute":
-            return _cmd_compute(request)
-        return _cmd_plot(args)
+        return _cmd_compute(request)
     except ConfigError as exc:
         print(f"locfield: config error: {exc}", file=sys.stderr)
         return 2

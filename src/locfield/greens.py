@@ -118,6 +118,15 @@ def unit_vector(v) -> np.ndarray:
     return arr
 
 
+def _unit_3vector(v) -> np.ndarray:
+    """One unit 3-vector (a dipole or a direction) by :func:`unit_vector`;
+    any other shape, rows included, is a DomainError."""
+    arr = np.asarray(v, dtype=float)
+    if arr.shape != (3,):
+        raise DomainError(f"expected a 3-vector, got shape {arr.shape}")
+    return unit_vector(arr)
+
+
 @dataclasses.dataclass(frozen=True)
 class StarBoundary:
     """Boundary of a body that is star-shaped as seen from the emitter.
@@ -195,17 +204,19 @@ def vacuum_green(q, u_hat) -> np.ndarray:
         G^(0)(q, u) = (1/4pi) [ a(q) I - b(q) uu ] e^{iq}
 
     where u is the unit separation vector and q > 0 the optical distance,
-    a scalar: q = 0 raises SingularityError, and any other q that is not
-    a positive finite number DomainError.  The delta-function contact
-    term is omitted (never needed off coincidence).  As q -> 0 the
+    a scalar: q = 0 raises SingularityError, any other q that is not a
+    positive finite number DomainError, and a q so small that 1/q^3
+    leaves double range NonFiniteError
+    (:func:`locfield.errors.cavity_scale_faults`).  The delta-function
+    contact term is omitted (never needed off coincidence).  As q -> 0 the
     imaginary part tends to I/(6 pi), the free-space local density of
     states.
     """
-    u = unit_vector(u_hat)
+    u = _unit_3vector(u_hat)
     q = float(q) if np.ndim(q) == 0 else math.nan
     if q == 0:
         raise SingularityError("vacuum Green tensor diverges at q = 0")
-    raise_first(positive("q", q))
+    raise_first(cavity_scale_faults("q", q))
     a, b = ab_coefficients(q)
     phase = np.exp(1j * q)
     return (phase / (4.0 * np.pi)) * (a * _EYE - b * np.outer(u, u))
@@ -589,8 +600,11 @@ def f_constant_q(q, chi) -> np.ndarray:
     """
     q, chi = float(q), complex(chi)
     raise_first(cavity_scale_faults("q", q, chi))
+    # from q = 1e100 on, 2/q^3 and 4/q^2 fall below half an ulp of 2/q
+    # and 1, and past 5.6e102 q^3 leaves double range
+    inner = 2.0 / q**3 - 4j / q**2 if q < 1.0e100 else 0.0
     coeff = (-chi / (12.0 * np.pi)
-             * (2.0 / q**3 - 4j / q**2 - 2.0 / q + 1j) * np.exp(2j * q))
+             * (inner - 2.0 / q + 1j) * np.exp(2j * q))
     return coeff * _EYE.astype(complex)
 
 

@@ -47,10 +47,11 @@ import numpy as np
 
 from . import born, cavity, mie
 from .errors import (QC_DEFAULT, ConfigError, DomainError, LocfieldError,
-                     cavity_scale_faults, error_of, failing, method_faults,
-                     orientation_faults, permittivity_faults, positive,
-                     qc_faults, raise_first, sphere_faults, warn_qc)
-from .greens import Permittivity, as_permittivity, unit_vector
+                     NonFiniteError, cavity_scale_faults, error_of, failing,
+                     method_faults, orientation_faults, permittivity_faults,
+                     positive, qc_faults, raise_first, sphere_faults,
+                     warn_qc)
+from .greens import Permittivity, as_permittivity
 
 __all__ = [
     "AtomParams",
@@ -101,11 +102,20 @@ def gamma0_si(params: AtomParams) -> float:
     """Free-space spontaneous decay rate in 1/s.
 
         Gamma_0 = k_A^3 d_A^2 / (3 pi hbar eps_0)
+
+    NonFiniteError where that leaves double range.
     """
     if params.d_A is None:
         raise DomainError("gamma0_si needs the dipole moment d_A")
     k = params.wavenumber
-    return k**3 * params.d_A**2 / (3.0 * math.pi * _HBAR * _EPSILON_0)
+    try:
+        rate = k**3 * params.d_A**2 / (3.0 * math.pi * _HBAR * _EPSILON_0)
+    except OverflowError:  # k_A^3 or d_A^2 past double range
+        rate = math.inf
+    if rate == math.inf:
+        raise NonFiniteError("Gamma_0 = k_A^3 d_A^2/(3 pi hbar eps_0) "
+                             "leaves double range")
+    return rate
 
 
 def gamma_uncorrected(eps_real, gB1, dipole) -> float:
@@ -120,10 +130,9 @@ def gamma_uncorrected(eps_real, gB1, dipole) -> float:
     """
     eps = as_permittivity(eps_real)
     raise_first(method_faults("uncorrected", eps.epsilon))
-    e = eps.epsilon.real
-    g = np.asarray(gB1, dtype=complex)
-    d = unit_vector(dipole)
-    return math.sqrt(e) + 6.0 * math.pi * float(np.imag(d @ g @ d))
+    gdd = cavity._dipole_element(gB1, dipole)
+    return (math.sqrt(eps.epsilon.real)
+            + 6.0 * math.pi * float(np.imag(gdd)))
 
 
 @dataclasses.dataclass(frozen=True)

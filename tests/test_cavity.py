@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from locfield.born import gamma_c_linear
+from locfield.born import gamma_c_linear, gamma_total_linear
 from locfield.cavity import (BULK_MODELS, gamma_b_corrected, gamma_bulk,
                              gamma_c_exact, gamma_weak_absorption,
                              outside_scatter_coefficients,
                              transmission_coefficient)
 from locfield.errors import (DomainError, InvariantError, LocfieldError,
                              NonFiniteError, SingularityError)
-from locfield.greens import Permittivity
+from locfield.greens import Permittivity, StarBoundary, vacuum_green
+from locfield.rates import gamma_uncorrected
 from locfield.specfun import (riccati_derivative, spherical_bessel_j,
                               spherical_hankel_h1)
 
@@ -295,6 +296,48 @@ def test_weak_absorption_consistent_with_full_rate():
 def test_weak_absorption_validation():
     with pytest.raises(DomainError):
         gamma_weak_absorption(-1.0 + 0j, 0.01, 1.0, ZEROS, Z)
+    for gamma_b_uncorrected in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError,
+                           match="^gamma_b_uncorrected must be finite$"):
+            gamma_weak_absorption(1.1 + 1e-8j, 0.01, gamma_b_uncorrected,
+                                  ZEROS, Z)
+
+
+# -- one checked dipole contraction ------------------------------------------
+
+# each caller of one dipole d, with the body tensor g where it takes one
+_ONE_DIPOLE = {
+    "gamma_uncorrected": lambda g, d: gamma_uncorrected(1.1, g, d),
+    "gamma_b_corrected": lambda g, d: gamma_b_corrected(1.1, g, d),
+    "gamma_weak_absorption": lambda g, d: gamma_weak_absorption(
+        1.1 + 1e-8j, 0.01, 1.0, g, d),
+    "gamma_total_linear": lambda g, d: gamma_total_linear(
+        StarBoundary.sphere(1.0), 0.1, q_C=0.01, dipole=d),
+    "vacuum_green": lambda g, d: vacuum_green(1.0, d),
+}
+_ROWS = {"1x3": [Z], "2x3": [Z, [1.0, 0.0, 0.0]], "3x3": np.eye(3)}
+_ASYMMETRIC = np.zeros((3, 3), dtype=complex)
+_ASYMMETRIC[0, 1] = 1.0
+
+
+@pytest.mark.parametrize("caller, g, d, kind, message", [
+    *(pytest.param(caller, ZEROS, rows, DomainError,
+                   rf"^expected a 3-vector, got shape \({len(rows)}, 3\)$",
+                   id=f"{caller}-{shape}")
+      for caller in _ONE_DIPOLE for shape, rows in _ROWS.items()),
+    # gamma_uncorrected checks its tensor as the corrected rates do
+    pytest.param("gamma_uncorrected", np.full((3, 3), np.nan), Z,
+                 DomainError, "^gB1 must be finite$", id="nan-gB1"),
+    pytest.param("gamma_uncorrected", _ASYMMETRIC, Z, InvariantError,
+                 "^gB1 must be symmetric", id="asymmetric-gB1"),
+    pytest.param("gamma_uncorrected", np.zeros((2, 2)), Z, DomainError,
+                 r"^gB1 must be a 3x3 tensor, got shape \(2, 2\)$",
+                 id="2x2-gB1"),
+])
+def test_one_dipole_callers_check_dipole_and_tensor(caller, g, d, kind,
+                                                     message):
+    with pytest.raises(kind, match=message):
+        _ONE_DIPOLE[caller](g, d)
 
 
 # -- bulk limits ----------------------------------------------------------------------

@@ -445,19 +445,6 @@ def test_compute_bulk_when_qr_omitted(tmp_path):
     assert_allclose(total, 1.0 + 7.0 * 0.1 / 6.0, rtol=1e-10)
 
 
-def test_plot_scripts_have_expected_curve_counts(tmp_path):
-    for preset, n_elements in (("fig3a", 3), ("fig5a", 4)):
-        name = f"{preset}.csv"
-        res = run_cli(["sweep", "--preset", preset, "--set", "points=8",
-                       "--out", name], tmp_path)
-        assert res.returncode == 0, res.stderr
-        res = run_cli(["plot", "--csv", name], tmp_path)
-        assert res.returncode == 0, res.stderr
-        script = (tmp_path / f"{name}.gp").read_text()
-        assert script.count(" using 1:") == n_elements
-        assert "set datafile separator" in script
-
-
 @pytest.mark.parametrize("args", [
     ["sweep", "--preset", "fig3a", "--set", "points=1"],
     ["sweep", "--preset", "fig3a", "--set", "banana=5"],
@@ -515,12 +502,12 @@ def test_compute_takes_no_nu(tmp_path):
     assert "Traceback" not in res.stderr
 
 
-def test_malformed_plot_csv_exits_2(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("qR,gamma_exact\n1.0,1.1\n")   # no bulk_reference/error
-    res = run_cli(["plot", "--csv", "bad.csv"], tmp_path)
-    assert res.returncode == 2, res.stderr
-    assert "config error" in res.stderr
+def test_plot_is_no_command(tmp_path):
+    res = run_cli(["plot", "--csv", "x.csv"], tmp_path)
+    assert res.returncode == 2
+    assert ("argument command: invalid choice: 'plot' (choose from "
+            "'sweep', 'compute')") in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_numerical_failure_exits_3(tmp_path):
@@ -616,5 +603,6 @@ def test_refused_permittivity_exits_3_without_traceback(tmp_path, args,
 def test_help_runs_clean(tmp_path):
     res = run_python_m(["--help"], tmp_path)
     assert res.returncode == 0, res.stderr
-    for sub in ("sweep", "compute", "plot"):
+    for sub in ("sweep", "compute"):
         assert sub in res.stdout
+    assert "plot" not in res.stdout

@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from locfield.born import _CLOSED_FORM_REL
-from locfield.errors import DomainError, InvariantError, SingularityError
+from locfield.errors import (DomainError, InvariantError, NonFiniteError,
+                             SingularityError)
 from locfield.greens import (_MOMENT_Q, _MOMENT_T, _NEAR_ORDERS,
                              Permittivity, StarBoundary, _brace_coeffs,
                              _near_centre_tables, _sphere_moments,
@@ -143,6 +144,13 @@ def test_vacuum_green_refuses_q_outside_its_domain(q):
             as refused:
         vacuum_green(q, Z)
     assert not isinstance(refused.value, SingularityError)
+
+
+@pytest.mark.parametrize("q", [1e-103, 1e-160, 1e-320])
+def test_vacuum_green_refuses_q_whose_cube_leaves_double_range(q):
+    with pytest.raises(NonFiniteError, match="is too small: the cavity terms "
+                       r"in 1/q\^3 leave double range$"):
+        vacuum_green(q, Z)
 
 
 # -- radial antiderivative ----------------------------------------------------
@@ -384,6 +392,22 @@ def test_f_constant_q_small_q_expansion():
         lead = -chi / (6.0 * np.pi) * (1.0 / q**3 + 1.0 / q + 7j / 6.0) * np.eye(3)
         err = np.max(np.abs(full - lead))
         assert err < 2.0 * abs(chi) * q   # next order is O(q)
+
+
+def test_f_constant_q_is_finite_for_any_large_q():
+    # below q = 5.6e102, where q^3 leaves double range, the bits of the
+    # closed form as written; above, the same limit, finite
+    chi = 0.1 + 1e-8j
+    for q in np.geomspace(1e-3, 5.5e102, 211).tolist():
+        want = (-chi / (12.0 * np.pi) * (2.0 / q**3 - 4j / q**2 - 2.0 / q
+                                         + 1j) * np.exp(2j * q))
+        assert np.array_equal(f_constant_q(q, chi), want * np.eye(3)), q
+        assert np.array_equal(cavity_green_linear(q, chi),
+                              -want * np.eye(3)), q
+    for q in (1e103, 1e300):
+        want = -chi / (12.0 * np.pi) * (1j - 2.0 / q) * np.exp(2j * q)
+        assert np.array_equal(f_constant_q(q, chi), want * np.eye(3))
+        assert np.array_equal(cavity_green_linear(q, chi), -want * np.eye(3))
 
 
 def test_f_constant_q_against_angular_quadrature():

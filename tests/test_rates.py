@@ -55,6 +55,13 @@ def test_gamma0_against_high_precision_arithmetic():
     assert_allclose(gamma0_si(params), float(ref), rtol=1e-12)
 
 
+@pytest.mark.parametrize("k_A, d_A", [(1e110, 1e-29), (1e100, 1.0)])
+def test_gamma0_refuses_a_rate_past_double_range(k_A, d_A):
+    # k_A^3 overflows, or the rate does after it
+    with pytest.raises(NonFiniteError, match="leaves double range$"):
+        gamma0_si(AtomParams(k_A=k_A, d_A=d_A))
+
+
 def test_si_constants_equal_scipy_constants():
     # the package keeps the literals so that import leaves scipy.constants out
     assert rates._HBAR == constants.hbar
