@@ -50,8 +50,9 @@ import numpy as np
 
 from .errors import (ORIENTATIONS, QC_DEFAULT, AccuracyError, DomainError,
                      NonFiniteError, cavity_scale_faults, chi_faults,
-                     check_qc, inside_sphere, orientation_faults, positive,
-                     qc_faults, raise_first, sphere_faults, warn_qc)
+                     check_qc, inside_sphere, number, orientation_faults,
+                     positive, qc_faults, raise_first, sphere_faults,
+                     warn_qc)
 from .greens import (_BRACE_EI, StarBoundary, _brace_parts,
                      _gauss_legendre, _sphere_moments,
                      _sphere_moments_near_centre, _unit_3vector,
@@ -101,7 +102,7 @@ _FILON_ULPS = 2.0**-47
 
 
 def _check_chi(chi) -> complex:
-    chi = complex(chi)
+    chi = number("chi", chi)
     raise_first(chi_faults(chi))
     return chi
 

@@ -44,10 +44,10 @@ import math
 import numpy as np
 
 from .errors import (_CAVITY_SCALE, ABSORPTION_TOL, POLE_CUT, DomainError,
-                     InvariantError, NonFiniteError, SingularityError,
-                     cavity_scale_faults, check_qc, method_faults, positive,
-                     qc_faults, raise_first, warn_qc, whole_number)
-from .greens import _unit_3vector, as_permittivity
+                     InvariantError, SingularityError, cavity_scale_faults,
+                     check_eps, check_qc, finite_rate, method_faults,
+                     positive, qc_faults, raise_first, warn_qc, whole_number)
+from .greens import _unit_3vector
 from .specfun import (dipole_bessel_j, dipole_hankel_h1, riccati_derivative,
                       spherical_bessel_j, spherical_hankel_h1)
 
@@ -149,18 +149,19 @@ def transmission_coefficient(eps, q_C: float) -> complex:
     and :func:`locfield.specfun.dipole_hankel_h1`.  As q_C -> 0,
     A -> n 3 eps/(2 eps + 1).
     """
-    eps = as_permittivity(eps)
+    e = check_eps(eps)
     q_C = float(q_C)
     raise_first(positive("q_C", q_C))
-    z0, z1 = complex(q_C), eps.n * q_C
+    n = complex(np.sqrt(e))
+    z0, z1 = complex(q_C), n * q_C
     j, pj = dipole_bessel_j(z0)
     h0, xi0p = dipole_hankel_h1(z0)
     h1, xi1p = dipole_hankel_h1(z1)
     num = j * xi0p - pj * h0
-    den = j * xi1p - eps.epsilon * pj * h1
+    den = j * xi1p - e * pj * h1
     if abs(den) < POLE_CUT:
         raise SingularityError("cavity transmission denominator vanished")
-    return eps.n * num / den
+    return n * num / den
 
 
 def outside_scatter_coefficients(eps, q_C: float,
@@ -174,14 +175,12 @@ def outside_scatter_coefficients(eps, q_C: float,
     z0 = q_C, z1 = n q_C.  These are O(q_C^{2m+3}) and O(q_C^{2m+1})
     respectively, hence negligible in the assembled small-cavity rate.
     """
-    eps = as_permittivity(eps)
+    e = check_eps(eps)
     q_C = float(q_C)
-    raise_first(positive("q_C", q_C))
-    raise_first(whole_number("m_max", m_max))
+    raise_first((*positive("q_C", q_C), *whole_number("m_max", m_max)))
     m_max = int(m_max)
-    e = eps.epsilon
     z0 = complex(q_C)
-    z1 = eps.n * q_C
+    z1 = complex(np.sqrt(e)) * q_C
     B_M = np.empty(m_max, dtype=complex)
     B_N = np.empty(m_max, dtype=complex)
     for m in range(1, m_max + 1):
@@ -198,7 +197,7 @@ def outside_scatter_coefficients(eps, q_C: float,
                                    f"at m = {m}")
         B_M[m - 1] = -(j0 * pj1 - pj0 * j1) / den_M
         B_N[m - 1] = -(j0 * pj1 - e * pj0 * j1) / den_N
-    return CavityCoefficients(A=transmission_coefficient(eps, q_C),
+    return CavityCoefficients(A=transmission_coefficient(e, q_C),
                               B_M=B_M, B_N=B_N)
 
 
@@ -211,7 +210,7 @@ def gamma_c_exact(eps, q_C: float) -> float:
     out as a one-element column of the exact rates of
     :mod:`locfield.rates`, so it equals their gamma_c bit for bit.
     """
-    e = np.array([as_permittivity(eps).epsilon])
+    e = np.array([check_eps(eps)])
     q_C = float(q_C)
     h, n, chi = _medium(e)
     raise_first((*qc_faults(q_C), *method_faults("exact", e, h),
@@ -247,16 +246,13 @@ def gamma_b_corrected(eps, gB1, dipole) -> float:
     cavity, at the emitter position, in units of k_A.  For eps = 1 the
     factor is 1 and the uncorrected scattering term is recovered.
     """
-    eps = as_permittivity(eps)
+    e = check_eps(eps)
     gdd = _dipole_element(gB1, dipole)
-    raise_first(method_faults("exact", eps.epsilon))
+    raise_first(method_faults("exact", e))
     with np.errstate(all="ignore"):  # L^2 is up to 1e308 by the pole band
-        gamma = 6.0 * np.pi * float(np.imag(_local_field(eps.epsilon) ** 2
-                                            * gdd))
-    if not math.isfinite(gamma):
-        raise NonFiniteError("corrected body rate overflowed: 6 pi "
-                             "Im[L^2 d.gB1.d] leaves double range")
-    return gamma
+        gamma = 6.0 * np.pi * float(np.imag(_local_field(e) ** 2 * gdd))
+    return finite_rate(gamma, "corrected body rate overflowed: "
+                       "6 pi Im[L^2 d.gB1.d]")
 
 
 def gamma_weak_absorption(eps, q_C: float, gamma_b_uncorrected: float,
@@ -283,22 +279,19 @@ def gamma_weak_absorption(eps, q_C: float, gamma_b_uncorrected: float,
     (the divergent real part of the bulk tensor does not enter, only the
     scattering part contributes to the numerator at this order).
     """
-    eps = as_permittivity(eps)
-    q_C = check_qc(q_C, eps.epsilon.imag)
+    e = check_eps(eps)
+    q_C = check_qc(q_C, e.imag)
     gdd = complex(_dipole_element(gB1, dipole))
     gamma_b_uncorrected = float(gamma_b_uncorrected)
-    raise_first((*method_faults("weak_absorption", eps.epsilon),
+    raise_first((*method_faults("weak_absorption", e),
                  (not math.isfinite(gamma_b_uncorrected),
                   "gamma_b_uncorrected must be finite")))
-    re = eps.epsilon.real
-    im = eps.epsilon.imag
-    gamma = (_local_field(re) ** 2 * gamma_b_uncorrected
-             + _absorption_shift(eps.epsilon, q_C))
+    re, im = e.real, e.imag
+    gamma = finite_rate(_local_field(re) ** 2 * gamma_b_uncorrected
+                        + _absorption_shift(e, q_C), "weak-absorption rate "
+                        "overflowed: L^2 gamma_b_uncorrected + delta_gamma")
     denom = re * (math.sqrt(re) / (6.0 * np.pi) + gdd.imag)
-    if denom == 0:
-        condition = math.inf
-    else:
-        condition = abs(im * gdd.real) / abs(denom)
+    condition = abs(im * gdd.real) / abs(denom) if denom else math.inf
     return gamma, condition
 
 
@@ -317,19 +310,17 @@ def gamma_bulk(eps, q_C: float | None = None,
     cavity-size dependent and must be computed as
     ``1 + gamma_c_exact(eps, q_C)`` instead.
     """
-    eps = as_permittivity(eps)
+    eps = check_eps(eps)
     if model not in BULK_MODELS:
         raise DomainError(f"model must be one of {BULK_MODELS}, "
                           f"got {model!r}")
-    if eps.is_absorbing():
-        hint = "1 + gamma_c_exact(eps, q_C)"
-        if q_C is not None:
-            hint = f"1 + gamma_c_exact(eps, {q_C:g})"
+    if eps.imag > ABSORPTION_TOL:
+        radius = "q_C" if q_C is None else f"{q_C:g}"
         raise DomainError(
             f"bulk model {model!r} assumes negligible absorption "
             f"(Im eps <= {ABSORPTION_TOL:g}); for absorbing media use "
-            + hint)
-    e = eps.epsilon.real
+            f"1 + gamma_c_exact(eps, {radius})")
+    e = eps.real
     if e <= 0:
         raise DomainError("bulk closed forms need Re eps > 0")
     if model == "real_cavity":

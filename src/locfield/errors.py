@@ -158,6 +158,23 @@ def inside_sphere(q_R, q_L):
              "need 0 <= q_L < q_R (emitter inside sphere)"))
 
 
+def number(name: str, value, kind=complex):
+    """value as kind (complex or float), or DomainError if not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        real = "real " if kind is float else ""
+        raise DomainError(f"{name} must be a {real}number, got {value!r}"
+                          ) from None
+
+
+def check_eps(eps) -> complex:
+    """eps as a complex, checked by :func:`permittivity_faults`."""
+    eps = number("eps", eps)
+    raise_first(permittivity_faults(eps))
+    return eps
+
+
 def chi_faults(chi):
     """The rule of a susceptibility chi = eps - 1: finite and passive."""
     return ((~np.isfinite(chi), "chi must be finite"),
@@ -165,7 +182,7 @@ def chi_faults(chi):
 
 
 def permittivity_faults(eps):
-    """The rule of :class:`locfield.greens.Permittivity`."""
+    """The rule of a permittivity, finite, passive and nonzero."""
     return ((_not((abs(eps.real) < math.inf) & (abs(eps.imag) < math.inf)),
              "permittivity must be finite"),
             (eps.imag < 0, "passive medium required: Im eps >= 0"),
@@ -198,6 +215,13 @@ def eps_size_faults(method: str, size):
     return ((size > limit, lambda *_: (
         f"|eps| must be at most {limit:g} for the {method} rates: their "
         "terms leave double range beyond")),)
+
+
+def finite_rate(rate: float, formula: str) -> float:
+    """rate, or NonFiniteError if formula, which gave it, overflowed."""
+    if not math.isfinite(rate):
+        raise NonFiniteError(f"{formula} leaves double range")
+    return rate
 
 
 def qc_faults(q_C: float):

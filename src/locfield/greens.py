@@ -33,10 +33,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ABSORPTION_TOL, AccuracyError, DomainError,
-                     InvariantError, SingularityError, cavity_scale_faults,
-                     inside_sphere, permittivity_faults, positive,
-                     raise_first)
+from .errors import (AccuracyError, DomainError, InvariantError,
+                     NonFiniteError, SingularityError, cavity_scale_faults,
+                     inside_sphere, positive, raise_first)
 # _brace_coeffs takes Ei's parts from _ei_imaginary_axis; the benchmark's
 # tracer wraps exponential_integral_ei in this namespace
 # (tests/test_trace_sites.py)
@@ -44,8 +43,6 @@ from .specfun import (_ei_imaginary_axis, _horner_table,
                       exponential_integral_ei)
 
 __all__ = [
-    "Permittivity",
-    "as_permittivity",
     "unit_vector",
     "StarBoundary",
     "ab_coefficients",
@@ -60,42 +57,6 @@ _EYE = np.eye(3)
 
 # unit-vector norm tolerance
 _UNIT_TOL = 1.0e-12
-
-
-@dataclasses.dataclass(frozen=True)
-class Permittivity:
-    """Relative permittivity of the host medium at the transition frequency.
-
-    Only passive media are admitted (Im eps >= 0).  ``n`` is the principal
-    square root, which then satisfies Im n >= 0 as well.
-    """
-
-    epsilon: complex
-
-    def __post_init__(self):
-        eps = complex(self.epsilon)
-        raise_first(permittivity_faults(eps))
-        object.__setattr__(self, "epsilon", eps)
-
-    @property
-    def chi(self) -> complex:
-        """Susceptibility chi = eps - 1."""
-        return self.epsilon - 1.0
-
-    @functools.cached_property
-    def n(self) -> complex:
-        """Principal refractive index sqrt(eps), computed once."""
-        return complex(np.sqrt(complex(self.epsilon)))
-
-    def is_absorbing(self) -> bool:
-        return self.epsilon.imag > ABSORPTION_TOL
-
-
-def as_permittivity(value) -> Permittivity:
-    """Coerce a complex number (or Permittivity) to a Permittivity."""
-    if isinstance(value, Permittivity):
-        return value
-    return Permittivity(complex(value))
 
 
 def unit_vector(v) -> np.ndarray:
@@ -187,10 +148,15 @@ def ab_coefficients(q):
 
     Returns
     -------
-    (a, b) : complex, matching the input shape
+    (a, b) : complex, matching the input shape; NonFiniteError where
+    3/q^3 leaves double range (q below about 2.6e-103)
     """
     q = np.asarray(q, dtype=float)
-    raise_first(positive("q", q))
+    with np.errstate(over="ignore", divide="ignore"):
+        huge = ~np.isfinite(np.divide(3.0, q**3))
+    raise_first((*positive("q", q), (huge, lambda *_: (
+        f"q = {np.min(q):g} is too small: b(q) in 1/q^3 leaves double "
+        "range"), NonFiniteError)))
     a = 1.0 / q + 1j / q**2 - 1.0 / q**3
     b = 1.0 / q + 3j / q**2 - 3.0 / q**3
     if a.ndim == 0:

@@ -62,10 +62,10 @@ import numpy as np
 
 from . import cavity
 from .errors import (POLE_CUT, AccuracyError, DomainError, LocfieldError,
-                     NonFiniteError, SingularityError, inside_sphere,
-                     method_faults, orientation_faults, permittivity_faults,
-                     positive, raise_first, sphere_faults, whole_number)
-from .greens import as_permittivity
+                     NonFiniteError, SingularityError, check_eps,
+                     inside_sphere, method_faults, orientation_faults,
+                     permittivity_faults, positive, raise_first,
+                     sphere_faults, whole_number)
 from .specfun import (_bessel_ratio_tables, _check_point, dipole_bessel_j,
                       dipole_hankel_h1, riccati_derivative, spherical_bessel_j,
                       spherical_hankel_h1)
@@ -95,14 +95,14 @@ _CENTER_REL_MAX = 1.0e-8
 
 
 def _columns(eps, q_R):
-    """(e, n, q_R, shape): eps (one or a sequence, checked as one array by
-    Permittivity's checks in their order), its root n and q_R (checked
-    positive) as arrays of at least one element, and the arguments' shape."""
+    """(e, n, q_R, shape): eps (numbers, checked as one complex array by
+    the permittivity rule), its root n and q_R (checked positive) as
+    arrays of at least one element, and the arguments' shape."""
     shape = np.broadcast_shapes(np.shape(eps), np.shape(q_R))
     e = np.atleast_1d(np.asarray(eps))
-    if e.dtype == object:  # Permittivity records, or one
-        e = np.array([as_permittivity(v).epsilon for v in e.ravel()]
-                     ).reshape(e.shape)
+    if e.dtype.kind not in "biufc":  # strings, None and other objects
+        raise DomainError(f"eps must be a number or an array of numbers, "
+                          f"got {eps!r}")
     e = e.astype(complex)
     raise_first(permittivity_faults(e))
     q_R = np.atleast_1d(np.asarray(q_R, dtype=float))
@@ -186,9 +186,10 @@ def body_green_center(eps, q_R: float) -> np.ndarray:
     This is the gB1 input that makes :func:`locfield.cavity.gamma_b_corrected`
     reproduce the assembled exact center rate.
     """
-    eps = as_permittivity(eps)
-    C_N, _ = sphere_coefficients(eps, q_R, 1)
-    return (1j * eps.n * C_N / (6.0 * np.pi)) * np.eye(3, dtype=complex)
+    e = check_eps(eps)
+    C_N, _ = sphere_coefficients(e, q_R, 1)
+    n = complex(np.sqrt(e))
+    return (1j * n * C_N / (6.0 * np.pi)) * np.eye(3, dtype=complex)
 
 
 def _series(e, n, q_R: float, q_L: float, orient: str) -> float:
@@ -352,7 +353,7 @@ def gamma_b_exact(eps, q_R: float, q_L: float,
 
     Parameters
     ----------
-    eps : Permittivity or complex
+    eps : complex, the permittivity (int and float are taken as complex)
     q_R, q_L : optical radius and emitter displacement, 0 <= q_L < q_R.
     orient : {"radial", "tangential"}
         Dipole along the displacement axis or perpendicular to it.
@@ -363,13 +364,13 @@ def gamma_b_exact(eps, q_R: float, q_L: float,
     identical for both orientations.  Off the centre the rate is refused
     where the centre's would be, with the sum in place of C_1^N.
     """
-    eps = as_permittivity(eps)
+    e = check_eps(eps)
     q_R, q_L = float(q_R), float(q_L)
     raise_first((*inside_sphere(q_R, q_L), *orientation_faults(orient),
-                 *method_faults("exact", eps.epsilon)))
+                 *method_faults("exact", e)))
     if q_L == 0.0:
-        return gamma_b_center(eps, q_R)
-    return _series(eps.epsilon, eps.n, q_R, q_L, orient)
+        return gamma_b_center(e, q_R)
+    return _series(e, complex(np.sqrt(e)), q_R, q_L, orient)
 
 
 def _gamma_b_rows(eps, n, q_R, q_L, orient):
@@ -419,8 +420,8 @@ def gamma_center_exact(eps, q_R: float, q_C: float) -> float:
     0.2, a warning above 0.1) and q_R SphereConfig's (q_C <= q_R); eps =
     -1/2 raises SingularityError.
     """
-    eps = as_permittivity(eps)
-    gamma_c = cavity.gamma_c_exact(eps, q_C)
+    e = check_eps(eps)
+    gamma_c = cavity.gamma_c_exact(e, q_C)
     q_R = float(q_R)
     raise_first(sphere_faults(q_R, 0.0, float(q_C)), q_R, 0.0)
-    return 1.0 + gamma_c + gamma_b_center(eps, q_R)
+    return 1.0 + gamma_c + gamma_b_center(e, q_R)

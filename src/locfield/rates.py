@@ -47,11 +47,10 @@ import numpy as np
 
 from . import born, cavity, mie
 from .errors import (QC_DEFAULT, ConfigError, DomainError, LocfieldError,
-                     NonFiniteError, cavity_scale_faults, error_of, failing,
-                     method_faults, orientation_faults, permittivity_faults,
-                     positive, qc_faults, raise_first, sphere_faults,
-                     warn_qc)
-from .greens import Permittivity, as_permittivity
+                     cavity_scale_faults, check_eps, error_of, failing,
+                     finite_rate, method_faults, number, orientation_faults,
+                     permittivity_faults, positive, qc_faults, raise_first,
+                     sphere_faults, warn_qc)
 
 __all__ = [
     "AtomParams",
@@ -112,10 +111,7 @@ def gamma0_si(params: AtomParams) -> float:
         rate = k**3 * params.d_A**2 / (3.0 * math.pi * _HBAR * _EPSILON_0)
     except OverflowError:  # k_A^3 or d_A^2 past double range
         rate = math.inf
-    if rate == math.inf:
-        raise NonFiniteError("Gamma_0 = k_A^3 d_A^2/(3 pi hbar eps_0) "
-                             "leaves double range")
-    return rate
+    return finite_rate(rate, "Gamma_0 = k_A^3 d_A^2/(3 pi hbar eps_0)")
 
 
 def gamma_uncorrected(eps_real, gB1, dipole) -> float:
@@ -128,11 +124,12 @@ def gamma_uncorrected(eps_real, gB1, dipole) -> float:
     contribution diverges with the local environment and the plain
     sqrt(eps) limit does not exist.
     """
-    eps = as_permittivity(eps_real)
-    raise_first(method_faults("uncorrected", eps.epsilon))
+    eps = check_eps(eps_real)
+    raise_first(method_faults("uncorrected", eps))
     gdd = cavity._dipole_element(gB1, dipole)
-    return (math.sqrt(eps.epsilon.real)
-            + 6.0 * math.pi * float(np.imag(gdd)))
+    return finite_rate(
+        math.sqrt(eps.real) + 6.0 * math.pi * float(np.imag(gdd)),
+        "uncorrected rate overflowed: sqrt(eps) + 6 pi Im[d.gB1.d]")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -171,26 +168,18 @@ class RateRequest:
         raise_first(orientation_faults(self.orientation, ConfigError))
         for name in ("q_R", "q_L", "q_C"):
             value = getattr(self, name)
-            if type(value) is float or (name == "q_R" and value is None):
-                continue
-            try:
-                object.__setattr__(self, name, float(value))
-            except (TypeError, ValueError):
-                raise DomainError(f"{name} must be a real number, got "
-                                  f"{value!r}") from None
+            if type(value) is not float and not (value is None
+                                                 and name == "q_R"):
+                object.__setattr__(self, name, number(name, value, float))
         if self.geometry == "sphere":
             if self.q_R is None:
                 raise ConfigError("sphere geometry requires q_R")
-        else:
-            if self.q_R is not None:
-                raise ConfigError("bulk geometry takes no q_R")
-            if self.q_L != 0.0:
-                raise ConfigError("bulk geometry takes no q_L")
+        elif self.q_R is not None:
+            raise ConfigError("bulk geometry takes no q_R")
+        elif self.q_L != 0.0:
+            raise ConfigError("bulk geometry takes no q_L")
         raise_first(_off_center_faults(self.method, self.q_L))
-        eps = self.eps
-        object.__setattr__(self, "eps", complex(
-            eps.epsilon if isinstance(eps, Permittivity) else eps))
-        raise_first(permittivity_faults(self.eps))
+        object.__setattr__(self, "eps", check_eps(self.eps))
         raise_first(sphere_faults(self.q_R, self.q_L, self.q_C)
                     if self.geometry == "sphere" else qc_faults(self.q_C),
                     self.q_R, self.q_L)

@@ -1,5 +1,6 @@
 """Linear Born rates: closed forms, 1D reduction, validity bookkeeping."""
 
+import re
 import warnings
 
 import mpmath
@@ -77,6 +78,19 @@ def test_gamma_c_linear_values():
         gamma_c_linear(0.1 - 1e-9j, 0.01)
     with pytest.raises(DomainError):
         gamma_c_linear(complex(np.inf, 0), 0.01)
+
+
+@pytest.mark.parametrize("chi", [None, [0.1], "abc"])
+def test_chi_must_be_a_number(chi):
+    # a chi that complex() refuses is a DomainError naming it, as an eps
+    # is, in every function that takes one chi
+    message = f"^chi must be a number, got {re.escape(repr(chi))}$"
+    for call in (lambda: gamma_c_linear(chi, 0.01),
+                 lambda: gamma_b_center_closed(2.0, chi),
+                 lambda: gamma_total_linear(SphereConfig(q_R=2.0), chi),
+                 lambda: validity_check(SphereConfig(q_R=2.0), chi)):
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 # -- body term -----------------------------------------------------------------

@@ -593,7 +593,8 @@ def test_preset_sweeps_build_no_gauss_legendre_rule(tmp_path, monkeypatch):
 ], ids=["pole", "uncorrected_re_eps", "weak_absorption_re_eps"])
 def test_refused_permittivity_exits_3_without_traceback(tmp_path, args,
                                                         message):
-    # permittivities that Permittivity admits but a rate cannot take
+    # permittivities that the permittivity rule admits but a rate cannot
+    # take
     res = run_cli(args, tmp_path)
     assert res.returncode == 3, res.stderr
     assert res.stderr.startswith(f"locfield: numerical error: {message}")

@@ -14,11 +14,10 @@ from locfield.born import _CLOSED_FORM_REL
 from locfield.errors import (DomainError, InvariantError, NonFiniteError,
                              SingularityError)
 from locfield.greens import (_MOMENT_Q, _MOMENT_T, _NEAR_ORDERS,
-                             Permittivity, StarBoundary, _brace_coeffs,
+                             StarBoundary, _brace_coeffs,
                              _near_centre_tables, _sphere_moments,
                              _sphere_moments_near_centre,
-                             ab_coefficients, as_permittivity,
-                             body_green_linear,
+                             ab_coefficients, body_green_linear,
                              cavity_green_linear, f_constant_q, f_integrand,
                              unit_vector, vacuum_green)
 from moment_reference import (DERIVATION, mp_antiderivative, mp_brace_coeffs,
@@ -28,31 +27,7 @@ Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
 
 
-# -- permittivity and vectors ------------------------------------------------
-
-
-def test_permittivity_properties():
-    # 1.25 - 1 is exact in binary, so chi can be compared bitwise
-    p = Permittivity(1.25 + 2e-8j)
-    assert p.chi == 0.25 + 2e-8j
-    assert_allclose(p.n, np.sqrt(1.25 + 2e-8j), rtol=1e-15)
-    assert p.n.imag >= 0
-    assert not p.is_absorbing()
-    assert Permittivity(1.1 + 1e-3j).is_absorbing()
-    with pytest.raises(TypeError):
-        p.is_absorbing(1e-9)  # the threshold is fixed
-
-
-def test_permittivity_validation():
-    with pytest.raises(DomainError):
-        Permittivity(1.0 - 1e-3j)   # gain medium
-    with pytest.raises(DomainError):
-        Permittivity(0.0)
-    with pytest.raises(DomainError):
-        Permittivity(complex(np.nan, 0.0))
-    assert as_permittivity(2.25).epsilon == 2.25 + 0j
-    p = Permittivity(1.5 + 0j)
-    assert as_permittivity(p) is p
+# -- unit vectors -------------------------------------------------------------
 
 
 def test_unit_vector_policy():
@@ -104,6 +79,21 @@ def test_ab_validation():
         ab_coefficients(np.inf)
     a, b = ab_coefficients(np.array([1.0, 2.0]))
     assert a.shape == (2,)
+
+
+@pytest.mark.parametrize("q", [1e-103, 2.5e-103, 1e-200, 5e-324,
+                               np.array([1.0, 1e-103, 1e-110])])
+def test_ab_refuses_q_whose_cube_leaves_double_range(q):
+    # where 3/q^3 leaves double range b is not a number: NonFiniteError
+    # names the smallest q, with no numpy warning (an error in this suite)
+    # and no ZeroDivisionError where q^2 underflows
+    with pytest.raises(NonFiniteError, match=r"^q = (\S+) is too small: "
+                       r"b\(q\) in 1/q\^3 leaves double range$") as got:
+        ab_coefficients(q)
+    assert float(got.value.args[0].split()[2]) == pytest.approx(np.min(q),
+                                                                 rel=1e-5)
+    # the smallest q that passes keeps its finite coefficients
+    assert np.isfinite(ab_coefficients(2.6e-103)).all()
 
 
 # -- vacuum Green tensor ------------------------------------------------------

@@ -22,7 +22,6 @@ from locfield.born import ORIENTATIONS, SphereConfig, gamma_b_sphere_linear
 from locfield.cavity import gamma_bulk, gamma_c_exact
 from locfield.errors import (AccuracyError, DomainError, LocfieldError,
                              NonFiniteError, SingularityError)
-from locfield.greens import Permittivity
 from locfield.mie import (body_green_center, gamma_b_center, gamma_b_exact,
                           gamma_center_exact, sphere_coefficients)
 from locfield.specfun import (riccati_derivative, riccati_upward,
@@ -167,22 +166,23 @@ def test_coefficient_validation():
         sphere_coefficients([1.1, 1.2], [2.0, np.inf], 1)
     with pytest.raises(DomainError):
         sphere_coefficients([1.1, 1.2 - 1e-3j], [2.0, 3.0], 1)  # active
-    # a sequence is checked as one array, by Permittivity's checks in
-    # their order, and Permittivity records in it stand for their values
+    # a sequence is checked as one array, by the permittivity rule's
+    # checks in their order, and one that holds a non-number is refused
     for eps, message in (([1.1, 1.2 - 1e-3j, np.nan], "must be finite"),
                          ([0.0, 1.2 - 1e-3j], "passive medium required"),
                          ([1.1, 0.0], "must be nonzero")):
         with pytest.raises(DomainError, match=message):
             gamma_b_center(eps, 2.0)
-    records = gamma_b_center([Permittivity(1.1 + 1e-8j), 1.2], [2.0, 3.0])
-    assert records.tolist() == gamma_b_center([1.1 + 1e-8j, 1.2],
-                                              [2.0, 3.0]).tolist()
+    for eps in ([1.1, None], [1.1, "abc"]):
+        with pytest.raises(DomainError, match=r"^eps must be a number or "
+                           r"an array of numbers, got \[1\.1, "):
+            gamma_b_center(eps, 2.0)
 
 
 def _scipy_route_dipole_coefficients(eps, q_R):
     """sphere_coefficients(eps, q_R, 1) from the order-generic Bessel
     functions, called in the order the scipy-backed route called them."""
-    n = Permittivity(eps).n
+    n = complex(np.sqrt(eps))
     z0, z1 = q_R + 0j, n * q_R
     # the Hankel prefactor overflows with a numpy warning before the
     # wrapper's own check raises NonFiniteError
@@ -402,7 +402,7 @@ def test_series_evaluates_each_value_once(monkeypatch, orient):
     # the order where the terms have fallen below 1e-16 of the largest;
     # the Hankel ratios are carried in the walk
     eps, q_R, q_L = 1.2 + 1e-6j, 5.0, 2.0
-    n = Permittivity(eps).n
+    n = complex(np.sqrt(eps))
     calls = _record_walk(monkeypatch)
     gamma_b_exact(eps, q_R, q_L, orient)
     fall = np.log(q_R / q_L)
@@ -437,7 +437,7 @@ def test_carried_derivatives_match_riccati_derivative(eps, q_R):
     # derivative for m = 1..60 over the
     # exact_offcenter ranges, down to a tiny x (q_L/q_R = 1e-6): within
     # 1e-15 of |z f_{m-1}| + m |f_m|, the size of the two terms combined
-    n = Permittivity(eps).n
+    n = complex(np.sqrt(eps))
     for kind, f, z in (("hankel_h1", spherical_hankel_h1, q_R + 0j),
                        ("hankel_h1", spherical_hankel_h1, n * q_R),
                        ("bessel_j", spherical_bessel_j, n * q_R),
@@ -459,7 +459,7 @@ def test_series_errors_keep_their_order_and_text(monkeypatch):
     # its AccuracyError at the limit of 5,000, after one check of each
     # argument and tables of Bessel ratios built once, to that limit
     calls = _record_walk(monkeypatch)
-    n = Permittivity(1.1 + 1e-8j).n
+    n = complex(np.sqrt(1.1 + 1e-8j))
     for orient in ORIENTATIONS:
         calls.clear()
         with pytest.raises(AccuracyError, match=r"^sphere series not "
@@ -912,7 +912,7 @@ def test_exact_requests_are_checked_once(monkeypatch):
     # rules when it is made, and compute runs only its own: the method's
     # rule and the q_C scale rule once per column; the rows kernel calls
     # the series and the centre kernel directly, with no gamma_b_exact,
-    # no Permittivity and no rule per row, centred rows included
+    # no eps check and no rule per row, centred rows included
     calls = Counter()
     for name in ("permittivity_faults", "sphere_faults", "method_faults",
                  "positive"):
@@ -930,7 +930,8 @@ def test_exact_requests_are_checked_once(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a row was checked again")
 
-    for module, name in ((mie, "gamma_b_exact"), (mie, "as_permittivity")):
+    for module, name in ((mie, "gamma_b_exact"), (mie, "check_eps"),
+                         (cavity, "check_eps")):
         monkeypatch.setattr(module, name, refused)
     for batch, columns in (([requests[0]], {"exact": 1}),
                            ([requests[3]], {"exact": 1}),

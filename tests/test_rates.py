@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import pickle
 import re
 import warnings
 
@@ -17,13 +18,15 @@ from scipy import constants
 from locfield.born import (ORIENTATIONS, RateBreakdown, SphereConfig,
                            gamma_c_linear, validity_check)
 from locfield import rates
-from locfield.cavity import (gamma_b_corrected, gamma_c_exact,
-                             gamma_weak_absorption)
+from locfield.cavity import (BULK_MODELS, gamma_b_corrected, gamma_bulk,
+                             gamma_c_exact, gamma_weak_absorption,
+                             outside_scatter_coefficients,
+                             transmission_coefficient)
 from locfield.cli import build_sweep, run_sweep
 from locfield.errors import (QC_DEFAULT, AccuracyError, ConfigError,
                              DomainError, LocfieldError, NonFiniteError,
                              SingularityError)
-from locfield.greens import Permittivity, cavity_green_linear, f_constant_q
+from locfield.greens import cavity_green_linear, f_constant_q
 from locfield.mie import (body_green_center, gamma_b_center, gamma_b_exact,
                           gamma_center_exact)
 from locfield.rates import (GEOMETRIES, METHODS, AtomParams, RateRequest,
@@ -103,6 +106,78 @@ def test_gamma_uncorrected_limits():
         gamma_uncorrected(-1.0, zeros, Z)
 
 
+def test_tensor_input_rates_refuse_a_rate_past_double_range():
+    # a finite body tensor or uncorrected rate whose rate leaves double
+    # range is a NonFiniteError in every rate that takes its tensor as
+    # input, with no numpy warning; a rate inside double range comes back
+    zeros = np.zeros((3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"^uncorrected rate "
+                           r"overflowed: sqrt\(eps\) \+ 6 pi Im\[d\.gB1\.d\] "
+                           r"leaves double range$"):
+            gamma_uncorrected(1.1, 1e307j * np.eye(3), Z)
+        with pytest.raises(NonFiniteError, match=r"^weak-absorption rate "
+                           r"overflowed: L\^2 gamma_b_uncorrected \+ "
+                           r"delta_gamma leaves double range$"):
+            gamma_weak_absorption(1.1 + 1e-8j, 0.01, 1.7e308, zeros, Z)
+        with pytest.raises(NonFiniteError, match=r"^corrected body rate "
+                           r"overflowed"):
+            gamma_b_corrected(1.1, 1e307j * np.eye(3), Z)
+        assert gamma_uncorrected(1.1, 1e306j * np.eye(3), Z) == (
+            math.sqrt(1.1) + 6.0 * math.pi * 1e306)
+        assert math.isfinite(gamma_weak_absorption(
+            1.1 + 1e-8j, 0.01, 1.5e308, zeros, Z)[0])
+
+
+# every public function that takes eps, on a transparent eps that each of
+# them takes, with the results compared bit for bit (pickled)
+_G = 1e-3 * np.array([[1.0 + 2.0j, 0.5j, 0.0], [0.5j, 2.0 + 1.0j, 0.0],
+                      [0.0, 0.0, 3.0 + 3.0j]])
+_EPS_ENTRIES = {
+    "transmission_coefficient":
+        lambda eps: transmission_coefficient(eps, 0.05),
+    "outside_scatter_coefficients":
+        lambda eps: outside_scatter_coefficients(eps, 0.05, 3),
+    "gamma_c_exact": lambda eps: gamma_c_exact(eps, 0.01),
+    "gamma_b_corrected": lambda eps: gamma_b_corrected(eps, _G, Z),
+    "gamma_weak_absorption":
+        lambda eps: gamma_weak_absorption(eps, 0.01, 1.2, _G, Z),
+    "gamma_bulk": lambda eps: [gamma_bulk(eps, model=model)
+                               for model in BULK_MODELS],
+    "body_green_center": lambda eps: body_green_center(eps, 2.0),
+    "gamma_b_exact": lambda eps: [gamma_b_exact(eps, 2.0, q_L, orient)
+                                  for q_L in (0.0, 0.5)
+                                  for orient in ORIENTATIONS],
+    "gamma_center_exact": lambda eps: gamma_center_exact(eps, 2.0, 0.01),
+    "gamma_uncorrected": lambda eps: gamma_uncorrected(eps, _G, Z),
+    "RateRequest": lambda eps: [compute(RateRequest(
+        eps=eps, method=method, q_R=2.0,
+        q_L=0.0 if method == "weak_absorption" else 0.5))
+        for method in METHODS],
+}
+
+
+@pytest.mark.parametrize("entry", _EPS_ENTRIES)
+def test_every_eps_entry_keeps_one_rule(entry):
+    # eps is a complex checked by one rule wherever it is taken: an int,
+    # a float, a complex and a numpy complex give the same bits; a gain
+    # medium, zero, NaN and a value that complex() refuses give the same
+    # DomainError text in every entry
+    call = _EPS_ENTRIES[entry]
+    results = [pickle.dumps(call(eps))
+               for eps in (2, 2.0, 2.0 + 0j, np.complex128(2.0))]
+    assert results[1:] == results[:-1]
+    for eps, message in ((1.0 - 1e-3j, "passive medium required: Im eps "
+                          ">= 0"),
+                         (0.0, "permittivity must be nonzero"),
+                         (complex(np.nan, 0.0), "permittivity must be finite"),
+                         *((bad, f"eps must be a number, got {bad!r}")
+                           for bad in (None, [1.1], "abc"))):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(eps)
+
+
 # -- request validation ---------------------------------------------------------------
 
 
@@ -145,16 +220,16 @@ def test_request_config_errors():
 
 def test_request_holds_eps_as_a_complex():
     # eps is held as a complex, as q_R, q_L and q_C are held as floats: a
-    # real number, a numpy number and a Permittivity all give the same
-    # request, equal, hashed and printed alike, and keep no other record
+    # complex and a numpy number give the same request, equal, hashed and
+    # printed alike, and keep no other record
     req = RateRequest(eps=1.1 + 1e-8j, method="linear_born", q_R=2.0,
                       q_L=0.5)
     assert type(req.eps) is complex
-    for eps in (np.complex128(1.1 + 1e-8j), Permittivity(1.1 + 1e-8j)):
-        twin = RateRequest(eps=eps, method="linear_born", q_R=2.0, q_L=0.5)
-        assert type(twin.eps) is complex
-        assert twin == req and hash(twin) == hash(req)
-        assert repr(twin) == repr(req)
+    twin = RateRequest(eps=np.complex128(1.1 + 1e-8j), method="linear_born",
+                       q_R=2.0, q_L=0.5)
+    assert type(twin.eps) is complex
+    assert twin == req and hash(twin) == hash(req)
+    assert repr(twin) == repr(req)
     bulk = RateRequest(eps=1.1, method="exact", geometry="bulk")
     assert type(bulk.eps) is complex and "eps=(1.1+0j)" in repr(bulk)
     assert [f.name for f in dataclasses.fields(RateRequest)] == [
@@ -476,11 +551,11 @@ def test_series_overflow_fails_only_its_own_request():
 
 
 def test_permittivities_the_rates_refuse_fail_their_own_requests():
-    # Permittivity admits eps = -1/2, the pole of the exact cavity terms,
-    # and Re eps <= 0, where the uncorrected rate has no sqrt(eps) and
-    # the weak-absorption split no transparent host: each is a typed
-    # error of its own request, and the requests beside it, in its
-    # column too, finish
+    # the permittivity rule admits eps = -1/2, the pole of the exact
+    # cavity terms, and Re eps <= 0, where the uncorrected rate has no
+    # sqrt(eps) and the weak-absorption split no transparent host: each
+    # is a typed error of its own request, and the requests beside it,
+    # in its column too, finish
     requests = [
         RateRequest(eps=1.1 + 1e-8j, method="exact", q_R=2.0),
         RateRequest(eps=-0.5, method="exact", q_R=2.0),

@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 from locfield import RateRequest, compute, mie, specfun
 from locfield.errors import (DomainError, LocfieldError, NonFiniteError,
                              SingularityError)
-from locfield.greens import Permittivity
 from locfield.specfun import (ARG_MAX, dipole_bessel_j, dipole_hankel_h1,
                               exponential_integral_ei, riccati_derivative,
                               spherical_bessel_j, spherical_hankel_h1)
@@ -247,7 +246,7 @@ def test_order_tables_check_like_the_scipy_route():
             (1.1, ARG_MAX, 1.0, True), (4.0, 6000.0, 1.0, True),
             (1e100, 1e300, 1.0, True), (0.01, 1.0, 5e-324, True),
             (1e-300, 1e-200, 1e-201, False)):
-        n = Permittivity(eps).n
+        n = complex(np.sqrt(eps))
         for name, z in (("q_R", q_R), ("n q_R", n * q_R),
                         ("n q_L", n * q_L)):
             refused = _outcome(functools.partial(spherical_hankel_h1, 0, z))
