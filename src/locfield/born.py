@@ -49,10 +49,10 @@ import functools
 import numpy as np
 
 from .errors import (ORIENTATIONS, QC_DEFAULT, AccuracyError, DomainError,
-                     NonFiniteError, cavity_scale_faults, chi_faults,
-                     check_qc, inside_sphere, number, orientation_faults,
-                     positive, qc_faults, raise_first, sphere_faults,
-                     warn_qc)
+                     NonFiniteError, cavity_scale_faults, check_chi,
+                     check_qc, chi_faults, inside_sphere, number,
+                     orientation_faults, positive, qc_faults, raise_first,
+                     sphere_faults, warn_qc)
 from .greens import (_BRACE_EI, StarBoundary, _brace_parts,
                      _gauss_legendre, _sphere_moments,
                      _sphere_moments_near_centre, _unit_3vector,
@@ -99,12 +99,6 @@ _FAR_MOMENTS = np.pi * np.array([[-8.0 / 3.0], [8.0], [8.0 / 3.0]])
 # emitter, and a dozen roundings of each term take up to about 13 of them
 # (measured against 60-digit moments)
 _FILON_ULPS = 2.0**-47
-
-
-def _check_chi(chi) -> complex:
-    chi = number("chi", chi)
-    raise_first(chi_faults(chi))
-    return chi
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,7 +180,7 @@ def gamma_c_linear(chi, q_C: float) -> float:
     material bordering the cavity; the 7/6 constant is what turns the
     vacuum rate into the linear bulk rate 1 + 7 chi/6.
     """
-    chi = _check_chi(chi)
+    chi = check_chi(chi)
     return _cavity_term(chi, check_qc(q_C, np.imag(chi)))
 
 
@@ -207,9 +201,9 @@ def gamma_b_center_closed(q_R: float, chi) -> float:
     with no tolerance: its rounding error grows as chi/q_R^3, which the
     centred rows of :func:`gamma_b_sphere_rows` refuse above _TOL.
     """
-    q = float(q_R)
+    q = number("q_R", q_R, float)
     raise_first(positive("q_R", q))
-    value, bound = _center_rows(np.array([q]), np.array([_check_chi(chi)]))
+    value, bound = _center_rows(np.array([q]), np.array([check_chi(chi)]))
     if not np.isfinite(bound[0]):
         raise NonFiniteError(f"linear centre rate at q_R = {q:g} leaves "
                              f"double range")
@@ -559,7 +553,7 @@ def gamma_total_linear(geometry, chi, orientation: str = "radial",
         SphereConfig already carries it).
     dipole : unit 3-vector for StarBoundary geometries (default z-hat).
     """
-    chi = _check_chi(chi)
+    chi = check_chi(chi)
     if isinstance(geometry, SphereConfig):
         if q_C is not None and q_C != geometry.q_C:
             raise DomainError("q_C given both in SphereConfig and as an "
@@ -595,13 +589,13 @@ def validity_check(config: SphereConfig | None, chi,
     Both computed values are always returned so callers can apply their
     own thresholds.  q_C obeys the cavity-radius rule, boundary_max > 0.
     """
-    chi = _check_chi(chi)
+    chi = check_chi(chi)
     if config is None and q_C is None:
         raise DomainError("q_C required when no SphereConfig is given")
     if boundary_max is None:
         boundary_max = 1.0 if config is None else config.q_L + config.q_R
-    boundary_max = float(boundary_max)
-    q_C = float(config.q_C if q_C is None else q_C)
+    boundary_max = number("boundary_max", boundary_max, float)
+    q_C = number("q_C", config.q_C if q_C is None else q_C, float)
     raise_first((*qc_faults(q_C), *positive("boundary_max", boundary_max),
                  *cavity_scale_faults("q_C", q_C, np.imag(chi))))
     with np.errstate(over="ignore"):

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import (_CAVITY_SCALE, ABSORPTION_TOL, POLE_CUT, DomainError,
                      InvariantError, SingularityError, cavity_scale_faults,
-                     check_eps, check_qc, finite_rate, method_faults,
+                     check_eps, check_qc, finite_rate, method_faults, number,
                      positive, qc_faults, raise_first, warn_qc, whole_number)
 from .greens import _unit_3vector
 from .specfun import (dipole_bessel_j, dipole_hankel_h1, riccati_derivative,
@@ -150,7 +150,7 @@ def transmission_coefficient(eps, q_C: float) -> complex:
     A -> n 3 eps/(2 eps + 1).
     """
     e = check_eps(eps)
-    q_C = float(q_C)
+    q_C = number("q_C", q_C, float)
     raise_first(positive("q_C", q_C))
     n = complex(np.sqrt(e))
     z0, z1 = complex(q_C), n * q_C
@@ -176,7 +176,7 @@ def outside_scatter_coefficients(eps, q_C: float,
     respectively, hence negligible in the assembled small-cavity rate.
     """
     e = check_eps(eps)
-    q_C = float(q_C)
+    q_C = number("q_C", q_C, float)
     raise_first((*positive("q_C", q_C), *whole_number("m_max", m_max)))
     m_max = int(m_max)
     z0 = complex(q_C)
@@ -211,7 +211,7 @@ def gamma_c_exact(eps, q_C: float) -> float:
     :mod:`locfield.rates`, so it equals their gamma_c bit for bit.
     """
     e = np.array([check_eps(eps)])
-    q_C = float(q_C)
+    q_C = number("q_C", q_C, float)
     h, n, chi = _medium(e)
     raise_first((*qc_faults(q_C), *method_faults("exact", e, h),
                  *cavity_scale_faults("q_C", q_C,

@@ -52,6 +52,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -311,7 +313,9 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
     geometry once and takes the centred ones in closed form.
     Per-point failures leave the rate cells empty and put the message
     in the error column; the sweep continues.  Rows come out in sweep
-    order, joined into the file's text in one pass.
+    order, joined into the file's text in one pass.  ``output_path`` is
+    overwritten in place and then cut to the text's length, so any
+    writable path works, ``/dev/null`` and pipes included.
     """
     header = [spec.swept_variable, *(c.column for c in spec.curves),
               "bulk_reference", "validity_chi_size", "validity_absorption",
@@ -342,8 +346,14 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
     cells.append(tail)
     text = "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
     try:
-        with open(output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        # no O_TRUNC: truncating a file that was just written waits on
+        # its writeback, so the text goes over the old bytes and the
+        # file is then cut to length, where it is a regular file
+        with open(output_path, "wb", opener=lambda path, flags: os.open(
+                path, flags & ~os.O_TRUNC, 0o666)) as fh:
+            fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise ConfigError(f"cannot write {output_path}: {exc}") from exc
 

@@ -175,6 +175,13 @@ def check_eps(eps) -> complex:
     return eps
 
 
+def check_chi(chi) -> complex:
+    """chi as a complex, checked by :func:`chi_faults`."""
+    chi = number("chi", chi)
+    raise_first(chi_faults(chi))
+    return chi
+
+
 def chi_faults(chi):
     """The rule of a susceptibility chi = eps - 1: finite and passive."""
     return ((~np.isfinite(chi), "chi must be finite"),
@@ -254,7 +261,7 @@ def cavity_scale_faults(name: str, q: float, c=1.0):
 def check_qc(q_C: float, c=1.0) -> float:
     """q_C as a float, checked, also for the cavity terms of factor c
     (:func:`cavity_scale_faults`), and warned about."""
-    q_C = float(q_C)
+    q_C = number("q_C", q_C, float)
     raise_first((*qc_faults(q_C), *cavity_scale_faults("q_C", q_C, c)))
     warn_qc(q_C)
     return q_C

@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, InvariantError,
                      NonFiniteError, SingularityError, cavity_scale_faults,
-                     inside_sphere, positive, raise_first)
+                     check_chi, inside_sphere, number, positive,
+                     raise_first)
 # _brace_coeffs takes Ei's parts from _ei_imaginary_axis; the benchmark's
 # tracer wraps exponential_integral_ei in this namespace
 # (tests/test_trace_sites.py)
@@ -119,6 +120,7 @@ class StarBoundary:
     def sphere(cls, q_R: float, q_L: float = 0.0) -> "StarBoundary":
         """Sphere of optical radius q_R with the emitter displaced q_L
         from the center along +z (q_L < q_R)."""
+        q_R, q_L = number("q_R", q_R, float), number("q_L", q_L, float)
         raise_first(inside_sphere(q_R, q_L))
 
         def q_outer(theta, phi):
@@ -564,7 +566,7 @@ def f_constant_q(q, chi) -> np.ndarray:
     This is (minus) the linear scattering tensor of a spherical shell
     boundary at constant optical distance q from the emitter.
     """
-    q, chi = float(q), complex(chi)
+    chi, q = check_chi(chi), number("q", q, float)
     raise_first(cavity_scale_faults("q", q, chi))
     # from q = 1e100 on, 2/q^3 and 4/q^2 fall below half an ulp of 2/q
     # and 1, and past 5.6e102 q^3 leaves double range
@@ -584,7 +586,8 @@ def cavity_green_linear(q_C, chi) -> np.ndarray:
     carries the divergent local-field terms and the 7/6 constant that
     survives in the linear bulk rate 1 + 7 chi/6.
     """
-    raise_first(cavity_scale_faults("q_C", float(q_C), complex(chi)))
+    chi = check_chi(chi)
+    raise_first(cavity_scale_faults("q_C", number("q_C", q_C, float), chi))
     return -f_constant_q(q_C, chi)
 
 
@@ -646,7 +649,7 @@ def body_green_linear(boundary: StarBoundary, chi) -> np.ndarray:
     doubled until two successive refinements agree to 1e-10 (mixed
     absolute/relative), a fixed contract.
     """
-    chi = complex(chi)
+    chi = check_chi(chi)
     if boundary.is_bulk or chi == 0:
         return np.zeros((3, 3), dtype=complex)
 

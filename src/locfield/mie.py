@@ -63,9 +63,9 @@ import numpy as np
 from . import cavity
 from .errors import (POLE_CUT, AccuracyError, DomainError, LocfieldError,
                      NonFiniteError, SingularityError, check_eps,
-                     inside_sphere, method_faults, orientation_faults,
-                     permittivity_faults, positive, raise_first,
-                     sphere_faults, whole_number)
+                     inside_sphere, method_faults, number,
+                     orientation_faults, permittivity_faults, positive,
+                     raise_first, sphere_faults, whole_number)
 from .specfun import (_bessel_ratio_tables, _check_point, dipole_bessel_j,
                       dipole_hankel_h1, riccati_derivative, spherical_bessel_j,
                       spherical_hankel_h1)
@@ -105,7 +105,11 @@ def _columns(eps, q_R):
                           f"got {eps!r}")
     e = e.astype(complex)
     raise_first(permittivity_faults(e))
-    q_R = np.atleast_1d(np.asarray(q_R, dtype=float))
+    q = np.atleast_1d(np.asarray(q_R))
+    if q.dtype.kind not in "biuf":
+        raise DomainError(f"q_R must be a real number or an array of real "
+                          f"numbers, got {q_R!r}")
+    q_R = q.astype(float, copy=False)
     raise_first(positive("q_R", q_R))
     return e, np.sqrt(e), q_R, shape
 
@@ -365,7 +369,7 @@ def gamma_b_exact(eps, q_R: float, q_L: float,
     where the centre's would be, with the sum in place of C_1^N.
     """
     e = check_eps(eps)
-    q_R, q_L = float(q_R), float(q_L)
+    q_R, q_L = number("q_R", q_R, float), number("q_L", q_L, float)
     raise_first((*inside_sphere(q_R, q_L), *orientation_faults(orient),
                  *method_faults("exact", e)))
     if q_L == 0.0:
@@ -422,6 +426,6 @@ def gamma_center_exact(eps, q_R: float, q_C: float) -> float:
     """
     e = check_eps(eps)
     gamma_c = cavity.gamma_c_exact(e, q_C)
-    q_R = float(q_R)
+    q_R = number("q_R", q_R, float)
     raise_first(sphere_faults(q_R, 0.0, float(q_C)), q_R, 0.0)
     return 1.0 + gamma_c + gamma_b_center(e, q_R)

@@ -472,6 +472,47 @@ def test_usage_problems_exit_2(tmp_path, args):
         assert "cannot write no-such-dir/x.csv" in res.stderr
 
 
+@pytest.mark.parametrize("old", [b"x" * 100_000, b"q"],
+                         ids=["longer", "shorter"])
+def test_sweep_overwrites_an_old_file_in_place(tmp_path, old):
+    # the text goes over the old bytes and the file is cut to its
+    # length: the same bytes as a fresh write, whatever was there
+    (tmp_path / "old.csv").write_bytes(old)
+    for out in ("old.csv", "new.csv"):
+        res = run_cli(["sweep", "--preset", "fig4", "--out", out], tmp_path)
+        assert res.returncode == 0, res.stderr
+    fresh = (tmp_path / "new.csv").read_bytes()
+    assert (tmp_path / "old.csv").read_bytes() == fresh
+    assert (tmp_path / "old.csv").stat().st_size == len(fresh)
+
+
+def test_sweep_writes_to_a_target_that_is_not_a_file(tmp_path):
+    # /dev/null cannot be truncated, and is not
+    res = run_cli(["sweep", "--preset", "fig4", "--out", "/dev/null"],
+                  tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "wrote /dev/null" in res.stdout
+
+
+def test_sweep_into_a_directory_exits_2(tmp_path):
+    (tmp_path / "d").mkdir()
+    res = run_cli(["sweep", "--preset", "fig4", "--out", "d"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "cannot write d" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_sweep_creates_a_file_with_the_mode_of_open(tmp_path):
+    # a new file gets 0o666 less the umask, as open(path, "w") gives it
+    mask = os.umask(0o027)
+    try:
+        res = run_cli(["sweep", "--preset", "fig4", "--out", "new.csv"],
+                      tmp_path)
+    finally:
+        os.umask(mask)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
 @pytest.mark.parametrize("line", ["tol = 1e-12", "nu = 0.5", "nu = 0"])
 def test_retired_keys_are_unknown(tmp_path, line):
     # the accuracy and the clearance margin are no settings: a config

@@ -447,9 +447,40 @@ def test_star_boundary_sphere_geometry():
         StarBoundary(q_outer=None, q_max=1.0)
 
 
+def test_sphere_boundary_lengths_are_real_numbers():
+    # as RateRequest checks its lengths: an int gives the float's
+    # boundary, and a value that float() refuses is a DomainError
+    b, b_int = StarBoundary.sphere(5.0, 1.0), StarBoundary.sphere(5, 1)
+    th = np.linspace(0.0, np.pi, 7)
+    assert b_int.q_max == b.q_max
+    assert np.array_equal(b_int.q_outer(th, 0.0), b.q_outer(th, 0.0))
+    for args, name in ((("abc",), "q_R"), ((5.0, None), "q_L")):
+        with pytest.raises(DomainError, match=f"^{name} must be a real "
+                                              f"number, got "):
+            StarBoundary.sphere(*args)
+
+
 def test_body_green_bulk_and_zero_chi():
     assert np.all(body_green_linear(StarBoundary.bulk(), 0.1 + 0j) == 0)
     assert np.all(body_green_linear(StarBoundary.sphere(2.0), 0.0) == 0)
+
+
+@pytest.mark.parametrize("chi, message", [
+    (float("nan"), "^chi must be finite$"),
+    (0.1 - 1j, "^passive medium required: Im chi >= 0$"),
+    (None, "^chi must be a number, got None$")],
+    ids=["nan", "gain", "None"])
+@pytest.mark.parametrize("call", [
+    lambda chi: f_constant_q(1.0, chi),
+    lambda chi: cavity_green_linear(0.01, chi),
+    lambda chi: body_green_linear(StarBoundary.sphere(2.0, 0.5), chi)],
+    ids=["f_constant_q", "cavity_green_linear", "body_green_linear"])
+def test_green_tensors_check_chi_first(call, chi, message):
+    # chi is checked by its own rule before any term is formed: a NaN is
+    # not a q that is too small, a gain medium returns no tensor, and the
+    # rule runs before the angular quadrature
+    with pytest.raises(DomainError, match=message):
+        call(chi)
 
 
 def test_body_green_centered_sphere_closed_form():

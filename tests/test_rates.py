@@ -16,7 +16,8 @@ from numpy.testing import assert_allclose
 from scipy import constants
 
 from locfield.born import (ORIENTATIONS, RateBreakdown, SphereConfig,
-                           gamma_c_linear, validity_check)
+                           gamma_b_center_closed, gamma_c_linear,
+                           validity_check)
 from locfield import rates
 from locfield.cavity import (BULK_MODELS, gamma_b_corrected, gamma_bulk,
                              gamma_c_exact, gamma_weak_absorption,
@@ -176,6 +177,56 @@ def test_every_eps_entry_keeps_one_rule(entry):
                            for bad in (None, [1.1], "abc"))):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call(eps)
+
+
+# every public function that takes a length as a float, with a valid
+# value of it (a whole one where int is valid too)
+_LENGTH_ENTRIES = {
+    "gamma_b_exact, q_R": ("q_R", 2, lambda q: gamma_b_exact(1.1, q, 0.5)),
+    "gamma_b_exact, q_L": ("q_L", 1, lambda q: [
+        gamma_b_exact(1.1 + 0.01j, 2.0, q, orient)
+        for orient in ORIENTATIONS]),
+    "gamma_b_center": ("q_R", 2, lambda q: gamma_b_center(1.1, q)),
+    "gamma_center_exact": ("q_R", 2,
+                           lambda q: gamma_center_exact(1.1, q, 0.01)),
+    "gamma_c_exact": ("q_C", 0.0625, lambda q: gamma_c_exact(1.1 + 0.1j, q)),
+    "transmission_coefficient": (
+        "q_C", 0.0625, lambda q: transmission_coefficient(1.1, q)),
+    "outside_scatter_coefficients": (
+        "q_C", 0.0625, lambda q: outside_scatter_coefficients(1.1, q, 3)),
+    "f_constant_q": ("q", 1, lambda q: f_constant_q(q, 0.1)),
+    "cavity_green_linear": ("q_C", 0.0625,
+                            lambda q: cavity_green_linear(q, 0.1)),
+    "gamma_b_center_closed": ("q_R", 2,
+                              lambda q: gamma_b_center_closed(q, 0.1)),
+    "gamma_c_linear": ("q_C", 0.0625, lambda q: gamma_c_linear(0.1j, q)),
+}
+
+
+@pytest.mark.parametrize("entry", _LENGTH_ENTRIES)
+def test_every_length_entry_keeps_one_rule(entry):
+    # a length is a float checked as RateRequest checks its lengths: a
+    # float, an int and numpy scalars give the same bits, and a value
+    # that float() refuses is a DomainError naming it
+    name, value, call = _LENGTH_ENTRIES[entry]
+    forms = [value, float(value), np.float64(value), np.float32(value)]
+    results = [pickle.dumps(call(q)) for q in forms]
+    assert results[1:] == results[:-1]
+    for bad in (None, "abc", 1.0 + 1.0j):
+        with pytest.raises(DomainError, match=f"^{name} must be a real "
+                                              f"number.*, got "
+                                              f"{re.escape(repr(bad))}$"):
+            call(bad)
+
+
+def test_validity_check_lengths_are_real_numbers():
+    # None stands for "from the config" there, so only a string is refused
+    for kwargs, name in (({"q_C": "abc"}, "q_C"),
+                         ({"q_C": 0.01, "boundary_max": "abc"},
+                          "boundary_max")):
+        with pytest.raises(DomainError, match=f"^{name} must be a real "
+                                              f"number, got 'abc'$"):
+            validity_check(None, 0.1j, **kwargs)
 
 
 # -- request validation ---------------------------------------------------------------
