@@ -22,10 +22,9 @@ validation suite uses live in :mod:`locfield.oracle`, which
 ``import locfield`` does not load: import it by name.
 """
 
-from .born import (ORIENTATIONS, RateBreakdown, SphereConfig,
-                   ValidityReport, gamma_b_center_closed,
-                   gamma_b_sphere_linear, gamma_c_linear,
-                   gamma_total_linear, validity_check)
+from .born import (ORIENTATIONS, RateBreakdown, ValidityReport,
+                   gamma_b_center_closed, gamma_b_sphere_linear,
+                   gamma_c_linear, gamma_total_linear, validity_check)
 from .cavity import (BULK_MODELS, CavityCoefficients, gamma_b_corrected,
                      gamma_bulk, gamma_c_exact, gamma_weak_absorption,
                      outside_scatter_coefficients, transmission_coefficient)
@@ -45,8 +44,8 @@ __all__ = [
     "AccuracyError", "AtomParams", "BULK_MODELS", "CavityCoefficients",
     "ConfigError", "DomainError", "GEOMETRIES", "InvariantError",
     "LocfieldError", "METHODS", "NonFiniteError", "ORIENTATIONS",
-    "RateBreakdown", "RateRequest", "SingularityError", "SphereConfig",
-    "StarBoundary", "ValidityReport", "body_green_center", "body_green_linear",
+    "RateBreakdown", "RateRequest", "SingularityError", "StarBoundary",
+    "ValidityReport", "body_green_center", "body_green_linear",
     "cavity_green_linear", "compute", "compute_batch", "f_constant_q",
     "f_integrand", "gamma0_si", "gamma_b_center_closed", "gamma_b_corrected",
     "gamma_b_exact", "gamma_b_sphere_linear", "gamma_bulk", "gamma_c_exact",

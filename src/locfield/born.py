@@ -30,11 +30,14 @@ out of the integrand and so holds in large spheres too.  At the centre
 the rate itself has a closed form, Tomas's (no moments and no
 quadrature), guarded by a rounding bound of its own.  All of
 this works on rows: :func:`gamma_b_sphere_rows` takes a batch of sphere
-configurations, such as a whole sweep, in one call, each row settling
-(or failing) on its own, and :func:`gamma_b_sphere_linear` is one row
-of it, as :func:`gamma_b_center_closed` is one centred row.
-:func:`locfield.rates.compute_batch` is the entry point that groups rate
-requests into such batches.
+geometries (q_R, q_L), each with its chi and orientation, in one call,
+each row settling (or failing) on its own, and
+:func:`gamma_b_sphere_linear` is one row of it, as
+:func:`gamma_b_center_closed` is one centred row.  A sphere is three
+floats q_R, q_L and q_C, checked by :class:`locfield.rates.RateRequest`,
+whose ``compute`` assembles its linear_born rate on these rows; any
+other body is a :class:`locfield.greens.StarBoundary`, whose rate
+:func:`gamma_total_linear` assembles.
 
 Everything in this module is strictly first order in chi; the accompanying
 validity report quantifies when that is trustworthy (optically small
@@ -48,20 +51,17 @@ import functools
 
 import numpy as np
 
-from .errors import (ORIENTATIONS, QC_DEFAULT, AccuracyError, DomainError,
-                     NonFiniteError, cavity_scale_faults, check_chi,
+from .errors import (ORIENTATIONS, AccuracyError, DomainError,
+                     NonFiniteError, array, cavity_scale_faults, check_chi,
                      check_qc, chi_faults, inside_sphere, number,
-                     orientation_faults, positive, qc_faults, raise_first,
-                     sphere_faults, warn_qc)
-from .greens import (_BRACE_EI, StarBoundary, _brace_parts,
+                     orientation_faults, positive, qc_faults, raise_first)
+from .greens import (_BRACE_EI, StarBoundary, _body_green, _brace_parts,
                      _gauss_legendre, _sphere_moments,
-                     _sphere_moments_near_centre, _unit_3vector,
-                     body_green_linear)
+                     _sphere_moments_near_centre, _unit_3vector)
 from .specfun import _bessel_j_orders
 
 __all__ = [
     "ORIENTATIONS",
-    "SphereConfig",
     "RateBreakdown",
     "ValidityReport",
     "gamma_c_linear",
@@ -99,31 +99,6 @@ _FAR_MOMENTS = np.pi * np.array([[-8.0 / 3.0], [8.0], [8.0 / 3.0]])
 # emitter, and a dozen roundings of each term take up to about 13 of them
 # (measured against 60-digit moments)
 _FILON_ULPS = 2.0**-47
-
-
-@dataclasses.dataclass(frozen=True)
-class SphereConfig:
-    """Sphere geometry in optical units: radius q_R = k_A R, emitter
-    displacement q_L = k_A l_A from the center, cavity radius q_C = k_A R_C.
-
-    The emitter cavity must keep a clearance of q_C from the surface,
-    q_L + q_C <= q_R.  Configurations with the emitter at (or too near)
-    the surface are rejected outright, the model breaks down there.
-    """
-
-    q_R: float
-    q_L: float = 0.0
-    q_C: float = QC_DEFAULT
-
-    def __post_init__(self):
-        for name in ("q_R", "q_L", "q_C"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        raise_first(sphere_faults(self.q_R, self.q_L, self.q_C),
-                    self.q_R, self.q_L)
-        warn_qc(self.q_C)
-
-    def boundary(self) -> StarBoundary:
-        return StarBoundary.sphere(self.q_R, self.q_L)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -241,9 +216,9 @@ def _center_rows(q_R, chi):
         return value, 6.5 * 2.0**-52 * size
 
 
-def gamma_b_sphere_linear(config: SphereConfig, chi,
-                          orientation: str = "radial") -> float:
-    """Linear body contribution for an emitter inside a sphere.
+def gamma_b_sphere_linear(q_R, q_L, chi, orientation="radial") -> float:
+    """Linear body contribution for an emitter inside a sphere of optical
+    radius q_R, displaced q_L from its centre.
 
     The angular integral over the boundary reduces to one dimension in
     x = cos(theta) (theta measured from the displacement axis):
@@ -252,41 +227,27 @@ def gamma_b_sphere_linear(config: SphereConfig, chi,
 
     with q_o(x) the emitter-to-surface distance, z = x^2 for a radially
     oriented dipole and z = (1 - x^2)/2 for a tangential one.  Off the
-    centre the integral comes by the first of three routes whose bound
-    certifies it:
-
-    * the closed form in the endpoint distances q_R - q_L and q_R + q_L
-      (:func:`locfield.greens._sphere_moments`), from q_L/q_R of about
-      0.17 out to the surface for q_R <= 10, a narrower band toward the
-      surface for larger spheres (from about 0.94 at q_R = 1e4);
-    * the Taylor series in q_L
-      (:func:`locfield.greens._sphere_moments_near_centre`), out to
-      q_L/q_R of about 0.24 for q_R up to about 5 and to q_L of about
-      2.2 in larger spheres;
-    * the Filon-Legendre rule of :func:`quad`, out to q_L/q_R of about
-      0.55 to 0.7, refused with AccuracyError where its rounding bound
-      exceeds _TOL = 1e-10 (at chi = 0.1, below q_R of about 5e-3 at
-      q_L/q_R = 0.3; at chi = 0.3j, below about 0.05).
-
-    Rows none certifies raise AccuracyError: in spheres above q_R of
-    about 1e3, the band between the rule and the closed form (at
-    q_R = 1e4, q_L/q_R from about 0.66 to 0.94).
-
-    At the centre the rate is the closed form of
-    :func:`gamma_b_center_closed`, refused with AccuracyError where its
-    rounding bound exceeds _TOL (at chi = 0.1, below q_R of about 2e-3).
-    This is one row of :func:`gamma_b_sphere_rows`.
+    centre the integral is the first that its bound certifies of the
+    closed form in the endpoint distances q_R -/+ q_L
+    (:func:`locfield.greens._sphere_moments`), the Taylor series in q_L
+    near the centre (:func:`locfield.greens._sphere_moments_near_centre`)
+    and the Filon-Legendre rule of :func:`quad`; at the centre it is the
+    closed form of :func:`gamma_b_center_closed`.  This is one row of
+    :func:`gamma_b_sphere_rows`, and raises its AccuracyError: where no
+    route certifies the row, or its rounding bound exceeds _TOL = 1e-10.
 
     Parameters
     ----------
-    config : SphereConfig
+    q_R, q_L : 0 <= q_L < q_R, as :func:`locfield.mie.gamma_b_exact`
+        takes them (the body term keeps no cavity clearance)
     chi : complex, Im chi >= 0
     orientation : {"radial", "tangential"}
         Dipole along the displacement axis or perpendicular to it
         (degenerate at q_L = 0).
     """
-    values, errors = gamma_b_sphere_rows(config.q_R, config.q_L, chi,
-                                         orientation)
+    values, errors = gamma_b_sphere_rows(
+        number("q_R", q_R, float), number("q_L", q_L, float),
+        number("chi", chi), orientation)
     if errors:
         raise errors[0]
     return float(values[0])
@@ -328,8 +289,8 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial"):
     chi = 0 are 0.
     """
     q_R, q_L, chi, orientation = (a.ravel() for a in np.broadcast_arrays(
-        np.asarray(q_R, dtype=float), np.asarray(q_L, dtype=float),
-        np.asarray(chi, dtype=complex), np.asarray(orientation)))
+        array("q_R", q_R, float), array("q_L", q_L, float),
+        array("chi", chi), np.asarray(orientation)))
     raise_first((*inside_sphere(q_R, q_L), *chi_faults(chi)))
     for o in set(orientation.tolist()):
         raise_first(orientation_faults(o))
@@ -536,78 +497,56 @@ def quad(q_R, q_L):
     return moments, bounds
 
 
-def gamma_total_linear(geometry, chi, orientation: str = "radial",
-                       q_C: float | None = None, dipole=None) -> RateBreakdown:
-    """Assembled linear rate Gamma/Gamma_0 = 1 + gamma_c + gamma_b.
+def gamma_total_linear(boundary: StarBoundary, chi, q_C,
+                       dipole=None) -> RateBreakdown:
+    """Assembled linear rate Gamma/Gamma_0 = 1 + gamma_c + gamma_b of an
+    emitter in the body that ``boundary`` encloses.
 
-    Parameters
-    ----------
-    geometry : SphereConfig or StarBoundary
-        SphereConfig uses the specialized 1D path; a StarBoundary goes
-        through the general angular quadrature of
-        :func:`locfield.greens.body_green_linear` contracted with
-        ``dipole`` (a bulk boundary contributes gamma_b = 0).
-    chi : complex
-    orientation : used for SphereConfig geometries.
-    q_C : cavity radius; required for StarBoundary geometries (a
-        SphereConfig already carries it).
-    dipole : unit 3-vector for StarBoundary geometries (default z-hat).
+    gamma_b is the general angular quadrature of
+    :func:`locfield.greens.body_green_linear` contracted with ``dipole``,
+    a unit 3-vector (default z-hat); a bulk boundary contributes
+    gamma_b = 0.  chi and q_C are checked once, as
+    :func:`gamma_c_linear` checks them.  A sphere's rate is
+    ``compute(RateRequest(method="linear_born", ...))``, on the rows of
+    :func:`gamma_b_sphere_rows`.
     """
     chi = check_chi(chi)
-    if isinstance(geometry, SphereConfig):
-        if q_C is not None and q_C != geometry.q_C:
-            raise DomainError("q_C given both in SphereConfig and as an "
-                              "argument; drop one")
-        gamma_c = gamma_c_linear(chi, geometry.q_C)
-        gamma_b = gamma_b_sphere_linear(geometry, chi, orientation)
-    elif isinstance(geometry, StarBoundary):
-        if q_C is None:
-            raise DomainError("q_C is required with a StarBoundary geometry")
-        gamma_c = gamma_c_linear(chi, q_C)
-        if geometry.is_bulk:
-            gamma_b = 0.0
-        else:
-            d = _Z_HAT if dipole is None else _unit_3vector(dipole)
-            g_b = body_green_linear(geometry, chi)
-            gamma_b = 6.0 * np.pi * float(np.imag(d @ g_b @ d))
-    else:
-        raise DomainError(f"unsupported geometry type "
-                          f"{type(geometry).__name__}")
+    gamma_c = _cavity_term(chi, check_qc(q_C, chi.imag))
+    gamma_b = 0.0
+    if not boundary.is_bulk:
+        d = _Z_HAT if dipole is None else _unit_3vector(dipole)
+        g_b = _body_green(boundary, chi)
+        gamma_b = 6.0 * np.pi * float(np.imag(d @ g_b @ d))
     return RateBreakdown.from_parts(gamma_c, gamma_b)
 
 
-def validity_check(config: SphereConfig | None, chi,
-                   boundary_max: float | None = None,
-                   q_C: float | None = None) -> ValidityReport:
+def validity_check(boundary: StarBoundary, chi, q_C) -> ValidityReport:
     """Quantify the two conditions behind the linear-rate formulas.
 
-    (i)  |chi| * q_max <= 0.3, with q_max the largest emitter-to-boundary
-         optical distance (q_L + q_R for a sphere; |chi| itself for bulk,
-         where dephasing limits the effective interaction range to ~1).
+    (i)  |chi| * q_max <= 0.3, with q_max the boundary's, the largest
+         emitter-to-boundary optical distance (q_L + q_R for a sphere),
+         and 1 for bulk, where dephasing limits the effective
+         interaction range to ~1.
     (ii) Im(chi)/q_C^3 <= 0.1, absorption within the cavity-scale volume.
 
     Both computed values are always returned so callers can apply their
-    own thresholds.  q_C obeys the cavity-radius rule, boundary_max > 0.
+    own thresholds.  q_C obeys the cavity-radius rule.
     """
     chi = check_chi(chi)
-    if config is None and q_C is None:
-        raise DomainError("q_C required when no SphereConfig is given")
-    if boundary_max is None:
-        boundary_max = 1.0 if config is None else config.q_L + config.q_R
-    boundary_max = number("boundary_max", boundary_max, float)
-    q_C = number("q_C", config.q_C if q_C is None else q_C, float)
-    raise_first((*qc_faults(q_C), *positive("boundary_max", boundary_max),
+    q_C = number("q_C", q_C, float)
+    raise_first((*qc_faults(q_C),
                  *cavity_scale_faults("q_C", q_C, np.imag(chi))))
     with np.errstate(over="ignore"):
-        values = _validity_values(chi, boundary_max, q_C)
+        values = _validity_values(
+            chi, 1.0 if boundary.is_bulk else boundary.q_max, q_C)
     return _validity_report(*map(float, values))
 
 
-def _validity_values(chi, boundary_max, q_C: float):
+def _validity_values(chi, q_max, q_C: float):
     """|chi| q_max and Im(chi)/q_C^3, for a complex chi or an array of
     them with q_max alike; the caller ignores overflow, so that |chi| q_max
     beyond double range is inf, which fails."""
-    return np.abs(chi) * boundary_max, chi.imag / q_C**3
+    return np.abs(chi) * q_max, chi.imag / q_C**3
 
 
 def _validity_ok(chi_size, absorption):

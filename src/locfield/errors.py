@@ -168,6 +168,17 @@ def number(name: str, value, kind=complex):
                           ) from None
 
 
+def array(name: str, value, kind=complex) -> np.ndarray:
+    """value, a number or an array of them, as an array of kind (complex
+    or float), or DomainError if it holds anything else."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in ("biufc" if kind is complex else "biuf"):
+        real = "real " if kind is float else ""
+        raise DomainError(f"{name} must be a {real}number or an array of "
+                          f"{real}numbers, got {value!r}")
+    return arr.astype(kind, copy=False)
+
+
 def check_eps(eps) -> complex:
     """eps as a complex, checked by :func:`permittivity_faults`."""
     eps = number("eps", eps)
@@ -292,7 +303,8 @@ def outside_stacklevel() -> int:
 
 
 def sphere_faults(q_R, q_L, q_C: float):
-    """The rule of :class:`locfield.born.SphereConfig` (q_C a float)."""
+    """The rule of a sphere, the emitter's cavity q_C (a float) clear of
+    its surface, q_L + q_C <= q_R, as a RateRequest takes it."""
     return ((_not(abs(q_R) < math.inf), "q_R must be finite"),
             (_not(abs(q_L) < math.inf), "q_L must be finite"),
             (not math.isfinite(q_C), "q_C must be finite"),

@@ -34,9 +34,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import (AccuracyError, DomainError, InvariantError,
-                     NonFiniteError, SingularityError, cavity_scale_faults,
-                     check_chi, inside_sphere, number, positive,
-                     raise_first)
+                     NonFiniteError, SingularityError, array,
+                     cavity_scale_faults, check_chi, inside_sphere, number,
+                     positive, raise_first)
 # _brace_coeffs takes Ei's parts from _ei_imaginary_axis; the benchmark's
 # tracer wraps exponential_integral_ei in this namespace
 # (tests/test_trace_sites.py)
@@ -96,9 +96,10 @@ class StarBoundary:
     ``q_outer(theta, phi)`` returns the optical distance from the emitter
     to the boundary in the direction with polar angle theta (measured from
     the +z axis) and azimuth phi; it must be positive and accept ndarray
-    input.  ``q_max`` bounds the boundary distance (used for validity
-    estimates); ``is_bulk`` marks the infinite homogeneous medium, whose
-    outer-boundary tensor vanishes identically.
+    input.  ``q_max``, a positive float, bounds the boundary distance
+    (:func:`locfield.born.validity_check` reads it); ``is_bulk`` marks the
+    infinite homogeneous medium, whose outer-boundary tensor vanishes
+    identically.
     """
 
     q_outer: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
@@ -110,6 +111,7 @@ class StarBoundary:
             return
         if self.q_outer is None:
             raise DomainError("finite boundary requires a q_outer callable")
+        object.__setattr__(self, "q_max", number("q_max", self.q_max, float))
         raise_first(positive("q_max", self.q_max))
 
     @classmethod
@@ -153,7 +155,7 @@ def ab_coefficients(q):
     (a, b) : complex, matching the input shape; NonFiniteError where
     3/q^3 leaves double range (q below about 2.6e-103)
     """
-    q = np.asarray(q, dtype=float)
+    q = array("q", q, float)
     with np.errstate(over="ignore", divide="ignore"):
         huge = ~np.isfinite(np.divide(3.0, q**3))
     raise_first((*positive("q", q), (huge, lambda *_: (
@@ -568,6 +570,11 @@ def f_constant_q(q, chi) -> np.ndarray:
     """
     chi, q = check_chi(chi), number("q", q, float)
     raise_first(cavity_scale_faults("q", q, chi))
+    return _shell_tensor(q, chi)
+
+
+def _shell_tensor(q: float, chi: complex) -> np.ndarray:
+    """The tensor of :func:`f_constant_q`, its q and chi checked."""
     # from q = 1e100 on, 2/q^3 and 4/q^2 fall below half an ulp of 2/q
     # and 1, and past 5.6e102 q^3 leaves double range
     inner = 2.0 / q**3 - 4j / q**2 if q < 1.0e100 else 0.0
@@ -586,9 +593,9 @@ def cavity_green_linear(q_C, chi) -> np.ndarray:
     carries the divergent local-field terms and the 7/6 constant that
     survives in the linear bulk rate 1 + 7 chi/6.
     """
-    chi = check_chi(chi)
-    raise_first(cavity_scale_faults("q_C", number("q_C", q_C, float), chi))
-    return -f_constant_q(q_C, chi)
+    chi, q_C = check_chi(chi), number("q_C", q_C, float)
+    raise_first(cavity_scale_faults("q_C", q_C, chi))
+    return -_shell_tensor(q_C, chi)
 
 
 # node counts of the refinement loop of body_green_linear: 64, 128, ...,
@@ -649,7 +656,11 @@ def body_green_linear(boundary: StarBoundary, chi) -> np.ndarray:
     doubled until two successive refinements agree to 1e-10 (mixed
     absolute/relative), a fixed contract.
     """
-    chi = check_chi(chi)
+    return _body_green(boundary, check_chi(chi))
+
+
+def _body_green(boundary: StarBoundary, chi: complex) -> np.ndarray:
+    """The tensor of :func:`body_green_linear`, its chi checked."""
     if boundary.is_bulk or chi == 0:
         return np.zeros((3, 3), dtype=complex)
 

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import cavity
 from .errors import (POLE_CUT, AccuracyError, DomainError, LocfieldError,
-                     NonFiniteError, SingularityError, check_eps,
+                     NonFiniteError, SingularityError, array, check_eps,
                      inside_sphere, method_faults, number,
                      orientation_faults, permittivity_faults, positive,
                      raise_first, sphere_faults, whole_number)
@@ -99,17 +99,9 @@ def _columns(eps, q_R):
     the permittivity rule), its root n and q_R (checked positive) as
     arrays of at least one element, and the arguments' shape."""
     shape = np.broadcast_shapes(np.shape(eps), np.shape(q_R))
-    e = np.atleast_1d(np.asarray(eps))
-    if e.dtype.kind not in "biufc":  # strings, None and other objects
-        raise DomainError(f"eps must be a number or an array of numbers, "
-                          f"got {eps!r}")
-    e = e.astype(complex)
+    e = np.atleast_1d(array("eps", eps))
     raise_first(permittivity_faults(e))
-    q = np.atleast_1d(np.asarray(q_R))
-    if q.dtype.kind not in "biuf":
-        raise DomainError(f"q_R must be a real number or an array of real "
-                          f"numbers, got {q_R!r}")
-    q_R = q.astype(float, copy=False)
+    q_R = np.atleast_1d(array("q_R", q_R, float))
     raise_first(positive("q_R", q_R))
     return e, np.sqrt(e), q_R, shape
 
@@ -421,8 +413,9 @@ def gamma_center_exact(eps, q_R: float, q_C: float) -> float:
 
     Tomas's formula for a small cavity at the center of a sphere.  q_C
     follows the rules of :func:`locfield.cavity.gamma_c_exact` (at most
-    0.2, a warning above 0.1) and q_R SphereConfig's (q_C <= q_R); eps =
-    -1/2 raises SingularityError.
+    0.2, a warning above 0.1) and q_R the sphere rule at q_L = 0
+    (:func:`locfield.errors.sphere_faults`, q_C <= q_R); eps = -1/2
+    raises SingularityError.
     """
     e = check_eps(eps)
     gamma_c = cavity.gamma_c_exact(e, q_C)

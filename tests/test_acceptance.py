@@ -23,7 +23,6 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from locfield import born, cavity, greens, mie, oracle, specfun
-from locfield.born import SphereConfig
 
 CHI = 0.1 + 1e-8j
 EPS = 1.1 + 1e-8j
@@ -41,7 +40,7 @@ def test_criterion_01_center_equivalence():
     worst = 0.0
     for q_R in np.linspace(0.5, 10.0, 10):
         for chi in (0.05, 0.05 + 1e-8j, 0.1, 0.1 + 1e-8j, 0.2, 0.2 + 1e-8j):
-            quad_val = born.gamma_b_sphere_linear(SphereConfig(q_R=q_R), chi)
+            quad_val = born.gamma_b_sphere_linear(q_R, 0.0, chi)
             closed = born.gamma_b_center_closed(q_R, chi)
             worst = max(worst, abs(quad_val - closed) / abs(closed))
     elapsed = time.perf_counter() - t0
@@ -228,25 +227,24 @@ def test_criterion_09_orientation_and_position_sweeps():
     # amplitude shrinking as the emitter moves off center
     worst_center = 0.0
     for q_R in (1.0, 2.0, 5.0):
-        radial = born.gamma_b_sphere_linear(SphereConfig(q_R=q_R), CHI,
+        radial = born.gamma_b_sphere_linear(q_R, 0.0, CHI,
                                             orientation="radial")
-        tangential = born.gamma_b_sphere_linear(SphereConfig(q_R=q_R), CHI,
+        tangential = born.gamma_b_sphere_linear(q_R, 0.0, CHI,
                                                 orientation="tangential")
         worst_center = max(worst_center, abs(radial - tangential))
     separations = []
     for q_L in np.linspace(0.0, 4.9, 50):
-        cfg = SphereConfig(q_R=5.0, q_L=q_L)
         separations.append(
-            abs(born.gamma_b_sphere_linear(cfg, CHI, orientation="radial")
-                - born.gamma_b_sphere_linear(cfg, CHI,
+            abs(born.gamma_b_sphere_linear(5.0, q_L, CHI,
+                                           orientation="radial")
+                - born.gamma_b_sphere_linear(5.0, q_L, CHI,
                                              orientation="tangential")))
     separation = max(separations)
     amplitudes = []
     for q_L in (0.0, 1.0, 5.0):
         grid = np.linspace(6.0, 10.0, 60)
         vals = np.array([born.gamma_b_sphere_linear(
-            SphereConfig(q_R=q, q_L=q_L), CHI, orientation="radial")
-            for q in grid])
+            q, q_L, CHI, orientation="radial") for q in grid])
         amplitudes.append(float(vals.max() - vals.min()))
     ok = (worst_center <= 1e-12 and separation >= 5e-3
           and amplitudes[0] > amplitudes[1] > amplitudes[2])

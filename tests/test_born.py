@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from locfield.born import (_CLOSED_FORM_REL, _FILON_BLOCK, ORIENTATIONS,
-                           RateBreakdown, SphereConfig, ValidityReport,
-                           _center_rows, _certified, gamma_b_center_closed,
+                           RateBreakdown, ValidityReport, _center_rows,
+                           _certified, gamma_b_center_closed,
                            gamma_b_sphere_linear, gamma_b_sphere_rows,
                            gamma_c_linear, gamma_total_linear, quad,
                            validity_check)
@@ -20,33 +20,11 @@ from locfield.errors import AccuracyError, DomainError, NonFiniteError
 from locfield.greens import (StarBoundary, _brace_coeffs, _brace_parts,
                              _gauss_legendre, _sphere_moments,
                              _sphere_moments_near_centre, f_integrand)
+from locfield.rates import RateRequest, compute
 from moment_reference import mp_body_term, mp_sphere_moments
 
 
 # -- configuration records ----------------------------------------------------
-
-
-def test_sphere_config_invariants():
-    cfg = SphereConfig(q_R=2.0, q_L=0.5, q_C=0.01)
-    assert cfg.boundary().q_max == 2.5
-    with pytest.raises(DomainError):
-        SphereConfig(q_R=0.0)
-    with pytest.raises(DomainError):
-        SphereConfig(q_R=2.0, q_L=-0.1)
-    # the clearance margin nu is retired: the cavity keeps q_C from the
-    # surface, no more
-    with pytest.raises(TypeError):
-        SphereConfig(q_R=2.0, nu=-1.0)
-    with pytest.raises(TypeError):
-        SphereConfig(q_R=1.0, q_L=0.5, q_C=0.01, nu=0.0)
-    # emitter cavity reaching the surface is rejected, q_L + q_C > q_R
-    with pytest.raises(DomainError, match=r"^emitter too close to the "
-                       r"surface: q_L \+ q_C = 1\.005 exceeds q_R = 1$"):
-        SphereConfig(q_R=1.0, q_L=0.995, q_C=0.01)
-    with pytest.raises(DomainError, match=r"q_L \+ q_C = 0\.9801 exceeds"):
-        SphereConfig(q_R=0.98, q_L=0.97, q_C=0.0101)
-    # and the cavity touching it is not: 0.99 + 0.01 is 1.0 exactly
-    assert SphereConfig(q_R=1.0, q_L=0.99, q_C=0.01).q_L == 0.99
 
 
 def test_cavity_radius_guard_rails():
@@ -55,7 +33,7 @@ def test_cavity_radius_guard_rails():
     with pytest.raises(DomainError):
         gamma_c_linear(0.1 + 0j, 0.25)
     with pytest.warns(UserWarning):
-        SphereConfig(q_R=2.0, q_C=0.15)
+        RateRequest(eps=1.1, method="linear_born", q_R=2.0, q_C=0.15)
 
 
 def test_rate_breakdown_identity():
@@ -80,17 +58,24 @@ def test_gamma_c_linear_values():
         gamma_c_linear(complex(np.inf, 0), 0.01)
 
 
-@pytest.mark.parametrize("chi", [None, [0.1], "abc"])
+@pytest.mark.parametrize("chi", [None, [0.1], "abc", ["x"]])
 def test_chi_must_be_a_number(chi):
     # a chi that complex() refuses is a DomainError naming it, as an eps
     # is, in every function that takes one chi
     message = f"^chi must be a number, got {re.escape(repr(chi))}$"
     for call in (lambda: gamma_c_linear(chi, 0.01),
                  lambda: gamma_b_center_closed(2.0, chi),
-                 lambda: gamma_total_linear(SphereConfig(q_R=2.0), chi),
-                 lambda: validity_check(SphereConfig(q_R=2.0), chi)):
+                 lambda: gamma_b_sphere_linear(2.0, 0.5, chi),
+                 lambda: gamma_total_linear(StarBoundary.bulk(), chi, 0.01),
+                 lambda: validity_check(StarBoundary.bulk(), chi, 0.01)):
         with pytest.raises(DomainError, match=message):
             call()
+    # the row kernel takes chi as an array, whose entries must be numbers
+    if chi != [0.1]:
+        with pytest.raises(DomainError, match=(
+                f"^chi must be a number or an array of numbers, got "
+                f"{re.escape(repr(chi))}$")):
+            gamma_b_sphere_rows(2.0, 0.5, chi)
 
 
 # -- body term -----------------------------------------------------------------
@@ -103,22 +88,21 @@ def test_center_closed_form_matches_quadrature():
         for chi in (0.05, 0.1 + 1e-8j, 0.2 + 1e-7j):
             g_closed = gamma_b_center_closed(q_R, chi)
             for orientation in ORIENTATIONS:
-                cfg = SphereConfig(q_R=q_R, q_L=0.0, q_C=0.01)
-                g_rows = gamma_b_sphere_linear(cfg, chi, orientation)
+                g_rows = gamma_b_sphere_linear(q_R, 0.0, chi, orientation)
                 assert g_rows == g_closed
             want = _split_quad_body_term(q_R, 0.0, chi, "radial")
             assert abs(want - g_closed) <= 1e-10 * max(abs(g_closed), 1.0)
 
 
 def test_body_term_linearity_in_chi():
-    cfg = SphereConfig(q_R=3.0, q_L=1.0, q_C=0.01)
-    g1 = gamma_b_sphere_linear(cfg, 0.05, "tangential")
-    g2 = gamma_b_sphere_linear(cfg, 0.10, "tangential")
+    cfg = (3.0, 1.0)
+    g1 = gamma_b_sphere_linear(*cfg, 0.05, "tangential")
+    g2 = gamma_b_sphere_linear(*cfg, 0.10, "tangential")
     assert_allclose(g2, 2.0 * g1, rtol=1e-10)
     # additive over independent real/imaginary parts
-    ga = gamma_b_sphere_linear(cfg, 0.1, "radial")
-    gb = gamma_b_sphere_linear(cfg, 1e-3j, "radial")
-    gab = gamma_b_sphere_linear(cfg, 0.1 + 1e-3j, "radial")
+    ga = gamma_b_sphere_linear(*cfg, 0.1, "radial")
+    gb = gamma_b_sphere_linear(*cfg, 1e-3j, "radial")
+    gab = gamma_b_sphere_linear(*cfg, 0.1 + 1e-3j, "radial")
     assert_allclose(gab, ga + gb, atol=1e-12)
 
 
@@ -169,10 +153,9 @@ def test_center_rows_refuse_tiny_spheres():
     # at chi = 0.1 the rule returned these off by 8.6e-10 and 3.0e-7
     chi = 0.1
     for q_R, text in ((1e-4, "5.8e-08"), (1e-5, "5.8e-06")):
-        cfg = SphereConfig(q_R=q_R, q_C=q_R / 10.0)
         for orientation in ORIENTATIONS:
             with pytest.raises(AccuracyError) as refused:
-                gamma_b_sphere_linear(cfg, chi, orientation)
+                gamma_b_sphere_linear(q_R, 0.0, chi, orientation)
             assert str(refused.value) == (
                 f"linear centre rate at q_R = {q_R:g} may be off by {text} "
                 f"from rounding, above tol = 1e-10")
@@ -180,7 +163,7 @@ def test_center_rows_refuse_tiny_spheres():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AccuracyError, match="may be off by inf"):
-            gamma_b_sphere_linear(SphereConfig(q_R=1e-120, q_C=1e-121), chi)
+            gamma_b_sphere_linear(1e-120, 0.0, chi)
         with pytest.raises(NonFiniteError, match="q_R = 1e-120"):
             gamma_b_center_closed(1e-120, chi)
 
@@ -214,24 +197,22 @@ def test_offcentre_rule_refuses_tiny_spheres():
 def test_orientation_degeneracy_at_center():
     chi = 0.1 + 1e-8j
     for q_R in (1.0, 2.0, 5.0):
-        cfg = SphereConfig(q_R=q_R, q_L=0.0, q_C=0.01)
-        gr = gamma_b_sphere_linear(cfg, chi, "radial")
-        gt = gamma_b_sphere_linear(cfg, chi, "tangential")
+        gr = gamma_b_sphere_linear(q_R, 0.0, chi, "radial")
+        gt = gamma_b_sphere_linear(q_R, 0.0, chi, "tangential")
         assert abs(gr - gt) <= 1e-12
 
 
 def test_body_term_zero_chi_and_validation():
-    cfg = SphereConfig(q_R=2.0)
-    assert gamma_b_sphere_linear(cfg, 0.0) == 0.0
+    assert gamma_b_sphere_linear(2.0, 0.0, 0.0) == 0.0
     with pytest.raises(DomainError):
-        gamma_b_sphere_linear(cfg, 0.1, "diagonal")
+        gamma_b_sphere_linear(2.0, 0.0, 0.1, "diagonal")
     # the tolerance is fixed at 1e-10, not a parameter
     with pytest.raises(TypeError):
-        gamma_b_sphere_linear(cfg, 0.1, tol=1e-12)
+        gamma_b_sphere_linear(2.0, 0.0, 0.1, tol=1e-12)
     with pytest.raises(TypeError):
         gamma_b_sphere_rows(2.0, 0.5, 0.1, "radial", 1e-12)
     with pytest.raises(TypeError):
-        gamma_total_linear(cfg, 0.1, tol=1e-12)
+        gamma_total_linear(StarBoundary.bulk(), 0.1, 0.01, tol=1e-12)
     with pytest.raises(DomainError):
         gamma_b_center_closed(-1.0, 0.1)
 
@@ -266,8 +247,7 @@ def test_body_term_off_center_matches_split_quadrature(q_R, q_L,
     # the near-surface cases come within 1e-4 q_R of the clearance limit
     # q_L + q_C = q_R
     chi = 0.1 + 1e-8j
-    cfg = SphereConfig(q_R=q_R, q_L=q_L, q_C=0.01)
-    got = gamma_b_sphere_linear(cfg, chi, orientation)
+    got = gamma_b_sphere_linear(q_R, q_L, chi, orientation)
     want = _split_quad_body_term(q_R, q_L, chi, orientation)
     assert abs(got - want) <= 1e-12
 
@@ -276,10 +256,9 @@ def test_body_term_settles_at_the_surface_edge():
     # at q_R = 1000 and a distance 0.02 from the surface, the spike of the
     # integrand at x = 1 is too narrow for 2048 Gauss-Legendre nodes; the
     # closed form of the moments takes it with no quadrature
-    cfg = SphereConfig(q_R=1000.0, q_L=999.98, q_C=0.01)
     chi = 0.1 + 1e-8j
     for orientation in ORIENTATIONS:
-        got = gamma_b_sphere_linear(cfg, chi, orientation)
+        got = gamma_b_sphere_linear(1000.0, 999.98, chi, orientation)
         want = mp_body_term(1000.0, 999.98, chi, orientation)
         assert abs(got - want) <= 1e-12 * abs(want), orientation
 
@@ -305,12 +284,10 @@ def test_body_term_rows_fail_one_by_one(orientation):
     assert str(errors[1]) == UNCERTIFIED
     assert np.isnan(values[1])
     with pytest.raises(AccuracyError) as scalar:
-        gamma_b_sphere_linear(SphereConfig(q_R=1e4, q_L=9000.0),
-                              chi, orientation)
+        gamma_b_sphere_linear(1e4, 9000.0, chi, orientation)
     assert str(scalar.value) == UNCERTIFIED
     for k in (0, 2, 3, 4):
-        want = gamma_b_sphere_linear(SphereConfig(q_R=q_R[k], q_L=q_L[k]),
-                                     chi, orientation)
+        want = gamma_b_sphere_linear(q_R[k], q_L[k], chi, orientation)
         assert abs(values[k] - want) <= 1e-13 * abs(want)
 
 
@@ -413,8 +390,7 @@ def test_body_term_rows_share_geometries_bit_for_bit():
         if k in errors:
             assert np.isnan(values[k]) and routes[k] is None
             continue
-        assert values[k] == gamma_b_sphere_linear(
-            SphereConfig(q_R=qr, q_L=ql), c, o), rows[k]
+        assert values[k] == gamma_b_sphere_linear(qr, ql, c, o), rows[k]
         assert values[k] == routes[k](qr, ql, c, o), rows[k]
     # the row the series certifies is within the fixed tol of the
     # 40-digit rate
@@ -484,14 +460,13 @@ def test_body_term_rows_equal_their_single_rows(rows, data):
     q_R, q_L = zip(*geometries)
     values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
     for k, ((qr, ql), c, o) in enumerate(rows):
-        config = SphereConfig(q_R=qr, q_L=ql, q_C=1e-3)
         if k in errors:  # a row that does not settle fails alone, too
             with pytest.raises(AccuracyError) as single:
-                gamma_b_sphere_linear(config, c, o)
+                gamma_b_sphere_linear(qr, ql, c, o)
             assert str(single.value) == str(errors[k]), rows[k]
             assert np.isnan(values[k])
         else:
-            assert values[k] == gamma_b_sphere_linear(config, c, o), rows[k]
+            assert values[k] == gamma_b_sphere_linear(qr, ql, c, o), rows[k]
 
 
 def test_near_surface_rate_builds_no_rule(monkeypatch):
@@ -502,9 +477,8 @@ def test_near_surface_rate_builds_no_rule(monkeypatch):
         raise AssertionError(f"Gauss-Legendre rule of {n} nodes asked for")
 
     monkeypatch.setattr("locfield.born._gauss_legendre", no_rule)
-    cfg = SphereConfig(q_R=200.0, q_L=199.98)
     for orientation in ORIENTATIONS:
-        gamma_b_sphere_linear(cfg, 0.1 + 1e-8j, orientation)
+        gamma_b_sphere_linear(200.0, 199.98, 0.1 + 1e-8j, orientation)
 
 
 @pytest.mark.parametrize("q_R", [0.5, 1.0, 5.0, 20.0, 50.0])
@@ -553,8 +527,7 @@ def test_body_term_is_continuous_across_the_routing_boundary(rows):
     values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
     assert errors == {}
     for k, ((qr, ql), c, o) in enumerate(rows):
-        assert values[k] == gamma_b_sphere_linear(
-            SphereConfig(q_R=qr, q_L=ql, q_C=1e-3), c, o), rows[k]
+        assert values[k] == gamma_b_sphere_linear(qr, ql, c, o), rows[k]
         want = mp_body_term(qr, ql, c, o)
         assert abs(values[k] - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -655,8 +628,7 @@ def test_body_term_rows_broadcast_and_zero_chi():
                                          [0.1, 0.0, 0.05j], "tangential")
     assert errors == {} and values.shape == (3,)
     assert values[1] == 0.0
-    assert values[0] == gamma_b_sphere_linear(SphereConfig(q_R=3.0), 0.1,
-                                              "tangential")
+    assert values[0] == gamma_b_sphere_linear(3.0, 0.0, 0.1, "tangential")
     # every row is checked, once, as arrays: emitter inside the sphere,
     # chi finite and passive
     for q_L, chi, message in ((2.0, 0.1, "emitter inside sphere"),
@@ -670,67 +642,113 @@ def test_body_term_rows_broadcast_and_zero_chi():
 
 
 def test_total_linear_bulk():
-    out = gamma_total_linear(StarBoundary.bulk(), 0.12, q_C=0.01)
+    out = gamma_total_linear(StarBoundary.bulk(), 0.12, 0.01)
     assert_allclose(out.total_ratio, 1.0 + 7.0 * 0.12 / 6.0, rtol=1e-14)
     assert out.gamma_b_ratio == 0.0
-    with pytest.raises(DomainError):
-        gamma_total_linear(StarBoundary.bulk(), 0.12)     # q_C missing
 
 
 def test_total_linear_sphere_paths_agree():
-    chi = 0.1 + 1e-8j
-    cfg = SphereConfig(q_R=5.0, q_L=1.0, q_C=0.01)
-    via_1d = gamma_total_linear(cfg, chi, orientation="tangential")
-    via_2d = gamma_total_linear(StarBoundary.sphere(5.0, 1.0), chi,
-                                q_C=0.01, dipole=[1.0, 0.0, 0.0])
-    assert abs(via_1d.total_ratio - via_2d.total_ratio) < 1e-8
-    with pytest.raises(DomainError):
-        gamma_total_linear(cfg, chi, q_C=0.02)   # conflicting q_C
-    with pytest.raises(DomainError):
-        gamma_total_linear(3.0, chi)             # unsupported geometry
+    # the 2-D angular rule of a StarBoundary sphere and the 1-D row kernel
+    # behind compute give one rate: a z dipole is radial, an x dipole
+    # tangential to the displacement along +z
+    eps = 1.1 + 1e-8j
+    boundary = StarBoundary.sphere(5.0, 1.0)
+    for orientation, dipole in (("radial", [0.0, 0.0, 1.0]),
+                                ("tangential", [1.0, 0.0, 0.0])):
+        via_rows = compute(RateRequest(eps=eps, method="linear_born",
+                                       q_R=5.0, q_L=1.0, q_C=0.01,
+                                       orientation=orientation))
+        via_2d = gamma_total_linear(boundary, eps - 1.0, 0.01, dipole=dipole)
+        assert abs(via_rows.total_ratio - via_2d.total_ratio) < 1e-8
+        assert via_rows.gamma_c_ratio == via_2d.gamma_c_ratio
 
 
 def test_total_linear_vs_exact_small_chi():
     # one figure-scale spot check against the independent Mie route
     from locfield.mie import gamma_center_exact
-    chi = 0.1 + 1e-8j
-    cfg = SphereConfig(q_R=2.0, q_L=0.0, q_C=0.01)
-    lin = gamma_total_linear(cfg, chi).total_ratio
-    exact = gamma_center_exact(1.0 + chi, 2.0, 0.01)
+    eps = 1.1 + 1e-8j
+    lin = compute(RateRequest(eps=eps, method="linear_born", q_R=2.0,
+                              q_C=0.01)).total_ratio
+    exact = gamma_center_exact(eps, 2.0, 0.01)
     assert abs(lin - exact) < 0.01
+
+
+def test_total_linear_checks_each_rule_once(monkeypatch):
+    # chi, q_C and the dipole are checked once per call, and the tensor
+    # cores they feed check nothing again: one chi rule and one number
+    # per input, counted where each module looks them up
+    import locfield.born
+    import locfield.errors
+    import locfield.greens
+    from locfield.greens import cavity_green_linear
+    calls = []
+    for module in (locfield.born, locfield.greens):
+        def check_chi(chi, _check=module.check_chi):
+            calls.append("check_chi")
+            return _check(chi)
+        monkeypatch.setattr(module, "check_chi", check_chi)
+    for module in (locfield.born, locfield.errors, locfield.greens):
+        def number(name, value, kind=complex, _number=module.number):
+            calls.append(name)
+            return _number(name, value, kind)
+        monkeypatch.setattr(module, "number", number)
+    sphere = StarBoundary.sphere(2.0, 0.5)
+    for call in (lambda: cavity_green_linear(0.01, 0.1 + 1e-3j),
+                 lambda: gamma_total_linear(StarBoundary.bulk(), 0.1, 0.01),
+                 lambda: gamma_total_linear(sphere, 0.1 + 1e-3j, 0.01)):
+        calls.clear()
+        call()
+        assert calls == ["check_chi", "chi", "q_C"]
 
 
 # -- validity report -------------------------------------------------------------
 
 
 def test_validity_examples():
-    r = validity_check(None, 1e-2, q_C=0.01)
+    bulk = StarBoundary.bulk()
+    r = validity_check(bulk, 1e-2, 0.01)
     assert r.chi_size_ok and r.absorption_ok and r.all_ok
     assert_allclose(r.chi_size_value, 1e-2, rtol=1e-15)
-    r = validity_check(None, 2.0, q_C=0.01)
+    r = validity_check(bulk, 2.0, 0.01)
     assert not r.chi_size_ok
-    r = validity_check(None, 0.0, q_C=0.01)
+    r = validity_check(bulk, 0.0, 0.01)
     assert r.chi_size_value == 0.0 and r.absorption_value == 0.0
     assert r.all_ok
-    # the numbers are checked: q_C as a cavity radius, boundary_max > 0
-    for kwargs in ({"q_C": 0.0}, {"q_C": -0.01}, {"q_C": 0.5},
-                   {"q_C": 0.01, "boundary_max": np.nan},
-                   {"q_C": 0.01, "boundary_max": -1.0}):
+    # the numbers are checked: q_C as a cavity radius, and a boundary's
+    # q_max > 0 when the boundary is made
+    for q_C in (0.0, -0.01, 0.5):
         with pytest.raises(DomainError):
-            validity_check(None, 0.1, **kwargs)
+            validity_check(bulk, 0.1, q_C)
+    for q_max in (np.nan, -1.0):
+        with pytest.raises(DomainError, match="^q_max must be positive"):
+            StarBoundary(q_outer=lambda theta, phi: 1.0, q_max=q_max)
 
 
 def test_validity_sphere_geometry():
-    cfg = SphereConfig(q_R=2.0, q_L=1.0, q_C=0.01)
-    r = validity_check(cfg, 0.09 + 2e-7j)
+    r = validity_check(StarBoundary.sphere(2.0, 1.0), 0.09 + 2e-7j, 0.01)
     assert_allclose(r.chi_size_value, abs(0.09 + 2e-7j) * 3.0, rtol=1e-15)
     assert_allclose(r.absorption_value, 2e-7 / 0.01**3, rtol=1e-12)
     assert r.chi_size_ok and not r.absorption_ok
-    # explicit overrides win
-    r2 = validity_check(cfg, 0.1, boundary_max=10.0)
-    assert not r2.chi_size_ok
-    with pytest.raises(DomainError):
-        validity_check(None, 0.1)   # bulk needs q_C
+    # chi_size reads the boundary's q_max, here q_R + q_L = 10
+    r2 = validity_check(StarBoundary.sphere(6.0, 4.0), 0.1, 0.01)
+    assert r2.chi_size_value == 0.1 * 10.0 and not r2.chi_size_ok
+
+
+@pytest.mark.parametrize("eps", [1.1, 1.1 + 1e-8j, 2.25 + 0.1j, 1.0 + 0.3j])
+def test_validity_check_equals_the_requests_report(eps):
+    # validity_check of a boundary gives compute's report of the request
+    # on the same geometry, chi = eps - 1 as compute forms it
+    for q_R, q_L, q_C in ((2.0, 0.0, 0.01), (2.0, 1.0, 0.05), (0.5, 0.4, 0.1),
+                          (40.0, 12.5, 0.001)):
+        request = RateRequest(eps=eps, method="linear_born", q_R=q_R,
+                              q_L=q_L, q_C=q_C)
+        assert validity_check(StarBoundary.sphere(q_R, q_L), eps - 1.0,
+                              q_C) == compute(request).validity
+    for q_C in (0.01, 0.1):
+        request = RateRequest(eps=eps, method="linear_born",
+                              geometry="bulk", q_C=q_C)
+        assert validity_check(StarBoundary.bulk(), eps - 1.0,
+                              q_C) == compute(request).validity
 
 
 def test_validity_report_is_plain_data():

@@ -313,7 +313,7 @@ _ONE_DIPOLE = {
     "gamma_weak_absorption": lambda g, d: gamma_weak_absorption(
         1.1 + 1e-8j, 0.01, 1.0, g, d),
     "gamma_total_linear": lambda g, d: gamma_total_linear(
-        StarBoundary.sphere(1.0), 0.1, q_C=0.01, dipole=d),
+        StarBoundary.sphere(1.0), 0.1, 0.01, dipole=d),
     "vacuum_green": lambda g, d: vacuum_green(1.0, d),
 }
 _ROWS = {"1x3": [Z], "2x3": [Z, [1.0, 0.0, 0.0]], "3x3": np.eye(3)}

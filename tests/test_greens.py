@@ -495,13 +495,12 @@ def test_body_green_centered_sphere_closed_form():
 def test_body_green_off_center_vs_1d_reduction():
     # independent paths: 2D angular product rule here, adaptive 1D
     # reduction in locfield.born
-    from locfield.born import SphereConfig, gamma_b_sphere_linear
+    from locfield.born import gamma_b_sphere_linear
     chi = 0.1 + 1e-8j
-    cfg = SphereConfig(q_R=5.0, q_L=1.0, q_C=0.01)
     g = body_green_linear(StarBoundary.sphere(5.0, 1.0), chi)
     for orientation, d in (("radial", Z), ("tangential", X)):
         rate_2d = 6.0 * np.pi * float(np.imag(d @ g @ d))
-        rate_1d = gamma_b_sphere_linear(cfg, chi, orientation)
+        rate_1d = gamma_b_sphere_linear(5.0, 1.0, chi, orientation)
         assert abs(rate_2d - rate_1d) < 1e-8
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from locfield import RateRequest, cavity, compute, compute_batch, mie, specfun
-from locfield.born import ORIENTATIONS, SphereConfig, gamma_b_sphere_linear
+from locfield.born import ORIENTATIONS, gamma_b_sphere_linear
 from locfield.cavity import gamma_bulk, gamma_c_exact
 from locfield.errors import (AccuracyError, DomainError, LocfieldError,
                              NonFiniteError, SingularityError)
@@ -277,11 +277,10 @@ def test_linear_order_holds_near_the_surface(orient):
     # the slope over chi in [1e-3, 1e-2] is 2.24
     for q_R in (1.0, 2.0, 5.0):
         for ratio in (0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95):
-            cfg = SphereConfig(q_R=q_R, q_L=ratio * q_R)
             for chi in (1e-3, 1e-2):
                 exact = gamma_b_exact(1.0 + chi + 1e-12j, q_R, ratio * q_R,
                                       orient)
-                lin = gamma_b_sphere_linear(cfg, chi + 1e-12j,
+                lin = gamma_b_sphere_linear(q_R, ratio * q_R, chi + 1e-12j,
                                             orientation=orient)
                 assert abs(exact - lin) <= chi**2, (q_R, ratio, chi)
 
@@ -289,12 +288,12 @@ def test_linear_order_holds_near_the_surface(orient):
 def test_agrees_with_linear_response_for_small_chi():
     # the linear route lacks the O(chi^2) pieces; the gap must be small at
     # chi = 0.1 and shrink ~quadratically when chi halves
-    cfg = SphereConfig(q_R=5.0, q_L=1.0)
     for orient in ("radial", "tangential"):
         gap = {}
         for chi in (0.1, 0.05):
             exact = gamma_b_exact(1.0 + chi + 1e-8j, 5.0, 1.0, orient=orient)
-            lin = gamma_b_sphere_linear(cfg, chi + 1e-8j, orientation=orient)
+            lin = gamma_b_sphere_linear(5.0, 1.0, chi + 1e-8j,
+                                        orientation=orient)
             gap[chi] = abs(exact - lin)
         assert gap[0.1] < 0.02
         assert gap[0.05] / gap[0.1] < 0.35
@@ -809,7 +808,7 @@ def test_center_rate_validation():
     # q_C follows gamma_c_exact's rules: at most 0.2, however large q_R
     with pytest.raises(DomainError, match="too large"):
         gamma_center_exact(1.1, 2.0, 0.25)
-    # q_R follows SphereConfig's rule at q_L = 0, q_C <= q_R: a cavity
+    # q_R follows a sphere request's rule at q_L = 0, q_C <= q_R: a cavity
     # that touches the surface is compute's rate, not a refusal
     eps = 1.1 + 1e-8j
     assert gamma_center_exact(eps, 0.01, 0.01) == compute(RateRequest(

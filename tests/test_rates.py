@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import constants
 
-from locfield.born import (ORIENTATIONS, RateBreakdown, SphereConfig,
-                           gamma_b_center_closed, gamma_c_linear,
-                           validity_check)
+from locfield.born import (ORIENTATIONS, RateBreakdown,
+                           gamma_b_center_closed, gamma_b_sphere_linear,
+                           gamma_b_sphere_rows, gamma_c_linear,
+                           gamma_total_linear, validity_check)
 from locfield import rates
 from locfield.cavity import (BULK_MODELS, gamma_b_corrected, gamma_bulk,
                              gamma_c_exact, gamma_weak_absorption,
@@ -27,7 +28,8 @@ from locfield.cli import build_sweep, run_sweep
 from locfield.errors import (QC_DEFAULT, AccuracyError, ConfigError,
                              DomainError, LocfieldError, NonFiniteError,
                              SingularityError)
-from locfield.greens import cavity_green_linear, f_constant_q
+from locfield.greens import (StarBoundary, ab_coefficients,
+                             cavity_green_linear, f_constant_q)
 from locfield.mie import (body_green_center, gamma_b_center, gamma_b_exact,
                           gamma_center_exact)
 from locfield.rates import (GEOMETRIES, METHODS, AtomParams, RateRequest,
@@ -200,6 +202,20 @@ _LENGTH_ENTRIES = {
     "gamma_b_center_closed": ("q_R", 2,
                               lambda q: gamma_b_center_closed(q, 0.1)),
     "gamma_c_linear": ("q_C", 0.0625, lambda q: gamma_c_linear(0.1j, q)),
+    "gamma_total_linear": ("q_C", 0.0625, lambda q: gamma_total_linear(
+        StarBoundary.bulk(), 0.1j, q)),
+    "validity_check": ("q_C", 0.0625, lambda q: validity_check(
+        StarBoundary.bulk(), 0.1j, q)),
+    "gamma_b_sphere_linear, q_R": (
+        "q_R", 2, lambda q: gamma_b_sphere_linear(q, 0.5, 0.1)),
+    "gamma_b_sphere_linear, q_L": (
+        "q_L", 1, lambda q: gamma_b_sphere_linear(2.0, q, 0.1)),
+    # the array kernels, whose lengths may be arrays too
+    "gamma_b_sphere_rows, q_R": (
+        "q_R", 2, lambda q: gamma_b_sphere_rows(q, 0.5, 0.1)),
+    "gamma_b_sphere_rows, q_L": (
+        "q_L", 1, lambda q: gamma_b_sphere_rows(2.0, q, [0.1, 0.2j])),
+    "ab_coefficients": ("q", 1, ab_coefficients),
 }
 
 
@@ -220,13 +236,15 @@ def test_every_length_entry_keeps_one_rule(entry):
 
 
 def test_validity_check_lengths_are_real_numbers():
-    # None stands for "from the config" there, so only a string is refused
-    for kwargs, name in (({"q_C": "abc"}, "q_C"),
-                         ({"q_C": 0.01, "boundary_max": "abc"},
-                          "boundary_max")):
-        with pytest.raises(DomainError, match=f"^{name} must be a real "
-                                              f"number, got 'abc'$"):
-            validity_check(None, 0.1j, **kwargs)
+    # the q_max that validity_check reads is checked when its boundary is
+    # made, as a float
+    with pytest.raises(DomainError, match="^q_max must be a real number, "
+                                          "got 'abc'$"):
+        StarBoundary(q_outer=lambda theta, phi: 1.0, q_max="abc")
+    boundary = StarBoundary(q_outer=lambda theta, phi: 1.0, q_max=3)
+    assert type(boundary.q_max) is float
+    assert validity_check(boundary, 0.1, 0.01) == validity_check(
+        StarBoundary.sphere(2.0, 1.0), 0.1, 0.01)
 
 
 # -- request validation ---------------------------------------------------------------
@@ -316,6 +334,27 @@ def test_request_numbers_are_floats():
                            match=f"^{name} must be a real number, got "):
             RateRequest(**{"eps": 1.2, "method": "exact", "q_R": 3.0,
                            name: value})
+
+
+def test_sphere_request_keeps_its_cavity_clear():
+    # a sphere is q_R > 0 and q_L >= 0 with the cavity q_C clear of the
+    # surface, q_L + q_C <= q_R: a cavity past it is refused, naming both
+    # sides, and one that touches it is not, 0.99 + 0.01 being 1.0 exactly
+    for q_R, q_L in ((0.0, 0.0), (2.0, -0.1)):
+        with pytest.raises(DomainError):
+            RateRequest(eps=1.1, method="linear_born", q_R=q_R, q_L=q_L)
+    for q_R, q_L, q_C, text in (
+            (1.0, 0.995, 0.01, "1.005 exceeds q_R = 1"),
+            (0.98, 0.97, 0.0101, "0.9801 exceeds q_R = 0.98")):
+        with pytest.raises(DomainError, match="^" + re.escape(
+                f"emitter too close to the surface: q_L + q_C = {text}")
+                + "$"):
+            RateRequest(eps=1.1, method="linear_born", q_R=q_R, q_L=q_L,
+                        q_C=q_C)
+    touching = RateRequest(eps=1.1, method="linear_born", q_R=1.0, q_L=0.99,
+                           q_C=0.01)
+    assert touching.q_L == 0.99
+    assert math.isfinite(compute(touching).total_ratio)
 
 
 # -- method dispatch ---------------------------------------------------------------
@@ -737,9 +776,9 @@ def test_cavity_radius_beyond_double_range_fails_its_own_requests(q_C):
                      lambda: gamma_weak_absorption(1.1 + 1e-7j, q_C, 1.0, g,
                                                    Z),
                      lambda: cavity_green_linear(q_C, 0.1),
-                     lambda: validity_check(None, 0.1, q_C=q_C),
-                     lambda: validity_check(
-                         SphereConfig(q_R=1.0, q_C=q_C), 0.1)):
+                     lambda: validity_check(StarBoundary.bulk(), 0.1, q_C),
+                     lambda: validity_check(StarBoundary.sphere(1.0), 0.1,
+                                            q_C)):
             with pytest.raises(NonFiniteError, match=re.escape(message)):
                 call()
 
@@ -767,7 +806,7 @@ def test_cavity_terms_that_overflow_inside_the_old_rule_are_refused():
                      lambda: gamma_c_exact(1 + 2j, q_C),
                      lambda: gamma_weak_absorption(1 + 2j, q_C, 1.0, g, Z),
                      lambda: cavity_green_linear(q_C, 2j),
-                     lambda: validity_check(None, 2j, q_C=q_C)):
+                     lambda: validity_check(StarBoundary.bulk(), 2j, q_C)):
             with pytest.raises(NonFiniteError, match=re.escape(message)):
                 call()
         with pytest.raises(NonFiniteError, match=r"^q = 1.8e-103 is too "
@@ -870,7 +909,7 @@ def test_an_absurd_radius_is_a_typed_error():
                         f"linear body rate at q_R = {q_R:g}, q_L = 1 has a "
                         "rounding bound that is not a number, so it cannot "
                         "be held to tol = 1e-10")
-        report = validity_check(None, 3.0, boundary_max=1e308, q_C=0.01)
+        report = validity_check(StarBoundary.sphere(1e308), 3.0, 0.01)
         assert report.chi_size_value == math.inf
         assert not report.chi_size_ok
 
@@ -980,7 +1019,6 @@ def test_large_cavity_warning_names_the_callers_line(tmp_path):
         "log": "1", "eps_re": "1.1", "qr": "2", "qc": "0.01,0.15",
         "methods": "linear_born,exact,weak_absorption,uncorrected"})
     calls = {
-        "SphereConfig": (lambda: SphereConfig(q_R=2.0, q_C=0.15), 1),
         "RateRequest": (lambda: RateRequest(eps=1.1, method="linear_born",
                                             q_R=2.0, q_C=0.15), 1),
         # a request warns when it is made, and its rate adds none
