@@ -23,8 +23,8 @@ validation suite uses live in :mod:`locfield.oracle`, which
 """
 
 from .born import (ORIENTATIONS, RateBreakdown, ValidityReport,
-                   gamma_b_center_closed, gamma_b_sphere_linear,
-                   gamma_c_linear, gamma_total_linear, validity_check)
+                   gamma_b_sphere_linear, gamma_c_linear, gamma_total_linear,
+                   validity_check)
 from .cavity import (BULK_MODELS, CavityCoefficients, gamma_b_corrected,
                      gamma_bulk, gamma_c_exact, gamma_weak_absorption,
                      outside_scatter_coefficients, transmission_coefficient)
@@ -47,7 +47,7 @@ __all__ = [
     "RateBreakdown", "RateRequest", "SingularityError", "StarBoundary",
     "ValidityReport", "body_green_center", "body_green_linear",
     "cavity_green_linear", "compute", "compute_batch", "f_constant_q",
-    "f_integrand", "gamma0_si", "gamma_b_center_closed", "gamma_b_corrected",
+    "f_integrand", "gamma0_si", "gamma_b_corrected",
     "gamma_b_exact", "gamma_b_sphere_linear", "gamma_bulk", "gamma_c_exact",
     "gamma_c_linear", "gamma_center_exact", "gamma_total_linear",
     "gamma_uncorrected", "gamma_weak_absorption",

@@ -32,8 +32,8 @@ quadrature), guarded by a rounding bound of its own.  All of
 this works on rows: :func:`gamma_b_sphere_rows` takes a batch of sphere
 geometries (q_R, q_L), each with its chi and orientation, in one call,
 each row settling (or failing) on its own, and
-:func:`gamma_b_sphere_linear` is one row of it, as
-:func:`gamma_b_center_closed` is one centred row.  A sphere is three
+:func:`gamma_b_sphere_linear` is one row of it: Tomas's centred rate is
+``gamma_b_sphere_linear(q_R, 0.0, chi)``.  A sphere is three
 floats q_R, q_L and q_C, checked by :class:`locfield.rates.RateRequest`,
 whose ``compute`` assembles its linear_born rate on these rows; any
 other body is a :class:`locfield.greens.StarBoundary`, whose rate
@@ -51,10 +51,10 @@ import functools
 
 import numpy as np
 
-from .errors import (ORIENTATIONS, AccuracyError, DomainError,
-                     NonFiniteError, array, cavity_scale_faults, check_chi,
-                     check_qc, chi_faults, inside_sphere, number,
-                     orientation_faults, positive, qc_faults, raise_first)
+from .errors import (ORIENTATIONS, AccuracyError, DomainError, array,
+                     cavity_scale_faults, check_chi, check_qc, chi_faults,
+                     inside_sphere, number, orientation_faults, qc_faults,
+                     raise_first)
 from .greens import (_BRACE_EI, StarBoundary, _body_green, _brace_parts,
                      _gauss_legendre, _sphere_moments,
                      _sphere_moments_near_centre, _unit_3vector)
@@ -65,7 +65,6 @@ __all__ = [
     "RateBreakdown",
     "ValidityReport",
     "gamma_c_linear",
-    "gamma_b_center_closed",
     "gamma_b_sphere_linear",
     "gamma_b_sphere_rows",
     "gamma_total_linear",
@@ -166,35 +165,17 @@ def _cavity_term(chi, q_C: float):
             + (7.0 / 6.0) * np.real(chi))
 
 
-def gamma_b_center_closed(q_R: float, chi) -> float:
-    """Closed-form linear body rate for an emitter at the sphere center.
-
-        gamma_b = -Im{ chi (1/q^3 - 2i/q^2 - 1/q + i/2) e^{2iq} },  q = q_R.
-
-    For real chi and large q_R this oscillates as -(chi/2) cos(2 q_R)
-    with remainder bounded by 2 chi/q_R.  One row of :func:`_center_rows`,
-    with no tolerance: its rounding error grows as chi/q_R^3, which the
-    centred rows of :func:`gamma_b_sphere_rows` refuse above _TOL.
-    """
-    q = number("q_R", q_R, float)
-    raise_first(positive("q_R", q))
-    value, bound = _center_rows(np.array([q]), np.array([check_chi(chi)]))
-    if not np.isfinite(bound[0]):
-        raise NonFiniteError(f"linear centre rate at q_R = {q:g} leaves "
-                             f"double range")
-    return float(value[0])
-
-
 def _center_rows(q_R, chi):
-    """The closed form of :func:`gamma_b_center_closed` for arrays q_R and
-    chi, and a bound on each value's rounding error.
+    """Tomas's linear body rate at the centre of the spheres q_R, for
+    arrays q_R and chi, and a bound on each value's rounding error: with
+    q = q_R, t = 1/q, chi = c_r + i c_i, a = t^3 - t and b = 1/2 - 2 t^2,
 
-    With t = 1/q_R, chi = c_r + i c_i, a = t^3 - t and b = 1/2 - 2 t^2,
-
-        gamma_b = -Im[chi (a + i b) e^{2iq}]
+        gamma_b = -Im{ chi (1/q^3 - 2i/q^2 - 1/q + i/2) e^{2iq} }
+                = -Im[chi (a + i b) e^{2iq}]
                 = -[(c_r a - c_i b) sin 2q + (c_r b + c_i a) cos 2q],
 
-    in real arithmetic on one sin/cos pair.  Each of the eight terms
+    in real arithmetic on one sin/cos pair; for real chi and large q it
+    oscillates as -(chi/2) cos 2q, within 2 chi/q.  Each of the eight terms
     (c_r t^3 sin 2q, c_r t sin 2q, ...) passes through at most twelve
     roundings of 2^-53: five in t^3 (t's three times, t^2's and t^3's),
     one in t^3 - t, two with chi, two in sin or cos (one ulp) and two
@@ -226,15 +207,10 @@ def gamma_b_sphere_linear(q_R, q_L, chi, orientation="radial") -> float:
         gamma_b = -(3/4) Im[ chi * Int_{-1}^{1} f(q_o(x), z(x)) dx ]
 
     with q_o(x) the emitter-to-surface distance, z = x^2 for a radially
-    oriented dipole and z = (1 - x^2)/2 for a tangential one.  Off the
-    centre the integral is the first that its bound certifies of the
-    closed form in the endpoint distances q_R -/+ q_L
-    (:func:`locfield.greens._sphere_moments`), the Taylor series in q_L
-    near the centre (:func:`locfield.greens._sphere_moments_near_centre`)
-    and the Filon-Legendre rule of :func:`quad`; at the centre it is the
-    closed form of :func:`gamma_b_center_closed`.  This is one row of
-    :func:`gamma_b_sphere_rows`, and raises its AccuracyError: where no
-    route certifies the row, or its rounding bound exceeds _TOL = 1e-10.
+    oriented dipole and z = (1 - x^2)/2 for a tangential one.  This is
+    one row of :func:`gamma_b_sphere_rows`, by its routes (at q_L = 0
+    Tomas's closed form), and raises its AccuracyError: where no route
+    certifies the row, or its rounding bound exceeds _TOL = 1e-10.
 
     Parameters
     ----------
@@ -536,7 +512,7 @@ def validity_check(boundary: StarBoundary, chi, q_C) -> ValidityReport:
     q_C = number("q_C", q_C, float)
     raise_first((*qc_faults(q_C),
                  *cavity_scale_faults("q_C", q_C, np.imag(chi))))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         values = _validity_values(
             chi, 1.0 if boundary.is_bulk else boundary.q_max, q_C)
     return _validity_report(*map(float, values))
@@ -544,9 +520,11 @@ def validity_check(boundary: StarBoundary, chi, q_C) -> ValidityReport:
 
 def _validity_values(chi, q_max, q_C: float):
     """|chi| q_max and Im(chi)/q_C^3, for a complex chi or an array of
-    them with q_max alike; the caller ignores overflow, so that |chi| q_max
-    beyond double range is inf, which fails."""
-    return np.abs(chi) * q_max, chi.imag / q_C**3
+    them with q_max alike; the caller ignores overflow and invalid
+    values, so that |chi| q_max beyond double range is inf, which fails,
+    and at chi = 0 it is 0 for any q_max, inf too (fmax drops the NaN of
+    0 inf)."""
+    return np.fmax(np.abs(chi) * q_max, 0.0), chi.imag / q_C**3
 
 
 def _validity_ok(chi_size, absorption):

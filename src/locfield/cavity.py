@@ -210,14 +210,22 @@ def gamma_c_exact(eps, q_C: float) -> float:
     out as a one-element column of the exact rates of
     :mod:`locfield.rates`, so it equals their gamma_c bit for bit.
     """
-    e = np.array([check_eps(eps)])
-    q_C = number("q_C", q_C, float)
+    e, q_C = check_eps(eps), number("q_C", q_C, float)
+    return _exact_cavity_term(e, q_C, qc_faults(q_C))
+
+
+def _exact_cavity_term(eps: complex, q_C: float, faults, *point) -> float:
+    """gamma_c of :func:`gamma_c_exact` at a checked eps and a float q_C,
+    after the rules ``faults`` on q_C (raised at ``point``), the exact
+    method's and the cavity terms', and a warning about a large q_C."""
+    e = np.array([eps])
     h, n, chi = _medium(e)
-    raise_first((*qc_faults(q_C), *method_faults("exact", e, h),
+    raise_first((*faults, *method_faults("exact", e, h),
                  *cavity_scale_faults("q_C", q_C,
-                                      _scale_factor("exact", e, h, chi))))
+                                      _scale_factor("exact", e, h, chi))),
+                *point)
     warn_qc(q_C)
-    return float(_cavity_term(e, h, n, chi, q_C)[0])
+    return _cavity_term(e, h, n, chi, q_C).item()
 
 
 def _dipole_element(gB1, dipole):
@@ -295,8 +303,7 @@ def gamma_weak_absorption(eps, q_C: float, gamma_b_uncorrected: float,
     return gamma, condition
 
 
-def gamma_bulk(eps, q_C: float | None = None,
-               model: str = "real_cavity") -> float:
+def gamma_bulk(eps, model: str = "real_cavity") -> float:
     """Bulk-medium decay rate Gamma/Gamma_0 for negligible absorption.
 
     Models:
@@ -315,11 +322,10 @@ def gamma_bulk(eps, q_C: float | None = None,
         raise DomainError(f"model must be one of {BULK_MODELS}, "
                           f"got {model!r}")
     if eps.imag > ABSORPTION_TOL:
-        radius = "q_C" if q_C is None else f"{q_C:g}"
         raise DomainError(
             f"bulk model {model!r} assumes negligible absorption "
             f"(Im eps <= {ABSORPTION_TOL:g}); for absorbing media use "
-            f"1 + gamma_c_exact(eps, {radius})")
+            "1 + gamma_c_exact(eps, q_C)")
     e = eps.real
     if e <= 0:
         raise DomainError("bulk closed forms need Re eps > 0")

@@ -170,8 +170,11 @@ def number(name: str, value, kind=complex):
 
 def array(name: str, value, kind=complex) -> np.ndarray:
     """value, a number or an array of them, as an array of kind (complex
-    or float), or DomainError if it holds anything else."""
-    arr = np.asarray(value)
+    or float), or DomainError if it holds anything else or is ragged."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged: an object array, which is refused
+        arr = np.array(None)
     if arr.dtype.kind not in ("biufc" if kind is complex else "biuf"):
         real = "real " if kind is float else ""
         raise DomainError(f"{name} must be a {real}number or an array of "

@@ -96,7 +96,7 @@ class StarBoundary:
     ``q_outer(theta, phi)`` returns the optical distance from the emitter
     to the boundary in the direction with polar angle theta (measured from
     the +z axis) and azimuth phi; it must be positive and accept ndarray
-    input.  ``q_max``, a positive float, bounds the boundary distance
+    input.  ``q_max``, a positive float or inf, bounds the boundary distance
     (:func:`locfield.born.validity_check` reads it); ``is_bulk`` marks the
     infinite homogeneous medium, whose outer-boundary tensor vanishes
     identically.
@@ -112,7 +112,8 @@ class StarBoundary:
         if self.q_outer is None:
             raise DomainError("finite boundary requires a q_outer callable")
         object.__setattr__(self, "q_max", number("q_max", self.q_max, float))
-        raise_first(positive("q_max", self.q_max))
+        if not self.q_max > 0:
+            raise DomainError("q_max must be positive")
 
     @classmethod
     def bulk(cls) -> "StarBoundary":
@@ -530,31 +531,29 @@ def f_integrand(q, s_hat) -> np.ndarray:
     Parameters
     ----------
     q : float or (N,) ndarray of positive reals
-    s_hat : (3,) or (N, 3) ndarray of unit direction vectors
+    s_hat : (3,) or (N, 3) unit direction vectors, broadcasting with q
 
     Returns
     -------
     (3, 3) or (N, 3, 3) complex ndarray
     """
-    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-    raise_first(positive("q", q_arr))
+    q = array("q", q, float)
+    raise_first(positive("q", q))
     s = unit_vector(s_hat)
-    scalar = (s.ndim == 1)
-    s2 = np.atleast_2d(s)
-    if s2.shape[0] != q_arr.shape[0]:
-        if s2.shape[0] == 1:
-            s2 = np.broadcast_to(s2, (q_arr.shape[0], 3))
-        elif q_arr.shape[0] == 1:
-            q_arr = np.broadcast_to(q_arr, (s2.shape[0],))
-        else:
-            raise DomainError("q and s_hat lengths do not broadcast")
+    try:
+        shape = np.broadcast_shapes(q.shape, s.shape[:-1])
+    except ValueError:
+        raise DomainError("q and s_hat lengths do not broadcast") from None
+    return _f_tensors(np.broadcast_to(q, shape),
+                      np.broadcast_to(s, (*shape, 3)))
 
-    P, Q = _brace_coeffs(q_arr)
-    ss = s2[:, :, None] * s2[:, None, :]
-    out = P[:, None, None] * _EYE + Q[:, None, None] * ss
-    if scalar and np.asarray(q, dtype=float).ndim == 0:
-        return out[0]
-    return out
+
+def _f_tensors(q, s):
+    """The tensors P I + Q ss of :func:`f_integrand` at the distances
+    q > 0 and the unit rows s (one more axis, of 3), unchecked."""
+    P, Q = _brace_coeffs(q)
+    ss = s[..., :, None] * s[..., None, :]
+    return P[..., None, None] * _EYE + Q[..., None, None] * ss
 
 
 def f_constant_q(q, chi) -> np.ndarray:
@@ -660,7 +659,9 @@ def body_green_linear(boundary: StarBoundary, chi) -> np.ndarray:
 
 
 def _body_green(boundary: StarBoundary, chi: complex) -> np.ndarray:
-    """The tensor of :func:`body_green_linear`, its chi checked."""
+    """The tensor of :func:`body_green_linear`, its chi checked; the
+    nodes' distances are checked and go, with the rule's own unit
+    directions, to the unchecked :func:`_f_tensors`."""
     if boundary.is_bulk or chi == 0:
         return np.zeros((3, 3), dtype=complex)
 
@@ -672,8 +673,7 @@ def _body_green(boundary: StarBoundary, chi: complex) -> np.ndarray:
         if not np.all(np.isfinite(q_o)) or np.any(q_o <= 0):
             raise DomainError("q_outer must be positive and finite on the "
                               "whole sphere")
-        tensors = f_integrand(q_o, s)
-        return pref * np.einsum("n,nij->ij", w, tensors)
+        return pref * np.einsum("n,nij->ij", w, _f_tensors(q_o, s))
 
     n = _GL_N_MIN
     prev = evaluate(n)

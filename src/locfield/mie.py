@@ -25,12 +25,11 @@ implemented analytically rather than by small-q_L evaluation, so there is
 no 0/0, and from the closed-form dipole functions of
 :mod:`locfield.specfun`, so it needs no :mod:`scipy.special`.
 
-The coefficients and the centre rate take arrays, a curve of spheres
-per call; a scalar runs as a one-element column of the same code, so it
-equals that point of a column bit for bit.  The public functions check
-their input and call the unchecked kernels, :func:`_center_rate` and
-:func:`_series`, as :func:`_gamma_b_rows` does on the checked rows of
-:mod:`locfield.rates`.
+The coefficients and the centre rate are array kernels, which
+:func:`_gamma_b_rows` runs on the checked rows of :mod:`locfield.rates`.
+A public function takes one sphere, checks it once and runs
+:func:`_series` or the array kernels on a one-element column
+(:func:`_column`), so that it equals that point of a column bit for bit.
 
 Near the surface C_m^N and j_m(x)^2 leave double range before the terms
 are small, so off the centre the series is summed in ratio form
@@ -62,10 +61,10 @@ import numpy as np
 
 from . import cavity
 from .errors import (POLE_CUT, AccuracyError, DomainError, LocfieldError,
-                     NonFiniteError, SingularityError, array, check_eps,
+                     NonFiniteError, SingularityError, check_eps,
                      inside_sphere, method_faults, number,
-                     orientation_faults, permittivity_faults, positive,
-                     raise_first, sphere_faults, whole_number)
+                     orientation_faults, positive, raise_first,
+                     sphere_faults, whole_number)
 from .specfun import (_bessel_ratio_tables, _check_point, dipole_bessel_j,
                       dipole_hankel_h1, riccati_derivative, spherical_bessel_j,
                       spherical_hankel_h1)
@@ -73,7 +72,6 @@ from .specfun import (_bessel_ratio_tables, _check_point, dipole_bessel_j,
 __all__ = [
     "sphere_coefficients",
     "body_green_center",
-    "gamma_b_center",
     "gamma_b_exact",
     "gamma_center_exact",
 ]
@@ -90,48 +88,33 @@ _ORDER_LIMIT = 5000
 _X_MIN = 1.0 / sys.float_info.max
 
 # largest relative rounding error, as _center_rounding_bound puts it, of
-# an exact rate that gamma_b_center or the series returns
+# an exact rate that the centre kernel or the series returns
 _CENTER_REL_MAX = 1.0e-8
 
 
-def _columns(eps, q_R):
-    """(e, n, q_R, shape): eps (numbers, checked as one complex array by
-    the permittivity rule), its root n and q_R (checked positive) as
-    arrays of at least one element, and the arguments' shape."""
-    shape = np.broadcast_shapes(np.shape(eps), np.shape(q_R))
-    e = np.atleast_1d(array("eps", eps))
-    raise_first(permittivity_faults(e))
-    q_R = np.atleast_1d(array("q_R", q_R, float))
-    raise_first(positive("q_R", q_R))
-    return e, np.sqrt(e), q_R, shape
+def _column(e: complex, q_R: float):
+    """(e, n = sqrt(e), q_R) of a checked sphere as one-element columns,
+    on which a scalar call runs the array kernels."""
+    e = np.array([e])
+    return e, np.sqrt(e), np.array([q_R])
 
 
-def _shaped(value, shape):
-    """A column's values in the arguments' shape: a Python scalar for
-    scalar arguments."""
-    return value.item() if shape == () else value.reshape(shape)
-
-
-def sphere_coefficients(eps, q_R, m: int):
-    """Interior scattering coefficients (C_m^N, C_m^M) of the sphere.
-
-    eps is one permittivity or a sequence of them, and q_R a float or an
-    array broadcasting with it; the coefficients take their shape (complex
-    numbers for scalars, worked out as a one-element column).  m is a
-    single order, a whole number.  The dipole order m = 1, all that the
-    centre rate needs, takes the closed forms of
-    :func:`locfield.specfun.dipole_hankel_h1` and
-    :func:`locfield.specfun.dipole_bessel_j`, which need no
-    :mod:`scipy.special`; higher orders call the scipy-backed functions.
+def sphere_coefficients(eps, q_R: float, m: int):
+    """Interior scattering coefficients (C_m^N, C_m^M) of the sphere eps,
+    q_R at the order m, a whole number: complex numbers, worked out as a
+    one-element column.  m = 1, all that the centre rate needs, takes the
+    closed forms of :mod:`locfield.specfun`, with no :mod:`scipy.special`.
     A coefficient that leaves double range raises NonFiniteError, as at
     eps = 1e-300, q_R = 1, where C_1^N and C_1^M are about 1e450.
     """
-    e, n, q_R, shape = _columns(eps, q_R)
-    raise_first(whole_number("m", m))
+    e = check_eps(eps)
+    q_R = number("q_R", q_R, float)
+    raise_first((*positive("q_R", q_R), *whole_number("m", m)))
+    e, n, q_R = _column(e, q_R)
     m = int(m)
     C_N, C_M = _finite_coefficients(
         e, m, *_order_values(m, q_R + 0j, n * q_R))
-    return _shaped(C_N, shape), _shaped(C_M, shape)
+    return C_N.item(), C_M.item()
 
 
 def _order_values(m: int, z0, z1):
@@ -182,9 +165,8 @@ def body_green_center(eps, q_R: float) -> np.ndarray:
     This is the gB1 input that makes :func:`locfield.cavity.gamma_b_corrected`
     reproduce the assembled exact center rate.
     """
-    e = check_eps(eps)
-    C_N, _ = sphere_coefficients(e, q_R, 1)
-    n = complex(np.sqrt(e))
+    C_N, _ = sphere_coefficients(eps, q_R, 1)
+    n = complex(np.sqrt(complex(eps)))  # eps passed the permittivity rule
     return (1j * n * C_N / (6.0 * np.pi)) * np.eye(3, dtype=complex)
 
 
@@ -278,36 +260,12 @@ def _argument_refusal(n, q_R: float, q_L: float) -> DomainError:
                              f"refused: {exc} (q_R = {q_R:g}, q_L = {q_L:g})")
 
 
-def gamma_b_center(eps, q_R):
-    """Exact local-field corrected body rate at the sphere center.
-
-        gamma_b = Im[K C_1^N],
-
-    the analytic m = 1 limit of the series, identical for both
-    orientations.  eps and q_R are as for :func:`sphere_coefficients`, so
-    a whole curve of centered spheres is one call; a float comes back
-    for scalar input, an array otherwise.  It checks them and the exact
-    method's rule, and returns :func:`_center_rate` of them.
-
-    Where :func:`_center_rounding_bound` allows a relative error above
-    _CENTER_REL_MAX, AccuracyError names q_R and the bound: in a
-    transparent host K is imaginary, so the rate is Re C_1^N, which at a
-    small sphere sits under Im C_1^N ~ 1/q_R^3.  In vacuum C_1^N = 0,
-    and the rate is exactly 0.
-    """
-    e, n, q_R, shape = _columns(eps, q_R)
-    raise_first(method_faults("exact", e))
-    rate, refused = _center_rate(e, n, q_R)
-    for exc in refused.values():
-        raise exc
-    return _shaped(rate, shape)
-
-
 def _center_rate(e, n, q_R):
-    """:func:`gamma_b_center` of the arrays eps, n = sqrt(eps) (real or
-    complex) and q_R, which broadcast and passed its rules, unchecked:
-    the rates, and by flat index the AccuracyError of each rate (NaN)
-    whose rounding bound is above _CENTER_REL_MAX."""
+    """The centre rate Im[K C_1^N] of the (N,) arrays eps, n = sqrt(eps)
+    (real or complex) and q_R, which passed the rules of
+    :func:`gamma_b_exact`, unchecked: the rates, and by index the
+    AccuracyError of each rate (NaN) whose rounding bound is above
+    _CENTER_REL_MAX."""
     z0, z1 = q_R + 0j, n * q_R
     values = _order_values(1, z0, z1)
     C_N, _ = _finite_coefficients(e, 1, *values)
@@ -315,14 +273,13 @@ def _center_rate(e, n, q_R):
         kc = cavity._prefactor(e, n) * C_N
         # a non-finite K C_1^N fails; a zero one (vacuum) has a NaN bound
         bound = np.where(np.isfinite(kc), _center_rounding_bound(
-            e, kc, z0, z1, *values), np.inf).ravel()
+            e, kc, z0, z1, *values), np.inf)
     rate, refused = kc.imag, {}
     for k in np.flatnonzero(bound > _CENTER_REL_MAX).tolist():
-        q = np.broadcast_to(q_R, kc.shape).ravel()[k]
-        refused[k] = AccuracyError(f"centre rate at q_R = {q:g} may be off "
-                                   f"by a relative {bound[k]:.1e} from "
+        refused[k] = AccuracyError(f"centre rate at q_R = {q_R[k]:g} may be "
+                                   f"off by a relative {bound[k]:.1e} from "
                                    f"rounding, above {_CENTER_REL_MAX:g}")
-        rate.flat[k] = np.nan
+        rate[k] = np.nan
     return rate, refused
 
 
@@ -356,17 +313,30 @@ def gamma_b_exact(eps, q_R: float, q_L: float,
 
     Notes
     -----
-    q_L = 0 takes the analytic m = 1 limit of :func:`gamma_b_center`,
-    identical for both orientations.  Off the centre the rate is refused
-    where the centre's would be, with the sum in place of C_1^N.
+    q_L = 0 takes the analytic m = 1 limit Im[K C_1^N], the same for both
+    orientations, on a one-element column of :func:`_center_rate` (a
+    curve of them is :func:`locfield.rates.compute_batch`); exactly 0 in
+    vacuum.  AccuracyError names q_R and the bound where
+    :func:`_center_rounding_bound` allows a relative error above
+    _CENTER_REL_MAX: in a transparent host the rate is Re C_1^N, which
+    at a small sphere sits under Im C_1^N ~ 1/q_R^3.  Off the centre the
+    series is refused alike, with the sum in place of C_1^N.
     """
     e = check_eps(eps)
     q_R, q_L = number("q_R", q_R, float), number("q_L", q_L, float)
     raise_first((*inside_sphere(q_R, q_L), *orientation_faults(orient),
                  *method_faults("exact", e)))
     if q_L == 0.0:
-        return gamma_b_center(e, q_R)
+        return _center(e, q_R)
     return _series(e, complex(np.sqrt(e)), q_R, q_L, orient)
+
+
+def _center(e: complex, q_R: float) -> float:
+    """The centre rate of a checked sphere, or its AccuracyError."""
+    rate, refused = _center_rate(*_column(e, q_R))
+    for exc in refused.values():
+        raise exc
+    return rate.item()
 
 
 def _gamma_b_rows(eps, n, q_R, q_L, orient):
@@ -409,16 +379,16 @@ def _gamma_b_rows(eps, n, q_R, q_L, orient):
 def gamma_center_exact(eps, q_R: float, q_C: float) -> float:
     """Fully assembled exact rate Gamma/Gamma_0 at the sphere center,
 
-        1 + cavity.gamma_c_exact(eps, q_C) + gamma_b_center(eps, q_R),
+        1 + cavity.gamma_c_exact(eps, q_C) + gamma_b_exact(eps, q_R, 0),
 
-    Tomas's formula for a small cavity at the center of a sphere.  q_C
-    follows the rules of :func:`locfield.cavity.gamma_c_exact` (at most
-    0.2, a warning above 0.1) and q_R the sphere rule at q_L = 0
-    (:func:`locfield.errors.sphere_faults`, q_C <= q_R); eps = -1/2
-    raises SingularityError.
+    Tomas's formula for a small cavity at the center of a sphere, checked
+    as ``compute`` checks the exact request, each rule once: the sphere
+    rule at q_L = 0 (q_C at most 0.2, a warning above 0.1, q_C <= q_R),
+    the exact method's (eps = -1/2 raises SingularityError) and the
+    cavity terms'.
     """
     e = check_eps(eps)
-    gamma_c = cavity.gamma_c_exact(e, q_C)
-    q_R = number("q_R", q_R, float)
-    raise_first(sphere_faults(q_R, 0.0, float(q_C)), q_R, 0.0)
-    return 1.0 + gamma_c + gamma_b_center(e, q_R)
+    q_R, q_C = number("q_R", q_R, float), number("q_C", q_C, float)
+    gamma_c = cavity._exact_cavity_term(e, q_C, sphere_faults(q_R, 0.0, q_C),
+                                        q_R, 0.0)
+    return 1.0 + gamma_c + _center(e, q_R)

@@ -330,8 +330,9 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
         eps, h, n, chi, q_R, q_L = (None if a is None else a[live]
                                     for a in (eps, h, n, chi, q_R, q_L))
     q_C = col.q_C
-    # q_L + q_R and |chi| times it beyond double range are inf, which fails
-    with np.errstate(over="ignore"):
+    # q_L + q_R and |chi| times it beyond double range are inf, which
+    # fails, and at chi = 0 |chi| times it is 0
+    with np.errstate(over="ignore", invalid="ignore"):
         chi_size, absorption = born._validity_values(
             chi, q_L + q_R if sphere else 1.0, q_C)
     if not checked:  # a RateRequest warned when it was made

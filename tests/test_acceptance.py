@@ -35,13 +35,17 @@ def _report(n: int, ok: bool, detail: str) -> str:
 
 
 def test_criterion_01_center_equivalence():
-    # sphere quadrature at q_L = 0 must reproduce the closed center form
+    # the closed centre form (Tomas's) must reproduce the independent 2-D
+    # Born quadrature of the sphere boundary, through the Ei antiderivative
     t0 = time.perf_counter()
     worst = 0.0
+    z = np.array([0.0, 0.0, 1.0])
     for q_R in np.linspace(0.5, 10.0, 10):
+        boundary = greens.StarBoundary.sphere(q_R)
         for chi in (0.05, 0.05 + 1e-8j, 0.1, 0.1 + 1e-8j, 0.2, 0.2 + 1e-8j):
-            quad_val = born.gamma_b_sphere_linear(q_R, 0.0, chi)
-            closed = born.gamma_b_center_closed(q_R, chi)
+            quad_val = 6.0 * np.pi * np.imag(
+                z @ greens.body_green_linear(boundary, chi) @ z)
+            closed = born.gamma_b_sphere_linear(q_R, 0.0, chi)
             worst = max(worst, abs(quad_val - closed) / abs(closed))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 5.0
@@ -57,7 +61,8 @@ def test_criterion_02_linear_vs_exact_sphere():
     grid = np.linspace(0.5, 10.0, 200)
     exact = np.array([mie.gamma_center_exact(EPS, q, 0.01) for q in grid])
     linear = np.array([1.0 + born.gamma_c_linear(CHI, 0.01)
-                       + born.gamma_b_center_closed(q, CHI) for q in grid])
+                       + born.gamma_b_sphere_linear(q, 0.0, CHI)
+                       for q in grid])
     d_exact = exact - cavity.gamma_bulk(1.1)
     d_linear = linear - (1.0 + 7.0 * 0.1 / 6.0)
     crossings_exact = int(np.sum(np.diff(np.sign(d_exact)) != 0))
@@ -82,7 +87,8 @@ def _extremum_lag(eps: complex) -> float:
     chi = eps - 1.0
     exact = np.array([mie.gamma_center_exact(eps, q, 0.01) for q in grid])
     linear = np.array([1.0 + born.gamma_c_linear(chi, 0.01)
-                       + born.gamma_b_center_closed(q, chi) for q in grid])
+                       + born.gamma_b_sphere_linear(q, 0.0, chi)
+                       for q in grid])
 
     def peaks(y):
         out = []
@@ -150,7 +156,7 @@ def test_criterion_05_absorption_degrades_linear_rate():
             chi = eps - 1.0
             exact = mie.gamma_center_exact(eps, 2.0, q_C)
             linear = (1.0 + born.gamma_c_linear(chi, q_C)
-                      + born.gamma_b_center_closed(2.0, chi))
+                      + born.gamma_b_sphere_linear(2.0, 0.0, chi))
             vals.append(abs(exact - linear))
         gaps[q_C] = np.array(vals)
     monotone = all(bool(np.all(np.diff(g) > 0)) for g in gaps.values())

@@ -1,5 +1,6 @@
 """Linear Born rates: closed forms, 1D reduction, validity bookkeeping."""
 
+import math
 import re
 import warnings
 
@@ -10,13 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from locfield import rates
 from locfield.born import (_CLOSED_FORM_REL, _FILON_BLOCK, ORIENTATIONS,
                            RateBreakdown, ValidityReport, _center_rows,
-                           _certified, gamma_b_center_closed,
+                           _certified, _validity_report,
                            gamma_b_sphere_linear, gamma_b_sphere_rows,
                            gamma_c_linear, gamma_total_linear, quad,
                            validity_check)
-from locfield.errors import AccuracyError, DomainError, NonFiniteError
+from locfield.errors import AccuracyError, DomainError
 from locfield.greens import (StarBoundary, _brace_coeffs, _brace_parts,
                              _gauss_legendre, _sphere_moments,
                              _sphere_moments_near_centre, f_integrand)
@@ -58,19 +60,21 @@ def test_gamma_c_linear_values():
         gamma_c_linear(complex(np.inf, 0), 0.01)
 
 
-@pytest.mark.parametrize("chi", [None, [0.1], "abc", ["x"]])
+@pytest.mark.parametrize("chi", [None, [0.1], "abc", ["x"],
+                                 [[0.1], [0.1, 0.2]]])
 def test_chi_must_be_a_number(chi):
     # a chi that complex() refuses is a DomainError naming it, as an eps
     # is, in every function that takes one chi
     message = f"^chi must be a number, got {re.escape(repr(chi))}$"
     for call in (lambda: gamma_c_linear(chi, 0.01),
-                 lambda: gamma_b_center_closed(2.0, chi),
+                 lambda: gamma_b_sphere_linear(2.0, 0.0, chi),
                  lambda: gamma_b_sphere_linear(2.0, 0.5, chi),
                  lambda: gamma_total_linear(StarBoundary.bulk(), chi, 0.01),
                  lambda: validity_check(StarBoundary.bulk(), chi, 0.01)):
         with pytest.raises(DomainError, match=message):
             call()
     # the row kernel takes chi as an array, whose entries must be numbers
+    # and which must not be ragged
     if chi != [0.1]:
         with pytest.raises(DomainError, match=(
                 f"^chi must be a number or an array of numbers, got "
@@ -82,14 +86,13 @@ def test_chi_must_be_a_number(chi):
 
 
 def test_center_closed_form_matches_quadrature():
-    # the centred rows and gamma_b_center_closed are one closed form; the
+    # a centred row is the closed form in either orientation; the
     # reference is scipy's adaptive quadrature of the angular integral
     for q_R in (0.5, 1.556, 4.0, 9.3):
         for chi in (0.05, 0.1 + 1e-8j, 0.2 + 1e-7j):
-            g_closed = gamma_b_center_closed(q_R, chi)
-            for orientation in ORIENTATIONS:
-                g_rows = gamma_b_sphere_linear(q_R, 0.0, chi, orientation)
-                assert g_rows == g_closed
+            g_closed = gamma_b_sphere_linear(q_R, 0.0, chi)
+            assert gamma_b_sphere_linear(q_R, 0.0, chi,
+                                         "tangential") == g_closed
             want = _split_quad_body_term(q_R, 0.0, chi, "radial")
             assert abs(want - g_closed) <= 1e-10 * max(abs(g_closed), 1.0)
 
@@ -110,7 +113,7 @@ def test_center_large_sphere_oscillation_bound():
     # gamma_b -> -(chi/2) cos(2 q_R) with remainder below 2 chi / q_R
     chi = 0.1
     for q_R in (10.0, 15.0, 22.0, 40.0):
-        g = gamma_b_center_closed(q_R, chi)
+        g = gamma_b_sphere_linear(q_R, 0.0, chi)
         assert abs(g + 0.5 * chi * np.cos(2 * q_R)) <= 2.0 * chi / q_R
 
 
@@ -162,10 +165,9 @@ def test_center_rows_refuse_tiny_spheres():
     # where t^3 leaves double range: typed errors and no RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(AccuracyError, match="may be off by inf"):
+        with pytest.raises(AccuracyError, match="q_R = 1e-120 may be off "
+                           "by inf"):
             gamma_b_sphere_linear(1e-120, 0.0, chi)
-        with pytest.raises(NonFiniteError, match="q_R = 1e-120"):
-            gamma_b_center_closed(1e-120, chi)
 
 
 def test_offcentre_rule_refuses_tiny_spheres():
@@ -214,7 +216,7 @@ def test_body_term_zero_chi_and_validation():
     with pytest.raises(TypeError):
         gamma_total_linear(StarBoundary.bulk(), 0.1, 0.01, tol=1e-12)
     with pytest.raises(DomainError):
-        gamma_b_center_closed(-1.0, 0.1)
+        gamma_b_sphere_linear(-1.0, 0.0, 0.1)
 
 
 def _split_quad_body_term(q_R, q_L, chi, orientation):
@@ -312,7 +314,7 @@ def _route_row(q_R, q_L, chi, orientation, tol=1.0e-10,
     # the centre's closed form, or None where the kernel's bound does not
     # certify the row: the values the rows must equal bit for bit
     if q_L == 0.0:
-        return gamma_b_center_closed(q_R, chi)
+        return _center_rows(np.array([q_R]), np.array([complex(chi)]))[0][0]
     moments, bounds = kernel(np.array([q_R]), np.array([q_L]))
     (m0, m1, m2), (b0, b1, b2) = moments, bounds
     radial = orientation == "radial"
@@ -719,7 +721,7 @@ def test_validity_examples():
     for q_C in (0.0, -0.01, 0.5):
         with pytest.raises(DomainError):
             validity_check(bulk, 0.1, q_C)
-    for q_max in (np.nan, -1.0):
+    for q_max in (np.nan, -1.0, 0.0):
         with pytest.raises(DomainError, match="^q_max must be positive"):
             StarBoundary(q_outer=lambda theta, phi: 1.0, q_max=q_max)
 
@@ -734,7 +736,8 @@ def test_validity_sphere_geometry():
     assert r2.chi_size_value == 0.1 * 10.0 and not r2.chi_size_ok
 
 
-@pytest.mark.parametrize("eps", [1.1, 1.1 + 1e-8j, 2.25 + 0.1j, 1.0 + 0.3j])
+@pytest.mark.parametrize("eps", [1.0, 1.1, 1.1 + 1e-8j, 2.25 + 0.1j,
+                                 1.0 + 0.3j])
 def test_validity_check_equals_the_requests_report(eps):
     # validity_check of a boundary gives compute's report of the request
     # on the same geometry, chi = eps - 1 as compute forms it
@@ -744,6 +747,20 @@ def test_validity_check_equals_the_requests_report(eps):
                               q_L=q_L, q_C=q_C)
         assert validity_check(StarBoundary.sphere(q_R, q_L), eps - 1.0,
                               q_C) == compute(request).validity
+    if eps in (1.0, 1.1):
+        # q_max = q_R + q_L beyond double range is inf for the boundary as
+        # for the request, and |chi| q_max is 0 at chi = 0 (once NaN, with
+        # a numpy warning), inf otherwise; the report is the request's
+        # column's, since at eps = 1.1 its body term fails
+        request = RateRequest(eps=eps, method="linear_born", q_R=1.7e308,
+                              q_L=1e308)
+        (column,) = rates._compute_columns(
+            [rates._request_column([request])], checked=True)
+        report = validity_check(StarBoundary.sphere(1.7e308, 1e308),
+                                eps - 1.0, 0.01)
+        assert report == _validity_report(column.chi_size.item(),
+                                          column.absorption.item())
+        assert report.chi_size_value == (0.0 if eps == 1.0 else math.inf)
     for q_C in (0.01, 0.1):
         request = RateRequest(eps=eps, method="linear_born",
                               geometry="bulk", q_C=q_C)

@@ -367,9 +367,12 @@ def test_bulk_model_ordering_and_quadratic_difference():
 
 
 def test_bulk_refuses_absorbing_media():
-    with pytest.raises(DomainError) as exc:
-        gamma_bulk(1.1 + 0.01j, q_C=0.01)
-    assert "gamma_c_exact" in str(exc.value)
+    with pytest.raises(DomainError, match=r"use 1 \+ gamma_c_exact\(eps, "
+                       r"q_C\)$"):
+        gamma_bulk(1.1 + 0.01j)
+    # the cavity radius is no setting of the bulk models
+    with pytest.raises(TypeError):
+        gamma_bulk(1.1, q_C=0.01)
     with pytest.raises(DomainError):
         gamma_bulk(1.1, model="point_dipole")
     with pytest.raises(DomainError):

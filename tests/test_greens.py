@@ -538,6 +538,33 @@ def test_body_green_is_symmetric_for_any_star_boundary(star, chi):
     assert np.abs(g - g.T).max() <= 1e-15 * np.abs(g).max()
 
 
+def test_body_green_forms_its_nodes_unchecked(monkeypatch):
+    # the angular rule's nodes are the rule's own unit directions and
+    # distances checked once, positive and finite: their tensors come from
+    # the unchecked core of f_integrand, with no unit-vector or q rule per
+    # doubling, and equal f_integrand's at the same nodes bit for bit
+    from locfield import greens
+    boundary, chi = StarBoundary.sphere(4.0, 2.0), 0.1 + 1e-3j
+
+    def by_f_integrand(n):
+        theta, phi, s, w = greens._angular_nodes(n, n)
+        return -chi / (16.0 * np.pi**2) * np.einsum(
+            "n,nij->ij", w, f_integrand(boundary.q_outer(theta, phi), s))
+
+    n, want = 64, by_f_integrand(64)
+    while True:
+        n, prev, want = 2 * n, want, by_f_integrand(2 * n)
+        if np.abs(want - prev).max() <= 1e-10 * (1.0 + np.abs(want).max()):
+            break
+
+    def refused(*args):
+        raise AssertionError("a node was checked again")
+
+    for name in ("f_integrand", "unit_vector", "positive"):
+        monkeypatch.setattr(greens, name, refused)
+    assert np.array_equal(body_green_linear(boundary, chi), want)
+
+
 def test_body_green_tolerance_validation():
     # the angular rule stops at a fixed agreement of 1e-10; no caller
     # sets it, whatever the value

@@ -22,7 +22,7 @@ from locfield.born import ORIENTATIONS, gamma_b_sphere_linear
 from locfield.cavity import gamma_bulk, gamma_c_exact
 from locfield.errors import (AccuracyError, DomainError, LocfieldError,
                              NonFiniteError, SingularityError)
-from locfield.mie import (body_green_center, gamma_b_center, gamma_b_exact,
+from locfield.mie import (body_green_center, gamma_b_exact,
                           gamma_center_exact, sphere_coefficients)
 from locfield.specfun import (riccati_derivative, riccati_upward,
                               spherical_bessel_j, spherical_hankel_h1)
@@ -162,21 +162,18 @@ def test_coefficient_validation():
         1.1, 2.0, 2)
     with pytest.raises(DomainError):
         sphere_coefficients(1.1, -1.0, 1)
-    with pytest.raises(DomainError):
-        sphere_coefficients([1.1, 1.2], [2.0, np.inf], 1)
-    with pytest.raises(DomainError):
-        sphere_coefficients([1.1, 1.2 - 1e-3j], [2.0, 3.0], 1)  # active
-    # a sequence is checked as one array, by the permittivity rule's
-    # checks in their order, and one that holds a non-number is refused
-    for eps, message in (([1.1, 1.2 - 1e-3j, np.nan], "must be finite"),
-                         ([0.0, 1.2 - 1e-3j], "passive medium required"),
-                         ([1.1, 0.0], "must be nonzero")):
+    with pytest.raises(DomainError, match="^q_R must be positive and "
+                       "finite$"):
+        sphere_coefficients(1.2, np.inf, 1)
+    with pytest.raises(DomainError, match="^passive medium required"):
+        sphere_coefficients(1.2 - 1e-3j, 3.0, 1)
+    # one sphere per call: a sequence is no permittivity and no radius
+    # (a curve of centred rates is compute_batch)
+    for eps, q_R, message in (([1.1, 1.2], 2.0, r"^eps must be a number, "),
+                              (1.1, [2.0, 3.0], r"^q_R must be a real "
+                               r"number, ")):
         with pytest.raises(DomainError, match=message):
-            gamma_b_center(eps, 2.0)
-    for eps in ([1.1, None], [1.1, "abc"]):
-        with pytest.raises(DomainError, match=r"^eps must be a number or "
-                           r"an array of numbers, got \[1\.1, "):
-            gamma_b_center(eps, 2.0)
+            sphere_coefficients(eps, q_R, 1)
 
 
 def _scipy_route_dipole_coefficients(eps, q_R):
@@ -214,26 +211,6 @@ def test_dipole_coefficients_match_scipy_route(eps):
             assert_allclose(got[1], want[1], rtol=1e-10, err_msg=str(q_R))
 
 
-def test_coefficients_and_center_rate_on_arrays():
-    # a curve of spheres in one call equals the scalar calls point by point
-    eps = [1.1 + 1e-8j, 1.2 + 1e-7j, 2.0 + 0.05j, 1.1 + 1e-8j]
-    q_R = np.array([0.5, 2.0, 5.0, 9.3])
-    for m in (1, 4):
-        C_N, C_M = sphere_coefficients(eps, q_R, m)
-        for k in range(len(q_R)):
-            s_N, s_M = sphere_coefficients(eps[k], q_R[k], m)
-            assert_allclose(C_N[k], s_N, rtol=1e-14)
-            assert_allclose(C_M[k], s_M, rtol=1e-14)
-    # one permittivity against an array of radii broadcasts
-    C_N, _ = sphere_coefficients(1.1 + 1e-8j, q_R, 1)
-    assert C_N.shape == q_R.shape
-    centre = gamma_b_center(eps, q_R)
-    for k in range(len(q_R)):
-        assert_allclose(centre[k], gamma_b_exact(eps[k], q_R[k], 0.0),
-                        rtol=1e-13)
-    assert isinstance(gamma_b_center(1.2, 3.0), float)
-
-
 # -- center tensor ------------------------------------------------------------------
 
 
@@ -244,6 +221,10 @@ def test_body_green_center_isotropic():
     assert np.array_equal(g, g[0, 0] * np.eye(3))   # isotropic, zero off-diag
     assert np.array_equal(g, g.T)
     assert_allclose(g[0, 0], expected, rtol=1e-14)
+    # its rate is compute's centred exact body term
+    rate = compute(RateRequest(eps=1.5 + 0.02j, method="exact", q_R=3.0))
+    assert_allclose(cavity.gamma_b_corrected(1.5 + 0.02j, g, [0.0, 0.0, 1.0]),
+                    rate.gamma_b_ratio, rtol=1e-13)
 
 
 # -- series rates -------------------------------------------------------------------
@@ -508,15 +489,18 @@ def test_former_coefficient_overflows_keep_to_their_row(args, want):
 def test_coefficient_overflow_is_typed():
     # eps = 1e-300 puts C_1^N and C_1^M near 1e450: one NonFiniteError
     # from the coefficients, with no numpy warning before it, for the
-    # centred exact rate and for scalar and array coefficient calls
+    # centred exact rate, for the coefficients and for the centre tensor
     message = r"^sphere coefficients at m = 1 overflowed or produced NaN"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match=message):
             compute(RateRequest(eps=1e-300, method="exact", q_R=1.0))
-        for eps in (1e-310, [1e-310, 2.0], np.array([2.0, 1e-300])):
-            with pytest.raises(NonFiniteError, match=message):
-                sphere_coefficients(eps, 60.0, 1)
+        for eps in (1e-310, 1e-300):
+            for call in (lambda: sphere_coefficients(eps, 60.0, 1),
+                         lambda: body_green_center(eps, 60.0),
+                         lambda: gamma_b_exact(eps, 60.0, 0.0)):
+                with pytest.raises(NonFiniteError, match=message):
+                    call()
 
 
 @pytest.mark.parametrize("orient", ORIENTATIONS)
@@ -633,7 +617,7 @@ _Q_R = st.floats(0.0, 1.0).map(lambda u: 0.5 * 40.0 ** u)  # 0.5 .. 20
 
 
 def _q_L2_coefficient(eps, q_R, orient):
-    """(a, A): gamma_b_exact - gamma_b_center = a q_L^2 + O(q_L^4) from
+    """(a, A): gamma_b_exact - its centre value = a q_L^2 + O(q_L^4) from
     the m <= 2 terms of the series expanded in x = n q_L, and A the sum
     of the magnitudes that make up a."""
     K = 9j * eps * eps * cmath.sqrt(eps) / (2 * eps + 1) ** 2
@@ -653,7 +637,7 @@ def test_offcentre_rate_tends_to_the_centre_as_q_L_squared(eps, q_R, ratio):
     # stays below a tenth of A q_L^2 (at most 0.018 of it in 3,000
     # random cases at q_L = 1e-3..1e-2 q_R)
     q_L = ratio * q_R
-    centre = gamma_b_center(eps, q_R)
+    centre = gamma_b_exact(eps, q_R, 0.0)
     for orient in ORIENTATIONS:
         a, A = _q_L2_coefficient(eps, q_R, orient)
         gap = gamma_b_exact(eps, q_R, q_L, orient) - centre
@@ -665,9 +649,8 @@ def test_offcentre_rate_tends_to_the_centre_as_q_L_squared(eps, q_R, ratio):
 def test_orientations_agree_at_the_centre(eps, q_R):
     # at q_L = 0 both orientations are the centre rate, bit for bit; at
     # q_L = 1e-6 q_R both series give it up to their q_L^2 terms
-    centre = gamma_b_center(eps, q_R)
-    assert all(gamma_b_exact(eps, q_R, 0.0, o) == centre
-               for o in ORIENTATIONS)
+    centre = gamma_b_exact(eps, q_R, 0.0)
+    assert gamma_b_exact(eps, q_R, 0.0, "tangential") == centre
     q_L = 1e-6 * q_R
     radial, tangential = (gamma_b_exact(eps, q_R, q_L, o)
                           for o in ORIENTATIONS)
@@ -705,18 +688,23 @@ def test_scalar_calls_are_one_element_columns():
             request = RateRequest(eps=eps, method="exact", q_R=q_R, q_C=q_C)
             got = _outcome(lambda: compute(request))
             parts = (_outcome(lambda: gamma_c_exact(eps, q_C)),
-                     _outcome(lambda: gamma_b_center(eps, q_R)),
+                     _outcome(lambda: gamma_b_exact(eps, q_R, 0.0)),
                      _outcome(lambda: gamma_center_exact(eps, q_R, q_C)))
             if isinstance(got, tuple):  # an error, the same on each route
                 assert got in parts[1:], (eps, q_R)
             else:
                 assert parts == (got.gamma_c_ratio, got.gamma_b_ratio,
                                  got.total_ratio), (eps, q_R)
-    eps, q_R = np.meshgrid(np.array(_ONE_PATH_EPS), _ONE_PATH_Q_R)
+    # and each pair of coefficients the same point of a column of the
+    # coefficient kernels
+    eps, q_R = (a.ravel() for a in np.meshgrid(np.array(_ONE_PATH_EPS,
+                                                        dtype=complex),
+                                               _ONE_PATH_Q_R))
+    n = np.sqrt(eps)
     for m in (1, 4):
-        C_N, C_M = sphere_coefficients(eps.ravel(), q_R.ravel(), m)
-        for k, (e, q) in enumerate(zip(eps.ravel().tolist(),
-                                       q_R.ravel().tolist())):
+        C_N, C_M = mie._finite_coefficients(
+            eps, m, *mie._order_values(m, q_R + 0j, n * q_R))
+        for k, (e, q) in enumerate(zip(eps.tolist(), q_R.tolist())):
             assert sphere_coefficients(e, q, m) == (C_N[k], C_M[k]), (e, q, m)
 
 
@@ -758,7 +746,8 @@ def test_vacuum_rows_are_exact():
     # 6.3e+06")
     assert compute(RateRequest(eps=1.0, method="exact",
                                q_R=0.01)).total_ratio == 1.0
-    assert gamma_b_center([1.0, 1.0], [0.01, 1e-6]).tolist() == [0.0, 0.0]
+    assert [gamma_b_exact(1.0, q_R, 0.0) for q_R in (0.01, 1e-6)] == [0.0,
+                                                                       0.0]
     for m in (1, 4):
         assert sphere_coefficients(1.0, 0.01, m) == (0j, 0j)
     assert gamma_b_exact(1.0, 2.0, 1.5, "tangential") == 0.0
@@ -818,6 +807,19 @@ def test_center_rate_validation():
                          (math.nan, "q_R must be finite")):
         with pytest.raises(DomainError, match=message):
             gamma_center_exact(1.1, q_R, 0.01)
+    # each refusal is the exact request's, in its order: the sphere rule
+    # before the method's and the cavity terms' (where q_C once came
+    # first, and a pole before a bad q_R)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q_C = 0.15 warns
+        for eps in (1.1, -0.5, -0.5 + 1e-155j, 1e-300):
+            for q_R in (1e-120, 2.0, math.inf, -1.0):
+                for q_C in (0.01, 0.15, 0.25, 1e-120, math.inf):
+                    got = _outcome(lambda: gamma_center_exact(eps, q_R, q_C))
+                    want = _outcome(lambda: compute(RateRequest(
+                        eps=eps, method="exact", q_R=q_R, q_C=q_C)))
+                    assert got == (want if isinstance(want, tuple)
+                                   else want.total_ratio), (eps, q_R, q_C)
 
 
 def _mp_center_rate(eps, q_R):
@@ -843,12 +845,10 @@ def test_center_rate_of_a_tiny_transparent_sphere_is_refused():
     for q_R in (1e-8, 1e-5):
         with pytest.raises(AccuracyError, match=rf"^centre rate at q_R = "
                            rf"{q_R:g} may be off by a relative "):
-            gamma_b_center(1.1, q_R)
-        with pytest.raises(AccuracyError, match=rf"q_R = {q_R:g} "):
-            gamma_b_center([1.1, 1.1], [2.0, q_R])
-    got, want = gamma_b_center(1.1, 0.01), _mp_center_rate(1.1, 0.01)
+            gamma_b_exact(1.1, q_R, 0.0)
+    got, want = gamma_b_exact(1.1, 0.01, 0.0), _mp_center_rate(1.1, 0.01)
     assert abs(got - want) <= 1e-11 * abs(want)
-    assert gamma_b_center(1.0, 0.01) == 0.0
+    assert gamma_b_exact(1.0, 0.01, 0.0) == 0.0
 
 
 # spheres so small that C_1^N's rounding swamps the rate: a transparent
@@ -888,7 +888,7 @@ def test_tiny_offcentre_spheres_are_refused_as_the_centre_is(args, bound):
         assert re.match(message, str(refused))
         assert kept == compute(good)
         with pytest.raises(AccuracyError, match=r"^centre rate at q_R = "):
-            gamma_b_center(eps, q_R)
+            gamma_b_exact(eps, q_R, 0.0)
 
 
 def _count_calls(monkeypatch, module_names, name, calls):
@@ -943,6 +943,37 @@ def test_exact_requests_are_checked_once(monkeypatch):
         assert calls == {("positive", "q_C"): sum(columns.values()),
                          **{("method_faults", method): count
                             for method, count in columns.items()}}
+
+
+def test_centre_entries_check_each_rule_once(monkeypatch):
+    # each public centre entry runs each rule once and calls the
+    # unchecked kernels on a one-element column: the permittivity rule,
+    # the exact method's, and the q_R and q_C rules (once ran two or three
+    # times each); q_C's positivity is part of both the cavity-radius and
+    # the cavity-scale rule, as in compute
+    calls = Counter()
+    for name in ("permittivity_faults", "method_faults", "positive",
+                 "inside_sphere", "sphere_faults", "qc_faults",
+                 "cavity_scale_faults", "whole_number"):
+        _count_calls(monkeypatch, ("errors", "greens", "born", "rates",
+                                   "mie", "cavity"), name, calls)
+    eps = 1.1 + 1e-8j
+    eps_rule = {("permittivity_faults", None): 1}
+    for call, checks in (
+            (lambda: gamma_b_exact(eps, 2.0, 0.0),
+             {("method_faults", "exact"): 1, ("inside_sphere", None): 1,
+              ("positive", "q_R"): 1}),
+            (lambda: gamma_center_exact(eps, 2.0, 0.01),
+             {("method_faults", "exact"): 1, ("sphere_faults", None): 1,
+              ("qc_faults", None): 1, ("cavity_scale_faults", "q_C"): 1,
+              ("positive", "q_C"): 2}),
+            (lambda: body_green_center(eps, 2.0),
+             {("positive", "q_R"): 1, ("whole_number", "m"): 1}),
+            (lambda: sphere_coefficients(eps, 2.0, 3),
+             {("positive", "q_R"): 1, ("whole_number", "m"): 1})):
+        calls.clear()
+        call()
+        assert calls == {**eps_rule, **checks}
 
 
 def test_exact_columns_form_their_parts_once(monkeypatch):

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import constants
 
-from locfield.born import (ORIENTATIONS, RateBreakdown,
-                           gamma_b_center_closed, gamma_b_sphere_linear,
+from locfield.born import (ORIENTATIONS, RateBreakdown, gamma_b_sphere_linear,
                            gamma_b_sphere_rows, gamma_c_linear,
                            gamma_total_linear, validity_check)
 from locfield import rates
@@ -30,8 +29,7 @@ from locfield.errors import (QC_DEFAULT, AccuracyError, ConfigError,
                              SingularityError)
 from locfield.greens import (StarBoundary, ab_coefficients,
                              cavity_green_linear, f_constant_q)
-from locfield.mie import (body_green_center, gamma_b_center, gamma_b_exact,
-                          gamma_center_exact)
+from locfield.mie import body_green_center, gamma_b_exact, gamma_center_exact
 from locfield.rates import (GEOMETRIES, METHODS, AtomParams, RateRequest,
                             compute, compute_batch, gamma0_si,
                             gamma_uncorrected)
@@ -188,7 +186,6 @@ _LENGTH_ENTRIES = {
     "gamma_b_exact, q_L": ("q_L", 1, lambda q: [
         gamma_b_exact(1.1 + 0.01j, 2.0, q, orient)
         for orient in ORIENTATIONS]),
-    "gamma_b_center": ("q_R", 2, lambda q: gamma_b_center(1.1, q)),
     "gamma_center_exact": ("q_R", 2,
                            lambda q: gamma_center_exact(1.1, q, 0.01)),
     "gamma_c_exact": ("q_C", 0.0625, lambda q: gamma_c_exact(1.1 + 0.1j, q)),
@@ -199,8 +196,6 @@ _LENGTH_ENTRIES = {
     "f_constant_q": ("q", 1, lambda q: f_constant_q(q, 0.1)),
     "cavity_green_linear": ("q_C", 0.0625,
                             lambda q: cavity_green_linear(q, 0.1)),
-    "gamma_b_center_closed": ("q_R", 2,
-                              lambda q: gamma_b_center_closed(q, 0.1)),
     "gamma_c_linear": ("q_C", 0.0625, lambda q: gamma_c_linear(0.1j, q)),
     "gamma_total_linear": ("q_C", 0.0625, lambda q: gamma_total_linear(
         StarBoundary.bulk(), 0.1j, q)),
@@ -223,12 +218,13 @@ _LENGTH_ENTRIES = {
 def test_every_length_entry_keeps_one_rule(entry):
     # a length is a float checked as RateRequest checks its lengths: a
     # float, an int and numpy scalars give the same bits, and a value
-    # that float() refuses is a DomainError naming it
+    # that float() refuses, a ragged sequence in an array kernel too, is
+    # a DomainError naming it
     name, value, call = _LENGTH_ENTRIES[entry]
     forms = [value, float(value), np.float64(value), np.float32(value)]
     results = [pickle.dumps(call(q)) for q in forms]
     assert results[1:] == results[:-1]
-    for bad in (None, "abc", 1.0 + 1.0j):
+    for bad in (None, "abc", 1.0 + 1.0j, [1.0, [2.0]], [[1.0], [1.0, 2.0]]):
         with pytest.raises(DomainError, match=f"^{name} must be a real "
                                               f"number.*, got "
                                               f"{re.escape(repr(bad))}$"):
@@ -689,8 +685,7 @@ def test_permittivities_the_rates_refuse_fail_their_own_requests():
         warnings.simplefilter("error")
         for call in (lambda: gamma_c_exact(-0.5, 0.01),
                      lambda: gamma_b_exact(-0.5, 2.0, 1.0),
-                     lambda: gamma_b_center(-0.5, 2.0),
-                     lambda: gamma_b_center([-0.5, 1.1], [2.0, 2.0]),
+                     lambda: gamma_b_exact(-0.5, 2.0, 0.0),
                      lambda: gamma_center_exact(-0.5, 2.0, 0.01),
                      lambda: gamma_b_corrected(-0.5, g, Z)):
             with pytest.raises(SingularityError, match=re.escape(pole)):
@@ -728,7 +723,7 @@ def test_the_pole_band_is_refused():
             assert math.isfinite(gamma_c_exact(eps, q_C))
         for eps in (-0.5 + 1e-155j, -0.5 + 1e-160j, -0.5 + 1e-200j):
             for call in (lambda: gamma_c_exact(eps, 0.01),
-                         lambda: gamma_b_center(eps, 2.0),
+                         lambda: gamma_b_exact(eps, 2.0, 0.0),
                          lambda: gamma_b_exact(eps, 2.0, 1.0),
                          lambda: gamma_b_corrected(eps, g, Z),
                          lambda: compute(RateRequest(eps=eps, method="exact",
@@ -738,7 +733,7 @@ def test_the_pole_band_is_refused():
         # just outside the band K is a double, but K C_1^N and K times
         # the series sum need not be
         with pytest.raises(AccuracyError, match="relative inf from"):
-            gamma_b_center(-0.5 + 6.4e-155j, 1e-3)
+            gamma_b_exact(-0.5 + 6.4e-155j, 1e-3, 0.0)
         with pytest.raises(NonFiniteError, match=r"^sphere series rate "
                            r"leaves double range \(q_R = 0.001, "):
             gamma_b_exact(-0.5 + 6.4e-155j, 1e-3, 5e-4)
