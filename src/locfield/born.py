@@ -14,29 +14,19 @@ and the body piece reducing, for a star-shaped body, to a single angular
 integral of the radial antiderivative implemented in
 :mod:`locfield.greens`.  For a sphere with the emitter displaced q_L from
 the center both dipole orientations collapse the angular integral to one
-dimension in x = cos(theta).  chi multiplies an integral of the geometry
-alone: three chi-free moments per distinct sphere geometry (q_R, q_L),
-and each row, whatever its chi and orientation, is a scalar contraction
-of its geometry's moments.  Every row is held to one fixed absolute
-tolerance, _TOL = 1e-10, which is no setting.  Off the centre a row
-takes the first of three routes whose bounds certify its moments and
-its rate: a closed form, a
-difference of antiderivatives at the endpoint distances q_R -/+ q_L
-(:func:`locfield.greens._sphere_moments`); a Taylor series in the
-emitter offset q_L (:func:`locfield.greens._sphere_moments_near_centre`)
-near the centre, where the closed form cancels; else a Filon-Legendre
-rule of fixed size (:func:`quad`), which takes the oscillation e^{2iq}
-out of the integrand and so holds in large spheres too.  At the centre
-the rate itself has a closed form, Tomas's (no moments and no
-quadrature), guarded by a rounding bound of its own.  All of
-this works on rows: :func:`gamma_b_sphere_rows` takes a batch of sphere
-geometries (q_R, q_L), each with its chi and orientation, in one call,
-each row settling (or failing) on its own, and
-:func:`gamma_b_sphere_linear` is one row of it: Tomas's centred rate is
-``gamma_b_sphere_linear(q_R, 0.0, chi)``.  A sphere is three
-floats q_R, q_L and q_C, checked by :class:`locfield.rates.RateRequest`,
-whose ``compute`` assembles its linear_born rate on these rows; any
-other body is a :class:`locfield.greens.StarBoundary`, whose rate
+dimension in x = cos(theta), and chi multiplies three moments of the
+geometry (q_R, q_L) alone.  The unchecked kernel :func:`_gamma_b_rows`
+takes a batch of such rows, each with its chi and orientation, and holds
+each to one fixed absolute tolerance, _TOL = 1e-10 (no setting), by the
+first of its routes that certifies it, or refuses it: off the centre a
+closed form, a series near the centre and a Filon-Legendre rule
+(:func:`quad`), at the centre Tomas's closed form.
+:func:`gamma_b_sphere_linear` checks one row and runs the kernel on it:
+Tomas's centred rate is ``gamma_b_sphere_linear(q_R, 0.0, chi)``.  A
+sphere is three floats q_R, q_L and q_C, checked by
+:class:`locfield.rates.RateRequest`, whose ``compute`` assembles its
+linear_born rate on the kernel's rows; any other body is a
+:class:`locfield.greens.StarBoundary`, whose rate
 :func:`gamma_total_linear` assembles.
 
 Everything in this module is strictly first order in chi; the accompanying
@@ -51,7 +41,7 @@ import functools
 
 import numpy as np
 
-from .errors import (ORIENTATIONS, AccuracyError, DomainError, array,
+from .errors import (ORIENTATIONS, AccuracyError, DomainError,
                      cavity_scale_faults, check_chi, check_qc, chi_faults,
                      inside_sphere, number, orientation_faults, qc_faults,
                      raise_first)
@@ -66,7 +56,6 @@ __all__ = [
     "ValidityReport",
     "gamma_c_linear",
     "gamma_b_sphere_linear",
-    "gamma_b_sphere_rows",
     "gamma_total_linear",
     "validity_check",
 ]
@@ -207,10 +196,11 @@ def gamma_b_sphere_linear(q_R, q_L, chi, orientation="radial") -> float:
         gamma_b = -(3/4) Im[ chi * Int_{-1}^{1} f(q_o(x), z(x)) dx ]
 
     with q_o(x) the emitter-to-surface distance, z = x^2 for a radially
-    oriented dipole and z = (1 - x^2)/2 for a tangential one.  This is
-    one row of :func:`gamma_b_sphere_rows`, by its routes (at q_L = 0
-    Tomas's closed form), and raises its AccuracyError: where no route
-    certifies the row, or its rounding bound exceeds _TOL = 1e-10.
+    oriented dipole and z = (1 - x^2)/2 for a tangential one.  Checked
+    once, the row is a one-element column of :func:`_gamma_b_rows` (at
+    q_L = 0 Tomas's closed form), equal to that row of ``compute``'s bit
+    for bit, and raises its AccuracyError: where no route certifies the
+    row, or its rounding bound exceeds _TOL = 1e-10.
 
     Parameters
     ----------
@@ -221,55 +211,51 @@ def gamma_b_sphere_linear(q_R, q_L, chi, orientation="radial") -> float:
         Dipole along the displacement axis or perpendicular to it
         (degenerate at q_L = 0).
     """
-    values, errors = gamma_b_sphere_rows(
-        number("q_R", q_R, float), number("q_L", q_L, float),
-        number("chi", chi), orientation)
+    q_R, q_L = number("q_R", q_R, float), number("q_L", q_L, float)
+    chi = number("chi", chi)
+    raise_first((*inside_sphere(q_R, q_L), *chi_faults(chi),
+                 *orientation_faults(orientation)))
+    values, errors = _gamma_b_rows(np.array([q_R]), np.array([q_L]),
+                                   np.array([chi]), np.array([orientation]))
     if errors:
         raise errors[0]
-    return float(values[0])
+    return values.item()
 
 
-def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial"):
-    """Linear body terms of many sphere configurations in one call.
-
-    q_R, q_L, chi and orientation are scalars or 1-D arrays that
-    broadcast to N rows; orientation is "radial" or "tangential" per
-    row.  Every row must have its emitter inside the sphere and a
-    passive chi, checked once as arrays.  chi stands outside the
-    integral, so the three chi-free moments are evaluated once per
-    distinct geometry (q_R, q_L) and route, and a row's rate is the
-    scalar -(3/4) Im(chi I), I = M0 + M2 (radial) or M0 + (M1 - M2)/2
-    (tangential).  An off-centre row takes the first of three routes
-    that certifies it: the bound of each of its geometry's moments
-    within _CLOSED_FORM_REL of the moment, and the rate's within _TOL.
-    The routes, each on the geometries of the rows still open, are the
-    closed form of :func:`locfield.greens._sphere_moments`, the Taylor
-    series in q_L of :func:`locfield.greens._sphere_moments_near_centre`
-    and the Filon-Legendre rule of :func:`quad`.  The first two bound
-    the moments' moduli, and the rate's bound is (3/4) |chi| times the
-    bounds' contraction; the rule bounds the real and imaginary parts
-    apart, and the rate's bound is (3/4) (|Re chi| b_im + |Im chi| b_re).
-    A row that none certifies fails with AccuracyError naming q_R, q_L
-    and the rule's bound: its moments' bound relative to them where that
-    is above _CLOSED_FORM_REL, else the rate's bound above _TOL.  A
-    centred row (q_L = 0), in either orientation, is the closed form of
-    :func:`_center_rows`, or an AccuracyError naming q_R and the bound
-    where that exceeds _TOL (a rule would only multiply the same
-    coefficients by its weights).
+def _gamma_b_rows(q_R, q_L, chi, orient):
+    """Linear body terms of the rows q_R, q_L (float), chi (complex) and
+    orient ("radial" or "tangential"), four (N,) arrays that passed the
+    rules of :func:`gamma_b_sphere_linear`, or of a RateRequest and
+    compute in :mod:`locfield.rates`, and are not checked again.  chi
+    stands outside the integral, so the three chi-free moments are
+    evaluated once per distinct geometry (q_R, q_L) and route, and a
+    row's rate is the scalar -(3/4) Im(chi I), I = M0 + M2 (radial) or
+    M0 + (M1 - M2)/2 (tangential).  An off-centre row takes the first of
+    three routes that certifies it: the bound of each of its geometry's
+    moments within _CLOSED_FORM_REL of the moment, and the rate's within
+    _TOL.  The routes, each on the geometries of the rows still open, are
+    the closed form of :func:`locfield.greens._sphere_moments`, a
+    difference of antiderivatives at q_R -/+ q_L; the Taylor series in
+    q_L of :func:`locfield.greens._sphere_moments_near_centre`, where that
+    cancels; and the Filon-Legendre rule of :func:`quad`, which takes the
+    oscillation e^{2iq} out and so holds in large spheres too.  The first
+    two bound the moments' moduli, and the rate's bound is (3/4) |chi|
+    times the bounds' contraction; the rule bounds the real and imaginary
+    parts apart, and the rate's bound is (3/4) (|Re chi| b_im + |Im chi|
+    b_re), inf past double range.  A row that none certifies fails with
+    AccuracyError naming q_R, q_L and the rule's bound: its moments'
+    bound relative to them where that is above _CLOSED_FORM_REL, else the
+    rate's bound above _TOL.  A centred row (q_L = 0), in either
+    orientation, is Tomas's closed form of :func:`_center_rows`, or an
+    AccuracyError naming q_R and the bound where that exceeds _TOL (a
+    rule would only multiply the same coefficients by its weights).
 
     Returns
     -------
-    (values, errors) : the (N,) body terms, as :func:`gamma_b_sphere_linear`
-    gives them row by row, and a dict mapping the index of each row that
-    failed to its AccuracyError (that row's value is NaN).  Rows with
-    chi = 0 are 0.
+    (values, errors) : the (N,) body terms, and a dict mapping the index
+    of each row that failed to its AccuracyError (that row's value is
+    NaN).  Rows with chi = 0 are 0.
     """
-    q_R, q_L, chi, orientation = (a.ravel() for a in np.broadcast_arrays(
-        array("q_R", q_R, float), array("q_L", q_L, float),
-        array("chi", chi), np.asarray(orientation)))
-    raise_first((*inside_sphere(q_R, q_L), *chi_faults(chi)))
-    for o in set(orientation.tolist()):
-        raise_first(orientation_faults(o))
     values = np.zeros(q_R.shape)
     errors = {}
     center = np.flatnonzero((chi != 0) & (q_L == 0.0))
@@ -288,7 +274,7 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial"):
     geometry = np.cumsum(first) - 1
     q_R, q_L = q_R[first], q_L[first]
     chi = chi[live]
-    tangential = orientation[live] == "tangential"
+    tangential = orient[live] == "tangential"
     # the rows still open, into live, their geometries and each row's
     # among them: at first every row and every geometry
     rest, g, at = np.arange(live.size), np.arange(q_R.size), geometry
@@ -304,7 +290,8 @@ def gamma_b_sphere_rows(q_R, q_L, chi, orientation="radial"):
         moments, bounds = moments_of(q_R[g], q_L[g])
         c, t = chi[rest], tangential[rest]
         b0, b1, b2 = bounds[:, at]
-        bound = bound_of(c, b0 + np.where(t, 0.5 * (b1 + b2), b2))
+        with np.errstate(over="ignore"):  # a bound past double range fails
+            bound = bound_of(c, b0 + np.where(t, 0.5 * (b1 + b2), b2))
         sizes = np.abs(bounds)
         formed = _certified(moments, sizes)[at] & (bound <= _TOL)
         values[live[rest[formed]]] = _rate(c[formed], t[formed],
@@ -362,16 +349,12 @@ def _refuse(values, errors, rows, bounds, rate):
             f"rounding, above tol = {_TOL:g}")
 
 
-def _integral(tangential, m0, m1, m2):
-    """The rows' Int (P + z Q) dx from their moments: z is the squared
-    projection (s.d)^2 averaged over azimuth, x^2 for a radial dipole and
-    (1 - x^2)/2 for a tangential one."""
-    return np.where(tangential, m0 + 0.5 * (m1 - m2), m0 + m2)
-
-
-def _rate(chi, tangential, *moments):
-    """The rows' body terms -(3/4) Im(chi Int (P + z Q) dx)."""
-    return -0.75 * (chi * _integral(tangential, *moments)).imag
+def _rate(chi, tangential, m0, m1, m2):
+    """The rows' body terms -(3/4) Im(chi Int (P + z Q) dx) from their
+    moments: z is the squared projection (s.d)^2 averaged over azimuth,
+    x^2 for a radial dipole and (1 - x^2)/2 for a tangential one."""
+    return -0.75 * (chi * np.where(tangential, m0 + 0.5 * (m1 - m2),
+                                   m0 + m2)).imag
 
 
 @functools.cache
@@ -484,7 +467,7 @@ def gamma_total_linear(boundary: StarBoundary, chi, q_C,
     gamma_b = 0.  chi and q_C are checked once, as
     :func:`gamma_c_linear` checks them.  A sphere's rate is
     ``compute(RateRequest(method="linear_born", ...))``, on the rows of
-    :func:`gamma_b_sphere_rows`.
+    :func:`_gamma_b_rows`.
     """
     chi = check_chi(chi)
     gamma_c = _cavity_term(chi, check_qc(q_C, chi.imag))

@@ -152,7 +152,12 @@ def transmission_coefficient(eps, q_C: float) -> complex:
     e = check_eps(eps)
     q_C = number("q_C", q_C, float)
     raise_first(positive("q_C", q_C))
-    n = complex(np.sqrt(e))
+    return _transmission(e, complex(np.sqrt(e)), q_C)
+
+
+def _transmission(e: complex, n: complex, q_C: float) -> complex:
+    """A of :func:`transmission_coefficient` at a checked eps, its root
+    n and a checked q_C."""
     z0, z1 = complex(q_C), n * q_C
     j, pj = dipole_bessel_j(z0)
     h0, xi0p = dipole_hankel_h1(z0)
@@ -179,8 +184,8 @@ def outside_scatter_coefficients(eps, q_C: float,
     q_C = number("q_C", q_C, float)
     raise_first((*positive("q_C", q_C), *whole_number("m_max", m_max)))
     m_max = int(m_max)
-    z0 = complex(q_C)
-    z1 = complex(np.sqrt(e)) * q_C
+    n = complex(np.sqrt(e))
+    z0, z1 = complex(q_C), n * q_C
     B_M = np.empty(m_max, dtype=complex)
     B_N = np.empty(m_max, dtype=complex)
     for m in range(1, m_max + 1):
@@ -197,8 +202,7 @@ def outside_scatter_coefficients(eps, q_C: float,
                                    f"at m = {m}")
         B_M[m - 1] = -(j0 * pj1 - pj0 * j1) / den_M
         B_N[m - 1] = -(j0 * pj1 - e * pj0 * j1) / den_N
-    return CavityCoefficients(A=transmission_coefficient(e, q_C),
-                              B_M=B_M, B_N=B_N)
+    return CavityCoefficients(A=_transmission(e, n, q_C), B_M=B_M, B_N=B_N)
 
 
 def gamma_c_exact(eps, q_C: float) -> float:

@@ -162,11 +162,14 @@ def ab_coefficients(q):
     raise_first((*positive("q", q), (huge, lambda *_: (
         f"q = {np.min(q):g} is too small: b(q) in 1/q^3 leaves double "
         "range"), NonFiniteError)))
-    a = 1.0 / q + 1j / q**2 - 1.0 / q**3
-    b = 1.0 / q + 3j / q**2 - 3.0 / q**3
-    if a.ndim == 0:
-        return complex(a), complex(b)
-    return a, b
+    a, b = _ab(q)
+    return (complex(a), complex(b)) if a.ndim == 0 else (a, b)
+
+
+def _ab(q):
+    """a(q) and b(q) of :func:`ab_coefficients`, q a checked float array."""
+    return (1.0 / q + 1j / q**2 - 1.0 / q**3,
+            1.0 / q + 3j / q**2 - 3.0 / q**3)
 
 
 def vacuum_green(q, u_hat) -> np.ndarray:
@@ -188,7 +191,7 @@ def vacuum_green(q, u_hat) -> np.ndarray:
     if q == 0:
         raise SingularityError("vacuum Green tensor diverges at q = 0")
     raise_first(cavity_scale_faults("q", q))
-    a, b = ab_coefficients(q)
+    a, b = map(complex, _ab(np.array(q)))
     phase = np.exp(1j * q)
     return (phase / (4.0 * np.pi)) * (a * _EYE - b * np.outer(u, u))
 
@@ -575,10 +578,11 @@ def f_constant_q(q, chi) -> np.ndarray:
 def _shell_tensor(q: float, chi: complex) -> np.ndarray:
     """The tensor of :func:`f_constant_q`, its q and chi checked."""
     # from q = 1e100 on, 2/q^3 and 4/q^2 fall below half an ulp of 2/q
-    # and 1, and past 5.6e102 q^3 leaves double range
+    # and 1, and past 5.6e102 q^3 leaves double range; past max/2, 2q
+    # does, and e^{2iq} is (e^{iq})^2
     inner = 2.0 / q**3 - 4j / q**2 if q < 1.0e100 else 0.0
-    coeff = (-chi / (12.0 * np.pi)
-             * (inner - 2.0 / q + 1j) * np.exp(2j * q))
+    phase = np.exp(2j * q) if 2.0 * q < math.inf else np.exp(1j * q) ** 2
+    coeff = -chi / (12.0 * np.pi) * (inner - 2.0 / q + 1j) * phase
     return coeff * _EYE.astype(complex)
 
 

@@ -112,8 +112,9 @@ def sphere_coefficients(eps, q_R: float, m: int):
     raise_first((*positive("q_R", q_R), *whole_number("m", m)))
     e, n, q_R = _column(e, q_R)
     m = int(m)
-    C_N, C_M = _finite_coefficients(
-        e, m, *_order_values(m, q_R + 0j, n * q_R))
+    with np.errstate(over="ignore"):  # past double range q_R is refused
+        z1 = n * q_R
+    C_N, C_M = _finite_coefficients(e, m, *_order_values(m, q_R + 0j, z1))
     return C_N.item(), C_M.item()
 
 
@@ -266,7 +267,8 @@ def _center_rate(e, n, q_R):
     :func:`gamma_b_exact`, unchecked: the rates, and by index the
     AccuracyError of each rate (NaN) whose rounding bound is above
     _CENTER_REL_MAX."""
-    z0, z1 = q_R + 0j, n * q_R
+    with np.errstate(over="ignore"):  # past double range q_R is refused
+        z0, z1 = q_R + 0j, n * q_R
     values = _order_values(1, z0, z1)
     C_N, _ = _finite_coefficients(e, 1, *values)
     with np.errstate(all="ignore"):
@@ -342,7 +344,7 @@ def _center(e: complex, q_R: float) -> float:
 def _gamma_b_rows(eps, n, q_R, q_L, orient):
     """Exact body terms of the rows (eps, n = sqrt(eps), q_R, q_L and
     orient, "radial" or "tangential"), five (N,) arrays, as
-    :func:`locfield.born.gamma_b_sphere_rows` returns them: the (N,)
+    :func:`locfield.born._gamma_b_rows` returns them: the (N,)
     values, and a dict from the index of each row that failed to its
     LocfieldError (its value is NaN).  The rows passed the rules of a
     RateRequest and of compute in :mod:`locfield.rates`, so none is

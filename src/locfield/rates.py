@@ -19,11 +19,11 @@ both, requests' (checked when made) by compute's method and q_C rules
 alone.  A column forms h = eps + 1/2, n = sqrt(eps) and chi = eps - 1
 once and hands them to the rules, the cavity term, the validity values
 and the row kernel.  The sphere body terms of all the columns go to two
-array kernels, one call each, which take an orientation per row and
-return a value or an error per row:
+unchecked array kernels, one call each, which take an orientation per
+row and return a value or an error per row:
 :func:`locfield.mie._gamma_b_rows` for the exact and weak_absorption
 terms (the exact one at Re eps for weak_absorption),
-:func:`locfield.born.gamma_b_sphere_rows` for the linear Born and
+:func:`locfield.born._gamma_b_rows` for the linear Born and
 uncorrected ones, where rows on one sphere geometry share its moments.
 The linear body term is held to an absolute 1e-10
 (``born._TOL``) and the exact one to a relative 1e-8
@@ -68,6 +68,10 @@ GEOMETRIES = ("sphere", "bulk")
 
 _HBAR = 6.62607015e-34 / (2.0 * math.pi)
 _EPSILON_0 = 8.8541878188e-12
+
+# requests per block of compute_batch, below the 16,384 complex entries
+# from which numpy works temporaries in place and moves their last bits
+_BATCH_BLOCK = 8192
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,12 +208,13 @@ def compute_batch(requests) -> list:
     :func:`compute` gives it), or the LocfieldError that request raised,
     so that one failing request leaves the others to finish.  The
     requests that share method, geometry, orientation and q_C are one
-    column; an entry equals :func:`compute` of its request bit for bit
-    while its column holds fewer than 16,384 requests (from 256 KiB on
-    numpy works a column's temporaries in place, and the last bits of
-    some cavity terms differ).
+    column, in blocks of at most _BATCH_BLOCK requests, and an entry
+    equals :func:`compute` of its request bit for bit.
     """
     requests = list(requests)
+    if len(requests) > _BATCH_BLOCK:
+        return [r for k in range(0, len(requests), _BATCH_BLOCK)
+                for r in compute_batch(requests[k:k + _BATCH_BLOCK])]
     groups = defaultdict(list)
     for i, r in enumerate(requests):
         groups[r.method, r.geometry, r.orientation, r.q_C].append(i)
@@ -341,8 +346,9 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
         gamma_c = born._cavity_term(chi, q_C)
     elif method == "uncorrected":
         gamma_c = np.sqrt(eps.real) - 1.0
-        # body term to linear order in the (real) susceptibility
-        chi = eps.real - 1.0
+        # body term to linear order in the (real) susceptibility, as the
+        # complex that the row kernel takes
+        chi = (eps.real - 1.0).astype(complex)
     elif method == "exact":
         gamma_c = cavity._cavity_term(eps, h, n, chi, q_C)
     else:
@@ -364,7 +370,7 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
     if sphere:
         orientation = np.full(eps.size, col.orientation)
         if method in ("linear_born", "uncorrected"):
-            batches[born.gamma_b_sphere_rows].append(
+            batches[born._gamma_b_rows].append(
                 (rates_, live, (q_R, q_L, chi, orientation)))
         else:
             batches[mie._gamma_b_rows].append(

@@ -228,7 +228,8 @@ def _half_order_h1(m, z):
     z = z + 0.0j
     # sqrt(pi/2)/sqrt(z) keeps the prefactor on the principal branch of z
     # itself, consistent with AMOS' branch for H^{(1)} at arg z = pi.
-    return np.sqrt(0.5 * np.pi) / np.sqrt(z) * _sp.hankel1(m + 0.5, z)
+    with np.errstate(over="ignore", invalid="ignore"):  # caller refuses inf
+        return np.sqrt(0.5 * np.pi) / np.sqrt(z) * _sp.hankel1(m + 0.5, z)
 
 
 def riccati_derivative(kind, m, z):

@@ -14,10 +14,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from locfield import rates
 from locfield.born import (_CLOSED_FORM_REL, _FILON_BLOCK, ORIENTATIONS,
                            RateBreakdown, ValidityReport, _center_rows,
-                           _certified, _validity_report,
-                           gamma_b_sphere_linear, gamma_b_sphere_rows,
-                           gamma_c_linear, gamma_total_linear, quad,
-                           validity_check)
+                           _certified, _gamma_b_rows, _validity_report,
+                           gamma_b_sphere_linear, gamma_c_linear,
+                           gamma_total_linear, quad, validity_check)
 from locfield.errors import AccuracyError, DomainError
 from locfield.greens import (StarBoundary, _brace_coeffs, _brace_parts,
                              _gauss_legendre, _sphere_moments,
@@ -73,16 +72,17 @@ def test_chi_must_be_a_number(chi):
                  lambda: validity_check(StarBoundary.bulk(), chi, 0.01)):
         with pytest.raises(DomainError, match=message):
             call()
-    # the row kernel takes chi as an array, whose entries must be numbers
-    # and which must not be ragged
-    if chi != [0.1]:
-        with pytest.raises(DomainError, match=(
-                f"^chi must be a number or an array of numbers, got "
-                f"{re.escape(repr(chi))}$")):
-            gamma_b_sphere_rows(2.0, 0.5, chi)
 
 
 # -- body term -----------------------------------------------------------------
+
+
+def _rows(q_R, q_L, chi, orientation="radial"):
+    """The row kernel on scalars or sequences, broadcast to (N,) arrays
+    of the kernel's dtypes, as compute's columns hand it its rows."""
+    return _gamma_b_rows(*(a.ravel() for a in np.broadcast_arrays(
+        np.asarray(q_R, float), np.asarray(q_L, float),
+        np.asarray(chi, complex), np.asarray(orientation))))
 
 
 def test_center_closed_form_matches_quadrature():
@@ -135,8 +135,8 @@ def test_center_rows_against_mpmath(chi):
     # agree to the bit
     tol = 1.0e-10
     q_R = np.logspace(-6, 3, 181)
-    values, errors = gamma_b_sphere_rows(q_R, 0.0, chi, "radial")
-    tangential, t_errors = gamma_b_sphere_rows(q_R, 0.0, chi, "tangential")
+    values, errors = _rows(q_R, 0.0, chi, "radial")
+    tangential, t_errors = _rows(q_R, 0.0, chi, "tangential")
     assert tangential.tobytes() == values.tobytes()
     assert {k: str(e) for k, e in t_errors.items()} == {
         k: str(e) for k, e in errors.items()}
@@ -175,7 +175,7 @@ def test_offcentre_rule_refuses_tiny_spheres():
     # -0.11666666637193909 here, 4.2e-10 from the 40-digit rate, at
     # tol = 1e-10
     chi = 0.1
-    values, errors = gamma_b_sphere_rows(1e-4, 3e-5, chi)
+    values, errors = _rows(1e-4, 3e-5, chi)
     assert np.isnan(values[0])
     assert isinstance(errors[0], AccuracyError)
     assert str(errors[0]) == ("linear body rate at q_R = 0.0001, q_L = "
@@ -184,15 +184,14 @@ def test_offcentre_rule_refuses_tiny_spheres():
     # the rows its bound admits are within tol of the 40-digit rate
     for q_R in (0.01, 0.1, 1.0):
         for orientation in ORIENTATIONS:
-            values, errors = gamma_b_sphere_rows(q_R, 0.3 * q_R, chi,
-                                                 orientation)
+            values, errors = _rows(q_R, 0.3 * q_R, chi, orientation)
             assert errors == {}, (q_R, orientation)
             want = mp_body_term(q_R, 0.3 * q_R, chi, orientation)
             assert abs(values[0] - want) <= 1e-10, (q_R, orientation)
     # where 1/q^3 leaves double range: a typed error and no RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, errors = gamma_b_sphere_rows(1e-120, 3e-121, chi)
+        _, errors = _rows(1e-120, 3e-121, chi)
         assert "has a rounding bound that is not a number" in str(errors[0])
 
 
@@ -206,13 +205,18 @@ def test_orientation_degeneracy_at_center():
 
 def test_body_term_zero_chi_and_validation():
     assert gamma_b_sphere_linear(2.0, 0.0, 0.0) == 0.0
+    assert gamma_b_sphere_linear(3.0, 1.0, 0.0, "tangential") == 0.0
     with pytest.raises(DomainError):
         gamma_b_sphere_linear(2.0, 0.0, 0.1, "diagonal")
+    # emitter inside the sphere, chi finite and passive
+    for q_L, chi, message in ((2.0, 0.1, "emitter inside sphere"),
+                              (0.5, 0.1 - 1j, "passive"),
+                              (0.5, np.nan, "chi must be finite")):
+        with pytest.raises(DomainError, match=message):
+            gamma_b_sphere_linear(1.0, q_L, chi)
     # the tolerance is fixed at 1e-10, not a parameter
     with pytest.raises(TypeError):
         gamma_b_sphere_linear(2.0, 0.0, 0.1, tol=1e-12)
-    with pytest.raises(TypeError):
-        gamma_b_sphere_rows(2.0, 0.5, 0.1, "radial", 1e-12)
     with pytest.raises(TypeError):
         gamma_total_linear(StarBoundary.bulk(), 0.1, 0.01, tol=1e-12)
     with pytest.raises(DomainError):
@@ -280,7 +284,7 @@ def test_body_term_rows_fail_one_by_one(orientation):
     q_R = np.array([2.0, 1e4, 5.0, 50.0, 1.0])
     q_L = np.array([0.5, 9000.0, 3.0, 10.0, 0.0])
     chi = 0.1 + 1e-8j
-    values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
+    values, errors = _rows(q_R, q_L, chi, orientation)
     assert list(errors) == [1]
     assert isinstance(errors[1], AccuracyError)
     assert str(errors[1]) == UNCERTIFIED
@@ -300,7 +304,7 @@ def test_rule_returns_large_spheres_near_their_centre(orientation):
     # cancels: the rule returns the 40-digit rate to tol
     chi = 0.1 + 1e-8j
     q_L = np.array([1000.0, 1500.0, 2000.0, 50000.0])
-    values, errors = gamma_b_sphere_rows(1e5, q_L, chi, orientation)
+    values, errors = _rows(1e5, q_L, chi, orientation)
     assert errors == {}
     for k, ql in enumerate(q_L.tolist()):
         want = mp_body_term(1e5, ql, chi, orientation)
@@ -379,7 +383,7 @@ def test_body_term_rows_share_geometries_bit_for_bit():
         (0.5, 0.1, 1000.0, "radial"),
     ]
     q_R, q_L, chi, orientation = zip(*rows)
-    values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
+    values, errors = _rows(q_R, q_L, chi, orientation)
     assert {k: str(exc) for k, exc in errors.items()} == {
         1: UNCERTIFIED, 7: UNCERTIFIED}
     routes = [_route(*row) for row in rows]
@@ -460,7 +464,7 @@ def test_body_term_rows_equal_their_single_rows(rows, data):
     rows = data.draw(st.permutations(rows))
     geometries, chi, orientation = zip(*rows)
     q_R, q_L = zip(*geometries)
-    values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
+    values, errors = _rows(q_R, q_L, chi, orientation)
     for k, ((qr, ql), c, o) in enumerate(rows):
         if k in errors:  # a row that does not settle fails alone, too
             with pytest.raises(AccuracyError) as single:
@@ -526,7 +530,7 @@ def test_body_term_is_continuous_across_the_routing_boundary(rows):
     # and a batch gives each row's single value to the bit
     geometries, chi, orientation = zip(*rows)
     q_R, q_L = zip(*geometries)
-    values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
+    values, errors = _rows(q_R, q_L, chi, orientation)
     assert errors == {}
     for k, ((qr, ql), c, o) in enumerate(rows):
         assert values[k] == gamma_b_sphere_linear(qr, ql, c, o), rows[k]
@@ -551,7 +555,7 @@ def test_rows_past_the_series_reach_the_rule(monkeypatch):
 
     monkeypatch.setattr("locfield.born.quad", spy)
     q_R, q_L, chi, orientation = zip(*rows)
-    values, errors = gamma_b_sphere_rows(q_R, q_L, chi, orientation)
+    values, errors = _rows(q_R, q_L, chi, orientation)
     assert seen == [3]
     assert {k: str(exc) for k, exc in errors.items()} == {
         1: UNCERTIFIED,
@@ -623,21 +627,6 @@ def test_rule_moments_alone_equal_their_batch():
             assert_array_equal(alone, batch)
             finite = np.isfinite(batch)
             assert alone[finite].tobytes() == batch[finite].tobytes()
-
-
-def test_body_term_rows_broadcast_and_zero_chi():
-    values, errors = gamma_b_sphere_rows(3.0, [0.0, 1.0, 2.0],
-                                         [0.1, 0.0, 0.05j], "tangential")
-    assert errors == {} and values.shape == (3,)
-    assert values[1] == 0.0
-    assert values[0] == gamma_b_sphere_linear(3.0, 0.0, 0.1, "tangential")
-    # every row is checked, once, as arrays: emitter inside the sphere,
-    # chi finite and passive
-    for q_L, chi, message in ((2.0, 0.1, "emitter inside sphere"),
-                              (0.5, 0.1 - 1j, "passive"),
-                              (0.5, np.nan, "chi must be finite")):
-        with pytest.raises(DomainError, match=message):
-            gamma_b_sphere_rows([1.0, 1.0], [0.0, q_L], [0.1, chi])
 
 
 # -- assembled rate -------------------------------------------------------------

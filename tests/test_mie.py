@@ -17,7 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from locfield import RateRequest, cavity, compute, compute_batch, mie, specfun
+import locfield
+from locfield import (AtomParams, CavityCoefficients, RateBreakdown,
+                      RateRequest, StarBoundary, ValidityReport,
+                      body_green_linear, born, cavity, cavity_green_linear,
+                      compute, compute_batch, f_constant_q, f_integrand,
+                      gamma0_si, gamma_b_corrected, gamma_c_linear,
+                      gamma_total_linear, gamma_uncorrected,
+                      gamma_weak_absorption, mie,
+                      outside_scatter_coefficients, rates, specfun,
+                      transmission_coefficient, vacuum_green, validity_check)
 from locfield.born import ORIENTATIONS, gamma_b_sphere_linear
 from locfield.cavity import gamma_bulk, gamma_c_exact
 from locfield.errors import (AccuracyError, DomainError, LocfieldError,
@@ -501,6 +510,31 @@ def test_coefficient_overflow_is_typed():
                          lambda: gamma_b_exact(eps, 60.0, 0.0)):
                 with pytest.raises(NonFiniteError, match=message):
                     call()
+    # other terms past double range keep their typed errors, with no
+    # numpy warning before them: n q_R (the argument q_R is refused),
+    # h_2 at a tiny q, and the linear rate's rounding bound
+    hankel = r"^spherical_hankel_h1 overflowed or produced NaN"
+    for error, message, call in (
+            (DomainError, r"^\|z\| must be < 10000$",
+             lambda: sphere_coefficients(1e300, 1e308, 1)),
+            (DomainError, r"^\|z\| must be < 10000$",
+             lambda: body_green_center(1e300, 1e308)),
+            (DomainError, r"^\|z\| must be < 10000$",
+             lambda: compute(RateRequest(eps=1e300, method="exact",
+                                         q_R=1e308))),
+            (NonFiniteError, hankel,
+             lambda: sphere_coefficients(1.1, 1e-120, 2)),
+            (NonFiniteError, hankel,
+             lambda: outside_scatter_coefficients(1.1, 1e-120, 2)),
+            *((AccuracyError, r"^linear body rate at q_R = 10000, q_L = "
+               r"3000 may be off by 2\.5e\+284 from rounding",
+               lambda method=method: compute(RateRequest(
+                   eps=1e300, method=method, q_R=1e4, q_L=3e3)))
+              for method in ("linear_born", "uncorrected"))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                call()
 
 
 @pytest.mark.parametrize("orient", ORIENTATIONS)
@@ -906,74 +940,193 @@ def _count_calls(monkeypatch, module_names, name, calls):
             monkeypatch.setattr(module, name, counted)
 
 
+# every rule of locfield.errors, and the modules that look them up
+_RULES = ("positive", "whole_number", "inside_sphere", "number", "array",
+          "check_eps", "check_chi", "chi_faults", "permittivity_faults",
+          "method_faults", "eps_size_faults", "finite_rate", "qc_faults",
+          "cavity_scale_faults", "check_qc", "warn_qc", "sphere_faults",
+          "orientation_faults")
+_RULE_MODULES = ("errors", "greens", "born", "rates", "mie", "cavity", "cli")
+
+
 def test_exact_requests_are_checked_once(monkeypatch):
-    # an exact or weak_absorption request runs the permittivity and sphere
-    # rules when it is made, and compute runs only its own: the method's
-    # rule and the q_C scale rule once per column; the rows kernel calls
-    # the series and the centre kernel directly, with no gamma_b_exact,
-    # no eps check and no rule per row, centred rows included
+    # a request runs the permittivity and sphere rules when it is made,
+    # and compute runs only its own: the method's rule and the q_C scale
+    # rule once per column; the rows kernels take their rows unchecked,
+    # the exact one with no gamma_b_exact, no eps check and no rule per
+    # row, the linear one (linear_born and uncorrected) with no array
+    # conversion, sphere, chi or orientation rule, centred rows included
     calls = Counter()
-    for name in ("permittivity_faults", "sphere_faults", "method_faults",
-                 "positive"):
-        _count_calls(monkeypatch, ("errors", "greens", "born", "rates",
-                                   "mie", "cavity"), name, calls)
+    for name in _RULES:
+        _count_calls(monkeypatch, _RULE_MODULES, name, calls)
     requests = [RateRequest(eps=eps, method=method, q_R=3.0, q_L=q_L)
                 for eps, q_L, method in (
                     (1.2 + 1e-7j, 1.0, "exact"), (1.5, 0.5, "exact"),
                     (1.1 + 1e-8j, 2.0, "exact"), (1.3 + 1e-6j, 0.0, "exact"),
-                    (1.4 + 1e-7j, 0.0, "weak_absorption"))]
-    assert calls[("permittivity_faults", None)] >= 5
-    assert calls[("sphere_faults", None)] == 5
+                    (1.4 + 1e-7j, 0.0, "weak_absorption"),
+                    (1.2 + 1e-7j, 1.0, "linear_born"),
+                    (1.1 + 1e-8j, 0.0, "linear_born"),
+                    (1.5, 0.5, "uncorrected"), (1.3, 0.0, "uncorrected"))]
+    assert calls[("permittivity_faults", None)] >= 9
+    assert calls[("sphere_faults", None)] == 9
     assert calls[("method_faults", "exact")] == 0
 
     def refused(*args, **kwargs):
         raise AssertionError("a row was checked again")
 
     for module, name in ((mie, "gamma_b_exact"), (mie, "check_eps"),
-                         (cavity, "check_eps")):
+                         (cavity, "check_eps"),
+                         (born, "gamma_b_sphere_linear"),
+                         (born, "check_chi")):
         monkeypatch.setattr(module, name, refused)
     for batch, columns in (([requests[0]], {"exact": 1}),
                            ([requests[3]], {"exact": 1}),
                            ([requests[4]], {"weak_absorption": 1}),
-                           (requests, {"exact": 1, "weak_absorption": 1})):
+                           ([requests[5]], {"linear_born": 1}),
+                           ([requests[6]], {"linear_born": 1}),
+                           ([requests[7]], {"uncorrected": 1}),
+                           ([requests[8]], {"uncorrected": 1}),
+                           (requests, {"exact": 1, "weak_absorption": 1,
+                                       "linear_born": 1, "uncorrected": 1})):
         calls.clear()
         results = (compute_batch(batch) if len(batch) > 1
                    else [compute(batch[0])])
         assert all(r.total_ratio > 0 for r in results)
-        assert calls == {("positive", "q_C"): sum(columns.values()),
+        n_columns = sum(columns.values())
+        assert calls == {("positive", "q_C"): n_columns,
+                         ("cavity_scale_faults", "q_C"): n_columns,
                          **{("method_faults", method): count
-                            for method, count in columns.items()}}
+                            for method, count in columns.items()},
+                         **{("eps_size_faults", method): count
+                            for method, count in columns.items()
+                            if method in ("exact", "weak_absorption")}}
+
+
+def _sweep_column(method):
+    """The rates of one sweep column of three points, as a sweep's curve
+    computes them."""
+    return rates._compute_columns([rates._Column(
+        method, "radial", 0.01, np.full(3, 1.1 + 1e-8j),
+        np.full(3, 3.0), np.array([0.0, 0.5, 1.0]))])
+
+
+# a call of every public callable of locfield but the exception types
+_PUBLIC_CALLS = {
+    "AtomParams": lambda: AtomParams(k_A=1e7, d_A=1e-29),
+    "CavityCoefficients": lambda: CavityCoefficients(1.0, np.zeros(1),
+                                                     np.zeros(1)),
+    "RateBreakdown": lambda: RateBreakdown.from_parts(0.1, 0.2),
+    "ValidityReport": lambda: ValidityReport(0.1, True, 0.0, True),
+    "RateRequest": lambda: RateRequest(eps=1.1 + 1e-8j, method="exact",
+                                       q_R=2.0, q_L=0.5),
+    "StarBoundary": lambda: StarBoundary.sphere(2.0, 0.5),
+    "body_green_center": lambda: body_green_center(1.1 + 1e-8j, 2.0),
+    "body_green_linear": lambda: body_green_linear(
+        StarBoundary.sphere(2.0, 0.5), 0.1),
+    "cavity_green_linear": lambda: cavity_green_linear(0.01, 0.1 + 1e-8j),
+    "compute": lambda: compute(RateRequest(
+        eps=1.1 + 1e-8j, method="linear_born", q_R=2.0, q_L=0.5)),
+    # two requests, made beforehand, on one column
+    "compute_batch": lambda: compute_batch(_UNCORRECTED),
+    "f_constant_q": lambda: f_constant_q(0.5, 0.1 + 1e-8j),
+    "f_integrand": lambda: f_integrand(0.5, [0.0, 0.0, 1.0]),
+    "gamma0_si": lambda: gamma0_si(AtomParams(k_A=1e7, d_A=1e-29)),
+    "gamma_b_corrected": lambda: gamma_b_corrected(1.1, _G, [0.0, 0.0, 1.0]),
+    "gamma_b_exact": lambda: gamma_b_exact(1.1 + 1e-8j, 2.0, 0.5),
+    "gamma_b_sphere_linear": lambda: gamma_b_sphere_linear(2.0, 0.5, 0.1),
+    "gamma_bulk": lambda: gamma_bulk(1.1),
+    "gamma_c_exact": lambda: gamma_c_exact(1.1 + 1e-8j, 0.01),
+    "gamma_c_linear": lambda: gamma_c_linear(0.1 + 1e-8j, 0.01),
+    "gamma_center_exact": lambda: gamma_center_exact(1.1 + 1e-8j, 2.0, 0.01),
+    "gamma_total_linear": lambda: gamma_total_linear(
+        StarBoundary.sphere(2.0, 0.5), 0.1, 0.01),
+    "gamma_uncorrected": lambda: gamma_uncorrected(1.1, _G, [0.0, 0.0, 1.0]),
+    "gamma_weak_absorption": lambda: gamma_weak_absorption(
+        1.1 + 1e-8j, 0.01, 1.2, _G, [0.0, 0.0, 1.0]),
+    "outside_scatter_coefficients":
+        lambda: outside_scatter_coefficients(1.1 + 1e-8j, 0.05, 3),
+    "sphere_coefficients": lambda: sphere_coefficients(1.1 + 1e-8j, 2.0, 3),
+    "transmission_coefficient":
+        lambda: transmission_coefficient(1.1 + 1e-8j, 0.05),
+    "vacuum_green": lambda: vacuum_green(0.5, [0.0, 0.0, 1.0]),
+    "validity_check": lambda: validity_check(StarBoundary.bulk(), 0.1, 0.01),
+}
+_G = 1e-3j * np.eye(3)
+_UNCORRECTED = [RateRequest(eps=1.1, method="uncorrected", q_R=2.0, q_L=q_L)
+                for q_L in (0.0, 0.5)]
 
 
 def test_centre_entries_check_each_rule_once(monkeypatch):
-    # each public centre entry runs each rule once and calls the
-    # unchecked kernels on a one-element column: the permittivity rule,
-    # the exact method's, and the q_R and q_C rules (once ran two or three
-    # times each); q_C's positivity is part of both the cavity-radius and
-    # the cavity-scale rule, as in compute
+    # every public callable runs each rule once on each argument, and
+    # the public entries call the unchecked kernels and cores, not each
+    # other (outside_scatter_coefficients ran the permittivity and q_C
+    # rules twice, through transmission_coefficient, and vacuum_green q's
+    # positivity, through ab_coefficients); the one exception is q_C's
+    # positivity, part of both the cavity-radius and the cavity-scale
+    # rule.  The centre entries and the scalar linear entry, and a sweep
+    # column, run exactly these rules: the kernels take their
+    # one-element columns unchecked
     calls = Counter()
-    for name in ("permittivity_faults", "method_faults", "positive",
-                 "inside_sphere", "sphere_faults", "qc_faults",
-                 "cavity_scale_faults", "whole_number"):
-        _count_calls(monkeypatch, ("errors", "greens", "born", "rates",
-                                   "mie", "cavity"), name, calls)
-    eps = 1.1 + 1e-8j
-    eps_rule = {("permittivity_faults", None): 1}
-    for call, checks in (
-            (lambda: gamma_b_exact(eps, 2.0, 0.0),
-             {("method_faults", "exact"): 1, ("inside_sphere", None): 1,
-              ("positive", "q_R"): 1}),
-            (lambda: gamma_center_exact(eps, 2.0, 0.01),
-             {("method_faults", "exact"): 1, ("sphere_faults", None): 1,
-              ("qc_faults", None): 1, ("cavity_scale_faults", "q_C"): 1,
-              ("positive", "q_C"): 2}),
-            (lambda: body_green_center(eps, 2.0),
-             {("positive", "q_R"): 1, ("whole_number", "m"): 1}),
-            (lambda: sphere_coefficients(eps, 2.0, 3),
-             {("positive", "q_R"): 1, ("whole_number", "m"): 1})):
+    for name in _RULES:
+        _count_calls(monkeypatch, _RULE_MODULES, name, calls)
+    public = [getattr(locfield, name) for name in locfield.__all__]
+    assert set(_PUBLIC_CALLS) == {
+        obj.__name__ for obj in public if callable(obj)
+        and not (isinstance(obj, type) and issubclass(obj, Exception))}
+    for name, call in _PUBLIC_CALLS.items():
         calls.clear()
         call()
-        assert calls == {**eps_rule, **checks}
+        radius_rules = (calls[("qc_faults", None)]
+                        + calls[("sphere_faults", None)])
+        twice = ({("positive", "q_C")} if radius_rules
+                 and calls[("cavity_scale_faults", "q_C")] else set())
+        assert [key for key, count in calls.items()
+                if count > (2 if key in twice else 1)] == [], (name, calls)
+    eps = 1.1 + 1e-8j
+    eps_rule = {("number", "eps"): 1, ("check_eps", None): 1,
+                ("permittivity_faults", None): 1}
+    exact = {("method_faults", "exact"): 1, ("eps_size_faults", "exact"): 1}
+    for call, checks in (
+            (lambda: gamma_b_exact(eps, 2.0, 0.0),
+             {**eps_rule, **exact, ("number", "q_R"): 1,
+              ("number", "q_L"): 1, ("inside_sphere", None): 1,
+              ("positive", "q_R"): 1, ("orientation_faults", "radial"): 1}),
+            (lambda: gamma_center_exact(eps, 2.0, 0.01),
+             {**eps_rule, **exact, ("number", "q_R"): 1,
+              ("number", "q_C"): 1, ("sphere_faults", None): 1,
+              ("qc_faults", None): 1, ("cavity_scale_faults", "q_C"): 1,
+              ("positive", "q_C"): 2, ("warn_qc", None): 1}),
+            (lambda: body_green_center(eps, 2.0),
+             {**eps_rule, ("number", "q_R"): 1, ("positive", "q_R"): 1,
+              ("whole_number", "m"): 1}),
+            (lambda: sphere_coefficients(eps, 2.0, 3),
+             {**eps_rule, ("number", "q_R"): 1, ("positive", "q_R"): 1,
+              ("whole_number", "m"): 1}),
+            (lambda: gamma_b_sphere_linear(2.0, 0.5, 0.1, "tangential"),
+             {("number", "q_R"): 1, ("number", "q_L"): 1,
+              ("number", "chi"): 1, ("inside_sphere", None): 1,
+              ("positive", "q_R"): 1, ("chi_faults", None): 1,
+              ("orientation_faults", "tangential"): 1}),
+            (lambda: transmission_coefficient(eps, 0.05),
+             {**eps_rule, ("number", "q_C"): 1, ("positive", "q_C"): 1}),
+            (lambda: outside_scatter_coefficients(eps, 0.05, 3),
+             {**eps_rule, ("number", "q_C"): 1, ("positive", "q_C"): 1,
+              ("whole_number", "m_max"): 1}),
+            (lambda: vacuum_green(0.5, [0.0, 0.0, 1.0]),
+             {("cavity_scale_faults", "q"): 1, ("positive", "q"): 1}),
+            (lambda: _sweep_column("linear_born"),
+             {("permittivity_faults", None): 1, ("sphere_faults", None): 1,
+              ("qc_faults", None): 1, ("method_faults", "linear_born"): 1,
+              ("cavity_scale_faults", "q_C"): 1, ("positive", "q_C"): 2,
+              ("warn_qc", None): 1}),
+            (lambda: _sweep_column("uncorrected"),
+             {("permittivity_faults", None): 1, ("sphere_faults", None): 1,
+              ("qc_faults", None): 1, ("method_faults", "uncorrected"): 1,
+              ("cavity_scale_faults", "q_C"): 1, ("positive", "q_C"): 2,
+              ("warn_qc", None): 1})):
+        calls.clear()
+        call()
+        assert calls == checks
 
 
 def test_exact_columns_form_their_parts_once(monkeypatch):

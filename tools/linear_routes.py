@@ -7,10 +7,12 @@ Run from the repository root::
 
 For every q_R in 1e-3 .. 1e5, q_L/q_R in 0.01 .. 0.999, chi in 0.1,
 0.1+1e-8j and 0.3j and both orientations it calls the public
-``born.gamma_b_sphere_rows`` on that row alone, timed, and compares a
+``born.gamma_b_sphere_linear`` on that row, timed, and compares a
 returned value with the 40-digit ``mp_body_term`` of
-``tests/moment_reference.py``.  It uses nothing else of the package, so
-it runs on any checkout (``--tree``).
+``tests/moment_reference.py``.  It uses nothing else of the package
+but ``AccuracyError``, the refusal, so it runs on any checkout whose
+``gamma_b_sphere_linear`` takes (q_R, q_L, chi, orientation)
+(``--tree``).
 
 It prints, per chi, one line per q_R: a cell per q_L/q_R, two
 characters for radial and tangential, ``.`` for a value within tol
@@ -38,7 +40,8 @@ TOL = 1.0e-10
 def routes():
     """(q_R, q_L, chi, orientation, value or None, error or refusal
     text, seconds) of every row of the grid."""
-    from locfield.born import gamma_b_sphere_rows
+    from locfield.born import gamma_b_sphere_linear
+    from locfield.errors import AccuracyError
     from moment_reference import mp_body_term
     for chi in CHIS:
         for q_R in Q_R:
@@ -46,14 +49,14 @@ def routes():
                 q_L = q_R * ratio
                 for orientation in ORIENTATIONS:
                     start = time.perf_counter()
-                    values, errors = gamma_b_sphere_rows(q_R, q_L, chi,
-                                                         orientation)
-                    spent = time.perf_counter() - start
-                    if errors:
-                        yield (q_R, q_L, chi, orientation, None,
-                               str(errors[0]), spent)
+                    try:
+                        value = gamma_b_sphere_linear(q_R, q_L, chi,
+                                                      orientation)
+                    except AccuracyError as exc:
+                        yield (q_R, q_L, chi, orientation, None, str(exc),
+                               time.perf_counter() - start)
                         continue
-                    value = float(values[0])
+                    spent = time.perf_counter() - start
                     error = abs(value - mp_body_term(q_R, q_L, chi,
                                                      orientation))
                     yield q_R, q_L, chi, orientation, value, error, spent

@@ -11,7 +11,8 @@ temporary directory, as the benchmark's ``presets`` workload does.  In
 each pass every preset runs twice: once as it is, timed as ``whole``,
 and once with these functions wrapped, which gives the time spent in
 
-* ``rows_kernel``: ``born.gamma_b_sphere_rows``, the linear body terms;
+* ``rows_kernel``: ``born._gamma_b_rows``, the linear body terms (a
+  tree without it times none);
 * ``quad``: ``born.quad``, the Filon-Legendre rule of the rows that
   neither the closed form nor the series certifies, within the kernel
   (in older trees the Gauss-Legendre rule);
@@ -46,7 +47,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = (("born", "gamma_b_sphere_rows", "rows_kernel"),
+LAYERS = (("born", "_gamma_b_rows", "rows_kernel"),
           ("born", "quad", "quad"),
           ("born", "_sphere_moments_near_centre", "series"),
           ("cli", "_sweep_results", "sweep"),
