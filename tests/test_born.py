@@ -205,15 +205,8 @@ def test_orientation_degeneracy_at_center():
 
 def test_body_term_zero_chi_and_validation():
     assert gamma_b_sphere_linear(2.0, 0.0, 0.0) == 0.0
-    assert gamma_b_sphere_linear(3.0, 1.0, 0.0, "tangential") == 0.0
     with pytest.raises(DomainError):
         gamma_b_sphere_linear(2.0, 0.0, 0.1, "diagonal")
-    # emitter inside the sphere, chi finite and passive
-    for q_L, chi, message in ((2.0, 0.1, "emitter inside sphere"),
-                              (0.5, 0.1 - 1j, "passive"),
-                              (0.5, np.nan, "chi must be finite")):
-        with pytest.raises(DomainError, match=message):
-            gamma_b_sphere_linear(1.0, q_L, chi)
     # the tolerance is fixed at 1e-10, not a parameter
     with pytest.raises(TypeError):
         gamma_b_sphere_linear(2.0, 0.0, 0.1, tol=1e-12)
@@ -627,6 +620,23 @@ def test_rule_moments_alone_equal_their_batch():
             assert_array_equal(alone, batch)
             finite = np.isfinite(batch)
             assert alone[finite].tobytes() == batch[finite].tobytes()
+
+
+def test_body_term_rows_broadcast_and_zero_chi():
+    values, errors = _rows(3.0, [0.0, 1.0, 2.0], [0.1, 0.0, 0.05j],
+                           "tangential")
+    assert errors == {} and values.shape == (3,)
+    assert values[1] == 0.0
+    assert values[1] == gamma_b_sphere_linear(3.0, 1.0, 0.0, "tangential")
+    assert values[0] == gamma_b_sphere_linear(3.0, 0.0, 0.1, "tangential")
+    assert values[2] == gamma_b_sphere_linear(3.0, 2.0, 0.05j, "tangential")
+    # the kernel takes checked rows; the checked entry refuses an emitter
+    # outside the sphere, a non-finite chi and a chi that is not passive
+    for q_L, chi, message in ((2.0, 0.1, "emitter inside sphere"),
+                              (0.5, 0.1 - 1j, "passive"),
+                              (0.5, np.nan, "chi must be finite")):
+        with pytest.raises(DomainError, match=message):
+            gamma_b_sphere_linear(1.0, q_L, chi)
 
 
 # -- assembled rate -------------------------------------------------------------
