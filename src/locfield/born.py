@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import (ORIENTATIONS, AccuracyError, DomainError,
                      cavity_scale_faults, check_chi, check_qc, chi_faults,
-                     inside_sphere, number, orientation_faults, qc_faults,
-                     raise_first)
+                     finite_rate, inside_sphere, number, orientation_faults,
+                     qc_faults, raise_first)
 from .greens import (_BRACE_EI, StarBoundary, _body_green, _brace_parts,
                      _gauss_legendre, _sphere_moments,
                      _sphere_moments_near_centre, _unit_3vector)
@@ -65,6 +65,8 @@ _CHI_SIZE_MAX = 0.3
 _ABSORPTION_MAX = 0.1
 
 _Z_HAT = np.array([0.0, 0.0, 1.0])
+# the formula that a linear cavity term past double range is refused by
+_CAVITY_TERM = "the linear cavity term Im chi (1/q_C^3 + 1/q_C) + 7/6 Re chi"
 
 # largest bound, relative to each moment, under which an off-centre row
 # takes the moments of greens._sphere_moments, of the series of
@@ -141,17 +143,20 @@ def gamma_c_linear(chi, q_C: float) -> float:
 
     The 1/q_C^3 term is nonradiative energy transfer to the absorbing
     material bordering the cavity; the 7/6 constant is what turns the
-    vacuum rate into the linear bulk rate 1 + 7 chi/6.
+    vacuum rate into the linear bulk rate 1 + 7 chi/6.  NonFiniteError
+    where it leaves double range (|Re chi| beyond about 1.54e308).
     """
     chi = check_chi(chi)
-    return _cavity_term(chi, check_qc(q_C, np.imag(chi)))
+    return finite_rate(_cavity_term(chi, check_qc(q_C, np.imag(chi))),
+                       _CAVITY_TERM)
 
 
 def _cavity_term(chi, q_C: float):
-    """gamma_c of :func:`gamma_c_linear`, unchecked; chi a complex or a
-    complex array."""
-    return (np.imag(chi) * (1.0 / q_C**3 + 1.0 / q_C)
-            + (7.0 / 6.0) * np.real(chi))
+    """gamma_c of :func:`gamma_c_linear`, unchecked, and not finite (with
+    no warning) where it leaves double range; chi a complex or an array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.imag(chi) * (1.0 / q_C**3 + 1.0 / q_C)
+                + (7.0 / 6.0) * np.real(chi))
 
 
 def _center_rows(q_R, chi):
@@ -470,7 +475,8 @@ def gamma_total_linear(boundary: StarBoundary, chi, q_C,
     :func:`_gamma_b_rows`.
     """
     chi = check_chi(chi)
-    gamma_c = _cavity_term(chi, check_qc(q_C, chi.imag))
+    gamma_c = finite_rate(_cavity_term(chi, check_qc(q_C, chi.imag)),
+                          _CAVITY_TERM)
     gamma_b = 0.0
     if not boundary.is_bulk:
         d = _Z_HAT if dipole is None else _unit_3vector(dipole)

@@ -312,39 +312,41 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
     the row kernel, which integrates each distinct off-centre sphere
     geometry once and takes the centred ones in closed form.
     Per-point failures leave the rate cells empty and put the message
-    in the error column; the sweep continues.  Rows come out in sweep
-    order, joined into the file's text in one pass.  ``output_path`` is
-    overwritten in place and then cut to the text's length, so any
-    writable path works, ``/dev/null`` and pipes included.
+    in the error column; the sweep continues.  The rows' text is one
+    ``%`` over the float cells in sweep order, each "%.15g" ("%.0s", so
+    nothing, where it failed).  ``output_path`` is overwritten in place
+    and then cut to the text's length, so any writable path works,
+    ``/dev/null`` and pipes included.
     """
     header = [spec.swept_variable, *(c.column for c in spec.curves),
               "bulk_reference", "validity_chi_size", "validity_absorption",
               "error"]
     bulk_ref = _fmt(cavity.gamma_bulk(spec.eps_re, model="real_cavity"))
     grid = spec.grid()
-    cells = [list(map(_fmt, grid.tolist()))]
-    errors = {}  # the messages of each failing row
+    columns, cells = [grid], ["%.15g,"] * (len(spec.curves) + 1)
+    errors, blanked = {}, {}  # each failing row's messages and cells
     # each row's validity flags are those of the first curve with a rate
     # there, as 2 chi_size_ok + absorption_ok; 4 while no curve has one
     flags = np.full(grid.size, 4, dtype=np.int8)
-    for curve, rates_ in zip(spec.curves, _sweep_results(spec, grid)):
-        column = list(map(_fmt, rates_.total.tolist()))
+    for j, (curve, rates_) in enumerate(
+            zip(spec.curves, _sweep_results(spec, grid)), 1):
+        columns.append(rates_.total)
         take = flags == 4
         for k, exc in rates_.errors.items():
-            column[k] = ""
             errors.setdefault(k, []).append(f"{curve.column}: {exc}")
+            blanked.setdefault(k, cells.copy())[j] = "%.0s,"
             take[k] = False
-        cells.append(column)
         chi_size_ok, absorption_ok = rates_.validity_ok
         flags[take] = (2 * chi_size_ok + absorption_ok)[take]
-    # a row's last four cells as one: bulk, flags and (empty) error cell
-    tail = list(map(tuple(f"{bulk_ref},{v}," for v in
-                          ("0,0", "0,1", "1,0", "1,1", ",")).__getitem__,
-                    flags.tolist()))
+    # a row's last four cells, by its flags: bulk, flags and error cell
+    tails = [f"{bulk_ref},{v}," for v in ("0,0", "0,1", "1,0", "1,1", ",")]
+    templates = ["".join(cells) + tail + "\n" for tail in tails]
+    rows = list(map(templates.__getitem__, flags.tolist()))
     for k, messages in errors.items():
-        tail[k] += _quoted("; ".join(messages))
-    cells.append(tail)
-    text = "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
+        rows[k] = "".join([*blanked[k], tails[flags[k]], _quoted(
+            "; ".join(messages)).replace("%", "%%"), "\n"])
+    text = ",".join(header) + "\n" + "".join(rows) % tuple(
+        np.column_stack(columns).ravel().tolist())
     try:
         # no O_TRUNC: truncating a file that was just written waits on
         # its writeback, so the text goes over the old bytes and the

@@ -245,6 +245,12 @@ def finite_rate(rate: float, formula: str) -> float:
     return rate
 
 
+def finite_faults(rates, formula: str):
+    """The rule of :func:`finite_rate` on an array of rates."""
+    return ((~np.isfinite(rates), f"{formula} leaves double range",
+             NonFiniteError),)
+
+
 def qc_faults(q_C: float):
     """The rule of a float cavity radius q_C: positive, at most QC_MAX."""
     return (*positive("q_C", q_C),

@@ -361,6 +361,8 @@ def _gamma_b_rows(eps, n, q_R, q_L, orient):
                                                    q_R[center])
             errors.update((int(center[k]), exc) for k, exc in refused.items())
             rows = np.flatnonzero(q_L != 0.0).tolist()
+            if not rows:
+                return values, errors
         except LocfieldError:
             pass
     point = list(zip(eps.tolist(), n.tolist(), q_R.tolist(), q_Ls,

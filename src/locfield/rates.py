@@ -48,9 +48,9 @@ import numpy as np
 from . import born, cavity, mie
 from .errors import (QC_DEFAULT, ConfigError, DomainError, LocfieldError,
                      cavity_scale_faults, check_eps, error_of, failing,
-                     finite_rate, method_faults, number, orientation_faults,
-                     permittivity_faults, positive, qc_faults, raise_first,
-                     sphere_faults, warn_qc)
+                     finite_faults, finite_rate, method_faults, number,
+                     orientation_faults, permittivity_faults, positive,
+                     qc_faults, raise_first, sphere_faults, warn_qc)
 
 __all__ = [
     "AtomParams",
@@ -328,13 +328,19 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
     q_R = col.q_R if sphere else np.full(eps.size, np.nan)
     h, n, chi = (cavity._medium(eps) if method == "exact"
                  else (None, None, eps - 1.0))
-    errors, live = _check_points(col, eps, h, chi, q_R, q_L, checked)
+    q_C = col.q_C
+    # the linear cavity term's overflow is a rule; where q_C^3 underflows,
+    # q_C's own rule fails every point and the term is not formed
+    gamma_c = (born._cavity_term(chi, q_C)
+               if method == "linear_born" and q_C**3 > 0.0 else None)
+    errors, live = _check_points(col, eps, h, chi, q_R, q_L, checked,
+                                 gamma_c)
     if errors:
         if live.size == 0:
             return _Rates(*np.full((4, eps.size), np.nan), errors)
-        eps, h, n, chi, q_R, q_L = (None if a is None else a[live]
-                                    for a in (eps, h, n, chi, q_R, q_L))
-    q_C = col.q_C
+        eps, h, n, chi, q_R, q_L, gamma_c = (
+            None if a is None else a[live]
+            for a in (eps, h, n, chi, q_R, q_L, gamma_c))
     # q_L + q_R and |chi| times it beyond double range are inf, which
     # fails, and at chi = 0 |chi| times it is 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -342,16 +348,14 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
             chi, q_L + q_R if sphere else 1.0, q_C)
     if not checked:  # a RateRequest warned when it was made
         warn_qc(q_C)
-    if method == "linear_born":
-        gamma_c = born._cavity_term(chi, q_C)
-    elif method == "uncorrected":
+    if method == "uncorrected":
         gamma_c = np.sqrt(eps.real) - 1.0
         # body term to linear order in the (real) susceptibility, as the
         # complex that the row kernel takes
         chi = (eps.real - 1.0).astype(complex)
     elif method == "exact":
         gamma_c = cavity._cavity_term(eps, h, n, chi, q_C)
-    else:
+    elif method == "weak_absorption":
         # weak absorption: the corrected rate of the transparent host
         # Re eps, plus the absorption shift; its body term is the exact
         # one at the center of a sphere of Re eps
@@ -378,13 +382,16 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
     return rates_
 
 
-def _check_points(col: _Column, eps, h, chi, q_R, q_L, checked: bool):
+def _check_points(col: _Column, eps, h, chi, q_R, q_L, checked: bool,
+                  gamma_c):
     """The errors of a column's points, by index, and the indices of the
     points that pass (None when every point passes): a sweep's by
     RateRequest's rules and compute's, in their order, so that a point's
     error is the first that it fails, and checked points (RateRequests',
     checked when made) by compute's alone, reading the column's h and
-    chi.  Only the rules that some point fails run one by one."""
+    chi; last, that the linear cavity terms gamma_c (None on the other
+    routes) are finite.  Only the rules that some point fails run one by
+    one."""
     q_C = col.q_C
     request = () if checked else (
         *_off_center_faults(col.method, q_L), *permittivity_faults(eps),
@@ -392,7 +399,9 @@ def _check_points(col: _Column, eps, h, chi, q_R, q_L, checked: bool):
           if col.q_R is not None else qc_faults(q_C)))
     checks = failing((*request, *method_faults(col.method, eps, h),
                       *cavity_scale_faults("q_C", q_C, cavity._scale_factor(
-                          col.method, eps, h, chi))))
+                          col.method, eps, h, chi)),
+                      *(() if gamma_c is None else
+                        finite_faults(gamma_c, born._CAVITY_TERM))))
     if not checks:
         return {}, None
     errors = {}

@@ -305,16 +305,18 @@ def dipole_bessel_j(z):
     z = _check_arg(z, allow_zero=True)
     shape, z = np.shape(z), np.atleast_1d(z)
     with np.errstate(all="ignore"):
-        s, z2 = np.sin(z), z * z
+        s = np.sin(z)
+        j = (s - z * np.cos(z)) / (z * z)
         small = np.abs(z) < _J1_TAYLOR_BELOW
-        # j_1 = sum_k (-1)^k z^(2k+1) / (2^k k! (2k+3)!!), whose
-        # terms fall by z^2 / (2 (k+1)(2k+5)): at |z| < 2 the first
-        # term left out is below 1e-18 of the sum
-        series = 1.0
-        for k in range(11, -1, -1):
-            series = 1.0 - series * z2 / (2.0 * (k + 1) * (2 * k + 5))
-        j = np.where(small, z * series / 3.0,
-                     (s - z * np.cos(z)) / np.where(small, 1.0, z2))
+        if small.any():
+            # j_1 = sum_k (-1)^k z^(2k+1) / (2^k k! (2k+3)!!), whose
+            # terms fall by z^2 / (2 (k+1)(2k+5)): at |z| < 2 the first
+            # term left out is below 1e-18 of the sum
+            w = z[small]
+            w2, series = w * w, 1.0
+            for k in range(11, -1, -1):
+                series = 1.0 - series * w2 / (2.0 * (k + 1) * (2 * k + 5))
+            j[small] = w * series / 3.0
         p = s - j
     return (_finite_or_raise(j.reshape(shape), "spherical_bessel_j"),
             _finite_or_raise(p.reshape(shape), "riccati_derivative[bessel_j]"))

@@ -327,6 +327,61 @@ def test_cells_are_the_bytes_of_format_15g(tmp_path, monkeypatch):
         "{:.15g}".format(x) for x in spec.grid().tolist()]
 
 
+def test_row_templates_write_each_row_as_csv_writer_does(tmp_path,
+                                                          monkeypatch):
+    # three curves whose cells fail here and there, a row where every
+    # curve fails (its validity cells empty), error texts that hold %,
+    # %s, commas, quotes and a line feed, and NaN and infinite rates:
+    # the file is csv.writer's text of the rows, each rate cell
+    # "{:.15g}".format of its value and empty where its curve failed
+    rng = np.random.default_rng(37)
+    points = 40
+    spec = build_sweep({"sweep": "qR", "lo": "0.5", "hi": "3",
+                        "points": str(points), "eps_re": "1.1",
+                        "methods": "exact,linear_born,uncorrected"})
+    texts = ["100% off", "%s and %d stay", 'a, "quoted", cell',
+             "two\nlines", "%%", "plain"]
+    fails = [{0: texts[0], 5: texts[1], 7: texts[2], 9: texts[5]},
+             {5: texts[3], 7: texts[4], 12: texts[2]},
+             {5: texts[5], 13: texts[1], 30: texts[0]}]
+    totals = [rng.standard_normal(points) * 10.0 ** rng.integers(
+        -300, 300, points) for _ in fails]
+    totals[0][[1, 2]] = np.nan, np.inf
+    totals[1][[3, 4]] = -np.inf, -0.0
+    totals[2][[8, 9]] = np.nan, 5e-324
+    validity = [(rng.random(points) < 0.5, rng.random(points) < 0.5)
+                for _ in fails]
+    monkeypatch.setattr(cli, "_sweep_results", lambda spec, grid: [
+        SimpleNamespace(total=np.where(np.isin(np.arange(points), list(f)),
+                                       np.nan, total),
+                        errors={k: locfield.DomainError(text)
+                                for k, text in f.items()},
+                        validity_ok=ok)
+        for f, total, ok in zip(fails, totals, validity)])
+    run_sweep(spec, str(tmp_path / "t.csv"))
+    data = (tmp_path / "t.csv").read_bytes().decode("utf-8")
+    bulk = "{:.15g}".format(locfield.gamma_bulk(1.1))
+    want = [[spec.swept_variable, *(c.column for c in spec.curves),
+             "bulk_reference", "validity_chi_size", "validity_absorption",
+             "error"]]
+    for k, x in enumerate(spec.grid().tolist()):
+        passing = [j for j, f in enumerate(fails) if k not in f]
+        flags = (["", ""] if not passing else
+                 [str(int(ok[k])) for ok in validity[passing[0]]])
+        want.append(["{:.15g}".format(x),
+                     *("" if k in f else "{:.15g}".format(total[k])
+                       for f, total in zip(fails, totals)),
+                     bulk, *flags,
+                     "; ".join(f"{c.column}: {f[k]}"
+                               for c, f in zip(spec.curves, fails)
+                               if k in f)])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(want)
+    assert data == buf.getvalue()
+    assert list(csv.reader(io.StringIO(data, newline=""))) == want
+    assert want[6][1:4] == ["", "", ""] and want[6][5:7] == ["", ""]
+
+
 # cells that csv.writer's minimal quoting quotes, and cells it leaves bare
 QUOTING_CELLS = {
     "plain": "plain text", "comma": "a, b", "quotes": 'say "no"',

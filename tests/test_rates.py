@@ -1013,6 +1013,44 @@ def test_huge_permittivity_refusals_keep_to_their_rows(tmp_path):
             in errors[2])
 
 
+def test_a_linear_cavity_term_past_double_range_is_refused(tmp_path):
+    # 7/6 Re chi leaves double range from |Re eps| = 1.5409e308 (less
+    # where Im chi (1/q_C^3 + 1/q_C) adds to it): a NonFiniteError that
+    # names the linear cavity term, in bulk and in a sphere, on the batch,
+    # on the scalar routes and in a sweep's error cell, where the rate was
+    # inf with "overflow encountered in multiply"; 1.5e308 keeps its rate
+    message = ("the linear cavity term Im chi (1/q_C^3 + 1/q_C) + 7/6 Re "
+               "chi leaves double range")
+    huge = [RateRequest(eps=eps, method="linear_born", geometry=geometry,
+                        q_R=q_R, q_L=q_L)
+            for eps in (1.6e308, 1.5409e308, -1.6e308, 1.5e308 + 1.1e301j)
+            for geometry, q_R, q_L in (("bulk", None, 0.0),
+                                       ("sphere", 1e4, 3e3))]
+    spec = build_sweep({"sweep": "qR", "lo": "1", "hi": "2", "points": "2",
+                        "eps_re": "1.6e308", "methods": "linear_born"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for request, result in zip(huge, compute_batch(huge)):
+            assert type(result) is NonFiniteError and str(result) == message
+            with pytest.raises(NonFiniteError, match=re.escape(message)):
+                compute(request)
+        for call in (lambda: gamma_c_linear(1.6e308, 0.01),
+                     lambda: gamma_total_linear(StarBoundary.bulk(), 1.6e308,
+                                                0.01)):
+            with pytest.raises(NonFiniteError, match=re.escape(message)):
+                call()
+        for eps in (1.5e308, 1.5408e308, -1.5e308):
+            total = compute(RateRequest(eps=eps, method="linear_born",
+                                        geometry="bulk")).total_ratio
+            assert_allclose(total, 7.0 / 6.0 * eps, rtol=1e-15)
+            assert gamma_c_linear(eps - 1.0, 0.01) == total - 1.0
+        run_sweep(spec, str(tmp_path / "huge.csv"))
+    with open(tmp_path / "huge.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert [row[header.index("error")] for row in rows] == [
+        f"gamma_linear_born: {message}"] * 2
+
+
 # -- warnings ---------------------------------------------------------------------------
 
 

@@ -20,9 +20,12 @@ and once with these functions wrapped, which gives the time spent in
   the near-centre moments, within the kernel (a tree without it times
   none);
 * ``format``: ``cli.run_sweep`` less ``cli._sweep_results`` and the
-  write: formatting the float cells ("%.15g"), the validity flags (array
-  code per curve) and the error cells (quoted where they must be), and
-  joining the rows into the file's text in one pass;
+  write: the validity flags (array code per curve), the row templates
+  (one per flags value, and one per row with an error, which holds its
+  quoted message) and the one ``%`` of the joined templates over every
+  float cell ("%.15g", or "%.0s" where the cell failed), most of whose
+  time is the float conversion itself (in older trees the cells were
+  formatted one by one and the rows joined);
 * ``write``: the file write, from the ``open`` call in ``cli`` to the
   close.
 
