@@ -32,7 +32,7 @@ from .errors import (AccuracyError, ConfigError, DomainError,
                      InvariantError, LocfieldError, NonFiniteError,
                      SingularityError)
 from .greens import (StarBoundary, body_green_linear, cavity_green_linear,
-                     f_constant_q, f_integrand, vacuum_green)
+                     f_integrand, vacuum_green)
 from .mie import (body_green_center, gamma_b_exact, gamma_center_exact,
                   sphere_coefficients)
 from .rates import (GEOMETRIES, METHODS, AtomParams, RateRequest, compute,
@@ -46,8 +46,8 @@ __all__ = [
     "LocfieldError", "METHODS", "NonFiniteError", "ORIENTATIONS",
     "RateBreakdown", "RateRequest", "SingularityError", "StarBoundary",
     "ValidityReport", "body_green_center", "body_green_linear",
-    "cavity_green_linear", "compute", "compute_batch", "f_constant_q",
-    "f_integrand", "gamma0_si", "gamma_b_corrected",
+    "cavity_green_linear", "compute", "compute_batch", "f_integrand",
+    "gamma0_si", "gamma_b_corrected",
     "gamma_b_exact", "gamma_b_sphere_linear", "gamma_bulk", "gamma_c_exact",
     "gamma_c_linear", "gamma_center_exact", "gamma_total_linear",
     "gamma_uncorrected", "gamma_weak_absorption",

@@ -41,14 +41,14 @@ import functools
 
 import numpy as np
 
-from .errors import (ORIENTATIONS, AccuracyError, DomainError,
-                     cavity_scale_faults, check_chi, check_qc, chi_faults,
-                     finite_rate, inside_sphere, number, orientation_faults,
-                     qc_faults, raise_first)
+from .errors import (ORIENTATIONS, AccuracyError, cavity_scale_faults,
+                     check_chi, check_qc, chi_faults, finite_rate,
+                     inside_sphere, number, orientation_faults, qc_faults,
+                     raise_first)
 from .greens import (_BRACE_EI, StarBoundary, _body_green, _brace_parts,
                      _gauss_legendre, _sphere_moments,
                      _sphere_moments_near_centre, _unit_3vector)
-from .specfun import _bessel_j_orders
+from .specfun import _EI_SPLIT, _bessel_j_orders
 
 __all__ = [
     "ORIENTATIONS",
@@ -118,22 +118,12 @@ class RateBreakdown:
 
     gamma_c_ratio: float
     gamma_b_ratio: float
-    total_ratio: float
+    total_ratio: float = dataclasses.field(init=False)
     validity: ValidityReport | None = None
 
     def __post_init__(self):
-        if self.total_ratio != 1.0 + self.gamma_c_ratio + self.gamma_b_ratio:
-            raise DomainError("total_ratio must equal "
-                              "1 + gamma_c_ratio + gamma_b_ratio exactly; "
-                              "use RateBreakdown.from_parts")
-
-    @classmethod
-    def from_parts(cls, gamma_c: float, gamma_b: float,
-                   validity: ValidityReport | None = None) -> "RateBreakdown":
-        gamma_c = float(gamma_c)
-        gamma_b = float(gamma_b)
-        return cls(gamma_c_ratio=gamma_c, gamma_b_ratio=gamma_b,
-                   total_ratio=1.0 + gamma_c + gamma_b, validity=validity)
+        object.__setattr__(self, "total_ratio",
+                           1.0 + self.gamma_c_ratio + self.gamma_b_ratio)
 
 
 def gamma_c_linear(chi, q_C: float) -> float:
@@ -428,10 +418,10 @@ def quad(q_R, q_L):
             a = 1.0 + ((r - l) * t) * ((r + l) * t)
             weight = np.stack(
                 [a, a, a * (0.5 * (l + (2.0 * r + l * x) * x) * t) ** 2])
-            # P = P_far + e^{iy} A: below y = 4 the part u + i (v - pi) of
-            # Ei, which does not oscillate, joins A through e^{-iy}
+            # P = P_far + e^{iy} A: below _EI_SPLIT the part u + i (v - pi)
+            # of Ei, which does not oscillate, joins A through e^{-iy}
             y, u, v, amp = _brace_parts(q.ravel())
-            low = np.flatnonzero(y < 4.0)
+            low = np.flatnonzero(y < _EI_SPLIT)
             amp[:, low] += (1j * _BRACE_EI) * (
                 u[low] + 1j * (v[low] - np.pi)) * np.exp(-1j * y[low])
             amp = amp.reshape(2, *q.shape)
@@ -482,7 +472,7 @@ def gamma_total_linear(boundary: StarBoundary, chi, q_C,
         d = _Z_HAT if dipole is None else _unit_3vector(dipole)
         g_b = _body_green(boundary, chi)
         gamma_b = 6.0 * np.pi * float(np.imag(d @ g_b @ d))
-    return RateBreakdown.from_parts(gamma_c, gamma_b)
+    return RateBreakdown(float(gamma_c), gamma_b)
 
 
 def validity_check(boundary: StarBoundary, chi, q_C) -> ValidityReport:

@@ -319,7 +319,8 @@ def gamma_bulk(eps, model: str = "real_cavity") -> float:
     All three are stated for (effectively) real permittivity; an
     absorbing eps raises DomainError, since the absorbing bulk rate is
     cavity-size dependent and must be computed as
-    ``1 + gamma_c_exact(eps, q_C)`` instead.
+    ``1 + gamma_c_exact(eps, q_C)`` instead.  A rate whose formula
+    leaves double range is a NonFiniteError.
     """
     eps = check_eps(eps)
     if model not in BULK_MODELS:
@@ -333,8 +334,13 @@ def gamma_bulk(eps, model: str = "real_cavity") -> float:
     e = eps.real
     if e <= 0:
         raise DomainError("bulk closed forms need Re eps > 0")
-    if model == "real_cavity":
-        return float(_local_field(e) ** 2 * math.sqrt(e))
-    if model == "virtual_cavity":
-        return float(((e + 2.0) / 3.0) ** 2 * math.sqrt(e))
-    return 1.0 + 7.0 * (e - 1.0) / 6.0
+    try:
+        if model == "real_cavity":
+            rate = float(_local_field(e) ** 2 * math.sqrt(e))
+        elif model == "virtual_cavity":
+            rate = float(((e + 2.0) / 3.0) ** 2 * math.sqrt(e))
+        else:
+            rate = 1.0 + 7.0 * (e - 1.0) / 6.0
+    except OverflowError:  # a float's ** past double range
+        rate = math.inf
+    return finite_rate(rate, f"the bulk model {model!r}")

@@ -178,40 +178,42 @@ def _parse_flag(raw: str, key: str) -> bool:
     return raw == "1"
 
 
+def _entry(text: str, where: str) -> tuple[str, str]:
+    """The key and value of one ``key = value`` entry; ``where`` names
+    it in errors: ``path:line`` of a config file, or ``--set``."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    key, _, value = text.partition("=")
+    key = key.strip()
+    if key not in _CONFIG_KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, value.strip()
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat key = value config file."""
-    cfg: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, 1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = text.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = value
-    return cfg
+    texts = (line.split("#", 1)[0].strip() for line in lines)
+    return dict(_entry(text, f"{path}:{lineno}")
+                for lineno, text in enumerate(texts, 1) if text)
 
 
-def apply_overrides(cfg: dict[str, str], overrides) -> dict[str, str]:
-    cfg = dict(cfg)
-    for item in overrides or ():
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        cfg[key] = value.strip()
-    return cfg
+def _names(cfg: dict[str, str], key: str, default: str, allowed,
+           what: str) -> tuple[str, ...]:
+    """The comma list of names under ``key`` (``default`` if absent),
+    each one of ``allowed``; ``what`` names one in errors."""
+    names = tuple(n.strip() for n in cfg.get(key, default).split(",")
+                  if n.strip())
+    for n in names:
+        if n not in allowed:
+            raise ConfigError(f"unknown {what} {n!r}")
+    if not names:
+        raise ConfigError(f"{key} must not be empty")
+    return names
 
 
 def build_sweep(cfg: dict[str, str]) -> SweepSpec:
@@ -258,21 +260,9 @@ def build_sweep(cfg: dict[str, str]) -> SweepSpec:
     if len(set(qc_values)) != len(qc_values):
         raise ConfigError("duplicate qc values")
 
-    methods = tuple(m.strip() for m in
-                    cfg.get("methods", "exact").split(",") if m.strip())
-    for m in methods:
-        if m not in rates.METHODS:
-            raise ConfigError(f"unknown method {m!r}")
-    if not methods:
-        raise ConfigError("methods must not be empty")
-    orientations = tuple(o.strip() for o in
-                         cfg.get("orientations", "radial").split(",")
-                         if o.strip())
-    for o in orientations:
-        if o not in born.ORIENTATIONS:
-            raise ConfigError(f"unknown orientation {o!r}")
-    if not orientations:
-        raise ConfigError("orientations must not be empty")
+    methods = _names(cfg, "methods", "exact", rates.METHODS, "method")
+    orientations = _names(cfg, "orientations", "radial", born.ORIENTATIONS,
+                          "orientation")
     center_ref = _parse_flag(cfg.get("center_reference", "0"),
                              "center_reference")
     if center_ref and swept == "qL":
@@ -312,7 +302,9 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
     the row kernel, which integrates each distinct off-centre sphere
     geometry once and takes the centred ones in closed form.
     Per-point failures leave the rate cells empty and put the message
-    in the error column; the sweep continues.  The rows' text is one
+    in the error column; the sweep continues, as it does with empty
+    ``bulk_reference`` cells where :func:`locfield.cavity.gamma_bulk`
+    raises.  The rows' text is one
     ``%`` over the float cells in sweep order, each "%.15g" ("%.0s", so
     nothing, where it failed).  ``output_path`` is overwritten in place
     and then cut to the text's length, so any writable path works,
@@ -321,7 +313,10 @@ def run_sweep(spec: SweepSpec, output_path: str) -> None:
     header = [spec.swept_variable, *(c.column for c in spec.curves),
               "bulk_reference", "validity_chi_size", "validity_absorption",
               "error"]
-    bulk_ref = _fmt(cavity.gamma_bulk(spec.eps_re, model="real_cavity"))
+    try:
+        bulk_ref = _fmt(cavity.gamma_bulk(spec.eps_re, model="real_cavity"))
+    except LocfieldError:  # no bulk rate: an empty cell, as a failed one
+        bulk_ref = ""
     grid = spec.grid()
     columns, cells = [grid], ["%.15g,"] * (len(spec.curves) + 1)
     errors, blanked = {}, {}  # each failing row's messages and cells
@@ -424,11 +419,10 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _sweep_config(args) -> dict[str, str]:
-    if args.preset:
-        cfg = dict(PRESETS[args.preset])
-    else:
-        cfg = parse_config_file(args.config)
-    return apply_overrides(cfg, args.overrides)
+    cfg = PRESETS[args.preset] if args.preset else parse_config_file(
+        args.config)
+    return {**cfg, **dict(_entry(item, "--set")
+                          for item in args.overrides or ())}
 
 
 def _cmd_sweep(args, spec: SweepSpec) -> int:

@@ -84,7 +84,7 @@ QC_DEFAULT = 0.01
 POLE_CUT = 1.0e-300
 
 # bound on the cavity terms over max(1, |c|)/q^3 (cavity_scale_faults):
-# 2 in f_constant_q, Im chi in the linear rate and its validity value,
+# 2 in cavity_green_linear, Im chi in the linear rate and validity value,
 # |3 chi/(2 eps + 1)| <= 6 in the exact one and 9 Im chi/(2 Re eps + 1)^2
 # in the weak-absorption shift, both for Re eps > 0, each with the
 # smaller 1/q terms added; near the pole the exact c grows instead
@@ -265,7 +265,7 @@ def cavity_scale_faults(name: str, q: float, c=1.0):
     doubles; c, a number or an array, is the factor the medium puts on
     them: Im chi in the rates and their validity values, more on the
     exact route near the pole (:func:`locfield.cavity._scale_factor`),
-    chi in :func:`locfield.greens.f_constant_q`.  A q that passes
+    chi in :func:`locfield.greens.cavity_green_linear`.  A q that passes
     :func:`qc_faults` can still be too small for it (below about 4.5e-103
     at |c| <= 1), and the rates that divide by q^3 then leave double
     range."""

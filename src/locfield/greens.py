@@ -49,7 +49,6 @@ __all__ = [
     "ab_coefficients",
     "vacuum_green",
     "f_integrand",
-    "f_constant_q",
     "cavity_green_linear",
     "body_green_linear",
 ]
@@ -559,37 +558,12 @@ def _f_tensors(q, s):
     return P[..., None, None] * _EYE + Q[..., None, None] * ss
 
 
-def f_constant_q(q, chi) -> np.ndarray:
-    """Closed-form angular average of :func:`f_integrand` times -chi/(16 pi^2).
-
-        f_constant_q(q, chi)
-            = -chi/(16 pi^2) * Int dOmega F(q, ss)
-            = -chi/(12 pi) (2/q^3 - 4i/q^2 - 2/q + i) e^{2iq} I
-
-    Small q:  -chi/(6 pi) (1/q^3 + 1/q + 7i/6) I + O(q).
-    This is (minus) the linear scattering tensor of a spherical shell
-    boundary at constant optical distance q from the emitter.
-    """
-    chi, q = check_chi(chi), number("q", q, float)
-    raise_first(cavity_scale_faults("q", q, chi))
-    return _shell_tensor(q, chi)
-
-
-def _shell_tensor(q: float, chi: complex) -> np.ndarray:
-    """The tensor of :func:`f_constant_q`, its q and chi checked."""
-    # from q = 1e100 on, 2/q^3 and 4/q^2 fall below half an ulp of 2/q
-    # and 1, and past 5.6e102 q^3 leaves double range; past max/2, 2q
-    # does, and e^{2iq} is (e^{iq})^2
-    inner = 2.0 / q**3 - 4j / q**2 if q < 1.0e100 else 0.0
-    phase = np.exp(2j * q) if 2.0 * q < math.inf else np.exp(1j * q) ** 2
-    coeff = -chi / (12.0 * np.pi) * (inner - 2.0 / q + 1j) * phase
-    return coeff * _EYE.astype(complex)
-
-
 def cavity_green_linear(q_C, chi) -> np.ndarray:
-    """Linear scattering tensor of the empty cavity, G_C^(1), units of k_A.
-
-    Equal to -f_constant_q(q_C, chi); its small-q_C expansion
+    """Linear scattering tensor of the empty cavity, G_C^(1), units of k_A:
+    chi/(12 pi) (2/q^3 - 4i/q^2 - 2/q + i) e^{2iq} I at q = q_C, the
+    closed-form angular average of :func:`f_integrand` F(q, ss) times
+    chi/(16 pi^2).  That of a shell from q_in to q_out is the call at
+    q_in less the call at q_out.  Its small-q_C expansion
 
         chi/(6 pi) (1/q_C^3 + 1/q_C + 7i/6) I
 
@@ -598,7 +572,14 @@ def cavity_green_linear(q_C, chi) -> np.ndarray:
     """
     chi, q_C = check_chi(chi), number("q_C", q_C, float)
     raise_first(cavity_scale_faults("q_C", q_C, chi))
-    return -_shell_tensor(q_C, chi)
+    # from q = 1e100 on, 2/q^3 and 4/q^2 fall below half an ulp of 2/q
+    # and 1, and past 5.6e102 q^3 leaves double range; past max/2, 2q
+    # does, and e^{2iq} is (e^{iq})^2
+    inner = 2.0 / q_C**3 - 4j / q_C**2 if q_C < 1.0e100 else 0.0
+    phase = (np.exp(2j * q_C) if 2.0 * q_C < math.inf
+             else np.exp(1j * q_C) ** 2)
+    coeff = -chi / (12.0 * np.pi) * (inner - 2.0 / q_C + 1j) * phase
+    return -(coeff * _EYE.astype(complex))
 
 
 # node counts of the refinement loop of body_green_linear: 64, 128, ...,

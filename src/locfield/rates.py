@@ -283,10 +283,8 @@ class _Rates(NamedTuple):
     def results(self) -> list:
         """The RateBreakdown of each point, or the error it raised."""
         errors = self.errors
-        # the floats of tolist, so the breakdown is built as from_parts
-        # would build it
         return [errors[k] if k in errors else born.RateBreakdown(
-                    gamma_c, gamma_b, 1.0 + gamma_c + gamma_b,
+                    gamma_c, gamma_b,
                     born._validity_report(chi_size, absorption))
                 for k, (gamma_c, gamma_b, chi_size, absorption) in enumerate(
                     zip(self.gamma_c.tolist(), self.gamma_b.tolist(),

@@ -121,6 +121,7 @@ _AUX_8 = _horner_table(
      6366032.11166079, 93308.74475164928, 540.1818331927185,
      1.0))
 _EULER = 0.5772156649015329  # Euler's constant gamma
+_EI_SPLIT = 4.0  # the y at which _ei_imaginary_axis changes form
 
 
 class _DeferredSpecial:
@@ -407,14 +408,14 @@ def _ei_imaginary_axis(y):
     """
     u, v = np.zeros_like(y), np.full_like(y, np.pi)
     f, g = np.zeros_like(y), np.zeros_like(y)
-    small = y < 4.0
+    small = y < _EI_SPLIT
     if small.any():
         x = y[small]
         z = x * x
         si, ci = _ratios(_SI_CI, z)
         u[small] = np.log(x) + _EULER + z * ci
         v[small] = 0.5 * np.pi + x * si
-    for sel, table in (((y >= 4.0) & (y < 8.0), _AUX_4), (y >= 8.0, _AUX_8)):
+    for sel, table in ((~small & (y < 8.0), _AUX_4), (y >= 8.0, _AUX_8)):
         if sel.any():
             w = 1.0 / y[sel]
             t = w * w

@@ -217,7 +217,7 @@ def test_criterion_08_monte_carlo_oracle_shell():
     estimate, stderr = oracle.mc_delta1_green(sampler, CHI, 10_000_000,
                                               seed=2024)
     target = (greens.cavity_green_linear(0.1, CHI)
-              + greens.f_constant_q(40.0, CHI))
+              - greens.cavity_green_linear(40.0, CHI))
     sig_re = float(np.max(np.abs(estimate.real - target.real) / stderr.real))
     sig_im = float(np.max(np.abs(estimate.imag - target.imag) / stderr.imag))
     elapsed = time.perf_counter() - t0

@@ -38,9 +38,10 @@ def test_cavity_radius_guard_rails():
 
 
 def test_rate_breakdown_identity():
-    b = RateBreakdown.from_parts(0.125, -0.25)
+    b = RateBreakdown(0.125, -0.25)
     assert b.total_ratio == 1.0 + 0.125 - 0.25
-    with pytest.raises(DomainError):
+    # the total is formed from the parts, never given
+    with pytest.raises(TypeError):
         RateBreakdown(gamma_c_ratio=0.1, gamma_b_ratio=0.2,
                       total_ratio=1.25)
 

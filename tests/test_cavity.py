@@ -1,5 +1,6 @@
 """Real-cavity model: coefficients, exact cavity rate, bulk limits."""
 
+import math
 import warnings
 
 import mpmath
@@ -377,3 +378,33 @@ def test_bulk_refuses_absorbing_media():
         gamma_bulk(1.1, model="point_dipole")
     with pytest.raises(DomainError):
         gamma_bulk(-2.0)
+
+
+# the first Re eps at which each bulk model's formula, as written, leaves
+# double range: 1.5 eps in real_cavity, ((eps + 2)/3)^2 sqrt(eps) in
+# virtual_cavity (whose square raises OverflowError from 4.0e154) and
+# 7 (eps - 1) in linear
+_BULK_REFUSED_FROM = {"real_cavity": 1.1984620899082105e308,
+                      "virtual_cavity": 4.8259545528918616e123,
+                      "linear": 2.5681330498033083e307}
+
+
+def test_bulk_models_past_double_range_are_refused():
+    # a NonFiniteError where the formula overflows, never inf or an
+    # untyped OverflowError, and no warning; below it the formula's bits
+    formulas = {"real_cavity": lambda e: (1.5 * e / (e + 0.5)) ** 2
+                * math.sqrt(e),
+                "virtual_cavity": lambda e: ((e + 2.0) / 3.0) ** 2
+                * math.sqrt(e),
+                "linear": lambda e: 1.0 + 7.0 * (e - 1.0) / 6.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, first in _BULK_REFUSED_FROM.items():
+            last = math.nextafter(first, 0.0)
+            for e in (4e154, 5e154, 1.19e308, 1.2e308, 1.5e308, last, first):
+                if e < first:
+                    assert gamma_bulk(e, model=model) == formulas[model](e)
+                    continue
+                with pytest.raises(NonFiniteError, match=(
+                        f"^the bulk model '{model}' leaves double range$")):
+                    gamma_bulk(e, model=model)

@@ -20,6 +20,7 @@ import locfield
 from locfield import cli, rates
 from locfield.cli import (PRESETS, _fmt, _sweep_results, build_sweep,
                           run_sweep)
+from locfield.errors import ConfigError
 
 FIG3A_HEADER = ["qR", "gamma_exact", "gamma_linear_born", "bulk_reference",
                 "validity_chi_size", "validity_absorption", "error"]
@@ -128,6 +129,10 @@ def test_two_cavity_radii_name_two_columns(tmp_path):
                 "gamma_linear_born_qc0.01", "gamma_linear_born_qc0.02"):
         assert col in header
     assert len(rows) == 5
+    # a centre reference curve takes the first radius, and names it
+    spec = build_sweep({**PRESETS["fig6a"], "qc": "0.02,0.01"})
+    assert [(c.column, c.q_C) for c in spec.curves if c.center] == [
+        ("gamma_linear_born_center_qc0.02", 0.02)]
 
 
 def test_per_point_failures_are_recorded_not_fatal(tmp_path):
@@ -252,13 +257,16 @@ ERROR_SWEEPS = {
 
 # sweeps with no failing cell beyond the presets: an exact curve beside
 # the linear one out to q_L/q_R = 0.98, where the series' tables reach
-# about 1,300 orders
+# about 1,300 orders; and fig3a in a host with Re eps < 0, where no bulk
+# model has a rate but each point has its rates
 CLEAN_SWEEPS = {
     "qL_exact_near_surface": {
         "sweep": "qL", "lo": "0", "hi": "4.9", "points": "25",
         "qr": "5", "eps_re": "1.1", "eps_im": "1e-8",
         "methods": "exact,linear_born",
         "orientations": "radial,tangential"},
+    "qR_no_bulk_rate": {
+        **PRESETS["fig3a"], "points": "20", "eps_re": "-2", "eps_im": "0.1"},
 }
 
 
@@ -474,6 +482,21 @@ def test_sweep_matches_per_point_compute(tmp_path, preset):
     assert (failures > 0) == (preset in ERROR_SWEEPS)
 
 
+@pytest.mark.parametrize("eps_re", ["-2", "1.5e308"])
+def test_sweep_without_a_bulk_rate_leaves_its_bulk_cells_empty(tmp_path,
+                                                                eps_re):
+    # Re eps <= 0, and a real-cavity rate past double range: the sweep
+    # runs, and every bulk_reference cell is empty
+    res = run_cli(["sweep", "--preset", "fig3a", "--set", f"eps_re={eps_re}",
+                   "--set", "eps_im=0.1", "--set", "points=20", "--out",
+                   "s.csv"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    header, rows = read_rows(tmp_path / "s.csv")
+    assert len(rows) == 20
+    assert {row[header.index("bulk_reference")] for row in rows} == {""}
+
+
 def test_compute_matches_library(tmp_path):
     res = run_cli(["compute", "--eps-re", "1.1", "--eps-im", "1e-8",
                    "--qr", "2"], tmp_path)
@@ -525,6 +548,63 @@ def test_usage_problems_exit_2(tmp_path, args):
     assert "config error" in res.stderr and "Traceback" not in res.stderr
     if "--out" in args:
         assert "cannot write no-such-dir/x.csv" in res.stderr
+
+
+# a config that build_sweep takes, as a file: each case below changes it
+# by --set or drops a line, and is refused with its message
+BASE_CONFIG = "sweep = qR\nlo = 1\nhi = 2\npoints = 3\neps_re = 1.1\n"
+
+
+@pytest.mark.parametrize("config, overrides, message", [
+    (BASE_CONFIG, ["lo=abc"], "lo: not a number: 'abc'"),
+    (BASE_CONFIG, ["hi=inf"], "hi: must be finite"),
+    (BASE_CONFIG, ["points=2.5"], "points: not an integer: '2.5'"),
+    (BASE_CONFIG, ["log=2"], "log: expected 0 or 1, got '2'"),
+    (BASE_CONFIG + "qc 0.01\n", [],
+     "s.cfg:6: expected 'key = value', got 'qc 0.01'"),
+    (BASE_CONFIG, ["points"], "--set: expected 'key = value', got 'points'"),
+    (BASE_CONFIG.replace("eps_re = 1.1\n", ""), [],
+     "missing required config key 'eps_re'"),
+    (BASE_CONFIG, ["sweep=q"],
+     "sweep must be one of ('qR', 'im_chi', 'qL'), got 'q'"),
+    (BASE_CONFIG, ["lo=2"], "need lo < hi"),
+    (BASE_CONFIG, ["lo=-1", "log=1"], "log spacing needs lo > 0"),
+    (BASE_CONFIG, ["sweep=im_chi", "eps_im=0", "qr=2"],
+     "eps_im conflicts with sweeping im_chi"),
+    (BASE_CONFIG, ["qr=2"], "qr conflicts with sweeping qR"),
+    (BASE_CONFIG, ["sweep=qL", "ql=0", "qr=2"],
+     "ql conflicts with sweeping qL"),
+    (BASE_CONFIG, ["sweep=qL"],
+     "qr is required unless it is the swept variable"),
+    (BASE_CONFIG, ["qc=0.01, 0.01"], "duplicate qc values"),
+    (BASE_CONFIG, ["methods=exact,born"], "unknown method 'born'"),
+    (BASE_CONFIG, ["methods=,"], "methods must not be empty"),
+    (BASE_CONFIG, ["orientations=radial,axial"],
+     "unknown orientation 'axial'"),
+    (BASE_CONFIG, ["orientations= "], "orientations must not be empty"),
+    (BASE_CONFIG, ["sweep=qL", "qr=2", "center_reference=1"],
+     "center_reference conflicts with sweeping qL"),
+], ids=["not_a_number", "not_finite", "not_an_integer", "not_a_flag",
+        "file_entry", "set_entry", "missing_key", "sweep_choice", "lo_hi",
+        "log_lo", "eps_im_conflict", "qr_conflict", "ql_conflict",
+        "qr_required", "duplicate_qc", "unknown_method", "no_methods",
+        "unknown_orientation", "no_orientations", "center_reference_qL"])
+def test_sweep_config_refusals_exit_2(tmp_path, config, overrides, message):
+    (tmp_path / "s.cfg").write_text(config)
+    res = run_cli(["sweep", "--config", "s.cfg", "--out", "s.csv",
+                   *(arg for item in overrides for arg in ("--set", item))],
+                  tmp_path)
+    assert res.returncode == 2
+    assert res.stderr == f"locfield: config error: {message}\n"
+    assert res.stdout == "" and not (tmp_path / "s.csv").exists()
+
+
+def test_build_sweep_refuses_unknown_keys():
+    # the mapping that build_sweep is given directly, not through a file
+    # or --set, whose readers refuse an unknown key first
+    with pytest.raises(ConfigError, match=re.escape(
+            "unknown config keys: ['banana', 'tol']")):
+        build_sweep({**PRESETS["fig3a"], "tol": "1e-12", "banana": "5"})
 
 
 @pytest.mark.parametrize("old", [b"x" * 100_000, b"q"],

@@ -19,8 +19,8 @@ from locfield.greens import (_MOMENT_Q, _MOMENT_T, _NEAR_ORDERS,
                              _near_centre_tables, _sphere_moments,
                              _sphere_moments_near_centre,
                              ab_coefficients, body_green_linear,
-                             cavity_green_linear, f_constant_q, f_integrand,
-                             unit_vector, vacuum_green)
+                             cavity_green_linear, f_integrand, unit_vector,
+                             vacuum_green)
 from moment_reference import (DERIVATION, mp_antiderivative, mp_brace_coeffs,
                               mp_sphere_moments)
 
@@ -376,28 +376,26 @@ def test_near_centre_moments_alone_equal_their_batch():
         assert b.tobytes() == bounds[:, k:k + 1].tobytes()
 
 
-def test_f_constant_q_small_q_expansion():
+def test_cavity_green_linear_small_q_expansion():
     chi = 0.08 + 1e-8j
     for q in (1e-3, 1e-4):
-        full = f_constant_q(q, chi)
-        lead = -chi / (6.0 * np.pi) * (1.0 / q**3 + 1.0 / q + 7j / 6.0) * np.eye(3)
+        full = cavity_green_linear(q, chi)
+        lead = chi / (6.0 * np.pi) * (1.0 / q**3 + 1.0 / q + 7j / 6.0) * np.eye(3)
         err = np.max(np.abs(full - lead))
         assert err < 2.0 * abs(chi) * q   # next order is O(q)
 
 
-def test_f_constant_q_is_finite_for_any_large_q():
+def test_cavity_green_linear_is_finite_for_any_large_q():
     # below q = 5.6e102, where q^3 leaves double range, the bits of the
     # closed form as written; above, the same limit, finite
     chi = 0.1 + 1e-8j
     for q in np.geomspace(1e-3, 5.5e102, 211).tolist():
         want = (-chi / (12.0 * np.pi) * (2.0 / q**3 - 4j / q**2 - 2.0 / q
                                          + 1j) * np.exp(2j * q))
-        assert np.array_equal(f_constant_q(q, chi), want * np.eye(3)), q
         assert np.array_equal(cavity_green_linear(q, chi),
                               -want * np.eye(3)), q
     for q in (1e103, 1e300):
         want = -chi / (12.0 * np.pi) * (1j - 2.0 / q) * np.exp(2j * q)
-        assert np.array_equal(f_constant_q(q, chi), want * np.eye(3))
         assert np.array_equal(cavity_green_linear(q, chi), -want * np.eye(3))
     # past max/2, where 2q leaves double range (once a NaN tensor), the
     # phase is within a few ulps of e^{2iq} at 330 digits
@@ -405,13 +403,13 @@ def test_f_constant_q_is_finite_for_any_large_q():
         with mpmath.workdps(330):
             phase = complex(mpmath.expj(2 * mpmath.mpf(q)))
         want = -chi / (12.0 * np.pi) * (1j - 2.0 / q) * phase
-        for got in (f_constant_q(q, chi), -cavity_green_linear(q, chi)):
-            assert np.all(np.isfinite(got))
-            assert np.abs(got - want * np.eye(3)).max() <= 1e-15 * abs(want)
+        got = -cavity_green_linear(q, chi)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - want * np.eye(3)).max() <= 1e-15 * abs(want)
 
 
-def test_f_constant_q_against_angular_quadrature():
-    # -chi/(16 pi^2) Int dOmega F(q, ss) at constant q by one product
+def test_cavity_green_linear_against_angular_quadrature():
+    # chi/(16 pi^2) Int dOmega F(q, ss) at constant q by one product
     # rule, Gauss-Legendre in cos(theta) times a uniform grid in phi, in
     # one f_integrand call: F is quadratic in s, which both rules
     # integrate exactly, so the reference is exact up to rounding
@@ -424,14 +422,13 @@ def test_f_constant_q_against_angular_quadrature():
                                      x[:, None]), axis=-1).reshape(-1, 3)
     weights = np.repeat(w * (2.0 * np.pi / n_phi), n_phi)
     F = f_integrand(np.full(len(s), q), s)
-    ref = (-chi / (16 * np.pi**2)) * np.einsum("n,nij->ij", weights, F)
-    assert_allclose(f_constant_q(q, chi), ref, atol=1e-10)
+    ref = (chi / (16 * np.pi**2)) * np.einsum("n,nij->ij", weights, F)
+    assert_allclose(cavity_green_linear(q, chi), ref, atol=1e-10)
 
 
 def test_cavity_green_linear_sign():
     q_C, chi = 0.01, 0.05 + 1e-8j
     g = cavity_green_linear(q_C, chi)
-    assert np.array_equal(g, -f_constant_q(q_C, chi))
     # leading near-field term chi/(6 pi q_C^3) dominates and is positive
     assert g[0, 0].real > 0
     assert abs(g[0, 0].real - chi.real / (6 * np.pi * q_C**3)) \
@@ -481,10 +478,9 @@ def test_body_green_bulk_and_zero_chi():
     (None, "^chi must be a number, got None$")],
     ids=["nan", "gain", "None"])
 @pytest.mark.parametrize("call", [
-    lambda chi: f_constant_q(1.0, chi),
     lambda chi: cavity_green_linear(0.01, chi),
     lambda chi: body_green_linear(StarBoundary.sphere(2.0, 0.5), chi)],
-    ids=["f_constant_q", "cavity_green_linear", "body_green_linear"])
+    ids=["cavity_green_linear", "body_green_linear"])
 def test_green_tensors_check_chi_first(call, chi, message):
     # chi is checked by its own rule before any term is formed: a NaN is
     # not a q that is too small, a gain medium returns no tensor, and the
@@ -499,7 +495,7 @@ def test_body_green_centered_sphere_closed_form():
     chi = 0.1 + 1e-8j
     for q_R in (0.8, 3.0):
         g = body_green_linear(StarBoundary.sphere(q_R), chi)
-        assert_allclose(g, f_constant_q(q_R, chi), atol=1e-12)
+        assert_allclose(g, -cavity_green_linear(q_R, chi), atol=1e-12)
 
 
 def test_body_green_off_center_vs_1d_reduction():

@@ -21,8 +21,8 @@ import locfield
 from locfield import (AtomParams, CavityCoefficients, RateBreakdown,
                       RateRequest, StarBoundary, ValidityReport,
                       body_green_linear, born, cavity, cavity_green_linear,
-                      compute, compute_batch, f_constant_q, f_integrand,
-                      gamma0_si, gamma_b_corrected, gamma_c_linear,
+                      compute, compute_batch, f_integrand, gamma0_si,
+                      gamma_b_corrected, gamma_c_linear,
                       gamma_total_linear, gamma_uncorrected,
                       gamma_weak_absorption, mie,
                       outside_scatter_coefficients, rates, specfun,
@@ -1015,7 +1015,7 @@ _PUBLIC_CALLS = {
     "AtomParams": lambda: AtomParams(k_A=1e7, d_A=1e-29),
     "CavityCoefficients": lambda: CavityCoefficients(1.0, np.zeros(1),
                                                      np.zeros(1)),
-    "RateBreakdown": lambda: RateBreakdown.from_parts(0.1, 0.2),
+    "RateBreakdown": lambda: RateBreakdown(0.1, 0.2),
     "ValidityReport": lambda: ValidityReport(0.1, True, 0.0, True),
     "RateRequest": lambda: RateRequest(eps=1.1 + 1e-8j, method="exact",
                                        q_R=2.0, q_L=0.5),
@@ -1028,7 +1028,6 @@ _PUBLIC_CALLS = {
         eps=1.1 + 1e-8j, method="linear_born", q_R=2.0, q_L=0.5)),
     # two requests, made beforehand, on one column
     "compute_batch": lambda: compute_batch(_UNCORRECTED),
-    "f_constant_q": lambda: f_constant_q(0.5, 0.1 + 1e-8j),
     "f_integrand": lambda: f_integrand(0.5, [0.0, 0.0, 1.0]),
     "gamma0_si": lambda: gamma0_si(AtomParams(k_A=1e7, d_A=1e-29)),
     "gamma_b_corrected": lambda: gamma_b_corrected(1.1, _G, [0.0, 0.0, 1.0]),

@@ -14,8 +14,7 @@ from scipy.special import erf
 import locfield
 from locfield.errors import AccuracyError, DomainError
 from locfield.greens import (StarBoundary, ab_coefficients,
-                             body_green_linear, cavity_green_linear,
-                             f_constant_q)
+                             body_green_linear, cavity_green_linear)
 from locfield.oracle import RegionSampler, mc_delta1_green, quad_reference
 from locfield.specfun import exponential_integral_ei
 
@@ -40,7 +39,7 @@ def test_zero_susceptibility_is_exactly_zero():
 def test_shell_importance_sampling_matches_closed_form():
     samp = RegionSampler.shell(0.1, 8.0)
     mean, stderr = mc_delta1_green(samp, CHI, 200_000, seed=42)
-    target = cavity_green_linear(0.1, CHI) + f_constant_q(8.0, CHI)
+    target = cavity_green_linear(0.1, CHI) - cavity_green_linear(8.0, CHI)
     _assert_within_sigma(mean, stderr, target)
     # error bars should actually be small enough to mean something
     assert np.all(stderr.real[np.eye(3, dtype=bool)] < 0.05 * np.abs(
@@ -51,7 +50,7 @@ def test_shell_uniform_sampling_cross_check():
     # uniform mode only on a window where 1/q^4 variance stays finite-ish
     samp = RegionSampler.shell(1.0, 4.0, mode="uniform")
     mean, stderr = mc_delta1_green(samp, CHI, 200_000, seed=42)
-    target = cavity_green_linear(1.0, CHI) + f_constant_q(4.0, CHI)
+    target = cavity_green_linear(1.0, CHI) - cavity_green_linear(4.0, CHI)
     _assert_within_sigma(mean, stderr, target)
 
 

@@ -27,7 +27,7 @@ from locfield.errors import (QC_DEFAULT, AccuracyError, ConfigError,
                              DomainError, LocfieldError, NonFiniteError,
                              SingularityError)
 from locfield.greens import (StarBoundary, ab_coefficients,
-                             cavity_green_linear, f_constant_q)
+                             cavity_green_linear)
 from locfield.mie import body_green_center, gamma_b_exact, gamma_center_exact
 from locfield.rates import (GEOMETRIES, METHODS, AtomParams, RateRequest,
                             compute, compute_batch, gamma0_si,
@@ -192,9 +192,7 @@ _LENGTH_ENTRIES = {
         "q_C", 0.0625, lambda q: transmission_coefficient(1.1, q)),
     "outside_scatter_coefficients": (
         "q_C", 0.0625, lambda q: outside_scatter_coefficients(1.1, q, 3)),
-    "f_constant_q": ("q", 1, lambda q: f_constant_q(q, 0.1)),
-    "cavity_green_linear": ("q_C", 0.0625,
-                            lambda q: cavity_green_linear(q, 0.1)),
+    "cavity_green_linear": ("q_C", 1, lambda q: cavity_green_linear(q, 0.1)),
     "gamma_c_linear": ("q_C", 0.0625, lambda q: gamma_c_linear(0.1j, q)),
     "gamma_total_linear": ("q_C", 0.0625, lambda q: gamma_total_linear(
         StarBoundary.bulk(), 0.1j, q)),
@@ -777,7 +775,7 @@ def test_cavity_terms_that_overflow_inside_the_old_rule_are_refused():
     # at q_C = 1.8e-103 1/q_C^3 is a double, but Im chi/q_C^3 at
     # Im chi = 2 and 2/q^3 are not: the NonFiniteError that names the
     # radius, on the batch and on each scalar route, where the batch once
-    # returned total_ratio = inf and f_constant_q NaN; nothing warns
+    # returned total_ratio = inf and the shell tensor NaN; nothing warns
     q_C = 1.8e-103
     message = (f"q_C = {q_C:g} is too small: the cavity terms in 1/q_C^3 "
                "leave double range")
@@ -799,15 +797,12 @@ def test_cavity_terms_that_overflow_inside_the_old_rule_are_refused():
                      lambda: validity_check(StarBoundary.bulk(), 2j, q_C)):
             with pytest.raises(NonFiniteError, match=re.escape(message)):
                 call()
-        with pytest.raises(NonFiniteError, match=r"^q = 1.8e-103 is too "
-                           r"small: the cavity terms in 1/q\^3 leave"):
-            f_constant_q(q_C, 0.1)
         # a radius ten times larger leaves the same medium its rates
         (result,) = compute_batch([dataclasses.replace(requests[0],
                                                        q_C=1e-102)])
         assert math.isfinite(result.total_ratio)
-        assert_allclose(f_constant_q(1e-102, 0.1)[0, 0],
-                        -0.1 / (6 * np.pi) * 1e306, rtol=1e-12)
+        assert_allclose(cavity_green_linear(1e-102, 0.1)[0, 0],
+                        0.1 / (6 * np.pi) * 1e306, rtol=1e-12)
 
 
 # mixed batches: requests of every method, centred and off the centre
