@@ -145,8 +145,8 @@ def _cavity_term(chi, q_C: float):
     """gamma_c of :func:`gamma_c_linear`, unchecked, and not finite (with
     no warning) where it leaves double range; chi a complex or an array."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (np.imag(chi) * (1.0 / q_C**3 + 1.0 / q_C)
-                + (7.0 / 6.0) * np.real(chi))
+        return (chi.imag * (1.0 / q_C**3 + 1.0 / q_C)
+                + (7.0 / 6.0) * chi.real)
 
 
 def _center_rows(q_R, chi):

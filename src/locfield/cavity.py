@@ -116,16 +116,18 @@ def _cavity_term(eps, h, n, chi, q_C: float):
 
 def _scale_factor(method: str, eps, h, chi):
     """The factor c of :func:`locfield.errors.cavity_scale_faults` for a
-    method's rates at eps, a complex array: Im eps, as every absorption
-    validity value has it, or on the exact route the larger
+    method's rates at eps, a complex or a complex array: Im eps, as every
+    absorption validity value has it, or on the exact route the larger
     (|a| + |b|)/16 of the factors of :func:`_cavity_parts`, which grow
     near the pole; at Re eps >= 0 that stays below 0.31 and is not
-    worked out."""
+    worked out.  numpy forms them for a complex too, as for a column."""
     c = eps.imag
-    if method != "exact" or not np.count_nonzero(eps.real < 0.0):
+    negative = eps.real < 0.0  # a bool for a complex
+    if (method != "exact" or negative is False
+            or not np.count_nonzero(negative)):
         return c
     with np.errstate(all="ignore"):
-        ct, u = _cavity_parts(h, chi)
+        ct, u = _cavity_parts(np.asarray(h), np.asarray(chi))
         ab = np.abs(ct) * (3.0 + 1.8 * np.abs(u))
         return np.maximum(c, ab / _CAVITY_SCALE)
 

@@ -118,9 +118,10 @@ def error_of(check, *point):
 def failing(checks) -> list:
     """The checks that fail somewhere, in their order; every check is
     worked out, the failing ones too."""
-    # a plain bool is tested as such; count_nonzero takes a third of
-    # .any()'s time on a short array
+    # a plain or numpy False is tested as such; count_nonzero takes a
+    # third of .any()'s time on a short array
     return [check for check in checks if (failed := check[0]) is not False
+            and failed is not np.False_
             and (failed is True or np.count_nonzero(failed))]
 
 
@@ -212,7 +213,8 @@ def permittivity_faults(eps):
 
 def method_faults(method: str, eps, h=None):
     """The rules of a rate method on its permittivity; h = eps + 1/2,
-    which the exact rule reads, is formed here unless given."""
+    which the exact rule reads, is formed here unless given; |eps| is
+    numpy's, which a complex's builtin abs can miss by an ulp."""
     if method == "exact":
         h = eps + 0.5 if h is None else h
         size = np.abs(h)  # |eps| to within 1/2; 0 exactly where h is
@@ -220,11 +222,11 @@ def method_faults(method: str, eps, h=None):
                 (size < _POLE_BAND, NEAR_POLE, SingularityError),
                 *eps_size_faults(method, size))
     if method == "uncorrected":
-        return ((np.imag(eps) > ABSORPTION_TOL, "uncorrected method assumes "
+        return ((eps.imag > ABSORPTION_TOL, "uncorrected method assumes "
                  "a transparent host; use exact or weak_absorption"),
-                (np.real(eps) <= 0, "the uncorrected rate needs Re eps > 0"))
+                (eps.real <= 0, "the uncorrected rate needs Re eps > 0"))
     if method == "weak_absorption":
-        return ((np.real(eps) <= 0, "weak-absorption split needs Re eps > 0"),
+        return ((eps.real <= 0, "weak-absorption split needs Re eps > 0"),
                 *eps_size_faults(method, np.abs(eps)))
     return ()
 
@@ -246,8 +248,8 @@ def finite_rate(rate: float, formula: str) -> float:
 
 
 def finite_faults(rates, formula: str):
-    """The rule of :func:`finite_rate` on an array of rates."""
-    return ((~np.isfinite(rates), f"{formula} leaves double range",
+    """The rule of :func:`finite_rate` on a rate or an array of rates."""
+    return ((_not(abs(rates) < math.inf), f"{formula} leaves double range",
              NonFiniteError),)
 
 
@@ -269,13 +271,17 @@ def cavity_scale_faults(name: str, q: float, c=1.0):
     :func:`qc_faults` can still be too small for it (below about 4.5e-103
     at |c| <= 1), and the rates that divide by q^3 then leave double
     range."""
+    return (*positive(name, q), *cavity_term_faults(name, q, c))
+
+
+def cavity_term_faults(name: str, q: float, c=1.0):
+    """The rule of :func:`cavity_scale_faults` on the terms of a valid q."""
     cube = q * q * q
     # the largest max(1, |c|) whose terms are doubles
     room = cube * (sys.float_info.max / _CAVITY_SCALE)
-    return (*positive(name, q),
-            (not (cube > 0 and room >= 1.0) or _not(abs(c) <= room),
+    return ((not (cube > 0 and room >= 1.0) or _not(abs(c) <= room),
              lambda *_: (f"{name} = {q:g} is too small: the cavity terms in "
-                         f"1/{name}^3 leave double range"), NonFiniteError))
+                         f"1/{name}^3 leave double range"), NonFiniteError),)
 
 
 def check_qc(q_C: float, c=1.0) -> float:

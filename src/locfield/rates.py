@@ -9,25 +9,24 @@ and dispatches rate requests to the linear-Born, exact real-cavity,
 weak-absorption, or uncorrected evaluation paths.
 
 The evaluation works on columns, the points of one curve, which share
-method, geometry, orientation and q_C: :func:`compute_batch`
-groups its requests into columns, :func:`compute` makes a column of one
-and a sweep (:func:`locfield.cli.run_sweep`) one column per curve.  A
-column's points are checked as arrays by the rules of
-:mod:`locfield.errors`, each failing point getting the error (text and
-precedence) that a RateRequest and :func:`compute` give it: a sweep's by
-both, requests' (checked when made) by compute's method and q_C rules
-alone.  A column forms h = eps + 1/2, n = sqrt(eps) and chi = eps - 1
-once and hands them to the rules, the cavity term, the validity values
-and the row kernel.  The sphere body terms of all the columns go to two
-unchecked array kernels, one call each, which take an orientation per
-row and return a value or an error per row:
+method, geometry, orientation and q_C: :func:`compute_batch` groups its
+requests into columns, :func:`compute` makes a column of one and a sweep
+(:func:`locfield.cli.run_sweep`) one column per curve.  A RateRequest
+runs the rules of :mod:`locfield.errors` when it is made, and keeps the
+first of compute's that it fails as that point's error; a sweep's column
+checks its points as arrays by the same rules, each failing point
+getting the error (text and precedence) that a RateRequest and
+:func:`compute` give it.  A column forms h = eps + 1/2, n = sqrt(eps)
+and chi = eps - 1 once and hands them to the rules, the cavity term, the
+validity values and the row kernel.  The sphere body terms of all the
+columns go to two unchecked array kernels, one call each, which take an
+orientation per row and return a value or an error per row:
 :func:`locfield.mie._gamma_b_rows` for the exact and weak_absorption
 terms (the exact one at Re eps for weak_absorption),
-:func:`locfield.born._gamma_b_rows` for the linear Born and
-uncorrected ones, where rows on one sphere geometry share its moments.
-The linear body term is held to an absolute 1e-10
-(``born._TOL``) and the exact one to a relative 1e-8
-(``mie._CENTER_REL_MAX``); neither is a setting.
+:func:`locfield.born._gamma_b_rows` for the linear Born and uncorrected
+ones, where rows on one sphere geometry share its moments.  The linear
+body term is held to an absolute 1e-10 (``born._TOL``) and the exact one
+to a relative 1e-8 (``mie._CENTER_REL_MAX``); neither is a setting.
 
 Physical constants (SI; h is exact by definition, eps_0 is the CODATA
 2022 value):
@@ -47,10 +46,11 @@ import numpy as np
 
 from . import born, cavity, mie
 from .errors import (QC_DEFAULT, ConfigError, DomainError, LocfieldError,
-                     cavity_scale_faults, check_eps, error_of, failing,
-                     finite_faults, finite_rate, method_faults, number,
-                     orientation_faults, permittivity_faults, positive,
-                     qc_faults, raise_first, sphere_faults, warn_qc)
+                     cavity_scale_faults, cavity_term_faults, check_eps,
+                     error_of, failing, finite_faults, finite_rate,
+                     method_faults, number, orientation_faults,
+                     permittivity_faults, positive, qc_faults, raise_first,
+                     sphere_faults, warn_qc)
 
 __all__ = [
     "AtomParams",
@@ -147,11 +147,12 @@ class RateRequest:
     Inconsistent combinations raise ConfigError at construction time,
     and numbers out of range (q_C too, for either geometry)
     DomainError, by the rules of :mod:`locfield.errors`; eps is held as
-    a complex (repr ``eps=(1.1+0j)``) and q_R, q_L and q_C as floats.  A
-    permittivity that the method cannot take
-    (:func:`locfield.errors.method_faults`), and a q_C so small that
-    its cavity terms in 1/q_C^3 leave double range (NonFiniteError), are
-    the request's errors in :func:`compute`.
+    a complex (repr ``eps=(1.1+0j)``) and q_R, q_L and q_C as floats.  It
+    then runs :func:`compute`'s rules, on a permittivity that the method
+    cannot take (:func:`locfield.errors.method_faults`), a q_C whose
+    cavity terms in 1/q_C^3, or a linear_born cavity term, leave double
+    range (NonFiniteError), and keeps the first that fails, outside its
+    fields, for each :func:`compute` of it to raise anew.
     """
 
     eps: complex
@@ -188,13 +189,28 @@ class RateRequest:
                     if self.geometry == "sphere" else qc_faults(self.q_C),
                     self.q_R, self.q_L)
         warn_qc(self.q_C)
+        object.__setattr__(self, "_fault",
+                           _request_fault(self.method, self.eps, self.q_C))
+
+
+def _request_fault(method: str, eps: complex, q_C: float):
+    """The first of compute's rules that a request fails, as a check with
+    its text (so it pickles), in the order of :func:`_check_points`."""
+    h, chi = eps + 0.5, eps - 1.0
+    checks = failing((*method_faults(method, eps, h), *cavity_term_faults(
+        "q_C", q_C, cavity._scale_factor(method, eps, h, chi)), *(
+            finite_faults(born._cavity_term(chi, q_C), born._CAVITY_TERM)
+            if method == "linear_born" and q_C**3 > 0.0 else ())))
+    if checks:
+        error = error_of(checks[0])
+        return True, str(error), type(error)
 
 
 def compute(request: RateRequest) -> born.RateBreakdown:
     """Evaluate one rate request; returns the Gamma/Gamma_0 breakdown
     with the linearity/absorption validity report attached.  A column of
     one, as :func:`compute_batch` makes, whose error it raises."""
-    (rates_,) = _compute_columns([_request_column([request])], checked=True)
+    (rates_,) = _compute_columns([_request_column([request])])
     (result,) = rates_.results()
     if isinstance(result, LocfieldError):
         raise result
@@ -221,8 +237,7 @@ def compute_batch(requests) -> list:
     columns = [_request_column([requests[i] for i in members])
                for members in groups.values()]
     results: list = [None] * len(requests)
-    for members, rates_ in zip(groups.values(),
-                               _compute_columns(columns, checked=True)):
+    for members, rates_ in zip(groups.values(), _compute_columns(columns)):
         for i, result in zip(members, rates_.results()):
             results[i] = result
     return results
@@ -230,14 +245,15 @@ def compute_batch(requests) -> list:
 
 def _request_column(group) -> _Column:
     """The column of RateRequests that share method, geometry,
-    orientation and q_C."""
+    orientation and q_C, with the errors of their kept rules."""
     # a complex and two floats per request (q_R None in bulk), whose
     # dtypes the arrays keep
     eps, q_R, q_L = zip(*[(r.eps, r.q_R, r.q_L) for r in group])
     r = group[0]
     return _Column(r.method, r.orientation, r.q_C, np.array(eps),
                    np.array(q_R) if r.geometry == "sphere" else None,
-                   np.array(q_L))
+                   np.array(q_L), {k: error_of(request._fault) for k, request
+                                   in enumerate(group) if request._fault})
 
 
 def _off_center_faults(method: str, q_L):
@@ -250,7 +266,8 @@ def _off_center_faults(method: str, q_L):
 class _Column(NamedTuple):
     """One curve of rates: the method, orientation and q_C its points
     share, and the (N,) arrays eps (complex), q_R and q_L (float) of its
-    points; q_R is None for bulk."""
+    points; q_R is None for bulk.  errors, by index, are the requests'
+    kept errors, or None for a sweep's points, checked here."""
 
     method: str
     orientation: str
@@ -258,6 +275,7 @@ class _Column(NamedTuple):
     eps: np.ndarray
     q_R: np.ndarray | None
     q_L: np.ndarray
+    errors: dict | None = None
 
 
 class _Rates(NamedTuple):
@@ -291,13 +309,13 @@ class _Rates(NamedTuple):
                         self.chi_size.tolist(), self.absorption.tolist()))]
 
 
-def _compute_columns(columns, checked: bool = False) -> list:
+def _compute_columns(columns) -> list:
     """The :class:`_Rates` of each column, as the module docstring has
-    it: each is checked by :func:`_check_points` (checked: its points are
-    RateRequests'), warns once about a large q_C if it yields a rate, and
-    sends its sphere body terms to the array kernels with the others."""
+    it: a sweep's is checked by :func:`_check_points` and warns once
+    about a large q_C if it yields a rate, and each sends its sphere body
+    terms to the array kernels with the others."""
     batches = defaultdict(list)
-    out = [_column_rates(column, batches, checked) for column in columns]
+    out = [_column_rates(column, batches) for column in columns]
     for kernel, members in batches.items():
         rows = (members[0][2] if len(members) == 1 else
                 [np.concatenate(parts)
@@ -316,7 +334,7 @@ def _compute_columns(columns, checked: bool = False) -> list:
     return out
 
 
-def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
+def _column_rates(col: _Column, batches) -> _Rates:
     """The rates of one column, but for the sphere body terms that go to
     an array kernel: those rows, each with its orientation, are added to
     ``batches``, keyed by kernel, with the indices of their points (None
@@ -331,8 +349,9 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
     # q_C's own rule fails every point and the term is not formed
     gamma_c = (born._cavity_term(chi, q_C)
                if method == "linear_born" and q_C**3 > 0.0 else None)
-    errors, live = _check_points(col, eps, h, chi, q_R, q_L, checked,
-                                 gamma_c)
+    errors = (_check_points(col, eps, h, chi, q_R, q_L, gamma_c)
+              if col.errors is None else col.errors)
+    live = np.delete(np.arange(eps.size), list(errors)) if errors else None
     if errors:
         if live.size == 0:
             return _Rates(*np.full((4, eps.size), np.nan), errors)
@@ -344,7 +363,7 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
     with np.errstate(over="ignore", invalid="ignore"):
         chi_size, absorption = born._validity_values(
             chi, q_L + q_R if sphere else 1.0, q_C)
-    if not checked:  # a RateRequest warned when it was made
+    if col.errors is None:  # a RateRequest warned when it was made
         warn_qc(q_C)
     if method == "uncorrected":
         gamma_c = np.sqrt(eps.real) - 1.0
@@ -380,28 +399,22 @@ def _column_rates(col: _Column, batches, checked: bool) -> _Rates:
     return rates_
 
 
-def _check_points(col: _Column, eps, h, chi, q_R, q_L, checked: bool,
-                  gamma_c):
-    """The errors of a column's points, by index, and the indices of the
-    points that pass (None when every point passes): a sweep's by
-    RateRequest's rules and compute's, in their order, so that a point's
-    error is the first that it fails, and checked points (RateRequests',
-    checked when made) by compute's alone, reading the column's h and
-    chi; last, that the linear cavity terms gamma_c (None on the other
-    routes) are finite.  Only the rules that some point fails run one by
-    one."""
+def _check_points(col: _Column, eps, h, chi, q_R, q_L, gamma_c) -> dict:
+    """The errors of a sweep column's points, by index: by RateRequest's
+    rules and compute's, in their order, so that a point's error is the
+    first that it fails, reading the column's h and chi; last, that the
+    linear cavity terms gamma_c (None on the other routes) are finite.
+    Only the rules that some point fails run one by one."""
     q_C = col.q_C
-    request = () if checked else (
-        *_off_center_faults(col.method, q_L), *permittivity_faults(eps),
-        *(sphere_faults(q_R, q_L, q_C)
-          if col.q_R is not None else qc_faults(q_C)))
-    checks = failing((*request, *method_faults(col.method, eps, h),
+    checks = failing((*_off_center_faults(col.method, q_L),
+                      *permittivity_faults(eps),
+                      *(sphere_faults(q_R, q_L, q_C)
+                        if col.q_R is not None else qc_faults(q_C)),
+                      *method_faults(col.method, eps, h),
                       *cavity_scale_faults("q_C", q_C, cavity._scale_factor(
                           col.method, eps, h, chi)),
                       *(() if gamma_c is None else
                         finite_faults(gamma_c, born._CAVITY_TERM))))
-    if not checks:
-        return {}, None
     errors = {}
     ok = np.ones(eps.shape, dtype=bool)
     for check in checks:
@@ -409,4 +422,4 @@ def _check_points(col: _Column, eps, h, chi, q_R, q_L, checked: bool,
         for k in np.flatnonzero(bad).tolist():
             errors[k] = error_of(check, q_R[k], q_L[k])
         ok &= ~bad
-    return errors, np.flatnonzero(ok)
+    return errors

@@ -754,8 +754,7 @@ def test_validity_check_equals_the_requests_report(eps):
         # column's, since at eps = 1.1 its body term fails
         request = RateRequest(eps=eps, method="linear_born", q_R=1.7e308,
                               q_L=1e308)
-        (column,) = rates._compute_columns(
-            [rates._request_column([request])], checked=True)
+        (column,) = rates._compute_columns([rates._request_column([request])])
         report = validity_check(StarBoundary.sphere(1.7e308, 1e308),
                                 eps - 1.0, 0.01)
         assert report == _validity_report(column.chi_size.item(),

@@ -943,33 +943,44 @@ def _count_calls(monkeypatch, module_names, name, calls):
 # every rule of locfield.errors, and the modules that look them up
 _RULES = ("positive", "whole_number", "inside_sphere", "number", "array",
           "check_eps", "check_chi", "chi_faults", "permittivity_faults",
-          "method_faults", "eps_size_faults", "finite_rate", "qc_faults",
-          "cavity_scale_faults", "check_qc", "warn_qc", "sphere_faults",
-          "orientation_faults")
+          "method_faults", "eps_size_faults", "finite_rate", "finite_faults",
+          "qc_faults", "cavity_scale_faults", "cavity_term_faults",
+          "check_qc", "warn_qc", "sphere_faults", "orientation_faults")
 _RULE_MODULES = ("errors", "greens", "born", "rates", "mie", "cavity", "cli")
 
 
 def test_exact_requests_are_checked_once(monkeypatch):
-    # a request runs the permittivity and sphere rules when it is made,
-    # and compute runs only its own: the method's rule and the q_C scale
-    # rule once per column; the rows kernels take their rows unchecked,
-    # the exact one with no gamma_b_exact, no eps check and no rule per
-    # row, the linear one (linear_born and uncorrected) with no array
-    # conversion, sphere, chi or orientation rule, centred rows included
+    # a request runs every rule when it is made: its own (permittivity,
+    # sphere) and compute's (the method's, the q_C cavity scale's and,
+    # on linear_born, the cavity term's), and compute and compute_batch
+    # run none; the rows kernels take their rows unchecked, the exact
+    # one with no gamma_b_exact, no eps check and no rule per row, the
+    # linear one (linear_born and uncorrected) with no array conversion,
+    # sphere, chi or orientation rule, centred rows included
     calls = Counter()
     for name in _RULES:
         _count_calls(monkeypatch, _RULE_MODULES, name, calls)
+    made = ((1.2 + 1e-7j, 1.0, "exact"), (1.5, 0.5, "exact"),
+            (1.1 + 1e-8j, 2.0, "exact"), (1.3 + 1e-6j, 0.0, "exact"),
+            (1.4 + 1e-7j, 0.0, "weak_absorption"),
+            (1.2 + 1e-7j, 1.0, "linear_born"),
+            (1.1 + 1e-8j, 0.0, "linear_born"),
+            (1.5, 0.5, "uncorrected"), (1.3, 0.0, "uncorrected"))
     requests = [RateRequest(eps=eps, method=method, q_R=3.0, q_L=q_L)
-                for eps, q_L, method in (
-                    (1.2 + 1e-7j, 1.0, "exact"), (1.5, 0.5, "exact"),
-                    (1.1 + 1e-8j, 2.0, "exact"), (1.3 + 1e-6j, 0.0, "exact"),
-                    (1.4 + 1e-7j, 0.0, "weak_absorption"),
-                    (1.2 + 1e-7j, 1.0, "linear_born"),
-                    (1.1 + 1e-8j, 0.0, "linear_born"),
-                    (1.5, 0.5, "uncorrected"), (1.3, 0.0, "uncorrected"))]
-    assert calls[("permittivity_faults", None)] >= 9
-    assert calls[("sphere_faults", None)] == 9
-    assert calls[("method_faults", "exact")] == 0
+                for eps, q_L, method in made]
+    methods = Counter(method for *_, method in made)
+    assert calls == {
+        ("number", "eps"): 9, ("check_eps", None): 9,
+        ("permittivity_faults", None): 9, ("sphere_faults", None): 9,
+        ("qc_faults", None): 9, ("positive", "q_C"): 9,
+        ("warn_qc", None): 9, ("orientation_faults", "radial"): 9,
+        ("cavity_term_faults", "q_C"): 9,
+        ("finite_faults", None): methods["linear_born"],
+        **{("method_faults", method): count
+           for method, count in methods.items()},
+        **{("eps_size_faults", method): count
+           for method, count in methods.items()
+           if method in ("exact", "weak_absorption")}}
 
     def refused(*args, **kwargs):
         raise AssertionError("a row was checked again")
@@ -979,27 +990,12 @@ def test_exact_requests_are_checked_once(monkeypatch):
                          (born, "gamma_b_sphere_linear"),
                          (born, "check_chi")):
         monkeypatch.setattr(module, name, refused)
-    for batch, columns in (([requests[0]], {"exact": 1}),
-                           ([requests[3]], {"exact": 1}),
-                           ([requests[4]], {"weak_absorption": 1}),
-                           ([requests[5]], {"linear_born": 1}),
-                           ([requests[6]], {"linear_born": 1}),
-                           ([requests[7]], {"uncorrected": 1}),
-                           ([requests[8]], {"uncorrected": 1}),
-                           (requests, {"exact": 1, "weak_absorption": 1,
-                                       "linear_born": 1, "uncorrected": 1})):
+    for batch in (*([request] for request in requests), requests):
         calls.clear()
         results = (compute_batch(batch) if len(batch) > 1
                    else [compute(batch[0])])
         assert all(r.total_ratio > 0 for r in results)
-        n_columns = sum(columns.values())
-        assert calls == {("positive", "q_C"): n_columns,
-                         ("cavity_scale_faults", "q_C"): n_columns,
-                         **{("method_faults", method): count
-                            for method, count in columns.items()},
-                         **{("eps_size_faults", method): count
-                            for method, count in columns.items()
-                            if method in ("exact", "weak_absorption")}}
+        assert calls == {}
 
 
 def _sweep_column(method):
@@ -1062,9 +1058,10 @@ def test_centre_entries_check_each_rule_once(monkeypatch):
     # rules twice, through transmission_coefficient, and vacuum_green q's
     # positivity, through ab_coefficients); the one exception is q_C's
     # positivity, part of both the cavity-radius and the cavity-scale
-    # rule.  The centre entries and the scalar linear entry, and a sweep
-    # column, run exactly these rules: the kernels take their
-    # one-element columns unchecked
+    # rule, which a RateRequest, having checked q_C as a radius, runs
+    # once (its cavity-term rule alone).  The centre entries and the
+    # scalar linear entry, a request and a sweep column, run exactly
+    # these rules: the kernels take their one-element columns unchecked
     calls = Counter()
     for name in _RULES:
         _count_calls(monkeypatch, _RULE_MODULES, name, calls)
@@ -1094,6 +1091,7 @@ def test_centre_entries_check_each_rule_once(monkeypatch):
              {**eps_rule, **exact, ("number", "q_R"): 1,
               ("number", "q_C"): 1, ("sphere_faults", None): 1,
               ("qc_faults", None): 1, ("cavity_scale_faults", "q_C"): 1,
+              ("cavity_term_faults", "q_C"): 1,
               ("positive", "q_C"): 2, ("warn_qc", None): 1}),
             (lambda: body_green_center(eps, 2.0),
              {**eps_rule, ("number", "q_R"): 1, ("positive", "q_R"): 1,
@@ -1112,17 +1110,24 @@ def test_centre_entries_check_each_rule_once(monkeypatch):
              {**eps_rule, ("number", "q_C"): 1, ("positive", "q_C"): 1,
               ("whole_number", "m_max"): 1}),
             (lambda: vacuum_green(0.5, [0.0, 0.0, 1.0]),
-             {("cavity_scale_faults", "q"): 1, ("positive", "q"): 1}),
+             {("cavity_scale_faults", "q"): 1, ("cavity_term_faults", "q"): 1,
+              ("positive", "q"): 1}),
+            (lambda: RateRequest(eps=eps, method="exact", q_R=2.0, q_L=0.5),
+             {**eps_rule, **exact, ("orientation_faults", "radial"): 1,
+              ("sphere_faults", None): 1, ("qc_faults", None): 1,
+              ("positive", "q_C"): 1, ("cavity_term_faults", "q_C"): 1,
+              ("warn_qc", None): 1}),
             (lambda: _sweep_column("linear_born"),
              {("permittivity_faults", None): 1, ("sphere_faults", None): 1,
               ("qc_faults", None): 1, ("method_faults", "linear_born"): 1,
               ("cavity_scale_faults", "q_C"): 1, ("positive", "q_C"): 2,
+              ("cavity_term_faults", "q_C"): 1, ("finite_faults", None): 1,
               ("warn_qc", None): 1}),
             (lambda: _sweep_column("uncorrected"),
              {("permittivity_faults", None): 1, ("sphere_faults", None): 1,
               ("qc_faults", None): 1, ("method_faults", "uncorrected"): 1,
               ("cavity_scale_faults", "q_C"): 1, ("positive", "q_C"): 2,
-              ("warn_qc", None): 1})):
+              ("cavity_term_faults", "q_C"): 1, ("warn_qc", None): 1})):
         calls.clear()
         call()
         assert calls == checks

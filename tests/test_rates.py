@@ -732,6 +732,108 @@ def test_the_pole_band_is_refused():
             gamma_b_exact(-0.5 + 6.4e-155j, 1e-3, 5e-4)
 
 
+# permittivities at the edges of compute's rules: the pole and the band
+# about it, Re eps < 0 beside it, |eps| an ulp from EPS_MAX on either
+# side (numpy's |eps|, which the rules take, and the builtin abs fall on
+# either side of 1e300 and 1e100 at these), an absorbing host at and
+# past the uncorrected method's tolerance, Re eps <= 0, and a linear
+# cavity term 7/6 Re chi past double range
+_EDGE_EPS = (-0.5, -0.5 + 5e-155j, -0.5 + 6e-155j, -0.5 + 1e-12j,
+             -0.5000000000025849 + 5.889826751877822e-08j,
+             -0.5012455850051827 + 2.3004964776730774e-11j,
+             -0.4999999999923017 + 8.730948176853688e-08j,
+             -0.5000000000132963 + 1.4821078407553092e-07j,
+             -0.7 + 1e-3j, -2.0 + 0.1j, 1e300, 1e300j,
+             4.166696814882728e+299 + 9.090579610390426e+299j,
+             6.061609890915554e+299 + 7.953419738097239e+299j,
+             1e100, 6.989049341671602e+99 + 7.1521457828878015e+99j,
+             2.4138217218842696e+99 + 9.704301350172494e+99j,
+             1.5 + 1e-6j, 1.5 + 1.1e-6j, 2.0 + 0.1j, 1j, -1.0 + 0.1j,
+             1.6e308, 1.7e308 + 1.0j)
+# cavity radii: the default, either side of the 1/q_C^3 limit at
+# |Im eps| = 1, and, at the four near-pole eps of _EDGE_EPS with long
+# digits, the radius at which the exact cavity-scale factor that numpy
+# forms passes and one formed with the builtin abs fails, and the
+# reverse, then the same with Python's complex quotient and product
+_EDGE_QC = (0.01, 4.4e-103, 4.5e-103, 1.0267414276774222e-98,
+            1.3470497613676256e-101, 7.897479459227754e-99,
+            5.549786439912242e-99)
+
+
+def _outcome(call):
+    """What call returns, or the LocfieldError it raises."""
+    try:
+        return call()
+    except LocfieldError as exc:
+        return exc
+
+
+def test_a_requests_verdict_is_the_sweeps():
+    # at the edges of every rule, for every method in a sphere (centred
+    # and not) and in bulk, a request fails as the sweep's point does,
+    # with the error type and text that the sweep writes in its cell;
+    # compute_batch gives compute's entries, and each compute of a
+    # failing request raises an equal but new error
+    requests, outcomes = [], []
+    for method in METHODS:
+        for q_C in _EDGE_QC:
+            for q_R, q_L in ((None, 0.0), (2.0, 0.0), (2.0, 0.5)):
+                size = len(_EDGE_EPS)
+                (sweep,) = rates._compute_columns([rates._Column(
+                    method, "radial", q_C, np.array(_EDGE_EPS),
+                    None if q_R is None else np.full(size, q_R),
+                    np.full(size, q_L))])
+                for k, eps in enumerate(_EDGE_EPS):
+                    request = _outcome(lambda: RateRequest(
+                        eps=eps, method=method, q_R=q_R, q_L=q_L, q_C=q_C,
+                        geometry="bulk" if q_R is None else "sphere"))
+                    if isinstance(request, RateRequest):
+                        result = _outcome(lambda: compute(request))
+                        requests.append(request)
+                        outcomes.append(result)
+                    else:
+                        result = request
+                    if k in sweep.errors:
+                        assert (type(result), str(result)) == (
+                            type(sweep.errors[k]), str(sweep.errors[k])), (
+                                method, q_C, q_R, q_L, eps)
+                    else:
+                        assert isinstance(result, RateBreakdown), (
+                            method, q_C, q_R, q_L, eps, result)
+    failed = [r for r in outcomes if isinstance(r, LocfieldError)]
+    assert {type(r) for r in failed} >= {SingularityError, DomainError,
+                                         NonFiniteError}
+    for request, result, entry in zip(requests, outcomes,
+                                      compute_batch(requests)):
+        if isinstance(result, LocfieldError):
+            again = _outcome(lambda: compute(request))
+            assert again is not result and entry is not result
+            assert ((type(again), str(again)) == (type(entry), str(entry))
+                    == (type(result), str(result)))
+        else:
+            assert entry == result
+
+
+def test_a_failing_request_is_the_request_it_was():
+    # the rule a request fails is kept off its fields: it equals, hashes
+    # and prints as a request that passes, and pickles with its error
+    pole = RateRequest(eps=-0.5, method="exact", q_R=2.0)
+    twin = RateRequest(eps=-0.5 + 0j, method="exact", q_R=2.0)
+    assert pole == twin and hash(pole) == hash(twin)
+    assert repr(pole) == (
+        "RateRequest(eps=(-0.5+0j), method='exact', geometry='sphere', "
+        "q_R=2.0, q_L=0.0, q_C=0.01, orientation='radial')")
+    assert [f.name for f in dataclasses.fields(pole)] == [
+        "eps", "method", "geometry", "q_R", "q_L", "q_C", "orientation"]
+    linear = dataclasses.replace(pole, method="linear_born")
+    assert isinstance(compute(linear), RateBreakdown)
+    copy = pickle.loads(pickle.dumps(pole))
+    assert copy == pole
+    for request in (pole, copy):
+        with pytest.raises(SingularityError, match="^eps = -1/2 is the pole"):
+            compute(request)
+
+
 @pytest.mark.parametrize("q_C", [1e-120, 1e-103])
 def test_cavity_radius_beyond_double_range_fails_its_own_requests(q_C):
     # q_C passes the cavity-radius rule, but 1/q_C^3 is no double (at

@@ -10,14 +10,23 @@ benchmark does), which puts that tree's ``src`` first on the import
 path, and builds the ``exact_offcenter`` inputs of the given seeds.
 Each pass times these over all of those inputs, one after the other:
 
-* ``request``: building the ``RateRequest`` of each input;
+* ``request``: building the ``RateRequest`` of each input, and, in the
+  same calls, the layers it is made of (``request_layers``), timed as
+  compute's are below:
+
+  - ``request_rules``: compute's rules, which a request runs on its own
+    numbers when it is made, ``rates._request_fault``;
+  - ``rest``: its own rules and the rest of its construction;
+
 * ``compute_outside_series``: ``locfield.compute`` of each request with
   ``mie._series`` replaced by a stub that returns 0.0 (and put back
   after the pass), and, in the same calls, the layers it is made of
   (``compute_layers``), each timed by a wrapper around the function the
   package calls:
 
-  - ``rules``: compute's rules on the column, ``rates._check_points``;
+  - ``rules``: compute's rules on the column, ``rates._check_points``,
+    which a tree whose requests run those rules when made never calls
+    from ``compute`` (0 there);
   - ``medium``, ``cavity_term``, ``validity_values``: the column's parts,
     ``cavity._medium``, ``cavity._cavity_term`` and
     ``born._validity_values``;
@@ -35,8 +44,9 @@ Each pass times these over all of those inputs, one after the other:
 
 It prints one JSON line: the best pass of each, in microseconds per
 request, with the seeds, the number of requests and of passes; a
-layer's time is its time in the pass whose ``compute_outside_series``
-was best.  The passes are interleaved so that a slow spell of the
+layer's time is its time in the fastest of the wrapped passes of
+``request`` or of ``compute_outside_series``, whose layers sum to
+that pass.  The passes are interleaved so that a slow spell of the
 machine falls on all of them alike.  A tree whose series has no
 ``_bessel_ratio_tables`` times no ``series_tables``, and one without a
 layer's function times no such layer.
@@ -60,6 +70,8 @@ LAYERS = (("rates", "_check_points", "rules"),
           ("born", "_validity_values", "validity_values"),
           ("mie", "_gamma_b_rows", "kernel_plumbing"),
           ("rates", "_Rates.results", "results"))
+# the same for building a request
+REQUEST_LAYERS = (("rates", "_request_fault", "request_rules"),)
 
 
 def _best(times: dict, name: str, call, items) -> None:
@@ -80,10 +92,11 @@ def _wrapped(spent: dict, layer: str, function):
     return timed
 
 
-def _layer_sites(modules: dict) -> list:
-    """(owner, attribute, function, layer) of each layer the tree has."""
+def _layer_sites(modules: dict, layers) -> list:
+    """(owner, attribute, function, layer) of each of the layers that
+    the tree has."""
     sites = []
-    for module, attribute, layer in LAYERS:
+    for module, attribute, layer in layers:
         owner = modules[module]
         if "." in attribute:
             cls, attribute = attribute.split(".")
@@ -94,19 +107,23 @@ def _layer_sites(modules: dict) -> list:
     return sites
 
 
-def _timed_compute(compute, requests, sites) -> tuple:
-    """The time of compute over the requests, and of each layer in it."""
+def _split(call, items, sites, best: dict) -> None:
+    """Time call over the items, and each layer in it; keep the layers
+    and the rest in ``best`` if this pass is its best."""
     spent = {layer: 0.0 for *_, layer in sites}
     for owner, attribute, function, layer in sites:
         setattr(owner, attribute, _wrapped(spent, layer, function))
     try:
         start = time.perf_counter()
-        for request in requests:
-            compute(request)
-        return time.perf_counter() - start, spent
+        for item in items:
+            call(item)
+        total = time.perf_counter() - start
     finally:
         for owner, attribute, function, _ in sites:
             setattr(owner, attribute, function)
+    if not best or total < best["total"]:
+        best.clear()
+        best.update(spent, rest=total - sum(spent.values()), total=total)
 
 
 def layers(seeds, passes: int) -> dict:
@@ -134,24 +151,23 @@ def layers(seeds, passes: int) -> dict:
                 series(*args)
         finally:
             mie._bessel_ratio_tables = tables
-    sites = _layer_sites({"rates": rates, "cavity": cavity, "born": born,
-                          "mie": mie})
+    modules = {"rates": rates, "cavity": cavity, "born": born, "mie": mie}
+    sites = _layer_sites(modules, LAYERS)
+    request_sites = _layer_sites(modules, REQUEST_LAYERS)
 
     def stub(*args):
         return 0.0
 
-    times, split, split_best = {}, {}, None
+    times, split, request_split = {}, {}, {}
     for _ in range(passes):
         _best(times, "request", workloads.rate_request, items)
+        _split(workloads.rate_request, items, request_sites, request_split)
         mie._series = stub
         try:
             _best(times, "compute_outside_series", compute, requests)
-            total, spent = _timed_compute(compute, requests, sites)
+            _split(compute, requests, sites, split)
         finally:
             mie._series = series
-        if split_best is None or total < split_best:
-            split_best = total
-            split = dict(spent, rest=total - sum(spent.values()))
         _best(times, "series", lambda args: series(*args), series_args)
         if table_args:
             _best(times, "series_tables", lambda args: tables(*args),
@@ -165,8 +181,11 @@ def layers(seeds, passes: int) -> dict:
     return {"seeds": list(seeds), "requests": len(items), "passes": passes,
             "us_per_request": {name: per_request(t)
                                for name, t in times.items()},
-            "compute_layers_us_per_request": {
-                name: per_request(t) for name, t in split.items()}}
+            **{f"{name}_layers_us_per_request": {
+                layer: per_request(t) for layer, t in parts.items()
+                if layer != "total"}
+               for name, parts in (("request", request_split),
+                                   ("compute", split))}}
 
 
 def main(argv=None) -> int:
