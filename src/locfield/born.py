@@ -19,8 +19,8 @@ geometry (q_R, q_L) alone.  The unchecked kernel :func:`_gamma_b_rows`
 takes a batch of such rows, each with its chi and orientation, and holds
 each to one fixed absolute tolerance, _TOL = 1e-10 (no setting), by the
 first of its routes that certifies it, or refuses it: off the centre a
-closed form, a series near the centre and a Filon-Legendre rule
-(:func:`quad`), at the centre Tomas's closed form.
+closed form, a Gauss-Legendre rule near the centre and a Filon-Legendre
+rule (:func:`quad`), at the centre Tomas's closed form.
 :func:`gamma_b_sphere_linear` checks one row and runs the kernel on it:
 Tomas's centred rate is ``gamma_b_sphere_linear(q_R, 0.0, chi)``.  A
 sphere is three floats q_R, q_L and q_C, checked by
@@ -46,8 +46,7 @@ from .errors import (ORIENTATIONS, AccuracyError, cavity_scale_faults,
                      inside_sphere, number, orientation_faults, qc_faults,
                      raise_first)
 from .greens import (_BRACE_EI, StarBoundary, _body_green, _brace_parts,
-                     _gauss_legendre, _sphere_moments,
-                     _sphere_moments_near_centre, _unit_3vector)
+                     _gauss_legendre, _sphere_moments, _unit_3vector)
 from .specfun import _EI_SPLIT, _bessel_j_orders
 
 __all__ = [
@@ -69,26 +68,31 @@ _Z_HAT = np.array([0.0, 0.0, 1.0])
 _CAVITY_TERM = "the linear cavity term Im chi (1/q_C^3 + 1/q_C) + 7/6 Re chi"
 
 # largest bound, relative to each moment, under which an off-centre row
-# takes the moments of greens._sphere_moments, of the series of
-# greens._sphere_moments_near_centre or of quad
+# takes the moments of greens._sphere_moments, of _gauss_rule or of quad
 _CLOSED_FORM_REL = 1.0e-13
 # absolute tolerance on each linear body term, the rate's rounding bound
 # included
 _TOL = 1.0e-10
 
-# nodes of quad's Filon-Legendre rule, and geometries per block of it:
-# the (3, geometries, nodes) complex temporaries of a block of 512 are
+# nodes of the Gauss-Legendre rule near the centre and of quad's
+# Filon-Legendre rule, and geometries per block of either: the
+# (3, geometries, nodes) complex temporaries of a block of 512 are up to
 # 0.8 MB each
+_GAUSS_NODES = 16
 _FILON_NODES = 32
-_FILON_BLOCK = 512
+_RULE_BLOCK = 512
 # the moments of P and Q far from the emitter, P_far = -4 pi/3 and
 # Q_far = 4 pi, where Ei(2iq) -> i pi: 2 P_far, 2 Q_far and 2 Q_far/3
 _FAR_MOMENTS = np.pi * np.array([[-8.0 / 3.0], [8.0], [8.0 / 3.0]])
-# ulps of quad's rounding bound: the nodes' own rounding, which the
+# ulps of the rules' rounding bounds: the nodes' own rounding, which the
 # powers of 1/q in P, Q and the weights (up to 1/q^5) multiply near the
 # emitter, and a dozen roundings of each term take up to about 13 of them
-# (measured against 60-digit moments)
-_FILON_ULPS = 2.0**-47
+# in quad (measured against 60-digit moments) and 7 in _gauss_rule
+# (against 40-digit moments, with the far values apart)
+_RULE_ULPS = 2.0**-47
+# the far values' rounding relative to them in _gauss_rule's bound: three
+# roundings of the constant and one of the sum
+_FAR_ULPS = 2.0**-51
 
 
 @dataclasses.dataclass(frozen=True)
@@ -230,15 +234,15 @@ def _gamma_b_rows(q_R, q_L, chi, orient):
     moments within _CLOSED_FORM_REL of the moment, and the rate's within
     _TOL.  The routes, each on the geometries of the rows still open, are
     the closed form of :func:`locfield.greens._sphere_moments`, a
-    difference of antiderivatives at q_R -/+ q_L; the Taylor series in
-    q_L of :func:`locfield.greens._sphere_moments_near_centre`, where that
-    cancels; and the Filon-Legendre rule of :func:`quad`, which takes the
-    oscillation e^{2iq} out and so holds in large spheres too.  The first
-    two bound the moments' moduli, and the rate's bound is (3/4) |chi|
-    times the bounds' contraction; the rule bounds the real and imaginary
+    difference of antiderivatives at q_R -/+ q_L; the Gauss-Legendre rule
+    of :func:`_gauss_rule` near the centre, where that cancels; and the
+    Filon-Legendre rule of :func:`quad`, which takes the oscillation
+    e^{2iq} out and so holds in large spheres too.  The first two bound
+    the moments' moduli, and the rate's bound is (3/4) |chi| times the
+    bounds' contraction; the Filon rule bounds the real and imaginary
     parts apart, and the rate's bound is (3/4) (|Re chi| b_im + |Im chi|
     b_re), inf past double range.  A row that none certifies fails with
-    AccuracyError naming q_R, q_L and the rule's bound: its moments'
+    AccuracyError naming q_R, q_L and the Filon rule's bound: its moments'
     bound relative to them where that is above _CLOSED_FORM_REL, else the
     rate's bound above _TOL.  A centred row (q_L = 0), in either
     orientation, is Tomas's closed form of :func:`_center_rows`, or an
@@ -274,8 +278,7 @@ def _gamma_b_rows(q_R, q_L, chi, orient):
     # among them: at first every row and every geometry
     rest, g, at = np.arange(live.size), np.arange(q_R.size), geometry
     for moments_of, bound_of in ((_sphere_moments, _modulus_bound),
-                                 (_sphere_moments_near_centre,
-                                  _modulus_bound),
+                                 (_gauss_rule, _modulus_bound),
                                  (quad, _parts_bound)):
         if rest.size < live.size:
             # the open rows' geometries, once each, adjacent as above
@@ -312,7 +315,7 @@ def _gamma_b_rows(q_R, q_L, chi, orient):
 
 def _modulus_bound(chi, b):
     """The rows' rate bounds from b, a bound on the modulus of their
-    Int (P + z Q) dx (the closed form's and the series')."""
+    Int (P + z Q) dx (the closed form's and the Gauss rule's)."""
     return 0.75 * np.abs(chi) * b
 
 
@@ -353,16 +356,77 @@ def _rate(chi, tangential, m0, m1, m2):
 
 
 @functools.cache
-def _filon_table():
-    """The nodes x_i of the Gauss-Legendre rule of _FILON_NODES nodes, and
-    the table w_i (2l + 1) P_l(x_i) of its weights w_i, rows l = 0 .. n-1;
-    built on first use and read-only."""
-    n = _FILON_NODES
+def _legendre_table(n):
+    """The nodes x_i of the Gauss-Legendre rule of n nodes, and the table
+    w_i (2l + 1) P_l(x_i) of its weights w_i, rows l = 0 .. n-1 (row 0
+    is w_i); built on first use and read-only."""
     x, w = _gauss_legendre(n)
     table = (np.polynomial.legendre.legvander(x, n - 1)
              * (2.0 * np.arange(n) + 1.0)).T * w
     table.flags.writeable = False
     return x, table
+
+
+def _amplitudes(q_R, q_L, s):
+    """The integrands of the moments of :func:`quad` without their phase
+    e^{2iq}, for (G, 1) columns q_R and q_L at the n nodes s in [-1, 1]:
+    g, (3, G, n), the amplitudes A of P and Q at q = q_R + q_L s times
+    the weights a, a and a x^2 of M0, M1 and M2; and A, (2, G, n), those
+    weights, (3, G, n), and t = 1/q, (G, n), which quad's rounding bound
+    reads.  The caller ignores floating-point errors."""
+    q = q_R + q_L * s
+    t = 1.0 / q
+    a = 1.0 + ((q_R - q_L) * t) * ((q_R + q_L) * t)
+    weight = np.stack(
+        [a, a, a * (0.5 * (q_L + (2.0 * q_R + q_L * s) * s) * t) ** 2])
+    # P = P_far + e^{iy} A: below _EI_SPLIT the part u + i (v - pi) of Ei,
+    # which does not oscillate, joins A through e^{-iy}
+    y, u, v, amp = _brace_parts(q.ravel())
+    low = np.flatnonzero(y < _EI_SPLIT)
+    amp[:, low] += (1j * _BRACE_EI) * (
+        u[low] + 1j * (v[low] - np.pi)) * np.exp(-1j * y[low])
+    amp = amp.reshape(2, *q.shape)
+    return amp[[0, 1, 1]] * weight, amp, weight, t
+
+
+def _gauss_rule(q_R, q_L):
+    """The moments of :func:`quad` near the centre, by the Gauss-Legendre
+    rule of _GAUSS_NODES nodes, and bounds on the moduli of their errors.
+
+    With s and g as there (:func:`_amplitudes`), M = M_far +
+    e^{2iq_R}/2 Int h ds, h = e^{2iq_L s} g: the rule sums w_i h(s_i),
+    with the phase formed from q_L s_i, not from q = q_R + q_L s_i,
+    which would lose it where q_L << q_R.  h is smooth where 2 q_L is
+    small.  The bound is 2 d^2/max|h| for the truncation, with d the
+    moduli of h's last two Legendre coefficients summed as in quad, plus
+    the rounding: _FAR_ULPS times the far value and _RULE_ULPS times the
+    moduli of the terms w_i h_i.  Each geometry sums its own products,
+    so that its moments do not depend on the geometries beside it, and
+    the geometries go in blocks of _RULE_BLOCK.
+
+    Returns
+    -------
+    (moments, bounds) : the (3, G) complex moments and (3, G) real
+    bounds.
+    """
+    x, table = _legendre_table(_GAUSS_NODES)
+    q_R, q_L = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (q_R, q_L))
+    moments = np.empty((3, q_R.size), dtype=complex)
+    bounds = np.empty((3, q_R.size))
+    for start in range(0, q_R.size, _RULE_BLOCK):
+        block = slice(start, start + _RULE_BLOCK)
+        r, l = q_R[block], q_L[block]
+        with np.errstate(all="ignore"):
+            h = _amplitudes(r, l, x)[0] * np.exp(2j * l * x)
+            moments[:, block] = _FAR_MOMENTS + 0.5 * np.exp(2j * r[:, 0]) * (
+                table[0] * h).sum(axis=2)
+            size = np.abs(h)
+            d = sum(np.abs((h * row).sum(axis=2)) for row in table[-2:])
+            bounds[:, block] = (
+                2.0 * d * d / size.max(axis=2)
+                + _FAR_ULPS * np.abs(_FAR_MOMENTS)
+                + _RULE_ULPS * 0.5 * (table[0] * size).sum(axis=2))
+    return moments, bounds
 
 
 def quad(q_R, q_L):
@@ -387,13 +451,13 @@ def quad(q_R, q_L):
     W_i = w_i Sum_{l<n} (2l + 1) i^l j_l(k) P_l(s_i), the j_l from
     :func:`locfield.specfun._bessel_j_orders`.  Each geometry's products
     are its own, so that its moments do not depend on the geometries
-    beside it, and the geometries go in blocks of _FILON_BLOCK.
+    beside it, and the geometries go in blocks of _RULE_BLOCK.
 
     Returns
     -------
     (moments, bounds) : the (3, G) complex moments and (3, G) complex
     bounds, whose real and imaginary parts bound the errors of the
-    moments' real and imaginary parts apart.  Each is _FILON_ULPS times
+    moments' real and imaginary parts apart.  Each is _RULE_ULPS times
     the moduli of the far value and of the terms W_i g_i (the rounding,
     of which the comment below says more), plus a truncation estimate
     from the last two Legendre coefficients of g: with d their moduli
@@ -404,28 +468,16 @@ def quad(q_R, q_L):
     0.65 for q_R up to 5, 0.55 at 50 to 100 and 0.6 to 0.7 from 1e3 to
     1e5, and grow past that.
     """
-    x, table = _filon_table()
+    x, table = _legendre_table(_FILON_NODES)
     n = x.size
     q_R, q_L = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (q_R, q_L))
     moments = np.empty((3, q_R.size), dtype=complex)
     bounds = np.empty((3, q_R.size), dtype=complex)
-    for start in range(0, q_R.size, _FILON_BLOCK):
-        block = slice(start, start + _FILON_BLOCK)
+    for start in range(0, q_R.size, _RULE_BLOCK):
+        block = slice(start, start + _RULE_BLOCK)
         r, l = q_R[block], q_L[block]
         with np.errstate(all="ignore"):
-            q = r + l * x
-            t = 1.0 / q
-            a = 1.0 + ((r - l) * t) * ((r + l) * t)
-            weight = np.stack(
-                [a, a, a * (0.5 * (l + (2.0 * r + l * x) * x) * t) ** 2])
-            # P = P_far + e^{iy} A: below _EI_SPLIT the part u + i (v - pi)
-            # of Ei, which does not oscillate, joins A through e^{-iy}
-            y, u, v, amp = _brace_parts(q.ravel())
-            low = np.flatnonzero(y < _EI_SPLIT)
-            amp[:, low] += (1j * _BRACE_EI) * (
-                u[low] + 1j * (v[low] - np.pi)) * np.exp(-1j * y[low])
-            amp = amp.reshape(2, *q.shape)
-            g = amp[[0, 1, 1]] * weight
+            g, amp, weight, t = _amplitudes(r, l, x)
             j = _bessel_j_orders(2.0 * l[:, 0], n)
             W = ((1j ** np.arange(n)[:, None] * j).T[:, None] @ table)[:, 0]
             moments[:, block] = _FAR_MOMENTS + 0.5 * np.exp(2j * r[:, 0]) * (
@@ -444,7 +496,7 @@ def quad(q_R, q_L):
             # g @ table.T, one BLAS product of all the geometries, is not
             d = sum(np.abs((g * row).sum(axis=2)) for row in table[-2:])
             bounds[:, block] = (
-                _FILON_ULPS * (np.abs(_FAR_MOMENTS) + 0.5 * (
+                _RULE_ULPS * (np.abs(_FAR_MOMENTS) + 0.5 * (
                     moduli * weight * rounding[[0, 1, 1]]).sum(axis=2))
                 + (1 + 1j) * d * (np.abs(j[-2:]).sum(axis=0)
                                   + d / np.abs(g).max(axis=2)))

@@ -396,127 +396,6 @@ def _sphere_moments(q_R, q_L):
     return moments, bounds
 
 
-# Taylor orders of the near-centre moments in s = (q - q_R)/q_L
-_NEAR_ORDERS = 30
-
-
-def _poly2(a, b):
-    """Product of two polynomials in (s, rho) given as arrays [j, n] of
-    the coefficients of s^j rho^n."""
-    out = np.zeros(np.add(a.shape, b.shape) - 1)
-    for (j, n), c in np.ndenumerate(a):
-        out[j:j + b.shape[0], n:n + b.shape[1]] += c * b
-    return out
-
-
-@functools.cache
-def _near_centre_tables():
-    """The constant tables of :func:`_sphere_moments_near_centre`, built
-    on first use (about 1 ms) and read-only.
-
-    Taylor: e^{-2iq} P^(k)(q)/k! and e^{-2iq} Q^(k)(q)/k!, k = 1..K
-    (K = _NEAR_ORDERS), as polynomials in t = 1/q, from
-    P' = -e^{2iq} alpha^2 and Q' = -e^{2iq} (beta^2 - 2 alpha beta),
-    alpha = 1 + it - t^2 and beta = 1 + 3it - 3t^2, and
-    d/dq (e^{2iq} Sum r_m t^m) = e^{2iq} Sum (2i r_m - (m - 1) r_{m-1}) t^m:
-    rows t^0 .. t^(K+3), columns Re P_k, Re Q_k, Im P_k, Im Q_k, |P_k|,
-    |Q_k|.
-
-    Weights: Sum_j H_ij w_j of the weight w(s) = Sum w_j s^j of M0 and
-    M1, a = 1 + (1 - rho^2)(1 + rho s)^-2, and of M2,
-    b = (rho + 2s + rho s^2)^2 (2 - rho^2 + 2 rho s + rho^2 s^2)
-    (1 + rho s)^-4 / 4, with H_ij = (1/2) Int s^(i+j) ds over i + j <= K,
-    as polynomials in rho: rows rho^0 .. rho^(K+4), columns the values
-    for a and b, then their bounds: 2^-49 times their moduli plus the
-    moduli of the terms i + j = K.
-    """
-    K = _NEAR_ORDERS
-    alpha, beta = np.array([1, 1j, -1]), np.array([1, 3j, -3])
-    taylor = []
-    for r in (-np.convolve(alpha, alpha), np.convolve(2 * alpha - beta,
-                                                      beta)):
-        d = np.r_[r, np.zeros(K - 1)]
-        for k in range(1, K + 1):
-            taylor.append(d)
-            d = (2j * d - np.r_[0.0, np.arange(K + 3) * d[:-1]]) / (k + 1)
-    taylor = np.array(taylor).reshape(2, K, K + 4)
-    j = np.arange(K + 1)
-    inverse = [np.diag(c * (-1.0) ** j)
-               for c in (j + 1.0, (j + 1.0) * (j + 2) * (j + 3) / 6)]
-    a = _poly2(np.array([[1.0, 0.0, -1.0]]), inverse[0])
-    a[0, 0] += 1.0
-    u = np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 1.0]])
-    v = np.array([[2.0, 0.0, -1.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
-    b = _poly2(_poly2(_poly2(u, u), v) / 4.0, inverse[1])
-    weights = np.zeros((2, K + 1, K + 5))
-    weights[0, :, :K + 3] = a
-    weights[1] = b[:K + 1]
-    ij = j[:, None] + j
-    half = np.where((ij % 2 == 0) & (ij <= K), 1.0 / (ij + 1), 0.0)
-    sums, last = half @ weights, (ij == K) / (K + 1.0) @ weights
-    bounds = 2.0**-49 * np.abs(sums) + np.abs(last)
-    tables = (np.concatenate([taylor.real, taylor.imag, np.abs(taylor)])
-              .reshape(-1, K + 4).T.copy(),
-              np.concatenate([sums, bounds]).reshape(-1, K + 5).T.copy())
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _sphere_moments_near_centre(q_R, q_L):
-    """The moments of :func:`_sphere_moments` from a Taylor series in the
-    emitter offset, with no 1/q_L that cancels as q_L -> 0.
-
-    With s = (q - q_R)/q_L in [-1, 1], t = 1/q and A = q_R^2 - q_L^2,
-
-        M0 = 1/2 Int P (1 + A t^2) ds,   M1 = 1/2 Int Q (1 + A t^2) ds,
-        M2 = 1/8 Int Q (q_L + 2 q_R s + q_L s^2)^2
-                      (2 q_R^2 - q_L^2 + 2 q_R q_L s + q_L^2 s^2) t^4 ds.
-
-    P and Q are expanded about q_R to order _NEAR_ORDERS in q_L s: P(q_R)
-    and Q(q_R) from :func:`_brace_coeffs`, the higher coefficients
-    e^{2iq_R} q_L^k times polynomials in 1/q_R, and the weights,
-    functions of s and rho = q_L/q_R, are expanded in s; the s-integrals
-    of the products, truncated at total order _NEAR_ORDERS, are
-    polynomials in rho (the tables of :func:`_near_centre_tables`).
-    Each product of a geometry's values with a table is a matrix product
-    of its own (one batched matmul), so its moments do not depend on the
-    geometries beside it, as those of one matrix product of all of them
-    would.
-
-    Returns
-    -------
-    (moments, bounds) : the (3, G) complex moments and the (3, G) real
-    bounds, 2^-49 times the summed moduli of the series' terms plus those
-    of its last order, which estimate the truncation error (the odd
-    orders vanish, the next even one is smaller by about (2 q_L/K)^2 or
-    rho^2).  The bound grows past 1e-13 of the moment from q_L/q_R of
-    about 0.24 for q_R up to about 5, or from q_L of about 2.2 in larger
-    spheres.
-    """
-    q_R, q_L = np.asarray(q_R, dtype=float), np.asarray(q_L, dtype=float)
-    K = _NEAR_ORDERS
-    taylor_table, weight_table = _near_centre_tables()
-    with np.errstate(all="ignore"):
-        t = 1.0 / q_R
-        powers = [x[:, None] ** np.arange(n)
-                  for x, n in ((t, K + 4), (q_L, K + 1), (q_L * t, K + 5))]
-        taylor = (powers[0][:, None] @ taylor_table).reshape(-1, 6, K)
-        weights = (powers[2][:, None] @ weight_table).reshape(-1, 4, K + 1)
-        # orders 1..K: rows Re P, Re Q, Im P, Im Q, |P|, |Q| against
-        # columns a, b and their bounds; M0 = <P, a>, M1 = <Q, a> and
-        # M2 = <Q, b>, then e^{2iq} and order 0
-        scaled = weights[:, :, 1:] * powers[1][:, None, 1:]
-        sums = taylor @ scaled.swapaxes(1, 2)
-        f, w = [0, 1, 1], [0, 0, 1]
-        first = np.stack(_brace_coeffs(q_R), axis=1)[:, f]
-        moments = (first * weights[:, w, 0] + np.exp(2j * q_R)[:, None]
-                   * (sums[:, f, w] + 1j * sums[:, [2, 3, 3], w]))
-        bounds = (np.abs(first) * weights[:, [2, 2, 3], 0]
-                  + sums[:, [4, 5, 5], [2, 2, 3]])
-    return moments.T, bounds.T
-
-
 def f_integrand(q, s_hat) -> np.ndarray:
     """Radial antiderivative of the first-Born volume integrand.
 
@@ -593,9 +472,9 @@ def _gauss_legendre(n: int):
     """Read-only Gauss-Legendre nodes and weights on [-1, 1].
 
     Cached per n: the refinement loop only asks for the six node counts
-    _GL_N_MIN * 2**k <= _GL_N_MAX, :func:`locfield.born.quad` for one
-    rule of 32 nodes, and computing a rule costs more than using it
-    (about 0.8 s at n = 2048).
+    _GL_N_MIN * 2**k <= _GL_N_MAX, :mod:`locfield.born` for rules of 16
+    nodes (near the centre) and 32 (:func:`locfield.born.quad`), and
+    computing a rule costs more than using it (about 0.8 s at n = 2048).
     """
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False

@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from locfield import rates
-from locfield.born import (_CLOSED_FORM_REL, _FILON_BLOCK, ORIENTATIONS,
+from locfield.born import (_CLOSED_FORM_REL, _RULE_BLOCK, ORIENTATIONS,
                            RateBreakdown, ValidityReport, _center_rows,
-                           _certified, _gamma_b_rows, _validity_report,
-                           gamma_b_sphere_linear, gamma_c_linear,
-                           gamma_total_linear, quad, validity_check)
+                           _certified, _gamma_b_rows, _gauss_rule,
+                           _validity_report, gamma_b_sphere_linear,
+                           gamma_c_linear, gamma_total_linear, quad,
+                           validity_check)
 from locfield.errors import AccuracyError, DomainError
 from locfield.greens import (StarBoundary, _brace_coeffs, _brace_parts,
-                             _gauss_legendre, _sphere_moments,
-                             _sphere_moments_near_centre, f_integrand)
+                             _gauss_legendre, _sphere_moments, f_integrand)
 from locfield.rates import RateRequest, compute
 from moment_reference import mp_body_term, mp_sphere_moments
 
@@ -308,9 +308,10 @@ def test_rule_returns_large_spheres_near_their_centre(orientation):
 def _route_row(q_R, q_L, chi, orientation, tol=1.0e-10,
                kernel=_sphere_moments):
     # one row alone from the moments of its geometry by one kernel, the
-    # closed form, the series or the rule, in the paper's order, or from
-    # the centre's closed form, or None where the kernel's bound does not
-    # certify the row: the values the rows must equal bit for bit
+    # closed form, the Gauss rule or the Filon rule, in the kernel's
+    # order, or from the centre's closed form, or None where the kernel's
+    # bound does not certify the row: the values the rows must equal bit
+    # for bit
     if q_L == 0.0:
         return _center_rows(np.array([q_R]), np.array([complex(chi)]))[0][0]
     moments, bounds = kernel(np.array([q_R]), np.array([q_L]))
@@ -333,9 +334,8 @@ def _closed_form_row(q_R, q_L, chi, orientation):
     return _route_row(q_R, q_L, chi, orientation)
 
 
-def _series_row(q_R, q_L, chi, orientation):
-    return _route_row(q_R, q_L, chi, orientation,
-                      kernel=_sphere_moments_near_centre)
+def _gauss_row(q_R, q_L, chi, orientation):
+    return _route_row(q_R, q_L, chi, orientation, kernel=_gauss_rule)
 
 
 def _rule_row(q_R, q_L, chi, orientation):
@@ -344,9 +344,9 @@ def _rule_row(q_R, q_L, chi, orientation):
 
 def _route(q_R, q_L, chi, orientation):
     # the single-row reference of the route a row takes: the closed form
-    # where it certifies the row, else the series where it does, else the
-    # rule where it does, else None
-    for row in (_closed_form_row, _series_row, _rule_row):
+    # where it certifies the row, else the Gauss rule where it does, else
+    # the Filon rule where it does, else None
+    for row in (_closed_form_row, _gauss_row, _rule_row):
         if row(q_R, q_L, chi, orientation) is not None:
             return row
     return None
@@ -355,9 +355,10 @@ def _route(q_R, q_L, chi, orientation):
 def test_body_term_rows_share_geometries_bit_for_bit():
     # geometries shared across a complex and a real chi and both
     # orientations, centered rows, rows that take the closed form, the
-    # series or the rule, and the geometry that none certifies; the last
-    # row's closed-form moments are certified but not its rate (0.75 |chi|
-    # times their bound is 1.2e-10), so it goes on to the series
+    # Gauss rule or the Filon rule, and the geometry that none certifies;
+    # the last row's closed-form moments are certified but not its rate
+    # (0.75 |chi| times their bound is 5.9e-10), so it goes on to the Gauss
+    # rule (9.4e-11)
     rows = [
         (5.0, 3.0, 0.1 + 1e-8j, "radial"),
         (1e4, 9000.0, 0.1 + 1e-8j, "radial"),
@@ -383,7 +384,7 @@ def test_body_term_rows_share_geometries_bit_for_bit():
     routes = [_route(*row) for row in rows]
     assert [k for k, r in enumerate(routes) if r is _closed_form_row] == [
         0, 2, 3, 4, 5, 6, 8, 9, 10, 11]
-    assert [k for k, r in enumerate(routes) if r is _series_row] == [
+    assert [k for k, r in enumerate(routes) if r is _gauss_row] == [
         12, 13, 15]
     assert [k for k, r in enumerate(routes) if r is _rule_row] == [14]
     for k, (qr, ql, c, o) in enumerate(rows):
@@ -392,7 +393,7 @@ def test_body_term_rows_share_geometries_bit_for_bit():
             continue
         assert values[k] == gamma_b_sphere_linear(qr, ql, c, o), rows[k]
         assert values[k] == routes[k](qr, ql, c, o), rows[k]
-    # the row the series certifies is within the fixed tol of the
+    # the row the Gauss rule certifies is within the fixed tol of the
     # 40-digit rate
     assert abs(values[15] - mp_body_term(0.5, 0.1, 1000.0, "radial")) <= 1e-10
 
@@ -502,14 +503,15 @@ def test_closed_form_agrees_with_the_rule_where_both_settle(q_R):
     assert checked >= 4
 
 
-# geometries on both sides of the routing boundaries: the series hands
-# over to the closed form where q_L/q_R passes about 0.17 (M2's rounding
-# bound falls below 1e-13 of M2), and to the rule in spheres of q_R above
-# about 15 where q_L passes about 2.2 (the series' truncation)
+# geometries on both sides of the routing boundaries: the Gauss rule
+# hands over to the closed form where q_L/q_R passes about 0.17 (M2's
+# rounding bound falls below 1e-13 of M2), and to the Filon rule in
+# spheres of q_R above about 15 where q_L passes about 1.47 (the Gauss
+# rule's truncation)
 _NEAR_BOUNDARY = st.one_of(
     st.builds(lambda q_R, ratio: (q_R, q_R * ratio), st.floats(0.3, 50.0),
               st.floats(0.05, 0.6)),
-    st.tuples(st.floats(15.0, 50.0), st.floats(1.5, 3.5)))
+    st.tuples(st.floats(15.0, 50.0), st.floats(1.0, 3.5)))
 
 
 @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
@@ -517,8 +519,8 @@ _NEAR_BOUNDARY = st.one_of(
                                st.sampled_from(ORIENTATIONS)),
                      min_size=1, max_size=4))
 @example(rows=[((1.0, 0.15), 0.1, "radial"), ((1.0, 0.2), 0.1, "radial"),
-               ((20.0, 2.1), 0.1j, "tangential"),
-               ((20.0, 2.2), 0.1j, "tangential")])
+               ((20.0, 1.45), 0.1j, "tangential"),
+               ((20.0, 1.5), 0.1j, "tangential")])
 def test_body_term_is_continuous_across_the_routing_boundary(rows):
     # whichever route a row takes, it gives the 40-digit rate to 1e-12,
     # and a batch gives each row's single value to the bit
@@ -532,14 +534,14 @@ def test_body_term_is_continuous_across_the_routing_boundary(rows):
         assert abs(values[k] - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def test_rows_past_the_series_reach_the_rule(monkeypatch):
-    # only the geometries that neither the closed form nor the series
-    # certifies go to the rule, in one call: their values are its own, bit
-    # for bit, and its refusals name their bound
-    rows = [(100.0, 10.0, 0.1 + 1e-8j, "radial"),  # between the two forms
+def test_rows_past_the_gauss_rule_reach_the_filon_rule(monkeypatch):
+    # only the geometries that neither the closed form nor the Gauss rule
+    # certifies go to the Filon rule, in one call: their values are its
+    # own, bit for bit, and its refusals name their bound
+    rows = [(100.0, 10.0, 0.1 + 1e-8j, "radial"),  # between the other two
             (1e4, 9000.0, 0.1 + 1e-8j, "tangential"),  # none
             (1e-4, 3e-5, 0.1, "radial"),  # over the rule's rounding bound
-            (5.0, 0.25, 0.2, "radial"),  # the series
+            (5.0, 0.25, 0.2, "radial"),  # the Gauss rule
             (5.0, 3.0, 0.2, "tangential")]  # the closed form
     seen = []
 
@@ -556,7 +558,7 @@ def test_rows_past_the_series_reach_the_rule(monkeypatch):
         2: "linear body rate at q_R = 0.0001, q_L = 3e-05 may be off by "
            "3.0e-07 from rounding, above tol = 1e-10"}
     assert [_route(*row) for row in rows] == [_rule_row, None, None,
-                                              _series_row, _closed_form_row]
+                                              _gauss_row, _closed_form_row]
     for k in (0, 3, 4):
         assert values[k] == _route(*rows[k])(*rows[k])
 
@@ -607,14 +609,14 @@ def test_rule_moments_alone_equal_their_batch():
     # range
     rng = np.random.default_rng(7)
     q_R = np.r_[0.05, 5.0, 100.0, 1e5, 1e-120, 1e300, 1e308,
-                10.0 ** rng.uniform(-2, 5, _FILON_BLOCK)]
+                10.0 ** rng.uniform(-2, 5, _RULE_BLOCK)]
     q_L = q_R * np.r_[0.2, 0.05, 0.01, 0.02, 0.3, 1e-300, 1e-308,
-                      rng.uniform(0.0, 0.9, _FILON_BLOCK)]
+                      rng.uniform(0.0, 0.9, _RULE_BLOCK)]
     with np.errstate(all="raise"):
         moments, bounds = quad(q_R, q_L)
     assert _certified(moments, np.abs(bounds))[:7].tolist() == [True] * 4 + [
         False, True, False]
-    for k in list(range(7)) + [100, _FILON_BLOCK + 6]:
+    for k in list(range(7)) + [100, _RULE_BLOCK + 6]:
         # the same bits, NaNs aside, whose sign SIMD lanes may flip
         for alone, batch in zip(quad(q_R[k:k + 1], q_L[k:k + 1]),
                                 (moments[:, k:k + 1], bounds[:, k:k + 1])):

@@ -983,10 +983,10 @@ def test_an_absurd_radius_is_a_typed_error():
     # fails, so that each route reaches its own typed refusal with no
     # numpy warning: the exact series its argument cap, the linear rule a
     # rounding bound that is NaN (once written "off by nan").  At
-    # q_R = 1e300 the linear body term is the Taylor series in q_L, where
-    # the rule's q_R^2 overflowed: a rate, 1.5e-16 from the 0.330984468435511
-    # of a 330-digit mpmath quadrature of the moments' s-integrals, whose
-    # validity report fails
+    # q_R = 1e300 the linear body term is the near-centre Gauss rule, whose
+    # phase is e^{2iq_R} e^{2iq_L s}: a rate within 1e-15 of the
+    # 0.330984468435511 of a 330-digit mpmath quadrature of the moments'
+    # s-integrals, whose validity report fails
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for q_R in (1e308, 1e300):

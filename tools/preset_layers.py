@@ -14,11 +14,12 @@ and once with these functions wrapped, which gives the time spent in
 * ``rows_kernel``: ``born._gamma_b_rows``, the linear body terms (a
   tree without it times none);
 * ``quad``: ``born.quad``, the Filon-Legendre rule of the rows that
-  neither the closed form nor the series certifies, within the kernel
-  (in older trees the Gauss-Legendre rule);
-* ``series``: ``born._sphere_moments_near_centre``, the Taylor series of
-  the near-centre moments, within the kernel (a tree without it times
-  none);
+  neither the closed form nor the near-centre route certifies, within
+  the kernel (in older trees the Gauss-Legendre rule);
+* ``series``: the near-centre route within the kernel,
+  ``born._gauss_rule``, the Gauss-Legendre rule of 16 nodes (in older
+  trees ``born._sphere_moments_near_centre``, the Taylor series in q_L;
+  a tree with neither times none);
 * ``format``: ``cli.run_sweep`` less ``cli._sweep_results`` and the
   write: the validity flags (array code per curve), the row templates
   (one per flags value, and one per row with an error, which holds its
@@ -52,6 +53,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = (("born", "_gamma_b_rows", "rows_kernel"),
           ("born", "quad", "quad"),
+          ("born", "_gauss_rule", "series"),
           ("born", "_sphere_moments_near_centre", "series"),
           ("cli", "_sweep_results", "sweep"),
           ("cli", "run_sweep", "run_sweep"))
